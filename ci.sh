@@ -27,6 +27,16 @@ cold=$(sweep)
 echo "$cold" | grep -q "tunestore: miss" \
   || { echo "FAIL: cold run should miss the tunestore"; echo "$cold"; exit 1; }
 
+# a store file in an older format is a miss: the sweep re-tunes and
+# rewrites it in the current format
+tune_file=$(ls "$cache_dir"/tune/*.tune)
+sed -i '1s/.*/lime-tunestore 3/' "$tune_file"
+stale=$(sweep)
+echo "$stale" | grep -q "tunestore: miss" \
+  || { echo "FAIL: an old-format tunestore file should miss"; echo "$stale"; exit 1; }
+[ "$(head -n 1 "$tune_file")" = "lime-tunestore 4" ] \
+  || { echo "FAIL: the re-tune should rewrite $tune_file as format 4"; head -n 1 "$tune_file"; exit 1; }
+
 warm=$(sweep)
 echo "$warm" | grep -q "tunestore: hit" \
   || { echo "FAIL: warm run should hit the tunestore"; echo "$warm"; exit 1; }
@@ -474,7 +484,8 @@ for dev in gtx8800 gtx580 hd5970 corei7; do
     || { echo "FAIL: --devices lacks $dev"; echo "$devices_out"; exit 1; }
 done
 
-echo "ci.sh: OK (cold sweep populated the cache; warm run served from it;"
+echo "ci.sh: OK (cold sweep populated the cache; an old-format tunestore"
+echo "        file was re-tuned; warm run served from it;"
 echo "        --jobs 4 batch recompiled all examples warm from disk;"
 echo "        traced run exported well-formed Chrome JSON;"
 echo "        daemon served a warm cache hit and drained cleanly on SIGTERM;"

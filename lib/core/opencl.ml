@@ -326,6 +326,23 @@ and local_array_aty g name : Ir.aty option =
     g.kernel.Kernel.k_body;
   !found
 
+(* [name]'s single assignment is an array literal: a plain assignment,
+   or the return of the inline block it is the result of *)
+and assigned_array_literal g name : bool =
+  let found = ref false in
+  let iter stmt = List.iter (Ir.iter_stmt ~stmt ~expr:ignore) in
+  iter
+    (function
+      | Ir.SAssign (Ir.LVar v, Ir.ArrLit _) when v = name -> found := true
+      | Ir.SInlineBlock (v, b) when v = name ->
+          iter
+            (function
+              | Ir.SReturn (Some (Ir.ArrLit _)) -> found := true | _ -> ())
+            b
+      | _ -> ())
+    g.kernel.Kernel.k_body;
+  !found
+
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -634,10 +651,11 @@ and decl_c g v (t : Ir.ty) (init : Ir.expr option) : unit =
       ignore aty (* the result array is the _out kernel parameter *)
   | Ir.TArr aty, None -> (
       (* an array variable bound later (e.g. an inline-block result): a
-         small private one is a real register array filled by an array
-         literal; larger ones alias their single assignment *)
+         small private one, or one filled by an array literal, is a real
+         array; others alias their single assignment *)
       match ((placement g v).Ir.space, Ir.static_elem_count aty) with
-      | Ir.MPrivate, Some n ->
+      | space, Some n
+        when space = Ir.MPrivate || assigned_array_literal g v ->
           line g "%s %s[%d];" (scalar_c aty.Ir.elem) (cname v) n
       | _ ->
           line g "/* %s is bound by its single assignment below */" (cname v))

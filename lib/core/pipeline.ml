@@ -23,73 +23,33 @@ type optimizer =
 (* Observation hooks                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Registrations are read-modify-write on an immutable assoc list, so they
-   are guarded by a mutex; notification reads a snapshot without locking
-   (a ref holding an immutable list never tears). *)
-let hooks_mu = Mutex.create ()
+module Hooks = Lime_support.Hooks
 
-let locked f =
-  Mutex.lock hooks_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock hooks_mu) f
-
-(** Legacy single-slot observation hook, kept for backward compatibility.
-    Prefer {!on_compile}, which composes: the service metrics layer and the
-    tracer can both be installed without clobbering each other.  The slot
-    is routed through the keyed registry under the key ["legacy"], so
-    overwriting it never clobbers keyed observers (and vice versa). *)
-let compile_observer : (worker:string -> seconds:float -> unit) ref =
-  ref (fun ~worker:_ ~seconds:_ -> ())
-
-let compile_hooks :
-    (string * (worker:string -> seconds:float -> unit)) list ref =
-  ref []
-
-let on_compile ~key f =
-  locked (fun () ->
-      compile_hooks := (key, f) :: List.remove_assoc key !compile_hooks)
-
-let remove_compile_observer key =
-  locked (fun () -> compile_hooks := List.remove_assoc key !compile_hooks)
-
-let () =
-  on_compile ~key:"legacy" (fun ~worker ~seconds ->
-      !compile_observer ~worker ~seconds)
-
-let notify_compile ~worker ~seconds =
-  List.iter (fun (_, f) -> f ~worker ~seconds) !compile_hooks
+let compile_hooks : (string * float) Hooks.t = Hooks.create ()
 
 type phase_event = [ `Begin | `End of float ]
 
-let phase_hooks : (string * (phase:string -> phase_event -> unit)) list ref =
-  ref []
-
-let on_phase ~key f =
-  locked (fun () ->
-      phase_hooks := (key, f) :: List.remove_assoc key !phase_hooks)
-
-let remove_phase_observer key =
-  locked (fun () -> phase_hooks := List.remove_assoc key !phase_hooks)
+let phase_hooks : (string * phase_event) Hooks.t = Hooks.create ()
 
 (** Run one named pipeline phase, notifying every phase observer of its
     begin and end (exception-safe: a diagnostic raised mid-phase still
     closes the phase).  With no observers installed this is just [f ()]. *)
 let run_phase (phase : string) (f : unit -> 'a) : 'a =
-  match !phase_hooks with
-  | [] -> f ()
-  | hooks ->
-      List.iter (fun (_, h) -> h ~phase `Begin) hooks;
-      let t0 = Sys.time () in
-      Fun.protect
-        ~finally:(fun () ->
-          let dt = Sys.time () -. t0 in
-          List.iter (fun (_, h) -> h ~phase (`End dt)) !phase_hooks)
-        f
+  if not (Hooks.active phase_hooks) then f ()
+  else begin
+    Hooks.emit phase_hooks (phase, `Begin);
+    let t0 = Sys.time () in
+    Fun.protect
+      ~finally:(fun () ->
+        Hooks.emit phase_hooks (phase, `End (Sys.time () -. t0)))
+      f
+  end
 
 (** Like {!run_phase} for phases that exist purely for observability (the
     standalone lex pass, the OpenCL validator): skipped entirely when no
     phase observer is installed, so the untraced hot path pays nothing. *)
 let probe_phase (phase : string) (f : unit -> unit) : unit =
-  if !phase_hooks <> [] then run_phase phase f
+  if Hooks.active phase_hooks then run_phase phase f
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -101,7 +61,7 @@ let probe_phase (phase : string) (f : unit -> unit) : unit =
     elimination over the extracted kernel. *)
 let compile ?(config = Memopt.config_all) ?(simplify = true) ?optimizer
     ?(name = "<inline>") ~(worker : string) (source : string) : compiled =
-  let t0 = Sys.time () in
+  let t0 = if Hooks.active compile_hooks then Some (Sys.time ()) else None in
   run_phase "compile" (fun () ->
       probe_phase "lex" (fun () ->
           ignore (Lime_frontend.Lexer.tokenize ~name source));
@@ -137,7 +97,9 @@ let compile ?(config = Memopt.config_all) ?(simplify = true) ?optimizer
         run_phase "codegen" (fun () -> Opencl.generate kernel decisions)
       in
       probe_phase "clcheck" (fun () -> ignore (Clcheck.check opencl));
-      notify_compile ~worker ~seconds:(Sys.time () -. t0);
+      Option.iter
+        (fun t0 -> Hooks.emit compile_hooks (worker, Sys.time () -. t0))
+        t0;
       {
         cp_program = tp;
         cp_module = md;

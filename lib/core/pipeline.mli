@@ -23,40 +23,25 @@ type optimizer =
     injected — [lime.rewrite]'s beam search and canned Fig 8 sequences
     both plug in here (see [doc/OPTIMIZER.md]). *)
 
-val compile_observer : (worker:string -> seconds:float -> unit) ref
-(** Legacy single-slot hook, called once per completed {!compile} with the
-    elapsed CPU seconds.  Routed through the keyed registry under the key
-    ["legacy"], so writing it replaces only the previous slot occupant —
-    never a keyed observer.  New instrumentation should use {!on_compile},
-    which composes. *)
-
-val on_compile :
-  key:string -> (worker:string -> seconds:float -> unit) -> unit
-(** Register a keyed compile observer.  Observers with distinct keys
-    compose (all are called per compile); re-registering the same key
-    replaces that observer, making installation idempotent.  The
-    [lime.service] metrics layer uses key ["metrics"], the tracer
-    ["trace"], the {!compile_observer} slot ["legacy"].  Registration is
-    mutex-guarded and may be called from any domain. *)
-
-val remove_compile_observer : string -> unit
-(** Remove the compile observer registered under this key (no-op if
-    absent). *)
+val compile_hooks : (string * float) Lime_support.Hooks.t
+(** Compile observers, called once per completed {!compile} with the
+    worker name and the elapsed CPU seconds; the clock is read only while
+    one is installed.  The [lime.service] metrics layer uses key
+    ["metrics"]. *)
 
 type phase_event = [ `Begin | `End of float ]
 (** [`End dt] carries the phase's elapsed CPU seconds. *)
 
-val on_phase : key:string -> (phase:string -> phase_event -> unit) -> unit
-(** Register a keyed phase observer: called with [`Begin] and [`End]
+val phase_hooks : (string * phase_event) Lime_support.Hooks.t
+(** Phase observers, called with [(phase, `Begin)] and [(phase, `End _)]
     around every pipeline phase of {!compile} ("compile" wrapping "lex",
     "parse", "typecheck", "lower", "extract", "simplify", "rewrite" —
     only when an {!optimizer} is supplied — "memopt", "codegen",
     "clcheck").  Phases nest: "compile" begins before and ends
     after all the others.  The observability-only probe phases ("lex",
     "clcheck") only run while at least one phase observer is installed, so
-    the untraced path pays nothing for them. *)
-
-val remove_phase_observer : string -> unit
+    the untraced path pays nothing for them.  The tracer uses key
+    ["trace"]. *)
 
 val compile :
   ?config:Memopt.config ->

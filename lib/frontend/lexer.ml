@@ -51,9 +51,10 @@ let advance st =
 
 let cur_pos st : Loc.pos = { line = st.line; col = st.col; offset = st.pos }
 
-let error st fmt =
+let error ?start st fmt =
   let p = cur_pos st in
-  let loc = Loc.make ~source:st.name ~start_pos:p ~end_pos:p in
+  let start_pos = Option.value start ~default:p in
+  let loc = Loc.make ~source:st.name ~start_pos ~end_pos:p in
   Diag.error ~phase:Diag.Lexer ~loc fmt
 
 let is_digit c = c >= '0' && c <= '9'
@@ -93,6 +94,19 @@ let rec skip_trivia st =
       skip_trivia st
   | _ -> ()
 
+(* [conv text] for the number literal that began at offset [start]; a
+   literal never spans lines, so its start column is recovered only when
+   it is rejected *)
+let number st start conv text =
+  match conv text with
+  | Some v -> v
+  | None ->
+      let p = cur_pos st in
+      let start =
+        { p with Loc.col = p.col - (st.pos - start); offset = start }
+      in
+      error ~start st "invalid number literal %s" text
+
 let lex_number st =
   let start = st.pos in
   let is_hex_lit =
@@ -107,7 +121,7 @@ let lex_number st =
     let text = String.sub st.src start (st.pos - start) in
     (* optional long suffix *)
     (match peek st with Some ('l' | 'L') -> advance st | _ -> ());
-    Token.INT (Int64.of_string text)
+    Token.INT (number st start Int64.of_string_opt text)
   end
   else begin
     while (match peek st with Some c -> is_digit c | None -> false) do
@@ -135,16 +149,17 @@ let lex_number st =
     match peek st with
     | Some ('f' | 'F') ->
         advance st;
-        Token.FLOAT (float_of_string text)
+        Token.FLOAT (number st start float_of_string_opt text)
     | Some ('d' | 'D') ->
         advance st;
-        Token.DOUBLE (float_of_string text)
+        Token.DOUBLE (number st start float_of_string_opt text)
     | Some ('l' | 'L') ->
         advance st;
-        Token.INT (Int64.of_string text)
+        Token.INT (number st start Int64.of_string_opt text)
     | _ ->
-        if !is_float then Token.DOUBLE (float_of_string text)
-        else Token.INT (Int64.of_string text)
+        if !is_float then
+          Token.DOUBLE (number st start float_of_string_opt text)
+        else Token.INT (number st start Int64.of_string_opt text)
   end
 
 let lex_ident st =

@@ -36,12 +36,12 @@ let dimk_of_dim = function
   | DimValUnbounded -> Ir.DDyn
   | DimValBounded n -> Ir.DFixed n
 
-let rec lower_ty (t : ty) : Ir.ty =
+let rec lower_ty ~loc (t : ty) : Ir.ty =
   match t with
   | TPrim p -> Ir.TScalar (scalar_of_prim p)
   | TVoid -> Ir.TUnit
   | TNamed c -> Ir.TObj c
-  | TTask (a, b) -> Ir.TTaskTy (lower_ty a, lower_ty b)
+  | TTask (a, b) -> Ir.TTaskTy (lower_ty ~loc a, lower_ty ~loc b)
   | TArray _ -> (
       let base = base_ty t and dims = dims_of t in
       match base with
@@ -55,15 +55,16 @@ let rec lower_ty (t : ty) : Ir.ty =
               dims = List.map dimk_of_dim dims;
               value;
             }
-      | _ -> failwith "arrays of objects are not supported")
+      | _ ->
+          err ~loc "arrays of objects are not supported: %s" (ty_to_string t))
 
 let aty_of_ty ~loc (t : ty) : Ir.aty =
-  match lower_ty t with
+  match lower_ty ~loc t with
   | Ir.TArr a -> a
   | _ -> err ~loc "expected an array type, found %s" (ty_to_string t)
 
 let scalar_of_ty ~loc (t : ty) : Ir.scalar =
-  match lower_ty t with
+  match lower_ty ~loc t with
   | Ir.TScalar s -> s
   | _ -> err ~loc "expected a scalar type, found %s" (ty_to_string t)
 
@@ -156,7 +157,7 @@ let rec lower_expr env (e : texpr) : Ir.expr =
   | TCond (c, a, b) ->
       (* lower via if-statement so both arms stay lazily evaluated *)
       let v = fresh env "cond" in
-      let tv = lower_ty a.ety in
+      let tv = lower_ty ~loc a.ety in
       emit env (Ir.SDecl (v, tv, None));
       let cE = lower_expr env c in
       let sa, ea = collect env (fun () -> lower_expr env a) in
@@ -244,14 +245,14 @@ and lower_map env ~loc (info : map_info) captured (arr : texpr) (result_ty : ty)
         (Some n_v, "")
     | _ ->
         let arr_v = fresh env "maparr" in
-        emit env (Ir.SDecl (arr_v, lower_ty arr.ety, Some arr_e));
+        emit env (Ir.SDecl (arr_v, lower_ty ~loc arr.ety, Some arr_e));
         (None, arr_v)
   in
   let cap_vars =
     List.map
       (fun (c : texpr) ->
         let v = fresh env "cap" in
-        emit env (Ir.SDecl (v, lower_ty c.ety, Some (lower_expr env c)));
+        emit env (Ir.SDecl (v, lower_ty ~loc c.ety, Some (lower_expr env c)));
         v)
       captured
   in
@@ -289,7 +290,7 @@ and lower_map env ~loc (info : map_info) captured (arr : texpr) (result_ty : ty)
           | None -> Ir.DDyn)
     in
     let inner =
-      match lower_ty m.tm_ret with
+      match lower_ty ~loc m.tm_ret with
       | Ir.TScalar _ -> []
       | Ir.TArr a -> a.Ir.dims
       | _ -> err ~loc "map function must return a value type"
@@ -325,7 +326,7 @@ and lower_map env ~loc (info : map_info) captured (arr : texpr) (result_ty : ty)
               emit env
                 (Ir.SDecl
                    ( elem_v,
-                     lower_ty info.mi_elem_ty,
+                     lower_ty ~loc info.mi_elem_ty,
                      Some (Ir.Load (Ir.Var arr_v, [ Ir.Var idx_v ])) ));
               elem_v
         in
@@ -345,7 +346,7 @@ and lower_map env ~loc (info : map_info) captured (arr : texpr) (result_ty : ty)
           List.combine leading cap_vars @ [ (last, elem_v) ]
         in
         let res_v = fresh env "res" in
-        emit env (Ir.SDecl (res_v, lower_ty m.tm_ret, None));
+        emit env (Ir.SDecl (res_v, lower_ty ~loc m.tm_ret, None));
         let inlined, _ =
           collect env (fun () ->
               env.inline_depth <- env.inline_depth + 1;
@@ -395,15 +396,14 @@ and lower_reduce env ~loc (info : red_info) (arr : texpr) : Ir.expr =
   Ir.Var dst
 
 and lower_task env ~loc (tr : ttask_ref) : Ir.expr =
-  ignore loc;
   Ir.TaskE
     {
       td_class = tr.tt_class;
       td_method = tr.tt_method;
       td_ctor = Option.map (List.map (lower_expr env)) tr.tt_ctor_args;
       td_isolated = tr.tt_isolated;
-      td_in = lower_ty tr.tt_input;
-      td_out = lower_ty tr.tt_output;
+      td_in = lower_ty ~loc tr.tt_input;
+      td_out = lower_ty ~loc tr.tt_output;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -429,7 +429,7 @@ and lower_stmt env (st : tstmt) : unit =
       let v = fresh env (String.map (fun c -> if c = '%' then '_' else c) name) in
       env.rename <- (name, v) :: env.rename;
       let e = Option.map (lower_expr env) init in
-      emit env (Ir.SDecl (v, lower_ty t, e))
+      emit env (Ir.SDecl (v, lower_ty ~loc t, e))
   | TSAssign (lv, e) -> (
       let rhs = lower_expr env e in
       match lower_lvalue env lv with
@@ -588,8 +588,9 @@ let lower_method (prog : T.tprogram) (m : T.tmethod) : Ir.func =
     Ir.fn_name = Ir.qualify m.tm_class m.tm_name;
     fn_class = m.tm_class;
     fn_method = m.tm_name;
-    fn_params = List.map (fun (n, t) -> (n, lower_ty t)) m.tm_params;
-    fn_ret = lower_ty m.tm_ret;
+    fn_params =
+      List.map (fun (n, t) -> (n, lower_ty ~loc:m.tm_loc t)) m.tm_params;
+    fn_ret = lower_ty ~loc:m.tm_loc m.tm_ret;
     fn_body = List.rev env.acc;
     fn_static = T.method_is_static m;
     fn_local = T.method_is_local m;
@@ -611,7 +612,7 @@ let lower_program (prog : T.tprogram) : Ir.modul =
       let instance_fields = ref [] and static_fields = ref [] in
       List.iter
         (fun (f : T.tfield) ->
-          let t = lower_ty f.tf_ty in
+          let t = lower_ty ~loc:f.tf_loc f.tf_ty in
           if is_static f.tf_mods then begin
             static_fields :=
               (f.tf_name, t, is_final f.tf_mods) :: !static_fields;

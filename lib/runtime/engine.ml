@@ -56,18 +56,6 @@ type offloaded = {
   of_device : Gpusim.Device.t;  (** the device this stage fires on *)
 }
 
-(** Observation hook for service instrumentation: called once per task
-    firing with that firing's own phase breakdown (device firings carry
-    the marshal/JNI/setup/PCIe/kernel legs; host firings only [host_s]).
-    No-op by default; [lime.service] installs its metrics here.  This is
-    the legacy single-slot hook — prefer {!on_firing}, which composes.
-    The slot is routed through the keyed registry under the key
-    ["legacy"], so overwriting it never clobbers keyed observers (and
-    vice versa). *)
-let firing_observer :
-    (task:string -> device:bool -> phases:Comm.phases -> unit) ref =
-  ref (fun ~task:_ ~device:_ ~phases:_ -> ())
-
 (** Everything observable about one task firing.  Device firings carry the
     device model, the analytic launch profile and the kernel-time
     breakdown; host firings only the task name and its [host_s] leg. *)
@@ -82,29 +70,8 @@ type firing_info = {
   fi_bindings : Gpusim.Model.array_binding list;
 }
 
-let firing_hooks : (string * (firing_info -> unit)) list ref = ref []
-
-(* Registration is read-modify-write on an immutable assoc list, guarded
-   by a mutex; notification reads a snapshot without locking. *)
-let hooks_mu = Mutex.create ()
-
-let on_firing ~key f =
-  Mutex.lock hooks_mu;
-  firing_hooks := (key, f) :: List.remove_assoc key !firing_hooks;
-  Mutex.unlock hooks_mu
-
-let remove_firing_observer key =
-  Mutex.lock hooks_mu;
-  firing_hooks := List.remove_assoc key !firing_hooks;
-  Mutex.unlock hooks_mu
-
-let () =
-  on_firing ~key:"legacy" (fun fi ->
-      !firing_observer ~task:fi.fi_task ~device:fi.fi_device
-        ~phases:fi.fi_phases)
-
-let notify_firing (fi : firing_info) =
-  List.iter (fun (_, f) -> f fi) !firing_hooks
+let firing_hooks : firing_info Lime_support.Hooks.t =
+  Lime_support.Hooks.create ()
 
 type report = {
   mutable firings : int;
@@ -323,7 +290,7 @@ let fire_device (cfg : config) (report : report) (off : offloaded)
       ]
     else []
   in
-  notify_firing
+  Lime_support.Hooks.emit firing_hooks
     {
       fi_task = k.Kernel.k_name;
       fi_device = true;
@@ -375,7 +342,7 @@ let fire_host (st : Interp.state) (report : report)
   report.phases.Comm.host_s <- report.phases.Comm.host_s +. host_s;
   let ph = Comm.zero () in
   ph.Comm.host_s <- host_s;
-  notify_firing
+  Lime_support.Hooks.emit firing_hooks
     {
       fi_task = fname;
       fi_device = false;

@@ -30,15 +30,6 @@ type offloaded = {
   of_device : Gpusim.Device.t;  (** the device this stage fires on *)
 }
 
-val firing_observer :
-  (task:string -> device:bool -> phases:Comm.phases -> unit) ref
-(** Called once per task firing with that firing's own phase breakdown
-    (device firings carry the marshal/JNI/setup/PCIe/kernel legs; host
-    firings only [host_s]).  Legacy single-slot hook, routed through the
-    keyed registry under the key ["legacy"]: writing it replaces only the
-    previous slot occupant, never a keyed observer.  Prefer {!on_firing},
-    which composes. *)
-
 type firing_info = {
   fi_task : string;
   fi_device : bool;
@@ -55,16 +46,9 @@ type firing_info = {
     [fi_breakdown] and [fi_counters] are [Some] exactly for device
     firings. *)
 
-val on_firing : key:string -> (firing_info -> unit) -> unit
-(** Register a keyed firing observer.  Distinct keys compose (all fire per
-    firing); re-registering a key replaces that observer.  The
-    [lime.service] metrics layer uses key ["metrics"], the tracer
-    ["trace"], the {!firing_observer} slot ["legacy"].  Registration is
-    mutex-guarded and may be called from any domain. *)
-
-val remove_firing_observer : string -> unit
-(** Remove the firing observer registered under this key (no-op if
-    absent). *)
+val firing_hooks : firing_info Lime_support.Hooks.t
+(** Firing observers, called once per task firing.  The [lime.service]
+    metrics layer uses key ["metrics"], the tracer ["trace"]. *)
 
 type report = {
   mutable firings : int;

@@ -58,22 +58,11 @@ type event =
       ok : bool;  (** the stored placement still fits the pipeline *)
     }
 
-let hooks_mu = Mutex.create ()
+(** Search observers: the [lime.service] metrics layer uses key
+    ["metrics"], the tracer ["trace"]. *)
+let hooks : event Lime_support.Hooks.t = Lime_support.Hooks.create ()
 
-let locked f =
-  Mutex.lock hooks_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock hooks_mu) f
-
-let observers : (string * (event -> unit)) list ref = ref []
-
-let on_search ~key f =
-  locked (fun () ->
-      observers := (key, f) :: List.remove_assoc key !observers)
-
-let remove_search_observer key =
-  locked (fun () -> observers := List.remove_assoc key !observers)
-
-let emit ev = List.iter (fun (_, f) -> f ev) (locked (fun () -> !observers))
+let emit ev = Lime_support.Hooks.emit hooks ev
 
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)

@@ -4,7 +4,6 @@ type t = {
   cl_fd : Unix.file_descr;
   cl_reader : Wire.reader;
   cl_timeout : float;
-  mutable cl_version : int;
   mutable cl_next_id : int;
   mutable cl_open : bool;
 }
@@ -82,21 +81,7 @@ let recv_frame t =
     go ()
   end
 
-let version t = t.cl_version
-
-(* A pre-negotiation server answers any Hello above its own version with
-   a Protocol_error naming the version it speaks; this is how a new
-   client recognises an old daemon and falls back to speaking v1. *)
-let string_contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let is_version_reject e =
-  e.Wire.er_code = Wire.Protocol_error
-  && string_contains e.Wire.er_msg "unsupported protocol version"
-
-let rec connect_speaking ~timeout_s ~speak socket =
+let connect ?(timeout_s = 30.0) socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_UNIX socket) with
   | exception Unix.Unix_error (e, _, _) ->
@@ -115,7 +100,6 @@ let rec connect_speaking ~timeout_s ~speak socket =
           cl_fd = fd;
           cl_reader = Wire.reader ();
           cl_timeout = timeout_s;
-          cl_version = speak;
           cl_next_id = 1;
           cl_open = true;
         }
@@ -124,27 +108,18 @@ let rec connect_speaking ~timeout_s ~speak socket =
         close t;
         Error msg
       in
-      match send_frame t (Wire.Hello speak) with
+      match send_frame t (Wire.Hello Wire.version) with
       | Error msg -> fail ("hello: " ^ msg)
       | Ok () -> (
           match recv_frame t with
           | Error msg -> fail ("hello: " ^ msg)
-          | Ok (Wire.Hello_ack v) when v >= 1 && v <= speak ->
-              t.cl_version <- v;
-              Ok t
+          | Ok (Wire.Hello_ack v) when v = Wire.version -> Ok t
           | Ok (Wire.Hello_ack v) ->
               fail
                 (Printf.sprintf "server speaks protocol version %d, not %d" v
-                   speak)
-          | Ok (Wire.Err e) when is_version_reject e && speak > 1 ->
-              (* old daemon: redial speaking the lowest common version *)
-              close t;
-              connect_speaking ~timeout_s ~speak:1 socket
+                   Wire.version)
           | Ok (Wire.Err e) -> fail ("hello rejected: " ^ e.Wire.er_msg)
           | Ok _ -> fail "unexpected frame in hello handshake"))
-
-let connect ?(timeout_s = 30.0) socket =
-  connect_speaking ~timeout_s ~speak:Wire.version socket
 
 (* Wait for the reply to request [id]; anything else on the wire at that
    point is a protocol violation. *)
@@ -166,11 +141,6 @@ let rec await_reply t id ~on_frame =
 let compile t ?deadline_ms ?(config = "all") ?(name = "<client>") ?trace
     ?placement ~worker source =
   let id = fresh_id t in
-  (* a v1 peer cannot decode the traced Compile frame; silently send the
-     plain one (the caller just gets no remote spans back).  Likewise a
-     pre-v3 peer cannot decode the placement-provenance frame. *)
-  let trace = if t.cl_version >= 2 then trace else None in
-  let placement = if t.cl_version >= 3 then placement else None in
   let req =
     Wire.Compile
       {

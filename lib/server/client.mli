@@ -1,7 +1,7 @@
 (** Synchronous client for the compile daemon.
 
     [connect] dials the daemon's Unix-domain socket and performs the
-    versioned hello handshake; the request helpers then run one
+    hello handshake; the request helpers then run one
     request/reply exchange at a time.  Every receive is bounded by the
     connection's timeout, so a wedged daemon surfaces as a [Transport]
     failure instead of a hang.
@@ -23,17 +23,11 @@ type failure =
 val failure_to_string : failure -> string
 
 val connect : ?timeout_s:float -> string -> (t, string) result
-(** Dial [socket] and negotiate a protocol version: the client offers
-    {!Wire.version}, a current daemon acks the highest version both
-    sides speak, and a pre-negotiation daemon (which rejects unknown
-    versions outright) is redialed once speaking version 1.  The
-    negotiated version is {!version}; [timeout_s] (default 30) bounds
-    every subsequent receive. *)
+(** Dial [socket] and say hello with {!Wire.version}; the daemon must
+    ack that exact version.  [timeout_s] (default 30) bounds every
+    subsequent receive. *)
 
 val close : t -> unit
-
-val version : t -> int
-(** The negotiated protocol version for this connection. *)
 
 val compile :
   t ->
@@ -52,9 +46,7 @@ val compile :
     given parent and returns them in [ar_spans] for the caller to
     {!Lime_service.Trace.graft} into one merged timeline.  [placement]
     reports the multi-device placement SPEC the artifact runs under;
-    the daemon surfaces it in its access log.  Both are silently
-    dropped when the negotiated version predates them (trace: v2,
-    placement: v3). *)
+    the daemon surfaces it in its access log. *)
 
 val stats : t -> (string, failure) result
 (** The daemon's metrics exposition ([lime_server_*] families included). *)

@@ -80,7 +80,6 @@ type conn = {
   mutable cn_off : int;  (** how much of [cn_out] is already written *)
   mutable cn_last : float;  (** last read activity *)
   mutable cn_greeted : bool;
-  mutable cn_version : int;  (** negotiated protocol version; 0 pre-hello *)
   mutable cn_closing : bool;  (** flush what is queued, then close *)
   mutable cn_open : bool;
 }
@@ -853,19 +852,15 @@ let handle_frame t (c : conn) (frame : Wire.frame) =
         send_error t c ~id:0 ~code:Wire.Protocol_error "duplicate hello";
         c.cn_closing <- true
       end
-      else if v < 1 then begin
+      else if v <> Wire.version then begin
         send_error t c ~id:0 ~code:Wire.Protocol_error
           (Printf.sprintf "unsupported protocol version %d (speaking %d)" v
              Wire.version);
         c.cn_closing <- true
       end
       else begin
-        (* negotiate down to the older endpoint: the client sends the
-           highest version it speaks, the ack picks the conversation
-           version.  A v1-negotiated reply never carries v2 fields. *)
         c.cn_greeted <- true;
-        c.cn_version <- min v Wire.version;
-        send c (Wire.Hello_ack c.cn_version)
+        send c (Wire.Hello_ack Wire.version)
       end
   | _ when not c.cn_greeted ->
       send_error t c ~id:0 ~code:Wire.Protocol_error
@@ -980,7 +975,6 @@ let accept_loop t =
                     cn_off = 0;
                     cn_last = now ();
                     cn_greeted = false;
-                    cn_version = 0;
                     cn_closing = false;
                     cn_open = true;
                   };

@@ -1,6 +1,6 @@
 (** Length-prefixed binary frame codec — see the interface. *)
 
-let version = 3
+let version = 4
 let max_frame = 16 * 1024 * 1024
 
 (* u32 sentinel for "no deadline": a real deadline of ~49.7 days is not a
@@ -93,22 +93,11 @@ let error_to_string = function
   | Unknown_tag t -> Printf.sprintf "unknown frame tag %d" t
   | Malformed msg -> "malformed frame: " ^ msg
 
-(* Version-2 frames reuse the version-1 layouts and append the new fields
-   under fresh tags (10/11), chosen at encode time by field presence: a
-   Compile with no trace context and a Result with no span buffer encode
-   exactly as a version-1 peer would emit them.  That makes mixed-version
-   conversations mechanical — a v2 endpoint talking to a v1 peer simply
-   leaves the new fields empty.  Version 3 continues the discipline with
-   tag 12: the version-1 layout, then a u8 trace-presence flag and the
-   trace fields when present, then the placement-provenance string. *)
 let tag_of = function
   | Hello _ -> 1
   | Hello_ack _ -> 2
-  | Compile r -> (
-      match r.cr_placement with
-      | Some p when p <> "" -> 12
-      | _ -> if r.cr_trace = None then 3 else 10)
-  | Result a -> if a.ar_spans = "" then 4 else 11
+  | Compile _ -> 3
+  | Result _ -> 4
   | Err _ -> 5
   | Stats _ -> 6
   | Stats_reply _ -> 7
@@ -141,14 +130,13 @@ let encode frame =
   (match frame with
   | Hello v | Hello_ack v -> put_u16 b v
   | Compile r ->
-      let placed = tag_of (Compile r) = 12 in
       put_u32 b r.cr_id;
       put_u32 b (Option.value r.cr_deadline_ms ~default:no_deadline);
       put_string b r.cr_name;
       put_string b r.cr_worker;
       put_string b r.cr_config;
       put_string b r.cr_source;
-      if placed then put_u8 b (if r.cr_trace = None then 0 else 1);
+      put_u8 b (if r.cr_trace = None then 0 else 1);
       (match r.cr_trace with
       | None -> ()
       | Some tc ->
@@ -156,7 +144,7 @@ let encode frame =
           put_u32 b
             (if tc.tc_parent_span < 0 then no_parent_span
              else tc.tc_parent_span land 0xFFFF_FFFF));
-      if placed then put_string b (Option.value r.cr_placement ~default:"")
+      put_string b (Option.value r.cr_placement ~default:"")
   | Result a ->
       put_u32 b a.ar_id;
       put_u8 b (if a.ar_parallel then 1 else 0);
@@ -165,7 +153,7 @@ let encode frame =
       put_string b a.ar_kernel;
       put_string b a.ar_opencl;
       put_string b a.ar_placements;
-      if a.ar_spans <> "" then put_string b a.ar_spans
+      put_string b a.ar_spans
   | Err e ->
       put_u32 b e.er_id;
       put_u8 b (error_code_byte e.er_code);
@@ -232,7 +220,7 @@ let decode payload : (frame, error) result =
         match tag with
         | 1 -> Hello (get_u16 cu "hello version")
         | 2 -> Hello_ack (get_u16 cu "hello-ack version")
-        | 3 | 10 | 12 ->
+        | 3 ->
             let cr_id = get_u32 cu "compile id" in
             let dl = get_u32 cu "compile deadline" in
             let cr_deadline_ms = if dl = no_deadline then None else Some dl in
@@ -240,14 +228,8 @@ let decode payload : (frame, error) result =
             let cr_worker = get_string cu "compile worker" in
             let cr_config = get_string cu "compile config" in
             let cr_source = get_string cu "compile source" in
-            let traced =
-              match tag with
-              | 3 -> false
-              | 10 -> true
-              | _ -> get_u8 cu "compile trace flag" <> 0
-            in
             let cr_trace =
-              if not traced then None
+              if get_u8 cu "compile trace flag" = 0 then None
               else begin
                 let tc_trace_id = get_string cu "compile trace id" in
                 let p = get_u32 cu "compile parent span" in
@@ -256,15 +238,13 @@ let decode payload : (frame, error) result =
               end
             in
             let cr_placement =
-              if tag <> 12 then None
-              else
-                match get_string cu "compile placement" with
-                | "" -> None
-                | spec -> Some spec
+              match get_string cu "compile placement" with
+              | "" -> None
+              | spec -> Some spec
             in
             Compile { cr_id; cr_deadline_ms; cr_name; cr_worker; cr_config;
                       cr_source; cr_trace; cr_placement }
-        | 4 | 11 ->
+        | 4 ->
             let ar_id = get_u32 cu "result id" in
             let ar_parallel = get_u8 cu "result parallel flag" <> 0 in
             let ar_origin = get_string cu "result origin" in
@@ -272,9 +252,7 @@ let decode payload : (frame, error) result =
             let ar_kernel = get_string cu "result kernel" in
             let ar_opencl = get_string cu "result opencl" in
             let ar_placements = get_string cu "result placements" in
-            let ar_spans =
-              if tag = 4 then "" else get_string cu "result span buffer"
-            in
+            let ar_spans = get_string cu "result span buffer" in
             Result { ar_id; ar_origin; ar_digest; ar_kernel; ar_parallel;
                      ar_opencl; ar_placements; ar_spans }
         | 5 ->
@@ -301,7 +279,7 @@ let decode payload : (frame, error) result =
             Drain_ack { da_id; da_completed; da_dropped }
         | t -> raise (Bad (Printf.sprintf "tag %d" t))
       in
-      if tag < 1 || tag > 12 then Error (Unknown_tag tag)
+      if tag < 1 || tag > 9 then Error (Unknown_tag tag)
       else
         match frame () with
         | f ->

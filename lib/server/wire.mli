@@ -22,16 +22,12 @@
     bytes. *)
 
 val version : int
-(** Highest protocol version spoken by this build; exchanged in
-    [Hello]/[Hello_ack].  Version 2 added the distributed-tracing fields:
-    a Compile frame may carry a {!trace_ctx} (tag 10) and a Result frame
-    may carry the server's serialized span buffer (tag 11).  Both encode
-    as their version-1 layouts (tags 3/4) when the new fields are absent,
-    so a v2 endpoint negotiated down to v1 emits byte-identical v1
-    traffic.  Version 3 adds placement provenance: a Compile frame may
-    carry the multi-device placement SPEC the client runs the artifact
-    under (tag 12: the v1 layout, a trace-presence flag plus the trace
-    fields, then the SPEC), surfaced in the daemon's access log. *)
+(** The protocol version spoken by this build, exchanged in
+    [Hello]/[Hello_ack].  A server accepts only this exact version.
+    Every frame has one layout: a Compile frame carries a u8
+    trace-presence flag (then the {!trace_ctx} fields when set) and the
+    placement SPEC string ([""] = none); a Result frame always carries
+    the span-buffer string ([""] = none). *)
 
 val max_frame : int
 (** Upper bound on a payload's declared length (16 MiB). *)
@@ -57,11 +53,11 @@ type compile_req = {
   cr_config : string;  (** configuration name, e.g. ["all"] *)
   cr_source : string;
   cr_trace : trace_ctx option;
-      (** propagated trace context; [Some _] encodes as tag 10 (v2) *)
+      (** propagated trace context *)
   cr_placement : string option;
       (** placement provenance: the [task=device,...] SPEC
           ({!Lime_sched.Placement.to_spec}) the client runs the artifact
-          under; [Some _] (non-empty) encodes as tag 12 (v3) *)
+          under; [None] encodes as [""] *)
 }
 
 type artifact = {
@@ -75,7 +71,7 @@ type artifact = {
   ar_spans : string;
       (** the server's span buffer for this request
           ({!Lime_service.Trace.spans_to_wire}, timestamps relative to
-          admission); [""] = none, non-empty encodes as tag 11 (v2) *)
+          admission); [""] = none *)
 }
 
 type error_code =

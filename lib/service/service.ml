@@ -6,6 +6,7 @@ module Comm = Lime_runtime.Comm
 module Engine = Lime_runtime.Engine
 module Diag = Lime_support.Diag
 module Loc = Lime_support.Loc
+module Hooks = Lime_support.Hooks
 module Search = Lime_rewrite.Search
 
 type origin = Memory | Disk | Compiled
@@ -388,7 +389,7 @@ let instrument ?(registry = Metrics.default) () =
     Metrics.histogram registry ~help:"Pipeline.compile CPU seconds"
       "lime_compile_seconds"
   in
-  Pipeline.on_compile ~key:"metrics" (fun ~worker:_ ~seconds ->
+  Hooks.add Pipeline.compile_hooks ~key:"metrics" (fun (_worker, seconds) ->
       Metrics.inc compile_total;
       Metrics.observe compile_seconds seconds);
   (* the rewrite engine's beam search and stored-schedule replays *)
@@ -415,7 +416,7 @@ let instrument ?(registry = Metrics.default) () =
       ~help:"modeled kernel seconds of the most recent search's best schedule"
       "lime_rewrite_best_time_s"
   in
-  Search.on_search ~key:"metrics" (fun ev ->
+  Hooks.add Search.hooks ~key:"metrics" (fun ev ->
       match ev with
       | Search.EBegin _ | Search.ELevel _ -> ()
       | Search.EEnd { evals; best_time_s; improved; _ } ->
@@ -451,7 +452,7 @@ let instrument ?(registry = Metrics.default) () =
          placement"
       "lime_sched_best_time_s"
   in
-  Sched.Search.on_search ~key:"metrics" (fun ev ->
+  Hooks.add Sched.Search.hooks ~key:"metrics" (fun ev ->
       match ev with
       | Sched.Search.SBegin _ -> ()
       | Sched.Search.SEnd { evals; best_time_s; improved; _ } ->
@@ -503,7 +504,7 @@ let instrument ?(registry = Metrics.default) () =
   let rl_compute = roofline_count "compute"
   and rl_memory = roofline_count "memory"
   and rl_latency = roofline_count "latency" in
-  Engine.on_firing ~key:"metrics" (fun fi ->
+  Hooks.add Engine.firing_hooks ~key:"metrics" (fun fi ->
       let phases = fi.Engine.fi_phases in
       if fi.Engine.fi_device then begin
         Metrics.inc device_firings;
@@ -538,7 +539,7 @@ let instrument ?(registry = Metrics.default) () =
       end)
 
 let uninstrument () =
-  Pipeline.remove_compile_observer "metrics";
-  Engine.remove_firing_observer "metrics";
-  Search.remove_search_observer "metrics";
-  Sched.Search.remove_search_observer "metrics"
+  Hooks.remove Pipeline.compile_hooks "metrics";
+  Hooks.remove Engine.firing_hooks "metrics";
+  Hooks.remove Search.hooks "metrics";
+  Hooks.remove Sched.Search.hooks "metrics"

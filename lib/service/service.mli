@@ -139,7 +139,7 @@ val beam_schedule :
   * [ `Replayed | `Searched of Lime_rewrite.Search.outcome ]
 (** Tunestore-aware beam search over the rewrite catalog
     ({!Lime_rewrite.Search.search}).  With a [cache_dir], the winning
-    schedule persists as a format-3 tunestore record (device key suffixed
+    schedule persists as a tunestore record (device key suffixed
     [".beam"], so beam records never collide with Fig 8 sweep records); a
     warm call replays the stored sequence ({!Lime_rewrite.Search.replay} —
     one cost-model evaluation, [`Replayed]) instead of re-searching.  A
@@ -156,7 +156,7 @@ val sched_placement :
   * [ `Replayed | `Searched of Lime_sched.Search.outcome ]
 (** Tunestore-aware multi-device placement search
     ({!Lime_sched.Search.search}).  With a [cache_dir], the winning
-    placement persists as a format-4 tunestore record under the fixed
+    placement persists as a tunestore record under the fixed
     pseudo-device key ["multi.sched"] (a placement spans all devices, so
     no single device name applies); a warm call replays the stored spec
     ({!Lime_sched.Search.replay} — one cost-model evaluation,
@@ -174,9 +174,9 @@ val expose : t -> string
     ({!Metrics.expose}). *)
 
 val instrument : ?registry:Metrics.registry -> unit -> unit
-(** Install the metrics observers (keyed ["metrics"]) through
-    {!Lime_gpu.Pipeline.on_compile}, {!Lime_runtime.Engine.on_firing} and
-    {!Lime_rewrite.Search.on_search}: compile counts/latency histograms,
+(** Install the metrics observers (keyed ["metrics"]) in
+    {!Lime_gpu.Pipeline.compile_hooks}, {!Lime_runtime.Engine.firing_hooks}
+    and {!Lime_rewrite.Search.hooks}: compile counts/latency histograms,
     firing counters, one histogram per {!Lime_runtime.Comm.phases} leg,
     and the [lime_rewrite_*] beam-search family (searches, cost-model
     evaluations, improvements over Fig 8, stored-schedule replays, best

@@ -89,7 +89,9 @@ let quantile t q =
       if t.sk_count = 0 then None
       else begin
         let rank = rank_of q t.sk_count in
-        if rank <= t.sk_zero then Some 0.0
+        (* a bucket midpoint can lie outside what was observed *)
+        let clamp v = Some (Float.min t.sk_max (Float.max t.sk_min v)) in
+        if rank <= t.sk_zero then clamp 0.0
         else begin
           (* walk buckets in value order (keys ascend with values) until
              the cumulative count reaches the target rank *)
@@ -103,7 +105,7 @@ let quantile t q =
                (fun (k, n) ->
                  cum := !cum + n;
                  if !cum >= rank then begin
-                   found := Some (estimate_of t k);
+                   found := clamp (estimate_of t k);
                    raise Exit
                  end)
                keys

@@ -59,8 +59,9 @@ val rank_of : float -> int -> int
 val quantile : t -> float -> float option
 (** [quantile t q] for [q] in [0, 1]: the bucket-midpoint estimate of the
     sample at [rank_of q (count t)], within [alpha t] relative error of
-    it ([0.0] exactly for samples in the zero bucket).  [None] on an
-    empty sketch.  Raises [Invalid_argument] for [q] outside [0, 1]. *)
+    it ([0.0] exactly for samples in the zero bucket), clamped into
+    [[min_seen t, max_seen t]].  [None] on an empty sketch.  Raises
+    [Invalid_argument] for [q] outside [0, 1]. *)
 
 val merge : into:t -> t -> unit
 (** Accumulate a sketch into another ([into] grows, the source is

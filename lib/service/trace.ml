@@ -13,6 +13,7 @@ module Pipeline = Lime_gpu.Pipeline
 module Engine = Lime_runtime.Engine
 module Comm = Lime_runtime.Comm
 module Search = Lime_rewrite.Search
+module Hooks = Lime_support.Hooks
 
 type span = {
   sp_id : int;
@@ -685,18 +686,18 @@ let emit_firing tracer (fi : Engine.firing_info) =
   end
 
 let install ?(tracer = default) () =
-  Pipeline.on_phase ~key:"trace" (fun ~phase ev ->
+  Hooks.add Pipeline.phase_hooks ~key:"trace" (fun (phase, ev) ->
       match ev with
       | `Begin -> begin_span tracer ~cat:"compile" ("pipeline." ^ phase)
       | `End seconds ->
           end_span tracer
             ~args:[ ("cpu_s", Printf.sprintf "%.3g" seconds) ]
             ("pipeline." ^ phase));
-  Engine.on_firing ~key:"trace" (emit_firing tracer);
+  Hooks.add Engine.firing_hooks ~key:"trace" (emit_firing tracer);
   (* rewrite.* spans: the beam search brackets as one wall-clock span with
      an instant child per level; a replay of a stored schedule is a single
      instant.  All carry their key facts as args. *)
-  Search.on_search ~key:"trace" (fun ev ->
+  Hooks.add Search.hooks ~key:"trace" (fun ev ->
       let seq_arg seq = ("sequence", Search.seq_str seq) in
       match ev with
       | Search.EBegin { kernel; device; width; depth } ->
@@ -742,7 +743,7 @@ let install ?(tracer = default) () =
   (* sched.* spans: the placement search brackets as one wall-clock span;
      a replay of a stored (or user-specified) placement is an instant. *)
   let module PS = Lime_sched.Search in
-  PS.on_search ~key:"trace" (fun ev ->
+  Hooks.add PS.hooks ~key:"trace" (fun ev ->
       match ev with
       | PS.SBegin { stages; placeable; firings; exhaustive } ->
           begin_span tracer ~cat:"sched"
@@ -770,10 +771,10 @@ let install ?(tracer = default) () =
             "sched.replay")
 
 let uninstall () =
-  Pipeline.remove_phase_observer "trace";
-  Engine.remove_firing_observer "trace";
-  Search.remove_search_observer "trace";
-  Lime_sched.Search.remove_search_observer "trace"
+  Hooks.remove Pipeline.phase_hooks "trace";
+  Hooks.remove Engine.firing_hooks "trace";
+  Hooks.remove Search.hooks "trace";
+  Hooks.remove Lime_sched.Search.hooks "trace"
 
 let with_observers ?(tracer = default) f =
   let was = tracer.tr_enabled in

@@ -192,14 +192,14 @@ val flame : t -> string
 (** {1 Instrumentation} *)
 
 val install : ?tracer:t -> unit -> unit
-(** Register trace observers (key ["trace"]) into
-    {!Lime_gpu.Pipeline.on_phase} and {!Lime_runtime.Engine.on_firing}:
+(** Register trace observers (key ["trace"]) in
+    {!Lime_gpu.Pipeline.phase_hooks} and {!Lime_runtime.Engine.firing_hooks}:
     every compile phase becomes a wall-clock span ([pipeline.<phase>]
     under [pipeline.compile]) and every firing becomes a model-time span
     ([firing.<task>]) with one child span per {!Lime_runtime.Comm.phases}
     leg ([comm.java_marshal] … [comm.host]); device firings attach the
     launch attributes from {!Gpusim.Model.launch_attrs}.  The rewrite
-    engine's beam search ({!Lime_rewrite.Search.on_search}) traces as a
+    engine's beam search ({!Lime_rewrite.Search.hooks}) traces as a
     [rewrite.search] span with one instant [rewrite.level] child per beam
     level and [rewrite.replay] instants for stored-schedule replays.
     Keyed registration composes with the metrics observers and is

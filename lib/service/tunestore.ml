@@ -19,17 +19,9 @@ type record = {
 
 type t = { ts_root : string }
 
-(* Format version 4 adds the multi-device placement (a [placement] line,
-   the task=device,... SPEC the scheduler chose); version 3 added the
-   winning rewrite schedule (a [sequence] line, ";"-separated step names,
-   "-" for the empty schedule); version 2 added the winner's headline
-   counters.  Older files are still readable: a v1 file loads with
-   [tr_headline = None], v1/v2 with [tr_sequence = None], v1-v3 with
-   [tr_placement = None]. *)
+(* Any other first line is a miss: the store is a cache, so a file in an
+   unknown format is re-tuned and overwritten. *)
 let magic = "lime-tunestore 4"
-let magic_v3 = "lime-tunestore 3"
-let magic_v2 = "lime-tunestore 2"
-let magic_v1 = "lime-tunestore 1"
 
 (* [Some []] (searched, baseline won) must round-trip distinctly from
    [None] (never searched), so the empty schedule gets a sentinel. *)
@@ -107,8 +99,7 @@ let load t ~digest ~device : record option =
       |> String.split_on_char '\n'
     in
     match lines with
-    | m :: rest
-      when m = magic || m = magic_v3 || m = magic_v2 || m = magic_v1 ->
+    | m :: rest when m = magic ->
         let find key = List.find_map (fun l -> field l key) rest in
         (match (find "name", find "config", find "time_s") with
         | Some name, Some cfg, Some time -> (

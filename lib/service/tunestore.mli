@@ -3,15 +3,14 @@
     Maps kernel digest × device to the best {!Gpusim.Autotune} entry found
     by a previous sweep, so a second run of the same kernel on the same
     device starts from the known-best memory configuration instead of
-    re-timing all eight Fig 8 configurations.  Format version 3 can also
-    carry the winning rewrite schedule of a beam search, so a warm compile
-    replays the stored sequence instead of re-searching; version 4 can
-    carry the multi-device placement chosen by {!Lime_sched.Search}, so a
-    warm [--multi-device auto] run replays the stored placement.  One
-    small text file per (digest, device) pair; the format is documented in
-    [doc/OPTIMIZER.md], [doc/SERVICE.md] and [doc/SCHEDULER.md], older
-    versions load with the missing fields [None], and any malformed file
-    is treated as a miss. *)
+    re-timing all eight Fig 8 configurations.  A record can also carry the
+    winning rewrite schedule of a beam search, so a warm compile replays
+    the stored sequence instead of re-searching, or the multi-device
+    placement chosen by {!Lime_sched.Search}, so a warm
+    [--multi-device auto] run replays the stored placement.  One small
+    text file per (digest, device) pair, in the one format documented in
+    [doc/SERVICE.md]; a file with any other first line, or a malformed
+    one, is treated as a miss. *)
 
 (** Headline counters of the winning configuration — the *why* behind the
     stored best, shown by [limec --sweep]. *)
@@ -26,17 +25,16 @@ type record = {
   tr_config : Lime_gpu.Memopt.config;
   tr_time_s : float;  (** modelled kernel time when the tuning was recorded *)
   tr_headline : headline option;
-      (** [None] when loaded from a version-1 store file *)
+      (** [None] for records that carry no sweep winner (placement
+          records) *)
   tr_sequence : string list option;
       (** winning rewrite schedule found by {!Lime_rewrite.Search} —
           [Some []] means a search ran and the baseline won; [None] means
-          no search was recorded (plain Fig 8 sweeps, and any file written
-          before format version 3) *)
+          no search was recorded (plain Fig 8 sweeps) *)
   tr_placement : string option;
       (** winning multi-device placement ({!Lime_sched.Placement.to_spec})
           found by {!Lime_sched.Search} — [None] for records that are not
-          placement records, and any file written before format
-          version 4 *)
+          placement records *)
 }
 
 type t

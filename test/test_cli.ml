@@ -76,17 +76,31 @@ let test_sweep () =
 
 let test_error_reporting () =
   skip_unless_available ();
-  (* a type error must exit 1 with a located diagnostic *)
-  let bad = Filename.temp_file "bad" ".lime" in
-  Out_channel.with_open_text bad (fun oc ->
-      Out_channel.output_string oc
-        "class C { static local int f(float[[]] xs) { xs[0] = 1.0f; return \
-         0; } }");
-  let code, out = capture (bad ^ " -w C.f") in
-  Sys.remove bad;
-  Alcotest.(check int) "exit 1" 1 code;
-  Alcotest.(check bool) "diagnostic shown" true (contains "immutable" out);
-  Alcotest.(check bool) "location shown" true (contains ".lime:" out)
+  (* a rejected program must exit 1 with a located diagnostic from the
+     phase that rejected it, never an internal error *)
+  List.iter
+    (fun (source, want) ->
+      let bad = Filename.temp_file "bad" ".lime" in
+      Out_channel.with_open_text bad (fun oc ->
+          Out_channel.output_string oc source);
+      let code, out = capture (bad ^ " -w C.f") in
+      Sys.remove bad;
+      Alcotest.(check int) (want ^ ": exit 1") 1 code;
+      Alcotest.(check bool) (want ^ ": diagnostic shown") true
+        (contains want out);
+      Alcotest.(check bool) (want ^ ": location shown") true
+        (contains ".lime:" out))
+    [
+      ( "class C { static local int f(float[[]] xs) { xs[0] = 1.0f; return \
+         0; } }",
+        "immutable" );
+      ( "class C { static int f(int x) { return x + 99999999999999999999; } }",
+        "[lexer]" );
+      ( "class P { int v; }\n\
+         class C { local static int f(int x) { P[] ps = new P[3]; return x; \
+         } }",
+        "arrays of objects" );
+    ]
 
 let test_unknown_worker () =
   skip_unless_available ();

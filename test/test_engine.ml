@@ -185,44 +185,6 @@ let test_multi_filter_pipeline () =
   Alcotest.(check bool) "composed values correct" true
     (V.approx_equal ~rtol:0.0 ~atol:0.0 r.Engine.last_value (V.VArr want))
 
-(* The legacy single-slot firing_observer is routed through the keyed
-   registry (key "legacy"): it must keep firing, and writing it must not
-   clobber keyed observers registered with on_firing. *)
-let test_legacy_observer_composes () =
-  let legacy_count = ref 0 and keyed_count = ref 0 in
-  let saved = !Engine.firing_observer in
-  Engine.firing_observer :=
-    (fun ~task:_ ~device:_ ~phases:_ -> incr legacy_count);
-  Engine.on_firing ~key:"test" (fun _ -> incr keyed_count);
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.firing_observer := saved;
-      Engine.remove_firing_observer "test")
-    (fun () ->
-      let _, r = run_nbody 16 2 in
-      (* one notification per task per iteration: source, filter, sink *)
-      let tasks =
-        List.length r.Engine.offloaded_tasks + List.length r.Engine.host_tasks
-      in
-      Alcotest.(check int) "legacy slot fires per task firing"
-        (r.Engine.firings * tasks)
-        !legacy_count;
-      Alcotest.(check int) "keyed observer fires per task firing"
-        (r.Engine.firings * tasks)
-        !keyed_count;
-      (* overwriting the legacy slot must not clobber the keyed observer *)
-      Engine.firing_observer := (fun ~task:_ ~device:_ ~phases:_ -> ());
-      let before = !keyed_count in
-      let _, r2 = run_nbody 16 1 in
-      Alcotest.(check int) "keyed observer survives slot overwrite"
-        (before + (r2.Engine.firings * tasks))
-        !keyed_count);
-  (* cleanup restored the no-op: further runs touch neither counter *)
-  let legacy_after = !legacy_count and keyed_after = !keyed_count in
-  let _, _ = run_nbody 16 1 in
-  Alcotest.(check int) "legacy restored" legacy_after !legacy_count;
-  Alcotest.(check int) "keyed removed" keyed_after !keyed_count
-
 let () =
   Alcotest.run "engine"
     [
@@ -242,11 +204,6 @@ let () =
             test_all_benchmark_graphs_run;
           Alcotest.test_case "multi-filter pipeline" `Quick
             test_multi_filter_pipeline;
-        ] );
-      ( "observers",
-        [
-          Alcotest.test_case "legacy slot routed through keyed registry"
-            `Quick test_legacy_observer_composes;
         ] );
       ( "accounting",
         [

@@ -137,21 +137,35 @@ let test_parallel_reduction_kernel () =
 let test_all_benchmarks_generate () =
   List.iter
     (fun (b : Lime_benchmarks.Bench_def.t) ->
-      let c =
-        Lime_gpu.Pipeline.compile ~worker:b.Lime_benchmarks.Bench_def.worker
-          b.Lime_benchmarks.Bench_def.source
-      in
-      let src = c.Lime_gpu.Pipeline.cp_opencl in
-      Alcotest.(check bool)
-        (b.Lime_benchmarks.Bench_def.name ^ " has kernel")
-        true (has "__kernel void" src);
-      Alcotest.(check bool)
-        (b.Lime_benchmarks.Bench_def.name ^ " balanced braces")
-        true
-        (let opens = String.fold_left (fun a c -> if c = '{' then a + 1 else a) 0 src in
-         let closes = String.fold_left (fun a c -> if c = '}' then a + 1 else a) 0 src in
-         opens = closes))
-    Lime_benchmarks.Registry.all
+      List.iter
+        (fun (scale, source) ->
+          let name = b.Lime_benchmarks.Bench_def.name ^ " (" ^ scale ^ ")" in
+          let c =
+            Lime_gpu.Pipeline.compile
+              ~worker:b.Lime_benchmarks.Bench_def.worker source
+          in
+          let src = c.Lime_gpu.Pipeline.cp_opencl in
+          Alcotest.(check bool) (name ^ " has kernel") true
+            (has "__kernel void" src);
+          Alcotest.(check bool)
+            (name ^ " balanced braces")
+            true
+            (let opens =
+               String.fold_left (fun a c -> if c = '{' then a + 1 else a) 0 src
+             in
+             let closes =
+               String.fold_left (fun a c -> if c = '}' then a + 1 else a) 0 src
+             in
+             opens = closes);
+          let r = Lime_gpu.Clcheck.check src in
+          if not (Lime_gpu.Clcheck.ok r) then
+            Alcotest.failf "%s fails Clcheck:\n%s" name
+              (Lime_gpu.Clcheck.report r))
+        [
+          ("paper", b.Lime_benchmarks.Bench_def.source);
+          ("small", b.Lime_benchmarks.Bench_def.source_small);
+        ])
+    Lime_benchmarks.Registry.workloads
 
 let () =
   Alcotest.run "opencl"

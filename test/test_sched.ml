@@ -264,14 +264,16 @@ let test_placed_run_bit_exact () =
 let test_placed_run_attributes_devices () =
   (* firing_info carries the per-stage device of a placed run *)
   let seen = Hashtbl.create 8 in
-  Engine.on_firing ~key:"test-sched" (fun fi ->
+  Lime_support.Hooks.add Engine.firing_hooks ~key:"test-sched" (fun fi ->
       let dev =
         match fi.Engine.fi_dev with
         | Some d -> d.Device.name
         | None -> "host"
       in
       Hashtbl.replace seen fi.Engine.fi_task dev);
-  Fun.protect ~finally:(fun () -> Engine.remove_firing_observer "test-sched")
+  Fun.protect
+    ~finally:(fun () ->
+      Lime_support.Hooks.remove Engine.firing_hooks "test-sched")
   @@ fun () ->
   let _, decisions = run_placed searched in
   let d = List.hd decisions in

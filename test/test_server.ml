@@ -452,12 +452,16 @@ let test_garbage_resilience () =
       raw_send fd "\xFF\xFF\xFF\xFFgarbage";
       expect_protocol_error "oversized length" fd (Wire.reader ());
       Unix.close fd;
-      (* a version below the floor (a future version negotiates down
-         instead — see the negotiation tests) *)
-      let fd = raw_connect sock in
-      raw_send fd (Wire.encode (Wire.Hello 0));
-      expect_protocol_error "version below the floor" fd (Wire.reader ());
-      Unix.close fd;
+      (* any version but the server's own, older or newer *)
+      List.iter
+        (fun v ->
+          let fd = raw_connect sock in
+          raw_send fd (Wire.encode (Wire.Hello v));
+          expect_protocol_error
+            (Printf.sprintf "version %d" v)
+            fd (Wire.reader ());
+          Unix.close fd)
+        [ 0; 1; 3; Wire.version + 1 ];
       (* a compile before the hello *)
       let fd = raw_connect sock in
       raw_send fd (Wire.encode (Wire.Stats 1));
@@ -521,10 +525,6 @@ let test_stats_over_the_wire () =
                 ]
           | Error f -> Alcotest.failf "stats: %s" (Client.failure_to_string f)))
 
-(* ------------------------------------------------------------------ *)
-(* Version negotiation                                                  *)
-(* ------------------------------------------------------------------ *)
-
 let plain_compile id =
   Wire.Compile
     {
@@ -537,133 +537,6 @@ let plain_compile id =
       cr_trace = None;
       cr_placement = None;
     }
-
-(* an old (v1-speaking) client against the new server: the ack negotiates
-   down to 1 and the reply is the v1 frame — no span buffer *)
-let test_old_client_new_server () =
-  with_server (fun sock _server ->
-      let fd = raw_connect sock in
-      let rd = Wire.reader () in
-      raw_send fd (Wire.encode (Wire.Hello 1));
-      (match raw_next fd rd with
-      | Frame (Wire.Hello_ack v) ->
-          Alcotest.(check int) "negotiated down to the client" 1 v
-      | _ -> Alcotest.fail "no hello ack");
-      raw_send fd (Wire.encode (plain_compile 5));
-      (match raw_next fd rd with
-      | Frame (Wire.Result a) ->
-          Alcotest.(check int) "result id" 5 a.Wire.ar_id;
-          Alcotest.(check string) "no span buffer in a v1 conversation" ""
-            a.Wire.ar_spans;
-          (* the reply must be byte-identical to the v1 encoding: its tag
-             is 4, not 11 *)
-          Alcotest.(check char) "v1 result tag" '\x04'
-            (Wire.encode (Wire.Result a)).[4]
-      | _ -> Alcotest.fail "no result");
-      Unix.close fd;
-      (* a future client (higher version than the server) also negotiates
-         down — to the server's version *)
-      let fd = raw_connect sock in
-      let rd = Wire.reader () in
-      raw_send fd (Wire.encode (Wire.Hello 99));
-      (match raw_next fd rd with
-      | Frame (Wire.Hello_ack v) ->
-          Alcotest.(check int) "negotiated down to the server" Wire.version v
-      | _ -> Alcotest.fail "no hello ack for the future client");
-      Unix.close fd)
-
-(* the new client against an old (pre-negotiation, v1-only) server: the
-   version reject triggers one redial speaking v1, and compile silently
-   drops the trace context the old peer could not decode *)
-let test_new_client_old_server () =
-  let sock = fresh_sock () in
-  let listen = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen (Unix.ADDR_UNIX sock);
-  Unix.listen listen 4;
-  let served_trace = ref (Some { Wire.tc_trace_id = "?"; tc_parent_span = 0 }) in
-  let dom =
-    Domain.spawn (fun () ->
-        (* a faithful v1 daemon: rejects any Hello above 1 outright with
-           the historical error message, then serves one plain compile *)
-        let serve_conn fd =
-          let rd = Wire.reader () in
-          let rec next () =
-            match Wire.next rd with
-            | Ok (Some f) -> f
-            | Ok None ->
-                let buf = Bytes.create 4096 in
-                let n = Unix.read fd buf 0 (Bytes.length buf) in
-                if n = 0 then failwith "eof";
-                Wire.feed rd buf n;
-                next ()
-            | Error e -> failwith (Wire.error_to_string e)
-          in
-          (match next () with
-          | Wire.Hello 1 -> raw_send fd (Wire.encode (Wire.Hello_ack 1))
-          | Wire.Hello v ->
-              raw_send fd
-                (Wire.encode
-                   (Wire.Err
-                      {
-                        er_id = 0;
-                        er_code = Wire.Protocol_error;
-                        er_retry_after_ms = 0;
-                        er_msg =
-                          Printf.sprintf
-                            "unsupported protocol version %d (speaking 1)" v;
-                      }));
-              raise Exit
-          | _ -> failwith "expected a hello");
-          match next () with
-          | Wire.Compile r ->
-              served_trace := r.Wire.cr_trace;
-              raw_send fd
-                (Wire.encode
-                   (Wire.Result
-                      {
-                        ar_id = r.Wire.cr_id;
-                        ar_origin = "compiled";
-                        ar_digest = "";
-                        ar_kernel = r.Wire.cr_worker;
-                        ar_parallel = true;
-                        ar_opencl = "";
-                        ar_placements = "";
-                        ar_spans = "";
-                      }))
-          | _ -> failwith "expected a compile"
-        in
-        (* first connection: version reject; second: the v1 redial *)
-        for _ = 1 to 2 do
-          let fd, _ = Unix.accept listen in
-          (try serve_conn fd with _ -> ());
-          try Unix.close fd with Unix.Unix_error _ -> ()
-        done)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Domain.join dom;
-      (try Unix.close listen with Unix.Unix_error _ -> ());
-      try Sys.remove sock with Sys_error _ -> ())
-    (fun () ->
-      let cl = connect_exn sock in
-      Fun.protect
-        ~finally:(fun () -> Client.close cl)
-        (fun () ->
-          Alcotest.(check int) "fell back to protocol 1" 1 (Client.version cl);
-          let trace =
-            { Wire.tc_trace_id = Trace.fresh_trace_id (); tc_parent_span = 3 }
-          in
-          match
-            Client.compile cl ~name:"doubler" ~trace ~worker:"Doubler.apply"
-              doubler_source
-          with
-          | Ok a ->
-              Alcotest.(check string) "served by the fake v1 daemon"
-                "Doubler.apply" a.Wire.ar_kernel;
-              Alcotest.(check bool)
-                "trace context dropped from the v1 conversation" true
-                (!served_trace = None)
-          | Error f -> Alcotest.failf "compile: %s" (Client.failure_to_string f)))
 
 (* ------------------------------------------------------------------ *)
 (* Distributed tracing                                                  *)
@@ -814,7 +687,7 @@ let test_http_endpoints () =
           "200 OK";
           "text/plain; version=0.0.4";
           "lime_build_info{";
-          "protocol=\"3\"";
+          Printf.sprintf "protocol=\"%d\"" Wire.version;
           "lime_server_requests_total 1";
           "lime_trace_dropped_spans";
         ];
@@ -827,7 +700,7 @@ let test_http_endpoints () =
           "200 OK";
           "application/json";
           "\"draining\":false";
-          "\"protocol_version\":3";
+          (Printf.sprintf "\"protocol_version\":%d" Wire.version);
           "\"admitted\":1";
           "\"trace_id\":\"";
         ];
@@ -1161,13 +1034,6 @@ let () =
             test_garbage_resilience;
           Alcotest.test_case "stats over the wire" `Quick
             test_stats_over_the_wire;
-        ] );
-      ( "negotiation",
-        [
-          Alcotest.test_case "old client, new server" `Quick
-            test_old_client_new_server;
-          Alcotest.test_case "new client, old server" `Quick
-            test_new_client_old_server;
         ] );
       ( "tracing",
         [

@@ -40,6 +40,26 @@ let prop_rank_error_bound =
               <= (Sketch.alpha sk *. exact) +. 1e-12)
         quantiles)
 
+(* a bucket midpoint never escapes the observed range, zero bucket
+   included *)
+let prop_within_observed =
+  QCheck.Test.make ~name:"quantile within observed bounds" ~count:200
+    QCheck.(
+      pair durations_arb (make QCheck.Gen.(float_range (-1.0) 1e-9)))
+    (fun (xs, tiny) ->
+      List.for_all
+        (fun xs ->
+          let sk = Sketch.create () in
+          List.iter (Sketch.add sk) xs;
+          let lo = Sketch.min_seen sk and hi = Sketch.max_seen sk in
+          List.for_all
+            (fun q ->
+              match Sketch.quantile sk q with
+              | None -> false
+              | Some v -> lo <= v && v <= hi)
+            quantiles)
+        [ xs; [ tiny ]; tiny :: xs ])
+
 (* merging two sketches must be indistinguishable from one sketch that
    saw both streams: identical counts and identical bucket answers *)
 let prop_merge_lossless =
@@ -179,6 +199,7 @@ let () =
       ( "bounds",
         [
           QCheck_alcotest.to_alcotest prop_rank_error_bound;
+          QCheck_alcotest.to_alcotest prop_within_observed;
           Alcotest.test_case "edge cases" `Quick test_edge_cases;
           Alcotest.test_case "rank convention" `Quick test_rank_convention;
         ] );

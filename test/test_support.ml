@@ -1,4 +1,5 @@
-(* Unit tests for lib/support: locations, diagnostics, PRNG, utilities. *)
+(* Unit tests for lib/support: locations, diagnostics, PRNG, utilities,
+   observer registries. *)
 
 open Lime_support
 
@@ -96,6 +97,31 @@ let test_util_geomean () =
   let g = Util.geomean [ 1.0; 4.0 ] in
   Alcotest.(check (float 1e-9)) "geomean" 2.0 g
 
+(* distinct keys compose, a repeated key replaces, removal is by key *)
+let test_hooks_keyed () =
+  let h : int Hooks.t = Hooks.create () in
+  let seen = ref [] in
+  let note tag ev = seen := (tag, ev) :: !seen in
+  Alcotest.(check bool) "empty registry inactive" false (Hooks.active h);
+  Hooks.emit h 0;
+  Hooks.add h ~key:"a" (note "a");
+  Hooks.add h ~key:"b" (note "b");
+  Hooks.add h ~key:"a" (note "a2");
+  Alcotest.(check bool) "active once registered" true (Hooks.active h);
+  Hooks.emit h 1;
+  Alcotest.(check (list (pair string int)))
+    "both keys fire, newest first, replaced key once"
+    [ ("a2", 1); ("b", 1) ]
+    (List.rev !seen);
+  seen := [];
+  Hooks.remove h "a2";
+  Hooks.remove h "a";
+  Hooks.emit h 2;
+  Alcotest.(check (list (pair string int))) "removed key silent" [ ("b", 2) ]
+    !seen;
+  Hooks.remove h "b";
+  Alcotest.(check bool) "inactive after removing all" false (Hooks.active h)
+
 let () =
   Alcotest.run "support"
     [
@@ -123,4 +149,5 @@ let () =
           Alcotest.test_case "bytes" `Quick test_util_bytes;
           Alcotest.test_case "geomean" `Quick test_util_geomean;
         ] );
+      ("hooks", [ Alcotest.test_case "keyed" `Quick test_hooks_keyed ]);
     ]

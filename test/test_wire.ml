@@ -44,7 +44,7 @@ let gen_frame =
              (pair (opt gen_trace_ctx)
                 (* a placement SPEC is never empty (the parser rejects
                    ""), and an empty one would not round-trip: the
-                   encoder treats it as absent *)
+                   encoder writes absent as "" *)
                 (opt (map (fun s -> "t=" ^ s) short_str))));
         map
           (fun (id, par, (origin, digest, kernel), (opencl, placements, spans)) ->
@@ -163,10 +163,14 @@ let test_oversized_length () =
   | _ -> Alcotest.fail "4GiB declared length accepted"
 
 let test_unknown_tag () =
+  (* 10-12 are past the last tag, whatever their payload *)
+  List.iter
+    (fun tag ->
+      match Wire.decode (String.make 1 (Char.chr tag) ^ "rest") with
+      | Error (Wire.Unknown_tag t) when t = tag -> ()
+      | _ -> Alcotest.failf "unknown tag %d not reported" tag)
+    [ 0; 10; 11; 12; 0xEE ];
   let payload = "\xEE" ^ "rest" in
-  (match Wire.decode payload with
-  | Error (Wire.Unknown_tag 0xEE) -> ()
-  | _ -> Alcotest.fail "unknown tag not reported");
   (* and through the reader *)
   let b = Buffer.create 16 in
   put_u32 b (String.length payload);
@@ -214,9 +218,6 @@ let test_pipelined_frames () =
   Alcotest.(check bool) "drained" true (Wire.next r = Ok None);
   Alcotest.(check int) "no residue" 0 (Wire.buffered r)
 
-(* version-bump discipline: the traced Compile / span-carrying Result use
-   the new tags (10/11) only when the new fields are present, so v2
-   traffic without them is byte-identical to what a v1 endpoint emits *)
 let sample_compile ?placement trace =
   Wire.Compile
     {
@@ -246,26 +247,6 @@ let sample_result spans =
 let sample_ctx =
   { Wire.tc_trace_id = String.make 32 'a'; tc_parent_span = 42 }
 
-let test_version_tags () =
-  Alcotest.(check int) "protocol version" 3 Wire.version;
-  Alcotest.(check char) "plain Compile keeps the v1 tag" '\x03'
-    (payload (sample_compile None)).[0];
-  Alcotest.(check char) "traced Compile uses the v2 tag" '\x0A'
-    (payload (sample_compile (Some sample_ctx))).[0];
-  Alcotest.(check char) "placed Compile uses the v3 tag" '\x0C'
-    (payload (sample_compile ~placement:"W.m=gtx580" None)).[0];
-  Alcotest.(check char) "span-free Result keeps the v1 tag" '\x04'
-    (payload (sample_result "")).[0];
-  Alcotest.(check char) "span-carrying Result uses the v2 tag" '\x0B'
-    (payload (sample_result "spans")).[0];
-  (* the v1 prefix of the traced frame is exactly the untraced frame: the
-     new fields are strictly appended *)
-  let plain = payload (sample_compile None) in
-  let traced = payload (sample_compile (Some sample_ctx)) in
-  Alcotest.(check string) "trace ctx is appended, not interleaved"
-    (String.sub plain 1 (String.length plain - 1))
-    (String.sub traced 1 (String.length plain - 1))
-
 let test_no_parent_sentinel () =
   (* parent -1 crosses the wire as the u32 sentinel and comes back -1 *)
   let f =
@@ -274,8 +255,8 @@ let test_no_parent_sentinel () =
   Alcotest.(check bool) "rootless trace ctx round-trips" true
     (Wire.decode (payload f) = Ok f)
 
-(* adversarial truncation inside the NEW fields specifically: every
-   proper prefix of a tag-10/tag-11 payload must be a total Error *)
+(* adversarial truncation inside the trace, placement and span fields:
+   every proper prefix of the payload must be a total Error *)
 let test_new_field_truncation () =
   let check_prefixes what p =
     for cut = 1 to String.length p - 1 do
@@ -291,8 +272,7 @@ let test_new_field_truncation () =
     (payload (sample_compile ~placement:"W.m=gtx580" (Some sample_ctx)));
   check_prefixes "span-carrying Result" (payload (sample_result "0123456789"))
 
-(* the v3 placement field round-trips in all four trace/placement
-   combinations, and the empty placement downgrades to the old tags *)
+(* the placement field round-trips next to every trace context *)
 let test_placement_field () =
   let check what f =
     Alcotest.(check bool) what true (Wire.decode (payload f) = Ok f)
@@ -300,38 +280,10 @@ let test_placement_field () =
   check "placement alone" (sample_compile ~placement:"A.f=hd5970" None);
   check "placement plus trace"
     (sample_compile ~placement:"A.f=hd5970,B.g=host" (Some sample_ctx));
-  (* a trace ctx with an empty id must survive tag 12's presence flag *)
+  (* a trace ctx with an empty id must survive the presence flag *)
   check "placement plus empty-id trace"
     (sample_compile ~placement:"A.f=corei7"
-       (Some { Wire.tc_trace_id = ""; tc_parent_span = -1 }));
-  Alcotest.(check char) "empty placement downgrades to the v1 tag" '\x03'
-    (payload (sample_compile ~placement:"" None)).[0];
-  Alcotest.(check char) "empty placement downgrades to the v2 tag" '\x0A'
-    (payload (sample_compile ~placement:"" (Some sample_ctx))).[0]
-
-(* A peer may legally emit the v2 Result tag with a zero-length span
-   buffer (our encoder always downgrades to tag 4, but the decoder must
-   not assume that): handcraft such a frame by swapping the span field
-   of a tag-11 payload for a u32 zero length, and check it decodes to
-   the same artifact as the canonical tag-4 form. *)
-let test_zero_length_span_buffer () =
-  let p1 = payload (sample_result "x") in
-  (* trailing field of tag 11 is the span string: u32 length + bytes *)
-  let stem = String.sub p1 0 (String.length p1 - 5) in
-  let p0 = stem ^ String.make 4 '\x00' in
-  Alcotest.(check char) "handcrafted frame keeps tag 11" '\x0B' p0.[0];
-  (match Wire.decode p0 with
-  | Ok (Wire.Result a) ->
-      Alcotest.(check string) "span buffer decodes empty" "" a.Wire.ar_spans;
-      Alcotest.(check bool) "artifact otherwise intact" true
-        (Wire.Result a = sample_result "")
-  | Ok _ -> Alcotest.fail "decoded to a non-Result frame"
-  | Error e ->
-      Alcotest.failf "zero-length span buffer rejected: %s"
-        (Wire.error_to_string e));
-  (* and the canonical encoding of that artifact is the v1 tag *)
-  Alcotest.(check char) "re-encode downgrades to tag 4" '\x04'
-    (payload (sample_result "")).[0]
+       (Some { Wire.tc_trace_id = ""; tc_parent_span = -1 }))
 
 let qsuite =
   List.map Testutil.to_alcotest
@@ -353,15 +305,11 @@ let () =
         ] );
       ( "trace context",
         [
-          Alcotest.test_case "version and tag selection" `Quick
-            test_version_tags;
           Alcotest.test_case "no-parent sentinel" `Quick
             test_no_parent_sentinel;
           Alcotest.test_case "truncation in the new fields" `Quick
             test_new_field_truncation;
-          Alcotest.test_case "zero-length span buffer in tag 11" `Quick
-            test_zero_length_span_buffer;
-          Alcotest.test_case "placement provenance in tag 12" `Quick
+          Alcotest.test_case "placement provenance round-trips" `Quick
             test_placement_field;
         ] );
     ]
