@@ -15,6 +15,7 @@ module E = Lime_benchmarks.Experiments
 module Benchjson = Lime_benchmarks.Benchjson
 module Device = Gpusim.Device
 module Sketch = Lime_service.Sketch
+module Clock = Lime_support.Clock
 
 (* Streaming percentiles without retaining the stream: the same sketch
    the daemon serves from /metrics, so bench and daemon quote the same
@@ -196,7 +197,7 @@ let run_service () =
   let module Kcache = Lime_service.Kcache in
   let svc = Service.create ~capacity:32 () in
   let compile_suite () =
-    let t0 = Sys.time () in
+    let t0 = Clock.now_s () in
     List.iter
       (fun (b : Lime_benchmarks.Bench_def.t) ->
         ignore
@@ -204,7 +205,7 @@ let run_service () =
              ~worker:b.Lime_benchmarks.Bench_def.worker
              b.Lime_benchmarks.Bench_def.source))
       Lime_benchmarks.Registry.all;
-    Sys.time () -. t0
+    Clock.now_s () -. t0
   in
   let cold = compile_suite () in
   let warm = compile_suite () in
@@ -234,7 +235,7 @@ let run_service () =
 (* Scaling of the domain-pool batch path: compile the whole suite cold at
    1/2/4/8-way parallelism (fresh service each run, so every batch really
    compiles) and report wall-clock speedup plus the cache-contention
-   counters of the sharded Kcache.  Wall-clock, not CPU time: Sys.time
+   counters of the sharded Kcache.  Wall-clock, not CPU time: CPU time
    sums across domains and would hide the parallelism. *)
 let run_parallel () =
   section "Parallel compile service — domain-pool batch scaling";
@@ -257,9 +258,9 @@ let run_parallel () =
     for _ = 1 to reps do
       let svc = Service.create ~capacity:32 ~jobs () in
       let reqs = requests () in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now_s () in
       let results = Service.compile_many svc reqs in
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Clock.now_s () -. t0 in
       List.iter
         (function
           | Ok _ -> ()
@@ -333,15 +334,15 @@ let run_server () =
       suite
   in
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     f ();
-    Unix.gettimeofday () -. t0
+    Clock.now_s () -. t0
   in
   (* per-request latencies of a pass, recorded into a quantile sketch *)
   let suite_via_sketched cl sk =
     List.iter
       (fun (b : Lime_benchmarks.Bench_def.t) ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now_s () in
         (match
            Client.compile cl ~name:b.Lime_benchmarks.Bench_def.name
              ~worker:b.Lime_benchmarks.Bench_def.worker
@@ -351,7 +352,7 @@ let run_server () =
         | Error f ->
             prerr_endline (Client.failure_to_string f);
             exit 1);
-        Sketch.add sk (Unix.gettimeofday () -. t0))
+        Sketch.add sk (Clock.now_s () -. t0))
       suite
   in
   let cl = connect () in
@@ -753,10 +754,10 @@ let run_fuzz_traffic ~count ~seed () =
   let sk = Sketch.create () in
   let origins = Hashtbl.create 4 in
   let errors = ref 0 in
-  let t_all = Unix.gettimeofday () in
+  let t_all = Clock.now_s () in
   for _ = 1 to count do
     let worker, source = items.(pick ()) in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     (match Client.compile cl ~name:"fuzz" ~worker source with
     | Ok art ->
         let o = art.Lime_server.Wire.ar_origin in
@@ -765,9 +766,9 @@ let run_fuzz_traffic ~count ~seed () =
     | Error f ->
         incr errors;
         prerr_endline (Client.failure_to_string f));
-    Sketch.add sk (Unix.gettimeofday () -. t0)
+    Sketch.add sk (Clock.now_s () -. t0)
   done;
-  let wall = Unix.gettimeofday () -. t_all in
+  let wall = Clock.now_s () -. t_all in
   (* scrape the daemon's windowed quantiles while it is still up *)
   let stats_text =
     match Client.stats cl with

@@ -105,9 +105,9 @@ let report_counterexample (o : opts)
 
 let run_fuzz (o : opts) : int =
   let check p = Oracle.check ~schedules:o.schedules ~sched_seed:o.seed p in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Lime_support.Clock.now_s () in
   let state = check_cell o ~name:"lime.fuzz three-way oracle" check in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Lime_support.Clock.now_s () -. t0 in
   match state with
   | QCheck.TestResult.Success ->
       Printf.printf

@@ -7,6 +7,20 @@ set -eu
 
 cd "$(dirname "$0")"
 
+echo "== one clock =="
+# durations, deadlines and rolling windows read Lime_support.Clock
+# (monotonic): process CPU time is never a timer, and Unix time is only
+# the epoch labels the daemon stamps in lib/server/server.ml
+if grep -rn --include='*.ml' --include='*.mli' 'Sys\.time' lib bin bench; then
+  echo "FAIL: Sys.time under lib/, bin/ or bench/; time with Lime_support.Clock"
+  exit 1
+fi
+if grep -rn --include='*.ml' --include='*.mli' 'Unix\.gettimeofday' lib bin \
+     | grep -v '^lib/server/server\.ml:'; then
+  echo "FAIL: Unix.gettimeofday outside the daemon's epoch labels; time with Lime_support.Clock"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 

@@ -24,10 +24,11 @@ type optimizer =
 (* ------------------------------------------------------------------ *)
 
 module Hooks = Lime_support.Hooks
+module Clock = Lime_support.Clock
 
 let compile_hooks : (string * float) Hooks.t = Hooks.create ()
 
-type phase_event = [ `Begin | `End of float ]
+type phase_event = [ `Begin | `End ]
 
 let phase_hooks : (string * phase_event) Hooks.t = Hooks.create ()
 
@@ -38,18 +39,8 @@ let run_phase (phase : string) (f : unit -> 'a) : 'a =
   if not (Hooks.active phase_hooks) then f ()
   else begin
     Hooks.emit phase_hooks (phase, `Begin);
-    let t0 = Sys.time () in
-    Fun.protect
-      ~finally:(fun () ->
-        Hooks.emit phase_hooks (phase, `End (Sys.time () -. t0)))
-      f
+    Fun.protect ~finally:(fun () -> Hooks.emit phase_hooks (phase, `End)) f
   end
-
-(** Like {!run_phase} for phases that exist purely for observability (the
-    standalone lex pass, the OpenCL validator): skipped entirely when no
-    phase observer is installed, so the untraced hot path pays nothing. *)
-let probe_phase (phase : string) (f : unit -> unit) : unit =
-  if Hooks.active phase_hooks then run_phase phase f
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -61,13 +52,14 @@ let probe_phase (phase : string) (f : unit -> unit) : unit =
     elimination over the extracted kernel. *)
 let compile ?(config = Memopt.config_all) ?(simplify = true) ?optimizer
     ?(name = "<inline>") ~(worker : string) (source : string) : compiled =
-  let t0 = if Hooks.active compile_hooks then Some (Sys.time ()) else None in
+  let t0 = if Hooks.active compile_hooks then Some (Clock.now_s ()) else None in
   run_phase "compile" (fun () ->
-      probe_phase "lex" (fun () ->
-          ignore (Lime_frontend.Lexer.tokenize ~name source));
+      let tokens =
+        run_phase "lex" (fun () -> Lime_frontend.Lexer.tokenize ~name source)
+      in
       let ast =
         run_phase "parse" (fun () ->
-            Lime_frontend.Parser.program_of_string ~name source)
+            Lime_frontend.Parser.program_of_tokens tokens)
       in
       let tp =
         run_phase "typecheck" (fun () ->
@@ -96,9 +88,12 @@ let compile ?(config = Memopt.config_all) ?(simplify = true) ?optimizer
       let opencl =
         run_phase "codegen" (fun () -> Opencl.generate kernel decisions)
       in
-      probe_phase "clcheck" (fun () -> ignore (Clcheck.check opencl));
+      (* the validator exists for observability only: the untraced path
+         skips it *)
+      if Hooks.active phase_hooks then
+        run_phase "clcheck" (fun () -> ignore (Clcheck.check opencl));
       Option.iter
-        (fun t0 -> Hooks.emit compile_hooks (worker, Sys.time () -. t0))
+        (fun t0 -> Hooks.emit compile_hooks (worker, Clock.now_s () -. t0))
         t0;
       {
         cp_program = tp;

@@ -25,23 +25,23 @@ type optimizer =
 
 val compile_hooks : (string * float) Lime_support.Hooks.t
 (** Compile observers, called once per completed {!compile} with the
-    worker name and the elapsed CPU seconds; the clock is read only while
-    one is installed.  The [lime.service] metrics layer uses key
-    ["metrics"]. *)
+    worker name and the elapsed {!Lime_support.Clock} seconds; the clock
+    is read only while one is installed.  The [lime.service] metrics layer
+    uses key ["metrics"]. *)
 
-type phase_event = [ `Begin | `End of float ]
-(** [`End dt] carries the phase's elapsed CPU seconds. *)
+type phase_event = [ `Begin | `End ]
+(** A phase's begin and end carry no time: observers read their own
+    clock, so the pipeline reads none. *)
 
 val phase_hooks : (string * phase_event) Lime_support.Hooks.t
-(** Phase observers, called with [(phase, `Begin)] and [(phase, `End _)]
+(** Phase observers, called with [(phase, `Begin)] and [(phase, `End)]
     around every pipeline phase of {!compile} ("compile" wrapping "lex",
     "parse", "typecheck", "lower", "extract", "simplify", "rewrite" —
     only when an {!optimizer} is supplied — "memopt", "codegen",
     "clcheck").  Phases nest: "compile" begins before and ends
-    after all the others.  The observability-only probe phases ("lex",
-    "clcheck") only run while at least one phase observer is installed, so
-    the untraced path pays nothing for them.  The tracer uses key
-    ["trace"]. *)
+    after all the others.  The observability-only "clcheck" phase only runs
+    while at least one phase observer is installed, so the untraced path
+    pays nothing for it.  The tracer uses key ["trace"]. *)
 
 val compile :
   ?config:Memopt.config ->

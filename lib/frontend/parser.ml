@@ -741,10 +741,10 @@ let parse_program st : program =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let program_of_tokens toks : program = parse_program (of_tokens toks)
+
 let program_of_string ?(name = "<inline>") src : program =
-  let toks = Lexer.tokenize ~name src in
-  let st = of_tokens toks in
-  parse_program st
+  program_of_tokens (Lexer.tokenize ~name src)
 
 let expr_of_string ?(name = "<inline>") src : expr =
   let toks = Lexer.tokenize ~name src in

@@ -53,13 +53,13 @@ let recv_frame t =
   if not t.cl_open then Error "connection closed"
   else begin
     let buf = Bytes.create 65536 in
-    let deadline = Unix.gettimeofday () +. t.cl_timeout in
+    let deadline = Lime_support.Clock.now_s () +. t.cl_timeout in
     let rec go () =
       match Wire.next t.cl_reader with
       | Ok (Some frame) -> Ok frame
       | Error e -> Error (Wire.error_to_string e)
       | Ok None ->
-          if Unix.gettimeofday () >= deadline then
+          if Lime_support.Clock.now_s () >= deadline then
             Error
               (Printf.sprintf "timed out after %.1fs waiting for a reply"
                  t.cl_timeout)

@@ -105,10 +105,9 @@ type pending = {
   pd_trace : Wire.trace_ctx option;  (** propagated client trace context *)
   pd_placement : string option;  (** client-reported placement SPEC *)
   pd_deadline_ms : int option;
-  pd_admitted : float;  (** wall clock at admission *)
-  pd_admit_us : float;  (** trace timeline at admission *)
-  pd_deadline : float option;  (** absolute wall clock *)
-  pd_started : float Atomic.t;  (** set by the job when it begins; 0 = queued *)
+  pd_admit_us : float;  (** admission, on [Trace.default]'s timeline *)
+  pd_deadline : float option;  (** absolute, on {!now} *)
+  pd_started : float Atomic.t;  (** trace time the job began; < 0 = queued *)
   pd_spans : Trace.span list ref;
       (** spans the job recorded, filled by the worker before the wake *)
   pd_future : (Wire.artifact, Diag.t) result Pool.future;
@@ -168,7 +167,7 @@ type t = {
   sr_flight_dump_req : bool Atomic.t;
       (** set by {!request_flight_dump} (SIGQUIT); served by the reactor *)
   sr_access : out_channel option;  (** JSONL access log *)
-  sr_started : float;  (** wall clock at creation, for /statusz uptime *)
+  sr_started : float;  (** {!now} at creation, for /statusz uptime *)
   mutable sr_conns : conn list;
   mutable sr_hconns : hconn list;
   mutable sr_active : pending list;
@@ -190,7 +189,13 @@ type t = {
   mutable sr_dropped : int;
 }
 
-let now () = Unix.gettimeofday ()
+(* Deadlines, idle/drain timers and SLO windows.  Only the epoch labels
+   (access-log and /alertz [ts], flight [fe_ts], process start time) read
+   Unix time. *)
+let now = Lime_support.Clock.now_s
+
+(* Request durations run on the trace timeline, where spans live. *)
+let trace_now_us () = Trace.now_us Trace.default
 
 let register_metrics reg =
   {
@@ -233,7 +238,7 @@ let register_metrics reg =
         ~help:
           "streaming quantiles of admission-to-reply latency, cumulative \
            and over rolling 1m/5m/1h windows"
-        ~clock:Unix.gettimeofday "lime_server_request_seconds_summary";
+        "lime_server_request_seconds_summary";
   }
 
 let register_slo_gauges reg defs =
@@ -375,7 +380,7 @@ let create ?service cfg =
        ~help:"unix time this process started" "lime_process_start_time_seconds")
     (Unix.gettimeofday ());
   let slo =
-    Slo.create ~clock:Unix.gettimeofday
+    Slo.create ~clock:now
       (if cfg.sc_slos = [] then default_slos else cfg.sc_slos)
   in
   {
@@ -393,7 +398,7 @@ let create ?service cfg =
     sr_drain_req = Atomic.make false;
     sr_flight_dump_req = Atomic.make false;
     sr_access = access;
-    sr_started = Unix.gettimeofday ();
+    sr_started = now ();
     sr_conns = [];
     sr_hconns = [];
     sr_active = [];
@@ -476,9 +481,9 @@ let log_access t ~id ~name ~worker ~config ~digest ~deadline_ms ~wait_s ~dur_s
       Printf.fprintf oc
         "{\"ts\":%.6f,\"id\":%d,\"name\":\"%s\",\"worker\":\"%s\",\
          \"config\":\"%s\",\"digest\":\"%s\",\"deadline_ms\":%s,\
-         \"queue_wait_s\":%.6f,\"duration_s\":%.6f,\"outcome\":\"%s\",\
+         \"queue_wait_s\":%.9f,\"duration_s\":%.9f,\"outcome\":\"%s\",\
          \"origin\":\"%s\",\"trace_id\":\"%s\",\"placement\":%s}\n%!"
-        (now ()) id (e name) (e worker) (e config) (e digest)
+        (Unix.gettimeofday ()) id (e name) (e worker) (e config) (e digest)
         (match deadline_ms with
         | None -> "null"
         | Some ms -> string_of_int ms)
@@ -512,7 +517,7 @@ let exposition t =
   Service.expose t.sr_svc
 
 let statusz_json t =
-  let t_now = now () in
+  let t_now = now () and now_us = trace_now_us () in
   let e = Http.json_escape in
   let stats = Service.stats t.sr_svc in
   let hits = stats.Lime_service.Kcache.hits
@@ -525,14 +530,14 @@ let statusz_json t =
     t.sr_active
     |> List.map (fun pd ->
            let state =
-             if Atomic.get pd.pd_started > 0.0 then "running" else "queued"
+             if Atomic.get pd.pd_started >= 0.0 then "running" else "queued"
            in
            Printf.sprintf
              "{\"id\":%d,\"worker\":\"%s\",\"name\":\"%s\",\
               \"digest\":\"%s\",\"state\":\"%s\",\"age_s\":%.6f,\
               \"deadline_in_s\":%s,\"trace_id\":\"%s\"}"
              pd.pd_id (e pd.pd_worker) (e pd.pd_name) (e pd.pd_digest) state
-             (t_now -. pd.pd_admitted)
+             ((now_us -. pd.pd_admit_us) /. 1e6)
              (match pd.pd_deadline with
              | None -> "null"
              | Some d -> Printf.sprintf "%.6f" (d -. t_now))
@@ -592,7 +597,8 @@ let alertz_json t =
   Printf.sprintf
     "{\"ts\":%.6f,\"healthy\":%b,\"fast_window_s\":%g,\"slow_window_s\":%g,\
      \"burn_factor\":%g,\"slos\":[%s]}\n"
-    (now ()) (not firing) (Slo.fast_s t.sr_slo) (Slo.slow_s t.sr_slo)
+    (Unix.gettimeofday ()) (not firing) (Slo.fast_s t.sr_slo)
+    (Slo.slow_s t.sr_slo)
     (Slo.burn_factor t.sr_slo)
     (String.concat "," (List.map slo_json statuses))
 
@@ -780,7 +786,7 @@ let expired pd t_now =
 let admit t (c : conn) (r : Wire.compile_req) config =
   let svc = t.sr_svc in
   let t_now = now () in
-  let pd_started = Atomic.make 0.0 in
+  let pd_started = Atomic.make (-1.0) in
   let pd_spans = ref [] in
   let digest =
     Digest.to_hex
@@ -793,7 +799,7 @@ let admit t (c : conn) (r : Wire.compile_req) config =
      5% / 25µs budget.  They are only shipped home when the client
      propagated a trace context. *)
   let job () =
-    Atomic.set pd_started (now ());
+    Atomic.set pd_started (trace_now_us ());
     let compute () =
       match
         Diag.protect (fun () ->
@@ -820,6 +826,8 @@ let admit t (c : conn) (r : Wire.compile_req) config =
     wake t;
     res
   in
+  (* bound before [Pool.submit]: a worker may begin spans at once *)
+  let pd_admit_us = trace_now_us () in
   let pd =
     {
       pd_conn = c;
@@ -831,8 +839,7 @@ let admit t (c : conn) (r : Wire.compile_req) config =
       pd_trace = r.Wire.cr_trace;
       pd_placement = r.Wire.cr_placement;
       pd_deadline_ms = r.Wire.cr_deadline_ms;
-      pd_admitted = t_now;
-      pd_admit_us = Trace.now_us Trace.default;
+      pd_admit_us;
       pd_deadline =
         Option.map (fun ms -> t_now +. (float_of_int ms /. 1e3)) r.Wire.cr_deadline_ms;
       pd_started;
@@ -986,43 +993,35 @@ let accept_loop t =
   done
 
 (* The span buffer a traced request ships home inside its Result frame:
-   a synthetic [server.request] root covering admission-to-reply (0 =
+   a synthetic [server.request] root from admission to [end_us] (0 =
    admission), a [server.queue_wait] child, and every span the job
-   recorded — rebased to admission and clamped into the root's window
-   (the trace clock is CPU time, which can run ahead of the wall-clock
-   request duration), with job-side roots reparented under the synthetic
-   root so the client grafts one well-nested subtree.  The same tree is
-   what the flight recorder retains for /debug and the post-mortem
+   recorded — rebased to admission, with job-side roots reparented under
+   the synthetic root so the client grafts one well-nested subtree.  All
+   of it is on the one trace clock: the job's spans begin after admission
+   and close before the reply, so they nest as recorded.  The same tree
+   is what the flight recorder retains for /debug and the post-mortem
    dump. *)
-let span_tree pd ~t_now =
-  let dur_us = Float.max 1.0 ((t_now -. pd.pd_admitted) *. 1e6) in
-  let clamp v = Float.min (Float.max 0.0 v) dur_us in
-  let rebased =
+let span_tree pd ~end_us =
+  let rebase us = us -. pd.pd_admit_us in
+  let ids = List.map (fun sp -> sp.Trace.sp_id) !(pd.pd_spans) in
+  let root_id = 1 + List.fold_left max 0 ids in
+  let job_spans =
     List.map
       (fun sp ->
-        let b = clamp (sp.Trace.sp_begin_us -. pd.pd_admit_us) in
-        let e =
-          if sp.Trace.sp_end_us < 0.0 then b
-          else clamp (sp.Trace.sp_end_us -. pd.pd_admit_us)
-        in
-        { sp with Trace.sp_begin_us = b; sp_end_us = Float.max b e })
+        let b = rebase sp.Trace.sp_begin_us in
+        {
+          sp with
+          Trace.sp_parent =
+            (if List.mem sp.Trace.sp_parent ids then sp.Trace.sp_parent
+             else root_id);
+          sp_begin_us = b;
+          sp_end_us =
+            (if sp.Trace.sp_end_us < 0.0 then b else rebase sp.Trace.sp_end_us);
+        })
       !(pd.pd_spans)
   in
-  let ids = List.map (fun sp -> sp.Trace.sp_id) rebased in
-  let max_id = List.fold_left (fun a sp -> max a sp.Trace.sp_id) 0 rebased in
-  let root_id = max_id + 1 and qw_id = max_id + 2 in
-  let reparented =
-    List.map
-      (fun sp ->
-        if List.mem sp.Trace.sp_parent ids then sp
-        else { sp with Trace.sp_parent = root_id })
-      rebased
-  in
   let started = Atomic.get pd.pd_started in
-  let wait_us =
-    clamp
-      (if started > 0.0 then (started -. pd.pd_admitted) *. 1e6 else dur_us)
-  in
+  let wait_us = rebase (if started >= 0.0 then started else end_us) in
   let root =
     {
       Trace.sp_id = root_id;
@@ -1036,12 +1035,12 @@ let span_tree pd ~t_now =
           ("trace_id", trace_id_of pd);
         ];
       sp_begin_us = 0.0;
-      sp_end_us = dur_us;
+      sp_end_us = rebase end_us;
     }
   in
   let queue_wait =
     {
-      Trace.sp_id = qw_id;
+      Trace.sp_id = root_id + 1;
       sp_parent = root_id;
       sp_name = "server.queue_wait";
       sp_cat = "server";
@@ -1050,16 +1049,14 @@ let span_tree pd ~t_now =
       sp_end_us = wait_us;
     }
   in
-  root :: queue_wait :: reparented
-
-let span_buffer pd ~t_now = Trace.spans_to_wire (span_tree pd ~t_now)
+  root :: queue_wait :: job_spans
 
 (* Answer one settled (or expired) pending request.  Returns [true] when
    the entry is finished and should leave the active list. *)
 let reap_one t pd =
-  let t_now = now () in
+  let t_now = now () and end_us = trace_now_us () in
   let finish ~status ?(origin = "") reply =
-    let dur_s = t_now -. pd.pd_admitted in
+    let dur_s = (end_us -. pd.pd_admit_us) /. 1e6 in
     (match reply with
     | Some frame ->
         send pd.pd_conn frame;
@@ -1074,7 +1071,7 @@ let reap_one t pd =
     | None -> ());
     let started = Atomic.get pd.pd_started in
     let wait_s =
-      if started > 0.0 then started -. pd.pd_admitted else dur_s
+      if started >= 0.0 then (started -. pd.pd_admit_us) /. 1e6 else dur_s
     in
     Metrics.observe t.sr_metrics.m_queue_wait_seconds wait_s;
     Trace.complete Trace.default ~cat:"server" ~ts_us:pd.pd_admit_us
@@ -1088,9 +1085,9 @@ let reap_one t pd =
       ~trace_id:(trace_id_of pd) ~placement:pd.pd_placement;
     Slo.record t.sr_slo ~ok:(status = "ok") ~duration_s:dur_s;
     Flight.record t.sr_flight
-      ~spans:(fun () -> span_tree pd ~t_now)
+      ~spans:(fun () -> span_tree pd ~end_us)
       {
-        Flight.fe_ts = t_now;
+        Flight.fe_ts = Unix.gettimeofday ();
         fe_id = pd.pd_id;
         fe_worker = pd.pd_worker;
         fe_name = pd.pd_name;
@@ -1146,7 +1143,8 @@ let reap_one t pd =
               (* ship the request's spans home iff the client asked (sent
                  a trace context) and the daemon tracer is recording *)
               if pd.pd_trace <> None && Trace.enabled Trace.default then
-                { artifact with Wire.ar_spans = span_buffer pd ~t_now }
+                let spans = Trace.spans_to_wire (span_tree pd ~end_us) in
+                { artifact with Wire.ar_spans = spans }
               else artifact
             in
             finish ~status:"ok" ~origin:artifact.Wire.ar_origin

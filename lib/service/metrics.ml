@@ -141,7 +141,7 @@ let default_windows = [ ("1m", 60.0); ("5m", 300.0); ("1h", 3600.0) ]
 
 let summary reg ?help ?(alpha = Sketch.default_alpha)
     ?(quantiles = [ 0.5; 0.9; 0.99 ]) ?(windows = default_windows)
-    ?(clock = Sys.time) name =
+    ?(clock = Lime_support.Clock.now_s) name =
   List.iter
     (fun q ->
       if q < 0.0 || q > 1.0 then

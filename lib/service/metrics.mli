@@ -67,7 +67,8 @@ val summary :
     {!default_windows}), then [_sum] and [_count]; empty sketches emit no
     quantile samples.  [alpha] is the sketch's relative-error bound
     (default {!Sketch.default_alpha}); [clock] supplies "now" in seconds
-    for window rotation (the daemon passes [Unix.gettimeofday]). *)
+    for window rotation (default {!Lime_support.Clock.now_s}; tests pass a
+    fake). *)
 
 val default_windows : (string * float) list
 (** [["1m", 60.; "5m", 300.; "1h", 3600.]] — the multi-resolution views a

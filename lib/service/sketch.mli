@@ -92,8 +92,8 @@ val window :
   unit -> window
 (** [interval_s] (default 60.0) times [slots] (default 60) is the longest
     queryable span — one hour by default.  [clock] supplies "now" in
-    seconds (the daemon passes [Unix.gettimeofday]; tests pass a manual
-    clock).  Raises [Invalid_argument] for a non-positive interval or
+    seconds (the daemon passes {!Lime_support.Clock.now_s}; tests pass a
+    manual clock).  Raises [Invalid_argument] for a non-positive interval or
     slot count. *)
 
 val window_alpha : window -> float

@@ -2,7 +2,7 @@
 
     Concurrency model: every domain that records through a tracer gets its
     own span buffer and its own open-span stack (domain-local storage), so
-    recording never takes a lock on the hot path beyond the shared clock.
+    recording never takes a lock on the hot path.
     Span ids come from one atomic counter — allocation order is global
     begin order — and the per-domain buffers are merged (sorted by id) on
     every read ({!spans}, export, views), yielding the single monotonic
@@ -34,12 +34,14 @@ type dstate = {
 
 type t = {
   mutable tr_enabled : bool;
-  tr_mu : Mutex.t;  (** guards the clock state and the dstate registry *)
+  tr_mu : Mutex.t;
+      (** guards skew raises, the trace id and the dstate registry *)
   tr_states : dstate list ref;  (** every domain that has recorded *)
   tr_dls : dstate Domain.DLS.key;
   tr_next_id : int Atomic.t;
-  mutable tr_last_us : float;  (** last timestamp handed out (under tr_mu) *)
-  mutable tr_skew_us : float;  (** added to the clock by {!advance_to} *)
+  tr_skew_us : float Atomic.t;
+      (** added to the clock; raised only by {!advance_to}, zeroed by
+          {!reset} *)
   mutable tr_t0 : float;
   tr_clock : unit -> float;
   mutable tr_trace_id : string;  (** 32 lowercase hex chars *)
@@ -71,7 +73,7 @@ let valid_trace_id s =
 
 let default_retention = 65536
 
-let create ?(clock = Sys.time) () =
+let create ?(clock = Lime_support.Clock.now_s) () =
   let tr_mu = Mutex.create () in
   let tr_states = ref [] in
   let tr_dls =
@@ -88,8 +90,7 @@ let create ?(clock = Sys.time) () =
     tr_states;
     tr_dls;
     tr_next_id = Atomic.make 0;
-    tr_last_us = 0.0;
-    tr_skew_us = 0.0;
+    tr_skew_us = Atomic.make 0.0;
     tr_t0 = clock ();
     tr_clock = clock;
     tr_trace_id = fresh_trace_id ();
@@ -132,36 +133,22 @@ let reset t =
     !(t.tr_states);
   Atomic.set t.tr_next_id 0;
   Atomic.set t.tr_dropped 0;
-  t.tr_last_us <- 0.0;
-  t.tr_skew_us <- 0.0;
+  Atomic.set t.tr_skew_us 0.0;
   t.tr_t0 <- t.tr_clock ();
   t.tr_trace_id <- fresh_trace_id ();
   Mutex.unlock t.tr_mu
 
-(* Strictly monotonic across all domains: coarse clocks (Sys.time often
-   ticks in ms) are nudged forward 10ns per event so span ordering is
-   always well-formed.  The clock state is shared, hence the mutex. *)
+(* Non-decreasing across all domains: the clock is monotonic and the skew
+   only grows.  Raises are serialized so two racing marks cannot both
+   apply their gap. *)
 let now_us t =
-  Mutex.lock t.tr_mu;
-  let real = ((t.tr_clock () -. t.tr_t0) *. 1e6) +. t.tr_skew_us in
-  let v = if real <= t.tr_last_us then t.tr_last_us +. 0.01 else real in
-  t.tr_last_us <- v;
-  Mutex.unlock t.tr_mu;
-  v
+  ((t.tr_clock () -. t.tr_t0) *. 1e6) +. Atomic.get t.tr_skew_us
 
 let advance_to t ts_us =
   Mutex.lock t.tr_mu;
-  if ts_us > t.tr_last_us then begin
-    t.tr_skew_us <- t.tr_skew_us +. (ts_us -. t.tr_last_us);
-    t.tr_last_us <- ts_us
-  end;
+  let gap = ts_us -. now_us t in
+  if gap > 0.0 then Atomic.set t.tr_skew_us (Atomic.get t.tr_skew_us +. gap);
   Mutex.unlock t.tr_mu
-
-let last_us t =
-  Mutex.lock t.tr_mu;
-  let v = t.tr_last_us in
-  Mutex.unlock t.tr_mu;
-  v
 
 (* Retention ring: when a domain's buffer outgrows the cap, drop the
    oldest *closed* spans down to 7/8 of the cap (open spans survive — the
@@ -219,7 +206,6 @@ let end_span t ?(args = []) ?ts_us name =
     let ds = dstate t in
     if List.exists (fun s -> s.sp_name = name) ds.ds_stack then begin
       let ts = match ts_us with Some ts -> ts | None -> now_us t in
-      advance_to t ts;
       let rec pop = function
         | [] -> []
         | sp :: rest ->
@@ -502,7 +488,7 @@ let json_escape s =
   Buffer.contents b
 
 let to_chrome_json t =
-  let now = last_us t in
+  let now = now_us t in
   let closed_end sp = if sp.sp_end_us < 0.0 then now else sp.sp_end_us in
   let sorted =
     List.sort
@@ -560,7 +546,7 @@ let pretty_us us =
   else Printf.sprintf "%.2fus" us
 
 let summary ?(top = 10) t =
-  let now = last_us t in
+  let now = now_us t in
   let all = spans t in
   let tbl = Hashtbl.create 32 in
   List.iter
@@ -596,7 +582,7 @@ let summary ?(top = 10) t =
   Buffer.contents b
 
 let flame t =
-  let now = last_us t in
+  let now = now_us t in
   let all = spans t in
   let b = Buffer.create 512 in
   let rec walk depth parent =
@@ -689,10 +675,7 @@ let install ?(tracer = default) () =
   Hooks.add Pipeline.phase_hooks ~key:"trace" (fun (phase, ev) ->
       match ev with
       | `Begin -> begin_span tracer ~cat:"compile" ("pipeline." ^ phase)
-      | `End seconds ->
-          end_span tracer
-            ~args:[ ("cpu_s", Printf.sprintf "%.3g" seconds) ]
-            ("pipeline." ^ phase));
+      | `End -> end_span tracer ("pipeline." ^ phase));
   Hooks.add Engine.firing_hooks ~key:"trace" (emit_firing tracer);
   (* rewrite.* spans: the beam search brackets as one wall-clock span with
      an instant child per level; a replay of a stored schedule is a single

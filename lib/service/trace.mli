@@ -10,9 +10,10 @@
       duration — the simulated communication legs and kernel time of an
       offloaded firing, which never ran on a wall clock.
 
-    Timestamps are microseconds from tracer creation and strictly
-    monotonic per event (coarse clocks are nudged forward), so exported
-    traces are always well-formed.  The export format is Chrome
+    Timestamps are microseconds of {!Lime_support.Clock} wall time since
+    tracer creation, plus a skew {!advance_to} raises past model-time
+    spans.  They never decrease, so exported traces are always
+    well-formed.  The export format is Chrome
     trace-event JSON ("X" complete events), loadable in [chrome://tracing]
     and {{:https://ui.perfetto.dev}Perfetto}; {!summary} and {!flame} are
     terminal-friendly views of the same data.
@@ -26,7 +27,7 @@
     {b Thread safety}: a tracer may be written from any domain.  Each
     domain records into its own span buffer with its own open-span stack
     (so nesting never crosses domains); span ids come from one atomic
-    counter and the shared clock is mutex-guarded.  Readers ({!spans},
+    counter and reading the clock takes no lock.  Readers ({!spans},
     export, {!summary}, {!flame}) merge the per-domain buffers into a
     single timeline ordered by span id — global begin order. *)
 
@@ -44,7 +45,7 @@ type span = {
 
 val create : ?clock:(unit -> float) -> unit -> t
 (** A fresh, enabled tracer.  [clock] returns seconds (default
-    [Sys.time]); timestamps are relative to creation. *)
+    {!Lime_support.Clock.now_s}); timestamps are relative to creation. *)
 
 val default : t
 (** The process-wide tracer; starts disabled. *)
@@ -95,7 +96,8 @@ val dropped_spans : t -> int
 (** Total spans evicted by the retention cap since creation/{!reset}. *)
 
 val now_us : t -> float
-(** Current trace time in microseconds; strictly monotonic across calls. *)
+(** Current trace time in microseconds.  Never decreases, and never reads
+    below a mark passed to {!advance_to}; two calls may read the same. *)
 
 (** {1 Recording} *)
 

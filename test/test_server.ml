@@ -543,74 +543,82 @@ let plain_compile id =
 (* ------------------------------------------------------------------ *)
 
 (* a traced compile returns the server's span buffer: decodable, rooted
-   at a single server.request span, well-nested and monotonic *)
+   at a single server.request span, well-nested and monotonic — every
+   span inside its parent and inside [0, server.request end], with
+   nothing in the daemon adjusting them to fit.  Several cold compiles
+   on one daemon, so each buffer carries its own pipeline spans. *)
 let test_merged_trace_well_nested () =
   with_server (fun sock _server ->
       let cl = connect_exn sock in
       Fun.protect
         ~finally:(fun () -> Client.close cl)
         (fun () ->
-          let trace =
-            { Wire.tc_trace_id = Trace.fresh_trace_id (); tc_parent_span = 7 }
-          in
-          let a =
-            match
-              Client.compile cl ~name:"doubler" ~trace ~worker:"Doubler.apply"
-                doubler_source
-            with
-            | Ok a -> a
-            | Error f -> Alcotest.failf "compile: %s" (Client.failure_to_string f)
-          in
-          Alcotest.(check bool) "span buffer returned" true
-            (a.Wire.ar_spans <> "");
-          let spans =
-            match Trace.spans_of_wire a.Wire.ar_spans with
-            | Ok spans -> spans
-            | Error msg -> Alcotest.failf "span buffer malformed: %s" msg
-          in
-          let roots =
-            List.filter (fun sp -> sp.Trace.sp_parent < 0) spans
-          in
-          (match roots with
-          | [ root ] ->
-              Alcotest.(check string) "rooted at server.request"
-                "server.request" root.Trace.sp_name;
-              Alcotest.(check bool) "root starts the timeline" true
-                (root.Trace.sp_begin_us = 0.0)
-          | _ -> Alcotest.failf "%d roots, expected 1" (List.length roots));
-          Alcotest.(check bool) "queue-wait child present" true
-            (List.exists
-               (fun sp -> sp.Trace.sp_name = "server.queue_wait")
-               spans);
-          Alcotest.(check bool) "pipeline spans present" true
-            (List.exists
-               (fun sp -> sp.Trace.sp_name = "pipeline.compile")
-               spans);
-          (* well-nested: every child's interval lies inside its parent's;
-             monotonic: every span is closed and non-negative *)
-          let by_id = Hashtbl.create 64 in
-          List.iter
-            (fun sp -> Hashtbl.replace by_id sp.Trace.sp_id sp)
-            spans;
-          List.iter
-            (fun sp ->
-              Alcotest.(check bool)
-                (sp.Trace.sp_name ^ " closed, forward in time") true
-                (sp.Trace.sp_begin_us >= 0.0
-                && sp.Trace.sp_end_us >= sp.Trace.sp_begin_us);
-              if sp.Trace.sp_parent >= 0 then
-                match Hashtbl.find_opt by_id sp.Trace.sp_parent with
-                | None ->
-                    Alcotest.failf "%s has a dangling parent"
-                      sp.Trace.sp_name
-                | Some parent ->
-                    Alcotest.(check bool)
-                      (sp.Trace.sp_name ^ " nested inside "
-                     ^ parent.Trace.sp_name)
-                      true
-                      (parent.Trace.sp_begin_us <= sp.Trace.sp_begin_us
-                      && sp.Trace.sp_end_us <= parent.Trace.sp_end_us))
-            spans;
+          for run = 1 to 4 do
+            let trace =
+              { Wire.tc_trace_id = Trace.fresh_trace_id (); tc_parent_span = 7 }
+            in
+            let source = Printf.sprintf "%s// run %d\n" doubler_source run in
+            let a =
+              match
+                Client.compile cl ~name:"doubler" ~trace
+                  ~worker:"Doubler.apply" source
+              with
+              | Ok a -> a
+              | Error f ->
+                  Alcotest.failf "compile: %s" (Client.failure_to_string f)
+            in
+            Alcotest.(check bool) "span buffer returned" true
+              (a.Wire.ar_spans <> "");
+            let spans =
+              match Trace.spans_of_wire a.Wire.ar_spans with
+              | Ok spans -> spans
+              | Error msg -> Alcotest.failf "span buffer malformed: %s" msg
+            in
+            let root =
+              match List.filter (fun sp -> sp.Trace.sp_parent < 0) spans with
+              | [ root ] ->
+                  Alcotest.(check string) "rooted at server.request"
+                    "server.request" root.Trace.sp_name;
+                  Alcotest.(check bool) "root starts the timeline" true
+                    (root.Trace.sp_begin_us = 0.0);
+                  root
+              | roots ->
+                  Alcotest.failf "%d roots, expected 1" (List.length roots)
+            in
+            Alcotest.(check bool) "queue-wait child present" true
+              (List.exists
+                 (fun sp -> sp.Trace.sp_name = "server.queue_wait")
+                 spans);
+            Alcotest.(check bool) "pipeline spans present" true
+              (List.exists
+                 (fun sp -> sp.Trace.sp_name = "pipeline.compile")
+                 spans);
+            let by_id = Hashtbl.create 64 in
+            List.iter
+              (fun sp -> Hashtbl.replace by_id sp.Trace.sp_id sp)
+              spans;
+            List.iter
+              (fun sp ->
+                Alcotest.(check bool)
+                  (sp.Trace.sp_name ^ " forward in time, within the request")
+                  true
+                  (sp.Trace.sp_begin_us >= 0.0
+                  && sp.Trace.sp_end_us >= sp.Trace.sp_begin_us
+                  && sp.Trace.sp_end_us <= root.Trace.sp_end_us);
+                if sp.Trace.sp_parent >= 0 then
+                  match Hashtbl.find_opt by_id sp.Trace.sp_parent with
+                  | None ->
+                      Alcotest.failf "%s has a dangling parent"
+                        sp.Trace.sp_name
+                  | Some parent ->
+                      Alcotest.(check bool)
+                        (sp.Trace.sp_name ^ " nested inside "
+                       ^ parent.Trace.sp_name)
+                        true
+                        (parent.Trace.sp_begin_us <= sp.Trace.sp_begin_us
+                        && sp.Trace.sp_end_us <= parent.Trace.sp_end_us))
+              spans
+          done;
           (* an untraced request on the same connection stays span-free *)
           let b =
             compile_exn cl ~name:"doubler" ~worker:"Doubler.apply"
@@ -802,6 +810,23 @@ let test_healthz_flips_while_draining () =
 (* The access log                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The first ["ts":N] in a JSON text.  Durations run on a monotonic
+   clock, but these labels must stay seconds since the Unix epoch. *)
+let epoch_ts json =
+  let key = "\"ts\":" in
+  let n = String.length json and k = String.length key in
+  let rec find i =
+    if i + k > n then Alcotest.failf "no %s in %s" key json
+    else if String.sub json i k = key then i + k
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < n && String.contains "0123456789.-e+" json.[!stop] do
+    incr stop
+  done;
+  float_of_string (String.sub json start (!stop - start))
+
 let test_access_log () =
   let log_file =
     Filename.temp_file "limed-access" ".jsonl"
@@ -834,6 +859,8 @@ let test_access_log () =
       in
       match lines with
       | [ line ] ->
+          Alcotest.(check bool) "access-log ts is Unix time" true
+            (epoch_ts line > 1e9);
           List.iter
             (fun sub ->
               Alcotest.(check bool) (sub ^ " in the access line") true
@@ -937,6 +964,8 @@ let test_alertz_flips_under_burn () =
         && contains "server.queue_wait" slow);
       Alcotest.(check bool) "slow entry keeps the trace id" true
         (contains trace.Wire.tc_trace_id slow);
+      Alcotest.(check bool) "flight entry ts is Unix time" true
+        (epoch_ts slow > 1e9);
       let errors = http_get port "GET /debug/errors HTTP/1.0\r\n\r\n" in
       Alcotest.(check bool) "/debug/errors holds the doomed requests" true
         (contains "\"outcome\":\"deadline\"" errors

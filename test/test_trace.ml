@@ -84,12 +84,32 @@ let test_with_span_exception_safe () =
   | _ -> Alcotest.fail "expected one span"
 
 let test_monotonic_now () =
-  (* a constant clock still yields strictly increasing timestamps *)
+  (* a clock that stands still: only advance_to moves trace time *)
   let tr = Trace.create ~clock:(fun () -> 1.0) () in
   let a = Trace.now_us tr in
   let b = Trace.now_us tr in
+  Alcotest.(check bool) "non-decreasing" true (a <= b);
+  Trace.advance_to tr 50.0;
   let c = Trace.now_us tr in
-  Alcotest.(check bool) "strictly increasing" true (a < b && b < c)
+  Alcotest.(check bool) "never below an advance_to mark" true (c >= 50.0);
+  Trace.advance_to tr 10.0;
+  Alcotest.(check bool) "an earlier mark never moves it back" true
+    (Trace.now_us tr >= c);
+  (* the default clock: non-decreasing on every domain *)
+  let tr = Trace.create () in
+  let reads () =
+    let last = ref (Trace.now_us tr) and ok = ref true in
+    for _ = 1 to 10_000 do
+      let v = Trace.now_us tr in
+      if v < !last then ok := false;
+      last := v
+    done;
+    !ok
+  in
+  let d = Domain.spawn reads in
+  let here = reads () in
+  Alcotest.(check bool) "non-decreasing on both domains" true
+    (here && Domain.join d)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome JSON export                                                  *)
@@ -263,6 +283,83 @@ let test_firing_has_all_comm_legs () =
           (s.Trace.sp_end_us <= device_firing.Trace.sp_end_us +. 1e-6)
       end)
     spans
+
+(* Phases are timed on the wall clock: a strategy that waits 20 ms makes
+   the rewrite phase, and the whole compile, last at least that long.
+   Process CPU time would read close to zero here. *)
+let test_phases_read_wall_time () =
+  let tr = Trace.create () in
+  let sleepy kernel config =
+    Unix.sleepf 0.02;
+    (kernel, config, [])
+  in
+  let seconds = ref 0.0 in
+  Lime_support.Hooks.add Pipeline.compile_hooks ~key:"wall-time-test"
+    (fun (_, s) -> seconds := s);
+  Fun.protect
+    ~finally:(fun () ->
+      Lime_support.Hooks.remove Pipeline.compile_hooks "wall-time-test")
+    (fun () ->
+      Trace.with_observers ~tracer:tr (fun () ->
+          ignore
+            (Pipeline.compile ~optimizer:sleepy
+               ~worker:nbody.Lime_benchmarks.Bench_def.worker
+               nbody.Lime_benchmarks.Bench_def.source)));
+  let rewrite =
+    List.find (fun s -> s.Trace.sp_name = "pipeline.rewrite") (Trace.spans tr)
+  in
+  Alcotest.(check bool) "pipeline.rewrite lasts >= 20 ms" true
+    (rewrite.Trace.sp_end_us -. rewrite.Trace.sp_begin_us >= 20_000.0);
+  Alcotest.(check bool) "compile hook reports >= 0.02 s" true
+    (!seconds >= 0.02)
+
+(* Each domain's leaf phases run one after another inside the time that
+   domain spent compiling, so they cannot sum to more than it.  A clock
+   shared by both domains' work, like process CPU time, breaks this. *)
+let test_leaf_phases_within_elapsed () =
+  let tr = Trace.create () in
+  let compiles () =
+    let t0 = Lime_support.Clock.now_s () in
+    let (), spans =
+      Trace.collect tr (fun () ->
+          for _ = 1 to 3 do
+            ignore
+              (Pipeline.compile ~worker:nbody.Lime_benchmarks.Bench_def.worker
+                 nbody.Lime_benchmarks.Bench_def.source)
+          done)
+    in
+    (spans, (Lime_support.Clock.now_s () -. t0) *. 1e6)
+  in
+  let per_domain =
+    Trace.with_observers ~tracer:tr (fun () ->
+        let d = Domain.spawn compiles in
+        let here = compiles () in
+        [ here; Domain.join d ])
+  in
+  List.iteri
+    (fun i (spans, elapsed_us) ->
+      let leaves =
+        List.filter
+          (fun sp ->
+            String.starts_with ~prefix:"pipeline." sp.Trace.sp_name
+            && not
+                 (List.exists
+                    (fun c -> c.Trace.sp_parent = sp.Trace.sp_id)
+                    spans))
+          spans
+      in
+      let sum =
+        List.fold_left
+          (fun acc sp -> acc +. (sp.Trace.sp_end_us -. sp.Trace.sp_begin_us))
+          0.0 leaves
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d recorded leaf phases" i)
+        true (leaves <> []);
+      if sum > elapsed_us then
+        Alcotest.failf "domain %d: leaf phases sum to %.0f us > %.0f us elapsed"
+          i sum elapsed_us)
+    per_domain
 
 let test_observers_uninstalled_after () =
   let tr = traced_run () in
@@ -498,7 +595,7 @@ let () =
             test_disabled_records_nothing;
           Alcotest.test_case "with_span exception-safe" `Quick
             test_with_span_exception_safe;
-          Alcotest.test_case "now_us strictly monotonic" `Quick
+          Alcotest.test_case "now_us non-decreasing" `Quick
             test_monotonic_now;
         ] );
       ( "chrome",
@@ -515,6 +612,10 @@ let () =
             test_pipeline_phases_traced;
           Alcotest.test_case "firing has all comm legs" `Quick
             test_firing_has_all_comm_legs;
+          Alcotest.test_case "phases read wall time" `Quick
+            test_phases_read_wall_time;
+          Alcotest.test_case "leaf phases within elapsed" `Quick
+            test_leaf_phases_within_elapsed;
           Alcotest.test_case "observers uninstalled after" `Quick
             test_observers_uninstalled_after;
           Alcotest.test_case "metrics and trace compose" `Quick
