@@ -186,15 +186,19 @@ let run_single file worker config_name jobs cache_capacity dump_ast dump_ir
         print_string c.Pipeline.cp_opencl;
       if emit_glue then
         print_string (Lime_gpu.Hostgen.generate kernel);
+      let parsed_shapes = lazy (List.map parse_shape shapes) in
+      let require_shapes flag =
+        if shapes = [] then begin
+          Printf.eprintf "%s requires at least one --shape name=DIMS\n" flag;
+          exit 2
+        end;
+        Lazy.force parsed_shapes
+      in
       (match optimize with
       | None -> ()
       | Some mode ->
           let d = lookup_device "--optimize" opt_device in
-          let opt_shapes = List.map parse_shape shapes in
-          if opt_shapes = [] then begin
-            Printf.eprintf "--optimize requires at least one --shape\n";
-            exit 2
-          end;
+          let opt_shapes = require_shapes "--optimize" in
           let digest =
             Service.request_digest ~device:opt_device ~config ~worker source
           in
@@ -257,11 +261,7 @@ let run_single file worker config_name jobs cache_capacity dump_ast dump_ir
       | None -> ()
       | Some dev_name ->
           let d = lookup_device "--sweep" dev_name in
-          let shapes = List.map parse_shape shapes in
-          if shapes = [] then begin
-            Printf.eprintf "--sweep requires at least one --shape\n";
-            exit 2
-          end;
+          let shapes = require_shapes "--sweep" in
           Printf.printf "memory-mapping exploration on %s (fastest first):\n"
             d.Gpusim.Device.name;
           let digest =
@@ -312,72 +312,33 @@ let run_single file worker config_name jobs cache_capacity dump_ast dump_ir
                 "winner: occupancy %.2f, bank-conflict replays %g, %s\n" occ
                 br rl
           | None -> ());
-      (match estimate with
-      | None -> ()
-      | Some dev_name ->
-          let d = lookup_device "--estimate" dev_name in
-          let shapes = List.map parse_shape shapes in
-          if shapes = [] then begin
-            Printf.eprintf
-              "--estimate requires at least one --shape name=DIMS\n";
-            exit 2
-          end;
-          let prof =
-            Gpusim.Profile.profile kernel c.Pipeline.cp_decisions ~shapes
-              ~scalars:[]
-          in
-          let bindings =
-            List.filter_map
-              (fun (name, shape) ->
-                match List.assoc_opt name kernel.Lime_gpu.Kernel.k_params with
-                | Some (Lime_ir.Ir.TArr aty) ->
-                    Some
-                      (Gpusim.Model.binding_of_shape ~name
-                         ~elem:aty.Lime_ir.Ir.elem ~shape
-                         (Memopt.placement_for c.Pipeline.cp_decisions name))
-                | _ -> None)
-              shapes
-          in
-          let bd = Gpusim.Model.kernel_time d prof bindings in
+      (* --estimate, --counters and --profile print from one launch,
+         priced the way --sweep prices it *)
+      let launch =
+        lazy
+          (Gpusim.Autotune.launch kernel c.Pipeline.cp_decisions
+             ~shapes:(Lazy.force parsed_shapes) ~scalars:[])
+      in
+      let priced flag dev_name =
+        let d = lookup_device flag dev_name in
+        ignore (require_shapes flag);
+        let prof, bindings = Lazy.force launch in
+        (d, prof, Gpusim.Model.kernel_time_ex d prof bindings)
+      in
+      Option.iter
+        (fun dev_name ->
+          let d, prof, (bd, _) = priced "--estimate" dev_name in
           Format.printf "device: %s@." d.Gpusim.Device.name;
           Format.printf "profile: %s@." (Gpusim.Profile.to_string prof);
-          Format.printf "estimate: %a@." Gpusim.Model.pp_breakdown bd);
-      (match counters with
-      | None -> ()
-      | Some dev_name ->
-          let d = lookup_device "--counters" dev_name in
-          let shapes = List.map parse_shape shapes in
-          if shapes = [] then begin
-            Printf.eprintf
-              "--counters requires at least one --shape name=DIMS\n";
-            exit 2
-          end;
-          let prof =
-            Gpusim.Profile.profile kernel c.Pipeline.cp_decisions ~shapes
-              ~scalars:[]
-          in
-          let bindings =
-            List.filter_map
-              (fun (name, shape) ->
-                match List.assoc_opt name kernel.Lime_gpu.Kernel.k_params with
-                | Some (Lime_ir.Ir.TArr aty) ->
-                    Some
-                      (Gpusim.Model.binding_of_shape ~name
-                         ~elem:aty.Lime_ir.Ir.elem ~shape
-                         (Memopt.placement_for c.Pipeline.cp_decisions name))
-                | _ -> None)
-              shapes
-          in
-          let _, ct = Gpusim.Model.kernel_time_ex d prof bindings in
-          print_string (Gpusim.Counters.report ct));
-      if profile then begin
-        let shapes = List.map parse_shape shapes in
-        let prof =
-          Gpusim.Profile.profile kernel c.Pipeline.cp_decisions ~shapes
-            ~scalars:[]
-        in
-        print_string (Gpusim.Profile.report prof)
-      end;
+          Format.printf "estimate: %a@." Gpusim.Model.pp_breakdown bd)
+        estimate;
+      Option.iter
+        (fun dev_name ->
+          let _, _, (_, ct) = priced "--counters" dev_name in
+          print_string (Gpusim.Counters.report ct))
+        counters;
+      if profile then
+        print_string (Gpusim.Profile.report (fst (Lazy.force launch)));
       (match run_target with
       | None -> ()
       | Some target ->

@@ -21,6 +21,16 @@ if grep -rn --include='*.ml' --include='*.mli' 'Unix\.gettimeofday' lib bin \
   exit 1
 fi
 
+echo "== one pricer =="
+# every kernel launch is priced through Gpusim.Autotune.launch: profiling
+# a launch and binding its arrays happen only inside lib/gpusim/
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'Profile\.profile' -e 'Model\.binding_of_shape' lib bin \
+     | grep -v '^lib/gpusim/'; then
+  echo "FAIL: a launch priced outside lib/gpusim/; use Gpusim.Autotune.launch"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 

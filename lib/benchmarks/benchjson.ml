@@ -68,8 +68,7 @@ let collect ?(quick = false) ?(seed = 1) ?(multidev = false) ~name () : run =
           Memopt.optimize b.Bench_def.best_config
             p.Experiments.p_compiled.Lime_gpu.Pipeline.cp_kernel
         in
-        let prof = Experiments.profile_of p decisions in
-        let bindings = Experiments.bindings_of p decisions in
+        let prof, bindings = Experiments.launch_of p decisions in
         List.map
           (fun (d : Device.t) ->
             let ee = Experiments.endtoend p d b.Bench_def.best_config in

@@ -43,7 +43,9 @@ let prepare ?config ?(quick = false) ?seed (b : B.t) : prepared =
   let k = c.Pipeline.cp_kernel in
   (* the output-producing loop's trip count sizes the result buffer *)
   let shapes, scalars = Lime_runtime.Engine.shapes_of_args k [ input ] in
-  let prof = Profile.profile k c.Pipeline.cp_decisions ~shapes ~scalars in
+  let prof, _ =
+    Gpusim.Autotune.launch k c.Pipeline.cp_decisions ~shapes ~scalars
+  in
   let rows = int_of_float prof.Profile.p_last_parfor_items in
   let out_shape = Lime_runtime.Engine.output_shape ~rows k input in
   let out_bytes =
@@ -61,24 +63,18 @@ let prepare ?config ?(quick = false) ?seed (b : B.t) : prepared =
     p_out_shape = out_shape;
   }
 
-let profile_of (p : prepared) (decisions : Memopt.decision list) : Profile.t =
+let launch_of (p : prepared) (decisions : Memopt.decision list) :
+    Profile.t * Model.array_binding list =
   let k = p.p_compiled.Pipeline.cp_kernel in
-  let shapes, scalars =
-    Lime_runtime.Engine.shapes_of_args k [ p.p_input ]
-  in
-  Profile.profile k decisions ~shapes ~scalars
-
-let bindings_of (p : prepared) (decisions : Memopt.decision list) :
-    Model.array_binding list =
-  Lime_runtime.Engine.array_bindings p.p_compiled.Pipeline.cp_kernel decisions
-    [ p.p_input ] p.p_out_shape
+  let shapes, scalars = Lime_runtime.Engine.shapes_of_args k [ p.p_input ] in
+  Gpusim.Autotune.launch k decisions ~shapes ~scalars
 
 (** Kernel-only time under a memory configuration. *)
 let kernel_time_under (p : prepared) (d : Device.t) (cfg : Memopt.config) :
     float =
-  let decisions = Memopt.optimize cfg p.p_compiled.Pipeline.cp_kernel in
-  let prof = profile_of p decisions in
-  (Model.kernel_time d prof (bindings_of p decisions)).Model.bd_total_s
+  let k = p.p_compiled.Pipeline.cp_kernel in
+  let shapes, scalars = Lime_runtime.Engine.shapes_of_args k [ p.p_input ] in
+  (Gpusim.Autotune.time_config d k cfg ~shapes ~scalars).Model.bd_total_s
 
 (** Host-side (source + sink) bytecode work: proportional to the data
     produced and consumed — a few JVM-weighted ops per element. *)
@@ -91,7 +87,7 @@ let baseline_seconds (p : prepared) : float =
   let decisions =
     Memopt.optimize Memopt.config_global p.p_compiled.Pipeline.cp_kernel
   in
-  let prof = profile_of p decisions in
+  let prof, _ = launch_of p decisions in
   (Model.jvm_time_profile prof *. p.p_bench.B.interop_factor)
   +. host_task_seconds p
 

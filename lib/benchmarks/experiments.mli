@@ -32,8 +32,9 @@ val prepare : ?config:Memopt.config -> ?quick:bool -> ?seed:int -> B.t -> prepar
     input — at paper scale by default, at the test scale with
     [~quick:true].  [seed] feeds the deterministic input builders. *)
 
-val profile_of : prepared -> Memopt.decision list -> Profile.t
-val bindings_of : prepared -> Memopt.decision list -> Model.array_binding list
+val launch_of :
+  prepared -> Memopt.decision list -> Profile.t * Model.array_binding list
+(** {!Gpusim.Autotune.launch} on the prepared input. *)
 
 val kernel_time_under : prepared -> Device.t -> Memopt.config -> float
 (** Kernel-only device time under one memory configuration. *)

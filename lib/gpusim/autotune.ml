@@ -63,13 +63,17 @@ let bindings_of (k : Kernel.kernel) (decisions : Memopt.decision list)
   in
   param_bindings @ local_bindings
 
-(** Time one configuration, also yielding its simulated hardware
-    counters. *)
-let time_config_ex (d : Device.t) (k : Kernel.kernel) (cfg : Memopt.config)
-    ~(shapes : (string * int array) list)
-    ~(scalars : (string * float) list) : Model.breakdown * Counters.t =
-  let decisions = Memopt.optimize cfg k in
-  let prof = Profile.profile k decisions ~shapes ~scalars in
+(** The one launch pricer: the launch's profile and the bindings of every
+    array it touches, the result sized by the last parallel loop's trip
+    count.  Every tool that prices a launch goes through here. *)
+let launch ?hoist_invariant ?affine_lanes (k : Kernel.kernel)
+    (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
+    ~(scalars : (string * float) list) :
+    Profile.t * Model.array_binding list =
+  let prof =
+    Profile.profile ?hoist_invariant ?affine_lanes k decisions ~shapes
+      ~scalars
+  in
   let out_shape =
     match k.Kernel.k_ret with
     | Ir.TArr aty ->
@@ -82,7 +86,15 @@ let time_config_ex (d : Device.t) (k : Kernel.kernel) (cfg : Memopt.config)
                 aty.Ir.dims))
     | _ -> None
   in
-  Model.kernel_time_ex d prof (bindings_of k decisions ~shapes ~out_shape)
+  (prof, bindings_of k decisions ~shapes ~out_shape)
+
+(** Time one configuration, also yielding its simulated hardware
+    counters. *)
+let time_config_ex (d : Device.t) (k : Kernel.kernel) (cfg : Memopt.config)
+    ~(shapes : (string * int array) list)
+    ~(scalars : (string * float) list) : Model.breakdown * Counters.t =
+  let prof, bindings = launch k (Memopt.optimize cfg k) ~shapes ~scalars in
+  Model.kernel_time_ex d prof bindings
 
 (** Time one configuration. *)
 let time_config d k cfg ~shapes ~scalars =

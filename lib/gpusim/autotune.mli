@@ -16,6 +16,20 @@ val bindings_of :
   out_shape:int array option ->
   Model.array_binding list
 
+val launch :
+  ?hoist_invariant:bool ->
+  ?affine_lanes:bool ->
+  Lime_gpu.Kernel.kernel ->
+  Lime_gpu.Memopt.decision list ->
+  shapes:(string * int array) list ->
+  scalars:(string * float) list ->
+  Profile.t * Model.array_binding list
+(** The one launch pricer: the launch's profile (the two flags are
+    {!Profile.profile}'s) and the bindings of every array it touches —
+    the parameters from [shapes], the kernel-local arrays from their
+    static shapes, the result sized by the last parallel loop's trip
+    count.  Price the pair with {!Model.kernel_time_ex}. *)
+
 val time_config :
   Device.t ->
   Lime_gpu.Kernel.kernel ->

@@ -68,6 +68,24 @@ let add_counters a b =
   a.alloc_bytes <- a.alloc_bytes + b.alloc_bytes;
   a.double_ops <- a.double_ops + b.double_ops
 
+let copy_counters c = { c with alu = c.alu }
+
+let diff_counters a b =
+  {
+    alu = a.alu - b.alu;
+    divs = a.divs - b.divs;
+    sqrts = a.sqrts - b.sqrts;
+    transcendentals = a.transcendentals - b.transcendentals;
+    mem_reads = a.mem_reads - b.mem_reads;
+    mem_writes = a.mem_writes - b.mem_writes;
+    bounds_checks = a.bounds_checks - b.bounds_checks;
+    field_accesses = a.field_accesses - b.field_accesses;
+    branches = a.branches - b.branches;
+    calls = a.calls - b.calls;
+    alloc_bytes = a.alloc_bytes - b.alloc_bytes;
+    double_ops = a.double_ops - b.double_ops;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Interpreter state                                                   *)
 (* ------------------------------------------------------------------ *)

@@ -22,6 +22,13 @@ type counters = {
 val fresh_counters : unit -> counters
 val add_counters : counters -> counters -> unit
 
+val copy_counters : counters -> counters
+(** A snapshot: later increments of the original do not reach it. *)
+
+val diff_counters : counters -> counters -> counters
+(** [diff_counters a b] is a fresh record of [a - b], field by field —
+    the work done between snapshot [b] and [a]. *)
+
 type state = {
   md : Ir.modul;
   statics : (string * string, Value.t ref) Hashtbl.t;

@@ -2,8 +2,8 @@
 
     The search explores sequences of {!Rewrite.step}s from
     {!Rewrite.catalog}, scoring each resulting [(kernel, config)] state
-    with the analytic device model ({!Gpusim.Model.kernel_time_ex} over a
-    {!Gpusim.Profile.t} computed with invariant hoisting and affine-lane
+    with the analytic device model (the launch pricer
+    {!Gpusim.Autotune.launch} with invariant hoisting and affine-lane
     recognition enabled).  A beam of the [width] best states advances up
     to [depth] levels; children are produced by every applicable, legal
     catalog step and deduplicated structurally, so permutations of
@@ -24,7 +24,6 @@ module Kernel = Lime_gpu.Kernel
 module Memopt = Lime_gpu.Memopt
 module Device = Gpusim.Device
 module Model = Gpusim.Model
-module Profile = Gpusim.Profile
 module Counters = Gpusim.Counters
 module Autotune = Gpusim.Autotune
 
@@ -79,55 +78,38 @@ let emit ev = Lime_support.Hooks.emit hooks ev
 (* Scoring                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Modeled time of one rewrite state: run the memory optimizer on the
-    state's config, profile the (possibly restructured) kernel with the
-    backend-compiler effects the rewrites rely on (invariant hoisting,
-    affine lanes), and price it on the device.  Mirrors
-    {!Gpusim.Autotune.time_config_ex} except for the two profiler
-    flags. *)
+(** The memory optimizer's placements for a state, with affine-lane
+    recognition on.  The search computes them once per state and hands
+    them to both {!signature} and {!score}. *)
+let decisions (st : Rewrite.state) : Memopt.decision list =
+  Memopt.optimize ~affine_lanes:true st.Rewrite.st_config st.Rewrite.st_kernel
+
+(** Modeled time of one rewrite state under its [decisions]: profile the
+    (possibly restructured) kernel with the backend-compiler effects the
+    rewrites rely on (invariant hoisting, affine lanes) and price it on
+    the device. *)
 let score (device : Device.t) (st : Rewrite.state)
-    ~(shapes : (string * int array) list)
+    (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) : float * Model.breakdown * Counters.t
     =
-  let k = st.Rewrite.st_kernel in
-  let decisions = Memopt.optimize ~affine_lanes:true st.Rewrite.st_config k in
-  let prof =
-    Profile.profile ~hoist_invariant:true ~affine_lanes:true k decisions
-      ~shapes ~scalars
+  let prof, bindings =
+    Autotune.launch ~hoist_invariant:true ~affine_lanes:true
+      st.Rewrite.st_kernel decisions ~shapes ~scalars
   in
-  let out_shape =
-    match k.Kernel.k_ret with
-    | Ir.TArr aty ->
-        Some
-          (Array.of_list
-             (List.map
-                (function
-                  | Ir.DFixed n -> n
-                  | Ir.DDyn -> int_of_float prof.Profile.p_last_parfor_items)
-                aty.Ir.dims))
-    | _ -> None
-  in
-  let bd, ctr =
-    Model.kernel_time_ex device prof
-      (Autotune.bindings_of k decisions ~shapes ~out_shape)
-  in
+  let bd, ctr = Model.kernel_time_ex device prof bindings in
   (bd.Model.bd_total_s, bd, ctr)
 
 (** Structural signature of a state: the rewritten body plus the placement
     table it induces.  Two states with equal signatures are
     indistinguishable to the cost model, so the search keeps only the
     first (shortest, earliest) sequence reaching each. *)
-let signature (st : Rewrite.state) : string =
+let signature (st : Rewrite.state) (decisions : Memopt.decision list) :
+    string =
   let body =
     String.concat "\n"
       (List.map (Ir.stmt_str ~ind:0) st.Rewrite.st_kernel.Kernel.k_body)
   in
-  let placements =
-    Memopt.describe
-      (Memopt.optimize ~affine_lanes:true st.Rewrite.st_config
-         st.Rewrite.st_kernel)
-  in
-  Digest.string (body ^ "\x00" ^ placements)
+  Digest.string (body ^ "\x00" ^ Memopt.describe decisions)
 
 let cmp_candidate (a : candidate) (b : candidate) : int =
   compare
@@ -154,9 +136,9 @@ let search ?(width = default_width) ?(depth = default_depth)
        { kernel = k.Kernel.k_name; device = device.Device.name; width;
          depth });
   let evals = ref 0 in
-  let evaluate (sequence : string list) (st : Rewrite.state) : candidate =
+  let evaluate (sequence : string list) (st : Rewrite.state) ds : candidate =
     incr evals;
-    let time_s, bd, ctr = score device st ~shapes ~scalars in
+    let time_s, bd, ctr = score device st ds ~shapes ~scalars in
     {
       sc_sequence = sequence;
       sc_state = st;
@@ -166,8 +148,8 @@ let search ?(width = default_width) ?(depth = default_depth)
     }
   in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let fresh_state st =
-    let s = signature st in
+  let fresh_state st ds =
+    let s = signature st ds in
     if Hashtbl.mem seen s then false
     else begin
       Hashtbl.add seen s ();
@@ -175,8 +157,9 @@ let search ?(width = default_width) ?(depth = default_depth)
     end
   in
   let baseline_state = Rewrite.initial k in
-  ignore (fresh_state baseline_state);
-  let baseline = evaluate [] baseline_state in
+  let baseline_ds = decisions baseline_state in
+  ignore (fresh_state baseline_state baseline_ds);
+  let baseline = evaluate [] baseline_state baseline_ds in
   (* Canned Fig 8 sequences seed the beam: the search result can only be
      at least as good as the paper's sweep winner. *)
   let fig8 =
@@ -192,8 +175,9 @@ let search ?(width = default_width) ?(depth = default_depth)
       (fun (name, seq, st) ->
         if seq = [] then (name, baseline)
         else begin
-          ignore (fresh_state st);
-          (name, evaluate seq st)
+          let ds = decisions st in
+          ignore (fresh_state st ds);
+          (name, evaluate seq st ds)
         end)
       fig8
   in
@@ -233,11 +217,12 @@ let search ?(width = default_width) ?(depth = default_depth)
                        match step.Rewrite.apply c.sc_state with
                        | exception Rewrite.Illegal _ -> None
                        | st ->
-                           if fresh_state st then
+                           let ds = decisions st in
+                           if fresh_state st ds then
                              Some
                                (evaluate
                                   (c.sc_sequence @ [ step.Rewrite.name ])
-                                  st)
+                                  st ds)
                            else None))
                Rewrite.catalog)
            !frontier
@@ -290,7 +275,7 @@ let replay (device : Device.t) (k : Kernel.kernel) (sequence : string list)
       Error m
   | Ok st ->
       emit (EReplay { kernel = k.Kernel.k_name; sequence; ok = true });
-      let time_s, bd, ctr = score device st ~shapes ~scalars in
+      let time_s, bd, ctr = score device st (decisions st) ~shapes ~scalars in
       Ok
         {
           sc_sequence = sequence;

@@ -153,46 +153,13 @@ let shapes_of_args (k : Kernel.kernel) (args : Value.t list) :
     k.Kernel.k_params args;
   (List.rev !shapes, List.rev !scalars)
 
+(* Kept for callers holding runtime values; the pricing is
+   {!Gpusim.Autotune.bindings_of}'s. *)
 let array_bindings (k : Kernel.kernel) (decisions : Memopt.decision list)
     (args : Value.t list) (result_shape : int array option) :
     Gpusim.Model.array_binding list =
-  let param_bindings =
-    List.filter_map
-      (fun ((p, _), v) ->
-        match v with
-        | Value.VArr a ->
-            Some
-              (Gpusim.Model.binding_of_shape ~name:p ~elem:a.Value.elem
-                 ~shape:a.Value.shape
-                 (Memopt.placement_for decisions p))
-        | _ -> None)
-      (List.combine k.Kernel.k_params args)
-  in
-  (* bindings for kernel-local arrays with known placements (e.g. the map
-     output) *)
-  let local_bindings =
-    List.filter_map
-      (fun (d : Memopt.decision) ->
-        if List.exists (fun (p, _) -> p = d.Memopt.d_array) k.Kernel.k_params
-        then None
-        else
-          let info = d.Memopt.d_info in
-          let shape =
-            match (Ir.static_elem_count info.Memopt.ai_ty, result_shape) with
-            | Some _, _ ->
-                Array.of_list
-                  (List.map
-                     (function Ir.DFixed n -> n | Ir.DDyn -> 0)
-                     info.Memopt.ai_ty.Ir.dims)
-            | None, Some rs -> rs
-            | None, None -> [| 0 |]
-          in
-          Some
-            (Gpusim.Model.binding_of_shape ~name:d.Memopt.d_array
-               ~elem:info.Memopt.ai_ty.Ir.elem ~shape d.Memopt.d_placement))
-      decisions
-  in
-  param_bindings @ local_bindings
+  Gpusim.Autotune.bindings_of k decisions
+    ~shapes:(fst (shapes_of_args k args)) ~out_shape:result_shape
 
 (** Simulate (and optionally functionally execute) one kernel firing.
     [transfer_in]/[transfer_out] say whether the input (output) actually
@@ -226,7 +193,9 @@ let fire_device (cfg : config) (report : report) (off : offloaded)
   let args = [ device_input ] in
   (* timing profile also yields the output-producing loop's trip count *)
   let shapes, scalars = shapes_of_args k args in
-  let prof = Gpusim.Profile.profile k off.of_decisions ~shapes ~scalars in
+  let prof, bindings =
+    Gpusim.Autotune.launch k off.of_decisions ~shapes ~scalars
+  in
   let rows = int_of_float prof.Gpusim.Profile.p_last_parfor_items in
   (* functional execution *)
   let result =
@@ -249,9 +218,6 @@ let fire_device (cfg : config) (report : report) (off : offloaded)
         | v -> (e, v))
   in
   let out_bytes = Bytes.length out_encoded in
-  let bindings =
-    array_bindings k off.of_decisions args (output_shape ~rows k device_input)
-  in
   let bd, counters = Gpusim.Model.kernel_time_ex d prof bindings in
   let elem_bytes =
     match device_input with

@@ -87,13 +87,8 @@ let probe ?(config = Memopt.config_all)
           let decisions = Memopt.optimize config kernel in
           let args = [ input ] in
           let shapes, scalars = Engine.shapes_of_args kernel args in
-          let prof =
-            Gpusim.Profile.profile kernel decisions ~shapes ~scalars
-          in
-          let rows = int_of_float prof.Gpusim.Profile.p_last_parfor_items in
-          let bindings =
-            Engine.array_bindings kernel decisions args
-              (Engine.output_shape ~rows kernel input)
+          let prof, bindings =
+            Gpusim.Autotune.launch kernel decisions ~shapes ~scalars
           in
           (* host cost of the same stage: the kernel body interpreted as
              bytecode, in its own module *)
@@ -117,29 +112,11 @@ let probe ?(config = Memopt.config_all)
           let args =
             match td.Ir.td_in with Ir.TUnit -> [] | _ -> [ input ]
           in
-          let before = { st.Interp.counters with Interp.alu = st.Interp.counters.Interp.alu } in
+          let before = Interp.copy_counters st.Interp.counters in
           let result =
             Interp.call_function st name node.Value.tk_instance args
           in
-          let a = st.Interp.counters in
-          let delta =
-            {
-              Interp.alu = a.Interp.alu - before.Interp.alu;
-              divs = a.Interp.divs - before.Interp.divs;
-              sqrts = a.Interp.sqrts - before.Interp.sqrts;
-              transcendentals =
-                a.Interp.transcendentals - before.Interp.transcendentals;
-              mem_reads = a.Interp.mem_reads - before.Interp.mem_reads;
-              mem_writes = a.Interp.mem_writes - before.Interp.mem_writes;
-              bounds_checks = a.Interp.bounds_checks - before.Interp.bounds_checks;
-              field_accesses =
-                a.Interp.field_accesses - before.Interp.field_accesses;
-              branches = a.Interp.branches - before.Interp.branches;
-              calls = a.Interp.calls - before.Interp.calls;
-              alloc_bytes = a.Interp.alloc_bytes - before.Interp.alloc_bytes;
-              double_ops = a.Interp.double_ops - before.Interp.double_ops;
-            }
-          in
+          let delta = Interp.diff_counters st.Interp.counters before in
           let host_s = Gpusim.Device.jvm_time delta in
           v := result;
           {

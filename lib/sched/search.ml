@@ -103,6 +103,19 @@ let best_of (singles : (string * candidate) list) : string * candidate =
     None singles
   |> Option.get
 
+(* [singles] over an already built table, charging [evaluate]'s counter *)
+let priced_singles (tb : Cost.table)
+    (evaluate : Placement.assignment array -> candidate) :
+    (string * candidate) list * (string * candidate) =
+  let s =
+    ("host", evaluate (uniform_assigns tb Placement.Host))
+    :: List.map
+         (fun (name, d) ->
+           (name, evaluate (uniform_assigns tb (Placement.On d))))
+         Placement.devices
+  in
+  (s, best_of s)
+
 (** The legacy baselines, priced: all offloadable stages on one device
     (the engine's [config.device] mode) for each device, plus everything
     on the host.  Returns the scored list and the best of them.  Used by
@@ -113,16 +126,7 @@ let singles ?(serializer = Marshal_.Custom) ~(firings : int)
     (stages : Probe.stage list) :
     (string * candidate) list * (string * candidate) =
   let tb = Cost.table stages in
-  let evals = ref 0 in
-  let evaluate = evaluate_with tb ~serializer ~firings evals in
-  let s =
-    ("host", evaluate (uniform_assigns tb Placement.Host))
-    :: List.map
-         (fun (name, d) ->
-           (name, evaluate (uniform_assigns tb (Placement.On d))))
-         Placement.devices
-  in
-  (s, best_of s)
+  priced_singles tb (evaluate_with tb ~serializer ~firings (ref 0))
 
 let search ?(width = default_width) ?(serializer = Marshal_.Custom)
     ~(firings : int) (stages : Probe.stage list) : outcome =
@@ -142,17 +146,7 @@ let search ?(width = default_width) ?(serializer = Marshal_.Custom)
       Placement.Host :: List.map (fun (_, d) -> Placement.On d) Placement.devices
     else [ Placement.Host ]
   in
-  let uniform = uniform_assigns tb in
-  (* the legacy single-device baselines: all offloadable stages on one
-     device (the engine's config.device mode), plus everything on the
-     host *)
-  let singles =
-    ("host", evaluate (uniform Placement.Host))
-    :: List.map
-         (fun (name, d) -> (name, evaluate (uniform (Placement.On d))))
-         Placement.devices
-  in
-  let best_single = best_of singles in
+  let singles, best_single = priced_singles tb evaluate in
   let best_ever = ref (snd best_single) in
   let consider c = if cmp_candidate c !best_ever < 0 then best_ever := c in
   if exhaustive then begin

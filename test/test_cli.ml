@@ -393,6 +393,59 @@ let test_counters_requires_shape () =
   Alcotest.(check bool) "names the missing flag" true
     (contains "--counters requires at least one --shape" out)
 
+(* --estimate and --counters price a launch exactly as the sweep does:
+   for every registry workload (test scale) under every --config on every
+   device, the printed estimate line and counter table are the ones
+   Autotune.time_config_ex yields for the same kernel and shapes *)
+let test_estimate_agrees_with_sweep () =
+  skip_unless_available ();
+  let module B = Lime_benchmarks.Bench_def in
+  List.iter
+    (fun (b : B.t) ->
+      let src = Filename.temp_file "workload" ".lime" in
+      Out_channel.with_open_text src (fun oc ->
+          Out_channel.output_string oc b.B.source_small);
+      let k =
+        (Lime_gpu.Pipeline.compile ~worker:b.B.worker b.B.source_small)
+          .Lime_gpu.Pipeline.cp_kernel
+      in
+      let shapes, _ =
+        Lime_runtime.Engine.shapes_of_args k [ b.B.input_small () ]
+      in
+      let shape_flags =
+        String.concat " "
+          (List.map
+             (fun (n, s) ->
+               Printf.sprintf "--shape %s=%s" n
+                 (String.concat "x"
+                    (Array.to_list (Array.map string_of_int s))))
+             shapes)
+      in
+      List.iter
+        (fun (cname, cfg) ->
+          List.iter
+            (fun (dname, d) ->
+              let case = Printf.sprintf "%s/%s/%s" b.B.name cname dname in
+              let code, out =
+                capture
+                  (Printf.sprintf "%s -w %s -c %s --estimate %s --counters %s %s"
+                     src b.B.worker cname dname dname shape_flags)
+              in
+              let bd, ct =
+                Gpusim.Autotune.time_config_ex d k cfg ~shapes ~scalars:[]
+              in
+              Alcotest.(check int) (case ^ ": exit 0") 0 code;
+              Alcotest.(check bool) (case ^ ": sweep's estimate") true
+                (contains
+                   (Fmt.str "estimate: %a" Gpusim.Model.pp_breakdown bd)
+                   out);
+              Alcotest.(check bool) (case ^ ": sweep's counters") true
+                (contains (Gpusim.Counters.report ct) out))
+            Lime_sched.Placement.devices)
+        Lime_server.Server.configs;
+      Sys.remove src)
+    Lime_benchmarks.Registry.workloads
+
 let test_batch_rejects_inspection_flags () =
   skip_unless_available ();
   let matmul =
@@ -725,6 +778,8 @@ let () =
             test_counters_matmul;
           Alcotest.test_case "counters needs a shape" `Quick
             test_counters_requires_shape;
+          Alcotest.test_case "estimate and counters agree with sweep" `Quick
+            test_estimate_agrees_with_sweep;
           Alcotest.test_case "batch rejects inspection flags" `Quick
             test_batch_rejects_inspection_flags;
           Alcotest.test_case "batch manifest" `Quick test_batch_manifest;

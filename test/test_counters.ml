@@ -123,8 +123,7 @@ let test_registry_consistency () =
     (fun (b : B.t) ->
       let p = E.prepare ~quick:true b in
       let ds = p.E.p_compiled.Lime_gpu.Pipeline.cp_decisions in
-      let prof = E.profile_of p ds in
-      let bindings = E.bindings_of p ds in
+      let prof, bindings = E.launch_of p ds in
       List.iter
         (fun (d : Device.t) ->
           let bd, c = Model.kernel_time_ex d prof bindings in
@@ -133,6 +132,41 @@ let test_registry_consistency () =
             d bd c)
         Device.all)
     Lime_benchmarks.Registry.all
+
+(* every registry workload x --config x device: the launch limec
+   --estimate/--counters prices (the compiled placements) is the sweep's —
+   breakdown and counters equal to Autotune.time_config_ex's — and it
+   keeps the counter invariants *)
+let test_grid_agrees_with_sweep () =
+  List.iter
+    (fun (b : B.t) ->
+      let input = b.B.input_small () in
+      List.iter
+        (fun (cname, cfg) ->
+          let c = Lime_benchmarks.Registry.compile_small ~config:cfg b in
+          let k = c.Lime_gpu.Pipeline.cp_kernel in
+          let shapes, _ = Lime_runtime.Engine.shapes_of_args k [ input ] in
+          let prof, bindings =
+            Gpusim.Autotune.launch k c.Lime_gpu.Pipeline.cp_decisions ~shapes
+              ~scalars:[]
+          in
+          List.iter
+            (fun (d : Device.t) ->
+              let name =
+                Printf.sprintf "%s/%s/%s" b.B.name cname d.Device.name
+              in
+              let bd, c = Model.kernel_time_ex d prof bindings in
+              let bd', c' =
+                Gpusim.Autotune.time_config_ex d k cfg ~shapes ~scalars:[]
+              in
+              Alcotest.(check bool) (name ^ ": sweep's breakdown") true
+                (compare bd bd' = 0);
+              Alcotest.(check bool) (name ^ ": sweep's counters") true
+                (compare c c' = 0);
+              check_counters name d bd c)
+            Device.all)
+        Lime_server.Server.configs)
+    Lime_benchmarks.Registry.workloads
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: the invariants hold across random shapes, devices and        *)
@@ -465,6 +499,8 @@ let () =
         [
           Alcotest.test_case "registry x devices, 1e-6" `Quick
             test_registry_consistency;
+          Alcotest.test_case "workload x config x device agrees with sweep"
+            `Quick test_grid_agrees_with_sweep;
           qcheck_invariants;
         ] );
       ( "derived",
