@@ -31,6 +31,16 @@ if grep -rn --include='*.ml' --include='*.mli' \
   exit 1
 fi
 
+echo "== one evaluator =="
+# lib/ir/interp.ml is the only IR evaluator: its compiled statements
+# return a status code for return/break/continue, so control-flow
+# exceptions can only belong to a second evaluator
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'Return_exn' -e 'Break_exn' -e 'Continue_exn' lib bin; then
+  echo "FAIL: control-flow exceptions under lib/ or bin/; lib/ir/interp.ml is the one evaluator"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 

@@ -1,6 +1,6 @@
 (* The three-way differential oracle over generated programs.
 
-   Layer 1 (reference): the tree-walking interpreter runs the input
+   Layer 1 (reference): the IR interpreter runs the input
    generator and the worker chain directly — this is the semantics.
    Layer 2 (engine): the task-graph engine fires the whole program on
    every simulated device (and once as pure bytecode); the value that

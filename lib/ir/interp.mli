@@ -1,6 +1,7 @@
 (** Reference interpreter for the IR — the "bytecode" execution engine of
     the reproduction (the JVM of the paper's evaluation), with operation
-    counters that feed the Java cost model. *)
+    counters that feed the Java cost model.  Functions are compiled to
+    closures on their first call and cached in the {!state}. *)
 
 exception Runtime_error of string
 
@@ -29,6 +30,9 @@ val diff_counters : counters -> counters -> counters
 (** [diff_counters a b] is a fresh record of [a - b], field by field —
     the work done between snapshot [b] and [a]. *)
 
+type code
+(** The state's compiled functions and field initializers. *)
+
 type state = {
   md : Ir.modul;
   statics : (string * string, Value.t ref) Hashtbl.t;
@@ -37,19 +41,10 @@ type state = {
       (** invoked by [graph.finish(n)]; the task-graph runtime installs
           itself here (see [Lime_runtime.Engine.attach]) *)
   mutable print_hook : string -> unit;
+  code : code;
 }
 
-type frame = { vars : (string, Value.t) Hashtbl.t; this : Value.obj option }
-
-exception Return_exn of Value.t
-exception Break_exn
-exception Continue_exn
-
 val default_value : Ir.ty -> Value.t
-
-val eval : state -> frame -> Ir.expr -> Value.t
-val exec : state -> frame -> Ir.stmt -> unit
-val exec_list : state -> frame -> Ir.stmt list -> unit
 
 val instantiate : state -> string -> Value.t list -> Value.obj
 (** Allocate an object, run field initializers and the constructor. *)
@@ -57,8 +52,6 @@ val instantiate : state -> string -> Value.t list -> Value.obj
 val call_function :
   state -> string -> Value.obj option -> Value.t list -> Value.t
 (** Invoke a function by qualified name (["Class.method"]). *)
-
-val invoke : state -> Ir.func -> Value.obj option -> Value.t list -> Value.t
 
 val create : Ir.modul -> state
 (** Load a module: registers statics and runs their initializers. *)

@@ -129,13 +129,18 @@ let set_scalar a (idx : int array) (v : t) =
   | BInt b, VLong x -> b.(k) <- i32 (Int64.to_int x)
   | _ -> invalid_arg "Value.set_scalar: type mismatch"
 
+(* [Array.sub x 1 _]; rows of a matrix, the common case, skip its C call *)
+let drop_first (x : int array) =
+  let n = Array.length x - 1 in
+  if n = 1 then [| x.(1) |] else Array.sub x 1 n
+
 (** View of row [i]: drops the outermost dimension. *)
 let view a i =
   check_bounds a 0 i;
   {
     a with
-    shape = Array.sub a.shape 1 (rank a - 1);
-    strides = Array.sub a.strides 1 (rank a - 1);
+    shape = drop_first a.shape;
+    strides = drop_first a.strides;
     offset = a.offset + (i * a.strides.(0));
   }
 

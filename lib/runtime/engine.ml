@@ -273,37 +273,17 @@ let fire_device (cfg : config) (report : report) (off : offloaded)
 (* Host-side execution of one firing                                   *)
 (* ------------------------------------------------------------------ *)
 
-let snapshot (c : Interp.counters) : Interp.counters =
-  { c with Interp.alu = c.Interp.alu }
-
-let counters_delta (before : Interp.counters) (after : Interp.counters) :
-    Interp.counters =
-  {
-    Interp.alu = after.Interp.alu - before.Interp.alu;
-    divs = after.Interp.divs - before.Interp.divs;
-    sqrts = after.Interp.sqrts - before.Interp.sqrts;
-    transcendentals = after.Interp.transcendentals - before.Interp.transcendentals;
-    mem_reads = after.Interp.mem_reads - before.Interp.mem_reads;
-    mem_writes = after.Interp.mem_writes - before.Interp.mem_writes;
-    bounds_checks = after.Interp.bounds_checks - before.Interp.bounds_checks;
-    field_accesses = after.Interp.field_accesses - before.Interp.field_accesses;
-    branches = after.Interp.branches - before.Interp.branches;
-    calls = after.Interp.calls - before.Interp.calls;
-    alloc_bytes = after.Interp.alloc_bytes - before.Interp.alloc_bytes;
-    double_ops = after.Interp.double_ops - before.Interp.double_ops;
-  }
-
 let fire_host (st : Interp.state) (report : report)
     (node : Value.task_node) (input : Value.t) : Value.t * Schedule.leg list
     =
   let td = node.Value.tk_desc in
   let fname = Ir.qualify td.Ir.td_class td.Ir.td_method in
   let args = match td.Ir.td_in with Ir.TUnit -> [] | _ -> [ input ] in
-  let before = snapshot st.Interp.counters in
+  let before = Interp.copy_counters st.Interp.counters in
   let result =
     Interp.call_function st fname node.Value.tk_instance args
   in
-  let delta = counters_delta before st.Interp.counters in
+  let delta = Interp.diff_counters st.Interp.counters before in
   let host_s = Gpusim.Device.jvm_time delta in
   report.phases.Comm.host_s <- report.phases.Comm.host_s +. host_s;
   let ph = Comm.zero () in

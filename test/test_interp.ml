@@ -1,6 +1,7 @@
 (* Unit tests for the reference interpreter: Java numeric semantics (32-bit
    wraparound, unsigned shift, byte narrowing, single-precision rounding),
-   arrays and views, objects, counters. *)
+   arrays and views, objects, control flow, evaluation order, and counters
+   pinned against a golden table. *)
 
 module Ir = Lime_ir.Ir
 module V = Lime_ir.Value
@@ -22,6 +23,11 @@ let vint = function
 let vfloat = function
   | V.VFloat f | V.VDouble f -> f
   | v -> Alcotest.failf "expected float, got %s" (V.to_string v)
+
+let runtime_error f =
+  match f () with
+  | v -> Alcotest.failf "expected a runtime error, got %s" (V.to_string v)
+  | exception Interp.Runtime_error m -> m
 
 let test_int32_wraparound () =
   let v =
@@ -109,17 +115,39 @@ let test_arrays_views () =
   let v = run1 src ~meth:"f" [ V.VArr m ] in
   Alcotest.(check (float 0.0)) "view element" 6.0 (vfloat v)
 
+(* out-of-bounds accesses fail with [Value.Bounds]'s message, whichever
+   path the access takes *)
 let test_bounds_check () =
-  let src = "class C { static float f(float[[]] xs) { return xs[10]; } }" in
-  let xs = V.of_float_array [| 1.0; 2.0 |] in
-  match
-    Lime_support.Diag.protect (fun () -> run1 src ~meth:"f" [ V.VArr xs ])
-  with
-  | Ok _ -> Alcotest.fail "expected bounds error"
-  | Error _ -> ()
-  | exception Interp.Runtime_error m ->
-      Alcotest.(check bool) "message mentions bounds" true
-        (Lime_support.Util.contains_substring ~sub:"out of bounds" m)
+  let src =
+    {|class C {
+  static float load(float[[]] xs, int i) { return xs[i]; }
+  static float load2(float[[][4]] m, int i, int j) { return m[i][j]; }
+  static int store(int n, int i) {
+    int[] a = new int[n];
+    a[i] = 1;
+    return a[0];
+  }
+}|}
+  in
+  let md = Lower.lower_program (Check.check_string src) in
+  let call meth args () = Interp.run (Interp.create md) ~cls:"C" ~meth args in
+  let xs = V.VArr (V.of_float_array [| 1.0; 2.0 |]) in
+  let m = V.VArr (V.of_float_matrix 3 4 (Array.make 12 0.0)) in
+  Alcotest.(check string) "load above"
+    "array access: index 10 out of bounds for dimension 0 (size 2)"
+    (runtime_error (call "load" [ xs; V.VInt 10 ]));
+  Alcotest.(check string) "load below"
+    "array access: index -1 out of bounds for dimension 0 (size 2)"
+    (runtime_error (call "load" [ xs; V.VInt (-1) ]));
+  Alcotest.(check string) "row index"
+    "array access: index 3 out of bounds for dimension 0 (size 3)"
+    (runtime_error (call "load2" [ m; V.VInt 3; V.VInt 0 ]));
+  Alcotest.(check string) "column index"
+    "array access: index 4 out of bounds for dimension 0 (size 4)"
+    (runtime_error (call "load2" [ m; V.VInt 1; V.VInt 4 ]));
+  Alcotest.(check string) "store"
+    "array store: index 3 out of bounds for dimension 0 (size 3)"
+    (runtime_error (call "store" [ V.VInt 3; V.VInt 3 ]))
 
 let test_mutable_array_roundtrip () =
   let src =
@@ -218,7 +246,326 @@ let test_break_continue () =
 }|}
   in
   (* 0+1+2+4+5+6 = 18 *)
-  Alcotest.(check int) "break/continue" 18 (vint (run1 src ~meth:"f" [ V.VInt 100 ]))
+  Alcotest.(check int) "break/continue" 18
+    (vint (run1 src ~meth:"f" [ V.VInt 100 ]));
+  let src =
+    {|class C {
+  static int f(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+      int j = 0;
+      while (j < n) {
+        j++;
+        if (j == 2) { continue; }
+        if (j > i) { break; }
+        s += 10 * i + j;
+      }
+      if (i == 2) { continue; }
+      if (i == 4) { break; }
+      s += 1000;
+    }
+    return s;
+  }
+}|}
+  in
+  (* inner sums for i = 1..4: 11, 21, 31+33, 41+43+44 = 224; the outer
+     loop adds 1000 for i = 0, 1 and 3 *)
+  Alcotest.(check int) "nested break/continue" 3224
+    (vint (run1 src ~meth:"f" [ V.VInt 10 ]))
+
+let test_return_in_map () =
+  let src =
+    {|class C {
+  static local int clip(int x) {
+    if (x > 5) { return 5; }
+    for (int k = 0; k < 10; k++) {
+      if (k == x) { return 100 + k; }
+    }
+    return -1;
+  }
+  static local int[[]] f(int[[]] xs) { return C.clip @ xs; }
+}|}
+  in
+  let xs = V.of_int_array [| 0; 3; 9; 5; 7 |] in
+  match run1 src ~meth:"f" [ V.VArr xs ] with
+  | V.VArr a ->
+      Alcotest.(check (array int)) "early returns per element"
+        [| 100; 103; 5; 105; 5 |] (V.to_int_array a)
+  | v -> Alcotest.failf "expected an array, got %s" (V.to_string v)
+
+let test_recursion () =
+  let src =
+    {|class C {
+  static int fib(int n) {
+    if (n < 2) { return n; }
+    return C.fib(n - 1) + C.fib(n - 2);
+  }
+  static int even(int n) { if (n == 0) { return 1; } return C.odd(n - 1); }
+  static int odd(int n) { if (n == 0) { return 0; } return C.even(n - 1); }
+}|}
+  in
+  let md = Lower.lower_program (Check.check_string src) in
+  let st = Interp.create md in
+  Alcotest.(check int) "fib 15" 610
+    (vint (Interp.run st ~cls:"C" ~meth:"fib" [ V.VInt 15 ]));
+  Alcotest.(check int) "mutual recursion" 1
+    (vint (Interp.run st ~cls:"C" ~meth:"even" [ V.VInt 10 ]));
+  (* fib 15 makes 1973 invocations and even 10 makes 11; the two entry
+     calls from [run] are not call sites *)
+  Alcotest.(check int) "calls counted at call sites" (1972 + 10)
+    st.Interp.counters.Interp.calls
+
+(* hand-built IR: the checker rejects such reads in source programs *)
+let ir_module body =
+  let funcs = Hashtbl.create 1 in
+  Hashtbl.replace funcs "C.f"
+    {
+      Ir.fn_name = "C.f";
+      fn_class = "C";
+      fn_method = "f";
+      fn_params = [ ("p", Ir.TScalar Ir.SBool) ];
+      fn_ret = Ir.TScalar Ir.SInt;
+      fn_body = body;
+      fn_static = true;
+      fn_local = false;
+    };
+  {
+    Ir.md_funcs = funcs;
+    md_classes = Hashtbl.create 1;
+    md_static_inits = [];
+    md_field_inits = [];
+  }
+
+let test_read_before_declaration () =
+  let int = Ir.TScalar Ir.SInt in
+  (* one flat scope per call: a declaration in a branch stays visible
+     after it, and a read that no executed declaration precedes fails *)
+  let md =
+    ir_module
+      [
+        Ir.SIf
+          ( Ir.Var "p",
+            [ Ir.SDecl ("x", int, Some (Ir.Const (Ir.CInt 7))) ],
+            [] );
+        Ir.SReturn (Some (Ir.Var "x"));
+      ]
+  in
+  let call p = Interp.run (Interp.create md) ~cls:"C" ~meth:"f" [ V.VInt p ] in
+  Alcotest.(check int) "declared in a taken branch" 7 (vint (call 1));
+  Alcotest.(check string) "read before declaration"
+    "unbound variable 'x'" (runtime_error (fun () -> call 0));
+  let y_plus_1 =
+    Ir.Bin (Lime_frontend.Ast.Add, Ir.SInt, Ir.Var "y", Ir.Const (Ir.CInt 1))
+  in
+  let md = ir_module [ Ir.SReturn (Some y_plus_1) ] in
+  Alcotest.(check string) "never declared" "unbound variable 'y'"
+    (runtime_error (fun () ->
+         Interp.run (Interp.create md) ~cls:"C" ~meth:"f" [ V.VInt 0 ]))
+
+(* Java evaluates operands left to right (JLS 15.7.1) *)
+let test_evaluation_order () =
+  let src =
+    {|class Order {
+  static int tag(int k) { Lime.print(k); return k; }
+  static int main() {
+    int s = Order.tag(1) - Order.tag(2);
+    float f = (float) Order.tag(3) * (float) Order.tag(4);
+    boolean b = Order.tag(5) < Order.tag(6);
+    int[] a = new int[8];
+    a[Order.tag(7)] = Order.tag(0);
+    return s + Math.max(Order.tag(8), Order.tag(9));
+  }
+}|}
+  in
+  let md = Lower.lower_program (Check.check_string src) in
+  let st = Interp.create md in
+  let printed = ref [] in
+  st.Interp.print_hook <- (fun s -> printed := s :: !printed);
+  let v = Interp.run st ~cls:"Order" ~meth:"main" [] in
+  Alcotest.(check int) "result" 8 (vint v);
+  Alcotest.(check (list string)) "operands left to right"
+    [ "1"; "2"; "3"; "4"; "5"; "6"; "7"; "0"; "8"; "9" ]
+    (List.rev !printed)
+
+(* ------------------------------------------------------------------ *)
+(* Golden counters                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The counters feed the Java cost model (Device.jvm_time), so the
+   evaluator must count exactly what it always counted.  Each row pins
+   the 12 counters and a digest of the bit-level result of one run: the
+   11 registry workers at test scale on their default-seed inputs, and
+   the reference chains of the first 16 programs of [Gen.corpus ~seed:0]
+   run the way the fuzz oracle runs them. *)
+
+module R = Lime_benchmarks.Registry
+module B = Lime_benchmarks.Bench_def
+module Gen = Lime_fuzz.Gen
+module Pipeline = Lime_gpu.Pipeline
+
+let counter_array (c : Interp.counters) =
+  [| c.alu; c.divs; c.sqrts; c.transcendentals; c.mem_reads; c.mem_writes;
+     c.bounds_checks; c.field_accesses; c.branches; c.calls; c.alloc_bytes;
+     c.double_ops |]
+
+(* every scalar by its bits, so the digest pins f32 rounding too *)
+let digest_value (v : V.t) =
+  let b = Buffer.create 4096 in
+  let rec go = function
+    | V.VUnit -> Buffer.add_string b "u;"
+    | V.VInt i -> Printf.bprintf b "i%d;" i
+    | V.VLong l -> Printf.bprintf b "l%Ld;" l
+    | V.VFloat f -> Printf.bprintf b "f%Lx;" (Int64.bits_of_float f)
+    | V.VDouble f -> Printf.bprintf b "d%Lx;" (Int64.bits_of_float f)
+    | V.VArr a ->
+        Printf.bprintf b "a%s[%s]{" (Ir.scalar_name a.V.elem)
+          (String.concat "x"
+             (Array.to_list (Array.map string_of_int a.V.shape)));
+        for i = 0 to V.length a - 1 do
+          go (V.index a [ i ])
+        done;
+        Buffer.add_char b '}'
+    | V.VObj o -> Printf.bprintf b "o%s;" o.V.cls
+    | V.VGraph g -> Printf.bprintf b "g%d;" (List.length g)
+  in
+  go v;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let registry_row (b : B.t) =
+  let c = R.compile_small b in
+  let st = Interp.create c.Pipeline.cp_module in
+  let cls, meth =
+    match String.split_on_char '.' b.B.worker with
+    | [ c; m ] -> (c, m)
+    | _ -> assert false
+  in
+  let v = Interp.run st ~cls ~meth [ b.B.input_small () ] in
+  (b.B.name, counter_array st.Interp.counters, digest_value v)
+
+let corpus_row i (p : Gen.prog) =
+  let source = Gen.to_source p in
+  let workers = Gen.workers p in
+  let md =
+    (Pipeline.compile ~worker:(List.hd workers) source).Pipeline.cp_module
+  in
+  let st = Interp.create md in
+  let input =
+    Interp.run_instance st ~cls:"GenApp" ~ctor_args:[ V.VInt p.Gen.p_n ]
+      ~meth:"gen" []
+  in
+  let v =
+    List.fold_left
+      (fun v w -> Interp.call_function st w None [ v ])
+      input workers
+  in
+  (Printf.sprintf "corpus %d" i, counter_array st.Interp.counters,
+   digest_value v)
+
+let golden_rows () =
+  List.map registry_row R.workloads
+  @ List.mapi corpus_row (Gen.corpus ~seed:0 16)
+
+let golden : (string * int array * string) list =
+  [
+    ( "N-Body (Single)",
+      [| 77824; 4096; 4096; 0; 32832; 256; 32896; 4096; 4160; 0; 1536; 0 |],
+      "1a6c10c73dc6c21a44dabcc8587f4d70" );
+    ( "N-Body (Double)",
+      [| 77824; 4096; 4096; 0; 32832; 256; 32896; 4096; 4160; 0; 3072; 81920 |],
+      "5d4f282ed0bdd90fd215231054e8bdd9" );
+    ( "Mosaic",
+      [| 2503753; 55296; 0; 0; 1598976; 26136;
+         3199512; 12361; 812568; 0; 208896; 0 |],
+      "e4d30e509304469d6594ccbb261bf6be" );
+    ( "Parboil-CP",
+      [| 333825; 34816; 32768; 0; 131072; 1024;
+         263168; 36866; 33792; 0; 4096; 0 |],
+      "4f6f59ae8de6fb1986df6ef904f721f8" );
+    ( "Parboil-MRIQ",
+      [| 497152; 0; 0; 98304; 196608; 1536; 393728; 49153; 49664; 0; 8192; 0 |],
+      "4c9166ac2fa4c51b406ee603eecf13e8" );
+    ( "Parboil-RPES",
+      [| 1558528; 1024; 131072; 262144; 65536; 1024;
+         132096; 18433; 148480; 16384; 4096; 0 |],
+      "e8ef0b3536e5221e665d41f2717307d6" );
+    ( "JG-Crypt",
+      [| 350209; 16385; 0; 0; 4096; 4608; 4608; 1024; 37376; 16384; 8192; 0 |],
+      "34fcd73fadff0a6bbf1ef8c810997c0f" );
+    ( "JG-Series (Single)",
+      [| 102528; 64; 0; 19200; 6400; 192; 6464; 6528; 6464; 0; 1024; 0 |],
+      "12813d74d0f7d666f7ecd5315063712c" );
+    ( "JG-Series (Double)",
+      [| 102528; 64; 0; 19200; 6400; 192; 6464; 6528; 6464; 0; 2048; 102464 |],
+      "69e843944cebc96c4b258213dd1a879b" );
+    ( "TMatMul",
+      [| 16384000; 0; 0; 0; 8217600; 4121760;
+         16409760; 25761; 4121760; 0; 307200; 0 |],
+      "1c8ead74fd9b423f3b8ad56397c7b194" );
+    ( "N-Body Pipe",
+      [| 77824; 4096; 4096; 0; 32832; 256; 32896; 4096; 4160; 0; 1536; 0 |],
+      "1a6c10c73dc6c21a44dabcc8587f4d70" );
+    ( "corpus 0",
+      [| 136; 9; 9; 0; 27; 27; 45; 2; 27; 0; 108; 0 |],
+      "d54a2d3b337dab6ef37ffc488b90ba33" );
+    ( "corpus 1",
+      [| 2986; 7; 154; 0; 21; 21; 35; 2; 196; 0; 84; 0 |],
+      "5015f7814dff696aa600732ad84b73ec" );
+    ( "corpus 2",
+      [| 11649; 35; 577; 0; 49; 28; 70; 2; 893; 0; 112; 0 |],
+      "f9536beffb5a169bdc835228f05c9e3b" );
+    ( "corpus 3",
+      [| 64; 7; 0; 0; 14; 14; 21; 2; 14; 0; 56; 0 |],
+      "012788516ccad8af1e37144d2490bf82" );
+    ( "corpus 4",
+      [| 169; 8; 0; 0; 16; 16; 24; 2; 24; 0; 64; 0 |],
+      "a5584987da0b55632a012a32d84fbbf9" );
+    ( "corpus 5",
+      [| 3555; 72; 120; 0; 120; 96; 192; 2; 384; 0; 384; 0 |],
+      "4d619d5d1acbae521aabd8b2aa7c99a3" );
+    ( "corpus 6",
+      [| 686; 19; 19; 0; 57; 57; 95; 2; 152; 0; 228; 0 |],
+      "6f29e929c97d5798e40781e2cb9ba9f7" );
+    ( "corpus 7",
+      [| 20425; 19; 1368; 0; 57; 57; 95; 2; 1292; 0; 228; 0 |],
+      "9a6c9c15d89a74c33eb82001dd2187f1" );
+    ( "corpus 8",
+      [| 139; 18; 6; 0; 18; 18; 36; 2; 30; 0; 72; 0 |],
+      "94336670bc168fcf257757ee976101cd" );
+    ( "corpus 9",
+      [| 482; 16; 16; 0; 48; 48; 80; 2; 48; 0; 192; 0 |],
+      "ede6068823a4f2c6cb61660ec52f4a24" );
+    ( "corpus 10",
+      [| 248; 13; 13; 0; 39; 39; 65; 2; 39; 0; 156; 0 |],
+      "6dc3b45a8a9eb979f56bf35c1a69e5d5" );
+    ( "corpus 11",
+      [| 380; 57; 0; 0; 76; 57; 114; 2; 95; 0; 228; 0 |],
+      "d110ee441aa3cde1f92646c2b90fe828" );
+    ( "corpus 12",
+      [| 210; 15; 10; 0; 20; 15; 30; 2; 35; 0; 60; 0 |],
+      "83b9676f4f43156537350cb3096fa245" );
+    ( "corpus 13",
+      [| 207; 23; 0; 0; 46; 46; 69; 2; 46; 0; 184; 0 |],
+      "8998b67c9ea195ba296917818b1fc6a9" );
+    ( "corpus 14",
+      [| 5568; 138; 345; 0; 138; 92; 230; 2; 575; 0; 368; 0 |],
+      "805976e9f1d219fb7945b58edfb0a154" );
+    ( "corpus 15",
+      [| 13362; 20; 1100; 0; 80; 80; 140; 2; 640; 0; 320; 0 |],
+      "53e0e3cfaa8f91af2938c8bf43bab679" );
+  ]
+
+let show_row (name, c, d) =
+  Printf.sprintf "(%S, [| %s |], %S);" name
+    (String.concat "; " (Array.to_list (Array.map string_of_int c)))
+    d
+
+let test_golden_counters () =
+  let rows = golden_rows () in
+  Alcotest.(check int) "row count" (List.length golden) (List.length rows);
+  List.iter2
+    (fun want got ->
+      Alcotest.(check string) "row" (show_row want) (show_row got))
+    golden rows
 
 let () =
   Alcotest.run "interp"
@@ -247,6 +594,17 @@ let () =
           Alcotest.test_case "statics" `Quick test_static_state;
         ] );
       ( "control",
-        [ Alcotest.test_case "break/continue" `Quick test_break_continue ] );
-      ( "counters", [ Alcotest.test_case "counts" `Quick test_counters ] );
+        [
+          Alcotest.test_case "break/continue" `Quick test_break_continue;
+          Alcotest.test_case "return in map" `Quick test_return_in_map;
+          Alcotest.test_case "recursion" `Quick test_recursion;
+          Alcotest.test_case "read before declaration" `Quick
+            test_read_before_declaration;
+          Alcotest.test_case "evaluation order" `Quick test_evaluation_order;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "counts" `Quick test_counters;
+          Alcotest.test_case "golden" `Quick test_golden_counters;
+        ] );
     ]
