@@ -41,6 +41,21 @@ if grep -rn --include='*.ml' --include='*.mli' \
   exit 1
 fi
 
+echo "== one step shape =="
+# a rewrite step is one function that walks to its first site once
+# (Rewrite.kind); the search dedups on a structural digest, never on
+# printed IR
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'legality_check' -e '\.applicable' -e 'Rewrite\.Illegal' \
+     -e 'exception Illegal' lib bin test; then
+  echo "FAIL: the applicable/legality_check/apply step triple is back; a step is one Rewrite.kind"
+  exit 1
+fi
+if grep -n 'stmt_str' lib/rewrite/search.ml; then
+  echo "FAIL: lib/rewrite/search.ml prints IR; dedup on Search.signature's digest"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 

@@ -509,13 +509,15 @@ let decide ?(constant_left = constant_budget_bytes) cfg (ai : array_info) :
       "data reuse across threads in nested loop: local memory tile"
   else mk Ir.MGlobal ~vw "default: global memory"
 
-(** Compute the placement table for a kernel under [cfg].
+(** Decide a placement for every analyzed array under [cfg].
 
     The constant-memory budget is accounted cumulatively: each array placed
     in constant memory debits its static size, so a set of broadcast arrays
     that individually fit but together exceed [constant_budget_bytes] does
-    not overcommit the space (earlier arrays, in declaration order, win). *)
-let optimize ?(affine_lanes = false) cfg (k : Kernel.kernel) : decision list =
+    not overcommit the space (earlier arrays, in declaration order, win).
+    {!analyze} never reads the configuration, so one analysis serves every
+    configuration of the same kernel. *)
+let decide_all cfg (infos : array_info list) : decision list =
   let _, rev =
     List.fold_left
       (fun (left, acc) ai ->
@@ -529,9 +531,13 @@ let optimize ?(affine_lanes = false) cfg (k : Kernel.kernel) : decision list =
         in
         (left, d :: acc))
       (constant_budget_bytes, [])
-      (analyze ~affine_lanes k)
+      infos
   in
   List.rev rev
+
+(** Compute the placement table for a kernel under [cfg]. *)
+let optimize ?(affine_lanes = false) cfg (k : Kernel.kernel) : decision list =
+  decide_all cfg (analyze ~affine_lanes k)
 
 let placements (ds : decision list) : (string * Ir.placement) list =
   List.map (fun d -> (d.d_array, d.d_placement)) ds

@@ -87,13 +87,19 @@ type decision = {
 val decide : ?constant_left:int -> config -> array_info -> decision
 (** Placement decision for one array.  [constant_left] (default the full
     {!constant_budget_bytes}) is the constant-memory budget still
-    available; {!optimize} threads the cumulative balance through it. *)
+    available; {!decide_all} threads the cumulative balance through it. *)
+
+val decide_all : config -> array_info list -> decision list
+(** Placement table for an analysis under [cfg], in analysis order.
+    Constant-memory placements debit a cumulative budget so multiple
+    broadcast arrays cannot overcommit the 64KB space.  {!analyze} does
+    not read the configuration, so callers that try several
+    configurations of one kernel analyze it once. *)
 
 val optimize :
   ?affine_lanes:bool -> config -> Kernel.kernel -> decision list
-(** Placement table for a kernel under [cfg].  Constant-memory placements
-    debit a cumulative budget so multiple broadcast arrays cannot
-    overcommit the 64KB space. *)
+(** Placement table for a kernel under [cfg]:
+    [decide_all cfg (analyze ~affine_lanes k)]. *)
 
 val placements : decision list -> (string * Lime_ir.Ir.placement) list
 val placement_for : decision list -> string -> Lime_ir.Ir.placement

@@ -7,12 +7,12 @@
     {!Lime_gpu.Kernel.kernel}, in the style of Steuwer et al.'s rewrite
     rules for systematic GPU code generation.
 
-    A rewrite is a {!step}: a [name] (its serialization for the tunestore),
-    a cheap structural [applicable] test, a [legality_check] that explains
-    why an application would be unsound, and an [apply].  Every step acts
-    on the {e first} matching site in depth-first program order, which
-    makes a sequence of names a complete, replayable description of a
-    schedule.
+    A rewrite is a {!step}: a [name] (its serialization for the tunestore)
+    and a {!kind}.  A structural step is one function that walks to the
+    {e first} site it can rewrite soundly, in depth-first program order,
+    and returns the rewritten state or the reason it cannot — the target
+    is resolved once and transformed there.  First-site semantics makes a
+    sequence of names a complete, replayable description of a schedule.
 
     Two families:
 
@@ -26,7 +26,7 @@
       [soa] (split a fixed-innermost 2-D array into per-lane 1-D arrays);
     - {b placement} rewrites toggle one {!Lime_gpu.Memopt.config} flag
       ([local], [pad], [constant], [image], [vec]); the decision engine
-      remains {!Lime_gpu.Memopt.optimize}, so the eight Fig 8
+      remains {!Lime_gpu.Memopt.decide_all}, so the eight Fig 8
       configurations are exactly the canned sequences of
       {!fig8_sequences}.
 
@@ -48,15 +48,16 @@ type state = {
 let initial ?(config = Memopt.config_global) (k : Kernel.kernel) : state =
   { st_kernel = k; st_config = config }
 
-exception Illegal of string
+type kind =
+  | Structural of (state -> (state, string) result)
+      (** one walk to the first site that can be rewritten soundly: the
+          rewritten state, or why no site can *)
+  | Placement of {
+      get : Memopt.config -> bool;
+      set : Memopt.config -> Memopt.config;
+    }  (** toggle one optimizer flag; always sound *)
 
-type step = {
-  name : string;
-  applicable : state -> bool;  (** a matching site exists (cheap) *)
-  legality_check : state -> (unit, string) result;
-      (** the first matching site can be rewritten soundly *)
-  apply : state -> state;  (** raises {!Illegal} when the check fails *)
-}
+type step = { name : string; kind : kind }
 
 (* ------------------------------------------------------------------ *)
 (* IR utilities                                                        *)
@@ -254,34 +255,27 @@ and rewrite_children f (s : Ir.stmt) : Ir.stmt option =
 let with_body (st : state) (body : Ir.stmt list) : state =
   { st with st_kernel = { st.st_kernel with Kernel.k_body = body } }
 
-(** Build a structural step whose site discovery and transformation share
-    one function: [rw] rewrites the first matching suffix or returns
-    [None].  [diagnose] explains a failed match for {!step.legality_check}
-    (it may inspect the last failure recorded by [rw]). *)
-let structural ~name ~(site : state -> bool)
-    ~(attempt : state -> (Ir.stmt list, string) result) : step =
-  {
-    name;
-    applicable = site;
-    legality_check =
-      (fun st ->
-        if not (site st) then Error "no matching site"
-        else Result.map (fun _ -> ()) (attempt st));
-    apply =
-      (fun st ->
-        match attempt st with
-        | Ok body -> with_body st body
-        | Error m -> raise (Illegal (name ^ ": " ^ m)));
-  }
+let no_site = "no matching site"
 
-let exists_stmt (p : Ir.stmt -> bool) (ss : Ir.stmt list) : bool =
-  let found = ref false in
-  List.iter
-    (Ir.iter_stmt
-       ~stmt:(fun s -> if p s then found := true)
-       ~expr:(fun _ -> ()))
-    ss;
-  !found
+(** One walk to the first site [f] rewrites, in depth-first preorder.  [f]
+    sees each statement suffix: [None] is not a site, [Some (Ok ss)]
+    replaces the suffix, and [Some (Error why)] is a site that cannot be
+    rewritten soundly — the walk moves on, and the last such [why] is the
+    error when no later site succeeds. *)
+let at_first_site (f : Ir.stmt list -> (Ir.stmt list, string) result option)
+    (st : state) : (state, string) result =
+  let refused = ref None in
+  let g ss =
+    match f ss with
+    | Some (Ok ss') -> Some ss'
+    | Some (Error why) ->
+        refused := Some why;
+        None
+    | None -> None
+  in
+  match rewrite_first g st.st_kernel.Kernel.k_body with
+  | Some body -> Ok (with_body st body)
+  | None -> Error (Option.value !refused ~default:no_site)
 
 (* ------------------------------------------------------------------ *)
 (* tile:T — strip-mine an exactly divisible counted loop               *)
@@ -290,25 +284,18 @@ let exists_stmt (p : Ir.stmt -> bool) (ss : Ir.stmt list) : bool =
 let c0 = Ir.Const (Ir.CInt 0)
 let ci n = Ir.Const (Ir.CInt n)
 
-let tileable t = function
-  | Ir.SFor (_, Ir.Const (Ir.CInt 0), Ir.Const (Ir.CInt n), _) ->
-      n > t && n mod t = 0
-  | _ -> false
-
 (** [tile t] rewrites the first counted loop [for v in [0, n)] with
     [t | n] into [for vt in [0, n/t) for vv in [0, t)] and substitutes
     [vt*t + vv] for [v].  Exact divisibility keeps the transformation
     guard-free and the iteration order identical, so it is bit-exact. *)
 let tile (t : int) : step =
-  let name = Printf.sprintf "tile:%d" t in
-  structural ~name
-    ~site:(fun st -> exists_stmt (tileable t) st.st_kernel.Kernel.k_body)
-    ~attempt:(fun st ->
-      let names = used_names st.st_kernel in
-      let f = function
+  let attempt st =
+    at_first_site
+      (function
         | Ir.SFor (v, Ir.Const (Ir.CInt 0), Ir.Const (Ir.CInt n), body)
           :: rest
           when n > t && n mod t = 0 ->
+            let names = used_names st.st_kernel in
             let vt = fresh names (v ^ "t") in
             let vv = fresh names (v ^ "v") in
             let idx =
@@ -319,17 +306,17 @@ let tile (t : int) : step =
                   Ir.Var vv )
             in
             Some
-              (Ir.SFor
-                 ( vt,
-                   c0,
-                   ci (n / t),
-                   [ Ir.SFor (vv, c0, ci t, subst_var v idx body) ] )
-              :: rest)
-        | _ -> None
-      in
-      match rewrite_first f st.st_kernel.Kernel.k_body with
-      | Some body -> Ok body
-      | None -> Error "no counted loop with a divisible trip count")
+              (Ok
+                 (Ir.SFor
+                    ( vt,
+                      c0,
+                      ci (n / t),
+                      [ Ir.SFor (vv, c0, ci t, subst_var v idx body) ] )
+                 :: rest))
+        | _ -> None)
+      st
+  in
+  { name = Printf.sprintf "tile:%d" t; kind = Structural attempt }
 
 (* ------------------------------------------------------------------ *)
 (* interchange — swap a perfectly nested sequential loop pair          *)
@@ -428,53 +415,33 @@ let reorderable_body (body : Ir.stmt list) : (unit, string) result =
       List.iter walk body;
       match !bad with None -> Ok () | Some m -> Error m)
 
-let perfect_nest = function
-  | Ir.SFor (_, _, _, [ Ir.SFor _ ]) -> true
-  | _ -> false
-
 (** Swap the first perfectly nested pair of sequential loops.  Legal when
     the inner bounds are invariant in the outer index and the shared body
     is a pure-or-accumulation region; FP accumulations are reassociated,
     so results match only up to rounding. *)
 let interchange : step =
-  structural ~name:"interchange"
-    ~site:(fun st -> exists_stmt perfect_nest st.st_kernel.Kernel.k_body)
-    ~attempt:(fun st ->
-      let err = ref "no perfectly nested loop pair" in
-      let f = function
-        | Ir.SFor (vo, lo_o, hi_o, [ Ir.SFor (vi, lo_i, hi_i, body) ])
-          :: rest ->
-            if List.mem vo (expr_vars lo_i) || List.mem vo (expr_vars hi_i)
-            then begin
-              err := "inner bounds depend on the outer index";
-              None
-            end
-            else (
-              match reorderable_body body with
-              | Error m ->
-                  err := m;
-                  None
-              | Ok () ->
-                  Some
-                    (Ir.SFor
-                       (vi, lo_i, hi_i, [ Ir.SFor (vo, lo_o, hi_o, body) ])
-                    :: rest))
-        | _ -> None
-      in
-      match rewrite_first f st.st_kernel.Kernel.k_body with
-      | Some body -> Ok body
-      | None -> Error !err)
+  let attempt =
+    at_first_site (function
+      | Ir.SFor (vo, lo_o, hi_o, [ Ir.SFor (vi, lo_i, hi_i, body) ]) :: rest
+        ->
+          Some
+            (if List.mem vo (expr_vars lo_i) || List.mem vo (expr_vars hi_i)
+             then Error "inner bounds depend on the outer index"
+             else
+               Result.map
+                 (fun () ->
+                   Ir.SFor (vi, lo_i, hi_i, [ Ir.SFor (vo, lo_o, hi_o, body) ])
+                   :: rest)
+                 (reorderable_body body))
+      | _ -> None)
+  in
+  { name = "interchange"; kind = Structural attempt }
 
 (* ------------------------------------------------------------------ *)
 (* unroll — fully unroll a short constant-trip loop                    *)
 (* ------------------------------------------------------------------ *)
 
 let max_unroll_trips = 16
-
-let unrollable = function
-  | Ir.SFor (_, Ir.Const (Ir.CInt lo), Ir.Const (Ir.CInt hi), _) ->
-      hi - lo >= 2 && hi - lo <= max_unroll_trips
-  | _ -> false
 
 (* a break/continue at this loop's level would, once unrolled, bind to an
    enclosing loop instead — reject those bodies *)
@@ -521,79 +488,88 @@ let rename_decls (names : (string, unit) Hashtbl.t) (ss : Ir.stmt list) :
     indices like [jt*4 + jj] into statically-known lanes the vectorizer
     can use.  Bit-exact. *)
 let unroll : step =
-  structural ~name:"unroll"
-    ~site:(fun st -> exists_stmt unrollable st.st_kernel.Kernel.k_body)
-    ~attempt:(fun st ->
-      let err = ref "no short constant-trip loop" in
-      let names = used_names st.st_kernel in
-      let f = function
+  let attempt st =
+    at_first_site
+      (function
         | Ir.SFor (v, Ir.Const (Ir.CInt lo), Ir.Const (Ir.CInt hi), body)
           :: rest
           when hi - lo >= 2 && hi - lo <= max_unroll_trips ->
-            if has_loose_jump body then begin
-              err := "break/continue would re-bind to an enclosing loop";
-              None
-            end
+            if has_loose_jump body then
+              Some (Error "break/continue would re-bind to an enclosing loop")
             else
+              let names = used_names st.st_kernel in
               let copies =
                 List.concat
                   (List.init (hi - lo) (fun i ->
                        rename_decls names (subst_var v (ci (lo + i)) body)))
               in
-              Some (copies @ rest)
-        | _ -> None
-      in
-      match rewrite_first f st.st_kernel.Kernel.k_body with
-      | Some body -> Ok body
-      | None -> Error !err)
+              Some (Ok (copies @ rest))
+        | _ -> None)
+      st
+  in
+  { name = "unroll"; kind = Structural attempt }
 
 (* ------------------------------------------------------------------ *)
 (* fission / fusion                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(** The first [p] in [1, n) that splits the [n]-statement loop body into
+    [body[0,p)] and [body[p,n)] with disjoint footprints (the loop index
+    [v] aside).  A split at [p] is independent iff no name is used both
+    before [p] and from [p] on, i.e. iff the furthest last use of any name
+    in the prefix precedes [p] — one name set per statement, one pass. *)
 let split_point (v : string) (body : Ir.stmt list) : int option =
-  let n = List.length body in
-  let rec try_at p =
-    if p >= n then None
-    else
-      let first = List.filteri (fun i _ -> i < p) body in
-      let second = List.filteri (fun i _ -> i >= p) body in
-      let na = names_of first and nb = names_of second in
-      Hashtbl.remove na v;
-      Hashtbl.remove nb v;
-      if disjoint na nb then Some p else try_at (p + 1)
-  in
-  if n < 2 then None else try_at 1
-
-let fissionable = function
-  | Ir.SFor (v, lo, hi, body) ->
-      split_point v body <> None
-      && disjoint (written_of body) (names_of [ Ir.SExpr lo; Ir.SExpr hi ])
-  | _ -> false
+  match body with
+  | [] | [ _ ] -> None
+  | _ ->
+      let sets =
+        Array.of_list
+          (List.map
+             (fun s ->
+               let names = names_of [ s ] in
+               Hashtbl.remove names v;
+               names)
+             body)
+      in
+      let last = Hashtbl.create 16 in
+      Array.iteri
+        (fun i names -> Hashtbl.iter (fun x () -> Hashtbl.replace last x i) names)
+        sets;
+      let n = Array.length sets in
+      let rec try_at p reach =
+        if p >= n then None
+        else
+          let reach =
+            Hashtbl.fold
+              (fun x () r -> max r (Hashtbl.find last x))
+              sets.(p - 1) reach
+          in
+          if reach < p then Some p else try_at (p + 1) reach
+      in
+      try_at 1 (-1)
 
 (** Distribute the first loop whose body splits into halves with disjoint
     footprints.  Disjointness makes the halves independent, so running all
     iterations of one before the other is bit-exact. *)
 let fission : step =
-  structural ~name:"fission"
-    ~site:(fun st -> exists_stmt fissionable st.st_kernel.Kernel.k_body)
-    ~attempt:(fun st ->
-      let f = function
-        | (Ir.SFor (v, lo, hi, body) as s) :: rest when fissionable s -> (
-            match split_point v body with
-            | None -> None
-            | Some p ->
-                let first = List.filteri (fun i _ -> i < p) body in
-                let second = List.filteri (fun i _ -> i >= p) body in
-                Some
-                  (Ir.SFor (v, lo, hi, first)
-                  :: Ir.SFor (v, lo, hi, second)
-                  :: rest))
-        | _ -> None
-      in
-      match rewrite_first f st.st_kernel.Kernel.k_body with
-      | Some body -> Ok body
-      | None -> Error "no loop with an independent split point")
+  let attempt =
+    at_first_site (function
+      | Ir.SFor (v, lo, hi, body) :: rest -> (
+          match split_point v body with
+          | Some p
+            when disjoint (written_of body)
+                   (names_of [ Ir.SExpr lo; Ir.SExpr hi ]) ->
+              let first = List.filteri (fun i _ -> i < p) body in
+              let second = List.filteri (fun i _ -> i >= p) body in
+              Some
+                (Ok
+                   (Ir.SFor (v, lo, hi, first)
+                   :: Ir.SFor (v, lo, hi, second)
+                   :: rest))
+          | _ -> None)
+      | _ -> None)
+  in
+  { name = "fission"; kind = Structural attempt }
 
 let fusable s1 s2 =
   match (s1, s2) with
@@ -608,23 +584,22 @@ let fusable s1 s2 =
            (names_of [ Ir.SExpr lo1; Ir.SExpr hi1 ])
   | _ -> false
 
-let fuse_rw = function
-  | (Ir.SFor (v1, lo1, hi1, b1) as s1)
-    :: (Ir.SFor (v2, _, _, b2) as s2)
-    :: rest
-    when fusable s1 s2 ->
-      Some (Ir.SFor (v1, lo1, hi1, b1 @ subst_var v2 (Ir.Var v1) b2) :: rest)
-  | _ -> None
-
 (** Merge the first two adjacent loops with identical bounds and disjoint
     body footprints.  Bit-exact under disjointness. *)
 let fusion : step =
-  structural ~name:"fusion"
-    ~site:(fun st -> rewrite_first fuse_rw st.st_kernel.Kernel.k_body <> None)
-    ~attempt:(fun st ->
-      match rewrite_first fuse_rw st.st_kernel.Kernel.k_body with
-      | Some body -> Ok body
-      | None -> Error "no adjacent fusable loop pair")
+  let attempt =
+    at_first_site (function
+      | (Ir.SFor (v1, lo1, hi1, b1) as s1)
+        :: (Ir.SFor (v2, _, _, b2) as s2)
+        :: rest
+        when fusable s1 s2 ->
+          Some
+            (Ok
+               (Ir.SFor (v1, lo1, hi1, b1 @ subst_var v2 (Ir.Var v1) b2)
+               :: rest))
+      | _ -> None)
+  in
+  { name = "fusion"; kind = Structural attempt }
 
 (* ------------------------------------------------------------------ *)
 (* scalarize / soa — storage-layout rewrites on kernel-local arrays    *)
@@ -715,9 +690,9 @@ let scalarize_candidate (k : Kernel.kernel) :
 (** Replace a small constant-indexed local array by one scalar variable
     per element.  Bit-exact. *)
 let scalarize : step =
-  let attempt (st : state) : (Ir.stmt list, string) result =
+  let attempt (st : state) : (state, string) result =
     match scalarize_candidate st.st_kernel with
-    | None -> Error "no small constant-indexed local array"
+    | None -> Error no_site
     | Some (v, aty, init, n) ->
         let names = used_names st.st_kernel in
         let cells =
@@ -759,11 +734,9 @@ let scalarize : step =
               | _ -> None)
             body
         in
-        Ok body
+        Ok (with_body st body)
   in
-  structural ~name:"scalarize"
-    ~site:(fun st -> scalarize_candidate st.st_kernel <> None)
-    ~attempt
+  { name = "scalarize"; kind = Structural attempt }
 
 (** First kernel-local 2-D array with a small fixed innermost dimension
     whose every access is full-rank with a constant last index. *)
@@ -800,9 +773,9 @@ let soa_candidate (k : Kernel.kernel) :
 (** Split an array-of-short-rows into one 1-D array per lane (AoS→SoA).
     Bit-exact: the same scalar cells exist, only the addressing differs. *)
 let soa : step =
-  let attempt (st : state) : (Ir.stmt list, string) result =
+  let attempt (st : state) : (state, string) result =
     match soa_candidate st.st_kernel with
-    | None -> Error "no fixed-innermost local array with constant lanes"
+    | None -> Error no_site
     | Some (v, aty, sizes) ->
         let f =
           match aty.Ir.dims with
@@ -846,37 +819,22 @@ let soa : step =
               | _ -> None)
             body
         in
-        Ok body
+        Ok (with_body st body)
   in
-  structural ~name:"soa"
-    ~site:(fun st -> soa_candidate st.st_kernel <> None)
-    ~attempt
+  { name = "soa"; kind = Structural attempt }
 
 (* ------------------------------------------------------------------ *)
 (* Placement rewrites — the Fig 8 space as catalog steps               *)
 (* ------------------------------------------------------------------ *)
 
-(** A placement step toggles one optimizer flag.  It is [applicable] only
-    when the toggle changes the decision table for this kernel (so the
-    search never wastes beam slots on no-ops); replaying a stored sequence
-    bypasses applicability and just applies, which is always legal — the
-    per-array legality lives in {!Lime_gpu.Memopt.decide}. *)
+(** A placement step toggles one optimizer flag.  Applying it is always
+    legal — the per-array legality lives in {!Lime_gpu.Memopt.decide}.
+    The search expands it only when the flag is unset and the toggle
+    changes the decision table (so it never wastes beam slots on no-ops);
+    replaying a stored sequence just applies it. *)
 let placement_step name ~(get : Memopt.config -> bool)
     ~(set : Memopt.config -> Memopt.config) : step =
-  {
-    name;
-    applicable =
-      (fun st ->
-        (not (get st.st_config))
-        && Memopt.placements
-             (Memopt.optimize ~affine_lanes:true (set st.st_config)
-                st.st_kernel)
-           <> Memopt.placements
-                (Memopt.optimize ~affine_lanes:true st.st_config
-                   st.st_kernel));
-    legality_check = (fun _ -> Ok ());
-    apply = (fun st -> { st with st_config = set st.st_config });
-  }
+  { name; kind = Placement { get; set } }
 
 let step_local =
   placement_step "local"
@@ -936,12 +894,14 @@ let of_name (name : string) : step option =
       | _ -> None)
   | _ -> List.find_opt (fun s -> s.name = name) catalog
 
-(** Legality-checked application (the replay path): the step's
-    applicability heuristic is bypassed, its soundness check is not. *)
+(** Legality-checked application (the replay path): the error names the
+    step and says why — ["<step>: no matching site"] when there is no
+    site, ["<step>: <reason>"] when no site can be rewritten soundly. *)
 let apply_step (step : step) (st : state) : (state, string) result =
-  match step.legality_check st with
-  | Error m -> Error (step.name ^ ": " ^ m)
-  | Ok () -> ( try Ok (step.apply st) with Illegal m -> Error m)
+  match step.kind with
+  | Structural attempt ->
+      Result.map_error (fun m -> step.name ^ ": " ^ m) (attempt st)
+  | Placement { set; _ } -> Ok { st with st_config = set st.st_config }
 
 let apply_sequence (st : state) (names : string list) :
     (state, string) result =

@@ -5,9 +5,16 @@
     with the analytic device model (the launch pricer
     {!Gpusim.Autotune.launch} with invariant hoisting and affine-lane
     recognition enabled).  A beam of the [width] best states advances up
-    to [depth] levels; children are produced by every applicable, legal
-    catalog step and deduplicated structurally, so permutations of
+    to [depth] levels; children are produced by every catalog step that
+    applies soundly and deduplicated structurally, so permutations of
     commuting placements cost one evaluation, not many.
+
+    Each piece of work is done once per state.  A frontier entry carries
+    its state's memory analysis and placement table: a placement child
+    reuses the parent's analysis (the kernel is unchanged) and the one
+    {!Lime_gpu.Memopt.decide_all} that showed the toggle changes the
+    table; a structural child costs one [Structural] walk, one [analyze]
+    and one [decide_all].
 
     The initial population is the empty schedule plus the eight canned
     Fig 8 sequences of {!Rewrite.fig8_sequences}.  Seeding guarantees the
@@ -19,7 +26,6 @@
     randomness enters anywhere, so a stored winning sequence replays to
     the same state on a cache-warm compile. *)
 
-module Ir = Lime_ir.Ir
 module Kernel = Lime_gpu.Kernel
 module Memopt = Lime_gpu.Memopt
 module Device = Gpusim.Device
@@ -78,11 +84,14 @@ let emit ev = Lime_support.Hooks.emit hooks ev
 (* Scoring                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** The memory optimizer's placements for a state, with affine-lane
-    recognition on.  The search computes them once per state and hands
-    them to both {!signature} and {!score}. *)
+(** The memory analysis of a state's kernel, with affine-lane
+    recognition on.  It does not depend on the state's configuration. *)
+let analysis (st : Rewrite.state) : Memopt.array_info list =
+  Memopt.analyze ~affine_lanes:true st.Rewrite.st_kernel
+
+(** The memory optimizer's placements for a state. *)
 let decisions (st : Rewrite.state) : Memopt.decision list =
-  Memopt.optimize ~affine_lanes:true st.Rewrite.st_config st.Rewrite.st_kernel
+  Memopt.decide_all st.Rewrite.st_config (analysis st)
 
 (** Modeled time of one rewrite state under its [decisions]: profile the
     (possibly restructured) kernel with the backend-compiler effects the
@@ -99,17 +108,18 @@ let score (device : Device.t) (st : Rewrite.state)
   let bd, ctr = Model.kernel_time_ex device prof bindings in
   (bd.Model.bd_total_s, bd, ctr)
 
-(** Structural signature of a state: the rewritten body plus the placement
-    table it induces.  Two states with equal signatures are
+(** Structural signature of a state: a digest of the rewritten body plus
+    the placement table it induces, marshalled without sharing so equal
+    structures give equal bytes.  Two states with equal signatures are
     indistinguishable to the cost model, so the search keeps only the
-    first (shortest, earliest) sequence reaching each. *)
+    first (shortest, earliest) sequence reaching each.  The key is 16
+    bytes: the dedup table never holds an IR body. *)
 let signature (st : Rewrite.state) (decisions : Memopt.decision list) :
-    string =
-  let body =
-    String.concat "\n"
-      (List.map (Ir.stmt_str ~ind:0) st.Rewrite.st_kernel.Kernel.k_body)
-  in
-  Digest.string (body ^ "\x00" ^ Memopt.describe decisions)
+    Digest.t =
+  Digest.string
+    (Marshal.to_string
+       (st.Rewrite.st_kernel.Kernel.k_body, decisions)
+       [ Marshal.No_sharing ])
 
 let cmp_candidate (a : candidate) (b : candidate) : int =
   compare
@@ -147,7 +157,7 @@ let search ?(width = default_width) ?(depth = default_depth)
       sc_counters = ctr;
     }
   in
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let seen : (Digest.t, unit) Hashtbl.t = Hashtbl.create 64 in
   let fresh_state st ds =
     let s = signature st ds in
     if Hashtbl.mem seen s then false
@@ -157,32 +167,34 @@ let search ?(width = default_width) ?(depth = default_depth)
     end
   in
   let baseline_state = Rewrite.initial k in
-  let baseline_ds = decisions baseline_state in
+  let baseline_an = analysis baseline_state in
+  let baseline_ds =
+    Memopt.decide_all baseline_state.Rewrite.st_config baseline_an
+  in
   ignore (fresh_state baseline_state baseline_ds);
   let baseline = evaluate [] baseline_state baseline_ds in
   (* Canned Fig 8 sequences seed the beam: the search result can only be
-     at least as good as the paper's sweep winner. *)
-  let fig8 =
+     at least as good as the paper's sweep winner.  A frontier entry is a
+     candidate with its analysis and decisions; a Fig 8 sequence only
+     toggles placements, so its kernel, and its analysis, are the
+     baseline's. *)
+  let fig8_entries =
     List.filter_map
       (fun (name, seq) ->
-        match Rewrite.apply_sequence baseline_state seq with
-        | Error _ -> None
-        | Ok st -> Some (name, seq, st))
+        if seq = [] then Some (name, (baseline, baseline_an, baseline_ds))
+        else
+          match Rewrite.apply_sequence baseline_state seq with
+          | Error _ -> None
+          | Ok st ->
+              let ds = Memopt.decide_all st.Rewrite.st_config baseline_an in
+              ignore (fresh_state st ds);
+              Some (name, (evaluate seq st ds, baseline_an, ds)))
       Rewrite.fig8_sequences
   in
   let fig8_cands =
-    List.map
-      (fun (name, seq, st) ->
-        if seq = [] then (name, baseline)
-        else begin
-          let ds = decisions st in
-          ignore (fresh_state st ds);
-          (name, evaluate seq st ds)
-        end)
-      fig8
-  in
-  let fig8_cands =
-    match fig8_cands with [] -> [ ("Global", baseline) ] | l -> l
+    match fig8_entries with
+    | [] -> [ ("Global", baseline) ]
+    | l -> List.map (fun (name, (c, _, _)) -> (name, c)) l
   in
   let fig8_best =
     List.fold_left
@@ -196,40 +208,51 @@ let search ?(width = default_width) ?(depth = default_depth)
   let best_ever = ref baseline in
   let consider c = if cmp_candidate c !best_ever < 0 then best_ever := c in
   List.iter (fun (_, c) -> consider c) fig8_cands;
-  let prune cands =
-    let sorted = List.sort cmp_candidate cands in
+  let prune entries =
+    let sorted =
+      List.sort (fun (a, _, _) (b, _, _) -> cmp_candidate a b) entries
+    in
     List.filteri (fun i _ -> i < width) sorted
   in
-  let frontier = ref (prune (baseline :: List.map snd fig8_cands)) in
+  let frontier =
+    ref
+      (prune
+         ((baseline, baseline_an, baseline_ds) :: List.map snd fig8_entries))
+  in
   let depth_reached = ref 0 in
+  let child (c : candidate) (step : Rewrite.step) st an ds =
+    if fresh_state st ds then
+      Some (evaluate (c.sc_sequence @ [ step.Rewrite.name ]) st ds, an, ds)
+    else None
+  in
+  let expand ((c : candidate), an, ds) =
+    let st = c.sc_state in
+    let placements = Memopt.placements ds in
+    List.filter_map
+      (fun (step : Rewrite.step) ->
+        match step.Rewrite.kind with
+        | Rewrite.Placement { get; set } ->
+            let cfg = st.Rewrite.st_config in
+            if get cfg then None
+            else
+              let ds' = Memopt.decide_all (set cfg) an in
+              if Memopt.placements ds' = placements then None
+              else child c step { st with Rewrite.st_config = set cfg } an ds'
+        | Rewrite.Structural attempt -> (
+            match attempt st with
+            | Error _ -> None
+            | Ok st' ->
+                let an' = analysis st' in
+                child c step st' an'
+                  (Memopt.decide_all st'.Rewrite.st_config an')))
+      Rewrite.catalog
+  in
   (try
      for level = 1 to depth do
-       let children =
-         List.concat_map
-           (fun (c : candidate) ->
-             List.filter_map
-               (fun (step : Rewrite.step) ->
-                 if not (step.Rewrite.applicable c.sc_state) then None
-                 else
-                   match step.Rewrite.legality_check c.sc_state with
-                   | Error _ -> None
-                   | Ok () -> (
-                       match step.Rewrite.apply c.sc_state with
-                       | exception Rewrite.Illegal _ -> None
-                       | st ->
-                           let ds = decisions st in
-                           if fresh_state st ds then
-                             Some
-                               (evaluate
-                                  (c.sc_sequence @ [ step.Rewrite.name ])
-                                  st ds)
-                           else None))
-               Rewrite.catalog)
-           !frontier
-       in
+       let children = List.concat_map expand !frontier in
        if children = [] then raise Exit;
        depth_reached := level;
-       List.iter consider children;
+       List.iter (fun (c, _, _) -> consider c) children;
        frontier := prune children;
        emit
          (ELevel

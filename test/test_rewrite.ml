@@ -176,6 +176,101 @@ let test_beam_at_least_fig8_everywhere () =
     devices
 
 (* ------------------------------------------------------------------ *)
+(* Golden search table: every registry kernel x device at paper scale
+   (inputs from [Experiments.prepare ~seed:1], default width and depth).
+   It pins the search's exact output, so any drift in dedup, in the
+   placement filter or in a step's first-site walk shows up here as a
+   changed evaluation count, sequence or time.                         *)
+(* ------------------------------------------------------------------ *)
+
+(* bench, device, so_evals, so_depth_reached, best sequence, %h of the
+   best time, Fig 8 winner *)
+let golden_search =
+  [
+    ("N-Body (Single)", "Intel Core i7-990X", 9, 1, "", "0x1.3bfcb426987c7p-5", "Global");
+    ("N-Body (Single)", "NVidia GeForce GTX 8800", 9, 1, "constant", "0x1.4567802071fd5p-8", "Constant");
+    ("N-Body (Single)", "NVidia GeForce GTX 580", 9, 1, "", "0x1.b6244b7de003p-11", "Global");
+    ("N-Body (Single)", "AMD Radeon HD 5970", 9, 1, "constant", "0x1.2542d851b1735p-10", "Constant");
+    ("N-Body (Double)", "Intel Core i7-990X", 9, 1, "", "0x1.25ed9001512c1p-4", "Global");
+    ("N-Body (Double)", "NVidia GeForce GTX 8800", 9, 1, "constant", "0x1.95bf6d09478f7p-5", "Constant");
+    ("N-Body (Double)", "NVidia GeForce GTX 580", 9, 1, "", "0x1.b40b6c89c9455p-10", "Global");
+    ("N-Body (Double)", "AMD Radeon HD 5970", 9, 1, "constant", "0x1.b44e1dd5b3123p-10", "Constant");
+    ("Mosaic", "Intel Core i7-990X", 116, 5, "", "0x1.afc7db90517fp-6", "Global");
+    ("Mosaic", "NVidia GeForce GTX 8800", 150, 5, "local;pad", "0x1.2fb160b5a263bp-8", "Local+Conflicts removed");
+    ("Mosaic", "NVidia GeForce GTX 580", 145, 5, "local;pad", "0x1.8ae2657d79db2p-11", "Local+Conflicts removed");
+    ("Mosaic", "AMD Radeon HD 5970", 150, 5, "local;pad", "0x1.c549ecf4ed331p-10", "Local+Conflicts removed");
+    ("Parboil-CP", "Intel Core i7-990X", 9, 1, "", "0x1.ba17d1e2a1347p+0", "Global");
+    ("Parboil-CP", "NVidia GeForce GTX 8800", 9, 1, "constant", "0x1.f144dec5bbe7dp-3", "Constant");
+    ("Parboil-CP", "NVidia GeForce GTX 580", 9, 1, "", "0x1.3065e13d6a498p-5", "Global");
+    ("Parboil-CP", "AMD Radeon HD 5970", 9, 1, "constant", "0x1.84467949b287ep-5", "Constant");
+    ("Parboil-MRIQ", "Intel Core i7-990X", 9, 1, "", "0x1.0771e7bcdf039p-2", "Global");
+    ("Parboil-MRIQ", "NVidia GeForce GTX 8800", 9, 1, "constant", "0x1.bbfa2b5fe50ffp-5", "Constant");
+    ("Parboil-MRIQ", "NVidia GeForce GTX 580", 9, 1, "", "0x1.fd9ba1b1960fap-8", "Global");
+    ("Parboil-MRIQ", "AMD Radeon HD 5970", 9, 1, "constant", "0x1.07c2b54e627d6p-7", "Constant");
+    ("Parboil-RPES", "Intel Core i7-990X", 116, 5, "unroll;unroll;unroll;unroll;unroll", "0x1.813ec7d03d5e9p-2", "Global");
+    ("Parboil-RPES", "NVidia GeForce GTX 8800", 114, 5, "image;unroll;unroll;unroll;unroll;unroll", "0x1.61714bfc281cp-4", "Texture");
+    ("Parboil-RPES", "NVidia GeForce GTX 580", 115, 5, "image;unroll;unroll;unroll;unroll;unroll", "0x1.8b4049b79d81cp-7", "Texture");
+    ("Parboil-RPES", "AMD Radeon HD 5970", 114, 5, "image;unroll;unroll;unroll;unroll;unroll", "0x1.a69977d4c9df2p-7", "Texture");
+    ("JG-Crypt", "Intel Core i7-990X", 34, 5, "unroll", "0x1.767ecf829d402p-6", "Global");
+    ("JG-Crypt", "NVidia GeForce GTX 8800", 34, 5, "unroll", "0x1.1520361ea65b2p-8", "Global");
+    ("JG-Crypt", "NVidia GeForce GTX 580", 34, 5, "unroll", "0x1.79fcb97ca66abp-11", "Global");
+    ("JG-Crypt", "AMD Radeon HD 5970", 34, 5, "unroll", "0x1.82deb529d44d9p-10", "Global");
+    ("JG-Series (Single)", "Intel Core i7-990X", 46, 5, "", "0x1.18d22c40c7bfp-5", "Global");
+    ("JG-Series (Single)", "NVidia GeForce GTX 8800", 46, 5, "", "0x1.08f73585dbeep-7", "Global");
+    ("JG-Series (Single)", "NVidia GeForce GTX 580", 46, 5, "", "0x1.30b5be2585302p-10", "Global");
+    ("JG-Series (Single)", "AMD Radeon HD 5970", 46, 5, "", "0x1.3d4b3a8e7d9fp-10", "Global");
+    ("JG-Series (Double)", "Intel Core i7-990X", 46, 5, "", "0x1.2a4370cd5586fp-4", "Global");
+    ("JG-Series (Double)", "NVidia GeForce GTX 8800", 46, 5, "", "0x1.6f0270cd0af4fp-4", "Global");
+    ("JG-Series (Double)", "NVidia GeForce GTX 580", 46, 5, "", "0x1.4263e100c2369p-9", "Global");
+    ("JG-Series (Double)", "AMD Radeon HD 5970", 46, 5, "", "0x1.ea0347254395fp-10", "Global");
+    ("TMatMul", "Intel Core i7-990X", 152, 5, "interchange", "0x1.6683bb5c19f6ap-10", "Global");
+    ("TMatMul", "NVidia GeForce GTX 8800", 154, 5, "local;interchange", "0x1.6119277fd877p-12", "Local");
+    ("TMatMul", "NVidia GeForce GTX 580", 149, 5, "interchange", "0x1.1cb3b4151dd3ep-15", "Local");
+    ("TMatMul", "AMD Radeon HD 5970", 154, 5, "local;interchange", "0x1.22dce8f7af9e1p-13", "Local");
+    ("N-Body Pipe", "Intel Core i7-990X", 9, 1, "", "0x1.3bfcb426987c7p-5", "Global");
+    ("N-Body Pipe", "NVidia GeForce GTX 8800", 9, 1, "constant", "0x1.4567802071fd5p-8", "Constant");
+    ("N-Body Pipe", "NVidia GeForce GTX 580", 9, 1, "", "0x1.b6244b7de003p-11", "Global");
+    ("N-Body Pipe", "AMD Radeon HD 5970", 9, 1, "constant", "0x1.2542d851b1735p-10", "Constant");
+  ]
+
+let test_golden_search_table () =
+  let row = ref golden_search in
+  List.iter
+    (fun (b : B.t) ->
+      let p = E.prepare ~seed:1 b in
+      let k = p.E.p_compiled.Pipeline.cp_kernel in
+      let shapes, scalars = Engine.shapes_of_args k [ p.E.p_input ] in
+      List.iter
+        (fun (d : Device.t) ->
+          let o = Search.search d k ~shapes ~scalars in
+          let got =
+            ( b.B.name,
+              d.Device.name,
+              o.Search.so_evals,
+              o.Search.so_depth_reached,
+              Rewrite.sequence_to_string o.Search.so_best.Search.sc_sequence,
+              Printf.sprintf "%h" o.Search.so_best.Search.sc_time_s,
+              fst o.Search.so_fig8_best )
+          in
+          match !row with
+          | want :: rest ->
+              row := rest;
+              let name, dev, evals, depth, seq, time, fig8 = want in
+              let what = Printf.sprintf "%s on %s" name dev in
+              let name', dev', evals', depth', seq', time', fig8' = got in
+              Alcotest.(check (pair string string)) "row" (name, dev)
+                (name', dev');
+              Alcotest.(check int) (what ^ ": evaluations") evals evals';
+              Alcotest.(check int) (what ^ ": depth") depth depth';
+              Alcotest.(check string) (what ^ ": best sequence") seq seq';
+              Alcotest.(check string) (what ^ ": best time") time time';
+              Alcotest.(check string) (what ^ ": fig8 winner") fig8 fig8'
+          | [] -> Alcotest.failf "no golden row for %s" b.B.name)
+        Device.all)
+    Registry.workloads;
+  Alcotest.(check int) "every golden row checked" 0 (List.length !row)
+
+(* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -347,6 +442,8 @@ let () =
         [
           Alcotest.test_case "beam >= fig8 on every workload/device" `Slow
             test_beam_at_least_fig8_everywhere;
+          Alcotest.test_case "golden table, registry x devices" `Slow
+            test_golden_search_table;
           Alcotest.test_case "replay reproduces the best" `Quick
             test_replay_reproduces_search_best;
           Alcotest.test_case "stale schedule rejected" `Quick

@@ -2,13 +2,17 @@
    well-typed loop-nest kernels, run each catalog step (and short random
    schedules) through the legality-checked replay path, and require that
    every accepted rewrite preserves the interpreter's results while every
-   rejected one fails loudly instead of miscompiling.
+   rejected one fails loudly instead of miscompiling; and require that the
+   beam search's winners are what the replay path builds.
 
    Structural rewrites must be exact (same f32 operations in the same
    order); interchange reassociates the accumulation, so schedules that
    include it are compared under a small relative tolerance. *)
 
 module Rewrite = Lime_rewrite.Rewrite
+module Search = Lime_rewrite.Search
+module Device = Gpusim.Device
+module Engine = Lime_runtime.Engine
 module Pipeline = Lime_gpu.Pipeline
 module Kernel = Lime_gpu.Kernel
 module Interp = Lime_ir.Interp
@@ -251,29 +255,59 @@ let prop_random_schedules_sound =
           else true)
 
 (* ------------------------------------------------------------------ *)
-(* Property 3: what the beam would do — legality precedes apply, and a
-   step whose legality check fails never returns a kernel              *)
+(* Property 3: the beam's children are what replay builds — the search
+   derives each child with the same step functions the replay path runs,
+   so every winner replays to the same kernel, configuration and time   *)
 (* ------------------------------------------------------------------ *)
 
-let prop_rejections_are_errors =
-  QCheck.Test.make ~name:"illegal applications surface as errors" ~count:25
+let prop_search_winners_replay =
+  QCheck.Test.make ~name:"search winners replay to the same state" ~count:25
     desc_arb (fun d ->
       let k = compile d in
-      let st = Rewrite.initial k in
+      let shapes, scalars = Engine.shapes_of_args k [ input_of d ] in
       List.iter
-        (fun (step : Rewrite.step) ->
-          match step.Rewrite.legality_check st with
-          | Ok () -> ()
-          | Error _ -> (
-              (* the replay path must agree with the legality check *)
-              match Rewrite.apply_step step st with
-              | Error _ -> ()
-              | Ok _ ->
-                  QCheck.Test.fail_reportf
-                    "%s applied despite failing its legality check\n---\n%s"
-                    step.Rewrite.name (source_of d)))
-        Rewrite.catalog;
+        (fun (dev : Device.t) ->
+          let o = Search.search ~width:4 ~depth:3 dev k ~shapes ~scalars in
+          let best = o.Search.so_best in
+          let seq = Rewrite.sequence_to_string best.Search.sc_sequence in
+          match
+            Search.replay dev k best.Search.sc_sequence ~shapes ~scalars
+          with
+          | Error m ->
+              QCheck.Test.fail_reportf "winner %s on %s did not replay: %s"
+                seq dev.Device.name m
+          | Ok c ->
+              let st = c.Search.sc_state and st0 = best.Search.sc_state in
+              if c.Search.sc_time_s <> best.Search.sc_time_s then
+                QCheck.Test.fail_reportf "winner %s on %s: replay %h s, search %h s"
+                  seq dev.Device.name c.Search.sc_time_s best.Search.sc_time_s;
+              if
+                st.Rewrite.st_kernel.Kernel.k_body
+                <> st0.Rewrite.st_kernel.Kernel.k_body
+              then
+                QCheck.Test.fail_reportf "winner %s on %s: replay built another body"
+                  seq dev.Device.name;
+              if st.Rewrite.st_config <> st0.Rewrite.st_config then
+                QCheck.Test.fail_reportf
+                  "winner %s on %s: replay reached another configuration" seq
+                  dev.Device.name)
+        Device.all;
       true)
+
+(* A structural step with no site anywhere is refused by name. *)
+let test_no_site_is_named () =
+  let d =
+    { kind = Flat; jn = 3; kn = 2; threads = 2; second_loop = false; coef = 1 }
+  in
+  let st = Rewrite.initial (compile d) in
+  List.iter
+    (fun name ->
+      match Option.map (fun s -> Rewrite.apply_step s st) (Rewrite.of_name name) with
+      | Some (Error m) ->
+          Alcotest.(check string) (name ^ " error") (name ^ ": no matching site") m
+      | Some (Ok _) -> Alcotest.failf "%s applied without a site" name
+      | None -> Alcotest.failf "missing catalog step %s" name)
+    [ "tile:2"; "interchange"; "fusion"; "scalarize"; "soa" ]
 
 let () =
   Alcotest.run "rewrite-legality"
@@ -282,6 +316,9 @@ let () =
         [
           prop_catalog_steps_sound;
           prop_random_schedules_sound;
-          prop_rejections_are_errors;
+          prop_search_winners_replay;
         ];
+      ( "replay",
+        [ Alcotest.test_case "no site is named" `Quick test_no_site_is_named ]
+      );
     ]

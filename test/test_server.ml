@@ -53,6 +53,48 @@ let with_server ?service ?(reshape = fun c -> c) f =
         (Sys.file_exists sock))
     (fun () -> f sock server)
 
+(* Every test runs under a watchdog: a daemon that never finishes its
+   drain would otherwise hang the suite instead of failing it.  The
+   watchdog domain waits on a pipe; if the test has not closed it within
+   [watchdog_s], it reports the test and ends the process.  The report
+   goes to the stderr the suite started with: Alcotest sends a test's own
+   output to its log file. *)
+let watchdog_s = 120.0
+let console = Unix.dup Unix.stderr
+
+let with_watchdog name f () =
+  let r, w = Unix.pipe () in
+  let dog =
+    Domain.spawn (fun () ->
+        let deadline = Lime_support.Clock.now_s () +. watchdog_s in
+        let rec wait () =
+          let left = deadline -. Lime_support.Clock.now_s () in
+          if left <= 0.0 then false
+          else
+            match Unix.select [ r ] [] [] left with
+            | [], _, _ -> wait ()
+            | _ -> true
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+        in
+        if not (wait ()) then begin
+          let msg =
+            Printf.sprintf
+              "test_server: %S did not finish within %.0f s (stuck drain?)\n"
+              name watchdog_s
+          in
+          ignore (Unix.write_substring console msg 0 (String.length msg));
+          Unix._exit 3
+        end;
+        Unix.close r)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close w;
+      Domain.join dog)
+    f
+
+let test_case name f = Alcotest.test_case name `Quick (with_watchdog name f)
+
 let connect_exn sock =
   match Client.connect ~timeout_s:60.0 sock with
   | Ok cl -> cl
@@ -256,40 +298,48 @@ let test_overload_deadline_drain () =
                   Domain.cpu_relax ()
                 done)
           in
-          let cl = connect_exn sock in
+          let fd = raw_connect sock in
+          (* whatever happens below, open the gate before with_server's
+             teardown: its drain waits for request #1, which waits for
+             the pinned worker *)
           Fun.protect
-            ~finally:(fun () -> Client.close cl)
+            ~finally:(fun () ->
+              Atomic.set gate true;
+              try Unix.close fd with Unix.Unix_error _ -> ())
             (fun () ->
-              let send frame =
-                match Client.send_frame cl frame with
-                | Ok () -> ()
-                | Error msg -> Alcotest.failf "send: %s" msg
+              let rd = Wire.reader () in
+              let recv what =
+                match raw_next fd rd with
+                | Frame f -> f
+                | Eof -> Alcotest.failf "%s: server closed" what
+                | Timeout -> Alcotest.failf "%s: no reply" what
               in
-              let recv () =
-                match Client.recv_frame cl with
-                | Ok f -> f
-                | Error msg -> Alcotest.failf "recv: %s" msg
-              in
+              raw_send fd (Wire.encode (Wire.Hello Wire.version));
+              (match recv "hello" with
+              | Wire.Hello_ack _ -> ()
+              | _ -> Alcotest.fail "no hello ack");
               let compile id deadline_ms =
-                Wire.Compile
-                  {
-                    cr_id = id;
-                    cr_deadline_ms = deadline_ms;
-                    cr_name = "doubler";
-                    cr_worker = "Doubler.apply";
-                    cr_config = "all";
-                    cr_source = doubler_source;
-                    cr_trace = None;
-                    cr_placement = None;
-                  }
+                Wire.encode
+                  (Wire.Compile
+                     {
+                       cr_id = id;
+                       cr_deadline_ms = deadline_ms;
+                       cr_name = "doubler";
+                       cr_worker = "Doubler.apply";
+                       cr_config = "all";
+                       cr_source = doubler_source;
+                       cr_trace = None;
+                       cr_placement = None;
+                     })
               in
-              (* pipeline three requests while the worker is pinned:
-                 #1 fills a slot, #2 (deadline 0: unmeetable by
-                 construction) fills the other, #3 must be shed *)
-              send (compile 1 None);
-              send (compile 2 (Some 0));
-              send (compile 3 None);
-              (match recv () with
+              (* pipeline three requests while the worker is pinned, in
+                 ONE write: the reactor admits the whole batch in arrival
+                 order before its next deadline scan, so #1 fills a slot,
+                 #2 (deadline 0: unmeetable by construction) fills the
+                 other, and #3 is shed *)
+              raw_send fd
+                (compile 1 None ^ compile 2 (Some 0) ^ compile 3 None);
+              (match recv "overload" with
               | Wire.Err e ->
                   Alcotest.(check int) "the third request is shed" 3
                     e.Wire.er_id;
@@ -300,7 +350,7 @@ let test_overload_deadline_drain () =
               | _ -> Alcotest.fail "expected an overload reply first");
               (* #2 is cancelled in the queue by the deadline scan — the
                  worker never saw it *)
-              (match recv () with
+              (match recv "deadline" with
               | Wire.Err e ->
                   Alcotest.(check int) "the deadline request answered" 2
                     e.Wire.er_id;
@@ -309,7 +359,7 @@ let test_overload_deadline_drain () =
               | _ -> Alcotest.fail "expected a deadline reply second");
               (* open the gate: #1 runs to completion *)
               Atomic.set gate true;
-              (match recv () with
+              (match recv "result" with
               | Wire.Result a ->
                   Alcotest.(check int) "the first request completes" 1
                     a.Wire.ar_id;
@@ -319,11 +369,11 @@ let test_overload_deadline_drain () =
               ignore (Pool.await blocker);
               (* graceful drain over the wire: nothing is in flight, the
                  ack reports a clean shutdown *)
-              (match Client.drain cl with
-              | Ok d ->
+              raw_send fd (Wire.encode (Wire.Drain 4));
+              (match recv "drain" with
+              | Wire.Drain_ack d ->
                   Alcotest.(check int) "nothing dropped" 0 d.Wire.da_dropped
-              | Error f ->
-                  Alcotest.failf "drain: %s" (Client.failure_to_string f));
+              | _ -> Alcotest.fail "expected the drain ack");
               report := Some (Server.report server)));
       match !report with
       | None -> Alcotest.fail "no report"
@@ -1043,41 +1093,29 @@ let () =
     [
       ( "fidelity",
         [
-          Alcotest.test_case "registry round-trips byte-identical" `Quick
-            test_registry_roundtrip;
-          Alcotest.test_case "cache provenance on the wire" `Quick
-            test_cache_provenance;
-          Alcotest.test_case "concurrent clients" `Quick
-            test_concurrent_clients;
+          test_case "registry round-trips byte-identical" test_registry_roundtrip;
+          test_case "cache provenance on the wire" test_cache_provenance;
+          test_case "concurrent clients" test_concurrent_clients;
         ] );
       ( "robustness",
         [
-          Alcotest.test_case "overload, deadline, drain" `Quick
-            test_overload_deadline_drain;
-          Alcotest.test_case "drain completes in-flight work" `Quick
-            test_drain_completes_inflight;
-          Alcotest.test_case "draining refuses new work" `Quick
-            test_draining_refuses_new_work;
-          Alcotest.test_case "unknown config" `Quick test_unknown_config;
-          Alcotest.test_case "garbage does not kill the daemon" `Quick
-            test_garbage_resilience;
-          Alcotest.test_case "stats over the wire" `Quick
-            test_stats_over_the_wire;
+          test_case "overload, deadline, drain" test_overload_deadline_drain;
+          test_case "drain completes in-flight work" test_drain_completes_inflight;
+          test_case "draining refuses new work" test_draining_refuses_new_work;
+          test_case "unknown config" test_unknown_config;
+          test_case "garbage does not kill the daemon" test_garbage_resilience;
+          test_case "stats over the wire" test_stats_over_the_wire;
         ] );
       ( "tracing",
         [
-          Alcotest.test_case "merged trace is well-nested" `Quick
-            test_merged_trace_well_nested;
+          test_case "merged trace is well-nested" test_merged_trace_well_nested;
         ] );
       ( "observability plane",
         [
-          Alcotest.test_case "http endpoints" `Quick test_http_endpoints;
-          Alcotest.test_case "healthz flips while draining" `Quick
-            test_healthz_flips_while_draining;
-          Alcotest.test_case "access log" `Quick test_access_log;
-          Alcotest.test_case "alertz flips under deadline-0 burn" `Quick
-            test_alertz_flips_under_burn;
-          Alcotest.test_case "flight dump on drain" `Quick
-            test_flight_dump_on_drain;
+          test_case "http endpoints" test_http_endpoints;
+          test_case "healthz flips while draining" test_healthz_flips_while_draining;
+          test_case "access log" test_access_log;
+          test_case "alertz flips under deadline-0 burn" test_alertz_flips_under_burn;
+          test_case "flight dump on drain" test_flight_dump_on_drain;
         ] );
     ]
