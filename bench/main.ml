@@ -1,14 +1,18 @@
 (** Benchmark harness: regenerates every table and figure of the paper's
-    evaluation (§5) from the simulated platforms, runs Bechamel
-    micro-benchmarks of the compiler pipeline itself, and emits
-    machine-readable perf results for regression tracking.
+    evaluation (§5) from the simulated platforms' modelled seconds, gates
+    the optimizer and multi-device placement against the Fig 8 and
+    single-device baselines, drives generated-program traffic through an
+    in-process daemon, and emits machine-readable perf results for
+    regression tracking.  The toolchain's own wall-clock cost, layer by
+    layer, is measured by perfbench/ (see perfbench/METRICS.md).
 
     Usage:
-      dune exec bench/main.exe            — everything
+      dune exec bench/main.exe            — every experiment
       dune exec bench/main.exe -- table1 table2 table3 fig7a fig7b fig8 fig9
-                                           marshal-ablation glue compiler
+                                           marshal-ablation overlap glue
       dune exec bench/main.exe -- --quick --json BENCH_ci.json
       dune exec bench/main.exe -- --quick --baseline BENCH_ci.json
+      dune exec bench/main.exe -- --fuzz 30 --seed 2
 *)
 
 module E = Lime_benchmarks.Experiments
@@ -187,505 +191,6 @@ let run_glue () =
   let glue = Lime_gpu.Hostgen.generate c.Lime_gpu.Pipeline.cp_kernel in
   Printf.printf "\nDistinct OpenCL API procedures used by the glue: %d\n"
     (List.length (Lime_gpu.Hostgen.api_calls_used glue))
-
-(* Cache effectiveness of the compile service: compile the whole suite
-   cold, then again warm, and report the hit rate and the amortized
-   compile-time saving. *)
-let run_service () =
-  section "Compile service — cache hit rate, warm vs cold";
-  let module Service = Lime_service.Service in
-  let module Kcache = Lime_service.Kcache in
-  let svc = Service.create ~capacity:32 () in
-  let compile_suite () =
-    let t0 = Clock.now_s () in
-    List.iter
-      (fun (b : Lime_benchmarks.Bench_def.t) ->
-        ignore
-          (Service.compile svc ~name:b.Lime_benchmarks.Bench_def.name
-             ~worker:b.Lime_benchmarks.Bench_def.worker
-             b.Lime_benchmarks.Bench_def.source))
-      Lime_benchmarks.Registry.all;
-    Clock.now_s () -. t0
-  in
-  let cold = compile_suite () in
-  let warm = compile_suite () in
-  let s = Service.stats svc in
-  Printf.printf "suite size:        %d benchmarks\n"
-    (List.length Lime_benchmarks.Registry.all);
-  Printf.printf "cold pass:         %.2f ms (%d misses)\n" (cold *. 1e3)
-    s.Kcache.misses;
-  Printf.printf "warm pass:         %.2f ms (%d hits)\n" (warm *. 1e3)
-    s.Kcache.hits;
-  Printf.printf "hit rate:          %.0f%%\n"
-    (100.0 *. float_of_int s.Kcache.hits
-    /. float_of_int (s.Kcache.hits + s.Kcache.misses));
-  Printf.printf "warm/cold ratio:   %.3f\n"
-    (if cold > 0.0 then warm /. cold else 0.0);
-  (* coalescing: a burst of identical in-flight requests compiles once *)
-  let b = Lime_benchmarks.Nbody.single in
-  let burst =
-    List.init 8 (fun _ ->
-        Service.request ~worker:b.Lime_benchmarks.Bench_def.worker
-          b.Lime_benchmarks.Bench_def.source)
-  in
-  ignore (Service.compile_many svc burst);
-  Printf.printf "coalesced burst:   8 identical requests -> %d coalesced\n"
-    s.Kcache.coalesced
-
-(* Scaling of the domain-pool batch path: compile the whole suite cold at
-   1/2/4/8-way parallelism (fresh service each run, so every batch really
-   compiles) and report wall-clock speedup plus the cache-contention
-   counters of the sharded Kcache.  Wall-clock, not CPU time: CPU time
-   sums across domains and would hide the parallelism. *)
-let run_parallel () =
-  section "Parallel compile service — domain-pool batch scaling";
-  let module Service = Lime_service.Service in
-  let module Kcache = Lime_service.Kcache in
-  let suite = Lime_benchmarks.Registry.all in
-  let requests () =
-    List.map
-      (fun (b : Lime_benchmarks.Bench_def.t) ->
-        Service.request ~name:b.Lime_benchmarks.Bench_def.name
-          ~worker:b.Lime_benchmarks.Bench_def.worker
-          b.Lime_benchmarks.Bench_def.source)
-      suite
-  in
-  let reps = 3 in
-  let time_batch jobs =
-    (* best of [reps] cold batches: the pool is created outside the timed
-       region, so domain spawn cost is not billed to the batch *)
-    let best = ref infinity and stats = ref None in
-    for _ = 1 to reps do
-      let svc = Service.create ~capacity:32 ~jobs () in
-      let reqs = requests () in
-      let t0 = Clock.now_s () in
-      let results = Service.compile_many svc reqs in
-      let dt = Clock.now_s () -. t0 in
-      List.iter
-        (function
-          | Ok _ -> ()
-          | Error d ->
-              prerr_endline (Lime_support.Diag.to_string d);
-              exit 1)
-        results;
-      if dt < !best then begin
-        best := dt;
-        stats := Some (Service.stats svc)
-      end;
-      Service.shutdown svc
-    done;
-    (!best, Option.get !stats)
-  in
-  Printf.printf "suite: %d benchmarks, cold each run; host cores: %d\n\n"
-    (List.length suite)
-    (Domain.recommended_domain_count ());
-  let rows = List.map (fun jobs -> (jobs, time_batch jobs)) [ 1; 2; 4; 8 ] in
-  let base = match rows with (_, (dt, _)) :: _ -> dt | [] -> 1.0 in
-  Printf.printf "%-6s %12s %9s %8s %8s %11s\n" "jobs" "batch ms" "speedup"
-    "misses" "hits" "contended";
-  List.iter
-    (fun (jobs, (dt, (s : Kcache.stats))) ->
-      Printf.printf "%-6d %12.2f %8.2fx %8d %8d %11d\n" jobs (dt *. 1e3)
-        (base /. dt) s.Kcache.misses s.Kcache.hits s.Kcache.contended)
-    rows;
-  print_newline ();
-  print_endline
-    "speedup is relative to jobs=1 (the sequential service); with fewer \
-     host\ncores than jobs the pool degrades to time-slicing and speedup \
-     stays ~1x."
-
-(* The compile daemon against the in-process service: cold and warm
-   suite passes over the socket, a concurrent multi-client pass, and the
-   per-request wire overhead relative to direct Service.compile calls on
-   an equally warm cache. *)
-let run_server () =
-  section "Compile daemon — socket round-trips vs in-process service";
-  let module Service = Lime_service.Service in
-  let module Server = Lime_server.Server in
-  let module Client = Lime_server.Client in
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let suite = Lime_benchmarks.Registry.all in
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "limed-bench-%d.sock" (Unix.getpid ()))
-  in
-  let server = Server.create (Server.default_config ~socket:sock) in
-  let dom = Domain.spawn (fun () -> Server.run server) in
-  let connect () =
-    match Client.connect sock with
-    | Ok cl -> cl
-    | Error msg ->
-        prerr_endline msg;
-        exit 1
-  in
-  let suite_via cl =
-    List.iter
-      (fun (b : Lime_benchmarks.Bench_def.t) ->
-        match
-          Client.compile cl ~name:b.Lime_benchmarks.Bench_def.name
-            ~worker:b.Lime_benchmarks.Bench_def.worker
-            b.Lime_benchmarks.Bench_def.source_small
-        with
-        | Ok _ -> ()
-        | Error f ->
-            prerr_endline (Client.failure_to_string f);
-            exit 1)
-      suite
-  in
-  let time f =
-    let t0 = Clock.now_s () in
-    f ();
-    Clock.now_s () -. t0
-  in
-  (* per-request latencies of a pass, recorded into a quantile sketch *)
-  let suite_via_sketched cl sk =
-    List.iter
-      (fun (b : Lime_benchmarks.Bench_def.t) ->
-        let t0 = Clock.now_s () in
-        (match
-           Client.compile cl ~name:b.Lime_benchmarks.Bench_def.name
-             ~worker:b.Lime_benchmarks.Bench_def.worker
-             b.Lime_benchmarks.Bench_def.source_small
-         with
-        | Ok _ -> ()
-        | Error f ->
-            prerr_endline (Client.failure_to_string f);
-            exit 1);
-        Sketch.add sk (Clock.now_s () -. t0))
-      suite
-  in
-  let cl = connect () in
-  let cold = time (fun () -> suite_via cl) in
-  let warm = time (fun () -> suite_via cl) in
-  Client.close cl;
-  let n_clients = 4 in
-  (* each client domain records into its own sketch; the merged view is
-     exact (bucket counts add), which is the point of a mergeable
-     estimator — no cross-domain latency array to assemble *)
-  let con_sk = Sketch.create () in
-  let concurrent =
-    time (fun () ->
-        let doms =
-          List.init n_clients (fun _ ->
-              Domain.spawn (fun () ->
-                  let cl = connect () in
-                  let sk = Sketch.create () in
-                  suite_via_sketched cl sk;
-                  Client.close cl;
-                  sk))
-        in
-        List.iter
-          (fun d -> Sketch.merge ~into:con_sk (Domain.join d))
-          doms)
-  in
-  (* the same warm requests without the wire: an in-process service whose
-     cache is equally hot *)
-  let svc = Service.create ~capacity:64 () in
-  let suite_local () =
-    List.iter
-      (fun (b : Lime_benchmarks.Bench_def.t) ->
-        ignore
-          (Service.compile svc ~name:b.Lime_benchmarks.Bench_def.name
-             ~worker:b.Lime_benchmarks.Bench_def.worker
-             b.Lime_benchmarks.Bench_def.source_small))
-      suite
-  in
-  suite_local ();
-  let local_warm = time suite_local in
-  Service.shutdown svc;
-  Server.drain server;
-  Domain.join dom;
-  let r = Server.report server in
-  let n = List.length suite in
-  Printf.printf "suite: %d benchmarks over %s\n\n" n sock;
-  Printf.printf "cold pass:            %8.2f ms  (every request compiles)\n"
-    (cold *. 1e3);
-  Printf.printf "warm pass:            %8.2f ms  (every request a cache hit)\n"
-    (warm *. 1e3);
-  Printf.printf "%d concurrent clients: %8.2f ms  (%.0f req/s aggregate)\n"
-    n_clients (concurrent *. 1e3)
-    (float_of_int (n_clients * n) /. concurrent);
-  Printf.printf
-    "concurrent latency:   p50 %.2f ms  p99 %.2f ms  max %.2f ms  (merged \
-     sketch, alpha %g)\n"
-    (sketch_pct con_sk 0.5 *. 1e3)
-    (sketch_pct con_sk 0.99 *. 1e3)
-    (Sketch.max_seen con_sk *. 1e3)
-    (Sketch.alpha con_sk);
-  Printf.printf "in-process warm pass: %8.2f ms\n" (local_warm *. 1e3);
-  Printf.printf "wire overhead, warm:  %8.1f us/request\n"
-    ((warm -. local_warm) /. float_of_int n *. 1e6);
-  Printf.printf
-    "\ndaemon lifetime: %d requests, %d completed, %d rejected, %d \
-     deadline, %d dropped\n"
-    r.Server.rp_requests r.Server.rp_completed r.Server.rp_rejected
-    r.Server.rp_deadline r.Server.rp_dropped;
-  (* -------------------------------------------------------------- *)
-  (* Always-on observability: the daemon keeps the trace observers
-     installed and writes one access-log record per request whether or
-     not the client asked for anything.  Measure that tax on the warm
-     path against a daemon with both turned off, and gate it. *)
-  let module Trace = Lime_service.Trace in
-  let module Wire = Lime_server.Wire in
-  section "Compile daemon — always-on observability overhead";
-  let log_file = Filename.temp_file "limed-bench-access" ".jsonl" in
-  let suite_traced cl =
-    let trace =
-      { Wire.tc_trace_id = Trace.fresh_trace_id (); tc_parent_span = -1 }
-    in
-    List.iter
-      (fun (b : Lime_benchmarks.Bench_def.t) ->
-        match
-          Client.compile cl ~name:b.Lime_benchmarks.Bench_def.name ~trace
-            ~worker:b.Lime_benchmarks.Bench_def.worker
-            b.Lime_benchmarks.Bench_def.source_small
-        with
-        | Ok _ -> ()
-        | Error f ->
-            prerr_endline (Client.failure_to_string f);
-            exit 1)
-      suite
-  in
-  (* best-of-R warm passes against a dedicated daemon; [observe] keeps
-     the daemon's default observability on (plus an access log), the
-     baseline strips both after creation.  Each measured pass replays
-     the suite [reps] times — one 9-request pass lasts ~1 ms, below what
-     best-of-7 wall clocks resolve against scheduler noise — and because
-     the gate compares separately-spawned daemons, each side takes the
-     best across [trials] daemon instances so one unluckily-scheduled
-     reactor/worker pairing can't masquerade as overhead. *)
-  let reps = 20 in
-  let trials = 3 in
-  let measure_once ~observe ~pass =
-    let pass cl = for _ = 1 to reps do pass cl done in
-    let sock2 = sock ^ if observe then ".obs" else ".base" in
-    let cfg = Server.default_config ~socket:sock2 in
-    let cfg =
-      if observe then { cfg with Server.sc_access_log = Some log_file }
-      else cfg
-    in
-    let server = Server.create cfg in
-    if not observe then begin
-      Trace.uninstall ();
-      Trace.set_enabled Trace.default false
-    end;
-    let dom = Domain.spawn (fun () -> Server.run server) in
-    let cl =
-      match Client.connect sock2 with
-      | Ok cl -> cl
-      | Error msg ->
-          prerr_endline msg;
-          exit 1
-    in
-    suite_via cl (* cold: warm the daemon's cache *);
-    pass cl (* warm-up of the measured path *);
-    let best = ref infinity in
-    for _ = 1 to 7 do
-      let dt = time (fun () -> pass cl) in
-      if dt < !best then best := dt
-    done;
-    Client.close cl;
-    Server.drain server;
-    Domain.join dom;
-    !best
-  in
-  (* interleave the three configurations across rounds so slow
-     machine-wide drift hits all of them alike, and keep the per-config
-     minimum *)
-  let base = ref infinity and plain = ref infinity and traced = ref infinity in
-  for _ = 1 to trials do
-    let keep r dt = if dt < !r then r := dt in
-    keep base (measure_once ~observe:false ~pass:suite_via);
-    keep plain (measure_once ~observe:true ~pass:suite_via);
-    keep traced (measure_once ~observe:true ~pass:suite_traced)
-  done;
-  let base = !base and plain = !plain and traced = !traced in
-  (* the bench ran three in-process daemons; leave the process-global
-     tracer the way a fresh process starts, for the experiments after us *)
-  Trace.uninstall ();
-  Trace.set_enabled Trace.default false;
-  (try Sys.remove log_file with Sys_error _ -> ());
-  let per_req dt = (dt -. base) /. float_of_int (n * reps) *. 1e6 in
-  let pct dt = (dt -. base) /. base *. 100.0 in
-  Printf.printf "baseline warm pass (observability off, x%d): %8.2f ms\n"
-    reps (base *. 1e3);
-  Printf.printf
-    "always-on (observers + access log):     %8.2f ms  (%+.1f%%, %+.1f \
-     us/request)\n"
-    (plain *. 1e3) (pct plain) (per_req plain);
-  Printf.printf
-    "per-request tracing on top:             %8.2f ms  (%+.1f%%, %+.1f \
-     us/request)\n"
-    (traced *. 1e3) (pct traced) (per_req traced);
-  (* the gate: always-on observability must cost < 5% of the warm path.
-     The absolute floor absorbs scheduler noise when the whole suite
-     fits in a couple of milliseconds — sub-25us/request deltas are
-     below what best-of-7 wall clocks resolve. *)
-  if pct plain >= 5.0 && per_req plain >= 25.0 then begin
-    Printf.printf
-      "FAIL: always-on observability overhead %.1f%% breaches the 5%% \
-       gate\n"
-      (pct plain);
-    exit 1
-  end
-  else
-    Printf.printf
-      "gate: always-on overhead %.1f%% < 5%% (or < 25 us/request) — ok\n"
-      (Float.max 0.0 (pct plain))
-
-(* Span timeline of a cold-vs-warm compile through the service: the cold
-   request shows the full pipeline phase breakdown nested under the cache
-   lookup; the warm request is a bare hit with no pipeline spans at all. *)
-let run_trace () =
-  section "Observability — cold vs warm compile timeline";
-  let module Service = Lime_service.Service in
-  let module Trace = Lime_service.Trace in
-  let b = Lime_benchmarks.Nbody.single in
-  (* the service/cache spans always target the default tracer, so trace
-     through it rather than a private instance *)
-  let tr = Trace.default in
-  Trace.reset tr;
-  let svc = Service.create ~capacity:4 () in
-  Trace.with_observers (fun () ->
-      Trace.with_span tr ~cat:"bench" "cold" (fun () ->
-          ignore
-            (Service.compile svc ~name:"nbody"
-               ~worker:b.Lime_benchmarks.Bench_def.worker
-               b.Lime_benchmarks.Bench_def.source));
-      Trace.with_span tr ~cat:"bench" "warm" (fun () ->
-          ignore
-            (Service.compile svc ~name:"nbody"
-               ~worker:b.Lime_benchmarks.Bench_def.worker
-               b.Lime_benchmarks.Bench_def.source)));
-  print_string (Trace.flame tr);
-  print_newline ();
-  print_string (Trace.summary tr)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the compiler pipeline                  *)
-(* ------------------------------------------------------------------ *)
-
-let run_compiler_benches () =
-  section "Compiler pipeline micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let b = Lime_benchmarks.Nbody.single in
-  let src = b.Lime_benchmarks.Bench_def.source in
-  let worker = b.Lime_benchmarks.Bench_def.worker in
-  let tp = Lime_typecheck.Check.check_string src in
-  let md = Lime_ir.Lower.lower_program tp in
-  let kernel = Lime_gpu.Kernel.extract md ~worker in
-  let decisions = Lime_gpu.Memopt.optimize Lime_gpu.Memopt.config_all kernel in
-  let tests =
-    [
-      Test.make ~name:"parse" (Staged.stage (fun () ->
-          ignore (Lime_frontend.Parser.program_of_string src)));
-      Test.make ~name:"typecheck" (Staged.stage (fun () ->
-          ignore (Lime_typecheck.Check.check_string src)));
-      Test.make ~name:"lower" (Staged.stage (fun () ->
-          ignore (Lime_ir.Lower.lower_program tp)));
-      Test.make ~name:"kernel-extract" (Staged.stage (fun () ->
-          ignore (Lime_gpu.Kernel.extract md ~worker)));
-      Test.make ~name:"memopt" (Staged.stage (fun () ->
-          ignore (Lime_gpu.Memopt.optimize Lime_gpu.Memopt.config_all kernel)));
-      Test.make ~name:"opencl-codegen" (Staged.stage (fun () ->
-          ignore (Lime_gpu.Opencl.generate kernel decisions)));
-      Test.make ~name:"full-pipeline" (Staged.stage (fun () ->
-          ignore (Lime_gpu.Pipeline.compile ~worker src)));
-    ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"pipeline" tests)
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false
-         ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  let rows =
-    Hashtbl.fold
-      (fun name r acc ->
-        let est =
-          match Analyze.OLS.estimates r with
-          | Some (est :: _) -> est
-          | _ -> Float.nan
-        in
-        (name, est) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, est) -> Printf.printf "%-40s %14.1f ns/run\n" name est)
-    rows
-
-(* Bechamel micro-benchmarks of the runtime primitives: the real marshaling
-   implementations (Fig 6) and the reference interpreter. *)
-let run_runtime_benches () =
-  section "Runtime micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let v =
-    Lime_ir.Value.VArr
-      (Lime_ir.Value.of_float_matrix 256 4
-         (Array.init 1024 float_of_int))
-  in
-  let encoded = Lime_runtime.Marshal.encode v in
-  let nb = Lime_benchmarks.Nbody.single in
-  let compiled =
-    Lime_gpu.Pipeline.compile ~worker:nb.Lime_benchmarks.Bench_def.worker
-      nb.Lime_benchmarks.Bench_def.source
-  in
-  let kmod = Lime_gpu.Kernel.to_module compiled.Lime_gpu.Pipeline.cp_kernel in
-  let small = nb.Lime_benchmarks.Bench_def.input_small () in
-  let tests =
-    [
-      Test.make ~name:"marshal-encode-custom (4KB)" (Staged.stage (fun () ->
-          ignore (Lime_runtime.Marshal.encode v)));
-      Test.make ~name:"marshal-encode-generic (4KB)" (Staged.stage (fun () ->
-          ignore (Lime_runtime.Marshal.encode_generic v)));
-      Test.make ~name:"marshal-encode-direct (4KB)" (Staged.stage (fun () ->
-          ignore (Lime_runtime.Marshal.encode_direct v)));
-      Test.make ~name:"marshal-decode (4KB)" (Staged.stage (fun () ->
-          ignore (Lime_runtime.Marshal.decode encoded)));
-      Test.make ~name:"interp-nbody-64 (kernel)" (Staged.stage (fun () ->
-          let st = Lime_ir.Interp.create kmod in
-          ignore
-            (Lime_ir.Interp.call_function st "NBody.computeForces" None
-               [ small ])));
-      Test.make ~name:"profile-nbody (analytic)" (Staged.stage (fun () ->
-          let k = compiled.Lime_gpu.Pipeline.cp_kernel in
-          ignore
-            (Gpusim.Profile.profile k compiled.cp_decisions
-               ~shapes:[ ("particles", [| 4096; 4 |]) ]
-               ~scalars:[])));
-    ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"runtime" tests) in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  Hashtbl.fold
-    (fun name r acc ->
-      let est =
-        match Analyze.OLS.estimates r with
-        | Some (est :: _) -> est
-        | _ -> Float.nan
-      in
-      (name, est) :: acc)
-    results []
-  |> List.sort compare
-  |> List.iter (fun (name, est) ->
-         Printf.printf "%-44s %14.1f ns/run
-" name est)
 
 (* Generated-program traffic against the daemon (--fuzz N): a
    zipf-weighted stream drawn from a lime.fuzz corpus, the precursor to
@@ -920,12 +425,6 @@ let all_experiments =
     ("multidev", run_multidev);
     ("overlap", run_overlap);
     ("glue", run_glue);
-    ("service", run_service);
-    ("server", run_server);
-    ("parallel", run_parallel);
-    ("trace", run_trace);
-    ("compiler", run_compiler_benches);
-    ("runtime", run_runtime_benches);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -935,7 +434,8 @@ let all_experiments =
 let usage () =
   Printf.printf
     "usage: bench/main.exe [FLAGS] [EXPERIMENT..]\n\n\
-     Experiments (default: all of them):\n\
+     Experiments (default: all of them; all run on the simulated platforms —\n\
+     the toolchain's own wall-clock cost is measured by perfbench/):\n\
     \  %s\n\n\
      Flags:\n\
     \  --json FILE      collect per-benchmark per-device perf results\n\

@@ -25,9 +25,17 @@ echo "== one pricer =="
 # every kernel launch is priced through Gpusim.Autotune.launch: profiling
 # a launch and binding its arrays happen only inside lib/gpusim/
 if grep -rn --include='*.ml' --include='*.mli' \
-     -e 'Profile\.profile' -e 'Model\.binding_of_shape' lib bin \
+     -e 'Profile\.profile' -e 'Model\.binding_of_shape' lib bin bench \
      | grep -v '^lib/gpusim/'; then
   echo "FAIL: a launch priced outside lib/gpusim/; use Gpusim.Autotune.launch"
+  exit 1
+fi
+
+echo "== one wall-clock harness =="
+# bench/ regenerates the paper's evaluation from modelled seconds; the
+# toolchain's own wall-clock cost is measured by perfbench/ alone
+if grep -rn -i 'bechamel' bench; then
+  echo "FAIL: a micro-benchmark harness under bench/; measure wall clock in perfbench/"
   exit 1
 fi
 

@@ -795,9 +795,9 @@ let admit t (c : conn) (r : Wire.compile_req) config =
   in
   (* spans are collected for every request — the flight recorder must be
      able to explain the slowest/errored request after the fact, traced
-     or not; the bench overhead gate holds the always-on cost under the
-     5% / 25µs budget.  They are only shipped home when the client
-     propagated a trace context. *)
+     or not; test_server pins the always-on work at four spans and one
+     access record per warm hit.  They are only shipped home when the
+     client propagated a trace context. *)
   let job () =
     Atomic.set pd_started (trace_now_us ());
     let compute () =

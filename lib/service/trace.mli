@@ -207,9 +207,6 @@ val install : ?tracer:t -> unit -> unit
     Keyed registration composes with the metrics observers and is
     idempotent. *)
 
-val uninstall : unit -> unit
-(** Remove the observers {!install} registered. *)
-
 val with_observers : ?tracer:t -> (unit -> 'a) -> 'a
 (** [with_observers ~tracer f] runs [f] with the trace observers installed
     (and the tracer enabled), then uninstalls them and restores the

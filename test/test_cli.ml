@@ -663,6 +663,28 @@ let test_unknown_workload () =
     && contains "Mosaic" out);
   Alcotest.(check bool) "nothing validated" false (contains "Benchmark" out)
 
+(* bench/ reports modelled seconds only; the toolchain's wall-clock
+   timings live in perfbench/, so the old timing experiments are gone *)
+let test_timing_experiments_gone () =
+  skip_unless_bench ();
+  let code, out = capture_bench "server" in
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check bool) "names the unknown experiment" true
+    (contains "unknown experiment server; available: " out);
+  let available =
+    match String.split_on_char ':' (String.trim out) with
+    | [ _; names ] ->
+        List.map String.trim (String.split_on_char ',' names)
+    | _ -> Alcotest.failf "unexpected diagnostic: %s" out
+  in
+  Alcotest.(check bool) "lists the paper experiments" true
+    (List.mem "table1" available && List.mem "glue" available);
+  List.iter
+    (fun gone ->
+      Alcotest.(check bool) (gone ^ " not listed") false
+        (List.mem gone available))
+    [ "service"; "server"; "parallel"; "trace"; "compiler"; "runtime" ]
+
 let test_workload_filter () =
   skip_unless_bench ();
   let code, out = capture_bench "--workload TMatMul validate" in
@@ -812,6 +834,8 @@ let () =
           Alcotest.test_case "unknown workload lists available" `Quick
             test_unknown_workload;
           Alcotest.test_case "workload filter" `Quick test_workload_filter;
+          Alcotest.test_case "timing experiments are gone" `Quick
+            test_timing_experiments_gone;
           Alcotest.test_case "fuzz traffic smoke" `Quick
             test_fuzz_traffic_smoke;
           Alcotest.test_case "fuzz rejects bad count" `Quick

@@ -929,6 +929,87 @@ let test_access_log () =
           Alcotest.failf "expected exactly one access-log line, got %d"
             (List.length lines))
 
+(* The daemon traces and logs every request whether or not the client
+   asked.  Its cost on the warm path is bounded by counting that work, not
+   timing it: one cold compile, then [warm_hits] memory hits, each of
+   which must add exactly [spans_per_warm_hit] spans to Trace.default —
+   none of them a pipeline phase — and one access-log record. *)
+let warm_hits = 20
+
+(* service.compile, kcache.lookup, server.queue_wait and server.request *)
+let spans_per_warm_hit = 4
+
+let test_always_on_warm_path () =
+  let log_file = Filename.temp_file "limed-warm" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove log_file with Sys_error _ -> ())
+    (fun () ->
+      with_server
+        ~reshape:(fun c -> { c with Server.sc_access_log = Some log_file })
+        (fun sock _server ->
+          let cl = connect_exn sock in
+          Fun.protect
+            ~finally:(fun () -> Client.close cl)
+            (fun () ->
+              (* the reactor answers one connection's frames in order and
+                 finishes a request's spans and access record right after
+                 sending its reply, so once a stats round trip returns,
+                 every request before it is fully recorded *)
+              let settle () =
+                match Client.stats cl with
+                | Ok _ -> ()
+                | Error f ->
+                    Alcotest.failf "stats: %s" (Client.failure_to_string f)
+              in
+              let last_id () =
+                List.fold_left
+                  (fun m sp -> max m sp.Trace.sp_id)
+                  (-1)
+                  (Trace.spans Trace.default)
+              in
+              let compile () =
+                (compile_exn cl ~name:"doubler" ~worker:"Doubler.apply"
+                   doubler_source)
+                  .Wire.ar_origin
+              in
+              Alcotest.(check string) "first request compiles" "compiled"
+                (compile ());
+              settle ();
+              let dropped = Trace.dropped_spans Trace.default in
+              let mark = ref (last_id ()) in
+              for i = 1 to warm_hits do
+                Alcotest.(check string)
+                  (Printf.sprintf "hit %d from memory" i)
+                  "memory" (compile ());
+                settle ();
+                let fresh =
+                  List.filter
+                    (fun sp -> sp.Trace.sp_id > !mark)
+                    (Trace.spans Trace.default)
+                in
+                Alcotest.(check int)
+                  (Printf.sprintf "spans added by hit %d" i)
+                  spans_per_warm_hit (List.length fresh);
+                List.iter
+                  (fun sp ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "hit %d records no %s" i
+                         sp.Trace.sp_name)
+                      false
+                      (String.starts_with ~prefix:"pipeline."
+                         sp.Trace.sp_name))
+                  fresh;
+                mark := last_id ()
+              done;
+              Alcotest.(check int) "no span evicted" dropped
+                (Trace.dropped_spans Trace.default)));
+      let records =
+        In_channel.with_open_text log_file In_channel.input_lines
+        |> List.filter (fun l -> String.trim l <> "")
+      in
+      Alcotest.(check int) "one access record per request" (warm_hits + 1)
+        (List.length records))
+
 (* ------------------------------------------------------------------ *)
 (* SLOs, /alertz, and the flight recorder                              *)
 (* ------------------------------------------------------------------ *)
@@ -1115,6 +1196,7 @@ let () =
           test_case "http endpoints" test_http_endpoints;
           test_case "healthz flips while draining" test_healthz_flips_while_draining;
           test_case "access log" test_access_log;
+          test_case "always-on work per warm hit" test_always_on_warm_path;
           test_case "alertz flips under deadline-0 burn" test_alertz_flips_under_burn;
           test_case "flight dump on drain" test_flight_dump_on_drain;
         ] );
