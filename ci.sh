@@ -64,6 +64,17 @@ if grep -n 'stmt_str' lib/rewrite/search.ml; then
   exit 1
 fi
 
+echo "== front end: no forced minor GC =="
+# an array over 256 words seeded with a young token forces a full minor
+# collection (caml_make_vect) on every compile: the parser walks the
+# lexer's token list instead of copying it into an array
+if grep -rn --include='*.ml' \
+     -e 'Array\.of_list' -e 'Array\.make.*\(tok\|Token\.\|Lexer\.\|located\)' \
+     lib/frontend; then
+  echo "FAIL: a token array under lib/frontend/; walk the token list or seed with an old block"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 

@@ -1,22 +1,19 @@
 (** Hand-written lexer for the Lime subset.
 
-    Produces a list of located tokens in one pass.  Menhir/ocamllex are not
-    used: a hand-written scanner keeps the front end dependency-free and
-    gives precise span information for the double-bracket value-array tokens
-    ([\[\[] / [\]\]]), which do not tokenize naturally with longest-match
-    generators when mixed with nested index expressions like [a\[b\[i\]\]].
+    One pass over the source by byte index produces the located tokens.
+    Menhir/ocamllex are not used: a hand-written scanner keeps the front end
+    dependency-free and gives precise spans for the value-array brackets.
 
-    Disambiguation of [\[\[] is therefore *deferred to the parser*: the lexer
-    emits [DLBRACKET]/[DRBRACKET] greedily, and the parser re-splits them when
-    the context demands single brackets (this never happens in practice for
-    well-formed Lime, because [a\[b\[i\]\]] contains a space-free [\[\[)]...
-    To avoid that trap entirely, the lexer only fuses brackets when they are
-    *immediately* adjacent AND the preceding token is a type-ish token
-    (identifier/primitive keyword/[\]\]]/[\]]), i.e. in type position.  In
-    expressions [a\[b\[i\]\]] the preceding token before [\[\[] is an
-    identifier too — so instead we use a simpler, fully reliable rule:
-    brackets fuse only when adjacent, and the parser accepts both fused and
-    split forms everywhere, translating between them as needed. *)
+    Adjacent brackets always fuse: [\[\[] lexes as [DLBRACKET] and [\]\]]
+    as [DRBRACKET], whatever precedes them.  So the nested index [a\[b\[i\]\]]
+    ends in a fused [\]\]], and the parser re-splits a fused bracket wherever
+    it needs a single one.
+
+    The scanner keeps the current line and the offset that line begins at;
+    a column is the distance from that offset.  Bytes past the end read as
+    NUL, so a lookahead never needs an option; wherever a NUL byte in the
+    source would mean something else than the end, the position is checked
+    against the length. *)
 
 open Lime_support
 
@@ -24,32 +21,38 @@ type located = { tok : Token.t; loc : Loc.t }
 
 type state = {
   src : string;
+  len : int;
   name : string;
-  mutable pos : int;
+  mutable pos : int;  (** offset of the next byte *)
   mutable line : int;
-  mutable col : int;
+  mutable bol : int;  (** offset the current line begins at *)
 }
 
-let mk_state ?(name = "<inline>") src = { src; name; pos = 0; line = 1; col = 0 }
+(* [Token.keyword_table] bucketed by length and first byte: a lookup
+   compares an identifier with at most three keywords and never hashes it *)
+let max_keyword =
+  List.fold_left (fun m (k, _) -> max m (String.length k)) 0 Token.keyword_table
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let[@inline] bucket n c = (n lsl 8) lor Char.code c
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+let keywords =
+  let t = Array.make (bucket (max_keyword + 1) '\000') [] in
+  List.iter
+    (fun ((k, _) as kw) ->
+      let b = bucket (String.length k) k.[0] in
+      t.(b) <- kw :: t.(b))
+    Token.keyword_table;
+  t
 
-let peek3 st =
-  if st.pos + 2 < String.length st.src then Some st.src.[st.pos + 2] else None
+(* the byte at offset [i], or NUL past the end *)
+let[@inline] at st i = if i < st.len then String.unsafe_get st.src i else '\000'
 
-let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.col <- 0
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
-  st.pos <- st.pos + 1
+(* step over the newline just before [st.pos] *)
+let[@inline] newline st =
+  st.line <- st.line + 1;
+  st.bol <- st.pos
 
-let cur_pos st : Loc.pos = { line = st.line; col = st.col; offset = st.pos }
+let cur_pos st : Loc.pos = { line = st.line; col = st.pos - st.bol; offset = st.pos }
 
 let error ?start st fmt =
   let p = cur_pos st in
@@ -62,35 +65,46 @@ let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || is_digit c
 
+(* the offset of the first byte from [i] on that is not a digit (resp. a
+   hex digit, an identifier byte) *)
+let rec digits_end st i = if is_digit (at st i) then digits_end st (i + 1) else i
+let rec hex_end st i = if is_hex (at st i) then hex_end st (i + 1) else i
+let rec ident_end st i = if is_ident_char (at st i) then ident_end st (i + 1) else i
+
+let rec line_comment st =
+  if st.pos < st.len && String.unsafe_get st.src st.pos <> '\n' then begin
+    st.pos <- st.pos + 1;
+    line_comment st
+  end
+
+(* the body of a block comment, after its opening [/*] *)
+let rec block_comment st =
+  if st.pos >= st.len then error st "unterminated block comment";
+  match String.unsafe_get st.src st.pos with
+  | '*' when at st (st.pos + 1) = '/' -> st.pos <- st.pos + 2
+  | '\n' ->
+      st.pos <- st.pos + 1;
+      newline st;
+      block_comment st
+  | _ ->
+      st.pos <- st.pos + 1;
+      block_comment st
+
 let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
+  match at st st.pos with
+  | ' ' | '\t' | '\r' ->
+      st.pos <- st.pos + 1;
       skip_trivia st
-  | Some '/' when peek2 st = Some '/' ->
-      let rec to_eol () =
-        match peek st with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance st;
-            to_eol ()
-      in
-      to_eol ();
+  | '\n' ->
+      st.pos <- st.pos + 1;
+      newline st;
       skip_trivia st
-  | Some '/' when peek2 st = Some '*' ->
-      advance st;
-      advance st;
-      let rec to_close () =
-        match (peek st, peek2 st) with
-        | Some '*', Some '/' ->
-            advance st;
-            advance st
-        | None, _ -> error st "unterminated block comment"
-        | Some _, _ ->
-            advance st;
-            to_close ()
-      in
-      to_close ();
+  | '/' when at st (st.pos + 1) = '/' ->
+      line_comment st;
+      skip_trivia st
+  | '/' when at st (st.pos + 1) = '*' ->
+      st.pos <- st.pos + 2;
+      block_comment st;
       skip_trivia st
   | _ -> ()
 
@@ -101,60 +115,44 @@ let number st start conv text =
   match conv text with
   | Some v -> v
   | None ->
-      let p = cur_pos st in
-      let start =
-        { p with Loc.col = p.col - (st.pos - start); offset = start }
-      in
+      let start : Loc.pos = { line = st.line; col = start - st.bol; offset = start } in
       error ~start st "invalid number literal %s" text
 
 let lex_number st =
   let start = st.pos in
-  let is_hex_lit =
-    peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X')
-  in
-  if is_hex_lit then begin
-    advance st;
-    advance st;
-    while (match peek st with Some c -> is_hex c | None -> false) do
-      advance st
-    done;
+  if at st start = '0' && (at st (start + 1) = 'x' || at st (start + 1) = 'X')
+  then begin
+    st.pos <- hex_end st (start + 2);
     let text = String.sub st.src start (st.pos - start) in
     (* optional long suffix *)
-    (match peek st with Some ('l' | 'L') -> advance st | _ -> ());
+    (match at st st.pos with 'l' | 'L' -> st.pos <- st.pos + 1 | _ -> ());
     Token.INT (number st start Int64.of_string_opt text)
   end
   else begin
-    while (match peek st with Some c -> is_digit c | None -> false) do
-      advance st
-    done;
+    let i = ref (digits_end st start) in
     let is_float = ref false in
-    (match (peek st, peek2 st) with
-    | Some '.', Some c when is_digit c ->
+    if at st !i = '.' && is_digit (at st (!i + 1)) then begin
+      is_float := true;
+      i := digits_end st (!i + 1)
+    end;
+    (match at st !i with
+    | 'e' | 'E' ->
         is_float := true;
-        advance st;
-        while (match peek st with Some c -> is_digit c | None -> false) do
-          advance st
-        done
+        incr i;
+        (match at st !i with '+' | '-' -> incr i | _ -> ());
+        i := digits_end st !i
     | _ -> ());
-    (match peek st with
-    | Some ('e' | 'E') ->
-        is_float := true;
-        advance st;
-        (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-        while (match peek st with Some c -> is_digit c | None -> false) do
-          advance st
-        done
-    | _ -> ());
-    let text = String.sub st.src start (st.pos - start) in
-    match peek st with
-    | Some ('f' | 'F') ->
-        advance st;
+    st.pos <- !i;
+    let text = String.sub st.src start (!i - start) in
+    match at st !i with
+    | 'f' | 'F' ->
+        st.pos <- !i + 1;
         Token.FLOAT (number st start float_of_string_opt text)
-    | Some ('d' | 'D') ->
-        advance st;
+    | 'd' | 'D' ->
+        st.pos <- !i + 1;
         Token.DOUBLE (number st start float_of_string_opt text)
-    | Some ('l' | 'L') ->
-        advance st;
+    | 'l' | 'L' ->
+        st.pos <- !i + 1;
         Token.INT (number st start Int64.of_string_opt text)
     | _ ->
         if !is_float then
@@ -162,150 +160,140 @@ let lex_number st =
         else Token.INT (number st start Int64.of_string_opt text)
   end
 
+let rec keyword_or_ident text = function
+  | (k, tok) :: rest -> if String.equal k text then tok else keyword_or_ident text rest
+  | [] -> Token.IDENT text
+
 let lex_ident st =
   let start = st.pos in
-  while (match peek st with Some c -> is_ident_char c | None -> false) do
-    advance st
-  done;
-  let text = String.sub st.src start (st.pos - start) in
-  match List.assoc_opt text Token.keyword_table with
-  | Some kw -> kw
-  | None -> Token.IDENT text
+  st.pos <- ident_end st (start + 1);
+  let n = st.pos - start in
+  let text = String.sub st.src start n in
+  if n > max_keyword then Token.IDENT text
+  else keyword_or_ident text keywords.(bucket n (String.unsafe_get st.src start))
 
+(* the character an escape stands for, after its backslash *)
 let lex_char_escape st =
-  match peek st with
-  | Some 'n' -> advance st; '\n'
-  | Some 't' -> advance st; '\t'
-  | Some 'r' -> advance st; '\r'
-  | Some '\\' -> advance st; '\\'
-  | Some '\'' -> advance st; '\''
-  | Some '"' -> advance st; '"'
-  | Some '0' -> advance st; '\000'
-  | _ -> error st "unknown escape sequence"
+  let c =
+    match at st st.pos with
+    | 'n' -> '\n'
+    | 't' -> '\t'
+    | 'r' -> '\r'
+    | '\\' -> '\\'
+    | '\'' -> '\''
+    | '"' -> '"'
+    | '0' -> '\000'
+    | _ -> error st "unknown escape sequence"
+  in
+  st.pos <- st.pos + 1;
+  c
+
+(* the next character of a character or string literal, [\n] included *)
+let literal_char st c =
+  st.pos <- st.pos + 1;
+  if c = '\\' then lex_char_escape st
+  else begin
+    if c = '\n' then newline st;
+    c
+  end
+
+let lex_char st =
+  st.pos <- st.pos + 1;
+  if st.pos >= st.len then error st "unterminated character literal";
+  let ch = literal_char st (String.unsafe_get st.src st.pos) in
+  if at st st.pos <> '\'' then error st "unterminated character literal";
+  st.pos <- st.pos + 1;
+  Token.CHARLIT ch
+
+(* the body of a string literal, after its opening quote *)
+let rec string_body st buf =
+  if st.pos >= st.len then error st "unterminated string literal";
+  match String.unsafe_get st.src st.pos with
+  | '"' -> st.pos <- st.pos + 1
+  | c ->
+      Buffer.add_char buf (literal_char st c);
+      string_body st buf
+
+let lex_string st =
+  st.pos <- st.pos + 1;
+  let buf = Buffer.create 16 in
+  string_body st buf;
+  Token.STRINGLIT (Buffer.contents buf)
+
+let[@inline] single st t =
+  st.pos <- st.pos + 1;
+  t
+
+(* [one] when the byte after the current one is not [next]; else [two],
+   consuming both *)
+let[@inline] pair st next one two =
+  if at st (st.pos + 1) = next then (st.pos <- st.pos + 2; two)
+  else (st.pos <- st.pos + 1; one)
+
+let punct st c : Token.t =
+  let open Token in
+  match c with
+  | '(' -> single st LPAREN
+  | ')' -> single st RPAREN
+  | '{' -> single st LBRACE
+  | '}' -> single st RBRACE
+  | '[' -> pair st '[' LBRACKET DLBRACKET
+  | ']' -> pair st ']' RBRACKET DRBRACKET
+  | ';' -> single st SEMI
+  | ',' -> single st COMMA
+  | '.' -> single st DOT
+  | '?' -> single st QUESTION
+  | ':' -> single st COLON
+  | '@' -> single st AT
+  | '~' -> single st TILDE
+  | '=' -> (
+      match at st (st.pos + 1) with
+      | '>' -> st.pos <- st.pos + 2; CONNECT
+      | _ -> pair st '=' ASSIGN EQ)
+  | '!' -> pair st '=' BANG NE
+  | '<' -> (
+      match at st (st.pos + 1) with
+      | '<' -> st.pos <- st.pos + 2; SHL
+      | _ -> pair st '=' LT LE)
+  | '>' -> (
+      match at st (st.pos + 1) with
+      | '>' when at st (st.pos + 2) = '>' -> st.pos <- st.pos + 3; USHR
+      | '>' -> st.pos <- st.pos + 2; SHR
+      | _ -> pair st '=' GT GE)
+  | '+' -> (
+      match at st (st.pos + 1) with
+      | '+' -> st.pos <- st.pos + 2; PLUSPLUS
+      | _ -> pair st '=' PLUS PLUS_ASSIGN)
+  | '-' -> (
+      match at st (st.pos + 1) with
+      | '-' -> st.pos <- st.pos + 2; MINUSMINUS
+      | _ -> pair st '=' MINUS MINUS_ASSIGN)
+  | '*' -> pair st '=' STAR STAR_ASSIGN
+  | '/' -> pair st '=' SLASH SLASH_ASSIGN
+  | '%' -> single st PERCENT
+  | '&' -> pair st '&' AMP ANDAND
+  | '|' -> pair st '|' PIPE OROR
+  | '^' -> single st CARET
+  | c -> error st "unexpected character %C" c
 
 let lex_one st : Token.t =
-  let open Token in
-  match peek st with
-  | None -> EOF
-  | Some c when is_digit c -> lex_number st
-  | Some c when is_ident_start c -> lex_ident st
-  | Some '\'' ->
-      advance st;
-      let ch =
-        match peek st with
-        | Some '\\' ->
-            advance st;
-            lex_char_escape st
-        | Some c ->
-            advance st;
-            c
-        | None -> error st "unterminated character literal"
-      in
-      (match peek st with
-      | Some '\'' -> advance st
-      | _ -> error st "unterminated character literal");
-      CHARLIT ch
-  | Some '"' ->
-      advance st;
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek st with
-        | Some '"' -> advance st
-        | Some '\\' ->
-            advance st;
-            Buffer.add_char buf (lex_char_escape st);
-            go ()
-        | Some c ->
-            advance st;
-            Buffer.add_char buf c;
-            go ()
-        | None -> error st "unterminated string literal"
-      in
-      go ();
-      STRINGLIT (Buffer.contents buf)
-  | Some '(' -> advance st; LPAREN
-  | Some ')' -> advance st; RPAREN
-  | Some '{' -> advance st; LBRACE
-  | Some '}' -> advance st; RBRACE
-  | Some '[' ->
-      advance st;
-      if peek st = Some '[' then (advance st; DLBRACKET) else LBRACKET
-  | Some ']' ->
-      advance st;
-      if peek st = Some ']' then (advance st; DRBRACKET) else RBRACKET
-  | Some ';' -> advance st; SEMI
-  | Some ',' -> advance st; COMMA
-  | Some '.' -> advance st; DOT
-  | Some '?' -> advance st; QUESTION
-  | Some ':' -> advance st; COLON
-  | Some '@' -> advance st; AT
-  | Some '~' -> advance st; TILDE
-  | Some '=' ->
-      advance st;
-      (match peek st with
-      | Some '=' -> advance st; EQ
-      | Some '>' -> advance st; CONNECT
-      | _ -> ASSIGN)
-  | Some '!' ->
-      advance st;
-      if peek st = Some '=' then (advance st; NE) else BANG
-  | Some '<' ->
-      advance st;
-      (match peek st with
-      | Some '=' -> advance st; LE
-      | Some '<' -> advance st; SHL
-      | _ -> LT)
-  | Some '>' ->
-      advance st;
-      (match (peek st, peek2 st) with
-      | Some '=', _ -> advance st; GE
-      | Some '>', Some '>' ->
-          advance st;
-          advance st;
-          USHR
-      | Some '>', _ -> advance st; SHR
-      | _ -> GT)
-  | Some '+' ->
-      advance st;
-      (match peek st with
-      | Some '+' -> advance st; PLUSPLUS
-      | Some '=' -> advance st; PLUS_ASSIGN
-      | _ -> PLUS)
-  | Some '-' ->
-      advance st;
-      (match peek st with
-      | Some '-' -> advance st; MINUSMINUS
-      | Some '=' -> advance st; MINUS_ASSIGN
-      | _ -> MINUS)
-  | Some '*' ->
-      advance st;
-      if peek st = Some '=' then (advance st; STAR_ASSIGN) else STAR
-  | Some '/' ->
-      advance st;
-      if peek st = Some '=' then (advance st; SLASH_ASSIGN) else SLASH
-  | Some '%' -> advance st; PERCENT
-  | Some '&' ->
-      advance st;
-      if peek st = Some '&' then (advance st; ANDAND) else AMP
-  | Some '|' ->
-      advance st;
-      if peek st = Some '|' then (advance st; OROR) else PIPE
-  | Some '^' -> advance st; CARET
-  | Some c -> error st "unexpected character %C" c
+  if st.pos >= st.len then Token.EOF
+  else
+    match String.unsafe_get st.src st.pos with
+    | '0' .. '9' -> lex_number st
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' -> lex_ident st
+    | '\'' -> lex_char st
+    | '"' -> lex_string st
+    | c -> punct st c
+
+let rec lex_all st acc =
+  skip_trivia st;
+  let start_pos = cur_pos st in
+  let tok = lex_one st in
+  let loc = { Loc.source = st.name; start_pos; end_pos = cur_pos st } in
+  let acc = { tok; loc } :: acc in
+  match tok with Token.EOF -> List.rev acc | _ -> lex_all st acc
 
 (** Tokenize a full source string. *)
 let tokenize ?(name = "<inline>") src : located list =
-  let st = mk_state ~name src in
-  let rec go acc =
-    skip_trivia st;
-    let start = cur_pos st in
-    let tok = lex_one st in
-    let stop = cur_pos st in
-    let loc = Loc.make ~source:name ~start_pos:start ~end_pos:stop in
-    let item = { tok; loc } in
-    match tok with Token.EOF -> List.rev (item :: acc) | _ -> go (item :: acc)
-  in
-  go []
-
-(* Quiet the unused warning for peek3 which exists for future lookahead. *)
-let _ = peek3
+  lex_all { src; len = String.length src; name; pos = 0; line = 1; bol = 0 } []

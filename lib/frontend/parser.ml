@@ -23,61 +23,68 @@ open Ast
 (* Token stream with virtual bracket splitting and backtracking        *)
 (* ------------------------------------------------------------------ *)
 
+(* The stream walks the lexer's token list itself, and a mark is the list
+   cell to resume from.  The tokens are never copied into an array: an
+   array too large for the minor heap, seeded with a young token as a
+   list-to-array copy seeds it, makes OCaml 5 empty the minor heap first,
+   once per parse. *)
 type stream = {
-  toks : Lexer.located array;
-  mutable idx : int;
+  mutable toks : Lexer.located list;  (** the tokens not yet consumed *)
   mutable virtuals : Token.t list;
       (** tokens synthesized by splitting a fused bracket; consumed first *)
 }
 
-type mark = int * Token.t list
+type mark = Lexer.located list * Token.t list
 
-let of_tokens toks = { toks = Array.of_list toks; idx = 0; virtuals = [] }
+let of_tokens toks = { toks; virtuals = [] }
 
-let save st : mark = (st.idx, st.virtuals)
-let restore st ((i, v) : mark) =
-  st.idx <- i;
+let save st : mark = (st.toks, st.virtuals)
+let restore st ((t, v) : mark) =
+  st.toks <- t;
   st.virtuals <- v
 
-let cur_loc st =
-  if st.idx < Array.length st.toks then st.toks.(st.idx).loc else Loc.dummy
+let cur_loc st = match st.toks with l :: _ -> l.loc | [] -> Loc.dummy
 
 let peek st =
   match st.virtuals with
   | t :: _ -> t
-  | [] ->
-      if st.idx < Array.length st.toks then st.toks.(st.idx).tok else Token.EOF
+  | [] -> ( match st.toks with l :: _ -> l.tok | [] -> Token.EOF)
 
 let next st =
   match st.virtuals with
   | t :: rest ->
       st.virtuals <- rest;
       t
-  | [] ->
-      let t = peek st in
-      if st.idx < Array.length st.toks then st.idx <- st.idx + 1;
-      t
+  | [] -> (
+      match st.toks with
+      | l :: rest ->
+          st.toks <- rest;
+          l.tok
+      | [] -> Token.EOF)
 
 let err st fmt =
   Diag.error ~phase:Diag.Parser ~loc:(cur_loc st) fmt
 
+(* [accept], [expect] and the [peek st == Token.X] tests compare tokens
+   physically: every caller passes a constant constructor, an immediate
+   value, so [==] is structural equality without a polymorphic compare. *)
+let accept st tok = if peek st == tok then (ignore (next st); true) else false
+
 let expect st tok =
   let got = peek st in
   (* Allow a fused double bracket to satisfy a single-bracket expectation. *)
-  match (tok, got) with
-  | Token.LBRACKET, Token.DLBRACKET when st.virtuals = [] ->
+  match (tok, got, st.virtuals) with
+  | Token.LBRACKET, Token.DLBRACKET, [] ->
       ignore (next st);
       st.virtuals <- [ Token.LBRACKET ]
-  | Token.RBRACKET, Token.DRBRACKET when st.virtuals = [] ->
+  | Token.RBRACKET, Token.DRBRACKET, [] ->
       ignore (next st);
       st.virtuals <- [ Token.RBRACKET ]
   | _ ->
-      if got = tok then ignore (next st)
+      if got == tok then ignore (next st)
       else
         err st "expected '%s' but found '%s'" (Token.to_string tok)
           (Token.to_string got)
-
-let accept st tok = if peek st = tok then (ignore (next st); true) else false
 
 let expect_ident st =
   match peek st with
@@ -288,7 +295,7 @@ and parse_unary st =
     when
       (let m = save st in
        ignore (next st);
-       let is_reduce = peek st = Token.BANG in
+       let is_reduce = peek st == Token.BANG in
        restore st m;
        is_reduce) ->
       let op =
@@ -328,7 +335,7 @@ and parse_unary st =
          match prim_of_token (peek st) with
          | Some _ ->
              ignore (next st);
-             peek st = Token.RPAREN
+             peek st == Token.RPAREN
          | None -> false
        in
        restore st m;
@@ -348,7 +355,7 @@ and parse_postfix st =
     | Token.DOT ->
         ignore (next st);
         let name = expect_ident st in
-        if peek st = Token.LPAREN then begin
+        if peek st == Token.LPAREN then begin
           let args = parse_args st in
           go (mk ~loc:(Loc.merge e.eloc (cur_loc st)) (ECall (e, name, args)))
         end
@@ -413,7 +420,7 @@ and parse_primary st =
       (* array literal *)
       ignore (next st);
       let rec go acc =
-        if peek st = Token.RBRACE then begin
+        if peek st == Token.RBRACE then begin
           ignore (next st);
           List.rev acc
         end
@@ -444,7 +451,7 @@ and parse_primary st =
             match peek st with
             | Token.LBRACKET ->
                 ignore (next st);
-                if peek st = Token.RBRACKET then begin
+                if peek st == Token.RBRACKET then begin
                   ignore (next st);
                   dims := !dims @ [ DimDyn ];
                   trail_dyn ()
@@ -501,14 +508,14 @@ and parse_primary st =
       ignore (next st);
       let cls = expect_ident st in
       let ctor_args =
-        if peek st = Token.LPAREN then Some (parse_args st) else None
+        if peek st == Token.LPAREN then Some (parse_args st) else None
       in
       expect st Token.DOT;
       let meth = expect_ident st in
       mk ~loc (ETask { tr_class = cls; tr_ctor_args = ctor_args; tr_method = meth })
   | Token.IDENT s ->
       ignore (next st);
-      if peek st = Token.LPAREN then
+      if peek st == Token.LPAREN then
         (* unqualified call — to a method of the enclosing class; the type
            checker rewrites this into a qualified call *)
         let args = parse_args st in
@@ -554,13 +561,13 @@ let rec parse_stmt st : stmt =
       ignore (next st);
       expect st Token.LPAREN;
       let init =
-        if peek st = Token.SEMI then None else Some (parse_simple_stmt st)
+        if peek st == Token.SEMI then None else Some (parse_simple_stmt st)
       in
       expect st Token.SEMI;
-      let cond = if peek st = Token.SEMI then None else Some (parse_expr st) in
+      let cond = if peek st == Token.SEMI then None else Some (parse_expr st) in
       expect st Token.SEMI;
       let step =
-        if peek st = Token.RPAREN then None else Some (parse_simple_stmt st)
+        if peek st == Token.RPAREN then None else Some (parse_simple_stmt st)
       in
       expect st Token.RPAREN;
       let body = parse_stmt st in
@@ -592,9 +599,8 @@ and parse_simple_stmt st : stmt =
   let loc = cur_loc st in
   let is_decl =
     match peek st with
-    | t when prim_of_token t <> None -> true
     | Token.IDENT _ -> looks_like_vardecl st
-    | _ -> false
+    | t -> ( match prim_of_token t with Some _ -> true | None -> false)
   in
   if is_decl then begin
     let ty = parse_type st in
@@ -695,7 +701,7 @@ let parse_member st : [ `Field of field_decl | `Method of method_decl ] =
       `Method (parse_method_tail st ~mods ~ret:TVoid ~name:"<init>" ~loc)
   | _ ->
       let name = expect_ident st in
-      if peek st = Token.LPAREN then
+      if peek st == Token.LPAREN then
         `Method (parse_method_tail st ~mods ~ret:ty ~name ~loc)
       else begin
         let init =
@@ -733,7 +739,7 @@ let parse_class st : class_decl =
 
 let parse_program st : program =
   let rec go acc =
-    if peek st = Token.EOF then List.rev acc else go (parse_class st :: acc)
+    if peek st == Token.EOF then List.rev acc else go (parse_class st :: acc)
   in
   go []
 

@@ -83,6 +83,46 @@ let test_errors () =
   expect_lex_error "'a";
   expect_lex_error "/* unterminated"
 
+(* Goldens computed before the index-scanning lexer replaced the
+   per-character one: the new lexer must reproduce every token, every
+   location (offsets included) and every diagnostic of the old. *)
+
+module Corpus = Frontend_corpus
+
+let token_line (name, src) =
+  Corpus.digest
+    (fun (l : Lexer.located) ->
+      let exact =
+        match l.tok with
+        | Token.FLOAT f | Token.DOUBLE f -> Printf.sprintf " %h" f
+        | _ -> ""
+      in
+      Token.to_string l.tok ^ exact ^ " " ^ Corpus.loc_string l.loc)
+    (Lexer.tokenize ~name src)
+
+let test_golden_tokens () =
+  let sources = Corpus.registry_sources () @ Corpus.generated_sources () in
+  Alcotest.(check int) "sources" 222 (List.length sources);
+  Alcotest.(check string) "token digest" "d2202aeafa0c039697dedd2f1b7b5b67"
+    (Corpus.digest token_line sources)
+
+(* Each mutant either lexes, pinned by its token digest, or fails with a
+   lexer diagnostic, pinned by its text, span and offsets. *)
+let test_golden_diagnostics () =
+  let lexed, diags =
+    List.partition_map
+      (fun (name, src) ->
+        match Lime_support.Diag.protect (fun () -> token_line (name, src)) with
+        | Ok toks -> Left toks
+        | Error d -> Right (Corpus.diag_string d))
+      (Corpus.mutants ~seed:18 2000)
+  in
+  Alcotest.(check int) "lexer errors" 230 (List.length diags);
+  Alcotest.(check string) "diagnostic digest" "fd9083c1c7c8393bb8eaf179b55781f6"
+    (Corpus.digest Fun.id diags);
+  Alcotest.(check string) "lexed-mutant digest" "783bc113cfccb9edc8d40a10b77229d5"
+    (Corpus.digest Fun.id lexed)
+
 let () =
   Alcotest.run "lexer"
     [
@@ -98,5 +138,11 @@ let () =
           Alcotest.test_case "strings/chars" `Quick test_strings_chars;
           Alcotest.test_case "positions" `Quick test_positions;
           Alcotest.test_case "errors" `Quick test_errors;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "registry and generated tokens" `Quick
+            test_golden_tokens;
+          Alcotest.test_case "mutant diagnostics" `Quick test_golden_diagnostics;
         ] );
     ]

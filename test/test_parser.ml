@@ -167,6 +167,60 @@ let test_print_parse_stable () =
       Alcotest.(check string) ("fixpoint: " ^ src) once twice)
     srcs
 
+(* Goldens computed before the parser's token stream and token tests were
+   rewritten: every AST (locations included) and every diagnostic must stay
+   as it was.  An AST is pinned by its unshared marshalled bytes. *)
+
+module Corpus = Frontend_corpus
+
+let parse (name, src) =
+  Lime_support.Diag.protect (fun () -> Parser.program_of_string ~name src)
+
+let outcome_string = function
+  | Ok ast ->
+      "ast " ^ Digest.to_hex (Digest.string (Marshal.to_string ast [ Marshal.No_sharing ]))
+  | Error d -> Corpus.diag_string d
+
+let test_golden_asts () =
+  let sources = Corpus.registry_sources () @ Corpus.generated_sources () in
+  Alcotest.(check string) "AST digest" "2935431f202dcde380f0cb7189ca956b"
+    (Corpus.digest (fun s -> outcome_string (parse s)) sources)
+
+let test_golden_diagnostics () =
+  let outcomes = List.map parse (Corpus.mutants ~seed:18 2000) in
+  let parser_errors =
+    List.filter
+      (function Error d -> d.Lime_support.Diag.phase = Parser | Ok _ -> false)
+      outcomes
+  in
+  Alcotest.(check int) "parser errors" 1413 (List.length parser_errors);
+  Alcotest.(check string) "outcome digest" "694b28deed07c4d3fbeefb0be0ca3212"
+    (Corpus.digest outcome_string outcomes)
+
+(* [Array.of_list] on freshly lexed tokens once forced a full minor
+   collection on every parse: a young first element seeding an array too
+   large for the minor heap.  Lexing and parsing the largest registry
+   source allocates far less than the default minor heap, so from an
+   empty minor heap neither may collect. *)
+let test_no_minor_gc () =
+  let minor_heap = (Gc.get ()).minor_heap_size in
+  if minor_heap < 262_144 then
+    Printf.printf "skipped: minor heap is %d words, below the default 256k\n"
+      minor_heap
+  else begin
+    let src =
+      List.fold_left
+        (fun a (_, s) -> if String.length s > String.length a then s else a)
+        "" (Corpus.registry_sources ())
+    in
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).minor_collections in
+    let ast = Parser.program_of_tokens (Lexer.tokenize src) in
+    let after = (Gc.quick_stat ()).minor_collections in
+    ignore (Sys.opaque_identity ast);
+    Alcotest.(check int) "minor collections" before after
+  end
+
 let () =
   Alcotest.run "parser"
     [
@@ -187,4 +241,10 @@ let () =
       ( "errors", [ Alcotest.test_case "rejects" `Quick test_errors ] );
       ( "stability",
         [ Alcotest.test_case "print-parse fixpoint" `Quick test_print_parse_stable ] );
+      ( "golden",
+        [
+          Alcotest.test_case "registry and generated ASTs" `Quick test_golden_asts;
+          Alcotest.test_case "mutant diagnostics" `Quick test_golden_diagnostics;
+          Alcotest.test_case "no minor GC per parse" `Quick test_no_minor_gc;
+        ] );
     ]
