@@ -75,6 +75,16 @@ if grep -rn --include='*.ml' \
   exit 1
 fi
 
+echo "== interpreter: scalar helpers inline =="
+# dune's dev profile (which perfbench builds) compiles with -opaque, so a
+# call to Value.f32 or Value.i32 is never inlined and boxes its float;
+# the interpreter uses its own copies
+if grep -n -e 'Value\.\(f32\|i32\)\b' -e 'open Value\b' -e 'Value\.(' \
+     lib/ir/interp.ml; then
+  echo "FAIL: lib/ir/interp.ml calls Value.f32/Value.i32; use its local f32/i32"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 

@@ -6,13 +6,20 @@
 
     Each {!Ir.func} is compiled to OCaml closures the first time it is
     called on a {!state}, and the compiled code is cached in that state.
-    Every local name of a function gets one slot of a flat per-call array
-    (the function's single scope); an unset slot holds a sentinel, so a
-    read before the declaration still fails as an unbound variable.  Calls
-    resolve to per-state function records and statics to their cells when
-    the caller is compiled.  [return], [break] and [continue] are status
-    codes returned by compiled statements, not exceptions.  Operands are
-    evaluated left to right, as in Java (JLS §15.7.1).
+    A call runs on a typed frame: a local whose binding sites all give it
+    one scalar type other than [long], and that is bound before every
+    read on every path, lives unboxed in a float or an int array; every
+    other local has a slot of a [Value.t] array, where an unset slot holds
+    a sentinel, so a read before the declaration still fails as an
+    unbound variable.  Operators read slots and constants in place rather
+    than through a closure, and a float subexpression leaves its result
+    in a frame slot of its own instead of returning a boxed float.
+    Arguments go straight into the callee's slots, and a function's frames
+    are reused from call to call.  Calls resolve to per-state function
+    records and statics to their cells when the caller is compiled.
+    [return], [break] and [continue] are status codes returned by
+    compiled statements, not exceptions.  Operands are evaluated left to
+    right, as in Java (JLS §15.7.1).
 
     The interpreter accumulates {!Counters} modelling the dynamic operation
     mix (ALU ops, memory traffic, transcendental calls, bounds checks,
@@ -100,10 +107,11 @@ let diff_counters a b =
 (* Interpreter state                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A call's locals: slot 0 holds the receiver ([VObj], or [VUnit] in a
-   static call), slot 1 the value of the last [return], and every local
-   name of the function one slot from 2 on, its parameters first. *)
-type slots = Value.t array
+(* A call's frame.  [v] holds the receiver in slot 0 ([VObj], or [VUnit]
+   in a static call), the value of the last [return] in slot 1 and the
+   boxed locals from 2 on; [d] and [n] hold the unboxed float and int
+   locals, and [d] also one temporary per float subexpression. *)
+type frame = { v : Value.t array; d : float array; n : int array }
 
 let slot_this = 0
 let slot_ret = 1
@@ -115,16 +123,38 @@ let s_break = 1
 let s_continue = 2
 let s_return = 3
 
+(* Where a local lives: a slot of [v], or an unboxed slot of [d] (with
+   the scalar that picks [VFloat] or [VDouble]) or of [n]. *)
+type loc = Boxed of int | Flt of Ir.scalar * int | Int of int
+
+type layout = {
+  locs : (string, loc) Hashtbl.t;
+  params : loc array;
+  nv : int;  (** boxed slots, receiver and return value included *)
+  nd : int;  (** float locals; temporaries are numbered after them *)
+  nn : int;
+}
+
+type body = {
+  run : frame -> int;
+  bv : int;  (** frame sizes: [v], [d] (temporaries included), [n] *)
+  bd : int;
+  bn : int;
+  mutable free : frame array;  (** frames of finished calls, for reuse *)
+  mutable nfree : int;
+}
+
 type fn = {
   fn_ir : Ir.func;
-  mutable fn_code : (int * (slots -> int)) option;
-      (** slot count and body, once compiled *)
+  fn_layout : layout Lazy.t;
+  mutable fn_code : body option;  (** once compiled *)
 }
 
 type code = {
   fns : (string, fn) Hashtbl.t;  (** by qualified name *)
-  field_inits : (string, (string * (slots -> Value.t)) list) Hashtbl.t;
-      (** compiled instance field initializers, by class *)
+  field_inits : (string, (string * (frame -> Value.t)) list * int) Hashtbl.t;
+      (** compiled instance field initializers and the float slots they
+          need, by class *)
 }
 
 type state = {
@@ -149,6 +179,15 @@ let default_value (t : Ir.ty) : Value.t =
 (* Scalar operations (with Java / OpenCL numeric semantics)            *)
 (* ------------------------------------------------------------------ *)
 
+(* Copies of [f32] and [i32] from [Value]: dune's dev profile compiles
+   with -opaque, under which a call to another module's [f32] is never
+   inlined and boxes its argument and its result. *)
+let[@inline] f32 (x : float) = Int32.float_of_bits (Int32.bits_of_float x)
+
+let[@inline] i32 (x : int) =
+  let v = x land 0xFFFFFFFF in
+  if v land 0x80000000 <> 0 then v - 0x1_0000_0000 else v
+
 let as_int = function
   | Value.VInt i -> i
   | Value.VLong l -> Int64.to_int l
@@ -168,168 +207,170 @@ let as_arr = function
   | Value.VArr a -> a
   | v -> fail "expected an array, found %s" (Value.to_string v)
 
+let as_long = function
+  | Value.VLong l -> l
+  | Value.VInt i -> Int64.of_int i
+  | _ -> fail "long"
+
+let v_false = Value.VInt 0
+let v_true = Value.VInt 1
+let of_bool b = if b then v_true else v_false
+
+(* a float result of scalar [s]: rounded and boxed as [VFloat] for
+   [SFloat], [VDouble] otherwise *)
+let box_float s x =
+  if s = Ir.SFloat then Value.VFloat (f32 x) else Value.VDouble x
+
 let eval_binop (op : binop) (s : Ir.scalar) (a : Value.t) (b : Value.t) :
     Value.t =
-  let open Value in
   match s with
-  | Ir.SFloat | Ir.SDouble ->
+  | Ir.SFloat | Ir.SDouble -> (
       let x = as_float a and y = as_float b in
-      let wrap r = if s = Ir.SFloat then VFloat (f32 r) else VDouble r in
-      (match op with
-      | Add -> wrap (x +. y)
-      | Sub -> wrap (x -. y)
-      | Mul -> wrap (x *. y)
-      | Div -> wrap (x /. y)
-      | Mod -> wrap (Float.rem x y)
-      | Lt -> VInt (if x < y then 1 else 0)
-      | Le -> VInt (if x <= y then 1 else 0)
-      | Gt -> VInt (if x > y then 1 else 0)
-      | Ge -> VInt (if x >= y then 1 else 0)
-      | Eq -> VInt (if x = y then 1 else 0)
-      | Ne -> VInt (if x <> y then 1 else 0)
+      match op with
+      | Add -> box_float s (x +. y)
+      | Sub -> box_float s (x -. y)
+      | Mul -> box_float s (x *. y)
+      | Div -> box_float s (x /. y)
+      | Mod -> box_float s (Float.rem x y)
+      | Lt -> of_bool (x < y)
+      | Le -> of_bool (x <= y)
+      | Gt -> of_bool (x > y)
+      | Ge -> of_bool (x >= y)
+      | Eq -> of_bool (x = y)
+      | Ne -> of_bool (x <> y)
       | _ -> fail "invalid float operation %s" (binop_name op))
-  | Ir.SLong ->
-      let x =
-        match a with VLong l -> l | VInt i -> Int64.of_int i | _ -> fail "long"
-      and y =
-        match b with VLong l -> l | VInt i -> Int64.of_int i | _ -> fail "long"
-      in
+  | Ir.SLong -> (
+      let x = as_long a and y = as_long b in
+      let long l = Value.VLong l in
       let open Int64 in
-      (match op with
-      | Add -> VLong (add x y)
-      | Sub -> VLong (sub x y)
-      | Mul -> VLong (mul x y)
-      | Div ->
-          if equal y 0L then fail "division by zero" else VLong (div x y)
-      | Mod ->
-          if equal y 0L then fail "division by zero" else VLong (rem x y)
-      | Lt -> VInt (if compare x y < 0 then 1 else 0)
-      | Le -> VInt (if compare x y <= 0 then 1 else 0)
-      | Gt -> VInt (if compare x y > 0 then 1 else 0)
-      | Ge -> VInt (if compare x y >= 0 then 1 else 0)
-      | Eq -> VInt (if equal x y then 1 else 0)
-      | Ne -> VInt (if equal x y then 0 else 1)
-      | BitAnd -> VLong (logand x y)
-      | BitOr -> VLong (logor x y)
-      | BitXor -> VLong (logxor x y)
-      | Shl -> VLong (shift_left x (to_int y land 63))
-      | Shr -> VLong (shift_right x (to_int y land 63))
-      | Ushr -> VLong (shift_right_logical x (to_int y land 63))
+      match op with
+      | Add -> long (add x y)
+      | Sub -> long (sub x y)
+      | Mul -> long (mul x y)
+      | Div -> if equal y 0L then fail "division by zero" else long (div x y)
+      | Mod -> if equal y 0L then fail "division by zero" else long (rem x y)
+      | Lt -> of_bool (compare x y < 0)
+      | Le -> of_bool (compare x y <= 0)
+      | Gt -> of_bool (compare x y > 0)
+      | Ge -> of_bool (compare x y >= 0)
+      | Eq -> of_bool (equal x y)
+      | Ne -> of_bool (not (equal x y))
+      | BitAnd -> long (logand x y)
+      | BitOr -> long (logor x y)
+      | BitXor -> long (logxor x y)
+      | Shl -> long (shift_left x (to_int y land 63))
+      | Shr -> long (shift_right x (to_int y land 63))
+      | Ushr -> long (shift_right_logical x (to_int y land 63))
       | And | Or -> fail "logical op on long")
-  | Ir.SBool ->
+  | Ir.SBool -> (
       let x = as_bool a and y = as_bool b in
-      (match op with
-      | And -> VInt (if x && y then 1 else 0)
-      | Or -> VInt (if x || y then 1 else 0)
-      | Eq -> VInt (if x = y then 1 else 0)
-      | Ne -> VInt (if x <> y then 1 else 0)
+      match op with
+      | And -> of_bool (x && y)
+      | Or -> of_bool (x || y)
+      | Eq -> of_bool (x = y)
+      | Ne -> of_bool (x <> y)
       | _ -> fail "invalid boolean operation %s" (binop_name op))
-  | Ir.SInt | Ir.SByte | Ir.SChar ->
+  | Ir.SInt | Ir.SByte | Ir.SChar -> (
       let x = as_int a and y = as_int b in
-      (match op with
-      | Add -> VInt (i32 (x + y))
-      | Sub -> VInt (i32 (x - y))
-      | Mul -> VInt (i32 (x * y))
-      | Div -> if y = 0 then fail "division by zero" else VInt (i32 (x / y))
-      | Mod -> if y = 0 then fail "division by zero" else VInt (i32 (x mod y))
-      | Lt -> VInt (if x < y then 1 else 0)
-      | Le -> VInt (if x <= y then 1 else 0)
-      | Gt -> VInt (if x > y then 1 else 0)
-      | Ge -> VInt (if x >= y then 1 else 0)
-      | Eq -> VInt (if x = y then 1 else 0)
-      | Ne -> VInt (if x <> y then 1 else 0)
-      | BitAnd -> VInt (x land y)
-      | BitOr -> VInt (x lor y)
-      | BitXor -> VInt (x lxor y)
-      | Shl -> VInt (i32 (x lsl (y land 31)))
-      | Shr -> VInt (x asr (y land 31))
-      | Ushr -> VInt (i32 ((x land 0xFFFFFFFF) lsr (y land 31)))
+      let int i = Value.VInt i in
+      match op with
+      | Add -> int (i32 (x + y))
+      | Sub -> int (i32 (x - y))
+      | Mul -> int (i32 (x * y))
+      | Div -> if y = 0 then fail "division by zero" else int (i32 (x / y))
+      | Mod -> if y = 0 then fail "division by zero" else int (i32 (x mod y))
+      | Lt -> of_bool (x < y)
+      | Le -> of_bool (x <= y)
+      | Gt -> of_bool (x > y)
+      | Ge -> of_bool (x >= y)
+      | Eq -> of_bool (x = y)
+      | Ne -> of_bool (x <> y)
+      | BitAnd -> int (x land y)
+      | BitOr -> int (x lor y)
+      | BitXor -> int (x lxor y)
+      | Shl -> int (i32 (x lsl (y land 31)))
+      | Shr -> int (x asr (y land 31))
+      | Ushr -> int (i32 ((x land 0xFFFFFFFF) lsr (y land 31)))
       | And | Or -> fail "logical op on int")
 
+let long_only = function Value.VLong l -> l | _ -> fail "long"
+
 let eval_unop (op : unop) (s : Ir.scalar) (a : Value.t) : Value.t =
-  let open Value in
   match (op, s) with
-  | Neg, Ir.SFloat -> VFloat (f32 (-.as_float a))
-  | Neg, Ir.SDouble -> VDouble (-.as_float a)
-  | Neg, Ir.SLong ->
-      VLong (Int64.neg (match a with VLong l -> l | _ -> fail "long"))
-  | Neg, _ -> VInt (i32 (-as_int a))
-  | Not, _ -> VInt (if as_bool a then 0 else 1)
-  | BitNot, Ir.SLong ->
-      VLong (Int64.lognot (match a with VLong l -> l | _ -> fail "long"))
-  | BitNot, _ -> VInt (i32 (lnot (as_int a)))
+  | Neg, (Ir.SFloat | Ir.SDouble) -> box_float s (-.as_float a)
+  | Neg, Ir.SLong -> Value.VLong (Int64.neg (long_only a))
+  | Neg, _ -> Value.VInt (i32 (-as_int a))
+  | Not, _ -> Value.VInt (if as_bool a then 0 else 1)
+  | BitNot, Ir.SLong -> Value.VLong (Int64.lognot (long_only a))
+  | BitNot, _ -> Value.VInt (i32 (lnot (as_int a)))
+
+(* the int a float truncates to under a cast *)
+let[@inline] trunc f = i32 (int_of_float (Float.of_int (int_of_float f)))
 
 let eval_cast (dst : Ir.scalar) (_src : Ir.scalar) (v : Value.t) : Value.t =
-  let open Value in
   match dst with
-  | Ir.SFloat -> VFloat (f32 (as_float v))
-  | Ir.SDouble -> VDouble (as_float v)
+  | Ir.SFloat | Ir.SDouble -> box_float dst (as_float v)
   | Ir.SLong -> (
       match v with
-      | VLong l -> VLong l
-      | VInt i -> VLong (Int64.of_int i)
-      | VFloat f | VDouble f -> VLong (Int64.of_float f)
+      | Value.VLong l -> Value.VLong l
+      | Value.VInt i -> Value.VLong (Int64.of_int i)
+      | Value.VFloat f | Value.VDouble f -> Value.VLong (Int64.of_float f)
       | _ -> fail "cast to long")
   | Ir.SInt -> (
       match v with
-      | VInt i -> VInt (i32 i)
-      | VLong l -> VInt (i32 (Int64.to_int l))
-      | VFloat f | VDouble f ->
-          VInt (i32 (int_of_float (Float.of_int (int_of_float f))))
+      | Value.VInt i -> Value.VInt (i32 i)
+      | Value.VLong l -> Value.VInt (i32 (Int64.to_int l))
+      | Value.VFloat f | Value.VDouble f -> Value.VInt (trunc f)
       | _ -> fail "cast to int")
-  | Ir.SByte -> VInt (i8 (as_int v))
-  | Ir.SChar -> VInt (u16 (as_int v))
-  | Ir.SBool -> VInt (if as_bool v then 1 else 0)
+  | Ir.SByte -> Value.VInt (Value.i8 (as_int v))
+  | Ir.SChar -> Value.VInt (Value.u16 (as_int v))
+  | Ir.SBool -> Value.VInt (if as_bool v then 1 else 0)
+
+(* The float builtins of one and two arguments; [apply1] and [apply2]
+   give their exact results before single-precision rounding. *)
+let float_builtin1 = function
+  | B.BSqrt | B.BRsqrt | B.BSin | B.BCos | B.BTan | B.BExp | B.BLog
+  | B.BFloor | B.BCeil ->
+      true
+  | _ -> false
+
+let[@inline] apply1 (b : B.builtin) x =
+  match b with
+  | B.BSqrt -> sqrt x
+  | B.BRsqrt -> 1.0 /. sqrt x
+  | B.BSin -> sin x
+  | B.BCos -> cos x
+  | B.BTan -> tan x
+  | B.BExp -> exp x
+  | B.BLog -> log x
+  | B.BFloor -> Float.floor x
+  | _ -> Float.ceil x
+
+let[@inline] apply2 (b : B.builtin) x y =
+  match b with B.BPow -> x ** y | _ -> atan2 x y
 
 let eval_intrinsic (b : B.builtin) (s : Ir.scalar) (args : Value.t list)
     (st : state) : Value.t =
-  let open Value in
-  let wrap r = if s = Ir.SFloat then VFloat (f32 r) else VDouble r in
-  let f1 g = match args with [ a ] -> wrap (g (as_float a)) | _ -> fail "arity" in
-  let f2 g =
-    match args with
-    | [ a; b ] -> wrap (g (as_float a) (as_float b))
-    | _ -> fail "arity"
-  in
-  match b with
-  | B.BSqrt -> f1 sqrt
-  | B.BSin -> f1 sin
-  | B.BCos -> f1 cos
-  | B.BTan -> f1 tan
-  | B.BExp -> f1 exp
-  | B.BLog -> f1 log
-  | B.BFloor -> f1 Float.floor
-  | B.BCeil -> f1 Float.ceil
-  | B.BRsqrt -> f1 (fun x -> 1.0 /. sqrt x)
-  | B.BPow -> f2 ( ** )
-  | B.BAtan2 -> f2 atan2
-  | B.BAbs -> (
-      match (args, s) with
-      | [ VInt i ], _ -> VInt (abs i)
-      | [ VLong l ], _ -> VLong (Int64.abs l)
-      | [ v ], Ir.SFloat -> VFloat (f32 (Float.abs (as_float v)))
-      | [ v ], _ -> VDouble (Float.abs (as_float v))
-      | _ -> fail "arity")
-  | B.BMin -> (
-      match (args, s) with
-      | [ VInt a; VInt b ], _ -> VInt (min a b)
-      | [ VLong a; VLong b ], _ -> VLong (if Int64.compare a b <= 0 then a else b)
-      | [ a; b ], Ir.SFloat -> VFloat (f32 (Float.min (as_float a) (as_float b)))
-      | [ a; b ], _ -> VDouble (Float.min (as_float a) (as_float b))
-      | _ -> fail "arity")
-  | B.BMax -> (
-      match (args, s) with
-      | [ VInt a; VInt b ], _ -> VInt (max a b)
-      | [ VLong a; VLong b ], _ -> VLong (if Int64.compare a b >= 0 then a else b)
-      | [ a; b ], Ir.SFloat -> VFloat (f32 (Float.max (as_float a) (as_float b)))
-      | [ a; b ], _ -> VDouble (Float.max (as_float a) (as_float b))
-      | _ -> fail "arity")
-  | B.BPrint ->
-      (match args with
-      | [ v ] -> st.print_hook (Value.to_string v)
-      | _ -> fail "arity");
-      VUnit
-  | B.BRange | B.BToValue -> fail "internal: range/toValue as intrinsic"
+  match (b, args) with
+  | _, [ a ] when float_builtin1 b -> box_float s (apply1 b (as_float a))
+  | (B.BPow | B.BAtan2), [ a; c ] ->
+      box_float s (apply2 b (as_float a) (as_float c))
+  | B.BAbs, [ Value.VInt i ] -> Value.VInt (abs i)
+  | B.BAbs, [ Value.VLong l ] -> Value.VLong (Int64.abs l)
+  | B.BAbs, [ v ] -> box_float s (Float.abs (as_float v))
+  | B.BMin, [ Value.VInt a; Value.VInt c ] -> Value.VInt (min a c)
+  | B.BMin, [ Value.VLong a; Value.VLong c ] ->
+      Value.VLong (if Int64.compare a c <= 0 then a else c)
+  | B.BMin, [ a; c ] -> box_float s (Float.min (as_float a) (as_float c))
+  | B.BMax, [ Value.VInt a; Value.VInt c ] -> Value.VInt (max a c)
+  | B.BMax, [ Value.VLong a; Value.VLong c ] ->
+      Value.VLong (if Int64.compare a c >= 0 then a else c)
+  | B.BMax, [ a; c ] -> box_float s (Float.max (as_float a) (as_float c))
+  | B.BPrint, [ v ] ->
+      st.print_hook (Value.to_string v);
+      Value.VUnit
+  | (B.BRange | B.BToValue), _ -> fail "internal: range/toValue as intrinsic"
+  | _ -> fail "arity"
 
 (* ------------------------------------------------------------------ *)
 (* Counting helpers                                                    *)
@@ -383,42 +424,192 @@ let resolve_shape (aty : Ir.aty) (sizes : int list) : int array =
   shape
 
 (* ------------------------------------------------------------------ *)
-(* Compilation to closures                                             *)
+(* Frames                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The contents of a slot not yet assigned in this call.  It is compared
-   by address only: reading it is an unbound variable. *)
+(* The contents of a boxed slot not yet assigned in this call.  It is
+   compared by address only: reading it is an unbound variable. *)
 let unset = Value.VObj { Value.cls = "<unset>"; fields = Hashtbl.create 1 }
 
 let unbound v = fail "unbound variable '%s'" v
-let v_false = Value.VInt 0
-let v_true = Value.VInt 1
-let of_bool b = if b then v_true else v_false
 
-(* Slot numbers of every name a function body binds. *)
-let scope_of (params : string list) (body : Ir.stmt list) :
-    (string, int) Hashtbl.t =
-  let sc = Hashtbl.create 16 in
-  let bind v =
-    if not (Hashtbl.mem sc v) then Hashtbl.add sc v (2 + Hashtbl.length sc)
+module S = Set.Make (String)
+
+type kind = KInt | KFloat of Ir.scalar
+
+(* What the binding sites of a name say so far. *)
+type verdict = Untyped | Kind of kind | Mixed
+
+let kind_of_ty = function
+  | Ir.TScalar ((Ir.SFloat | Ir.SDouble) as s) -> Some (KFloat s)
+  | Ir.TScalar (Ir.SInt | Ir.SByte | Ir.SChar | Ir.SBool) -> Some KInt
+  | _ -> None
+
+(* A local is unboxed when every binding site that states a type (a
+   parameter, a declaration, a loop index, a reduction's destination)
+   states the same scalar kind other than [long], and every read of it
+   follows a binding on every path; then no read can find its slot
+   unassigned, so it needs no sentinel and a reused frame needs no reset.
+   Bindings inside an [if] arm, a loop body or an inline block do not
+   count after it.  Every other name keeps a boxed slot, so a read before
+   its declaration is still an unbound variable. *)
+let layout_of (fn : Ir.func) : layout =
+  let verdicts = Hashtbl.create 16 and order = ref [] in
+  let set v x =
+    if not (Hashtbl.mem verdicts v) then order := v :: !order;
+    Hashtbl.replace verdicts v x
   in
-  List.iter bind params;
-  let stmt = function
-    | Ir.SDecl (v, _, _) | Ir.SAssign (Ir.LVar v, _) | Ir.SFor (v, _, _, _)
-    | Ir.SInlineBlock (v, _) ->
-        bind v
-    | Ir.SParFor p -> bind p.Ir.pf_var
-    | Ir.SReduce r -> bind r.Ir.rd_dst
-    | _ -> ()
+  let bind v = if not (Hashtbl.mem verdicts v) then set v Untyped in
+  let typed v t =
+    set v
+      (match (kind_of_ty t, Hashtbl.find_opt verdicts v) with
+      | Some k, (None | Some Untyped) -> Kind k
+      | Some k, Some (Kind k') when k = k' -> Kind k
+      | _ -> Mixed)
   in
-  List.iter (Ir.iter_stmt ~stmt ~expr:ignore) body;
-  sc
+  let read bound e =
+    Ir.iter_expr
+      (function Ir.Var v when not (S.mem v bound) -> set v Mixed | _ -> ())
+      e
+  in
+  let int_ty = Ir.TScalar Ir.SInt in
+  let rec block bound ss = List.fold_left stmt bound ss
+  and nested bound ss = ignore (block bound ss)
+  and stmt bound (s : Ir.stmt) =
+    match s with
+    | Ir.SDecl (v, t, init) ->
+        Option.iter (read bound) init;
+        typed v t;
+        S.add v bound
+    | Ir.SAssign (Ir.LVar v, e) ->
+        read bound e;
+        bind v;
+        S.add v bound
+    | Ir.SAssign (Ir.LField (r, _), e) ->
+        read bound r;
+        read bound e;
+        bound
+    | Ir.SAssign (Ir.LStatic _, e) | Ir.SExpr e | Ir.SReturn (Some e) ->
+        read bound e;
+        bound
+    | Ir.SArrStore (b, idx, x) ->
+        List.iter (read bound) ((b :: idx) @ [ x ]);
+        bound
+    | Ir.SIf (c, a, b) ->
+        read bound c;
+        nested bound a;
+        nested bound b;
+        bound
+    | Ir.SWhile (c, b) ->
+        read bound c;
+        nested bound b;
+        bound
+    | Ir.SFor (v, lo, hi, b) ->
+        read bound lo;
+        read bound hi;
+        typed v int_ty;
+        nested (S.add v bound) b;
+        bound
+    | Ir.SParFor p ->
+        read bound p.Ir.pf_count;
+        typed p.Ir.pf_var int_ty;
+        nested (S.add p.Ir.pf_var bound) p.Ir.pf_body;
+        bound
+    | Ir.SReduce r ->
+        read bound r.Ir.rd_arr;
+        typed r.Ir.rd_dst (Ir.TScalar r.Ir.rd_scalar);
+        S.add r.Ir.rd_dst bound
+    | Ir.SInlineBlock (res, b) ->
+        bind res;
+        nested bound b;
+        bound
+    | Ir.SFinish (g, n) ->
+        read bound g;
+        Option.iter (read bound) n;
+        bound
+    | Ir.SReturn None | Ir.SBreak | Ir.SContinue -> bound
+  in
+  List.iter (fun (p, t) -> typed p t) fn.Ir.fn_params;
+  nested (S.of_list (List.map fst fn.Ir.fn_params)) fn.Ir.fn_body;
+  let nv = ref 2 and nd = ref 0 and nn = ref 0 in
+  let next r =
+    let k = !r in
+    incr r;
+    k
+  in
+  let locs = Hashtbl.create 16 in
+  List.iter
+    (fun v ->
+      Hashtbl.replace locs v
+        (match Hashtbl.find verdicts v with
+        | Kind (KFloat s) -> Flt (s, next nd)
+        | Kind KInt -> Int (next nn)
+        | Untyped | Mixed -> Boxed (next nv)))
+    (List.rev !order);
+  {
+    locs;
+    params =
+      Array.of_list
+        (List.map (fun (p, _) -> Hashtbl.find locs p) fn.Ir.fn_params);
+    nv = !nv;
+    nd = !nd;
+    nn = !nn;
+  }
 
-let checked name (v : Value.t) = if v == unset then unbound name else v
+let acquire (b : body) =
+  if b.nfree = 0 then
+    {
+      v = Array.make b.bv unset;
+      d = Array.make b.bd 0.0;
+      n = Array.make b.bn 0;
+    }
+  else begin
+    b.nfree <- b.nfree - 1;
+    b.free.(b.nfree)
+  end
 
-(* Array accesses.  The fast paths cover in-bounds cells of rank-1 and
-   rank-2 arrays and row views; everything else, errors included, goes
-   through [Value] so the messages stay those of [Value.Bounds]. *)
+(* Only the boxed part is reset: an unboxed slot is always written before
+   it is read.  A frame whose call raised is never released. *)
+let release (b : body) fr =
+  Array.fill fr.v 0 b.bv unset;
+  if b.nfree = Array.length b.free then begin
+    let free = Array.make ((2 * b.nfree) + 1) fr in
+    Array.blit b.free 0 free 0 b.nfree;
+    b.free <- free
+  end;
+  b.free.(b.nfree) <- fr;
+  b.nfree <- b.nfree + 1
+
+(* Run a call's body on its frame and hand the frame back. *)
+let call_body (b : body) fr =
+  let r = if b.run fr = s_return then fr.v.(slot_ret) else Value.VUnit in
+  release b fr;
+  r
+
+(* Store a value in a local, unboxing it for a typed slot. *)
+let bind_value fr loc (x : Value.t) =
+  match loc with
+  | Boxed k -> fr.v.(k) <- x
+  | Flt (_, k) ->
+      fr.d.(k) <-
+        (match x with Value.VFloat y | Value.VDouble y -> y | _ -> as_float x)
+  | Int k -> fr.n.(k) <- (match x with Value.VInt i -> i | _ -> as_int x)
+
+(* Bind a loop index. *)
+let[@inline] set_index fr loc i =
+  match loc with Int k -> fr.n.(k) <- i | _ -> bind_value fr loc (Value.VInt i)
+
+(* A frame for code outside any function: field and static initializers. *)
+let init_frame this nd =
+  { v = [| this; Value.VUnit |]; d = Array.make nd 0.0; n = [||] }
+
+(* ------------------------------------------------------------------ *)
+(* Array accesses                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The fast paths cover in-bounds cells of rank-1 and rank-2 arrays and
+   row views; everything else, errors included, goes through [Value] so
+   the messages stay those of [Value.Bounds]. *)
 let load_slow a is =
   try Value.index a is with Value.Bounds m -> fail "array access: %s" m
 
@@ -430,23 +621,29 @@ let cell (a : Value.arr) k : Value.t =
       if a.Value.elem = Ir.SFloat then Value.VFloat b.(k)
       else Value.VDouble b.(k)
 
-let load1 (a : Value.arr) i : Value.t =
-  let open Value in
-  if i < 0 || Array.length a.shape = 0 || i >= a.shape.(0) then
-    load_slow a [ i ]
-  else if Array.length a.shape > 1 then VArr (view a i)
-  else cell a (a.offset + (i * a.strides.(0)))
+(* The flat index of in-bounds cell [i] of a rank-1 array, or -1. *)
+let[@inline] flat1 (a : Value.arr) i =
+  if Array.length a.Value.shape = 1 && i >= 0 && i < a.Value.shape.(0) then
+    a.Value.offset + (i * a.Value.strides.(0))
+  else -1
 
-let in_bounds2 (a : Value.arr) i j =
-  let open Value in
-  Array.length a.shape = 2
-  && i >= 0 && i < a.shape.(0) && j >= 0 && j < a.shape.(1)
+let[@inline] flat2 (a : Value.arr) i j =
+  if
+    Array.length a.Value.shape = 2
+    && i >= 0 && i < a.Value.shape.(0) && j >= 0 && j < a.Value.shape.(1)
+  then a.Value.offset + (i * a.Value.strides.(0)) + (j * a.Value.strides.(1))
+  else -1
+
+let load1 (a : Value.arr) i : Value.t =
+  let k = flat1 a i in
+  if k >= 0 then cell a k
+  else if i < 0 || Array.length a.Value.shape = 0 || i >= a.Value.shape.(0)
+  then load_slow a [ i ]
+  else Value.VArr (Value.view a i)
 
 let load2 (a : Value.arr) i j : Value.t =
-  let open Value in
-  if in_bounds2 a i j then
-    cell a (a.offset + (i * a.strides.(0)) + (j * a.strides.(1)))
-  else load_slow a [ i; j ]
+  let k = flat2 a i j in
+  if k >= 0 then cell a k else load_slow a [ i; j ]
 
 let store_slow a is v =
   try Value.store a is v with Value.Bounds m -> fail "array store: %s" m
@@ -462,22 +659,100 @@ let set_cell (a : Value.arr) k (v : Value.t) =
       true
   | _ -> false
 
-let store1 (a : Value.arr) i (v : Value.t) =
-  let open Value in
-  if
-    i < 0
-    || Array.length a.shape <> 1
-    || i >= a.shape.(0)
-    || not (set_cell a (a.offset + (i * a.strides.(0))) v)
-  then store_slow a [ i ] v
+(* ------------------------------------------------------------------ *)
+(* Compilation to closures                                             *)
+(* ------------------------------------------------------------------ *)
 
-let store2 (a : Value.arr) i j (v : Value.t) =
-  let open Value in
-  if
-    not
-      (in_bounds2 a i j
-      && set_cell a (a.offset + (i * a.strides.(0)) + (j * a.strides.(1))) v)
-  then store_slow a [ i; j ] v
+(* A compiled statement: one that always carries on, or one that returns
+   a status. *)
+type step = Simple of (frame -> unit) | Status of (frame -> int)
+
+(* What a function body compiles against: its locals, and the float slots
+   handed out so far (its float locals, then one temporary per float
+   subexpression that is not a slot or a constant). *)
+type cx = { st : state; locs : (string, loc) Hashtbl.t; mutable fd : int }
+
+let no_locs : (string, loc) Hashtbl.t = Hashtbl.create 1
+let init_cx st = { st; locs = no_locs; fd = 0 }
+
+let temp cx =
+  let t = cx.fd in
+  cx.fd <- t + 1;
+  t
+
+(* Operands: a slot or a constant is read in place, through one branch
+   of an inlined getter, instead of by calling a closure.  A float
+   operand's code leaves its result in its own slot. *)
+type iop = ISlot of int | IConst of int | ICode of (frame -> int)
+type fop = FSlot of int | FConst of float | FCode of (frame -> unit) * int
+type vop =
+  | VSlot of string * int
+  | VConst of Value.t
+  | VCode of (frame -> Value.t)
+
+let[@inline] iget f = function
+  | ISlot k -> f.n.(k)
+  | IConst i -> i
+  | ICode g -> g f
+
+let[@inline] fget f = function
+  | FSlot k -> f.d.(k)
+  | FConst x -> x
+  | FCode (g, k) ->
+      g f;
+      f.d.(k)
+
+let[@inline] vget f = function
+  | VSlot (v, k) ->
+      let x = f.v.(k) in
+      if x == unset then unbound v else x
+  | VConst x -> x
+  | VCode g -> g f
+
+let is_int_scalar = function
+  | Ir.SInt | Ir.SByte | Ir.SChar | Ir.SBool -> true
+  | _ -> false
+
+(* The scalar whose [Value] an expression always evaluates to, when the
+   expression shows it: [SFloat] for [VFloat], [SDouble] for [VDouble],
+   an int scalar for [VInt].  [compile_expr] hands each such compound
+   expression to [float_into], [cond] or [int_code], which handle all of
+   them without calling [compile_expr] on it again. *)
+let scalar_of cx (e : Ir.expr) : Ir.scalar option =
+  match e with
+  | Ir.Const (Ir.CInt _) -> Some Ir.SInt
+  | Ir.Const (Ir.CBool _) -> Some Ir.SBool
+  | Ir.Const (Ir.CFloat _) -> Some Ir.SFloat
+  | Ir.Const (Ir.CDouble _) -> Some Ir.SDouble
+  | Ir.Var v -> (
+      match Hashtbl.find_opt cx.locs v with
+      | Some (Flt (s, _)) -> Some s
+      | Some (Int _) -> Some Ir.SInt
+      | _ -> None)
+  | Ir.Bin (op, ((Ir.SFloat | Ir.SDouble) as s), _, _) when float_arith op ->
+      Some s
+  | Ir.Bin (op, (Ir.SInt | Ir.SByte | Ir.SChar), _, _) when int_arith op ->
+      Some Ir.SInt
+  | Ir.Bin (op, (Ir.SInt | Ir.SByte | Ir.SChar | Ir.SFloat | Ir.SDouble), _, _)
+    when comparison op ->
+      Some Ir.SBool
+  | Ir.Un (Neg, ((Ir.SFloat | Ir.SDouble) as s), _) -> Some s
+  | Ir.Un ((Neg | BitNot), s, _) when is_int_scalar s -> Some Ir.SInt
+  | Ir.Un (Not, _, _) -> Some Ir.SBool
+  | Ir.Cast (dst, _, _) when dst <> Ir.SLong -> Some dst
+  | Ir.Intrinsic (b, s, [ _ ]) when float_builtin1 b ->
+      Some (if s = Ir.SFloat then Ir.SFloat else Ir.SDouble)
+  | Ir.Intrinsic ((B.BPow | B.BAtan2), s, [ _; _ ]) ->
+      Some (if s = Ir.SFloat then Ir.SFloat else Ir.SDouble)
+  | Ir.Len _ -> Some Ir.SInt
+  | _ -> None
+
+let const_value = function
+  | Ir.CInt i -> Value.VInt i
+  | Ir.CLong l -> Value.VLong l
+  | Ir.CFloat x -> Value.VFloat (f32 x)
+  | Ir.CDouble d -> Value.VDouble d
+  | Ir.CBool b -> of_bool b
 
 let fn_of st name =
   match Hashtbl.find_opt st.code.fns name with
@@ -486,32 +761,35 @@ let fn_of st name =
       match Ir.find_func st.md name with
       | None -> None
       | Some f ->
-          let r = { fn_ir = f; fn_code = None } in
+          let r =
+            { fn_ir = f; fn_layout = lazy (layout_of f); fn_code = None }
+          in
           Hashtbl.replace st.code.fns name r;
           Some r)
 
-let run_body (body : slots -> int) (f : slots) =
-  if body f = s_return then f.(slot_ret) else Value.VUnit
-
 let rec compile_fn st (r : fn) =
   match r.fn_code with
-  | Some code -> code
+  | Some b -> b
   | None ->
-      let f = r.fn_ir in
-      let sc = scope_of (List.map fst f.Ir.fn_params) f.Ir.fn_body in
-      let code = (2 + Hashtbl.length sc, compile_block st sc f.Ir.fn_body) in
-      r.fn_code <- Some code;
-      code
+      let lay = Lazy.force r.fn_layout in
+      let cx = { st; locs = lay.locs; fd = lay.nd } in
+      let run = compile_block cx r.fn_ir.Ir.fn_body in
+      let b =
+        { run; bv = lay.nv; bd = cx.fd; bn = lay.nn; free = [||]; nfree = 0 }
+      in
+      r.fn_code <- Some b;
+      b
 
 (* [this] is [VObj o] or [VUnit]; [args] are already evaluated. *)
 and invoke st (r : fn) (this : Value.t) (args : Value.t list) : Value.t =
   if List.length args <> List.length r.fn_ir.Ir.fn_params then
     fail "%s: arity mismatch" r.fn_ir.Ir.fn_name;
-  let n, body = compile_fn st r in
-  let f = Array.make n unset in
-  f.(slot_this) <- this;
-  List.iteri (fun i v -> f.(2 + i) <- v) args;
-  run_body body f
+  let b = compile_fn st r in
+  let params = (Lazy.force r.fn_layout).params in
+  let fr = acquire b in
+  fr.v.(slot_this) <- this;
+  List.iteri (fun i x -> bind_value fr params.(i) x) args;
+  call_body b fr
 
 and call_function st name (this : Value.obj option) (args : Value.t list) :
     Value.t =
@@ -533,24 +811,24 @@ and instantiate st cls (args : Value.t list) : Value.obj =
     (fun (f, t) -> Hashtbl.replace obj.Value.fields f (default_value t))
     meta.Ir.cm_instance_fields;
   (* field initializers run with [this] bound, before the constructor *)
-  let inits =
+  let inits, nd =
     match Hashtbl.find_opt st.code.field_inits cls with
-    | Some inits -> inits
+    | Some compiled -> compiled
     | None ->
-        let sc = Hashtbl.create 1 in
+        let cx = init_cx st in
         let inits =
           match List.assoc_opt cls st.md.Ir.md_field_inits with
           | None -> []
           | Some inits ->
-              List.map (fun (f, e) -> (f, compile_expr st sc e)) inits
+              List.map (fun (f, e) -> (f, compile_expr cx e)) inits
         in
-        Hashtbl.replace st.code.field_inits cls inits;
-        inits
+        Hashtbl.replace st.code.field_inits cls (inits, cx.fd);
+        (inits, cx.fd)
   in
   (match inits with
   | [] -> ()
   | inits ->
-      let fr = [| Value.VObj obj; Value.VUnit |] in
+      let fr = init_frame (Value.VObj obj) nd in
       List.iter
         (fun (f, e) -> Hashtbl.replace obj.Value.fields f (e fr))
         inits);
@@ -559,52 +837,335 @@ and instantiate st cls (args : Value.t list) : Value.obj =
   | None -> if args <> [] then fail "class %s has no constructor" cls);
   obj
 
+(* ---- operands ------------------------------------------------------ *)
+
+(* [int_op], [float_op] and [cond] evaluate like [compile_expr] followed
+   by [as_int], [as_float] and [as_bool], without boxing what the
+   operators they know produce. *)
+and int_op cx (e : Ir.expr) : iop =
+  match e with
+  | Ir.Const (Ir.CInt i) -> IConst i
+  | Ir.Const (Ir.CBool b) -> IConst (if b then 1 else 0)
+  | Ir.Var v -> (
+      match Hashtbl.find_opt cx.locs v with
+      | Some (Int k) -> ISlot k
+      | _ -> ICode (int_generic cx e))
+  | _ -> ICode (int_code cx e)
+
+and int_generic cx e =
+  let ce = compile_expr cx e in
+  fun f -> match ce f with Value.VInt i -> i | v -> as_int v
+
+and int_code cx (e : Ir.expr) : frame -> int =
+  let c = cx.st.counters in
+  match e with
+  | Ir.Bin (op, (Ir.SInt | Ir.SByte | Ir.SChar), a, b) when int_arith op -> (
+      let ia = int_op cx a and ib = int_op cx b in
+      match op with
+      | Add -> fun f -> alu c; let x = iget f ia in i32 (x + iget f ib)
+      | Sub -> fun f -> alu c; let x = iget f ia in i32 (x - iget f ib)
+      | Mul -> fun f -> alu c; let x = iget f ia in i32 (x * iget f ib)
+      | Div | Mod ->
+          let div = op = Div in
+          fun f ->
+            alu c;
+            c.divs <- c.divs + 1;
+            let x = iget f ia in
+            let y = iget f ib in
+            if y = 0 then fail "division by zero"
+            else i32 (if div then x / y else x mod y)
+      | BitAnd -> fun f -> alu c; let x = iget f ia in x land iget f ib
+      | BitOr -> fun f -> alu c; let x = iget f ia in x lor iget f ib
+      | BitXor -> fun f -> alu c; let x = iget f ia in x lxor iget f ib
+      | Shl ->
+          fun f -> alu c; let x = iget f ia in i32 (x lsl (iget f ib land 31))
+      | Shr -> fun f -> alu c; let x = iget f ia in x asr (iget f ib land 31)
+      | _ ->
+          fun f ->
+            alu c;
+            let x = iget f ia in
+            i32 ((x land 0xFFFFFFFF) lsr (iget f ib land 31)))
+  | Ir.Bin (op, _, _, _) when comparison op && scalar_of cx e <> None ->
+      let g = cond cx e in
+      fun f -> if g f then 1 else 0
+  | Ir.Un (Neg, s, a) when is_int_scalar s ->
+      let ia = int_op cx a in
+      fun f -> alu c; i32 (-iget f ia)
+  | Ir.Un (BitNot, s, a) when is_int_scalar s ->
+      let ia = int_op cx a in
+      fun f -> alu c; i32 (lnot (iget f ia))
+  | Ir.Un (Not, _, a) ->
+      let g = cond cx a in
+      fun f -> alu c; if g f then 0 else 1
+  (* a cast's operand has the cast's source type *)
+  | Ir.Cast (Ir.SInt, (Ir.SFloat | Ir.SDouble), a) ->
+      let fa = float_op cx a in
+      fun f ->
+        alu c;
+        let x = fget f fa in
+        trunc x
+  | Ir.Cast (Ir.SInt, _, a) ->
+      let ia = int_op cx a in
+      fun f -> alu c; i32 (iget f ia)
+  | Ir.Cast (Ir.SByte, _, a) ->
+      let ia = int_op cx a in
+      fun f -> alu c; Value.i8 (iget f ia)
+  | Ir.Cast (Ir.SChar, _, a) ->
+      let ia = int_op cx a in
+      fun f -> alu c; Value.u16 (iget f ia)
+  | Ir.Cast (Ir.SBool, _, a) ->
+      let g = cond cx a in
+      fun f -> alu c; if g f then 1 else 0
+  | Ir.Len (a, d) ->
+      let ca = val_op cx a in
+      fun f ->
+        let arr = as_arr (vget f ca) in
+        if d >= Value.rank arr then fail "length of missing dimension %d" d;
+        arr.Value.shape.(d)
+  | Ir.Load (b, [ i ]) ->
+      let cb = val_op cx b and ci = int_op cx i in
+      fun f ->
+        let base = as_arr (vget f cb) in
+        let i = iget f ci in
+        c.mem_reads <- c.mem_reads + 1;
+        c.bounds_checks <- c.bounds_checks + 1;
+        let k = flat1 base i in
+        (match base.Value.buf with
+        | Value.BInt a when k >= 0 -> a.(k)
+        | _ -> as_int (load1 base i))
+  | Ir.StaticGet (cls, name) when Hashtbl.mem cx.st.statics (cls, name) ->
+      let r = Hashtbl.find cx.st.statics (cls, name) in
+      fun _ ->
+        c.field_accesses <- c.field_accesses + 1;
+        (match !r with Value.VInt i -> i | v -> as_int v)
+  | _ -> int_generic cx e
+
+and float_leaf cx (e : Ir.expr) =
+  match e with
+  | Ir.Const (Ir.CFloat x) -> Some (FConst (f32 x))
+  | Ir.Const (Ir.CDouble x) -> Some (FConst x)
+  | Ir.Var v -> (
+      match Hashtbl.find_opt cx.locs v with
+      | Some (Flt (_, k)) -> Some (FSlot k)
+      | _ -> None)
+  | _ -> None
+
+and float_op cx (e : Ir.expr) : fop =
+  match float_leaf cx e with
+  | Some op -> op
+  | None ->
+      let t = temp cx in
+      FCode (float_into cx e t, t)
+
+(* Code that leaves [e]'s value, as [as_float] would read it, in float
+   slot [t].  Every operand is read before [t] is written, so [t] may be
+   a local that [e] reads. *)
+and float_into cx (e : Ir.expr) t : frame -> unit =
+  let c = cx.st.counters in
+  match e with
+  | Ir.Bin (op, ((Ir.SFloat | Ir.SDouble) as s), a, b) when float_arith op -> (
+      let fa = float_op cx a and fb = float_op cx b in
+      let divs () = c.divs <- c.divs + 1 in
+      match (op, s) with
+      | Add, Ir.SFloat ->
+          fun f -> alu c; let x = fget f fa in f.d.(t) <- f32 (x +. fget f fb)
+      | Sub, Ir.SFloat ->
+          fun f -> alu c; let x = fget f fa in f.d.(t) <- f32 (x -. fget f fb)
+      | Mul, Ir.SFloat ->
+          fun f -> alu c; let x = fget f fa in f.d.(t) <- f32 (x *. fget f fb)
+      | Div, Ir.SFloat ->
+          fun f ->
+            alu c; divs ();
+            let x = fget f fa in
+            f.d.(t) <- f32 (x /. fget f fb)
+      | Add, _ ->
+          fun f -> alu_double c; let x = fget f fa in f.d.(t) <- x +. fget f fb
+      | Sub, _ ->
+          fun f -> alu_double c; let x = fget f fa in f.d.(t) <- x -. fget f fb
+      | Mul, _ ->
+          fun f -> alu_double c; let x = fget f fa in f.d.(t) <- x *. fget f fb
+      | Div, _ ->
+          fun f ->
+            alu_double c; divs ();
+            let x = fget f fa in
+            f.d.(t) <- x /. fget f fb
+      | _, Ir.SFloat ->
+          fun f ->
+            alu c; divs ();
+            let x = fget f fa in
+            f.d.(t) <- f32 (Float.rem x (fget f fb))
+      | _ ->
+          fun f ->
+            alu_double c; divs ();
+            let x = fget f fa in
+            f.d.(t) <- Float.rem x (fget f fb))
+  | Ir.Intrinsic (b, s, [ a ]) when float_builtin1 b ->
+      let fa = float_op cx a in
+      let kind = intrinsic_kind b and dbl = s = Ir.SDouble in
+      (* operands are let-bound: a float passed straight to an inlined
+         function's parameter would be boxed *)
+      if s = Ir.SFloat then
+        fun f ->
+          tick_intrinsic c kind dbl;
+          let x = fget f fa in
+          f.d.(t) <- f32 (apply1 b x)
+      else
+        fun f ->
+          tick_intrinsic c kind dbl;
+          let x = fget f fa in
+          f.d.(t) <- apply1 b x
+  | Ir.Intrinsic (((B.BPow | B.BAtan2) as b), s, [ a; a' ]) ->
+      let fa = float_op cx a and fb = float_op cx a' in
+      let dbl = s = Ir.SDouble and single = s = Ir.SFloat in
+      fun f ->
+        tick_intrinsic c `Transcendental dbl;
+        let x = fget f fa in
+        let y = fget f fb in
+        let r = apply2 b x y in
+        f.d.(t) <- (if single then f32 r else r)
+  | Ir.Un (Neg, ((Ir.SFloat | Ir.SDouble) as s), a) ->
+      let fa = float_op cx a and single = s = Ir.SFloat in
+      fun f ->
+        alu c;
+        let x = -.fget f fa in
+        f.d.(t) <- (if single then f32 x else x)
+  | Ir.Cast (((Ir.SFloat | Ir.SDouble) as dst), src, a) ->
+      let single = dst = Ir.SFloat in
+      if is_int_scalar src then
+        let ia = int_op cx a in
+        fun f ->
+          alu c;
+          let x = float_of_int (iget f ia) in
+          f.d.(t) <- (if single then f32 x else x)
+      else
+        let fa = float_op cx a in
+        fun f ->
+          alu c;
+          let x = fget f fa in
+          f.d.(t) <- (if single then f32 x else x)
+  | Ir.Load (b, [ i ]) ->
+      let cb = val_op cx b and ci = int_op cx i in
+      fun f ->
+        let base = as_arr (vget f cb) in
+        let i = iget f ci in
+        c.mem_reads <- c.mem_reads + 1;
+        c.bounds_checks <- c.bounds_checks + 1;
+        let k = flat1 base i in
+        f.d.(t) <-
+          (match base.Value.buf with
+          | Value.BFloat a when k >= 0 -> a.(k)
+          | _ -> as_float (load1 base i))
+  | Ir.Load (b, [ i; j ]) ->
+      let cb = val_op cx b in
+      let ci = int_op cx i and cj = int_op cx j in
+      fun f ->
+        let base = as_arr (vget f cb) in
+        let i = iget f ci in
+        let j = iget f cj in
+        c.mem_reads <- c.mem_reads + 1;
+        c.bounds_checks <- c.bounds_checks + 2;
+        let k = flat2 base i j in
+        f.d.(t) <-
+          (match base.Value.buf with
+          | Value.BFloat a when k >= 0 -> a.(k)
+          | _ -> as_float (load2 base i j))
+  | Ir.StaticGet (cls, name) when Hashtbl.mem cx.st.statics (cls, name) ->
+      let r = Hashtbl.find cx.st.statics (cls, name) in
+      fun f ->
+        c.field_accesses <- c.field_accesses + 1;
+        f.d.(t) <-
+          (match !r with
+          | Value.VFloat x | Value.VDouble x -> x
+          | v -> as_float v)
+  | _ -> (
+      match float_leaf cx e with
+      | Some op -> fun f -> f.d.(t) <- fget f op
+      | None ->
+          let ce = compile_expr cx e in
+          fun f ->
+            f.d.(t) <-
+              (match ce f with
+              | Value.VFloat x | Value.VDouble x -> x
+              | v -> as_float v))
+
+and cond cx (e : Ir.expr) : frame -> bool =
+  let c = cx.st.counters in
+  let generic () =
+    let ce = compile_expr cx e in
+    fun f -> match ce f with Value.VInt i -> i <> 0 | v -> as_bool v
+  in
+  match e with
+  | Ir.Const (Ir.CBool b) -> fun _ -> b
+  | Ir.Var v -> (
+      match Hashtbl.find_opt cx.locs v with
+      | Some (Int k) -> fun f -> f.n.(k) <> 0
+      | _ -> generic ())
+  | Ir.Bin (op, (Ir.SInt | Ir.SByte | Ir.SChar), a, b) when comparison op -> (
+      let ia = int_op cx a and ib = int_op cx b in
+      match op with
+      | Lt -> fun f -> alu c; let x = iget f ia in x < iget f ib
+      | Le -> fun f -> alu c; let x = iget f ia in x <= iget f ib
+      | Gt -> fun f -> alu c; let x = iget f ia in x > iget f ib
+      | Ge -> fun f -> alu c; let x = iget f ia in x >= iget f ib
+      | Eq -> fun f -> alu c; let x = iget f ia in x = iget f ib
+      | _ -> fun f -> alu c; let x = iget f ia in x <> iget f ib)
+  | Ir.Bin (op, ((Ir.SFloat | Ir.SDouble) as s), a, b) when comparison op -> (
+      let fa = float_op cx a and fb = float_op cx b in
+      let dbl = s = Ir.SDouble in
+      let tick () = if dbl then alu_double c else alu c in
+      match op with
+      | Lt -> fun f -> tick (); let x = fget f fa in x < fget f fb
+      | Le -> fun f -> tick (); let x = fget f fa in x <= fget f fb
+      | Gt -> fun f -> tick (); let x = fget f fa in x > fget f fb
+      | Ge -> fun f -> tick (); let x = fget f fa in x >= fget f fb
+      | Eq -> fun f -> tick (); let x = fget f fa in x = fget f fb
+      | _ -> fun f -> tick (); let x = fget f fa in x <> fget f fb)
+  | Ir.Un (Not, _, a) ->
+      let g = cond cx a in
+      fun f -> alu c; not (g f)
+  | Ir.Cast (Ir.SBool, _, a) ->
+      let g = cond cx a in
+      fun f -> alu c; g f
+  | _ -> generic ()
+
+and val_op cx (e : Ir.expr) : vop =
+  match e with
+  | Ir.Const k -> VConst (const_value k)
+  | Ir.Var v -> (
+      match Hashtbl.find_opt cx.locs v with
+      | Some (Boxed k) -> VSlot (v, k)
+      | _ -> VCode (compile_expr cx e))
+  | _ -> VCode (compile_expr cx e)
+
 (* ---- expressions --------------------------------------------------- *)
 
-and compile_expr st sc (e : Ir.expr) : slots -> Value.t =
+and compile_expr cx (e : Ir.expr) : frame -> Value.t =
+  let st = cx.st in
   let c = st.counters in
-  let ce = compile_expr st sc in
+  let ce = compile_expr cx in
   match e with
   | Ir.Const k ->
-      let v =
-        match k with
-        | Ir.CInt i -> Value.VInt i
-        | Ir.CLong l -> Value.VLong l
-        | Ir.CFloat x -> Value.VFloat (Value.f32 x)
-        | Ir.CDouble d -> Value.VDouble d
-        | Ir.CBool b -> of_bool b
-      in
+      let v = const_value k in
       fun _ -> v
   | Ir.Var v -> (
-      match Hashtbl.find_opt sc v with
+      match Hashtbl.find_opt cx.locs v with
       | None -> fun _ -> unbound v
-      | Some k ->
+      | Some (Boxed k) ->
           fun f ->
-            let x = f.(k) in
-            if x == unset then unbound v else x)
-  | Ir.Bin (op, (Ir.SInt | Ir.SByte | Ir.SChar), _, _)
-    when int_arith op ->
-      let g = compile_int st sc e in
-      fun f -> Value.VInt (g f)
-  | Ir.Bin (op, Ir.SFloat, _, _) when float_arith op ->
-      let g = compile_float st sc e in
-      fun f -> Value.VFloat (g f)
-  | Ir.Bin (op, Ir.SDouble, _, _) when float_arith op ->
-      let g = compile_float st sc e in
-      fun f -> Value.VDouble (g f)
-  | Ir.Bin (op, s, a, b) -> (
-      match s with
-      | (Ir.SInt | Ir.SByte | Ir.SChar | Ir.SFloat | Ir.SDouble)
-        when comparison op ->
-          let g = compile_cond st sc e in
-          fun f -> of_bool (g f)
-      | _ ->
-          let ca = ce a and cb = ce b in
-          let dbl = s = Ir.SDouble and div = op = Div || op = Mod in
-          fun f ->
-            tick_bin c ~dbl ~div;
-            let x = ca f in
-            eval_binop op s x (cb f))
+            let x = f.v.(k) in
+            if x == unset then unbound v else x
+      | Some (Flt (Ir.SFloat, k)) -> fun f -> Value.VFloat f.d.(k)
+      | Some (Flt (_, k)) -> fun f -> Value.VDouble f.d.(k)
+      | Some (Int k) -> fun f -> Value.VInt f.n.(k))
+  | Ir.Len _ -> boxed cx e Ir.SInt
+  | _ when scalar_of cx e <> None -> boxed cx e (Option.get (scalar_of cx e))
+  | Ir.Bin (op, s, a, b) ->
+      let ca = ce a and cb = ce b in
+      let dbl = s = Ir.SDouble and div = op = Div || op = Mod in
+      fun f ->
+        tick_bin c ~dbl ~div;
+        let x = ca f in
+        eval_binop op s x (cb f)
   | Ir.Un (op, s, a) ->
       let ca = ce a in
       fun f ->
@@ -616,47 +1177,40 @@ and compile_expr st sc (e : Ir.expr) : slots -> Value.t =
         c.alu <- c.alu + 1;
         eval_cast dst src (ca f)
   | Ir.Load (b, [ i ]) ->
-      let cb = ce b and ci = compile_int st sc i in
+      let cb = val_op cx b and ci = int_op cx i in
       fun f ->
-        let base = as_arr (cb f) in
-        let i = ci f in
+        let base = as_arr (vget f cb) in
+        let i = iget f ci in
         c.mem_reads <- c.mem_reads + 1;
         c.bounds_checks <- c.bounds_checks + 1;
         load1 base i
   | Ir.Load (b, [ i; j ]) ->
-      let cb = ce b in
-      let ci = compile_int st sc i and cj = compile_int st sc j in
+      let cb = val_op cx b in
+      let ci = int_op cx i and cj = int_op cx j in
       fun f ->
-        let base = as_arr (cb f) in
-        let i = ci f in
-        let j = cj f in
+        let base = as_arr (vget f cb) in
+        let i = iget f ci in
+        let j = iget f cj in
         c.mem_reads <- c.mem_reads + 1;
         c.bounds_checks <- c.bounds_checks + 2;
         load2 base i j
   | Ir.Load (b, idx) ->
-      let cb = ce b and cis = List.map (compile_int st sc) idx in
+      let cb = val_op cx b and cis = List.map (int_op cx) idx in
       let n = List.length idx in
       fun f ->
-        let base = as_arr (cb f) in
-        let is = List.map (fun ci -> ci f) cis in
+        let base = as_arr (vget f cb) in
+        let is = List.map (iget f) cis in
         c.mem_reads <- c.mem_reads + 1;
         c.bounds_checks <- c.bounds_checks + n;
         load_slow base is
-  | Ir.Len _ ->
-      let g = compile_int st sc e in
-      fun f -> Value.VInt (g f)
-  | Ir.Intrinsic ((B.BSqrt | B.BRsqrt), s, [ _ ]) ->
-      let g = compile_float st sc e in
-      if s = Ir.SFloat then fun f -> Value.VFloat (g f)
-      else fun f -> Value.VDouble (g f)
   | Ir.Intrinsic (b, s, args) ->
       let cargs = List.map ce args in
       let kind = intrinsic_kind b and dbl = s = Ir.SDouble in
       fun f ->
         tick_intrinsic c kind dbl;
         eval_intrinsic b s (List.map (fun ca -> ca f) cargs) st
-  | Ir.CallF (name, args) -> compile_call st sc name None args
-  | Ir.CallM (name, recv, args) -> compile_call st sc name (Some recv) args
+  | Ir.CallF (name, args) -> compile_call cx name None args
+  | Ir.CallM (name, recv, args) -> compile_call cx name (Some recv) args
   | Ir.FieldGet (r, name) ->
       let cr = ce r in
       fun f ->
@@ -665,7 +1219,7 @@ and compile_expr st sc (e : Ir.expr) : slots -> Value.t =
           match cr f with
           | Value.VObj o -> o
           | Value.VUnit -> (
-              match f.(slot_this) with
+              match f.v.(slot_this) with
               | Value.VObj o -> o
               | _ -> fail "field access without receiver")
           | v -> fail "field access on %s" (Value.to_string v)
@@ -684,9 +1238,9 @@ and compile_expr st sc (e : Ir.expr) : slots -> Value.t =
             c.field_accesses <- c.field_accesses + 1;
             fail "unknown static field %s.%s" cls name)
   | Ir.NewArr (aty, sizes) ->
-      let csizes = List.map (compile_int st sc) sizes in
+      let csizes = List.map (int_op cx) sizes in
       fun f ->
-        let shape = resolve_shape aty (List.map (fun cs -> cs f) csizes) in
+        let shape = resolve_shape aty (List.map (iget f) csizes) in
         let a = Value.make_arr ~is_value:aty.Ir.value aty.Ir.elem shape in
         c.alloc_bytes <- c.alloc_bytes + Value.total_bytes a;
         Value.VArr a
@@ -699,13 +1253,13 @@ and compile_expr st sc (e : Ir.expr) : slots -> Value.t =
         Value.VObj (instantiate st cls (List.map (fun ca -> ca f) cargs))
   | Ir.This ->
       fun f ->
-        (match f.(slot_this) with
+        (match f.v.(slot_this) with
         | Value.VObj _ as v -> v
         | _ -> fail "'this' outside an instance method")
   | Ir.RangeE n ->
-      let cn = compile_int st sc n in
+      let cn = int_op cx n in
       fun f ->
-        let n = cn f in
+        let n = iget f cn in
         if n < 0 then fail "Lime.range: negative size %d" n;
         let a = Value.make_arr ~is_value:true Ir.SInt [| n |] in
         (match a.Value.buf with
@@ -741,181 +1295,78 @@ and compile_expr st sc (e : Ir.expr) : slots -> Value.t =
         | Value.VGraph x, Value.VGraph y -> Value.VGraph (x @ y)
         | _ -> fail "'=>' on non-task values")
 
+(* A compound expression of known scalar [s], evaluated unboxed and
+   boxed once. *)
+and boxed cx e s : frame -> Value.t =
+  match s with
+  | Ir.SFloat | Ir.SDouble ->
+      let t = temp cx in
+      let g = float_into cx e t in
+      if s = Ir.SFloat then fun f -> g f; Value.VFloat f.d.(t)
+      else fun f -> g f; Value.VDouble f.d.(t)
+  | Ir.SBool ->
+      let g = cond cx e in
+      fun f -> of_bool (g f)
+  | _ ->
+      let g = int_code cx e in
+      fun f -> Value.VInt (g f)
+
 (* A call: the receiver, then the arguments left to right, straight into
    the callee's slots.  An unknown callee or a wrong arity is not an error
    until the call runs: code that is never reached may hold one. *)
-and compile_call st sc name recv args : slots -> Value.t =
+and compile_call cx name recv args : frame -> Value.t =
+  let st = cx.st in
   let c = st.counters in
   let crecv =
     match recv with
-    | None -> fun _ -> Value.VUnit
+    | None -> VConst Value.VUnit
     | Some r ->
-        let cr = compile_expr st sc r in
-        fun f ->
-          (match cr f with
-          | Value.VObj _ as v -> v
-          | v -> fail "instance call on %s" (Value.to_string v))
+        let cr = compile_expr cx r in
+        VCode
+          (fun f ->
+            match cr f with
+            | Value.VObj _ as v -> v
+            | v -> fail "instance call on %s" (Value.to_string v))
   in
-  let cargs = Array.of_list (List.map (compile_expr st sc) args) in
-  let nargs = Array.length cargs in
+  let nargs = List.length args in
   match fn_of st name with
   | Some r when List.length r.fn_ir.Ir.fn_params = nargs ->
+      let params = (Lazy.force r.fn_layout).params in
+      let put =
+        Array.of_list
+          (List.mapi
+             (fun i a ->
+               match params.(i) with
+               | Flt (_, k) ->
+                   let op = float_op cx a in
+                   fun f callee -> callee.d.(k) <- fget f op
+               | Int k ->
+                   let op = int_op cx a in
+                   fun f callee -> callee.n.(k) <- iget f op
+               | Boxed k ->
+                   let op = val_op cx a in
+                   fun f callee -> callee.v.(k) <- vget f op)
+             args)
+      in
       fun f ->
         c.calls <- c.calls + 1;
-        let this = crecv f in
-        let n, body = compile_fn st r in
-        let callee = Array.make n unset in
-        callee.(slot_this) <- this;
+        let this = vget f crecv in
+        let b = compile_fn st r in
+        let callee = acquire b in
+        callee.v.(slot_this) <- this;
         for i = 0 to nargs - 1 do
-          callee.(2 + i) <- cargs.(i) f
+          put.(i) f callee
         done;
-        run_body body callee
+        call_body b callee
   | r ->
+      let cargs = Array.of_list (List.map (compile_expr cx) args) in
       fun f ->
         c.calls <- c.calls + 1;
-        let this = crecv f in
+        let this = vget f crecv in
         let vargs = Array.to_list (Array.map (fun ca -> ca f) cargs) in
         (match r with
         | None -> fail "unknown function %s" name
         | Some r -> invoke st r this vargs)
-
-(* [compile_int], [compile_float] and [compile_cond] are [compile_expr]
-   followed by [as_int], [as_float] and [as_bool]; for the operators they
-   know they skip boxing the intermediate value. *)
-and compile_int st sc (e : Ir.expr) : slots -> int =
-  let c = st.counters in
-  match e with
-  | Ir.Const (Ir.CInt i) -> fun _ -> i
-  | Ir.Var v -> (
-      match Hashtbl.find_opt sc v with
-      | None -> fun _ -> unbound v
-      | Some k ->
-          fun f ->
-            (match f.(k) with Value.VInt i -> i | x -> as_int (checked v x)))
-  | Ir.Bin (op, (Ir.SInt | Ir.SByte | Ir.SChar), a, b) when int_arith op -> (
-      let ia = compile_int st sc a and ib = compile_int st sc b in
-      let open Value in
-      match op with
-      | Add -> fun f -> alu c; let x = ia f in i32 (x + ib f)
-      | Sub -> fun f -> alu c; let x = ia f in i32 (x - ib f)
-      | Mul -> fun f -> alu c; let x = ia f in i32 (x * ib f)
-      | Div | Mod ->
-          let g = if op = Div then ( / ) else ( mod ) in
-          fun f ->
-            alu c;
-            c.divs <- c.divs + 1;
-            let x = ia f in
-            let y = ib f in
-            if y = 0 then fail "division by zero" else i32 (g x y)
-      | BitAnd -> fun f -> alu c; let x = ia f in x land ib f
-      | BitOr -> fun f -> alu c; let x = ia f in x lor ib f
-      | BitXor -> fun f -> alu c; let x = ia f in x lxor ib f
-      | Shl -> fun f -> alu c; let x = ia f in i32 (x lsl (ib f land 31))
-      | Shr -> fun f -> alu c; let x = ia f in x asr (ib f land 31)
-      | _ ->
-          fun f ->
-            alu c;
-            let x = ia f in
-            i32 ((x land 0xFFFFFFFF) lsr (ib f land 31)))
-  | Ir.Len (a, d) ->
-      let ca = compile_expr st sc a in
-      fun f ->
-        let arr = as_arr (ca f) in
-        if d >= Value.rank arr then fail "length of missing dimension %d" d;
-        arr.Value.shape.(d)
-  | _ -> (
-      let ce = compile_expr st sc e in
-      fun f -> match ce f with Value.VInt i -> i | v -> as_int v)
-
-and compile_float st sc (e : Ir.expr) : slots -> float =
-  let c = st.counters in
-  match e with
-  | Ir.Const (Ir.CFloat x) ->
-      let x = Value.f32 x in
-      fun _ -> x
-  | Ir.Const (Ir.CDouble x) -> fun _ -> x
-  | Ir.Var v -> (
-      match Hashtbl.find_opt sc v with
-      | None -> fun _ -> unbound v
-      | Some k ->
-          fun f ->
-            (match f.(k) with
-            | Value.VFloat x | Value.VDouble x -> x
-            | x -> as_float (checked v x)))
-  | Ir.Bin (op, (Ir.SFloat | Ir.SDouble as s), a, b) when float_arith op -> (
-      let fa = compile_float st sc a and fb = compile_float st sc b in
-      let divs () = c.divs <- c.divs + 1 in
-      let open Value in
-      match (op, s) with
-      | Add, Ir.SFloat -> fun f -> alu c; let x = fa f in f32 (x +. fb f)
-      | Sub, Ir.SFloat -> fun f -> alu c; let x = fa f in f32 (x -. fb f)
-      | Mul, Ir.SFloat -> fun f -> alu c; let x = fa f in f32 (x *. fb f)
-      | Div, Ir.SFloat ->
-          fun f -> alu c; divs (); let x = fa f in f32 (x /. fb f)
-      | Add, _ -> fun f -> alu_double c; let x = fa f in x +. fb f
-      | Sub, _ -> fun f -> alu_double c; let x = fa f in x -. fb f
-      | Mul, _ -> fun f -> alu_double c; let x = fa f in x *. fb f
-      | Div, _ -> fun f -> alu_double c; divs (); let x = fa f in x /. fb f
-      | _, Ir.SFloat ->
-          fun f -> alu c; divs (); let x = fa f in f32 (Float.rem x (fb f))
-      | _ -> fun f -> alu_double c; divs (); let x = fa f in Float.rem x (fb f))
-  | Ir.Intrinsic ((B.BSqrt | B.BRsqrt) as b, s, [ a ]) -> (
-      let fa = compile_float st sc a in
-      let tick () =
-        c.sqrts <- c.sqrts + 1;
-        if s = Ir.SDouble then c.double_ops <- c.double_ops + 1
-      in
-      match (b, s) with
-      | B.BSqrt, Ir.SFloat -> fun f -> tick (); Value.f32 (sqrt (fa f))
-      | B.BSqrt, _ -> fun f -> tick (); sqrt (fa f)
-      | _, Ir.SFloat -> fun f -> tick (); Value.f32 (1.0 /. sqrt (fa f))
-      | _ -> fun f -> tick (); 1.0 /. sqrt (fa f))
-  | Ir.Load (b, [ i ]) ->
-      let cb = compile_expr st sc b and ci = compile_int st sc i in
-      fun f ->
-        let base = as_arr (cb f) in
-        let i = ci f in
-        c.mem_reads <- c.mem_reads + 1;
-        c.bounds_checks <- c.bounds_checks + 1;
-        (match base with
-        | { Value.buf = Value.BFloat a; shape = [| n |]; _ }
-          when i >= 0 && i < n ->
-            a.(base.Value.offset + (i * base.Value.strides.(0)))
-        | _ -> as_float (load1 base i))
-  | _ -> (
-      let ce = compile_expr st sc e in
-      fun f ->
-        match ce f with
-        | Value.VFloat x | Value.VDouble x -> x
-        | v -> as_float v)
-
-and compile_cond st sc (e : Ir.expr) : slots -> bool =
-  let c = st.counters in
-  match e with
-  | Ir.Const (Ir.CBool b) -> fun _ -> b
-  | Ir.Bin (op, (Ir.SInt | Ir.SByte | Ir.SChar), a, b) when comparison op -> (
-      let ia = compile_int st sc a and ib = compile_int st sc b in
-      match op with
-      | Lt -> fun f -> alu c; let x = ia f in x < ib f
-      | Le -> fun f -> alu c; let x = ia f in x <= ib f
-      | Gt -> fun f -> alu c; let x = ia f in x > ib f
-      | Ge -> fun f -> alu c; let x = ia f in x >= ib f
-      | Eq -> fun f -> alu c; let x = ia f in x = ib f
-      | _ -> fun f -> alu c; let x = ia f in x <> ib f)
-  | Ir.Bin (op, (Ir.SFloat | Ir.SDouble as s), a, b) when comparison op -> (
-      let fa = compile_float st sc a and fb = compile_float st sc b in
-      let dbl = s = Ir.SDouble in
-      let tick () = if dbl then alu_double c else alu c in
-      match op with
-      | Lt -> fun f -> tick (); let x = fa f in x < fb f
-      | Le -> fun f -> tick (); let x = fa f in x <= fb f
-      | Gt -> fun f -> tick (); let x = fa f in x > fb f
-      | Ge -> fun f -> tick (); let x = fa f in x >= fb f
-      | Eq -> fun f -> tick (); let x = fa f in x = fb f
-      | _ -> fun f -> tick (); let x = fa f in x <> fb f)
-  | _ -> (
-      let ce = compile_expr st sc e in
-      fun f -> match ce f with Value.VInt i -> i <> 0 | v -> as_bool v)
 
 and array_literal c (aty : Ir.aty) (vs : Value.t list) : Value.t =
   let n = List.length vs in
@@ -938,110 +1389,144 @@ and array_literal c (aty : Ir.aty) (vs : Value.t list) : Value.t =
 
 (* ---- statements ---------------------------------------------------- *)
 
-and compile_block st sc (stmts : Ir.stmt list) : slots -> int =
-  match List.map (compile_stmt st sc) stmts with
-  | [] -> fun _ -> s_next
-  | [ s ] -> s
-  | [ a; b ] -> fun f -> let r = a f in if r <> s_next then r else b f
-  | ss ->
-      let ss = Array.of_list ss in
-      let n = Array.length ss in
+and compile_block cx (stmts : Ir.stmt list) : frame -> int =
+  let steps = List.map (compile_stmt cx) stmts in
+  let simple =
+    List.filter_map (function Simple g -> Some g | Status _ -> None) steps
+  in
+  match steps with
+  | [ Status s ] -> s
+  | _ when List.length simple = List.length steps ->
+      let gs = Array.of_list simple in
+      let n = Array.length gs in
+      fun f ->
+        for i = 0 to n - 1 do
+          gs.(i) f
+        done;
+        s_next
+  | _ ->
+      let steps = Array.of_list steps in
+      let n = Array.length steps in
       fun f ->
         let r = ref s_next and i = ref 0 in
         while !r = s_next && !i < n do
-          r := ss.(!i) f;
+          (match steps.(!i) with Simple g -> g f | Status g -> r := g f);
           incr i
         done;
         !r
 
-and compile_stmt st sc (s : Ir.stmt) : slots -> int =
+(* Code that stores [e]'s value in local [v]. *)
+and assign cx v (e : Ir.expr) : frame -> unit =
+  match Hashtbl.find cx.locs v with
+  | Boxed k ->
+      let ce = compile_expr cx e in
+      fun f -> f.v.(k) <- ce f
+  | Flt (_, k) -> float_into cx e k
+  | Int k -> (
+      match int_op cx e with
+      | ICode g -> fun f -> f.n.(k) <- g f
+      | op -> fun f -> f.n.(k) <- iget f op)
+
+and compile_stmt cx (s : Ir.stmt) : step =
+  let st = cx.st in
   let c = st.counters in
-  let ce = compile_expr st sc in
-  let slot v = Hashtbl.find sc v in
+  let ce = compile_expr cx in
   match s with
   | Ir.SDecl (v, t, init) -> (
-      let k = slot v in
       match init with
-      | Some e ->
-          let ce = ce e in
-          fun f ->
-            f.(k) <- ce f;
-            s_next
+      | Some e -> Simple (assign cx v e)
       | None ->
-          let d = default_value t in
-          fun f ->
-            f.(k) <- d;
-            s_next)
-  | Ir.SAssign (Ir.LVar v, e) ->
-      let k = slot v and ce = ce e in
-      fun f ->
-        f.(k) <- ce f;
-        s_next
+          let loc = Hashtbl.find cx.locs v and d = default_value t in
+          Simple (fun f -> bind_value f loc d))
+  | Ir.SAssign (Ir.LVar v, e) -> Simple (assign cx v e)
   | Ir.SAssign (Ir.LField (r, name), e) ->
       let cr = ce r and ce = ce e in
-      fun f ->
+      Simple (fun f ->
         c.field_accesses <- c.field_accesses + 1;
         let obj =
           match cr f with
           | Value.VObj o -> o
           | v -> fail "field store on %s" (Value.to_string v)
         in
-        Hashtbl.replace obj.Value.fields name (ce f);
-        s_next
+        Hashtbl.replace obj.Value.fields name (ce f))
   | Ir.SAssign (Ir.LStatic (cls, name), e) -> (
       let ce = ce e in
       match Hashtbl.find_opt st.statics (cls, name) with
       | Some r ->
-          fun f ->
-            c.field_accesses <- c.field_accesses + 1;
-            r := ce f;
-            s_next
+          Simple
+            (fun f ->
+              c.field_accesses <- c.field_accesses + 1;
+              r := ce f)
       | None ->
-          fun _ ->
-            c.field_accesses <- c.field_accesses + 1;
-            fail "unknown static field %s.%s" cls name)
-  | Ir.SArrStore (b, [ i ], v) ->
-      let cb = ce b and ci = compile_int st sc i and cv = ce v in
-      fun f ->
-        let base = as_arr (cb f) in
-        let i = ci f in
-        let value = cv f in
-        c.mem_writes <- c.mem_writes + 1;
-        c.bounds_checks <- c.bounds_checks + 1;
-        store1 base i value;
-        s_next
-  | Ir.SArrStore (b, [ i; j ], v) ->
-      let cb = ce b and cv = ce v in
-      let ci = compile_int st sc i and cj = compile_int st sc j in
-      fun f ->
-        let base = as_arr (cb f) in
-        let i = ci f in
-        let j = cj f in
-        let value = cv f in
-        c.mem_writes <- c.mem_writes + 1;
-        c.bounds_checks <- c.bounds_checks + 2;
-        store2 base i j value;
-        s_next
+          Simple
+            (fun _ ->
+              c.field_accesses <- c.field_accesses + 1;
+              fail "unknown static field %s.%s" cls name))
+  | Ir.SArrStore (b, ([ i ] | [ i; _ ] as idx), x) -> (
+      (* rank 1 or 2: [k] is the cell's flat index, or -1 for [store_slow] *)
+      let two = List.length idx = 2 in
+      let cb = val_op cx b and ci = int_op cx i in
+      let cj = int_op cx (List.nth idx (List.length idx - 1)) in
+      let nidx = List.length idx in
+      let is i j = if two then [ i; j ] else [ i ] in
+      match scalar_of cx x with
+      | Some ((Ir.SFloat | Ir.SDouble) as s) ->
+          let fx = float_op cx x in
+          Simple (fun f ->
+            let base = as_arr (vget f cb) in
+            let i = iget f ci in
+            let j = if two then iget f cj else 0 in
+            let y = fget f fx in
+            c.mem_writes <- c.mem_writes + 1;
+            c.bounds_checks <- c.bounds_checks + nidx;
+            let k = if two then flat2 base i j else flat1 base i in
+            (match base.Value.buf with
+            | Value.BFloat a when k >= 0 -> a.(k) <- y
+            | _ -> store_slow base (is i j) (box_float s y)))
+      | Some _ ->
+          let ix = int_op cx x in
+          Simple (fun f ->
+            let base = as_arr (vget f cb) in
+            let i = iget f ci in
+            let j = if two then iget f cj else 0 in
+            let y = iget f ix in
+            c.mem_writes <- c.mem_writes + 1;
+            c.bounds_checks <- c.bounds_checks + nidx;
+            let k = if two then flat2 base i j else flat1 base i in
+            (match base.Value.buf with
+            | Value.BInt a when k >= 0 -> a.(k) <- y
+            | _ -> store_slow base (is i j) (Value.VInt y)))
+      | None ->
+          let cv = ce x in
+          Simple (fun f ->
+            let base = as_arr (vget f cb) in
+            let i = iget f ci in
+            let j = if two then iget f cj else 0 in
+            let value = cv f in
+            c.mem_writes <- c.mem_writes + 1;
+            c.bounds_checks <- c.bounds_checks + nidx;
+            let k = if two then flat2 base i j else flat1 base i in
+            if k < 0 || not (set_cell base k value) then
+              store_slow base (is i j) value))
   | Ir.SArrStore (b, idx, v) ->
-      let cb = ce b and cis = List.map (compile_int st sc) idx and cv = ce v in
+      let cb = val_op cx b and cis = List.map (int_op cx) idx and cv = ce v in
       let n = List.length idx in
-      fun f ->
-        let base = as_arr (cb f) in
-        let is = List.map (fun ci -> ci f) cis in
+      Simple (fun f ->
+        let base = as_arr (vget f cb) in
+        let is = List.map (iget f) cis in
         let value = cv f in
         c.mem_writes <- c.mem_writes + 1;
         c.bounds_checks <- c.bounds_checks + n;
-        store_slow base is value;
-        s_next
-  | Ir.SIf (cond, a, b) ->
-      let cc = compile_cond st sc cond in
-      let ca = compile_block st sc a and cb = compile_block st sc b in
-      fun f ->
+        store_slow base is value)
+  | Ir.SIf (e, a, b) ->
+      let cc = cond cx e in
+      let ca = compile_block cx a and cb = compile_block cx b in
+      Status (fun f ->
         c.branches <- c.branches + 1;
-        if cc f then ca f else cb f
-  | Ir.SWhile (cond, body) ->
-      let cc = compile_cond st sc cond and cb = compile_block st sc body in
-      fun f ->
+        if cc f then ca f else cb f)
+  | Ir.SWhile (e, body) ->
+      let cc = cond cx e and cb = compile_block cx body in
+      Status (fun f ->
         let out = ref (-1) in
         while !out < 0 do
           if cc f then begin
@@ -1052,43 +1537,44 @@ and compile_stmt st sc (s : Ir.stmt) : slots -> int =
           end
           else out := s_next
         done;
-        !out
+        !out)
   | Ir.SFor (v, lo, hi, body) ->
-      let k = slot v in
-      let ilo = compile_int st sc lo and ihi = compile_int st sc hi in
-      let cb = compile_block st sc body in
-      fun f ->
-        let lo = ilo f in
-        let hi = ihi f in
+      let loc = Hashtbl.find cx.locs v in
+      let ilo = int_op cx lo and ihi = int_op cx hi in
+      let cb = compile_block cx body in
+      Status (fun f ->
+        let lo = iget f ilo in
+        let hi = iget f ihi in
         let i = ref lo and out = ref (-1) in
         while !out < 0 do
           if !i >= hi then out := s_next
           else begin
             c.branches <- c.branches + 1;
-            f.(k) <- Value.VInt !i;
+            set_index f loc !i;
             let r = cb f in
             if r = s_break then out := s_next
             else if r = s_return then out := s_return;
             incr i
           end
         done;
-        !out
+        !out)
   | Ir.SParFor p ->
       (* sequential reference semantics for the data-parallel loop *)
-      let k = slot p.Ir.pf_var and cn = compile_int st sc p.Ir.pf_count in
-      let cb = compile_block st sc p.Ir.pf_body in
-      fun f ->
-        let n = cn f in
+      let loc = Hashtbl.find cx.locs p.Ir.pf_var in
+      let cn = int_op cx p.Ir.pf_count in
+      let cb = compile_block cx p.Ir.pf_body in
+      Status (fun f ->
+        let n = iget f cn in
         let i = ref 0 and out = ref s_next in
         while !out = s_next && !i < n do
           c.branches <- c.branches + 1;
-          f.(k) <- Value.VInt !i;
+          set_index f loc !i;
           out := cb f;
           incr i
         done;
-        !out
+        !out)
   | Ir.SReduce r ->
-      let k = slot r.Ir.rd_dst and ca = ce r.Ir.rd_arr in
+      let loc = Hashtbl.find cx.locs r.Ir.rd_dst and ca = ce r.Ir.rd_arr in
       let s = r.Ir.rd_scalar in
       let combine =
         match r.Ir.rd_op with
@@ -1100,7 +1586,7 @@ and compile_stmt st sc (s : Ir.stmt) : slots -> int =
             | None -> fun _ _ -> fail "unknown function %s" name
             | Some fn -> fun acc v -> invoke st fn Value.VUnit [ acc; v ])
       in
-      fun f ->
+      Simple (fun f ->
         let arr = as_arr (ca f) in
         let n = Value.length arr in
         if n = 0 then fail "reduction over an empty array";
@@ -1110,44 +1596,40 @@ and compile_stmt st sc (s : Ir.stmt) : slots -> int =
         for i = 1 to n - 1 do
           acc := combine !acc (load1 arr i)
         done;
-        f.(k) <- !acc;
-        s_next
+        bind_value f loc !acc)
   | Ir.SInlineBlock (res, body) ->
-      let k = slot res and cb = compile_block st sc body in
-      fun f ->
+      let loc = Hashtbl.find cx.locs res and cb = compile_block cx body in
+      Status (fun f ->
         let r = cb f in
         if r = s_return then begin
-          f.(k) <- f.(slot_ret);
+          bind_value f loc f.v.(slot_ret);
           s_next
         end
-        else r
+        else r)
   | Ir.SReturn None ->
-      fun f ->
-        f.(slot_ret) <- Value.VUnit;
-        s_return
+      Status (fun f ->
+        f.v.(slot_ret) <- Value.VUnit;
+        s_return)
   | Ir.SReturn (Some e) ->
       let ce = ce e in
-      fun f ->
-        f.(slot_ret) <- ce f;
-        s_return
+      Status (fun f ->
+        f.v.(slot_ret) <- ce f;
+        s_return)
   | Ir.SExpr e ->
       let ce = ce e in
-      fun f ->
-        ignore (ce f);
-        s_next
-  | Ir.SBreak -> fun _ -> s_break
-  | Ir.SContinue -> fun _ -> s_continue
+      Simple (fun f -> ignore (ce f))
+  | Ir.SBreak -> Status (fun _ -> s_break)
+  | Ir.SContinue -> Status (fun _ -> s_continue)
   | Ir.SFinish (g, n) ->
-      let cg = ce g and cn = Option.map (compile_int st sc) n in
-      fun f ->
+      let cg = ce g and cn = Option.map (int_op cx) n in
+      Simple (fun f ->
         let graph =
           match cg f with
           | Value.VGraph ts -> ts
           | v -> fail "finish on %s" (Value.to_string v)
         in
-        let iters = Option.map (fun cn -> cn f) cn in
-        st.finish_hook st graph iters;
-        s_next
+        let iters = Option.map (iget f) cn in
+        st.finish_hook st graph iters)
 
 (* ------------------------------------------------------------------ *)
 (* State construction and entry points                                 *)
@@ -1174,11 +1656,13 @@ let create (md : Ir.modul) : state =
           Hashtbl.replace st.statics (cm.Ir.cm_name, f) (ref (default_value t)))
         cm.Ir.cm_static_fields)
     md.Ir.md_classes;
-  let sc = Hashtbl.create 1 and fr = [| Value.VUnit; Value.VUnit |] in
   List.iter
     (fun (cls, f, e) ->
       match Hashtbl.find_opt st.statics (cls, f) with
-      | Some r -> r := compile_expr st sc e fr
+      | Some r ->
+          let cx = init_cx st in
+          let g = compile_expr cx e in
+          r := g (init_frame Value.VUnit cx.fd)
       | None -> fail "internal: missing static %s.%s" cls f)
     md.Ir.md_static_inits;
   st

@@ -52,7 +52,9 @@ let default_config =
 type offloaded = {
   of_kernel : Kernel.kernel;
   of_decisions : Memopt.decision list;
-  of_module : Ir.modul;  (** kernel wrapped for functional execution *)
+  of_state : Interp.state Lazy.t;
+      (** the kernel wrapped for functional execution, loaded once for
+          all of the stage's firings *)
   of_device : Gpusim.Device.t;  (** the device this stage fires on *)
 }
 
@@ -200,8 +202,7 @@ let fire_device (cfg : config) (report : report) (off : offloaded)
   (* functional execution *)
   let result =
     if cfg.functional then
-      let st = Interp.create off.of_module in
-      Interp.call_function st k.Kernel.k_name None args
+      Interp.call_function (Lazy.force off.of_state) k.Kernel.k_name None args
     else zero_result ~rows k device_input
   in
   (* the return path re-encodes on the device side and decodes in Java *)
@@ -337,7 +338,7 @@ let prepare (cfg : config) (md : Ir.modul) (report : report)
               {
                 of_kernel = kernel;
                 of_decisions = decisions;
-                of_module = Kernel.to_module kernel;
+                of_state = lazy (Interp.create (Kernel.to_module kernel));
                 of_device = d;
               } )
       | _, verdict ->

@@ -26,7 +26,8 @@ val default_config : config
 type offloaded = {
   of_kernel : Lime_gpu.Kernel.kernel;
   of_decisions : Lime_gpu.Memopt.decision list;
-  of_module : Lime_ir.Ir.modul;
+  of_state : Lime_ir.Interp.state Lazy.t;
+      (** the kernel loaded for functional execution, once per stage *)
   of_device : Gpusim.Device.t;  (** the device this stage fires on *)
 }
 

@@ -337,23 +337,30 @@ let ir_module body =
   }
 
 let test_read_before_declaration () =
-  let int = Ir.TScalar Ir.SInt in
   (* one flat scope per call: a declaration in a branch stays visible
-     after it, and a read that no executed declaration precedes fails *)
-  let md =
-    ir_module
-      [
-        Ir.SIf
-          ( Ir.Var "p",
-            [ Ir.SDecl ("x", int, Some (Ir.Const (Ir.CInt 7))) ],
-            [] );
-        Ir.SReturn (Some (Ir.Var "x"));
-      ]
-  in
-  let call p = Interp.run (Interp.create md) ~cls:"C" ~meth:"f" [ V.VInt p ] in
-  Alcotest.(check int) "declared in a taken branch" 7 (vint (call 1));
-  Alcotest.(check string) "read before declaration"
-    "unbound variable 'x'" (runtime_error (fun () -> call 0));
+     after it, and a read that no executed declaration precedes fails,
+     whether the local would be an int or a float *)
+  List.iter
+    (fun (ty, init, want) ->
+      let md =
+        ir_module
+          [
+            Ir.SIf
+              (Ir.Var "p", [ Ir.SDecl ("x", Ir.TScalar ty, Some init) ], []);
+            Ir.SReturn (Some (Ir.Var "x"));
+          ]
+      in
+      let call p =
+        Interp.run (Interp.create md) ~cls:"C" ~meth:"f" [ V.VInt p ]
+      in
+      Alcotest.(check string) "declared in a taken branch" (V.to_string want)
+        (V.to_string (call 1));
+      Alcotest.(check string) "read before declaration"
+        "unbound variable 'x'" (runtime_error (fun () -> call 0)))
+    [
+      (Ir.SInt, Ir.Const (Ir.CInt 7), V.VInt 7);
+      (Ir.SFloat, Ir.Const (Ir.CFloat 1.5), V.VFloat 1.5);
+    ];
   let y_plus_1 =
     Ir.Bin (Lime_frontend.Ast.Add, Ir.SInt, Ir.Var "y", Ir.Const (Ir.CInt 1))
   in
@@ -361,6 +368,71 @@ let test_read_before_declaration () =
   Alcotest.(check string) "never declared" "unbound variable 'y'"
     (runtime_error (fun () ->
          Interp.run (Interp.create md) ~cls:"C" ~meth:"f" [ V.VInt 0 ]))
+
+(* A local whose binding sites disagree on its type keeps a boxed slot
+   and so the exact value of whichever declaration ran. *)
+let test_mixed_types () =
+  let decl ty k = Ir.SDecl ("x", Ir.TScalar ty, Some (Ir.Const k)) in
+  let ret = Ir.SReturn (Some (Ir.Var "x")) in
+  let md =
+    ir_module
+      [
+        Ir.SIf
+          ( Ir.Var "p",
+            [ decl Ir.SInt (Ir.CInt 7); ret ],
+            [ decl Ir.SFloat (Ir.CFloat 2.5); ret ] );
+      ]
+  in
+  let st = Interp.create md in
+  let call p = V.to_string (Interp.run st ~cls:"C" ~meth:"f" [ V.VInt p ]) in
+  Alcotest.(check string) "int branch" "7" (call 1);
+  Alcotest.(check string) "float branch" "2.5f" (call 0);
+  Alcotest.(check string) "int branch again" "7" (call 1)
+
+(* Frames are reused from call to call: a live call must never share one,
+   even when the callee is entered again while its arguments are being
+   evaluated, and a call that raised must not leave a frame behind. *)
+let test_frame_reuse () =
+  let src =
+    {|class C {
+  static float fib(float n) {
+    if (n < 2.0f) { return n; }
+    float a = C.fib(n - 1.0f);
+    float b = C.fib(n - 2.0f);
+    return a + b;
+  }
+  static float nest(float x, int n) {
+    if (n == 0) { return x; }
+    float y = x + 1.0f;
+    return C.nest(C.nest(y, n - 1), n - 1) * 0.5f + y;
+  }
+  static float down(float x, int n, int bad) {
+    float y = x + 1.0f;
+    if (n == bad) { int z = 1 / (n - bad); }
+    if (n == 0) { return y; }
+    float r = C.down(y, n - 1, bad);
+    return r + y;
+  }
+}|}
+  in
+  let md = Lower.lower_program (Check.check_string src) in
+  let st = Interp.create md in
+  let run meth args = vfloat (Interp.run st ~cls:"C" ~meth args) in
+  Alcotest.(check (float 0.0)) "fib 15" 610.0 (run "fib" [ V.VFloat 15.0 ]);
+  let rec nest x n =
+    if n = 0 then x
+    else
+      let y = V.f32 (x +. 1.0) in
+      V.f32 (V.f32 (nest (nest y (n - 1)) (n - 1) *. 0.5) +. y)
+  in
+  Alcotest.(check (float 0.0)) "calls in arguments" (nest 0.0 4)
+    (run "nest" [ V.VFloat 0.0; V.VInt 4 ]);
+  let down bad = [ V.VFloat 0.0; V.VInt 6; V.VInt bad ] in
+  Alcotest.(check string) "error mid-recursion" "division by zero"
+    (runtime_error (fun () -> Interp.run st ~cls:"C" ~meth:"down" (down 3)));
+  (* y = 1..7 down the recursion; the sum comes back up *)
+  Alcotest.(check (float 0.0)) "same state after the error" 28.0
+    (run "down" (down (-1)))
 
 (* Java evaluates operands left to right (JLS 15.7.1) *)
 let test_evaluation_order () =
@@ -554,6 +626,27 @@ let golden : (string * int array * string) list =
       "53e0e3cfaa8f91af2938c8bf43bab679" );
   ]
 
+(* Scalar locals live unboxed and float results go to frame slots, so
+   interpreting CP's worker allocates next to nothing per operation.  The
+   operations are the ten counters perfbench's run workload sums. *)
+let test_cp_allocation () =
+  let b = Option.get (R.find "Parboil-CP") in
+  let c = R.compile_small b in
+  let input = b.B.input_small () in
+  let w0 = Gc.minor_words () in
+  let st = Interp.create c.Pipeline.cp_module in
+  ignore (Interp.run st ~cls:"CP" ~meth:"computeGrid" [ input ]);
+  let words = Gc.minor_words () -. w0 in
+  let k = st.Interp.counters in
+  let ops =
+    k.alu + k.divs + k.sqrts + k.transcendentals + k.mem_reads + k.mem_writes
+    + k.bounds_checks + k.field_accesses + k.branches + k.calls
+  in
+  let per_op = words /. float ops in
+  if per_op >= 0.05 then
+    Alcotest.failf "%.0f minor words for %d operations (%.3f per op)" words ops
+      per_op
+
 let show_row (name, c, d) =
   Printf.sprintf "(%S, [| %s |], %S);" name
     (String.concat "; " (Array.to_list (Array.map string_of_int c)))
@@ -601,6 +694,12 @@ let () =
           Alcotest.test_case "read before declaration" `Quick
             test_read_before_declaration;
           Alcotest.test_case "evaluation order" `Quick test_evaluation_order;
+        ] );
+      ( "typed frames",
+        [
+          Alcotest.test_case "mixed types stay boxed" `Quick test_mixed_types;
+          Alcotest.test_case "frame reuse" `Quick test_frame_reuse;
+          Alcotest.test_case "CP allocation" `Quick test_cp_allocation;
         ] );
       ( "counters",
         [
