@@ -64,6 +64,22 @@ if grep -n 'stmt_str' lib/rewrite/search.ml; then
   exit 1
 fi
 
+echo "== one beam core =="
+# the rewrite-schedule and placement searches share Lime_support.Beam: its
+# loop is the only beam prune, and its event type and observer registry
+# are the only ones either search reports through
+if grep -n -e 'Hooks\.create' -e 'type event' \
+     lib/rewrite/search.ml lib/sched/search.ml; then
+  echo "FAIL: a search declares its own events or observers; emit through Lime_support.Beam"
+  exit 1
+fi
+if grep -rn --include='*.ml' --include='*.mli' \
+     'List\.filteri (fun i _ -> i < width)' lib bin \
+     | grep -v '^lib/support/beam\.ml:'; then
+  echo "FAIL: a beam prune outside lib/support/beam.ml; run the search through Beam.run"
+  exit 1
+fi
+
 echo "== front end: no forced minor GC =="
 # an array over 256 words seeded with a young token forces a full minor
 # collection (caml_make_vect) on every compile: the parser walks the

@@ -5,7 +5,9 @@
     with the analytic device model (the launch pricer
     {!Gpusim.Autotune.launch} with invariant hoisting and affine-lane
     recognition enabled).  A beam of the [width] best states advances up
-    to [depth] levels; children are produced by every catalog step that
+    to [depth] levels on {!Lime_support.Beam.run}, the loop the placement
+    search shares, reporting through {!Lime_support.Beam.hooks} (as
+    ["rewrite"]); children are produced by every catalog step that
     applies soundly and deduplicated structurally, so permutations of
     commuting placements cost one evaluation, not many.
 
@@ -49,36 +51,15 @@ type outcome = {
   so_depth_reached : int;  (** beam levels actually expanded *)
 }
 
-(* ------------------------------------------------------------------ *)
-(* Observers (keyed, composing — same discipline as Pipeline)          *)
-(* ------------------------------------------------------------------ *)
+module Beam = Lime_support.Beam
 
-type event =
-  | EBegin of { kernel : string; device : string; width : int; depth : int }
-  | ELevel of {
-      level : int;
-      frontier : int;  (** beam size after pruning *)
-      evals : int;  (** cumulative evaluations *)
-      best_time_s : float;
-      best_sequence : string list;
-    }
-  | EEnd of {
-      evals : int;
-      best_time_s : float;
-      best_sequence : string list;
-      improved : bool;  (** beam beat the best Fig 8 configuration *)
-    }
-  | EReplay of {
-      kernel : string;
-      sequence : string list;
-      ok : bool;  (** the stored schedule replayed legally *)
-    }
+let emit = Beam.emit "rewrite"
 
-(** Search observers: the [lime.service] metrics layer uses key
-    ["metrics"], the tracer ["trace"]. *)
-let hooks : event Lime_support.Hooks.t = Lime_support.Hooks.create ()
+let seq_str = function
+  | [] -> "(baseline)"
+  | seq -> Rewrite.sequence_to_string seq
 
-let emit ev = Lime_support.Hooks.emit hooks ev
+let seq_arg seq = ("sequence", seq_str seq)
 
 (* ------------------------------------------------------------------ *)
 (* Scoring                                                             *)
@@ -142,9 +123,13 @@ let search ?(width = default_width) ?(depth = default_depth)
     ~(scalars : (string * float) list) : outcome =
   let width = max 1 width and depth = max 0 depth in
   emit
-    (EBegin
-       { kernel = k.Kernel.k_name; device = device.Device.name; width;
-         depth });
+    (Beam.Begin
+       [
+         ("kernel", k.Kernel.k_name);
+         ("device", device.Device.name);
+         ("width", string_of_int width);
+         ("depth", string_of_int depth);
+       ]);
   let evals = ref 0 in
   let evaluate (sequence : string list) (st : Rewrite.state) ds : candidate =
     incr evals;
@@ -205,27 +190,12 @@ let search ?(width = default_width) ?(depth = default_depth)
       None fig8_cands
     |> Option.get
   in
-  let best_ever = ref baseline in
-  let consider c = if cmp_candidate c !best_ever < 0 then best_ever := c in
-  List.iter (fun (_, c) -> consider c) fig8_cands;
-  let prune entries =
-    let sorted =
-      List.sort (fun (a, _, _) (b, _, _) -> cmp_candidate a b) entries
-    in
-    List.filteri (fun i _ -> i < width) sorted
-  in
-  let frontier =
-    ref
-      (prune
-         ((baseline, baseline_an, baseline_ds) :: List.map snd fig8_entries))
-  in
-  let depth_reached = ref 0 in
   let child (c : candidate) (step : Rewrite.step) st an ds =
     if fresh_state st ds then
       Some (evaluate (c.sc_sequence @ [ step.Rewrite.name ]) st ds, an, ds)
     else None
   in
-  let expand ((c : candidate), an, ds) =
+  let expand _level ((c : candidate), an, ds) =
     let st = c.sc_state in
     let placements = Memopt.placements ds in
     List.filter_map
@@ -247,31 +217,30 @@ let search ?(width = default_width) ?(depth = default_depth)
                   (Memopt.decide_all st'.Rewrite.st_config an')))
       Rewrite.catalog
   in
-  (try
-     for level = 1 to depth do
-       let children = List.concat_map expand !frontier in
-       if children = [] then raise Exit;
-       depth_reached := level;
-       List.iter (fun (c, _, _) -> consider c) children;
-       frontier := prune children;
-       emit
-         (ELevel
-            {
-              level;
-              frontier = List.length !frontier;
-              evals = !evals;
-              best_time_s = !best_ever.sc_time_s;
-              best_sequence = !best_ever.sc_sequence;
-            })
-     done
-   with Exit -> ());
-  let best = !best_ever in
+  let on_level level frontier ((best : candidate), _, _) =
+    emit
+      (Beam.Level
+         [
+           ("level", string_of_int level);
+           ("frontier", string_of_int (List.length frontier));
+           ("evals", string_of_int !evals);
+           ("best_time_s", Printf.sprintf "%.3e" best.sc_time_s);
+           seq_arg best.sc_sequence;
+         ])
+  in
+  let baseline_entry = (baseline, baseline_an, baseline_ds) in
+  let (best, _, _), depth_reached =
+    Beam.run
+      ~cmp:(fun (a, _, _) (b, _, _) -> cmp_candidate a b)
+      ~width ~levels:depth ~expand ~on_level ~best:baseline_entry
+      (baseline_entry :: List.map snd fig8_entries)
+  in
   emit
-    (EEnd
+    (Beam.End
        {
          evals = !evals;
          best_time_s = best.sc_time_s;
-         best_sequence = best.sc_sequence;
+         best = seq_arg best.sc_sequence;
          improved = best.sc_time_s < (snd fig8_best).sc_time_s;
        });
   {
@@ -279,7 +248,7 @@ let search ?(width = default_width) ?(depth = default_depth)
     so_baseline = baseline;
     so_fig8_best = fig8_best;
     so_evals = !evals;
-    so_depth_reached = !depth_reached;
+    so_depth_reached = depth_reached;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -292,12 +261,17 @@ let search ?(width = default_width) ?(depth = default_depth)
 let replay (device : Device.t) (k : Kernel.kernel) (sequence : string list)
     ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) : (candidate, string) result =
+  let replayed ok =
+    emit
+      (Beam.Replay
+         { args = [ ("kernel", k.Kernel.k_name); seq_arg sequence ]; ok })
+  in
   match Rewrite.apply_sequence (Rewrite.initial k) sequence with
   | Error m ->
-      emit (EReplay { kernel = k.Kernel.k_name; sequence; ok = false });
+      replayed false;
       Error m
   | Ok st ->
-      emit (EReplay { kernel = k.Kernel.k_name; sequence; ok = true });
+      replayed true;
       let time_s, bd, ctr = score device st (decisions st) ~shapes ~scalars in
       Ok
         {
@@ -307,10 +281,6 @@ let replay (device : Device.t) (k : Kernel.kernel) (sequence : string list)
           sc_breakdown = bd;
           sc_counters = ctr;
         }
-
-let seq_str = function
-  | [] -> "(baseline)"
-  | seq -> Rewrite.sequence_to_string seq
 
 (** Human-readable account of a search, for [limec --explain]. *)
 let explain (o : outcome) : string =

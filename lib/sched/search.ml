@@ -5,8 +5,9 @@
     four placeable stages the space is ≤ 5⁴ = 625 candidates and the
     search is exhaustive; above that a beam advances stage by stage,
     scoring each prefix with the undecided suffix on the host and keeping
-    the [width] best — the same discipline as the rewrite engine's beam
-    ({!Lime_rewrite.Search}).
+    the [default_width] best.  The beam is {!Lime_support.Beam.run}, the
+    loop the rewrite engine's beam ({!Lime_rewrite.Search}) shares, and
+    both report through {!Lime_support.Beam.hooks} (as ["sched"]).
 
     The all-on-one-device placements (and all-host) are always evaluated
     and seed the beam, so the chosen placement is never worse under the
@@ -36,33 +37,10 @@ type outcome = {
   po_firings : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Observers (keyed, composing — same discipline as the rewrite search) *)
-(* ------------------------------------------------------------------ *)
+module Beam = Lime_support.Beam
 
-type event =
-  | SBegin of {
-      stages : int;
-      placeable : int;
-      firings : int;
-      exhaustive : bool;
-    }
-  | SEnd of {
-      evals : int;
-      best_time_s : float;
-      best_spec : string;
-      improved : bool;  (** beat the best single-device placement *)
-    }
-  | SReplay of {
-      spec : string;
-      ok : bool;  (** the stored placement still fits the pipeline *)
-    }
-
-(** Search observers: the [lime.service] metrics layer uses key
-    ["metrics"], the tracer ["trace"]. *)
-let hooks : event Lime_support.Hooks.t = Lime_support.Hooks.create ()
-
-let emit ev = Lime_support.Hooks.emit hooks ev
+let emit = Beam.emit "sched"
+let placement_arg p = ("placement", Placement.to_spec p)
 
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
@@ -128,17 +106,27 @@ let singles ?(serializer = Marshal_.Custom) ~(firings : int)
   let tb = Cost.table stages in
   priced_singles tb (evaluate_with tb ~serializer ~firings (ref 0))
 
-let search ?(width = default_width) ?(serializer = Marshal_.Custom)
-    ~(firings : int) (stages : Probe.stage list) : outcome =
+let search ?(serializer = Marshal_.Custom) ~(firings : int)
+    (stages : Probe.stage list) : outcome =
   let tb = Cost.table stages in
   let n = Array.length tb.Cost.tb_stages in
-  let placeable =
-    Array.fold_left
-      (fun acc st -> if st.Probe.st_offloadable then acc + 1 else acc)
-      0 tb.Cost.tb_stages
+  (* indices of the offloadable stages, in pipeline order *)
+  let placeable_at =
+    List.filter
+      (fun k -> tb.Cost.tb_stages.(k).Probe.st_offloadable)
+      (List.init n Fun.id)
+    |> Array.of_list
   in
+  let placeable = Array.length placeable_at in
   let exhaustive = placeable <= exhaustive_placeable_limit in
-  emit (SBegin { stages = n; placeable; firings; exhaustive });
+  emit
+    (Beam.Begin
+       [
+         ("stages", string_of_int n);
+         ("placeable", string_of_int placeable);
+         ("firings", string_of_int firings);
+         ("exhaustive", string_of_bool exhaustive);
+       ]);
   let evals = ref 0 in
   let evaluate = evaluate_with tb ~serializer ~firings evals in
   let options k =
@@ -165,51 +153,33 @@ let search ?(width = default_width) ?(serializer = Marshal_.Custom)
     go 0
   end
   else begin
-    (* beam: decide stages left to right; a prefix is scored as a full
-       placement with the undecided suffix on the host.  Seeded with the
-       single-device baselines so the result can only improve on them. *)
-    let width = max 1 width in
-    let prune cands =
-      List.filteri (fun i _ -> i < width) (List.sort cmp_candidate cands)
-    in
-    let seed =
+    (* beam: level l decides the l-th placeable stage; a prefix is scored
+       as a full placement with the undecided suffix on the host.  Seeded
+       with the single-device baselines so the result can only improve on
+       them. *)
+    let assigns c = Array.of_list (List.map snd c.pc_placement) in
+    let expand level c =
+      let k = placeable_at.(level - 1) in
       List.map
-        (fun (_, c) ->
-          Array.of_list (List.map snd c.pc_placement))
-        singles
+        (fun a ->
+          let child = assigns c in
+          child.(k) <- a;
+          evaluate child)
+        (options k)
     in
-    let frontier = ref (List.map (fun a -> (a, evaluate a)) seed) in
-    for k = 0 to n - 1 do
-      if tb.Cost.tb_stages.(k).Probe.st_offloadable then begin
-        let children =
-          List.concat_map
-            (fun (assigns, _) ->
-              List.map
-                (fun a ->
-                  let c = Array.copy assigns in
-                  c.(k) <- a;
-                  (c, evaluate c))
-                (options k))
-            !frontier
-        in
-        List.iter (fun (_, c) -> consider c) children;
-        let pruned =
-          prune (List.map snd children)
-          |> List.map (fun c ->
-                 (Array.of_list (List.map snd c.pc_placement), c))
-        in
-        frontier := pruned
-      end
-    done;
-    List.iter (fun (_, c) -> consider c) !frontier
+    best_ever :=
+      fst
+        (Beam.run ~cmp:cmp_candidate ~width:default_width ~levels:placeable
+           ~expand ~best:!best_ever
+           (List.map (fun (_, c) -> evaluate (assigns c)) singles))
   end;
   let best = !best_ever in
   emit
-    (SEnd
+    (Beam.End
        {
          evals = !evals;
          best_time_s = best.pc_time_s;
-         best_spec = Placement.to_spec best.pc_placement;
+         best = placement_arg best.pc_placement;
          improved = best.pc_time_s < (snd best_single).pc_time_s;
        });
   {
@@ -233,8 +203,9 @@ let replay ?(serializer = Marshal_.Custom) ~(firings : int)
     (stages : Probe.stage list) (p : Placement.t) :
     (candidate, string) result =
   let tb = Cost.table stages in
+  let replayed ok = emit (Beam.Replay { args = [ placement_arg p ]; ok }) in
   let fail msg =
-    emit (SReplay { spec = Placement.to_spec p; ok = false });
+    replayed false;
     Error msg
   in
   let tasks = List.map (fun st -> st.Probe.st_task) stages in
@@ -269,7 +240,7 @@ let replay ?(serializer = Marshal_.Custom) ~(firings : int)
                      ~default:Placement.Host)
                  stages)
           in
-          emit (SReplay { spec = Placement.to_spec p; ok = true });
+          replayed true;
           let time_s, bd = Cost.price ~serializer ~firings tb assigns in
           Ok
             {

@@ -7,6 +7,7 @@ module Engine = Lime_runtime.Engine
 module Diag = Lime_support.Diag
 module Loc = Lime_support.Loc
 module Hooks = Lime_support.Hooks
+module Beam = Lime_support.Beam
 module Search = Lime_rewrite.Search
 
 type origin = Memory | Disk | Compiled
@@ -251,115 +252,95 @@ let sweep t d ~device_key ~digest kernel ~shapes ~scalars =
   | None -> (pool_sweep t d kernel ~shapes ~scalars, `Miss)
 
 (* ------------------------------------------------------------------ *)
-(* Tunestore-aware beam schedule                                       *)
+(* Tunestore-aware searches                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* The replay-or-search path both searches share: a stored choice
+   ([stored] reads it out of the record) replays without searching; with
+   none, or one that no longer applies, [search] runs and [record] turns
+   its winner into the record stored for next time. *)
+let tuned t ~digest ~device ~stored ~replay ~search ~record =
+  let search_and_store () =
+    let best, o = search () in
+    Option.iter
+      (fun ts -> Tunestore.store ts ~digest ~device (record best))
+      t.sv_tunes;
+    (best, `Searched o)
+  in
+  match
+    Option.bind t.sv_tunes (fun ts ->
+        Option.bind (Tunestore.load ts ~digest ~device) stored)
+  with
+  | None -> search_and_store ()
+  | Some choice -> (
+      match replay choice with
+      | Ok c -> (c, `Replayed)
+      | Error _ -> search_and_store ())
 
 (* Beam results live in the tunestore beside the Fig 8 sweep records,
    under a ".beam"-suffixed device key so the two kinds of record never
-   clobber each other. *)
+   clobber each other.  A schedule that no longer replays (store written
+   against a different kernel shape) is treated as a miss. *)
 let beam_device_key device = device ^ ".beam"
 
 let beam_schedule t (d : Gpusim.Device.t) ~device_key ~digest ?width ?depth
     (k : Lime_gpu.Kernel.kernel) ~shapes ~scalars :
     Search.candidate * [ `Replayed | `Searched of Search.outcome ] =
-  let device = beam_device_key device_key in
-  let search_and_store () =
-    let o = Search.search ?width ?depth d k ~shapes ~scalars in
-    let best = o.Search.so_best in
-    (match t.sv_tunes with
-    | None -> ()
-    | Some ts ->
-        let c = best.Search.sc_counters in
-        Tunestore.store ts ~digest ~device
-          {
-            Tunestore.tr_config_name = "beam";
-            tr_config = best.Search.sc_state.Lime_rewrite.Rewrite.st_config;
-            tr_time_s = best.Search.sc_time_s;
-            tr_headline =
-              Some
-                {
-                  Tunestore.th_occupancy = c.Gpusim.Counters.ct_occupancy;
-                  th_bank_replays = c.Gpusim.Counters.ct_bank_replays;
-                  th_roofline =
-                    Gpusim.Counters.roofline_name (Gpusim.Counters.classify c);
-                };
-            tr_sequence = Some best.Search.sc_sequence;
-            tr_placement = None;
-          });
-    (best, `Searched o)
-  in
-  let stored =
-    match t.sv_tunes with
-    | None -> None
-    | Some ts -> (
-        match Tunestore.load ts ~digest ~device with
-        | Some { Tunestore.tr_sequence = Some seq; _ } -> Some seq
-        | _ -> None)
-  in
-  match stored with
-  | None -> search_and_store ()
-  | Some seq -> (
-      match Search.replay d k seq ~shapes ~scalars with
-      | Ok c -> (c, `Replayed)
-      | Error _ ->
-          (* a schedule that no longer replays (store written against a
-             different kernel shape) is treated as a miss *)
-          search_and_store ())
-
-(* ------------------------------------------------------------------ *)
-(* Tunestore-aware multi-device placement                              *)
-(* ------------------------------------------------------------------ *)
+  tuned t ~digest ~device:(beam_device_key device_key)
+    ~stored:(fun r -> r.Tunestore.tr_sequence)
+    ~replay:(fun seq -> Search.replay d k seq ~shapes ~scalars)
+    ~search:(fun () ->
+      let o = Search.search ?width ?depth d k ~shapes ~scalars in
+      (o.Search.so_best, o))
+    ~record:(fun best ->
+      let c = best.Search.sc_counters in
+      {
+        Tunestore.tr_config_name = "beam";
+        tr_config = best.Search.sc_state.Lime_rewrite.Rewrite.st_config;
+        tr_time_s = best.Search.sc_time_s;
+        tr_headline =
+          Some
+            {
+              Tunestore.th_occupancy = c.Gpusim.Counters.ct_occupancy;
+              th_bank_replays = c.Gpusim.Counters.ct_bank_replays;
+              th_roofline =
+                Gpusim.Counters.roofline_name (Gpusim.Counters.classify c);
+            };
+        tr_sequence = Some best.Search.sc_sequence;
+        tr_placement = None;
+      })
 
 module Sched = Lime_sched
 
 (* Placement records live under a fixed pseudo-device key: a placement
    spans all devices, so no single device name applies, and the constant
-   keeps placement records from clobbering sweep or beam records. *)
+   keeps placement records from clobbering sweep or beam records.  A
+   placement that no longer fits (store written against a different
+   pipeline) is treated as a miss. *)
 let sched_device_key = "multi.sched"
 
 let sched_placement t ~digest ?serializer ~firings
     (stages : Sched.Probe.stage list) :
     Sched.Search.candidate
     * [ `Replayed | `Searched of Sched.Search.outcome ] =
-  let device = sched_device_key in
-  let search_and_store () =
-    let o = Sched.Search.search ?serializer ~firings stages in
-    let best = o.Sched.Search.po_best in
-    (match t.sv_tunes with
-    | None -> ()
-    | Some ts ->
-        Tunestore.store ts ~digest ~device
-          {
-            Tunestore.tr_config_name = "sched";
-            tr_config = Lime_gpu.Memopt.config_all;
-            tr_time_s = best.Sched.Search.pc_time_s;
-            tr_headline = None;
-            tr_sequence = None;
-            tr_placement =
-              Some (Sched.Placement.to_spec best.Sched.Search.pc_placement);
-          });
-    (best, `Searched o)
-  in
-  let stored =
-    match t.sv_tunes with
-    | None -> None
-    | Some ts -> (
-        match Tunestore.load ts ~digest ~device with
-        | Some { Tunestore.tr_placement = Some spec; _ } -> Some spec
-        | _ -> None)
-  in
-  match stored with
-  | None -> search_and_store ()
-  | Some spec -> (
-      match Sched.Placement.of_spec spec with
-      | Error _ -> search_and_store ()
-      | Ok p -> (
-          match Sched.Search.replay ?serializer ~firings stages p with
-          | Ok c -> (c, `Replayed)
-          | Error _ ->
-              (* a placement that no longer fits (store written against a
-                 different pipeline) is treated as a miss *)
-              search_and_store ()))
+  tuned t ~digest ~device:sched_device_key
+    ~stored:(fun r ->
+      Option.bind r.Tunestore.tr_placement (fun spec ->
+          Result.to_option (Sched.Placement.of_spec spec)))
+    ~replay:(Sched.Search.replay ?serializer ~firings stages)
+    ~search:(fun () ->
+      let o = Sched.Search.search ?serializer ~firings stages in
+      (o.Sched.Search.po_best, o))
+    ~record:(fun best ->
+      {
+        Tunestore.tr_config_name = "sched";
+        tr_config = Lime_gpu.Memopt.config_all;
+        tr_time_s = best.Sched.Search.pc_time_s;
+        tr_headline = None;
+        tr_sequence = None;
+        tr_placement =
+          Some (Sched.Placement.to_spec best.Sched.Search.pc_placement);
+      })
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -392,76 +373,36 @@ let instrument ?(registry = Metrics.default) () =
   Hooks.add Pipeline.compile_hooks ~key:"metrics" (fun (_worker, seconds) ->
       Metrics.inc compile_total;
       Metrics.observe compile_seconds seconds);
-  (* the rewrite engine's beam search and stored-schedule replays *)
-  let rewrite_searches =
-    Metrics.counter registry ~help:"beam searches run"
-      "lime_rewrite_searches_total"
+  (* each search (the rewrite engine's beam, the multi-device placement
+     search) and its stored-choice replays, as lime_<search>_* families *)
+  let search_metrics search =
+    let name suffix = Printf.sprintf "lime_%s_%s" search suffix in
+    let counter suffix help = Metrics.counter registry ~help (name suffix) in
+    let searches = counter "searches_total" "searches run"
+    and evals = counter "evals_total" "cost-model evaluations spent searching"
+    and improved =
+      counter "improved_total" "searches whose winner beat their baselines"
+    and replays =
+      counter "replays_total" "stored choices replayed without re-searching"
+    and best_time =
+      Metrics.gauge registry
+        ~help:"modeled seconds of the most recent search's winner"
+        (name "best_time_s")
+    in
+    let observe : Beam.event -> unit = function
+      | Beam.Begin _ | Beam.Level _ -> ()
+      | Beam.End e ->
+          Metrics.inc searches;
+          Metrics.inc ~by:e.evals evals;
+          Metrics.set best_time e.best_time_s;
+          if e.improved then Metrics.inc improved
+      | Beam.Replay { ok; _ } -> if ok then Metrics.inc replays
+    in
+    (search, observe)
   in
-  let rewrite_evals =
-    Metrics.counter registry ~help:"cost-model evaluations spent by beam search"
-      "lime_rewrite_evals_total"
-  in
-  let rewrite_improved =
-    Metrics.counter registry
-      ~help:"beam searches that beat the best Fig 8 configuration"
-      "lime_rewrite_improved_total"
-  in
-  let rewrite_replays =
-    Metrics.counter registry
-      ~help:"stored rewrite schedules replayed without re-searching"
-      "lime_rewrite_replays_total"
-  in
-  let rewrite_best_time =
-    Metrics.gauge registry
-      ~help:"modeled kernel seconds of the most recent search's best schedule"
-      "lime_rewrite_best_time_s"
-  in
-  Hooks.add Search.hooks ~key:"metrics" (fun ev ->
-      match ev with
-      | Search.EBegin _ | Search.ELevel _ -> ()
-      | Search.EEnd { evals; best_time_s; improved; _ } ->
-          Metrics.inc rewrite_searches;
-          Metrics.inc ~by:evals rewrite_evals;
-          Metrics.set rewrite_best_time best_time_s;
-          if improved then Metrics.inc rewrite_improved
-      | Search.EReplay { ok; _ } -> if ok then Metrics.inc rewrite_replays);
-  (* the multi-device placement search and stored-placement replays *)
-  let sched_searches =
-    Metrics.counter registry ~help:"multi-device placement searches run"
-      "lime_sched_searches_total"
-  in
-  let sched_evals =
-    Metrics.counter registry
-      ~help:"cost-model evaluations spent by placement search"
-      "lime_sched_evals_total"
-  in
-  let sched_improved =
-    Metrics.counter registry
-      ~help:"placement searches that beat the best single device"
-      "lime_sched_improved_total"
-  in
-  let sched_replays =
-    Metrics.counter registry
-      ~help:"stored placements replayed without re-searching"
-      "lime_sched_replays_total"
-  in
-  let sched_best_time =
-    Metrics.gauge registry
-      ~help:
-        "modeled overlapped makespan of the most recent search's best \
-         placement"
-      "lime_sched_best_time_s"
-  in
-  Hooks.add Sched.Search.hooks ~key:"metrics" (fun ev ->
-      match ev with
-      | Sched.Search.SBegin _ -> ()
-      | Sched.Search.SEnd { evals; best_time_s; improved; _ } ->
-          Metrics.inc sched_searches;
-          Metrics.inc ~by:evals sched_evals;
-          Metrics.set sched_best_time best_time_s;
-          if improved then Metrics.inc sched_improved
-      | Sched.Search.SReplay { ok; _ } ->
-          if ok then Metrics.inc sched_replays);
+  let observers = List.map search_metrics [ "rewrite"; "sched" ] in
+  Hooks.add Beam.hooks ~key:"metrics" (fun (search, ev) ->
+      Option.iter (fun observe -> observe ev) (List.assoc_opt search observers));
   let device_firings =
     Metrics.counter registry ~help:"task firings offloaded to the device"
       "lime_firings_device_total"
@@ -541,5 +482,4 @@ let instrument ?(registry = Metrics.default) () =
 let uninstrument () =
   Hooks.remove Pipeline.compile_hooks "metrics";
   Hooks.remove Engine.firing_hooks "metrics";
-  Hooks.remove Search.hooks "metrics";
-  Hooks.remove Sched.Search.hooks "metrics"
+  Hooks.remove Beam.hooks "metrics"

@@ -176,11 +176,11 @@ val expose : t -> string
 val instrument : ?registry:Metrics.registry -> unit -> unit
 (** Install the metrics observers (keyed ["metrics"]) in
     {!Lime_gpu.Pipeline.compile_hooks}, {!Lime_runtime.Engine.firing_hooks}
-    and {!Lime_rewrite.Search.hooks}: compile counts/latency histograms,
+    and {!Lime_support.Beam.hooks}: compile counts/latency histograms,
     firing counters, one histogram per {!Lime_runtime.Comm.phases} leg,
-    and the [lime_rewrite_*] beam-search family (searches, cost-model
-    evaluations, improvements over Fig 8, stored-schedule replays, best
-    modeled time).  Keyed registration makes this idempotent and lets it
+    and one family per search, [lime_rewrite_*] and [lime_sched_*]
+    (searches, cost-model evaluations, improvements over the baselines,
+    stored-choice replays, best modeled time).  Keyed registration makes this idempotent and lets it
     compose with the tracer's observers ({!Trace.install}) — metrics and
     tracing can be on at once. *)
 

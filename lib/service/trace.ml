@@ -12,7 +12,7 @@
 module Pipeline = Lime_gpu.Pipeline
 module Engine = Lime_runtime.Engine
 module Comm = Lime_runtime.Comm
-module Search = Lime_rewrite.Search
+module Beam = Lime_support.Beam
 module Hooks = Lime_support.Hooks
 
 type span = {
@@ -677,87 +677,35 @@ let install ?(tracer = default) () =
       | `Begin -> begin_span tracer ~cat:"compile" ("pipeline." ^ phase)
       | `End -> end_span tracer ("pipeline." ^ phase));
   Hooks.add Engine.firing_hooks ~key:"trace" (emit_firing tracer);
-  (* rewrite.* spans: the beam search brackets as one wall-clock span with
-     an instant child per level; a replay of a stored schedule is a single
-     instant.  All carry their key facts as args. *)
-  Hooks.add Search.hooks ~key:"trace" (fun ev ->
-      let seq_arg seq = ("sequence", Search.seq_str seq) in
+  (* <search>.* spans (rewrite, sched): a search brackets as one
+     wall-clock span with an instant child per beam level; a replay of a
+     stored choice is a single instant.  All carry their key facts as
+     args. *)
+  Hooks.add Beam.hooks ~key:"trace" (fun (search, ev) ->
       match ev with
-      | Search.EBegin { kernel; device; width; depth } ->
-          begin_span tracer ~cat:"rewrite"
-            ~args:
-              [
-                ("kernel", kernel);
-                ("device", device);
-                ("width", string_of_int width);
-                ("depth", string_of_int depth);
-              ]
-            "rewrite.search"
-      | Search.ELevel { level; frontier; evals; best_time_s; best_sequence } ->
-          complete tracer ~cat:"rewrite" ~dur_us:1.0
-            ~args:
-              [
-                ("level", string_of_int level);
-                ("frontier", string_of_int frontier);
-                ("evals", string_of_int evals);
-                ("best_time_s", Printf.sprintf "%.3e" best_time_s);
-                seq_arg best_sequence;
-              ]
-            "rewrite.level"
-      | Search.EEnd { evals; best_time_s; best_sequence; improved } ->
+      | Beam.Begin args ->
+          begin_span tracer ~cat:search ~args (search ^ ".search")
+      | Beam.Level args ->
+          complete tracer ~cat:search ~dur_us:1.0 ~args (search ^ ".level")
+      | Beam.End { evals; best_time_s; best; improved } ->
           end_span tracer
             ~args:
               [
                 ("evals", string_of_int evals);
                 ("best_time_s", Printf.sprintf "%.3e" best_time_s);
-                seq_arg best_sequence;
+                best;
                 ("improved", string_of_bool improved);
               ]
-            "rewrite.search"
-      | Search.EReplay { kernel; sequence; ok } ->
-          complete tracer ~cat:"rewrite" ~dur_us:1.0
-            ~args:
-              [
-                ("kernel", kernel);
-                seq_arg sequence;
-                ("ok", string_of_bool ok);
-              ]
-            "rewrite.replay");
-  (* sched.* spans: the placement search brackets as one wall-clock span;
-     a replay of a stored (or user-specified) placement is an instant. *)
-  let module PS = Lime_sched.Search in
-  Hooks.add PS.hooks ~key:"trace" (fun ev ->
-      match ev with
-      | PS.SBegin { stages; placeable; firings; exhaustive } ->
-          begin_span tracer ~cat:"sched"
-            ~args:
-              [
-                ("stages", string_of_int stages);
-                ("placeable", string_of_int placeable);
-                ("firings", string_of_int firings);
-                ("exhaustive", string_of_bool exhaustive);
-              ]
-            "sched.search"
-      | PS.SEnd { evals; best_time_s; best_spec; improved } ->
-          end_span tracer
-            ~args:
-              [
-                ("evals", string_of_int evals);
-                ("best_time_s", Printf.sprintf "%.3e" best_time_s);
-                ("placement", best_spec);
-                ("improved", string_of_bool improved);
-              ]
-            "sched.search"
-      | PS.SReplay { spec; ok } ->
-          complete tracer ~cat:"sched" ~dur_us:1.0
-            ~args:[ ("placement", spec); ("ok", string_of_bool ok) ]
-            "sched.replay")
+            (search ^ ".search")
+      | Beam.Replay { args; ok } ->
+          complete tracer ~cat:search ~dur_us:1.0
+            ~args:(args @ [ ("ok", string_of_bool ok) ])
+            (search ^ ".replay"))
 
 let uninstall () =
   Hooks.remove Pipeline.phase_hooks "trace";
   Hooks.remove Engine.firing_hooks "trace";
-  Hooks.remove Search.hooks "trace";
-  Hooks.remove Lime_sched.Search.hooks "trace"
+  Hooks.remove Beam.hooks "trace"
 
 let with_observers ?(tracer = default) f =
   let was = tracer.tr_enabled in

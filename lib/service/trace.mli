@@ -200,11 +200,11 @@ val install : ?tracer:t -> unit -> unit
     under [pipeline.compile]) and every firing becomes a model-time span
     ([firing.<task>]) with one child span per {!Lime_runtime.Comm.phases}
     leg ([comm.java_marshal] … [comm.host]); device firings attach the
-    launch attributes from {!Gpusim.Model.launch_attrs}.  The rewrite
-    engine's beam search ({!Lime_rewrite.Search.hooks}) traces as a
-    [rewrite.search] span with one instant [rewrite.level] child per beam
-    level and [rewrite.replay] instants for stored-schedule replays.
-    Keyed registration composes with the metrics observers and is
+    launch attributes from {!Gpusim.Model.launch_attrs}.  Each search
+    reporting through {!Lime_support.Beam.hooks} ([rewrite], [sched])
+    traces as a [<search>.search] span with one instant [<search>.level]
+    child per beam level and [<search>.replay] instants for replays of a
+    stored choice.  Keyed registration composes with the metrics observers and is
     idempotent. *)
 
 val with_observers : ?tracer:t -> (unit -> 'a) -> 'a

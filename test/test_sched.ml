@@ -176,6 +176,41 @@ let test_search_splits_at_scale () =
   Alcotest.(check bool) "smooth on a device" true (d2 <> "host");
   Alcotest.(check bool) "kernels split across devices" true (d1 <> d2)
 
+(* The beam branch: the probed pipeline widened to six placeable stages
+   (past the exhaustive search's limit of four) by repeating its two
+   kernel stages twice more under new task names.  Golden rows pin the
+   evaluation count (5 singles, the 5 seeds re-priced, 5 x 5 children at
+   the first level, then 8 x 5 at each of the other five), the chosen
+   placement and its exact modeled time. *)
+let widened ~n =
+  match probe_only ~n with
+  | [ gen; forces; smooth; acc ] ->
+      let copy st i =
+        { st with Probe.st_task = st.Probe.st_task ^ string_of_int i }
+      in
+      [ gen; forces; smooth; copy forces 2; copy smooth 2; copy forces 3;
+        copy smooth 3; acc ]
+  | stages -> Alcotest.failf "expected 4 stages, got %d" (List.length stages)
+
+let check_beam_branch ~n ~spec ~time_h () =
+  let stages = widened ~n in
+  let o = Search.search ~firings:16 stages in
+  let best = o.Search.po_best in
+  Alcotest.(check bool) "beam, not exhaustive" false o.Search.po_exhaustive;
+  Alcotest.(check int) "evaluations" 235 o.Search.po_evals;
+  Alcotest.(check string) "best placement" spec
+    (P.to_spec best.Search.pc_placement);
+  Alcotest.(check string) "best time" time_h
+    (Printf.sprintf "%h" best.Search.pc_time_s);
+  let _, best_single = o.Search.po_best_single in
+  Alcotest.(check bool) "never worse than best single device" true
+    (best.Search.pc_time_s <= best_single.Search.pc_time_s);
+  match Search.replay ~firings:16 stages best.Search.pc_placement with
+  | Error e -> Alcotest.failf "best placement failed to replay: %s" e
+  | Ok c ->
+      Alcotest.(check (float 0.0)) "replay reproduces the searched time"
+        best.Search.pc_time_s c.Search.pc_time_s
+
 let test_search_deterministic () =
   let stages = Lazy.force probed in
   let a = Search.search ~firings:16 stages in
@@ -390,6 +425,22 @@ let () =
           Alcotest.test_case "splits at scale" `Slow
             test_search_splits_at_scale;
           Alcotest.test_case "deterministic" `Quick test_search_deterministic;
+          Alcotest.test_case "beam branch, n = 16" `Quick
+            (check_beam_branch ~n:16
+               ~spec:
+                 "NBodyPSim.particleGen=host,NBodyP.computeForces=host,\
+                  NBodyP.smooth=host,NBodyP.computeForces2=host,\
+                  NBodyP.smooth2=host,NBodyP.computeForces3=host,\
+                  NBodyP.smooth3=host,NBodyPSim.accumulate=host"
+               ~time_h:"0x1.923d942a3f3f2p-12");
+          Alcotest.test_case "beam branch, n = 1024" `Slow
+            (check_beam_branch ~n:1024
+               ~spec:
+                 "NBodyPSim.particleGen=host,NBodyP.computeForces=hd5970,\
+                  NBodyP.smooth=gtx580,NBodyP.computeForces2=hd5970,\
+                  NBodyP.smooth2=hd5970,NBodyP.computeForces3=gtx580,\
+                  NBodyP.smooth3=gtx580,NBodyPSim.accumulate=host"
+               ~time_h:"0x1.3862eca3a316dp-8");
           Alcotest.test_case "replay validates" `Quick test_replay_validates;
           Alcotest.test_case "zero firings" `Quick test_cost_zero_firings;
           Alcotest.test_case "residency" `Quick test_cost_residency_free;

@@ -402,6 +402,134 @@ let test_summary_and_flame () =
     (contains ~sub:"firing.NBody.computeForces" flame)
 
 (* ------------------------------------------------------------------ *)
+(* Search observability: the rewrite and placement searches' spans and *)
+(* metrics, pinned value for value                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* the N-Body Pipe at n = 16, probed without executing it *)
+let probe_pipe () =
+  let pipe = Lime_benchmarks.Nbody_pipe.bench in
+  let c =
+    Pipeline.compile ~worker:pipe.Lime_benchmarks.Bench_def.worker
+      (Lime_benchmarks.Nbody_pipe.source_for 16)
+  in
+  let stages = ref [] in
+  let st = Lime_ir.Interp.create c.Pipeline.cp_module in
+  st.Lime_ir.Interp.finish_hook <-
+    (fun st' graph _iters ->
+      stages := Lime_sched.Probe.probe st'.Lime_ir.Interp.md graph);
+  ignore
+    (Lime_ir.Interp.run st ~cls:"NBodyPSim" ~meth:"main"
+       [ Lime_ir.Value.VInt 1 ]);
+  !stages
+
+let test_search_observability () =
+  let module Search = Lime_rewrite.Search in
+  let module PS = Lime_sched.Search in
+  let b =
+    match Lime_benchmarks.Registry.find "TMatMul" with
+    | Some b -> b
+    | None -> Alcotest.fail "TMatMul missing from the registry"
+  in
+  let k = (Lime_benchmarks.Registry.compile_small b).Pipeline.cp_kernel in
+  let shapes, scalars =
+    Engine.shapes_of_args k [ b.Lime_benchmarks.Bench_def.input_small () ]
+  in
+  let d = Gpusim.Device.gtx580 in
+  let stages = probe_pipe () in
+  let reg = Metrics.create () in
+  let tr = Trace.create ~clock:(ticking ()) () in
+  Service.instrument ~registry:reg ();
+  Fun.protect
+    ~finally:(fun () -> Service.uninstrument ())
+    (fun () ->
+      Trace.with_observers ~tracer:tr (fun () ->
+          let o = Search.search ~width:4 ~depth:3 d k ~shapes ~scalars in
+          Alcotest.(check int) "rewrite evals" 53 o.Search.so_evals;
+          ignore
+            (Search.replay d k o.Search.so_best.Search.sc_sequence ~shapes
+               ~scalars);
+          ignore (Search.replay d k [ "warp-shuffle" ] ~shapes ~scalars);
+          let po = PS.search ~firings:16 stages in
+          ignore (PS.replay ~firings:16 stages po.PS.po_best.PS.pc_placement)));
+  let spans =
+    List.filter
+      (fun s -> s.Trace.sp_cat = "rewrite" || s.Trace.sp_cat = "sched")
+      (Trace.spans tr)
+  in
+  let parent s =
+    match List.find_opt (fun p -> p.Trace.sp_id = s.Trace.sp_parent) spans with
+    | Some p -> p.Trace.sp_name
+    | None -> "-"
+  in
+  let render s =
+    Printf.sprintf "%s [%s] <%s> %s" s.Trace.sp_name s.Trace.sp_cat (parent s)
+      (String.concat " "
+         (List.map (fun (k, v) -> k ^ "=" ^ v) s.Trace.sp_args))
+  in
+  let host_pipe =
+    "NBodyPSim.particleGen=host,NBodyP.computeForces=host,\
+     NBodyP.smooth=host,NBodyPSim.accumulate=host"
+  in
+  Alcotest.(check (list string))
+    "search spans"
+    [
+      "rewrite.search [rewrite] <-> kernel=TMatMul.multiply device=NVidia \
+       GeForce GTX 580 width=4 depth=3 evals=53 best_time_s=3.394e-05 \
+       sequence=interchange improved=true";
+      "rewrite.level [rewrite] <rewrite.search> level=1 frontier=4 evals=20 \
+       best_time_s=3.394e-05 sequence=interchange";
+      "rewrite.level [rewrite] <rewrite.search> level=2 frontier=4 evals=34 \
+       best_time_s=3.394e-05 sequence=interchange";
+      "rewrite.level [rewrite] <rewrite.search> level=3 frontier=4 evals=53 \
+       best_time_s=3.394e-05 sequence=interchange";
+      "rewrite.replay [rewrite] <-> kernel=TMatMul.multiply \
+       sequence=interchange ok=true";
+      "rewrite.replay [rewrite] <-> kernel=TMatMul.multiply \
+       sequence=warp-shuffle ok=false";
+      "sched.search [sched] <-> stages=4 placeable=2 firings=16 \
+       exhaustive=true evals=30 best_time_s=1.324e-04 placement=" ^ host_pipe
+      ^ " improved=false";
+      "sched.replay [sched] <-> placement=" ^ host_pipe ^ " ok=true";
+    ]
+    (List.map render spans);
+  let samples =
+    String.split_on_char '\n' (Metrics.expose reg)
+    |> List.filter (fun l ->
+           List.exists
+             (fun p -> String.starts_with ~prefix:p l)
+             [
+               "lime_rewrite_"; "lime_sched_"; "# TYPE lime_rewrite_";
+               "# TYPE lime_sched_";
+             ])
+  in
+  Alcotest.(check (list string))
+    "search metrics"
+    [
+      "# TYPE lime_rewrite_best_time_s gauge";
+      "lime_rewrite_best_time_s 3.39391e-05";
+      "# TYPE lime_rewrite_evals_total counter";
+      "lime_rewrite_evals_total 53";
+      "# TYPE lime_rewrite_improved_total counter";
+      "lime_rewrite_improved_total 1";
+      "# TYPE lime_rewrite_replays_total counter";
+      "lime_rewrite_replays_total 1";
+      "# TYPE lime_rewrite_searches_total counter";
+      "lime_rewrite_searches_total 1";
+      "# TYPE lime_sched_best_time_s gauge";
+      "lime_sched_best_time_s 0.000132371";
+      "# TYPE lime_sched_evals_total counter";
+      "lime_sched_evals_total 30";
+      "# TYPE lime_sched_improved_total counter";
+      "lime_sched_improved_total 0";
+      "# TYPE lime_sched_replays_total counter";
+      "lime_sched_replays_total 1";
+      "# TYPE lime_sched_searches_total counter";
+      "lime_sched_searches_total 1";
+    ]
+    samples
+
+(* ------------------------------------------------------------------ *)
 (* Cross-process hand-off: retention, collect, graft, span codec       *)
 (* ------------------------------------------------------------------ *)
 
@@ -621,6 +749,8 @@ let () =
           Alcotest.test_case "metrics and trace compose" `Quick
             test_metrics_and_trace_compose;
           Alcotest.test_case "summary and flame" `Quick test_summary_and_flame;
+          Alcotest.test_case "search spans and metrics" `Quick
+            test_search_observability;
         ] );
       ( "hand-off",
         [
