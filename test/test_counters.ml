@@ -168,6 +168,42 @@ let test_grid_agrees_with_sweep () =
         Lime_server.Server.configs)
     Lime_benchmarks.Registry.workloads
 
+(* every registry workload x the nine configs, on the launch shapes
+   above: the placement table, the launch profile (both extensions off,
+   then both on) and the generated OpenCL, pinned as one digest — the
+   optimizer, the profiler and the printer must agree on every access
+   class and view root *)
+let access_analysis_digest = "11fc736af5c9e2a1df6e3f643dfefb58"
+
+let test_access_analysis_pin () =
+  let b = Buffer.create (1 lsl 16) in
+  let configs =
+    Lime_gpu.Memopt.fig8_configs @ [ ("All", Lime_gpu.Memopt.config_all) ]
+  in
+  List.iter
+    (fun (w : B.t) ->
+      let input = w.B.input_small () in
+      List.iter
+        (fun (cname, cfg) ->
+          let c = Lime_benchmarks.Registry.compile_small ~config:cfg w in
+          let k = c.Lime_gpu.Pipeline.cp_kernel in
+          let ds = c.Lime_gpu.Pipeline.cp_decisions in
+          let shapes, _ = Lime_runtime.Engine.shapes_of_args k [ input ] in
+          let profile ext =
+            let prof, _ =
+              Gpusim.Autotune.launch ~hoist_invariant:ext ~affine_lanes:ext k
+                ds ~shapes ~scalars:[]
+            in
+            Profile.to_string prof
+          in
+          Printf.bprintf b "== %s / %s\n%s\n%s%s%s" w.B.name cname
+            (Lime_gpu.Memopt.describe ds)
+            (profile false) (profile true) c.Lime_gpu.Pipeline.cp_opencl)
+        configs)
+    Lime_benchmarks.Registry.workloads;
+  Alcotest.(check string) "digest" access_analysis_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: the invariants hold across random shapes, devices and        *)
 (* memory configurations, not just the shipped best configs.            *)
@@ -501,6 +537,8 @@ let () =
             test_registry_consistency;
           Alcotest.test_case "workload x config x device agrees with sweep"
             `Quick test_grid_agrees_with_sweep;
+          Alcotest.test_case "access analysis digest, workload x config"
+            `Quick test_access_analysis_pin;
           qcheck_invariants;
         ] );
       ( "derived",
