@@ -4,6 +4,7 @@ module Device = Gpusim.Device
 module Model = Gpusim.Model
 module Counters = Gpusim.Counters
 module Memopt = Lime_gpu.Memopt
+module Json = Lime_support.Json
 
 let schema_name = "lime-bench"
 let schema_version = 1
@@ -101,21 +102,6 @@ let collect ?(quick = false) ?(seed = 1) ?(multidev = false) ~name () : run =
 (* JSON emission                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* %.9g survives a float round-trip for every quantity we store. *)
 let num v =
   if Float.is_integer v && Float.abs v < 1e15 then
@@ -128,7 +114,7 @@ let to_json (r : run) : string =
     (Printf.sprintf
        "{\n  \"schema\": \"%s\",\n  \"version\": %d,\n  \"name\": \"%s\",\n\
        \  \"quick\": %b,\n  \"seed\": %d,\n  \"results\": [\n"
-       schema_name schema_version (escape r.r_name) r.r_quick r.r_seed);
+       schema_name schema_version (Json.escape r.r_name) r.r_quick r.r_seed);
   List.iteri
     (fun i e ->
       Buffer.add_string b
@@ -136,9 +122,9 @@ let to_json (r : run) : string =
            "    {\"bench\": \"%s\", \"device\": \"%s\", \"time_s\": %s, \
             \"kernel_s\": %s, \"speedup\": %s, \"occupancy\": %s, \
             \"bank_replays\": %s, \"intensity\": %s, \"roofline\": \"%s\"}%s\n"
-           (escape e.e_bench) (escape e.e_device) (num e.e_time_s)
+           (Json.escape e.e_bench) (Json.escape e.e_device) (num e.e_time_s)
            (num e.e_kernel_s) (num e.e_speedup) (num e.e_occupancy)
-           (num e.e_bank_replays) (num e.e_intensity) (escape e.e_roofline)
+           (num e.e_bank_replays) (num e.e_intensity) (Json.escape e.e_roofline)
            (if i = List.length r.r_entries - 1 then "" else ",")))
     r.r_entries;
   Buffer.add_string b "  ]\n}\n";

@@ -106,18 +106,6 @@ let constant_budget_bytes = 65536
 (* Access analysis                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type access_class =
-  | AThreadLinear  (** leading index = parallel var (+ constant): coalesced *)
-  | AThreadStrided  (** depends on the parallel var in a non-unit way *)
-  | AStream  (** varies with an inner sequential loop, same across threads *)
-  | ABroadcast  (** invariant inside the parallel loop *)
-
-let class_name = function
-  | AThreadLinear -> "thread-linear"
-  | AThreadStrided -> "thread-strided"
-  | AStream -> "stream"
-  | ABroadcast -> "broadcast"
-
 type array_info = {
   ai_name : string;
   ai_ty : Ir.aty;
@@ -125,7 +113,7 @@ type array_info = {
   ai_read_only : bool;
   ai_alloc_in_parfor : bool;
   ai_static_elems : int option;
-  ai_classes : access_class list;  (** deduplicated access classes *)
+  ai_classes : Access.cls list;  (** deduplicated access classes *)
   ai_innermost_static : bool;
       (** true iff every access supplies constant indices for the innermost
           dimension (needed for image + vectorization) *)
@@ -145,42 +133,12 @@ type loop_ctx = {
           thread, so indices using them cannot be broadcast *)
 }
 
-let expr_vars (e : Ir.expr) : string list =
-  let acc = ref [] in
-  Ir.iter_expr
-    (fun e -> match e with Ir.Var v -> acc := v :: !acc | _ -> ())
-    e;
-  !acc
-
-let classify_index (ctx : loop_ctx) (idx : Ir.expr) : access_class =
-  let vars = expr_vars idx in
-  let is_par v =
-    List.mem v ctx.par_vars || Hashtbl.mem ctx.thread_vars v
-  in
-  let mentions_par = List.exists is_par vars in
-  let mentions_seq = List.exists (fun v -> List.mem v ctx.seq_vars) vars in
-  let pure_of rest =
-    not (List.exists is_par (expr_vars rest))
-  in
-  if mentions_par then
-    match idx with
-    | Ir.Var v when List.mem v ctx.par_vars -> AThreadLinear
-    | Ir.Bin ((Lime_frontend.Ast.Add | Lime_frontend.Ast.Sub), _, Ir.Var v, rest)
-      when List.mem v ctx.par_vars && pure_of rest ->
-        AThreadLinear
-    | Ir.Bin (Lime_frontend.Ast.Add, _, rest, Ir.Var v)
-      when List.mem v ctx.par_vars && pure_of rest ->
-        AThreadLinear
-    | _ -> AThreadStrided
-  else if mentions_seq then AStream
-  else ABroadcast
-
 (* mutable accumulation per array *)
 type acc = {
   mutable a_ty : Ir.aty option;
   mutable a_is_param : bool;
   mutable a_alloc_in_parfor : bool;
-  mutable a_classes : access_class list;
+  mutable a_classes : Access.cls list;
   mutable a_innermost_static : bool;
   mutable a_lane_mod : int;
   mutable a_loads : int;
@@ -188,31 +146,12 @@ type acc = {
   mutable a_rank_full : int;  (** rank of the root array *)
 }
 
-(** Recognize an affine innermost index [v*m + c] (either operand order)
-    with a compile-time modulus [m >= 2] and offset [0 <= c < m]: the lane
-    within an [m]-aligned group is statically known even though the index
-    itself is dynamic.  Loop unrolling produces exactly this shape, which
-    is what makes rewritten kernels vectorizable. *)
-let affine_lane (e : Ir.expr) : (int * int) option =
-  let mul = function
-    | Ir.Bin (Lime_frontend.Ast.Mul, _, _, Ir.Const (Ir.CInt m))
-    | Ir.Bin (Lime_frontend.Ast.Mul, _, Ir.Const (Ir.CInt m), _) ->
-        Some m
-    | _ -> None
-  in
-  let check m c = if m >= 2 && c >= 0 && c < m then Some (m, c) else None in
-  match e with
-  | Ir.Bin (Lime_frontend.Ast.Add, _, a, Ir.Const (Ir.CInt c))
-  | Ir.Bin (Lime_frontend.Ast.Add, _, Ir.Const (Ir.CInt c), a) -> (
-      match mul a with Some m -> check m c | None -> None)
-  | _ -> ( match mul e with Some m -> check m 0 | None -> None)
-
 (** Analyze every array in a kernel.  Views created by partial indexing
     ([float\[\[4\]\] q = particles\[j\]]) are traced back to their root array:
     an access to the view contributes the combined index list. *)
 let analyze ?(affine_lanes = false) (k : Kernel.kernel) : array_info list =
   let arrays : (string, acc) Hashtbl.t = Hashtbl.create 16 in
-  (* view alias: var -> (root, prefix indices, defining loop ctx) *)
+  (* view alias: var -> (root, prefix indices) *)
   let views : (string, string * Ir.expr list) Hashtbl.t = Hashtbl.create 16 in
   let order : string list ref = ref [] in
   let get name =
@@ -247,16 +186,11 @@ let analyze ?(affine_lanes = false) (k : Kernel.kernel) : array_info list =
           a.a_rank_full <- List.length aty.Ir.dims
       | _ -> ())
     k.Kernel.k_params;
-  (* resolve a base expression to (root name, prefix indices) *)
-  let rec resolve (e : Ir.expr) (suffix : Ir.expr list) :
-      (string * Ir.expr list) option =
-    match e with
-    | Ir.Var v -> (
-        match Hashtbl.find_opt views v with
-        | Some (root, prefix) -> Some (root, prefix @ suffix)
-        | None ->
-            if Hashtbl.mem arrays v then Some (v, suffix) else None)
-    | Ir.Load (b, idx) -> resolve b (idx @ suffix)
+  (* resolve a base expression to (root name, prefix indices); every view
+     root is a tracked array, so only a non-view variable can miss *)
+  let resolve b suffix =
+    match Access.resolve views b suffix with
+    | Some (root, _) as r when Hashtbl.mem arrays root -> r
     | _ -> None
   in
   let is_const_expr = function Ir.Const _ -> true | _ -> false in
@@ -265,7 +199,10 @@ let analyze ?(affine_lanes = false) (k : Kernel.kernel) : array_info list =
     if store then a.a_stores <- a.a_stores + 1 else a.a_loads <- a.a_loads + 1;
     (match full_idx with
     | lead :: _ ->
-        let cls = classify_index ctx lead in
+        let cls =
+          Access.classify ~par_vars:ctx.par_vars ~seq_vars:ctx.seq_vars
+            ~thread_vars:ctx.thread_vars lead
+        in
         if not (List.mem cls a.a_classes) then
           a.a_classes <- a.a_classes @ [ cls ]
     | [] -> ());
@@ -274,7 +211,7 @@ let analyze ?(affine_lanes = false) (k : Kernel.kernel) : array_info list =
     if a.a_rank_full > 1 && List.length full_idx = a.a_rank_full then begin
       let last = List.nth full_idx (List.length full_idx - 1) in
       if not (is_const_expr last) then
-        match (if affine_lanes then affine_lane last else None) with
+        match (if affine_lanes then Access.affine_lane last else None) with
         | Some (m, _) ->
             let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
             a.a_lane_mod <- (if a.a_lane_mod = 0 then m else gcd a.a_lane_mod m)
@@ -472,10 +409,10 @@ let decide ?(constant_left = constant_budget_bytes) cfg (ai : array_info) :
     }
   in
   let vw = vector_width_for cfg ai in
-  let streams = List.mem AStream ai.ai_classes in
+  let streams = List.mem Access.AStream ai.ai_classes in
   let broadcast_only =
     ai.ai_classes <> []
-    && List.for_all (fun c -> c = ABroadcast) ai.ai_classes
+    && List.for_all (fun c -> c = Access.ABroadcast) ai.ai_classes
   in
   let shared_stream = streams || broadcast_only in
   let static_bytes =
@@ -556,6 +493,6 @@ let describe (ds : decision list) : string =
            (if d.d_placement.Ir.vector_width > 1 then
               Printf.sprintf " vec%d" d.d_placement.Ir.vector_width
             else "")
-           (String.concat "," (List.map class_name d.d_info.ai_classes))
+           (String.concat "," (List.map Access.name d.d_info.ai_classes))
            d.d_reason)
   |> String.concat "\n"

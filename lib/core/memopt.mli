@@ -36,15 +36,6 @@ val private_threshold_elems : int
 val constant_budget_bytes : int
 (** Constant-memory capacity (64KB on all Table 2 GPUs). *)
 
-(** Access-pattern class of an array's leading index. *)
-type access_class =
-  | AThreadLinear  (** leading index = parallel var (+ constant): coalesced *)
-  | AThreadStrided  (** depends on the parallel var in a non-unit way *)
-  | AStream  (** varies with an inner sequential loop, same across threads *)
-  | ABroadcast  (** invariant inside the parallel loop *)
-
-val class_name : access_class -> string
-
 type array_info = {
   ai_name : string;
   ai_ty : Lime_ir.Ir.aty;
@@ -52,7 +43,7 @@ type array_info = {
   ai_read_only : bool;
   ai_alloc_in_parfor : bool;
   ai_static_elems : int option;
-  ai_classes : access_class list;  (** deduplicated observed classes *)
+  ai_classes : Access.cls list;  (** deduplicated observed classes *)
   ai_innermost_static : bool;
       (** all innermost-dimension indices are compile-time constants *)
   ai_lane_mod : int;
@@ -62,12 +53,6 @@ type array_info = {
   ai_load_sites : int;
   ai_store_sites : int;
 }
-
-val affine_lane : Lime_ir.Ir.expr -> (int * int) option
-(** [affine_lane e] recognizes an index of the shape [v*m + c] (with
-    [m >= 2], [0 <= c < m]) and returns [(m, c)]: the lane within an
-    [m]-aligned group is statically known.  Unrolled tiled loops produce
-    exactly these indices. *)
 
 val analyze : ?affine_lanes:bool -> Kernel.kernel -> array_info list
 (** Access analysis for every array in a kernel, tracing views created by

@@ -146,17 +146,6 @@ let intrinsic_c (b : B.builtin) (s : Ir.scalar) =
   | B.BRsqrt -> native "rsqrt"
   | B.BRange | B.BToValue | B.BPrint -> "/*unsupported*/"
 
-(** Resolve an access [base(idx...)] to (root array, full index list). *)
-let rec resolve_access g (e : Ir.expr) (suffix : Ir.expr list) :
-    (string * Ir.expr list) option =
-  match e with
-  | Ir.Var v -> (
-      match Hashtbl.find_opt g.views v with
-      | Some (root, prefix) -> Some (root, prefix @ suffix)
-      | None -> Some (v, suffix))
-  | Ir.Load (b, idx) -> resolve_access g b (idx @ suffix)
-  | _ -> None
-
 let root_aty g root : Ir.aty option =
   match List.assoc_opt root g.kernel.Kernel.k_params with
   | Some (Ir.TArr a) -> Some a
@@ -183,7 +172,7 @@ let rec expr_c g (e : Ir.expr) : string =
       view_access g v idx
   | Ir.Load (b, idx) -> load_c g b idx
   | Ir.Len (a, d) -> (
-      match resolve_access g a [] with
+      match Access.resolve g.views a [] with
       | Some (root, _) -> (
           match root_aty g root with
           | Some aty -> dim_len_c (root_cname g root) aty d
@@ -209,7 +198,7 @@ let rec expr_c g (e : Ir.expr) : string =
     - image: [read_imagef(tex, smp, (int2)(x, 0))];
     - otherwise: flat pointer indexing with explicit strides. *)
 and load_c g (base : Ir.expr) (idx : Ir.expr list) : string =
-  match resolve_access g base idx with
+  match Access.resolve g.views base idx with
   | None -> "/*load?*/0"
   | Some (root, full) -> access_c g root full
 
@@ -235,7 +224,7 @@ and view_access g v (idx : Ir.expr list) : string =
       | e -> Printf.sprintf "%s[%s]" (cname v) (expr_c g e))
   | [ i ] -> Printf.sprintf "%s[%s]" (cname v) (expr_c g i)
   | _ -> (
-      match resolve_access g (Ir.Var v) idx with
+      match Access.resolve g.views (Ir.Var v) idx with
       | Some (root, full) -> access_c g root full
       | None -> "/*view?*/0")
 
@@ -355,7 +344,7 @@ let rec stmt_c g (s : Ir.stmt) : unit =
   | Ir.SAssign (Ir.LVar v, e) -> assign_c g v e
   | Ir.SAssign (_, e) -> line g "/* non-kernel assign */ (void)(%s);" (expr_c g e)
   | Ir.SArrStore (b, idx, v) -> (
-      match resolve_access g b idx with
+      match Access.resolve g.views b idx with
       | Some (root, full) -> store_c g root full v
       | None -> line g "/* unresolved store */;")
   | Ir.SIf (c, a, []) ->
@@ -397,7 +386,7 @@ let rec stmt_c g (s : Ir.stmt) : unit =
       (* per-thread (nested) reduce: a sequential combine in-thread *)
       let arr = r.Ir.rd_arr in
       let n =
-        match resolve_access g arr [] with
+        match Access.resolve g.views arr [] with
         | Some (root, _) -> (
             match root_aty g root with
             | Some aty -> dim_len_c (root_cname g root) aty 0
@@ -444,7 +433,7 @@ and combine_c _g op s a b =
 and emit_tree_reduction g (r : Ir.reduce) : unit =
   let arr = r.Ir.rd_arr in
   let n =
-    match resolve_access g arr [] with
+    match Access.resolve g.views arr [] with
     | Some (root, _) -> (
         match root_aty g root with
         | Some aty -> dim_len_c (root_cname g root) aty 0
@@ -623,7 +612,7 @@ and decl_c g v (t : Ir.ty) (init : Ir.expr option) : unit =
   match (t, init) with
   | Ir.TArr aty, Some (Ir.Load (b, idx)) -> (
       (* view declaration *)
-      match resolve_access g b idx with
+      match Access.resolve g.views b idx with
       | Some (root, prefix) ->
           Hashtbl.replace g.views v (root, prefix);
           Hashtbl.replace g.materialized v ();

@@ -23,20 +23,13 @@
 
 module Ir = Lime_ir.Ir
 
-let expr_vars (e : Ir.expr) : string list =
-  let acc = ref [] in
-  Ir.iter_expr
-    (fun e -> match e with Ir.Var v -> acc := v :: !acc | _ -> ())
-    e;
-  !acc
-
 (** The tainted-variable set of a kernel body.  Includes the parallel index
     variables themselves. *)
 let thread_dependent (body : Ir.stmt list) : (string, unit) Hashtbl.t =
   let tainted = Hashtbl.create 32 in
   let changed = ref true in
   let mentions e =
-    List.exists (Hashtbl.mem tainted) (expr_vars e)
+    List.exists (Hashtbl.mem tainted) (Ir.expr_vars e)
   in
   let add v =
     if not (Hashtbl.mem tainted v) then begin

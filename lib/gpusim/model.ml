@@ -26,6 +26,7 @@
     which factor (Fig 7/8/9). *)
 
 module Ir = Lime_ir.Ir
+module Access = Lime_gpu.Access
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
@@ -190,7 +191,7 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
               (* coalescing: bytes actually moved per useful byte *)
               let waste =
                 match a.Profile.ac_pattern with
-                | Profile.PThreadLinear ->
+                | Access.AThreadLinear ->
                     (* consecutive threads access consecutive *rows*: the
                        memory stride is the row length, so scalar component
                        accesses of wide rows fetch mostly-unused segment
@@ -204,32 +205,32 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
                     Float.max 1.0
                       (Float.min (128.0 /. access_bytes)
                          (stride_bytes /. access_bytes))
-                | Profile.PThreadStrided ->
+                | Access.AThreadStrided ->
                     (* each lane touches its own memory segment *)
                     Float.min
                       (128.0 /. access_bytes)
                       (Float.max 2.0 (float_of_int ab.ab_row_len))
-                | Profile.PStream | Profile.PBroadcast ->
+                | Access.AStream | Access.ABroadcast ->
                     (* whole warp reads the same address: one segment *)
                     1.0 /. float_of_int d.Device.warp
               in
               (* cache filtering of re-read data *)
               let miss =
                 match a.Profile.ac_pattern with
-                | Profile.PStream | Profile.PBroadcast ->
+                | Access.AStream | Access.ABroadcast ->
                     1.0 -. d.Device.cache_hit_shared
-                | Profile.PThreadLinear when d.Device.has_l1 ->
+                | Access.AThreadLinear when d.Device.has_l1 ->
                     (* an L1 line holds whole rows: after the first
                        component read the rest of the row hits cache *)
                     1.0 /. waste
-                | Profile.PThreadStrided when d.Device.has_l1 ->
+                | Access.AThreadStrided when d.Device.has_l1 ->
                     (* strided rows often refetched from L1 lines *)
                     0.5
                 | _ -> 1.0
               in
               let bytes =
                 match a.Profile.ac_pattern with
-                | Profile.PStream | Profile.PBroadcast ->
+                | Access.AStream | Access.ABroadcast ->
                     (* one transaction per warp, with a minimum transaction
                        granularity on the memory bus *)
                     count /. float_of_int d.Device.warp
@@ -242,7 +243,7 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
                  coalescing waste *)
               let tx_per_warp_access =
                 match a.Profile.ac_pattern with
-                | Profile.PStream | Profile.PBroadcast -> miss
+                | Access.AStream | Access.ABroadcast -> miss
                 | _ ->
                     Lime_support.Util.clampf 1.0
                       (float_of_int d.Device.warp)
@@ -269,7 +270,7 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
           | Ir.MConstant ->
               let cost =
                 match a.Profile.ac_pattern with
-                | Profile.PStream | Profile.PBroadcast ->
+                | Access.AStream | Access.ABroadcast ->
                     const_broadcast := !const_broadcast +. count;
                     d.Device.const_cost
                 | _ ->
@@ -286,7 +287,7 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
               in
               let conflict =
                 match a.Profile.ac_pattern with
-                | Profile.PStream | Profile.PBroadcast -> 1.0
+                | Access.AStream | Access.ABroadcast -> 1.0
                 | _ ->
                     float_of_int
                       (max 1 (gcd (max 1 stride) d.Device.local_banks))

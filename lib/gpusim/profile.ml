@@ -12,22 +12,11 @@
 
 module Ir = Lime_ir.Ir
 module B = Lime_typecheck.Tast
-
-type pattern =
-  | PThreadLinear  (** coalesced: leading index = thread id *)
-  | PThreadStrided  (** thread-dependent, non-unit stride *)
-  | PStream  (** same address across threads, varying over an inner loop *)
-  | PBroadcast  (** loop-invariant address *)
-
-let pattern_name = function
-  | PThreadLinear -> "thread-linear"
-  | PThreadStrided -> "thread-strided"
-  | PStream -> "stream"
-  | PBroadcast -> "broadcast"
+module Access = Lime_gpu.Access
 
 type access = {
   ac_root : string;
-  ac_pattern : pattern;
+  ac_pattern : Access.cls;
   ac_store : bool;
   ac_last_const : bool;  (** innermost index is a compile-time constant *)
   mutable ac_count : float;  (** dynamic accesses over the whole launch *)
@@ -62,7 +51,7 @@ type ctx = {
   scalars : (string * float) list;  (** scalar param -> value *)
   placements : (string * Ir.placement) list;
   views : (string, string * Ir.expr list) Hashtbl.t;
-  accs : (string * pattern * bool * bool, access) Hashtbl.t;
+  accs : (string * Access.cls * bool * bool, access) Hashtbl.t;
   mutable alu : float;
   mutable div : float;
   mutable sqrt_ : float;
@@ -85,23 +74,13 @@ type ctx = {
           per outer iteration, not once per inner iteration *)
   affine : bool;
       (** treat affine [v*m + c] innermost indices as statically-known
-          lanes (see {!Lime_gpu.Memopt.affine_lane}) *)
+          lanes (see {!Lime_gpu.Access.affine_lane}) *)
   thread_vars : (string, unit) Hashtbl.t;
   (* local (non-param) array shapes discovered from declarations *)
   local_shapes : (string, int array) Hashtbl.t;
   (* scalar variables with statically known values (e.g. n = arr.length) *)
   scalar_env : (string, float) Hashtbl.t;
 }
-
-let rec resolve ctx (e : Ir.expr) (suffix : Ir.expr list) :
-    (string * Ir.expr list) option =
-  match e with
-  | Ir.Var v -> (
-      match Hashtbl.find_opt ctx.views v with
-      | Some (root, prefix) -> Some (root, prefix @ suffix)
-      | None -> Some (v, suffix))
-  | Ir.Load (b, idx) -> resolve ctx b (idx @ suffix)
-  | _ -> None
 
 let root_shape ctx root : int array option =
   match List.assoc_opt root ctx.shapes with
@@ -124,7 +103,7 @@ let rec eval_int ctx (e : Ir.expr) : float option =
       | Some x -> Some x
       | None -> List.assoc_opt v ctx.scalars)
   | Ir.Len (a, d) -> (
-      match resolve ctx a [] with
+      match Access.resolve ctx.views a [] with
       | Some (root, prefix) -> (
           match root_shape ctx root with
           | Some shape ->
@@ -147,32 +126,6 @@ let rec eval_int ctx (e : Ir.expr) : float option =
   | Ir.Cast (_, _, a) -> eval_int ctx a
   | _ -> None
 
-let expr_vars (e : Ir.expr) : string list =
-  let acc = ref [] in
-  Ir.iter_expr
-    (fun e -> match e with Ir.Var v -> acc := v :: !acc | _ -> ())
-    e;
-  !acc
-
-let classify ctx (idx : Ir.expr) : pattern =
-  let vars = expr_vars idx in
-  let is_par v = List.mem v ctx.par_vars || Hashtbl.mem ctx.thread_vars v in
-  let mentions_par = List.exists is_par vars in
-  let mentions_seq = List.exists (fun v -> List.mem v ctx.seq_vars) vars in
-  let pure_of r = not (List.exists is_par (expr_vars r)) in
-  if mentions_par then
-    match idx with
-    | Ir.Var v when List.mem v ctx.par_vars -> PThreadLinear
-    | Ir.Bin ((Lime_frontend.Ast.Add | Lime_frontend.Ast.Sub), _, Ir.Var v, r)
-      when List.mem v ctx.par_vars && pure_of r ->
-        PThreadLinear
-    | Ir.Bin (Lime_frontend.Ast.Add, _, r, Ir.Var v)
-      when List.mem v ctx.par_vars && pure_of r ->
-        PThreadLinear
-    | _ -> PThreadStrided
-  else if mentions_seq then PStream
-  else PBroadcast
-
 let record_access ctx ~mult root (full : Ir.expr list) ~store =
   let mult =
     (* LICM: divide by the trips of the maximal contiguous run of innermost
@@ -181,7 +134,7 @@ let record_access ctx ~mult root (full : Ir.expr list) ~store =
        Applies to loads and to stores (accumulator promotion). *)
     if not ctx.hoist then mult
     else begin
-      let idx_vars = List.concat_map expr_vars full in
+      let idx_vars = List.concat_map Ir.expr_vars full in
       let rec invariant_trips = function
         | (v, t) :: rest when not (List.mem v idx_vars) ->
             Float.max 1.0 t *. invariant_trips rest
@@ -199,16 +152,20 @@ let record_access ctx ~mult root (full : Ir.expr list) ~store =
          private memory are per-thread spills: every thread touches its own
          instance *)
       if Hashtbl.mem ctx.local_shapes root && ctx.par_vars <> [] then
-        PThreadStrided
+        Access.AThreadStrided
       else
-        match full with lead :: _ -> classify ctx lead | [] -> PBroadcast
+        match full with
+        | lead :: _ ->
+            Access.classify ~par_vars:ctx.par_vars ~seq_vars:ctx.seq_vars
+              ~thread_vars:ctx.thread_vars lead
+        | [] -> Access.ABroadcast
     in
     let last_const =
       match List.rev full with
       | last :: _ when List.length full > 1 -> (
           match last with
           | Ir.Const _ -> true
-          | _ -> ctx.affine && Lime_gpu.Memopt.affine_lane last <> None)
+          | _ -> ctx.affine && Access.affine_lane last <> None)
       | _ -> false
     in
     let key = (root, pattern, store, last_const) in
@@ -246,10 +203,9 @@ let rec walk_expr ctx ~mult (e : Ir.expr) : unit =
       if is_double s then ctx.double_ops <- ctx.double_ops +. mult;
       walk_expr ctx ~mult a
   | Ir.Load (b, idx) ->
-      (match resolve ctx b idx with
+      (match Access.resolve ctx.views b idx with
       | Some (root, full) -> record_access ctx ~mult root full ~store:false
       | None -> ());
-      (match b with Ir.Var _ -> () | _ -> ());
       List.iter (walk_expr ctx ~mult) idx
   | Ir.Len _ -> ()
   | Ir.Intrinsic (b, s, args) ->
@@ -273,12 +229,31 @@ let rec walk_expr ctx ~mult (e : Ir.expr) : unit =
   | Ir.FieldGet (r, _) -> walk_expr ctx ~mult r
   | Ir.TaskE _ | Ir.ConnectE _ -> ()
 
+(** Record the shape of a local array allocated as [new aty(sizes)], when
+    its dynamic sizes evaluate statically (0 where they do not). *)
+let record_shape ctx v (aty : Ir.aty) sizes =
+  let dims =
+    List.map
+      (function Ir.DFixed n -> Some (float_of_int n) | Ir.DDyn -> None)
+      aty.Ir.dims
+  in
+  let rec fill dims sizes =
+    match (dims, sizes) with
+    | [], _ -> []
+    | Some d :: rest, s -> d :: fill rest s
+    | None :: rest, Some s :: srest -> s :: fill rest srest
+    | None :: rest, _ -> 0.0 :: fill rest []
+  in
+  Hashtbl.replace ctx.local_shapes v
+    (Array.of_list
+       (List.map int_of_float (fill dims (List.map (eval_int ctx) sizes))))
+
 let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
   match s with
   | Ir.SDecl (v, Ir.TArr aty, init) -> (
       match init with
       | Some (Ir.Load (b, idx)) -> (
-          match resolve ctx b idx with
+          match Access.resolve ctx.views b idx with
           | Some entry ->
               Hashtbl.replace ctx.views v entry;
               (* loading a row view costs one access of the row width *)
@@ -291,25 +266,7 @@ let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
           | Some entry -> Hashtbl.replace ctx.views v entry
           | None -> Hashtbl.replace ctx.views v (src, []))
       | Some (Ir.NewArr (_, sizes) as e) ->
-          (* record the shape when resolvable *)
-          let dims =
-            List.map
-              (function
-                | Ir.DFixed n -> Some (float_of_int n)
-                | Ir.DDyn -> None)
-              aty.Ir.dims
-          in
-          let sizes_v = List.map (eval_int ctx) sizes in
-          let rec fill dims sizes =
-            match (dims, sizes) with
-            | [], _ -> []
-            | Some d :: rest, s -> d :: fill rest s
-            | None :: rest, Some s :: srest -> s :: fill rest srest
-            | None :: rest, _ -> 0.0 :: fill rest []
-          in
-          let shape = fill dims sizes_v in
-          Hashtbl.replace ctx.local_shapes v
-            (Array.of_list (List.map int_of_float shape));
+          record_shape ctx v aty sizes;
           walk_expr ctx ~mult e
       | Some e -> walk_expr ctx ~mult e
       | None -> ())
@@ -329,30 +286,12 @@ let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
       | _ -> ());
       (* deferred map-output allocation carries the result shape *)
       (match (lv, e) with
-      | Ir.LVar v, Ir.NewArr (aty, sizes) ->
-          let dims =
-            List.map
-              (function
-                | Ir.DFixed n -> Some (float_of_int n)
-                | Ir.DDyn -> None)
-              aty.Ir.dims
-          in
-          let sizes_v = List.map (eval_int ctx) sizes in
-          let rec fill dims sizes =
-            match (dims, sizes) with
-            | [], _ -> []
-            | Some d :: rest, s -> d :: fill rest s
-            | None :: rest, Some s :: srest -> s :: fill rest srest
-            | None :: rest, _ -> 0.0 :: fill rest []
-          in
-          Hashtbl.replace ctx.local_shapes v
-            (Array.of_list
-               (List.map int_of_float (fill dims sizes_v)))
+      | Ir.LVar v, Ir.NewArr (aty, sizes) -> record_shape ctx v aty sizes
       | _ -> ());
       ctx.alu <- ctx.alu +. mult;
       walk_expr ctx ~mult e
   | Ir.SArrStore (b, idx, v) ->
-      (match resolve ctx b idx with
+      (match Access.resolve ctx.views b idx with
       | Some (root, full) ->
           (* row stores count one access per scalar element *)
           let width =
@@ -411,7 +350,7 @@ let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
       ctx.par_vars <- List.tl ctx.par_vars
   | Ir.SReduce r ->
       let n =
-        match resolve ctx r.Ir.rd_arr [] with
+        match Access.resolve ctx.views r.Ir.rd_arr [] with
         | Some (root, _) -> (
             match root_shape ctx root with
             | Some shape when Array.length shape > 0 ->
@@ -425,7 +364,7 @@ let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
       in
       ctx.reduce_elems <- ctx.reduce_elems +. (mult *. n);
       ctx.alu <- ctx.alu +. (mult *. n);
-      (match resolve ctx r.Ir.rd_arr [] with
+      (match Access.resolve ctx.views r.Ir.rd_arr [] with
       | Some (root, _) ->
           (* a parallel reduction reads its input coalesced (grid-stride):
              classify the synthetic index as the thread id *)
@@ -530,7 +469,7 @@ let report (p : t) : string =
   List.iter
     (fun a ->
       line "    %-14s %-14s %-5s %-10s %12.4g %6.1f%%" a.ac_root
-        (pattern_name a.ac_pattern)
+        (Access.name a.ac_pattern)
         (if a.ac_store then "store" else "load")
         (if a.ac_last_const then "const-lane" else "-")
         a.ac_count
@@ -550,7 +489,7 @@ let to_string (p : t) : string =
     (fun a ->
       Buffer.add_string b
         (Printf.sprintf "  %-14s %-14s %s%s count=%.4g\n" a.ac_root
-           (pattern_name a.ac_pattern)
+           (Access.name a.ac_pattern)
            (if a.ac_store then "store" else "load ")
            (if a.ac_last_const then " const-lane" else "")
            a.ac_count))

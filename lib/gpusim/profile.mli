@@ -4,17 +4,10 @@
     benchmarks; data-dependent loops fall back to estimates and set
     {!t.p_approx}. *)
 
-type pattern =
-  | PThreadLinear  (** coalesced: leading index = thread id *)
-  | PThreadStrided  (** thread-dependent, non-unit stride *)
-  | PStream  (** same address across threads, varying over an inner loop *)
-  | PBroadcast  (** loop-invariant address *)
-
-val pattern_name : pattern -> string
-
 type access = {
   ac_root : string;
-  ac_pattern : pattern;
+  ac_pattern : Lime_gpu.Access.cls;
+      (** the leading index's class, by {!Lime_gpu.Access.classify} *)
   ac_store : bool;
   ac_last_const : bool;  (** innermost index is a compile-time constant *)
   mutable ac_count : float;  (** dynamic accesses over the whole launch *)

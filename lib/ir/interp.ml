@@ -71,20 +71,6 @@ let fresh_counters () =
     double_ops = 0;
   }
 
-let add_counters a b =
-  a.alu <- a.alu + b.alu;
-  a.divs <- a.divs + b.divs;
-  a.sqrts <- a.sqrts + b.sqrts;
-  a.transcendentals <- a.transcendentals + b.transcendentals;
-  a.mem_reads <- a.mem_reads + b.mem_reads;
-  a.mem_writes <- a.mem_writes + b.mem_writes;
-  a.bounds_checks <- a.bounds_checks + b.bounds_checks;
-  a.field_accesses <- a.field_accesses + b.field_accesses;
-  a.branches <- a.branches + b.branches;
-  a.calls <- a.calls + b.calls;
-  a.alloc_bytes <- a.alloc_bytes + b.alloc_bytes;
-  a.double_ops <- a.double_ops + b.double_ops
-
 let copy_counters c = { c with alu = c.alu }
 
 let diff_counters a b =

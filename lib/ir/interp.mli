@@ -21,7 +21,6 @@ type counters = {
 }
 
 val fresh_counters : unit -> counters
-val add_counters : counters -> counters -> unit
 
 val copy_counters : counters -> counters
 (** A snapshot: later increments of the original do not reach it. *)

@@ -244,6 +244,12 @@ let rec iter_expr f (e : expr) =
       | None -> ()
       | Some args -> List.iter (iter_expr f) args)
 
+(** Every variable an expression mentions, repeats included. *)
+let expr_vars (e : expr) : string list =
+  let acc = ref [] in
+  iter_expr (function Var v -> acc := v :: !acc | _ -> ()) e;
+  !acc
+
 let rec iter_stmt ~(stmt : stmt -> unit) ~(expr : expr -> unit) (s : stmt) =
   stmt s;
   let fe = iter_expr expr in

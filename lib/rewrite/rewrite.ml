@@ -151,11 +151,6 @@ let rec expand_stmts (f : Ir.stmt -> Ir.stmt list option)
           ])
     ss
 
-let expr_vars (e : Ir.expr) : string list =
-  let acc = ref [] in
-  Ir.iter_expr (function Ir.Var v -> acc := v :: !acc | _ -> ()) e;
-  !acc
-
 (** Every identifier mentioned by the statements (variables, declarations,
     loop indices) — the conservative footprint used by fission/fusion. *)
 let names_of (ss : Ir.stmt list) : (string, unit) Hashtbl.t =
@@ -335,7 +330,7 @@ let reorderable_body (body : Ir.stmt list) : (unit, string) result =
     | Ir.SDecl (_, _, _) -> Error "array declaration in reordered loop"
     | Ir.SAssign (Ir.LVar v, Ir.Bin ((Ast.Add | Ast.Mul), _, Ir.Var v', e))
       when v = v' ->
-        if List.mem v (expr_vars e) then
+        if List.mem v (Ir.expr_vars e) then
           Error "accumulator read inside its own addend"
         else begin
           Hashtbl.replace accum v ();
@@ -343,7 +338,7 @@ let reorderable_body (body : Ir.stmt list) : (unit, string) result =
         end
     | Ir.SAssign (Ir.LVar v, Ir.Bin (Ast.Add, _, e, Ir.Var v')) when v = v'
       ->
-        if List.mem v (expr_vars e) then
+        if List.mem v (Ir.expr_vars e) then
           Error "accumulator read inside its own addend"
         else begin
           Hashtbl.replace accum v ();
@@ -356,8 +351,8 @@ let reorderable_body (body : Ir.stmt list) : (unit, string) result =
           Ir.Bin ((Ast.Add | Ast.Mul), _, Ir.Load (Ir.Var b', idx'), e) )
       when b = b' && idx = idx' ->
         if
-          List.mem b (expr_vars e)
-          || List.exists (fun i -> List.mem b (expr_vars i)) idx
+          List.mem b (Ir.expr_vars e)
+          || List.exists (fun i -> List.mem b (Ir.expr_vars i)) idx
         then Error "accumulated array read outside the accumulation"
         else begin
           Hashtbl.replace accum b ();
@@ -385,7 +380,7 @@ let reorderable_body (body : Ir.stmt list) : (unit, string) result =
           (fun v ->
             if Hashtbl.mem accum v && !bad = None then
               bad := Some ("accumulator " ^ v ^ " read elsewhere"))
-          (expr_vars e)
+          (Ir.expr_vars e)
       in
       let rec walk s =
         match s with
@@ -425,7 +420,7 @@ let interchange : step =
       | Ir.SFor (vo, lo_o, hi_o, [ Ir.SFor (vi, lo_i, hi_i, body) ]) :: rest
         ->
           Some
-            (if List.mem vo (expr_vars lo_i) || List.mem vo (expr_vars hi_i)
+            (if List.mem vo (Ir.expr_vars lo_i) || List.mem vo (Ir.expr_vars hi_i)
              then Error "inner bounds depend on the outer index"
              else
                Result.map

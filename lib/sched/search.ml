@@ -171,7 +171,7 @@ let search ?(serializer = Marshal_.Custom) ~(firings : int)
       fst
         (Beam.run ~cmp:cmp_candidate ~width:default_width ~levels:placeable
            ~expand ~best:!best_ever
-           (List.map (fun (_, c) -> evaluate (assigns c)) singles))
+           (List.map snd singles))
   end;
   let best = !best_ever in
   emit

@@ -92,7 +92,7 @@ let evictions t = t.fl_evictions
 (* ------------------------------------------------------------------ *)
 
 let span_json sp =
-  let e = Http.json_escape in
+  let e = Lime_support.Json.escape in
   let args =
     sp.Trace.sp_args
     |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (e k) (e v))
@@ -105,7 +105,7 @@ let span_json sp =
     (e sp.Trace.sp_cat) sp.Trace.sp_begin_us sp.Trace.sp_end_us args
 
 let entry_json en =
-  let e = Http.json_escape in
+  let e = Lime_support.Json.escape in
   Printf.sprintf
     "{\"ts\":%.6f,\"id\":%d,\"name\":\"%s\",\"worker\":\"%s\",\
      \"config\":\"%s\",\"digest\":\"%s\",\"deadline_ms\":%s,\

@@ -73,20 +73,3 @@ let to_string r =
      Connection: close\r\n\r\n%s"
     r.rs_status (reason_of_status r.rs_status) r.rs_content_type
     (String.length r.rs_body) r.rs_body
-
-(* JSON string-body escaping for /statusz and the access log. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b

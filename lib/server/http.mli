@@ -45,6 +45,3 @@ val ok : ?content_type:string -> string -> response
 val to_string : response -> string
 (** Serialize with [Content-Length] and [Connection: close] headers. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal — used by the
-    [/statusz] endpoint and the access log. *)

@@ -477,7 +477,7 @@ let log_access t ~id ~name ~worker ~config ~digest ~deadline_ms ~wait_s ~dur_s
   match t.sr_access with
   | None -> ()
   | Some oc ->
-      let e = Http.json_escape in
+      let e = Lime_support.Json.escape in
       Printf.fprintf oc
         "{\"ts\":%.6f,\"id\":%d,\"name\":\"%s\",\"worker\":\"%s\",\
          \"config\":\"%s\",\"digest\":\"%s\",\"deadline_ms\":%s,\
@@ -518,7 +518,7 @@ let exposition t =
 
 let statusz_json t =
   let t_now = now () and now_us = trace_now_us () in
-  let e = Http.json_escape in
+  let e = Lime_support.Json.escape in
   let stats = Service.stats t.sr_svc in
   let hits = stats.Lime_service.Kcache.hits
   and misses = stats.Lime_service.Kcache.misses in
@@ -576,7 +576,7 @@ let statusz_json t =
 
 let alertz_json t =
   let statuses = sync_slo_metrics t in
-  let e = Http.json_escape in
+  let e = Lime_support.Json.escape in
   let slo_json st =
     let d = st.Slo.st_def in
     Printf.sprintf

@@ -14,6 +14,7 @@ module Engine = Lime_runtime.Engine
 module Comm = Lime_runtime.Comm
 module Beam = Lime_support.Beam
 module Hooks = Lime_support.Hooks
+module Json = Lime_support.Json
 
 type span = {
   sp_id : int;
@@ -111,11 +112,6 @@ let trace_id t =
   let id = t.tr_trace_id in
   Mutex.unlock t.tr_mu;
   id
-
-let set_trace_id t id =
-  Mutex.lock t.tr_mu;
-  t.tr_trace_id <- (if valid_trace_id id then id else fresh_trace_id ());
-  Mutex.unlock t.tr_mu
 
 let retention t = Atomic.get t.tr_limit
 let set_retention t n = Atomic.set t.tr_limit (max 0 n)
@@ -471,22 +467,6 @@ let open_depth t =
 (* Chrome trace-event export                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_chrome_json t =
   let now = now_us t in
   let closed_end sp = if sp.sp_end_us < 0.0 then now else sp.sp_end_us in
@@ -500,7 +480,7 @@ let to_chrome_json t =
     (Printf.sprintf
        "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"traceId\":\"%s\"},\
         \"traceEvents\":["
-       (json_escape (trace_id t)));
+       (Json.escape (trace_id t)));
   Buffer.add_string b
     "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\",\
      \"args\":{\"name\":\"lime\"}}";
@@ -510,8 +490,8 @@ let to_chrome_json t =
         (Printf.sprintf
            ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"%s\",\
             \"cat\":\"%s\",\"ts\":%.3f,\"dur\":%.3f"
-           (json_escape sp.sp_name)
-           (json_escape (if sp.sp_cat = "" then "default" else sp.sp_cat))
+           (Json.escape sp.sp_name)
+           (Json.escape (if sp.sp_cat = "" then "default" else sp.sp_cat))
            sp.sp_begin_us
            (closed_end sp -. sp.sp_begin_us));
       if sp.sp_args <> [] then begin
@@ -520,7 +500,7 @@ let to_chrome_json t =
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char b ',';
             Buffer.add_string b
-              (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+              (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
           sp.sp_args;
         Buffer.add_char b '}'
       end;

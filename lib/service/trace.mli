@@ -68,10 +68,6 @@ val reset : t -> unit
 val trace_id : t -> string
 (** This tracer's 128-bit trace id as 32 lowercase hex characters. *)
 
-val set_trace_id : t -> string -> unit
-(** Adopt a propagated trace id.  Invalid ids (wrong length, non-hex) are
-    replaced with a freshly minted one rather than accepted. *)
-
 val valid_trace_id : string -> bool
 (** [true] iff the string is exactly 32 lowercase hex characters. *)
 

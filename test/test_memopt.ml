@@ -4,6 +4,7 @@
 module Ir = Lime_ir.Ir
 module Kernel = Lime_gpu.Kernel
 module Memopt = Lime_gpu.Memopt
+module Access = Lime_gpu.Access
 
 let kernel_of src ~worker =
   Kernel.extract
@@ -185,7 +186,48 @@ let test_constant_size_budget () =
   let infos = Memopt.analyze k in
   let big = List.find (fun i -> i.Memopt.ai_name = "big") infos in
   Alcotest.(check bool) "stream access seen" true
-    (List.mem Memopt.AStream big.Memopt.ai_classes)
+    (List.mem Access.AStream big.Memopt.ai_classes)
+
+(* the one index classifier, under a parallel [i], a sequential [j], a
+   thread-tainted scalar [t] and a loop-invariant scalar [c] *)
+let test_classify_table () =
+  let v x = Ir.Var x in
+  let bin op a b = Ir.Bin (op, Ir.SInt, a, b) in
+  let open Lime_frontend.Ast in
+  let thread_vars = Hashtbl.create 2 in
+  Hashtbl.replace thread_vars "i" ();
+  Hashtbl.replace thread_vars "t" ();
+  List.iter
+    (fun (label, idx, want) ->
+      Alcotest.(check string) label (Access.name want)
+        (Access.name
+           (Access.classify ~par_vars:[ "i" ] ~seq_vars:[ "j" ] ~thread_vars
+              idx)))
+    [
+      ("i", v "i", Access.AThreadLinear);
+      ("i+c", bin Add (v "i") (v "c"), Access.AThreadLinear);
+      ("c+i", bin Add (v "c") (v "i"), Access.AThreadLinear);
+      ("i-c", bin Sub (v "i") (v "c"), Access.AThreadLinear);
+      ("c-i", bin Sub (v "c") (v "i"), Access.AThreadStrided);
+      ("2*i", bin Mul (Ir.Const (Ir.CInt 2)) (v "i"), Access.AThreadStrided);
+      ("t", v "t", Access.AThreadStrided);
+      ("j+1", bin Add (v "j") (Ir.Const (Ir.CInt 1)), Access.AStream);
+      ("constant", Ir.Const (Ir.CInt 5), Access.ABroadcast);
+    ]
+
+(* the one view resolver, through a two-level view:
+   q = a[i]; r = q[j]; r[0] *)
+let test_resolve_views () =
+  let views = Hashtbl.create 4 in
+  let bind x base idx =
+    Option.iter (Hashtbl.replace views x) (Access.resolve views base idx)
+  in
+  bind "q" (Ir.Var "a") [ Ir.Var "i" ];
+  bind "r" (Ir.Var "q") [ Ir.Var "j" ];
+  let zero = Ir.Const (Ir.CInt 0) in
+  Alcotest.(check bool) "r[0] is a[i][j][0]" true
+    (Access.resolve views (Ir.Var "r") [ zero ]
+    = Some ("a", [ Ir.Var "i"; Ir.Var "j"; zero ]))
 
 let test_constant_budget_cumulative () =
   (* two broadcast arrays that fit the 64KB constant space individually
@@ -254,5 +296,9 @@ let () =
           Alcotest.test_case "constant budget is cumulative" `Quick
             test_constant_budget_cumulative;
           Alcotest.test_case "fig8 configs" `Quick test_fig8_configs_distinct;
+          Alcotest.test_case "index classifier table" `Quick
+            test_classify_table;
+          Alcotest.test_case "two-level view resolves to its root" `Quick
+            test_resolve_views;
         ] );
     ]

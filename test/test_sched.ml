@@ -179,9 +179,10 @@ let test_search_splits_at_scale () =
 (* The beam branch: the probed pipeline widened to six placeable stages
    (past the exhaustive search's limit of four) by repeating its two
    kernel stages twice more under new task names.  Golden rows pin the
-   evaluation count (5 singles, the 5 seeds re-priced, 5 x 5 children at
-   the first level, then 8 x 5 at each of the other five), the chosen
-   placement and its exact modeled time. *)
+   evaluation count (5 singles, which also seed the beam unpriced, 5 x 5
+   children at the first level, then 8 x 5 at each of the other five),
+   the chosen placement, its exact modeled time and the digest of the
+   scored placement table [--explain] prints under its header line. *)
 let widened ~n =
   match probe_only ~n with
   | [ gen; forces; smooth; acc ] ->
@@ -192,16 +193,21 @@ let widened ~n =
         copy smooth 3; acc ]
   | stages -> Alcotest.failf "expected 4 stages, got %d" (List.length stages)
 
-let check_beam_branch ~n ~spec ~time_h () =
+let check_beam_branch ~n ~spec ~time_h ~table_md5 () =
   let stages = widened ~n in
   let o = Search.search ~firings:16 stages in
   let best = o.Search.po_best in
   Alcotest.(check bool) "beam, not exhaustive" false o.Search.po_exhaustive;
-  Alcotest.(check int) "evaluations" 235 o.Search.po_evals;
+  Alcotest.(check int) "evaluations" 230 o.Search.po_evals;
   Alcotest.(check string) "best placement" spec
     (P.to_spec best.Search.pc_placement);
   Alcotest.(check string) "best time" time_h
     (Printf.sprintf "%h" best.Search.pc_time_s);
+  Alcotest.(check string) "explain table" table_md5
+    (Digest.to_hex
+       (Digest.string
+          (Search.explain_table ~singles:o.Search.po_singles
+             ~best_single:o.Search.po_best_single best)));
   let _, best_single = o.Search.po_best_single in
   Alcotest.(check bool) "never worse than best single device" true
     (best.Search.pc_time_s <= best_single.Search.pc_time_s);
@@ -432,7 +438,8 @@ let () =
                   NBodyP.smooth=host,NBodyP.computeForces2=host,\
                   NBodyP.smooth2=host,NBodyP.computeForces3=host,\
                   NBodyP.smooth3=host,NBodyPSim.accumulate=host"
-               ~time_h:"0x1.923d942a3f3f2p-12");
+               ~time_h:"0x1.923d942a3f3f2p-12"
+               ~table_md5:"4fa7433ab544b8e4e06c7ad4228c7c08");
           Alcotest.test_case "beam branch, n = 1024" `Slow
             (check_beam_branch ~n:1024
                ~spec:
@@ -440,7 +447,8 @@ let () =
                   NBodyP.smooth=gtx580,NBodyP.computeForces2=hd5970,\
                   NBodyP.smooth2=hd5970,NBodyP.computeForces3=gtx580,\
                   NBodyP.smooth3=gtx580,NBodyPSim.accumulate=host"
-               ~time_h:"0x1.3862eca3a316dp-8");
+               ~time_h:"0x1.3862eca3a316dp-8"
+               ~table_md5:"51d35debec480b5d499568c8f0252c15");
           Alcotest.test_case "replay validates" `Quick test_replay_validates;
           Alcotest.test_case "zero firings" `Quick test_cost_zero_firings;
           Alcotest.test_case "residency" `Quick test_cost_residency_free;
