@@ -80,6 +80,36 @@ if grep -rn --include='*.ml' --include='*.mli' \
   exit 1
 fi
 
+echo "== one access analysis =="
+# the optimizer, the profiler and the OpenCL printer read one access
+# analysis (Lime_gpu.Access: the class type, the index classifier, the
+# affine-lane test and the view resolver); the IR has one expr_vars and
+# the JSON emitters one string escaper.  Kernel.classify (offload
+# verdict) and Counters.classify (roofline bound) decide other things.
+if grep -rn --include='*.ml' --include='*.mli' 'let expr_vars\b' lib bin test \
+     | grep -v '^lib/ir/ir\.ml:'; then
+  echo "FAIL: an expr_vars copy outside lib/ir/ir.ml; use Ir.expr_vars"
+  exit 1
+fi
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'PThreadLinear' -e 'classify_index' -e 'resolve_access' lib bin test; then
+  echo "FAIL: a second access class or view resolver; use Lime_gpu.Access"
+  exit 1
+fi
+if grep -rn --include='*.ml' -e 'let classify\b' -e 'let affine_lane\b' lib bin test \
+     | grep -v -e '^lib/core/access\.ml:' \
+         -e '^lib/core/kernel\.ml:[0-9]*:let classify (md : Ir\.modul)' \
+         -e '^lib/gpusim/counters\.ml:[0-9]*:let classify c ='; then
+  echo "FAIL: an index classifier outside lib/core/access.ml; use Access.classify"
+  exit 1
+fi
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'json_escape' -e 'let escape s\b' lib bin test \
+     | grep -v '^lib/support/json\.ml:'; then
+  echo "FAIL: a JSON string escaper outside lib/support/json.ml; use Lime_support.Json.escape"
+  exit 1
+fi
+
 echo "== front end: no forced minor GC =="
 # an array over 256 words seeded with a young token forces a full minor
 # collection (caml_make_vect) on every compile: the parser walks the
