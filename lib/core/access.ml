@@ -4,6 +4,7 @@
     resolution of views to their root array. *)
 
 module Ir = Lime_ir.Ir
+module Ast = Lime_frontend.Ast
 
 type cls = AThreadLinear | AThreadStrided | AStream | ABroadcast
 
@@ -22,10 +23,10 @@ let classify ~par_vars ~seq_vars ~thread_vars (idx : Ir.expr) : cls =
   if mentions_par then
     match idx with
     | Ir.Var v when List.mem v par_vars -> AThreadLinear
-    | Ir.Bin ((Lime_frontend.Ast.Add | Lime_frontend.Ast.Sub), _, Ir.Var v, rest)
+    | Ir.Bin ((Ast.Add | Ast.Sub), _, Ir.Var v, rest)
       when List.mem v par_vars && pure_of rest ->
         AThreadLinear
-    | Ir.Bin (Lime_frontend.Ast.Add, _, rest, Ir.Var v)
+    | Ir.Bin (Ast.Add, _, rest, Ir.Var v)
       when List.mem v par_vars && pure_of rest ->
         AThreadLinear
     | _ -> AThreadStrided
@@ -34,15 +35,15 @@ let classify ~par_vars ~seq_vars ~thread_vars (idx : Ir.expr) : cls =
 
 let affine_lane (e : Ir.expr) : (int * int) option =
   let mul = function
-    | Ir.Bin (Lime_frontend.Ast.Mul, _, _, Ir.Const (Ir.CInt m))
-    | Ir.Bin (Lime_frontend.Ast.Mul, _, Ir.Const (Ir.CInt m), _) ->
+    | Ir.Bin (Ast.Mul, _, _, Ir.Const (Ir.CInt m))
+    | Ir.Bin (Ast.Mul, _, Ir.Const (Ir.CInt m), _) ->
         Some m
     | _ -> None
   in
   let check m c = if m >= 2 && c >= 0 && c < m then Some (m, c) else None in
   match e with
-  | Ir.Bin (Lime_frontend.Ast.Add, _, a, Ir.Const (Ir.CInt c))
-  | Ir.Bin (Lime_frontend.Ast.Add, _, Ir.Const (Ir.CInt c), a) -> (
+  | Ir.Bin (Ast.Add, _, a, Ir.Const (Ir.CInt c))
+  | Ir.Bin (Ast.Add, _, Ir.Const (Ir.CInt c), a) -> (
       match mul a with Some m -> check m c | None -> None)
   | _ -> ( match mul e with Some m -> check m 0 | None -> None)
 

@@ -2,7 +2,9 @@
 
     Pattern-matches the kernel IR for the access idioms of Fig 5 and maps
     each array onto the OpenCL memory hierarchy; every optimization toggles
-    independently, which is how the Fig 8 sweep is generated. *)
+    independently, which is how the Fig 8 sweep is generated.  Index
+    classification and view resolution are {!Access}'s, shared with the
+    profiler. *)
 
 type config = {
   use_private : bool;

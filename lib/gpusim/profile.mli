@@ -7,7 +7,8 @@
 type access = {
   ac_root : string;
   ac_pattern : Lime_gpu.Access.cls;
-      (** the leading index's class, by {!Lime_gpu.Access.classify} *)
+      (** the leading index's {!Lime_gpu.Access.classify} class; accesses
+          to per-thread spills of a private array are thread-strided *)
   ac_store : bool;
   ac_last_const : bool;  (** innermost index is a compile-time constant *)
   mutable ac_count : float;  (** dynamic accesses over the whole launch *)

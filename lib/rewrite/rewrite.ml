@@ -420,7 +420,9 @@ let interchange : step =
       | Ir.SFor (vo, lo_o, hi_o, [ Ir.SFor (vi, lo_i, hi_i, body) ]) :: rest
         ->
           Some
-            (if List.mem vo (Ir.expr_vars lo_i) || List.mem vo (Ir.expr_vars hi_i)
+            (if
+               List.mem vo (Ir.expr_vars lo_i)
+               || List.mem vo (Ir.expr_vars hi_i)
              then Error "inner bounds depend on the outer index"
              else
                Result.map
