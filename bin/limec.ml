@@ -736,17 +736,10 @@ let run_connect socket files worker config_name deadline_ms emit_opencl
             let graft_base_us = Trace.now_us tracer in
             let finish_trace a =
               (match (trace, a) with
-              | Some ctx, Some a when a.Wire.ar_spans <> "" -> (
-                  match Trace.spans_of_wire a.Wire.ar_spans with
-                  | Ok spans ->
-                      ignore
-                        (Trace.graft tracer ~at_us:graft_base_us
-                           ~parent:ctx.Wire.tc_parent_span spans)
-                  | Error msg ->
-                      Printf.eprintf
-                        "limec: ignoring malformed span buffer from server: \
-                         %s\n"
-                        msg)
+              | Some ctx, Some a ->
+                  ignore
+                    (Trace.graft tracer ~at_us:graft_base_us
+                       ~parent:ctx.Wire.tc_parent_span a.Wire.ar_spans)
               | _ -> ());
               if trace <> None then Trace.end_span tracer "client.request";
               match trace_out with

@@ -110,6 +110,23 @@ if grep -rn --include='*.ml' --include='*.mli' \
   exit 1
 fi
 
+echo "== one wire layout =="
+# lib/server/wire.ml holds the daemon's only binary layout: the spans a
+# Result frame carries are Wire fields, not a second codec's opaque
+# string, and no other module under lib/ or bin/ defines byte primitives
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'spans_to_wire' -e 'spans_of_wire' -e 'wire_format_version' \
+     lib bin test; then
+  echo "FAIL: a second span codec; a Result frame's spans are Wire fields"
+  exit 1
+fi
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'let put_u' -e 'let get_u' -e 'put_f64' -e 'get_f64' lib bin \
+     | grep -v '^lib/server/wire\.ml:'; then
+  echo "FAIL: byte primitives outside lib/server/wire.ml; encode through Wire"
+  exit 1
+fi
+
 echo "== front end: no forced minor GC =="
 # an array over 256 words seeded with a young token forces a full minor
 # collection (caml_make_vect) on every compile: the parser walks the

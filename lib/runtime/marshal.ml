@@ -354,10 +354,3 @@ let decode_direct ~(elem : Ir.scalar) ~(shape : int array) (b : bytes) :
           | _ -> Int64.float_of_bits (rd_i64 r))
       done);
   Value.VArr a
-
-(** Device-layout size of a value. *)
-let direct_size (v : Value.t) : int =
-  match v with
-  | Value.VArr a ->
-      Value.elem_count a.Value.shape * Ir.scalar_size_bytes a.Value.elem
-  | v -> wire_size v

@@ -34,8 +34,6 @@ val wire_size : Lime_ir.Value.t -> int
 (** Wire size in bytes, without encoding ({!encode} produces exactly this
     many bytes). *)
 
-val direct_size : Lime_ir.Value.t -> int
-
 (** {2 Time model} *)
 
 val java_marshal_seconds : ?serializer:serializer -> ?elem_bytes:int -> int -> float

@@ -417,7 +417,6 @@ let create ?service cfg =
   }
 
 let service t = t.sr_svc
-let socket_path t = t.sr_cfg.sc_socket
 
 let http_port t =
   Option.map
@@ -818,7 +817,7 @@ let admit t (c : conn) (r : Wire.compile_req) config =
               ar_parallel = kernel.Lime_gpu.Kernel.k_parallel;
               ar_opencl = c.Pipeline.cp_opencl;
               ar_placements = Memopt.describe c.Pipeline.cp_decisions;
-              ar_spans = "";
+              ar_spans = [];
             }
     in
     let res, spans = Trace.collect Trace.default compute in
@@ -1143,8 +1142,7 @@ let reap_one t pd =
               (* ship the request's spans home iff the client asked (sent
                  a trace context) and the daemon tracer is recording *)
               if pd.pd_trace <> None && Trace.enabled Trace.default then
-                let spans = Trace.spans_to_wire (span_tree pd ~end_us) in
-                { artifact with Wire.ar_spans = spans }
+                { artifact with Wire.ar_spans = span_tree pd ~end_us }
               else artifact
             in
             finish ~status:"ok" ~origin:artifact.Wire.ar_origin

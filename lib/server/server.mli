@@ -105,7 +105,6 @@ val create : ?service:Lime_service.Service.t -> config -> t
     returns, even before {!run} starts picking requests up. *)
 
 val service : t -> Lime_service.Service.t
-val socket_path : t -> string
 
 val http_port : t -> int option
 (** The bound observability-plane port ([None] when [sc_http_port] is

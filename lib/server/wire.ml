@@ -1,13 +1,18 @@
 (** Length-prefixed binary frame codec — see the interface. *)
 
-let version = 4
+module Trace = Lime_service.Trace
+
+let version = 5
 let max_frame = 16 * 1024 * 1024
+
+(* a Result's span count above this is refused before any per-span read *)
+let max_spans = 1_000_000
 
 (* u32 sentinel for "no deadline": a real deadline of ~49.7 days is not a
    deadline anyone means *)
 let no_deadline = 0xFFFF_FFFF
 
-(* u32 sentinel for "no parent span" in a propagated trace context *)
+(* u32 sentinel for "no parent span", in a trace context and a span *)
 let no_parent_span = 0xFFFF_FFFF
 
 type trace_ctx = { tc_trace_id : string; tc_parent_span : int }
@@ -34,7 +39,7 @@ type artifact = {
   ar_parallel : bool;
   ar_opencl : string;
   ar_placements : string;
-  ar_spans : string;
+  ar_spans : Trace.span list;
 }
 
 type error_code =
@@ -124,6 +129,25 @@ let put_string b s =
   put_u32 b (String.length s);
   Buffer.add_string b s
 
+let put_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
+
+let put_parent b p = put_u32 b (if p < 0 then no_parent_span else p)
+
+let put_span b (sp : Trace.span) =
+  put_u32 b sp.sp_id;
+  put_parent b sp.sp_parent;
+  put_f64 b sp.sp_begin_us;
+  put_f64 b sp.sp_end_us;
+  put_string b sp.sp_name;
+  put_string b sp.sp_cat;
+  let args = List.filteri (fun i _ -> i < 0xFFFF) sp.sp_args in
+  put_u16 b (List.length args);
+  List.iter
+    (fun (k, v) ->
+      put_string b k;
+      put_string b v)
+    args
+
 let encode frame =
   let b = Buffer.create 256 in
   put_u8 b (tag_of frame);
@@ -141,9 +165,7 @@ let encode frame =
       | None -> ()
       | Some tc ->
           put_string b tc.tc_trace_id;
-          put_u32 b
-            (if tc.tc_parent_span < 0 then no_parent_span
-             else tc.tc_parent_span land 0xFFFF_FFFF));
+          put_parent b tc.tc_parent_span);
       put_string b (Option.value r.cr_placement ~default:"")
   | Result a ->
       put_u32 b a.ar_id;
@@ -153,7 +175,8 @@ let encode frame =
       put_string b a.ar_kernel;
       put_string b a.ar_opencl;
       put_string b a.ar_placements;
-      put_string b a.ar_spans
+      put_u32 b (List.length a.ar_spans);
+      List.iter (put_span b) a.ar_spans
   | Err e ->
       put_u32 b e.er_id;
       put_u8 b (error_code_byte e.er_code);
@@ -211,6 +234,32 @@ let get_string cu what =
   cu.cu_pos <- cu.cu_pos + n;
   s
 
+let get_f64 cu what =
+  need cu 8 what;
+  let v = Int64.float_of_bits (String.get_int64_be cu.cu_data cu.cu_pos) in
+  cu.cu_pos <- cu.cu_pos + 8;
+  v
+
+let get_parent cu what =
+  let p = get_u32 cu what in
+  if p = no_parent_span then -1 else p
+
+let get_span cu : Trace.span =
+  let sp_id = get_u32 cu "span id" in
+  let sp_parent = get_parent cu "span parent" in
+  let sp_begin_us = get_f64 cu "span begin" in
+  let sp_end_us = get_f64 cu "span end" in
+  if Float.is_nan sp_begin_us || Float.is_nan sp_end_us then
+    raise (Bad "NaN span timestamp");
+  let sp_name = get_string cu "span name" in
+  let sp_cat = get_string cu "span category" in
+  let sp_args =
+    List.init (get_u16 cu "span arg count") (fun _ ->
+        let k = get_string cu "span arg key" in
+        (k, get_string cu "span arg value"))
+  in
+  { sp_id; sp_parent; sp_name; sp_cat; sp_args; sp_begin_us; sp_end_us }
+
 let decode payload : (frame, error) result =
   let cu = { cu_data = payload; cu_pos = 0 } in
   match get_u8 cu "tag" with
@@ -232,8 +281,7 @@ let decode payload : (frame, error) result =
               if get_u8 cu "compile trace flag" = 0 then None
               else begin
                 let tc_trace_id = get_string cu "compile trace id" in
-                let p = get_u32 cu "compile parent span" in
-                let tc_parent_span = if p = no_parent_span then -1 else p in
+                let tc_parent_span = get_parent cu "compile parent span" in
                 Some { tc_trace_id; tc_parent_span }
               end
             in
@@ -252,7 +300,11 @@ let decode payload : (frame, error) result =
             let ar_kernel = get_string cu "result kernel" in
             let ar_opencl = get_string cu "result opencl" in
             let ar_placements = get_string cu "result placements" in
-            let ar_spans = get_string cu "result span buffer" in
+            let n = get_u32 cu "result span count" in
+            if n > max_spans then
+              raise
+                (Bad (Printf.sprintf "span count %d exceeds %d" n max_spans));
+            let ar_spans = List.init n (fun _ -> get_span cu) in
             Result { ar_id; ar_origin; ar_digest; ar_kernel; ar_parallel;
                      ar_opencl; ar_placements; ar_spans }
         | 5 ->

@@ -8,6 +8,7 @@
       +----------------+---------------------------------+
       payload = u8 tag, then tag-specific fields:
         u8/u16/u32   big-endian unsigned integers
+        f64          big-endian IEEE-754 bits
         string       u32 BE byte count, then the bytes (no terminator)
     v}
 
@@ -27,7 +28,10 @@ val version : int
     Every frame has one layout: a Compile frame carries a u8
     trace-presence flag (then the {!trace_ctx} fields when set) and the
     placement SPEC string ([""] = none); a Result frame always carries
-    the span-buffer string ([""] = none). *)
+    a u32 span count (at most 1,000,000) and then each span: u32 id, u32
+    parent ([0xFFFF_FFFF] = none), f64 begin and end, name, category,
+    u16 argument count and each key/value string.  A NaN timestamp is
+    [Malformed]. *)
 
 val max_frame : int
 (** Upper bound on a payload's declared length (16 MiB). *)
@@ -35,7 +39,7 @@ val max_frame : int
 type trace_ctx = {
   tc_trace_id : string;
       (** 128-bit distributed trace id as 32 lowercase hex characters
-          ({!Lime_service.Trace.valid_trace_id}) *)
+          (not validated by the codec) *)
   tc_parent_span : int;
       (** span id of the client-side parent span; [-1] for none (wire
           sentinel [0xFFFF_FFFF]) *)
@@ -68,10 +72,11 @@ type artifact = {
   ar_parallel : bool;
   ar_opencl : string;  (** the compiled OpenCL, byte-identical to local *)
   ar_placements : string;  (** [Memopt.describe] of the decisions *)
-  ar_spans : string;
-      (** the server's span buffer for this request
-          ({!Lime_service.Trace.spans_to_wire}, timestamps relative to
-          admission); [""] = none *)
+  ar_spans : Lime_service.Trace.span list;
+      (** the spans the server recorded for this request, timestamps in
+          microseconds relative to admission, ready for
+          {!Lime_service.Trace.graft}; [[]] when the request was not
+          traced *)
 }
 
 type error_code =

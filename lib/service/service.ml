@@ -27,9 +27,12 @@ type t = {
 }
 
 (* Bump when the shape of Pipeline.compiled changes: artifacts are
-   Stdlib.Marshal snapshots and must not be read across layouts.  A stale
-   or unreadable artifact is simply a miss. *)
-let artifact_magic = "lime-kernel-artifact 2\n"
+   Stdlib.Marshal snapshots and must not be read across layouts.  The MD5
+   of the marshalled bytes follows the magic and is checked before
+   unmarshalling, since Marshal trusts its input: a flipped bit would
+   crash the process or load a wrong kernel.  A stale, corrupt or
+   unreadable artifact is simply a miss. *)
+let artifact_magic = "lime-kernel-artifact 3\n"
 
 let mkdir_p = Tunestore.(fun dir -> ignore (open_ dir))
 
@@ -90,13 +93,13 @@ let disk_load t key : Pipeline.compiled option =
           if not (Sys.file_exists file) then None
           else
             try
-              In_channel.with_open_bin file (fun ic ->
-                  let magic =
-                    really_input_string ic (String.length artifact_magic)
-                  in
-                  if magic <> artifact_magic then None
-                  else
-                    Some (Stdlib.Marshal.from_channel ic : Pipeline.compiled))
+              let s = In_channel.with_open_bin file In_channel.input_all in
+              let m = String.length artifact_magic in
+              let body = String.sub s (m + 16) (String.length s - m - 16) in
+              if String.sub s 0 m <> artifact_magic
+                 || String.sub s m 16 <> Stdlib.Digest.string body
+              then None
+              else Some (Stdlib.Marshal.from_string body 0 : Pipeline.compiled)
             with _ -> None)
 
 let disk_store t key (c : Pipeline.compiled) =
@@ -108,9 +111,11 @@ let disk_store t key (c : Pipeline.compiled) =
         "service.artifact_store"
         (fun () ->
           try
+            let body = Stdlib.Marshal.to_string c [] in
             Out_channel.with_open_bin (artifact_path dir key) (fun oc ->
                 Out_channel.output_string oc artifact_magic;
-                Stdlib.Marshal.to_channel oc c []);
+                Out_channel.output_string oc (Stdlib.Digest.string body);
+                Out_channel.output_string oc body);
             (* the generated OpenCL rides along in the clear, so the cache
                doubles as a browsable content-addressed kernel store *)
             Out_channel.with_open_text (opencl_path dir key) (fun oc ->

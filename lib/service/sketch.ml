@@ -184,7 +184,6 @@ let window ?(alpha = default_alpha) ?(interval_s = 60.0) ?(slots = 60) ~clock
     wd_mu = Mutex.create ();
   }
 
-let window_alpha w = w.wd_total.sk_alpha
 let window_span_s w = w.wd_interval *. float_of_int (Array.length w.wd_slots)
 
 let interval_id w = int_of_float (Float.floor (w.wd_clock () /. w.wd_interval))

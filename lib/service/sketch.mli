@@ -96,7 +96,6 @@ val window :
     manual clock).  Raises [Invalid_argument] for a non-positive interval or
     slot count. *)
 
-val window_alpha : window -> float
 val window_span_s : window -> float
 (** [interval_s *. slots] — the longest queryable window. *)
 

@@ -66,12 +66,6 @@ let fresh_trace_id () =
     (Random.State.bits64 st)
   |> String.lowercase_ascii
 
-let valid_trace_id s =
-  String.length s = 32
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-       s
-
 let default_retention = 65536
 
 let create ?(clock = Lime_support.Clock.now_s) () =
@@ -306,143 +300,6 @@ let graft t ?at_us ~parent spans =
     advance_to t !max_end;
     List.length grafted
   end
-
-(* Binary span-buffer codec — the payload the daemon ships back inside a
-   Result frame.  Format (all integers big-endian):
-     u8  format version (1)
-     u32 span count
-     per span: u32 id · u32 parent (0xffffffff = -1) · 8-byte IEEE-754
-       begin/end (microseconds) · name · cat · u16 arg count · per arg
-       key/value — strings as u32 length + bytes.
-   [spans_of_wire] is total: every malformed input maps to [Error _]. *)
-
-let wire_format_version = 1
-let max_wire_spans = 1_000_000
-
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-
-let put_u16 b v =
-  put_u8 b (v lsr 8);
-  put_u8 b v
-
-let put_u32 b v =
-  put_u16 b (v lsr 16);
-  put_u16 b v
-
-let put_str b s =
-  put_u32 b (String.length s);
-  Buffer.add_string b s
-
-let put_f64 b v =
-  let bits = Int64.bits_of_float v in
-  for i = 7 downto 0 do
-    put_u8 b (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xff)
-  done
-
-let spans_to_wire spans =
-  let spans =
-    if List.length spans > max_wire_spans then
-      List.filteri (fun i _ -> i < max_wire_spans) spans
-    else spans
-  in
-  let b = Buffer.create 1024 in
-  put_u8 b wire_format_version;
-  put_u32 b (List.length spans);
-  List.iter
-    (fun sp ->
-      put_u32 b (sp.sp_id land 0xffffffff);
-      put_u32 b (if sp.sp_parent < 0 then 0xffffffff else sp.sp_parent land 0xffffffff);
-      put_f64 b sp.sp_begin_us;
-      put_f64 b sp.sp_end_us;
-      put_str b sp.sp_name;
-      put_str b sp.sp_cat;
-      put_u16 b (min 0xffff (List.length sp.sp_args));
-      List.iteri
-        (fun i (k, v) ->
-          if i < 0xffff then begin
-            put_str b k;
-            put_str b v
-          end)
-        sp.sp_args)
-    spans;
-  Buffer.contents b
-
-exception Bad_buf of string
-
-let spans_of_wire s =
-  let len = String.length s in
-  let pos = ref 0 in
-  let need n what =
-    if len - !pos < n then raise (Bad_buf ("truncated " ^ what))
-  in
-  let get_u8 what =
-    need 1 what;
-    let v = Char.code s.[!pos] in
-    incr pos;
-    v
-  in
-  let get_u16 what =
-    let hi = get_u8 what in
-    (hi lsl 8) lor get_u8 what
-  in
-  let get_u32 what =
-    let hi = get_u16 what in
-    (hi lsl 16) lor get_u16 what
-  in
-  let get_str what =
-    let n = get_u32 what in
-    need n what;
-    let v = String.sub s !pos n in
-    pos := !pos + n;
-    v
-  in
-  let get_f64 what =
-    need 8 what;
-    let bits = ref 0L in
-    for _ = 1 to 8 do
-      bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (get_u8 what))
-    done;
-    Int64.float_of_bits !bits
-  in
-  try
-    let v = get_u8 "format version" in
-    if v <> wire_format_version then
-      raise (Bad_buf (Printf.sprintf "unsupported span format %d" v));
-    let count = get_u32 "span count" in
-    if count > max_wire_spans then raise (Bad_buf "span count out of range");
-    let out = ref [] in
-    for _ = 1 to count do
-      let sp_id = get_u32 "span id" in
-      let parent = get_u32 "span parent" in
-      let sp_parent = if parent = 0xffffffff then -1 else parent in
-      let sp_begin_us = get_f64 "span begin" in
-      let sp_end_us = get_f64 "span end" in
-      let sp_name = get_str "span name" in
-      let sp_cat = get_str "span cat" in
-      let nargs = get_u16 "arg count" in
-      let args = ref [] in
-      for _ = 1 to nargs do
-        let k = get_str "arg key" in
-        let v = get_str "arg value" in
-        args := (k, v) :: !args
-      done;
-      if Float.is_nan sp_begin_us || Float.is_nan sp_end_us then
-        raise (Bad_buf "non-finite span timestamp");
-      out :=
-        {
-          sp_id;
-          sp_parent;
-          sp_name;
-          sp_cat;
-          sp_args = List.rev !args;
-          sp_begin_us;
-          sp_end_us;
-        }
-        :: !out
-    done;
-    if !pos <> len then raise (Bad_buf "trailing bytes in span buffer");
-    Ok (List.rev !out)
-  with Bad_buf msg -> Error msg
 
 (* Merge the per-domain buffers into the one timeline.  Ids are allocated
    from a single atomic counter at begin time, so ascending id order *is*

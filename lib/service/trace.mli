@@ -68,9 +68,6 @@ val reset : t -> unit
 val trace_id : t -> string
 (** This tracer's 128-bit trace id as 32 lowercase hex characters. *)
 
-val valid_trace_id : string -> bool
-(** [true] iff the string is exactly 32 lowercase hex characters. *)
-
 val fresh_trace_id : unit -> string
 (** Mint a new random 128-bit trace id (32 lowercase hex characters). *)
 
@@ -132,11 +129,11 @@ val current_span_id : t -> int
 
 (** {1 Cross-process span hand-off}
 
-    The daemon collects the spans a request recorded, serializes them
-    with {!spans_to_wire} (timestamps rebased so 0 = request admission),
-    and ships the buffer back inside the Result frame.  The client
-    decodes with {!spans_of_wire} and {!graft}s them under its own
-    request span, yielding one merged, well-nested timeline. *)
+    The daemon collects the spans a request recorded, rebases their
+    timestamps so 0 = request admission, and ships the list back in the
+    Result frame ([Lime_server.Wire] owns the byte layout).  The client
+    {!graft}s them under its own request span, yielding one merged,
+    well-nested timeline. *)
 
 val collect : t -> (unit -> 'a) -> 'a * span list
 (** [collect t f] runs [f] and returns its result together with every
@@ -151,15 +148,6 @@ val graft : t -> ?at_us:float -> parent:int -> span list -> int
     buffer's origin — are offset by [at_us] (default: the current trace
     time).  The clock is advanced past the last grafted end so subsequent
     local events stay monotonic.  Returns the number of spans grafted. *)
-
-val spans_to_wire : span list -> string
-(** Serialize a span buffer to the compact binary wire form (at most
-    1,000,000 spans; extras are silently truncated). *)
-
-val spans_of_wire : string -> (span list, string) result
-(** Total decoder for {!spans_to_wire}'s format: any malformed buffer —
-    truncation anywhere, bad format version, NaN timestamps, trailing
-    bytes — yields [Error]. *)
 
 (** {1 Inspection and export} *)
 

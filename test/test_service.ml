@@ -458,6 +458,55 @@ let test_disk_cache_across_services () =
         (Lime_ir.Value.approx_equal ~rtol:0.0 ~atol:0.0 v
            (Lime_ir.Value.VArr want)))
 
+(* a stored artifact with one bit flipped — in the magic, the checksum or
+   the marshalled body — is a miss that recompiles to the same kernel,
+   never a crash or a wrong kernel loaded from disk *)
+let test_corrupt_artifact_is_a_miss () =
+  let dir = temp_dir "lime_svc_corrupt" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let b = Lime_benchmarks.Nbody.single in
+      let worker = b.Lime_benchmarks.Bench_def.worker in
+      let source = b.Lime_benchmarks.Bench_def.source in
+      let compile () =
+        Service.compile_ex (Service.create ~cache_dir:dir ()) ~worker source
+      in
+      let want, _ = compile () in
+      let describe c = Memopt.describe c.Lime_gpu.Pipeline.cp_decisions in
+      let kernels = Filename.concat dir "kernels" in
+      let art =
+        match
+          List.filter
+            (fun f -> Filename.check_suffix f ".art")
+            (Array.to_list (Sys.readdir kernels))
+        with
+        | [ f ] -> Filename.concat kernels f
+        | fs ->
+            Alcotest.failf "%d artifacts stored, expected 1" (List.length fs)
+      in
+      let good = In_channel.with_open_bin art In_channel.input_all in
+      let offsets = List.init (String.length good / 37 + 1) (fun i -> i * 37) in
+      List.iter
+        (fun off ->
+          let bad = Bytes.of_string good in
+          Bytes.set bad off
+            (Char.chr (Char.code good.[off] lxor (1 lsl (off mod 8))));
+          Out_channel.with_open_bin art (fun oc ->
+              Out_channel.output_bytes oc bad);
+          let got, origin = compile () in
+          let at = Printf.sprintf " (bit flipped at byte %d)" off in
+          Alcotest.(check bool) ("a miss" ^ at) true
+            (origin = Service.Compiled);
+          Alcotest.(check string) ("same OpenCL" ^ at)
+            want.Lime_gpu.Pipeline.cp_opencl got.Lime_gpu.Pipeline.cp_opencl;
+          Alcotest.(check string) ("same placements" ^ at) (describe want)
+            (describe got))
+        offsets;
+      (* the miss rewrote a good artifact: the next process hits disk *)
+      Alcotest.(check bool) "rewritten artifact loads" true
+        (snd (compile ()) = Service.Disk))
+
 let test_instrumented_engine_run () =
   let reg = Metrics.create () in
   Service.instrument ~registry:reg ();
@@ -537,6 +586,8 @@ let () =
             test_repeat_compile_served_from_cache;
           Alcotest.test_case "disk cache across services" `Quick
             test_disk_cache_across_services;
+          Alcotest.test_case "corrupt artifact is a miss" `Quick
+            test_corrupt_artifact_is_a_miss;
           Alcotest.test_case "instrumented engine run" `Quick
             test_instrumented_engine_run;
         ] );

@@ -1,23 +1,51 @@
 (* The daemon's frame codec: every frame round-trips through
    encode/decode and through the incremental reader, and every byte-level
    attack (truncation, hostile length prefix, unknown tag, trailing
-   garbage) maps to a total [Error] — never an exception. *)
+   garbage, hostile span count, NaN span timestamp) maps to a total
+   [Error] — never an exception. *)
 
 module Wire = Lime_server.Wire
+module Trace = Lime_service.Trace
 
 let u32 = QCheck.Gen.int_range 0 0xFFFF_FFFF
 let short_str = QCheck.Gen.(string_size (int_range 0 64))
 let long_str = QCheck.Gen.(string_size (int_range 0 2048))
 
+(* a parent span is -1 (none, the wire sentinel) or any u32 below the
+   sentinel *)
+let parent_span = QCheck.Gen.int_range (-1) 0xFFFF_FFFE
+
 (* propagated trace context: any string travels as the trace id (the
-   codec does not validate identity — the tracer does), and the parent
-   span is -1 (none, the wire sentinel) or any u32 below the sentinel *)
+   codec does not validate identity) *)
 let gen_trace_ctx =
   QCheck.Gen.(
     map
       (fun (tid, parent) ->
         { Wire.tc_trace_id = tid; tc_parent_span = parent })
-      (pair short_str (int_range (-1) 0xFFFF_FFFE)))
+      (pair short_str parent_span))
+
+let mk_span ?(cat = "r") ?(args = []) id parent b e name =
+  {
+    Trace.sp_id = id;
+    sp_parent = parent;
+    sp_name = name;
+    sp_cat = cat;
+    sp_args = args;
+    sp_begin_us = b;
+    sp_end_us = e;
+  }
+
+(* a shipped span: any u32 id, finite timestamps (NaN is refused; an
+   open span's end is negative) *)
+let gen_span =
+  QCheck.Gen.(
+    map
+      (fun ((id, parent), (b, e), (name, cat), args) ->
+        mk_span ~cat ~args id parent b e name)
+      (quad (pair u32 parent_span)
+         (pair (float_range 0.0 1e12) (float_range (-1.0) 1e12))
+         (pair short_str short_str)
+         (list_size (int_range 0 3) (pair short_str short_str))))
 
 let gen_frame =
   QCheck.Gen.(
@@ -61,7 +89,7 @@ let gen_frame =
               })
           (quad u32 bool
              (triple short_str short_str short_str)
-             (triple long_str long_str long_str));
+             (triple long_str long_str (list_size (int_range 0 4) gen_span)));
         map
           (fun (id, code, retry, msg) ->
             Wire.Err
@@ -244,6 +272,12 @@ let sample_result spans =
       ar_spans = spans;
     }
 
+let two_spans =
+  [
+    mk_span ~args:[ ("k", "v") ] 1 (-1) 0.0 5.0 "a";
+    mk_span 2 1 1.0 2.0 "b";
+  ]
+
 let sample_ctx =
   { Wire.tc_trace_id = String.make 32 'a'; tc_parent_span = 42 }
 
@@ -270,7 +304,71 @@ let test_new_field_truncation () =
   check_prefixes "traced Compile" (payload (sample_compile (Some sample_ctx)));
   check_prefixes "placed Compile"
     (payload (sample_compile ~placement:"W.m=gtx580" (Some sample_ctx)));
-  check_prefixes "span-carrying Result" (payload (sample_result "0123456789"))
+  check_prefixes "span-carrying Result" (payload (sample_result two_spans))
+
+(* the bytes of an untraced Result are pinned: its empty span list is a
+   u32 0 count *)
+let test_untraced_result_bytes () =
+  let hex s =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (String.to_seq s)))
+  in
+  Alcotest.(check string) "untraced Result payload"
+    "04000000070100000006\
+     6d656d6f72790000000164000000016b00000002636c000000017000000000"
+    (hex (payload (sample_result [])))
+
+(* boundary spans survive exactly: the largest id below the sentinel, an
+   empty category, an empty argument value, a zero-width span *)
+let test_span_roundtrip () =
+  let spans =
+    [
+      mk_span ~cat:"server" 0 (-1) 0.0 12.5 "server.request";
+      mk_span ~args:[ ("k", "v"); ("empty", "") ] 1 0 1.25 3.75 "pipeline";
+      mk_span ~cat:"" 0xFFFF_FFFE 1 2.0 2.0 "zero-width";
+    ]
+  in
+  List.iter
+    (fun spans ->
+      let f = sample_result spans in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d spans round-trip" (List.length spans))
+        true
+        (Wire.decode (payload f) = Ok f))
+    [ spans; [] ]
+
+(* the span fields guard outside input: a hostile count is refused before
+   any per-span read, a NaN timestamp never decodes, and a trailing byte
+   after the last span is Malformed *)
+let test_hostile_spans () =
+  let refused what p =
+    match Wire.decode p with
+    | Error (Wire.Malformed msg) -> msg
+    | Error e ->
+        Alcotest.failf "%s: wrong error %s" what (Wire.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  (* the count is the last field of an untraced Result *)
+  let untraced = payload (sample_result []) in
+  let with_count n =
+    let b = Buffer.create 4 in
+    put_u32 b n;
+    String.sub untraced 0 (String.length untraced - 4) ^ Buffer.contents b
+  in
+  List.iter
+    (fun n ->
+      let msg = refused (Printf.sprintf "span count %#x" n) (with_count n) in
+      Alcotest.(check bool) "refused on the count, not a per-span read" true
+        (String.starts_with ~prefix:"span count" msg))
+    [ 0xFFFF_FFFF; 1_000_001 ];
+  ignore
+    (refused "NaN begin"
+       (payload (sample_result [ mk_span 1 (-1) Float.nan 1.0 "nan" ])));
+  ignore
+    (refused "NaN end"
+       (payload (sample_result [ mk_span 1 (-1) 0.0 Float.nan "nan" ])));
+  ignore (refused "trailing byte" (payload (sample_result two_spans) ^ "\x00"))
 
 (* the placement field round-trips next to every trace context *)
 let test_placement_field () =
@@ -311,5 +409,14 @@ let () =
             test_new_field_truncation;
           Alcotest.test_case "placement provenance round-trips" `Quick
             test_placement_field;
+        ] );
+      ( "spans",
+        [
+          Alcotest.test_case "untraced Result bytes pinned" `Quick
+            test_untraced_result_bytes;
+          Alcotest.test_case "span list round-trips" `Quick
+            test_span_roundtrip;
+          Alcotest.test_case "hostile span fields are refused" `Quick
+            test_hostile_spans;
         ] );
     ]
