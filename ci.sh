@@ -110,6 +110,23 @@ if grep -rn --include='*.ml' --include='*.mli' \
   exit 1
 fi
 
+echo "== one thread-dependence analysis per state =="
+# the rewrite search computes a kernel body's thread-dependence table once
+# and hands it to both the memory analysis and the launch profile, which
+# compute it themselves only when no table is passed; "does this
+# expression mention v?" is Ir.mentions, which builds no variable list
+if grep -rn --include='*.ml' 'Taint\.thread_dependent' lib bin \
+     | grep -v -e '^lib/core/memopt\.ml:' -e '^lib/gpusim/profile\.ml:' \
+         -e '^lib/rewrite/search\.ml:'; then
+  echo "FAIL: Taint.thread_dependent called outside Memopt.analyze, Profile.profile and the rewrite search; pass the table"
+  exit 1
+fi
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'List\.mem .*(Ir\.expr_vars' -e 'List\.exists .*(Ir\.expr_vars' lib; then
+  echo "FAIL: a membership test over Ir.expr_vars under lib/; use Ir.mentions"
+  exit 1
+fi
+
 echo "== one wire layout =="
 # lib/server/wire.ml holds the daemon's only binary layout: the spans a
 # Result frame carries are Wire fields, not a second codec's opaque

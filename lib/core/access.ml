@@ -15,12 +15,9 @@ let name = function
   | ABroadcast -> "broadcast"
 
 let classify ~par_vars ~seq_vars ~thread_vars (idx : Ir.expr) : cls =
-  let vars = Ir.expr_vars idx in
   let is_par v = List.mem v par_vars || Hashtbl.mem thread_vars v in
-  let mentions_par = List.exists is_par vars in
-  let mentions_seq = List.exists (fun v -> List.mem v seq_vars) vars in
-  let pure_of rest = not (List.exists is_par (Ir.expr_vars rest)) in
-  if mentions_par then
+  let pure_of rest = not (Ir.mentions is_par rest) in
+  if Ir.mentions is_par idx then
     match idx with
     | Ir.Var v when List.mem v par_vars -> AThreadLinear
     | Ir.Bin ((Ast.Add | Ast.Sub), _, Ir.Var v, rest)
@@ -30,7 +27,7 @@ let classify ~par_vars ~seq_vars ~thread_vars (idx : Ir.expr) : cls =
       when List.mem v par_vars && pure_of rest ->
         AThreadLinear
     | _ -> AThreadStrided
-  else if mentions_seq then AStream
+  else if Ir.mentions (fun v -> List.mem v seq_vars) idx then AStream
   else ABroadcast
 
 let affine_lane (e : Ir.expr) : (int * int) option =

@@ -2,21 +2,16 @@
 
     There is no OpenCL driver in this environment (DESIGN.md §2), so the
     generated kernel text cannot be compiled by a vendor toolchain.  This
-    module implements the checks a front end would reject immediately,
-    giving the codegen tests real teeth:
+    module implements checks a front end would reject immediately, giving
+    the codegen tests real teeth:
 
-    - lexical well-formedness: balanced ()/{}/[], terminated comments and
-      strings, no stray characters;
+    - lexical well-formedness: terminated block comments and strings, no
+      stray characters;
+    - balanced ()/{}/[];
     - float literals carry a mantissa/exponent ([0f] is invalid C);
     - declare-before-use for identifiers (parameters, locals, loop
       variables), with the OpenCL builtin vocabulary preloaded;
-    - exactly one [__kernel] entry point whose parameters use valid address
-      -space qualifiers;
-    - [barrier()] never appears inside divergent control flow directly
-      within the robust thread loop (a classic correctness bug the paper's
-      compiler must avoid when staging local tiles);
-    - vector component accesses ([.x/.y/.z/.w], [.sN]) only follow
-      identifiers or calls.
+    - exactly one [__kernel] entry point.
 
     The checker is deliberately permissive about what it does not
     understand — it reports problems, never false certainty. *)

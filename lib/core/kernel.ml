@@ -21,7 +21,7 @@ open Lime_support
 module Ir = Lime_ir.Ir
 module Value = Lime_ir.Value
 
-let err fmt = Diag.error ~phase:Diag.Kernel ~loc:Loc.dummy fmt
+let err ~loc fmt = Diag.error ~phase:Diag.Kernel ~loc fmt
 
 type kernel = {
   k_name : string;  (** qualified worker name, e.g. ["NBody.computeForces"] *)
@@ -121,6 +121,9 @@ let static_consts (md : Ir.modul) : (string * string, Ir.const) Hashtbl.t =
 
 type extract_ctx = {
   md : Ir.modul;
+  loc : Loc.t;
+      (** the worker's declaration: where every extraction error is
+          reported, since the IR carries no per-expression locations *)
   consts : (string * string, Ir.const) Hashtbl.t;
   mutable counter : int;
   mutable depth : int;
@@ -137,7 +140,8 @@ let rec rw_expr ctx (acc : Ir.stmt list ref) (e : Ir.expr) : Ir.expr =
   let r = rw_expr ctx acc in
   match e with
   | Ir.Const _ | Ir.Var _ -> e
-  | Ir.This -> err "kernel extraction: 'this' cannot appear in a filter"
+  | Ir.This ->
+      err ~loc:ctx.loc "kernel extraction: 'this' cannot appear in a filter"
   | Ir.Bin (op, s, a, b) -> Ir.Bin (op, s, r a, r b)
   | Ir.Un (op, s, a) -> Ir.Un (op, s, r a)
   | Ir.Cast (d, s, a) -> Ir.Cast (d, s, r a)
@@ -146,43 +150,49 @@ let rec rw_expr ctx (acc : Ir.stmt list ref) (e : Ir.expr) : Ir.expr =
   | Ir.Intrinsic (b, s, args) ->
       (match b with
       | Lime_typecheck.Tast.BPrint ->
-          err "kernel extraction: Lime.print cannot appear in a filter"
+          err ~loc:ctx.loc
+            "kernel extraction: Lime.print cannot appear in a filter"
       | _ -> ());
       Ir.Intrinsic (b, s, List.map r args)
   | Ir.CallF (name, args) -> inline_call ctx acc name (List.map r args)
   | Ir.CallM (name, _, _) ->
-      err "kernel extraction: instance call '%s' in a filter" name
+      err ~loc:ctx.loc "kernel extraction: instance call '%s' in a filter" name
   | Ir.FieldGet _ ->
-      err "kernel extraction: instance field access in a filter"
+      err ~loc:ctx.loc "kernel extraction: instance field access in a filter"
   | Ir.StaticGet (c, f) -> (
       match Hashtbl.find_opt ctx.consts (c, f) with
       | Some k -> Ir.Const k
       | None ->
-          err
+          err ~loc:ctx.loc
             "kernel extraction: static field %s.%s is not a compile-time \
              constant"
             c f)
   | Ir.NewArr (a, sizes) -> Ir.NewArr (a, List.map r sizes)
   | Ir.ArrLit (a, es) -> Ir.ArrLit (a, List.map r es)
   | Ir.NewObj (c, _) ->
-      err "kernel extraction: object allocation of '%s' in a filter" c
+      err ~loc:ctx.loc
+        "kernel extraction: object allocation of '%s' in a filter" c
   | Ir.RangeE n -> Ir.RangeE (r n)
   | Ir.ToValueE _ ->
-      err "kernel extraction: Lime.toValue cannot appear in a filter"
+      err ~loc:ctx.loc
+        "kernel extraction: Lime.toValue cannot appear in a filter"
   | Ir.TaskE _ | Ir.ConnectE _ ->
-      err "kernel extraction: nested task graphs are not supported in filters"
+      err ~loc:ctx.loc
+        "kernel extraction: nested task graphs are not supported in filters"
 
 and inline_call ctx acc name (args : Ir.expr list) : Ir.expr =
   if List.mem name ctx.stack then
-    err "kernel extraction: recursive call to '%s' in a filter" name;
-  if ctx.depth > 32 then err "kernel extraction: call inlining too deep";
+    err ~loc:ctx.loc "kernel extraction: recursive call to '%s' in a filter"
+      name;
+  if ctx.depth > 32 then
+    err ~loc:ctx.loc "kernel extraction: call inlining too deep";
   let f =
     match Ir.find_func ctx.md name with
     | Some f -> f
-    | None -> err "kernel extraction: unknown function '%s'" name
+    | None -> err ~loc:ctx.loc "kernel extraction: unknown function '%s'" name
   in
   if not f.Ir.fn_local then
-    err "kernel extraction: call to non-local function '%s'" name;
+    err ~loc:ctx.loc "kernel extraction: call to non-local function '%s'" name;
   (* bind arguments to fresh temporaries *)
   let renames =
     List.map2
@@ -332,7 +342,7 @@ and rw_stmt ctx (s : Ir.stmt) : Ir.stmt list =
     | Ir.SBreak -> Ir.SBreak
     | Ir.SContinue -> Ir.SContinue
     | Ir.SFinish _ ->
-        err "kernel extraction: finish() cannot appear in a filter"
+        err ~loc:ctx.loc "kernel extraction: finish() cannot appear in a filter"
   in
   List.rev !acc @ [ out ]
 
@@ -423,12 +433,20 @@ let extract (md : Ir.modul) ~(worker : string) : kernel =
   let f =
     match Ir.find_func md worker with
     | Some f -> f
-    | None -> err "unknown worker '%s'" worker
+    | None -> err ~loc:Loc.dummy "unknown worker '%s'" worker
   in
-  if not f.Ir.fn_static then err "worker '%s' is not static" worker;
-  if not f.Ir.fn_local then err "worker '%s' is not local" worker;
+  let loc = f.Ir.fn_loc in
+  if not f.Ir.fn_static then err ~loc "worker '%s' is not static" worker;
+  if not f.Ir.fn_local then err ~loc "worker '%s' is not local" worker;
   let ctx =
-    { md; consts = static_consts md; counter = 0; depth = 0; stack = [ worker ] }
+    {
+      md;
+      loc;
+      consts = static_consts md;
+      counter = 0;
+      depth = 0;
+      stack = [ worker ];
+    }
   in
   let body = demote_nested ~inside:false (rw_stmts ctx f.Ir.fn_body) in
   {
@@ -461,5 +479,6 @@ let to_module (k : kernel) : Ir.modul =
       fn_body = k.k_body;
       fn_static = true;
       fn_local = true;
+      fn_loc = Loc.dummy;
     };
   md

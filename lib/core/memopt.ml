@@ -129,8 +129,8 @@ type loop_ctx = {
   par_vars : string list;
   seq_vars : string list;
   thread_vars : (string, unit) Hashtbl.t;
-      (** scalars defined inside the parallel loop: data-dependent on the
-          thread, so indices using them cannot be broadcast *)
+      (** the body's thread-dependent variables ({!Taint.thread_dependent}):
+          indices using them cannot be broadcast *)
 }
 
 (* mutable accumulation per array *)
@@ -148,8 +148,11 @@ type acc = {
 
 (** Analyze every array in a kernel.  Views created by partial indexing
     ([float\[\[4\]\] q = particles\[j\]]) are traced back to their root array:
-    an access to the view contributes the combined index list. *)
-let analyze ?(affine_lanes = false) (k : Kernel.kernel) : array_info list =
+    an access to the view contributes the combined index list.
+    [thread_vars] is the body's {!Taint.thread_dependent} table, computed
+    here when the caller does not pass it. *)
+let analyze ?(affine_lanes = false) ?thread_vars (k : Kernel.kernel) :
+    array_info list =
   let arrays : (string, acc) Hashtbl.t = Hashtbl.create 16 in
   (* view alias: var -> (root, prefix indices) *)
   let views : (string, string * Ir.expr list) Hashtbl.t = Hashtbl.create 16 in
@@ -345,7 +348,10 @@ let analyze ?(affine_lanes = false) (k : Kernel.kernel) : array_info list =
     {
       par_vars = [];
       seq_vars = [];
-      thread_vars = Taint.thread_dependent k.Kernel.k_body;
+      thread_vars =
+        (match thread_vars with
+        | Some t -> t
+        | None -> Taint.thread_dependent k.Kernel.k_body);
     }
   in
   List.iter (walk_stmt ctx0 false) k.Kernel.k_body;

@@ -56,13 +56,21 @@ type array_info = {
   ai_store_sites : int;
 }
 
-val analyze : ?affine_lanes:bool -> Kernel.kernel -> array_info list
+val analyze :
+  ?affine_lanes:bool ->
+  ?thread_vars:(string, unit) Hashtbl.t ->
+  Kernel.kernel ->
+  array_info list
 (** Access analysis for every array in a kernel, tracing views created by
     partial indexing back to their root arrays.  [~affine_lanes:true]
     (default false) additionally treats affine [v*m + c] innermost indices
     as statically-known lanes, which lets {!decide} vectorize arrays whose
     rows are wider than a vector — the rewrite engine's scorer turns this
-    on; the Fig 8 paper path never does, keeping its output unchanged. *)
+    on; the Fig 8 paper path never does, keeping its output unchanged.
+    [thread_vars] is the kernel body's {!Taint.thread_dependent} table
+    (read, never written); without it the analysis computes the table
+    itself.  A caller that also profiles the same body passes one table to
+    both. *)
 
 type decision = {
   d_array : string;

@@ -28,9 +28,8 @@ module Ir = Lime_ir.Ir
 let thread_dependent (body : Ir.stmt list) : (string, unit) Hashtbl.t =
   let tainted = Hashtbl.create 32 in
   let changed = ref true in
-  let mentions e =
-    List.exists (Hashtbl.mem tainted) (Ir.expr_vars e)
-  in
+  let is_tainted v = Hashtbl.mem tainted v in
+  let mentions e = Ir.mentions is_tainted e in
   let add v =
     if not (Hashtbl.mem tainted v) then begin
       Hashtbl.replace tainted v ();

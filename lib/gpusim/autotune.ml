@@ -66,13 +66,13 @@ let bindings_of (k : Kernel.kernel) (decisions : Memopt.decision list)
 (** The one launch pricer: the launch's profile and the bindings of every
     array it touches, the result sized by the last parallel loop's trip
     count.  Every tool that prices a launch goes through here. *)
-let launch ?hoist_invariant ?affine_lanes (k : Kernel.kernel)
+let launch ?hoist_invariant ?affine_lanes ?thread_vars (k : Kernel.kernel)
     (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) :
     Profile.t * Model.array_binding list =
   let prof =
-    Profile.profile ?hoist_invariant ?affine_lanes k decisions ~shapes
-      ~scalars
+    Profile.profile ?hoist_invariant ?affine_lanes ?thread_vars k decisions
+      ~shapes ~scalars
   in
   let out_shape =
     match k.Kernel.k_ret with

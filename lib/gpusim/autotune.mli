@@ -19,13 +19,14 @@ val bindings_of :
 val launch :
   ?hoist_invariant:bool ->
   ?affine_lanes:bool ->
+  ?thread_vars:(string, unit) Hashtbl.t ->
   Lime_gpu.Kernel.kernel ->
   Lime_gpu.Memopt.decision list ->
   shapes:(string * int array) list ->
   scalars:(string * float) list ->
   Profile.t * Model.array_binding list
-(** The one launch pricer: the launch's profile (the two flags are
-    {!Profile.profile}'s) and the bindings of every array it touches —
+(** The one launch pricer: the launch's profile (the two flags and the
+    thread-dependence table are {!Profile.profile}'s) and the bindings of every array it touches —
     the parameters from [shapes], the kernel-local arrays from their
     static shapes, the result sized by the last parallel loop's trip
     count.  Price the pair with {!Model.kernel_time_ex}. *)

@@ -134,9 +134,8 @@ let record_access ctx ~mult root (full : Ir.expr list) ~store =
        Applies to loads and to stores (accumulator promotion). *)
     if not ctx.hoist then mult
     else begin
-      let idx_vars = List.concat_map Ir.expr_vars full in
       let rec invariant_trips = function
-        | (v, t) :: rest when not (List.mem v idx_vars) ->
+        | (v, t) :: rest when not (Ir.mentions_any (String.equal v) full) ->
             Float.max 1.0 t *. invariant_trips rest
         | _ -> 1.0
       in
@@ -382,8 +381,10 @@ let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
 (** Profile one kernel launch.
 
     [shapes] gives the actual shape of each array argument; [scalars] gives
-    the value of scalar arguments that appear in loop bounds. *)
-let profile ?(hoist_invariant = false) ?(affine_lanes = false)
+    the value of scalar arguments that appear in loop bounds;
+    [thread_vars] is the body's thread-dependence table, computed here when
+    the caller does not pass it. *)
+let profile ?(hoist_invariant = false) ?(affine_lanes = false) ?thread_vars
     (k : Lime_gpu.Kernel.kernel)
     (decisions : Lime_gpu.Memopt.decision list)
     ~(shapes : (string * int array) list)
@@ -414,7 +415,10 @@ let profile ?(hoist_invariant = false) ?(affine_lanes = false)
       affine = affine_lanes;
       local_shapes = Hashtbl.create 8;
       scalar_env = Hashtbl.create 8;
-      thread_vars = Lime_gpu.Taint.thread_dependent k.Lime_gpu.Kernel.k_body;
+      thread_vars =
+        (match thread_vars with
+        | Some t -> t
+        | None -> Lime_gpu.Taint.thread_dependent k.Lime_gpu.Kernel.k_body);
     }
   in
   List.iter (walk_stmt ctx ~mult:1.0) k.Lime_gpu.Kernel.k_body;

@@ -37,6 +37,7 @@ val double_frac : t -> float
 val profile :
   ?hoist_invariant:bool ->
   ?affine_lanes:bool ->
+  ?thread_vars:(string, unit) Hashtbl.t ->
   Lime_gpu.Kernel.kernel ->
   Lime_gpu.Memopt.decision list ->
   shapes:(string * int array) list ->
@@ -53,7 +54,12 @@ val profile :
     [v*m + c] innermost indices as const-lane accesses.  Both default off
     so the paper-fidelity Fig 8 path is bit-identical; the rewrite
     engine's scorer turns both on to see the effect of loop
-    restructuring. *)
+    restructuring.
+
+    [thread_vars] is the kernel body's [Lime_gpu.Taint.thread_dependent]
+    table (read, never written); without it the profiler computes the
+    table itself.  Passing the table {!Lime_gpu.Memopt.analyze} read
+    gives the same profile with one dataflow pass instead of two. *)
 
 val to_string : t -> string
 

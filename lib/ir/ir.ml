@@ -149,6 +149,7 @@ type func = {
   fn_body : stmt list;
   fn_static : bool;
   fn_local : bool;
+  fn_loc : Lime_support.Loc.t;  (** the method's declaration *)
 }
 
 type class_meta = {
@@ -249,6 +250,29 @@ let expr_vars (e : expr) : string list =
   let acc = ref [] in
   iter_expr (function Var v -> acc := v :: !acc | _ -> ()) e;
   !acc
+
+(** [mentions p e]: some variable [e] mentions satisfies [p] — the answer
+    of [List.exists p (expr_vars e)], stopping at the first hit and
+    building no list. *)
+let rec mentions (p : string -> bool) (e : expr) : bool =
+  match e with
+  | Var v -> p v
+  | Const _ | This | StaticGet _ -> false
+  | Bin (_, _, a, b) | ConnectE (a, b) -> mentions p a || mentions p b
+  | Un (_, _, a) | Cast (_, _, a) | Len (a, _) | FieldGet (a, _)
+  | RangeE a | ToValueE a ->
+      mentions p a
+  | Load (b, idx) -> mentions p b || mentions_any p idx
+  | Intrinsic (_, _, args) | CallF (_, args) | NewArr (_, args)
+  | ArrLit (_, args) | NewObj (_, args) ->
+      mentions_any p args
+  | CallM (_, r, args) -> mentions p r || mentions_any p args
+  | TaskE td -> (
+      match td.td_ctor with None -> false | Some args -> mentions_any p args)
+
+and mentions_any p = function
+  | [] -> false
+  | e :: rest -> mentions p e || mentions_any p rest
 
 let rec iter_stmt ~(stmt : stmt -> unit) ~(expr : expr -> unit) (s : stmt) =
   stmt s;

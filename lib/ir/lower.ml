@@ -594,6 +594,7 @@ let lower_method (prog : T.tprogram) (m : T.tmethod) : Ir.func =
     fn_body = List.rev env.acc;
     fn_static = T.method_is_static m;
     fn_local = T.method_is_local m;
+    fn_loc = m.tm_loc;
   }
 
 let lower_program (prog : T.tprogram) : Ir.modul =

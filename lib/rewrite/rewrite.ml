@@ -330,7 +330,7 @@ let reorderable_body (body : Ir.stmt list) : (unit, string) result =
     | Ir.SDecl (_, _, _) -> Error "array declaration in reordered loop"
     | Ir.SAssign (Ir.LVar v, Ir.Bin ((Ast.Add | Ast.Mul), _, Ir.Var v', e))
       when v = v' ->
-        if List.mem v (Ir.expr_vars e) then
+        if Ir.mentions (String.equal v) e then
           Error "accumulator read inside its own addend"
         else begin
           Hashtbl.replace accum v ();
@@ -338,7 +338,7 @@ let reorderable_body (body : Ir.stmt list) : (unit, string) result =
         end
     | Ir.SAssign (Ir.LVar v, Ir.Bin (Ast.Add, _, e, Ir.Var v')) when v = v'
       ->
-        if List.mem v (Ir.expr_vars e) then
+        if Ir.mentions (String.equal v) e then
           Error "accumulator read inside its own addend"
         else begin
           Hashtbl.replace accum v ();
@@ -351,8 +351,8 @@ let reorderable_body (body : Ir.stmt list) : (unit, string) result =
           Ir.Bin ((Ast.Add | Ast.Mul), _, Ir.Load (Ir.Var b', idx'), e) )
       when b = b' && idx = idx' ->
         if
-          List.mem b (Ir.expr_vars e)
-          || List.exists (fun i -> List.mem b (Ir.expr_vars i)) idx
+          Ir.mentions (String.equal b) e
+          || Ir.mentions_any (String.equal b) idx
         then Error "accumulated array read outside the accumulation"
         else begin
           Hashtbl.replace accum b ();
@@ -421,8 +421,8 @@ let interchange : step =
         ->
           Some
             (if
-               List.mem vo (Ir.expr_vars lo_i)
-               || List.mem vo (Ir.expr_vars hi_i)
+               Ir.mentions (String.equal vo) lo_i
+               || Ir.mentions (String.equal vo) hi_i
              then Error "inner bounds depend on the outer index"
              else
                Result.map

@@ -11,12 +11,17 @@
     applies soundly and deduplicated structurally, so permutations of
     commuting placements cost one evaluation, not many.
 
-    Each piece of work is done once per state.  A frontier entry carries
-    its state's memory analysis and placement table: a placement child
-    reuses the parent's analysis (the kernel is unchanged) and the one
+    Each piece of work is done once per state, and what depends only on
+    the kernel body once per body.  A frontier entry carries its body's
+    thread-dependence table and memory analysis ({!body}), the body's
+    digest and the state's placement table.  A placement child reuses all
+    three body facts (the kernel is unchanged) and the one
     {!Lime_gpu.Memopt.decide_all} that showed the toggle changes the
-    table; a structural child costs one [Structural] walk, one [analyze]
-    and one [decide_all].
+    table, so pricing it costs one profile walk and no dataflow pass.  A
+    structural child costs one [Structural] walk, one
+    {!Lime_gpu.Taint.thread_dependent} pass, one [analyze], one
+    [decide_all], one marshalled body digest and one profile walk; the
+    analysis and the profile read the same table.
 
     The initial population is the empty schedule plus the eight canned
     Fig 8 sequences of {!Rewrite.fig8_sequences}.  Seeding guarantees the
@@ -65,42 +70,62 @@ let seq_arg seq = ("sequence", seq_str seq)
 (* Scoring                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** The memory analysis of a state's kernel, with affine-lane
-    recognition on.  It does not depend on the state's configuration. *)
-let analysis (st : Rewrite.state) : Memopt.array_info list =
-  Memopt.analyze ~affine_lanes:true st.Rewrite.st_kernel
+(** What a state's kernel body determines, whatever its configuration:
+    the body's thread-dependence table ({!Lime_gpu.Taint.thread_dependent})
+    and its memory analysis with affine-lane recognition on, which reads
+    that table.  Computed for the baseline and for each structural child;
+    the Fig 8 seeds and every placement child share their parent's. *)
+type body = {
+  b_thread_vars : (string, unit) Hashtbl.t;
+  b_analysis : Memopt.array_info list;
+}
 
-(** The memory optimizer's placements for a state. *)
-let decisions (st : Rewrite.state) : Memopt.decision list =
-  Memopt.decide_all st.Rewrite.st_config (analysis st)
+let body_of (st : Rewrite.state) : body =
+  let k = st.Rewrite.st_kernel in
+  let thread_vars = Lime_gpu.Taint.thread_dependent k.Kernel.k_body in
+  {
+    b_thread_vars = thread_vars;
+    b_analysis = Memopt.analyze ~affine_lanes:true ~thread_vars k;
+  }
+
+(** The memory optimizer's placements for a state with body [b]. *)
+let decisions (st : Rewrite.state) (b : body) : Memopt.decision list =
+  Memopt.decide_all st.Rewrite.st_config b.b_analysis
 
 (** Modeled time of one rewrite state under its [decisions]: profile the
     (possibly restructured) kernel with the backend-compiler effects the
     rewrites rely on (invariant hoisting, affine lanes) and price it on
-    the device. *)
-let score (device : Device.t) (st : Rewrite.state)
+    the device.  The profile reads [b]'s thread-dependence table. *)
+let score (device : Device.t) (st : Rewrite.state) (b : body)
     (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) : float * Model.breakdown * Counters.t
     =
   let prof, bindings =
     Autotune.launch ~hoist_invariant:true ~affine_lanes:true
-      st.Rewrite.st_kernel decisions ~shapes ~scalars
+      ~thread_vars:b.b_thread_vars st.Rewrite.st_kernel decisions ~shapes
+      ~scalars
   in
   let bd, ctr = Model.kernel_time_ex device prof bindings in
   (bd.Model.bd_total_s, bd, ctr)
 
-(** Structural signature of a state: a digest of the rewritten body plus
-    the placement table it induces, marshalled without sharing so equal
-    structures give equal bytes.  Two states with equal signatures are
+(** Digest of a state's rewritten body, marshalled without sharing so
+    equal structures give equal bytes. *)
+let body_digest (st : Rewrite.state) : Digest.t =
+  Digest.string
+    (Marshal.to_string st.Rewrite.st_kernel.Kernel.k_body
+       [ Marshal.No_sharing ])
+
+(** Structural signature of a state: a digest of its {!body_digest} and
+    the placement table it induces.  The body digest has a fixed length,
+    so two signatures are equal exactly when both the bodies and the
+    tables are (up to MD5).  Two states with equal signatures are
     indistinguishable to the cost model, so the search keeps only the
     first (shortest, earliest) sequence reaching each.  The key is 16
     bytes: the dedup table never holds an IR body. *)
-let signature (st : Rewrite.state) (decisions : Memopt.decision list) :
+let signature (body_digest : Digest.t) (decisions : Memopt.decision list) :
     Digest.t =
   Digest.string
-    (Marshal.to_string
-       (st.Rewrite.st_kernel.Kernel.k_body, decisions)
-       [ Marshal.No_sharing ])
+    (body_digest ^ Marshal.to_string decisions [ Marshal.No_sharing ])
 
 let cmp_candidate (a : candidate) (b : candidate) : int =
   compare
@@ -110,6 +135,16 @@ let cmp_candidate (a : candidate) (b : candidate) : int =
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 (* ------------------------------------------------------------------ *)
+
+(** A frontier entry: a scored candidate with its body's facts, its
+    {!body_digest} and its placement table — everything a child reuses
+    when its body is the parent's. *)
+type entry = {
+  en_cand : candidate;
+  en_body : body;
+  en_digest : Digest.t;
+  en_decisions : Memopt.decision list;
+}
 
 let default_width = 8
 let default_depth = 5
@@ -131,20 +166,27 @@ let search ?(width = default_width) ?(depth = default_depth)
          ("depth", string_of_int depth);
        ]);
   let evals = ref 0 in
-  let evaluate (sequence : string list) (st : Rewrite.state) ds : candidate =
+  let evaluate (sequence : string list) (st : Rewrite.state) body digest ds
+      : entry =
     incr evals;
-    let time_s, bd, ctr = score device st ds ~shapes ~scalars in
+    let time_s, bd, ctr = score device st body ds ~shapes ~scalars in
     {
-      sc_sequence = sequence;
-      sc_state = st;
-      sc_time_s = time_s;
-      sc_breakdown = bd;
-      sc_counters = ctr;
+      en_cand =
+        {
+          sc_sequence = sequence;
+          sc_state = st;
+          sc_time_s = time_s;
+          sc_breakdown = bd;
+          sc_counters = ctr;
+        };
+      en_body = body;
+      en_digest = digest;
+      en_decisions = ds;
     }
   in
   let seen : (Digest.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let fresh_state st ds =
-    let s = signature st ds in
+  let fresh_state digest ds =
+    let s = signature digest ds in
     if Hashtbl.mem seen s then false
     else begin
       Hashtbl.add seen s ();
@@ -152,34 +194,35 @@ let search ?(width = default_width) ?(depth = default_depth)
     end
   in
   let baseline_state = Rewrite.initial k in
-  let baseline_an = analysis baseline_state in
-  let baseline_ds =
-    Memopt.decide_all baseline_state.Rewrite.st_config baseline_an
+  let baseline_body = body_of baseline_state in
+  let baseline_digest = body_digest baseline_state in
+  let baseline_ds = decisions baseline_state baseline_body in
+  ignore (fresh_state baseline_digest baseline_ds);
+  let baseline_entry =
+    evaluate [] baseline_state baseline_body baseline_digest baseline_ds
   in
-  ignore (fresh_state baseline_state baseline_ds);
-  let baseline = evaluate [] baseline_state baseline_ds in
+  let baseline = baseline_entry.en_cand in
   (* Canned Fig 8 sequences seed the beam: the search result can only be
-     at least as good as the paper's sweep winner.  A frontier entry is a
-     candidate with its analysis and decisions; a Fig 8 sequence only
-     toggles placements, so its kernel, and its analysis, are the
+     at least as good as the paper's sweep winner.  A Fig 8 sequence only
+     toggles placements, so its body, and the body's facts, are the
      baseline's. *)
   let fig8_entries =
     List.filter_map
       (fun (name, seq) ->
-        if seq = [] then Some (name, (baseline, baseline_an, baseline_ds))
+        if seq = [] then Some (name, baseline_entry)
         else
           match Rewrite.apply_sequence baseline_state seq with
           | Error _ -> None
           | Ok st ->
-              let ds = Memopt.decide_all st.Rewrite.st_config baseline_an in
-              ignore (fresh_state st ds);
-              Some (name, (evaluate seq st ds, baseline_an, ds)))
+              let ds = decisions st baseline_body in
+              ignore (fresh_state baseline_digest ds);
+              Some (name, evaluate seq st baseline_body baseline_digest ds))
       Rewrite.fig8_sequences
   in
   let fig8_cands =
     match fig8_entries with
     | [] -> [ ("Global", baseline) ]
-    | l -> List.map (fun (name, (c, _, _)) -> (name, c)) l
+    | l -> List.map (fun (name, e) -> (name, e.en_cand)) l
   in
   let fig8_best =
     List.fold_left
@@ -190,14 +233,17 @@ let search ?(width = default_width) ?(depth = default_depth)
       None fig8_cands
     |> Option.get
   in
-  let child (c : candidate) (step : Rewrite.step) st an ds =
-    if fresh_state st ds then
-      Some (evaluate (c.sc_sequence @ [ step.Rewrite.name ]) st ds, an, ds)
+  let child (e : entry) (step : Rewrite.step) st body digest ds =
+    if fresh_state digest ds then
+      Some
+        (evaluate
+           (e.en_cand.sc_sequence @ [ step.Rewrite.name ])
+           st body digest ds)
     else None
   in
-  let expand _level ((c : candidate), an, ds) =
-    let st = c.sc_state in
-    let placements = Memopt.placements ds in
+  let expand _level (e : entry) =
+    let st = e.en_cand.sc_state in
+    let placements = Memopt.placements e.en_decisions in
     List.filter_map
       (fun (step : Rewrite.step) ->
         match step.Rewrite.kind with
@@ -205,36 +251,37 @@ let search ?(width = default_width) ?(depth = default_depth)
             let cfg = st.Rewrite.st_config in
             if get cfg then None
             else
-              let ds' = Memopt.decide_all (set cfg) an in
+              let st' = { st with Rewrite.st_config = set cfg } in
+              let ds' = decisions st' e.en_body in
               if Memopt.placements ds' = placements then None
-              else child c step { st with Rewrite.st_config = set cfg } an ds'
+              else child e step st' e.en_body e.en_digest ds'
         | Rewrite.Structural attempt -> (
             match attempt st with
             | Error _ -> None
             | Ok st' ->
-                let an' = analysis st' in
-                child c step st' an'
-                  (Memopt.decide_all st'.Rewrite.st_config an')))
+                let body' = body_of st' in
+                child e step st' body' (body_digest st')
+                  (decisions st' body')))
       Rewrite.catalog
   in
-  let on_level level frontier ((best : candidate), _, _) =
+  let on_level level frontier (best : entry) =
     emit
       (Beam.Level
          [
            ("level", string_of_int level);
            ("frontier", string_of_int (List.length frontier));
            ("evals", string_of_int !evals);
-           ("best_time_s", Printf.sprintf "%.3e" best.sc_time_s);
-           seq_arg best.sc_sequence;
+           ("best_time_s", Printf.sprintf "%.3e" best.en_cand.sc_time_s);
+           seq_arg best.en_cand.sc_sequence;
          ])
   in
-  let baseline_entry = (baseline, baseline_an, baseline_ds) in
-  let (best, _, _), depth_reached =
+  let best_entry, depth_reached =
     Beam.run
-      ~cmp:(fun (a, _, _) (b, _, _) -> cmp_candidate a b)
+      ~cmp:(fun a b -> cmp_candidate a.en_cand b.en_cand)
       ~width ~levels:depth ~expand ~on_level ~best:baseline_entry
       (baseline_entry :: List.map snd fig8_entries)
   in
+  let best = best_entry.en_cand in
   emit
     (Beam.End
        {
@@ -272,7 +319,10 @@ let replay (device : Device.t) (k : Kernel.kernel) (sequence : string list)
       Error m
   | Ok st ->
       replayed true;
-      let time_s, bd, ctr = score device st (decisions st) ~shapes ~scalars in
+      let body = body_of st in
+      let time_s, bd, ctr =
+        score device st body (decisions st body) ~shapes ~scalars
+      in
       Ok
         {
           sc_sequence = sequence;

@@ -32,7 +32,7 @@ type t = {
    unmarshalling, since Marshal trusts its input: a flipped bit would
    crash the process or load a wrong kernel.  A stale, corrupt or
    unreadable artifact is simply a miss. *)
-let artifact_magic = "lime-kernel-artifact 3\n"
+let artifact_magic = "lime-kernel-artifact 4\n"
 
 let mkdir_p = Tunestore.(fun dir -> ignore (open_ dir))
 

@@ -328,6 +328,7 @@ let ir_module body =
       fn_body = body;
       fn_static = true;
       fn_local = false;
+      fn_loc = Lime_support.Loc.dummy;
     };
   {
     Ir.md_funcs = funcs;

@@ -159,6 +159,35 @@ let test_double_detection () =
   let k = Kernel.extract md ~worker:"K.work" in
   Alcotest.(check bool) "uses double" true k.Kernel.k_uses_double
 
+(* a worker that is not a legal filter is reported at its declaration:
+   base_src declares instWork on line 8 and nonLocal on line 9 *)
+let test_rejection_located () =
+  let md = lower base_src in
+  let located worker ~line ~msg =
+    match Kernel.extract md ~worker with
+    | _ -> Alcotest.failf "%s extracted" worker
+    | exception Lime_support.Diag.Error_exn d ->
+        Alcotest.(check bool)
+          (worker ^ " message") true
+          (Lime_support.Util.contains_substring ~sub:msg
+             d.Lime_support.Diag.message);
+        Alcotest.(check bool)
+          (worker ^ " has a location") false
+          (Lime_support.Loc.is_dummy d.Lime_support.Diag.loc);
+        Alcotest.(check int)
+          (worker ^ " line") line
+          d.Lime_support.Diag.loc.Lime_support.Loc.start_pos
+            .Lime_support.Loc.line
+  in
+  located "K.nonLocal" ~line:9 ~msg:"is not local";
+  located "K.instWork" ~line:8 ~msg:"is not static";
+  match Kernel.extract md ~worker:"K.missing" with
+  | _ -> Alcotest.fail "unknown worker extracted"
+  | exception Lime_support.Diag.Error_exn d ->
+      (* no declaration to point at *)
+      Alcotest.(check bool) "unknown worker is unlocated" true
+        (Lime_support.Loc.is_dummy d.Lime_support.Diag.loc)
+
 let () =
   Alcotest.run "kernel"
     [
@@ -177,5 +206,7 @@ let () =
         [
           Alcotest.test_case "verdicts" `Quick test_classification;
           Alcotest.test_case "not isolated" `Quick test_not_isolated;
+          Alcotest.test_case "rejections are located" `Quick
+            test_rejection_located;
         ] );
     ]
