@@ -214,7 +214,7 @@ let run_single file worker config_name jobs cache_capacity dump_ast dump_ir
                 if cache_dir <> None then
                   Printf.printf "tunestore: %s\n"
                     (match status with
-                    | `Hit _ -> "hit — re-timed stored best only"
+                    | `Hit -> "hit — re-timed stored best only"
                     | `Miss -> "miss — swept all configurations");
                 match entries with
                 | [] ->
@@ -273,45 +273,24 @@ let run_single file worker config_name jobs cache_capacity dump_ast dump_ir
           in
           if cache_dir <> None then
             (match status with
-            | `Hit r ->
+            | `Hit ->
                 Printf.printf
                   "tunestore: hit — re-timed stored best %s only\n"
-                  r.Lime_service.Tunestore.tr_config_name
+                  (List.hd entries).Gpusim.Autotune.at_name
             | `Miss ->
                 Printf.printf
                   "tunestore: miss — swept %d configurations, stored best\n"
                   (List.length entries));
           print_endline (Gpusim.Autotune.describe entries);
-          (* why the winner wins: its headline counters, from the store on
-             a hit, recomputed on a miss *)
-          let headline =
-            match status with
-            | `Hit { Lime_service.Tunestore.tr_headline = Some h; _ } ->
-                Some
-                  ( h.Lime_service.Tunestore.th_occupancy,
-                    h.Lime_service.Tunestore.th_bank_replays,
-                    h.Lime_service.Tunestore.th_roofline )
-            | _ -> (
-                match entries with
-                | best :: _ ->
-                    let c =
-                      Gpusim.Autotune.counters_for d
-                        kernel best.Gpusim.Autotune.at_config ~shapes
-                        ~scalars:[]
-                    in
-                    Some
-                      ( c.Gpusim.Counters.ct_occupancy,
-                        c.Gpusim.Counters.ct_bank_replays,
-                        Gpusim.Counters.roofline_name
-                          (Gpusim.Counters.classify c) )
-                | [] -> None)
-          in
-          match headline with
-          | Some (occ, br, rl) ->
+          (* why the winner wins: its headline counters, priced with it *)
+          match entries with
+          | best :: _ ->
+              let c = best.Gpusim.Autotune.at_counters in
               Printf.printf
-                "winner: occupancy %.2f, bank-conflict replays %g, %s\n" occ
-                br rl
-          | None -> ());
+                "winner: occupancy %.2f, bank-conflict replays %g, %s\n"
+                c.Gpusim.Counters.ct_occupancy c.Gpusim.Counters.ct_bank_replays
+                (Gpusim.Counters.roofline_name (Gpusim.Counters.classify c))
+          | [] -> ());
       (* --estimate, --counters and --profile print from one launch,
          priced the way --sweep prices it *)
       let launch =

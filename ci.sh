@@ -111,14 +111,15 @@ if grep -rn --include='*.ml' --include='*.mli' \
 fi
 
 echo "== one thread-dependence analysis per state =="
-# the rewrite search computes a kernel body's thread-dependence table once
-# and hands it to both the memory analysis and the launch profile, which
-# compute it themselves only when no table is passed; "does this
-# expression mention v?" is Ir.mentions, which builds no variable list
+# the rewrite search and the Fig 8 sweep compute a kernel body's
+# thread-dependence table once and hand it to both the memory analysis
+# and the launch profile, which compute it themselves only when no table
+# is passed; "does this expression mention v?" is Ir.mentions, which
+# builds no variable list
 if grep -rn --include='*.ml' 'Taint\.thread_dependent' lib bin \
      | grep -v -e '^lib/core/memopt\.ml:' -e '^lib/gpusim/profile\.ml:' \
-         -e '^lib/rewrite/search\.ml:'; then
-  echo "FAIL: Taint.thread_dependent called outside Memopt.analyze, Profile.profile and the rewrite search; pass the table"
+         -e '^lib/rewrite/search\.ml:' -e '^lib/gpusim/autotune\.ml:'; then
+  echo "FAIL: Taint.thread_dependent called outside Memopt.analyze, Profile.profile, the rewrite search and the Fig 8 sweep; pass the table"
   exit 1
 fi
 if grep -rn --include='*.ml' --include='*.mli' \
@@ -126,6 +127,24 @@ if grep -rn --include='*.ml' --include='*.mli' \
   echo "FAIL: a membership test over Ir.expr_vars under lib/; use Ir.mentions"
   exit 1
 fi
+
+echo "== one Fig 8 sweep =="
+# Gpusim.Autotune.sweep_with is the one sweep loop (one analysis, every
+# entry carrying its counters); the service replays or re-runs it through
+# the same tuned path as the beam and placement searches, and a winner's
+# headline is its entry's counters, never re-priced or stored
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'cached_sweep' -e 'pool_sweep' -e 'counters_for' -e 'tr_headline' \
+     lib bin examples; then
+  echo "FAIL: a second sweep path or a stored headline; sweep through Autotune.sweep_with and Service.sweep"
+  exit 1
+fi
+for f in $(grep -rl --include='*.ml' 'Pool\.map' lib bin examples); do
+  if grep -n 'fig8_configs' "$f"; then
+    echo "FAIL: $f maps its pool over Memopt.fig8_configs; pass Pool.map to Autotune.sweep_with"
+    exit 1
+  fi
+done
 
 echo "== one wire layout =="
 # lib/server/wire.ml holds the daemon's only binary layout: the spans a
@@ -188,12 +207,12 @@ echo "$cold" | grep -q "tunestore: miss" \
 # a store file in an older format is a miss: the sweep re-tunes and
 # rewrites it in the current format
 tune_file=$(ls "$cache_dir"/tune/*.tune)
-sed -i '1s/.*/lime-tunestore 3/' "$tune_file"
+sed -i '1s/.*/lime-tunestore 4/' "$tune_file"
 stale=$(sweep)
 echo "$stale" | grep -q "tunestore: miss" \
   || { echo "FAIL: an old-format tunestore file should miss"; echo "$stale"; exit 1; }
-[ "$(head -n 1 "$tune_file")" = "lime-tunestore 4" ] \
-  || { echo "FAIL: the re-tune should rewrite $tune_file as format 4"; head -n 1 "$tune_file"; exit 1; }
+[ "$(head -n 1 "$tune_file")" = "lime-tunestore 5" ] \
+  || { echo "FAIL: the re-tune should rewrite $tune_file as format 5"; head -n 1 "$tune_file"; exit 1; }
 
 warm=$(sweep)
 echo "$warm" | grep -q "tunestore: hit" \

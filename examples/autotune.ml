@@ -11,7 +11,6 @@
 
 module E = Lime_benchmarks.Experiments
 module B = Lime_benchmarks.Bench_def
-module Memopt = Lime_gpu.Memopt
 
 let () =
   let which =
@@ -32,24 +31,18 @@ let () =
     (fun (b : B.t) ->
       Printf.printf "=== %s ===\n" b.B.name;
       let p = E.prepare b in
+      let k = p.E.p_compiled.Lime_gpu.Pipeline.cp_kernel in
+      let shapes, scalars =
+        Lime_runtime.Engine.shapes_of_args k [ p.E.p_input ]
+      in
       List.iter
         (fun d ->
-          let timed =
-            List.map
-              (fun (name, cfg) -> (name, E.kernel_time_under p d cfg))
-              Memopt.fig8_configs
-          in
-          let best_name, best_t =
-            List.fold_left
-              (fun (bn, bt) (n, t) -> if t < bt then (n, t) else (bn, bt))
-              ("", infinity) timed
-          in
-          let worst_t =
-            List.fold_left (fun acc (_, t) -> Float.max acc t) 0.0 timed
-          in
+          let entries = Gpusim.Autotune.sweep d k ~shapes ~scalars in
+          let best = List.hd entries
+          and worst = List.nth entries (List.length entries - 1) in
           Printf.printf "  %-28s best: %-32s %8.3f ms (worst/best %.1fx)\n"
-            d.Gpusim.Device.name best_name (best_t *. 1e3)
-            (worst_t /. best_t))
+            d.Gpusim.Device.name best.at_name (best.at_time_s *. 1e3)
+            (worst.at_time_s /. best.at_time_s))
         E.gpu_devices;
       print_newline ())
     which

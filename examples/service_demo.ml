@@ -55,7 +55,7 @@ let () =
         ~scalars:[]
     in
     Printf.printf "%s: %s (%d configurations timed)\n" label
-      (match status with `Hit _ -> "tunestore hit" | `Miss -> "tunestore miss")
+      (match status with `Hit -> "tunestore hit" | `Miss -> "tunestore miss")
       (List.length entries);
     match entries with
     | best :: _ ->

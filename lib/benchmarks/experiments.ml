@@ -74,7 +74,7 @@ let kernel_time_under (p : prepared) (d : Device.t) (cfg : Memopt.config) :
     float =
   let k = p.p_compiled.Pipeline.cp_kernel in
   let shapes, scalars = Lime_runtime.Engine.shapes_of_args k [ p.p_input ] in
-  (Gpusim.Autotune.time_config d k cfg ~shapes ~scalars).Model.bd_total_s
+  (fst (Gpusim.Autotune.time_config_ex d k cfg ~shapes ~scalars)).Model.bd_total_s
 
 (** Host-side (source + sink) bytecode work: proportional to the data
     produced and consumed — a few JVM-weighted ops per element. *)

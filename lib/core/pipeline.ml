@@ -16,9 +16,6 @@ type compiled = {
   cp_schedule : string list;
 }
 
-type optimizer =
-  Kernel.kernel -> Memopt.config -> Kernel.kernel * Memopt.config * string list
-
 (* ------------------------------------------------------------------ *)
 (* Observation hooks                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -50,7 +47,7 @@ let run_phase (phase : string) (f : unit -> 'a) : 'a =
     ["Class.method"], under the given optimization configuration.
     [simplify] (default on) runs constant folding and dead-code
     elimination over the extracted kernel. *)
-let compile ?(config = Memopt.config_all) ?(simplify = true) ?optimizer
+let compile ?(config = Memopt.config_all) ?(simplify = true)
     ?(name = "<inline>") ~(worker : string) (source : string) : compiled =
   let t0 = if Hooks.active compile_hooks then Some (Clock.now_s ()) else None in
   run_phase "compile" (fun () ->
@@ -71,19 +68,8 @@ let compile ?(config = Memopt.config_all) ?(simplify = true) ?optimizer
         if simplify then run_phase "simplify" (fun () -> Simplify.kernel kernel)
         else kernel
       in
-      let kernel, config, schedule =
-        match optimizer with
-        | None -> (kernel, config, [])
-        | Some strategy ->
-            run_phase "rewrite" (fun () -> strategy kernel config)
-      in
-      (* the rewrite engine prices placements with affine-lane recognition
-         on; when a strategy ran, place the same way so the artifact
-         matches what the search scored.  The plain path keeps the
-         paper's analysis exactly. *)
-      let affine_lanes = Option.is_some optimizer in
       let decisions =
-        run_phase "memopt" (fun () -> Memopt.optimize ~affine_lanes config kernel)
+        run_phase "memopt" (fun () -> Memopt.optimize config kernel)
       in
       let opencl =
         run_phase "codegen" (fun () -> Opencl.generate kernel decisions)
@@ -102,7 +88,7 @@ let compile ?(config = Memopt.config_all) ?(simplify = true) ?optimizer
         cp_decisions = decisions;
         cp_opencl = opencl;
         cp_config = config;
-        cp_schedule = schedule;
+        cp_schedule = [];
       })
 
 (** Re-optimize an already compiled program under a different memory

@@ -10,18 +10,9 @@ type compiled = {
   cp_opencl : string;  (** generated OpenCL kernel source *)
   cp_config : Memopt.config;
   cp_schedule : string list;
-      (** rewrite-step names applied to [cp_kernel] by the optimizer
-          strategy, in application order ([[]] = the plain pipeline) *)
+      (** rewrite-step names applied to [cp_kernel], in application order
+          ([[]] = the plain pipeline; set by {!reschedule}) *)
 }
-
-type optimizer =
-  Kernel.kernel -> Memopt.config -> Kernel.kernel * Memopt.config * string list
-(** An optimizer strategy: given the extracted (and simplified) kernel and
-    the requested configuration, return the kernel and configuration to
-    actually compile plus the names of the rewrite steps applied.  The
-    pipeline cannot depend on the rewrite engine, so strategies are
-    injected — [lime.rewrite]'s beam search and canned Fig 8 sequences
-    both plug in here (see [doc/OPTIMIZER.md]). *)
 
 val compile_hooks : (string * float) Lime_support.Hooks.t
 (** Compile observers, called once per completed {!compile} with the
@@ -36,9 +27,8 @@ type phase_event = [ `Begin | `End ]
 val phase_hooks : (string * phase_event) Lime_support.Hooks.t
 (** Phase observers, called with [(phase, `Begin)] and [(phase, `End)]
     around every pipeline phase of {!compile} ("compile" wrapping "lex",
-    "parse", "typecheck", "lower", "extract", "simplify", "rewrite" —
-    only when an {!optimizer} is supplied — "memopt", "codegen",
-    "clcheck").  Phases nest: "compile" begins before and ends
+    "parse", "typecheck", "lower", "extract", "simplify", "memopt",
+    "codegen", "clcheck").  Phases nest: "compile" begins before and ends
     after all the others.  The observability-only "clcheck" phase only runs
     while at least one phase observer is installed, so the untraced path
     pays nothing for it.  The tracer uses key ["trace"]. *)
@@ -46,16 +36,14 @@ val phase_hooks : (string * phase_event) Lime_support.Hooks.t
 val compile :
   ?config:Memopt.config ->
   ?simplify:bool ->
-  ?optimizer:optimizer ->
   ?name:string ->
   worker:string ->
   string ->
   compiled
 (** [compile ~worker:"Class.method" source] runs the whole pipeline,
     offloading the given filter worker under [config] (default
-    {!Memopt.config_all}).  [optimizer] (default none) runs between kernel
-    simplification and memory placement as its own ["rewrite"] phase; its
-    result is recorded in [cp_schedule].  Raises
+    {!Memopt.config_all}).  A kernel rewritten by [lime.rewrite] is
+    compiled by passing it to {!reschedule}.  Raises
     {!Lime_support.Diag.Error_exn} on any front-end or kernel-legality
     error. *)
 

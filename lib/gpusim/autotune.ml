@@ -21,6 +21,7 @@ type entry = {
   at_config : Memopt.config;
   at_time_s : float;
   at_breakdown : Model.breakdown;
+  at_counters : Counters.t;
 }
 
 (** Array bindings for the timing model, derived from launch shapes and the
@@ -96,35 +97,36 @@ let time_config_ex (d : Device.t) (k : Kernel.kernel) (cfg : Memopt.config)
   let prof, bindings = launch k (Memopt.optimize cfg k) ~shapes ~scalars in
   Model.kernel_time_ex d prof bindings
 
-(** Time one configuration. *)
-let time_config d k cfg ~shapes ~scalars =
-  fst (time_config_ex d k cfg ~shapes ~scalars)
+let entry name cfg ((bd : Model.breakdown), ct) =
+  {
+    at_name = name;
+    at_config = cfg;
+    at_time_s = bd.Model.bd_total_s;
+    at_breakdown = bd;
+    at_counters = ct;
+  }
 
-(** The counters of one configuration — what {!Tunestore} persists as the
-    winner's headline. *)
-let counters_for d k cfg ~shapes ~scalars =
-  snd (time_config_ex d k cfg ~shapes ~scalars)
-
-(** Sweep the eight Fig 8 configurations; result sorted fastest first. *)
-let sweep (d : Device.t) (k : Kernel.kernel)
+(** Sweep the eight Fig 8 configurations; result sorted fastest first.
+    The kernel is analyzed once (one thread-dependence table, one
+    {!Memopt.analyze}); each configuration only decides its placements and
+    prices its launch.  [map] runs the per-configuration pricing and must
+    preserve order, so the ranking does not depend on it; it may run them
+    on several domains, since the pricing only reads the shared table and
+    infos. *)
+let sweep_with ~map (d : Device.t) (k : Kernel.kernel)
     ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) : entry list =
+  let thread_vars = Lime_gpu.Taint.thread_dependent k.Kernel.k_body in
+  let infos = Memopt.analyze ~thread_vars k in
   Memopt.fig8_configs
-  |> List.map (fun (name, cfg) ->
-         let bd = time_config d k cfg ~shapes ~scalars in
-         {
-           at_name = name;
-           at_config = cfg;
-           at_time_s = bd.Model.bd_total_s;
-           at_breakdown = bd;
-         })
+  |> map (fun (name, cfg) ->
+         let prof, bindings =
+           launch ~thread_vars k (Memopt.decide_all cfg infos) ~shapes ~scalars
+         in
+         entry name cfg (Model.kernel_time_ex d prof bindings))
   |> List.sort (fun a b -> Float.compare a.at_time_s b.at_time_s)
 
-(** The winning configuration for a device. *)
-let best (d : Device.t) (k : Kernel.kernel)
-    ~(shapes : (string * int array) list)
-    ~(scalars : (string * float) list) : entry =
-  List.hd (sweep d k ~shapes ~scalars)
+let sweep d k ~shapes ~scalars = sweep_with ~map:List.map d k ~shapes ~scalars
 
 let describe (entries : entry list) : string =
   entries

@@ -7,6 +7,7 @@ type entry = {
   at_config : Lime_gpu.Memopt.config;
   at_time_s : float;
   at_breakdown : Model.breakdown;
+  at_counters : Counters.t;  (** the launch's simulated hardware counters *)
 }
 
 val bindings_of :
@@ -31,14 +32,6 @@ val launch :
     static shapes, the result sized by the last parallel loop's trip
     count.  Price the pair with {!Model.kernel_time_ex}. *)
 
-val time_config :
-  Device.t ->
-  Lime_gpu.Kernel.kernel ->
-  Lime_gpu.Memopt.config ->
-  shapes:(string * int array) list ->
-  scalars:(string * float) list ->
-  Model.breakdown
-
 val time_config_ex :
   Device.t ->
   Lime_gpu.Kernel.kernel ->
@@ -46,18 +39,12 @@ val time_config_ex :
   shapes:(string * int array) list ->
   scalars:(string * float) list ->
   Model.breakdown * Counters.t
-(** Like {!time_config}, but also returns the launch's simulated hardware
-    counters (see {!Model.kernel_time_ex}). *)
+(** Time one configuration: the launch's breakdown and its simulated
+    hardware counters (see {!Model.kernel_time_ex}). *)
 
-val counters_for :
-  Device.t ->
-  Lime_gpu.Kernel.kernel ->
-  Lime_gpu.Memopt.config ->
-  shapes:(string * int array) list ->
-  scalars:(string * float) list ->
-  Counters.t
-(** The counters of one configuration — the winner's headline persisted by
-    [Tunestore]. *)
+val entry :
+  string -> Lime_gpu.Memopt.config -> Model.breakdown * Counters.t -> entry
+(** [entry name config (time_config_ex ...)]: one configuration's row. *)
 
 val sweep :
   Device.t ->
@@ -65,13 +52,22 @@ val sweep :
   shapes:(string * int array) list ->
   scalars:(string * float) list ->
   entry list
-(** All eight configurations, fastest first. *)
+(** All eight configurations, fastest first.  The kernel is analyzed once
+    ({!Lime_gpu.Memopt.analyze} and its thread-dependence table); each
+    configuration decides its placements and prices its launch. *)
 
-val best :
+val sweep_with :
+  map:
+    ((string * Lime_gpu.Memopt.config -> entry) ->
+    (string * Lime_gpu.Memopt.config) list ->
+    entry list) ->
   Device.t ->
   Lime_gpu.Kernel.kernel ->
   shapes:(string * int array) list ->
   scalars:(string * float) list ->
-  entry
+  entry list
+(** {!sweep} with the per-configuration pricing run by [map], which must
+    preserve order ([List.map] is {!sweep}; the compile service passes its
+    domain pool's map). *)
 
 val describe : entry list -> string

@@ -226,44 +226,13 @@ let compile_many t (reqs : request list) :
   List.map Pool.await futures
 
 (* ------------------------------------------------------------------ *)
-(* Tunestore-aware sweep                                               *)
+(* Tunestore-aware tuning                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The Fig 8 sweep fans one timing job per configuration across the pool;
-   Pool.map preserves configuration order, so the pre-sort entry list —
-   and hence the sorted ranking — is identical to the sequential sweep. *)
-let pool_sweep t d k ~shapes ~scalars =
-  if Pool.jobs t.sv_pool <= 1 then Gpusim.Autotune.sweep d k ~shapes ~scalars
-  else
-    Pool.map t.sv_pool
-      (fun (name, cfg) ->
-        let bd = Gpusim.Autotune.time_config d k cfg ~shapes ~scalars in
-        {
-          Gpusim.Autotune.at_name = name;
-          at_config = cfg;
-          at_time_s = bd.Gpusim.Model.bd_total_s;
-          at_breakdown = bd;
-        })
-      Memopt.fig8_configs
-    |> List.sort (fun a b ->
-           Float.compare a.Gpusim.Autotune.at_time_s b.Gpusim.Autotune.at_time_s)
-
-let sweep t d ~device_key ~digest kernel ~shapes ~scalars =
-  let sweep_fn d k ~shapes ~scalars = pool_sweep t d k ~shapes ~scalars in
-  match t.sv_tunes with
-  | Some ts ->
-      Tunestore.cached_sweep ts d ~digest ~device:device_key ~sweep:sweep_fn
-        kernel ~shapes ~scalars
-  | None -> (pool_sweep t d kernel ~shapes ~scalars, `Miss)
-
-(* ------------------------------------------------------------------ *)
-(* Tunestore-aware searches                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The replay-or-search path both searches share: a stored choice
-   ([stored] reads it out of the record) replays without searching; with
-   none, or one that no longer applies, [search] runs and [record] turns
-   its winner into the record stored for next time. *)
+(* The replay-or-search path the sweep and both searches share: a stored
+   choice ([stored] reads it out of the record) replays without searching;
+   with none, or one that no longer applies, [search] runs and [record]
+   turns its winner into the record stored for next time. *)
 let tuned t ~digest ~device ~stored ~replay ~search ~record =
   let search_and_store () =
     let best, o = search () in
@@ -282,6 +251,37 @@ let tuned t ~digest ~device ~stored ~replay ~search ~record =
       | Ok c -> (c, `Replayed)
       | Error _ -> search_and_store ())
 
+(* Sweep records are keyed by the plain device name.  A hit re-times the
+   stored configuration alone; a miss prices the eight configurations
+   across the pool (Pool.map keeps their order, so the ranking is the
+   sequential sweep's) and stores the winner. *)
+let sweep t d ~device_key ~digest kernel ~shapes ~scalars =
+  let entries, how =
+    tuned t ~digest ~device:device_key
+      ~stored:(fun r ->
+        Some (r.Tunestore.tr_config_name, r.Tunestore.tr_config))
+      ~replay:(fun (name, cfg) ->
+        Ok
+          [
+            Gpusim.Autotune.entry name cfg
+              (Gpusim.Autotune.time_config_ex d kernel cfg ~shapes ~scalars);
+          ])
+      ~search:(fun () ->
+        ( Gpusim.Autotune.sweep_with ~map:(Pool.map t.sv_pool) d kernel ~shapes
+            ~scalars,
+          () ))
+      ~record:(fun entries ->
+        let best = List.hd entries in
+        {
+          Tunestore.tr_config_name = best.Gpusim.Autotune.at_name;
+          tr_config = best.Gpusim.Autotune.at_config;
+          tr_time_s = best.Gpusim.Autotune.at_time_s;
+          tr_sequence = None;
+          tr_placement = None;
+        })
+  in
+  (entries, match how with `Replayed -> `Hit | `Searched () -> `Miss)
+
 (* Beam results live in the tunestore beside the Fig 8 sweep records,
    under a ".beam"-suffixed device key so the two kinds of record never
    clobber each other.  A schedule that no longer replays (store written
@@ -298,19 +298,10 @@ let beam_schedule t (d : Gpusim.Device.t) ~device_key ~digest ?width ?depth
       let o = Search.search ?width ?depth d k ~shapes ~scalars in
       (o.Search.so_best, o))
     ~record:(fun best ->
-      let c = best.Search.sc_counters in
       {
         Tunestore.tr_config_name = "beam";
         tr_config = best.Search.sc_state.Lime_rewrite.Rewrite.st_config;
         tr_time_s = best.Search.sc_time_s;
-        tr_headline =
-          Some
-            {
-              Tunestore.th_occupancy = c.Gpusim.Counters.ct_occupancy;
-              th_bank_replays = c.Gpusim.Counters.ct_bank_replays;
-              th_roofline =
-                Gpusim.Counters.roofline_name (Gpusim.Counters.classify c);
-            };
         tr_sequence = Some best.Search.sc_sequence;
         tr_placement = None;
       })
@@ -341,7 +332,6 @@ let sched_placement t ~digest ?serializer ~firings
         Tunestore.tr_config_name = "sched";
         tr_config = Lime_gpu.Memopt.config_all;
         tr_time_s = best.Sched.Search.pc_time_s;
-        tr_headline = None;
         tr_sequence = None;
         tr_placement =
           Some (Sched.Placement.to_spec best.Sched.Search.pc_placement);

@@ -5,15 +5,18 @@
     service: repeated requests for the same (source, worker, config) are
     served from a bounded in-memory LRU ({!Kcache}); when a [cache_dir] is
     given, compiled artifacts are also persisted content-addressed on disk
-    (so a *second process* starts warm) and sweep results go through the
+    (so a *second process* starts warm) and tuning results go through the
     {!Tunestore}.  {!instrument} wires the {!Metrics} registry into
     {!Lime_gpu.Pipeline.compile}, {!Lime_runtime.Engine} firings and
     {!Lime_runtime.Comm.phases}.
 
     A service created with [~jobs:n] owns a {!Pool} of [n - 1] worker
     domains: {!compile_many} fans a batch across them (the sharded
-    {!Kcache}, {!Metrics} and {!Trace} are all domain-safe) and {!sweep}
-    times the eight Fig 8 configurations in parallel.  With the default
+    {!Kcache}, {!Metrics} and {!Trace} are all domain-safe) and a {!sweep}
+    miss prices the eight Fig 8 configurations in parallel.  The sweep,
+    the beam search and the placement search share one replay-or-search
+    path through the {!Tunestore}: a stored choice is re-priced alone, a
+    miss searches and stores its winner.  With the default
     [~jobs:1] no domains are spawned and every entry point behaves exactly
     like the sequential service it replaces. *)
 
@@ -117,13 +120,16 @@ val sweep :
   Lime_gpu.Kernel.kernel ->
   shapes:(string * int array) list ->
   scalars:(string * float) list ->
-  Gpusim.Autotune.entry list * [ `Hit of Tunestore.record | `Miss ]
-(** Tunestore-aware autotune sweep: with a [cache_dir], a repeated sweep of
-    the same kernel digest on the same [device_key] consults the stored
-    best configuration instead of re-timing all eight.  Without a
-    [cache_dir] this is exactly {!Gpusim.Autotune.sweep} (always [`Miss]).
-    With [~jobs > 1] the eight configurations are timed in parallel on the
-    pool; the ranking is identical to the sequential sweep. *)
+  Gpusim.Autotune.entry list * [ `Hit | `Miss ]
+(** Tunestore-aware Fig 8 sweep ({!Gpusim.Autotune.sweep}), on the same
+    replay-or-search path as {!beam_schedule} and {!sched_placement}: with
+    a [cache_dir], a repeated sweep of the same kernel digest on the same
+    [device_key] re-times only the stored best configuration (one
+    {!Gpusim.Autotune.time_config_ex} call, [`Hit]); a miss prices all
+    eight, in parallel on the pool when [~jobs > 1] (the ranking is the
+    sequential sweep's), and stores the winner.  Every entry carries its
+    launch's counters, so a hit and a miss report the winner's headline
+    from the same pricing.  Without a [cache_dir] every call is a [`Miss]. *)
 
 val beam_schedule :
   t ->

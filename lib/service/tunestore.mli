@@ -7,26 +7,17 @@
     winning rewrite schedule of a beam search, so a warm compile replays
     the stored sequence instead of re-searching, or the multi-device
     placement chosen by {!Lime_sched.Search}, so a warm
-    [--multi-device auto] run replays the stored placement.  One small
-    text file per (digest, device) pair, in the one format documented in
-    [doc/SERVICE.md]; a file with any other first line, or a malformed
-    one, is treated as a miss. *)
-
-(** Headline counters of the winning configuration — the *why* behind the
-    stored best, shown by [limec --sweep]. *)
-type headline = {
-  th_occupancy : float;
-  th_bank_replays : float;
-  th_roofline : string;  (** {!Gpusim.Counters.roofline_name} of the winner *)
-}
+    [--multi-device auto] run replays the stored placement.  The store
+    only reads and writes records: {!Service} decides, on one path for all
+    three kinds, whether a stored choice replays or a search runs.  One
+    small text file per (digest, device) pair, in the one format
+    documented in [doc/SERVICE.md]; a file with any other first line, or a
+    malformed one, is treated as a miss. *)
 
 type record = {
   tr_config_name : string;  (** display name, e.g. ["Local+Conflicts removed"] *)
   tr_config : Lime_gpu.Memopt.config;
   tr_time_s : float;  (** modelled kernel time when the tuning was recorded *)
-  tr_headline : headline option;
-      (** [None] for records that carry no sweep winner (placement
-          records) *)
   tr_sequence : string list option;
       (** winning rewrite schedule found by {!Lime_rewrite.Search} —
           [Some []] means a search ran and the baseline won; [None] means
@@ -50,25 +41,3 @@ val path : t -> digest:Digest.t -> device:string -> string
 
 val store : t -> digest:Digest.t -> device:string -> record -> unit
 val load : t -> digest:Digest.t -> device:string -> record option
-
-val cached_sweep :
-  t ->
-  Gpusim.Device.t ->
-  digest:Digest.t ->
-  device:string ->
-  ?sweep:
-    (Gpusim.Device.t ->
-    Lime_gpu.Kernel.kernel ->
-    shapes:(string * int array) list ->
-    scalars:(string * float) list ->
-    Gpusim.Autotune.entry list) ->
-  Lime_gpu.Kernel.kernel ->
-  shapes:(string * int array) list ->
-  scalars:(string * float) list ->
-  Gpusim.Autotune.entry list * [ `Hit of record | `Miss ]
-(** The tunestore-aware version of {!Gpusim.Autotune.sweep}.  On a hit the
-    stored best configuration is re-timed alone and returned as a single
-    entry; on a miss all eight configurations are swept and the winner is
-    persisted for next time.  [sweep] (default {!Gpusim.Autotune.sweep})
-    overrides how a miss is swept — {!Service.sweep} supplies its
-    pool-parallel variant. *)

@@ -30,10 +30,11 @@ let test_best_is_minimum () =
   let b = Lime_benchmarks.Mosaic.bench in
   let k = kernel_of b in
   let shapes = shapes_for b in
-  let best = A.best Device.gtx8800 k ~shapes ~scalars:[] in
+  let best = List.hd (A.sweep Device.gtx8800 k ~shapes ~scalars:[]) in
   List.iter
     (fun (_, cfg) ->
-      let t = (A.time_config Device.gtx8800 k cfg ~shapes ~scalars:[]).Gpusim.Model.bd_total_s in
+      let bd, _ = A.time_config_ex Device.gtx8800 k cfg ~shapes ~scalars:[] in
+      let t = bd.Gpusim.Model.bd_total_s in
       Alcotest.(check bool) "best <= every config" true
         (best.A.at_time_s <= t +. 1e-12))
     Memopt.fig8_configs
@@ -41,7 +42,8 @@ let test_best_is_minimum () =
 let test_winners_match_paper () =
   (* on the cache-less GTX8800 the winners reproduce §5.2's structure *)
   let winner (b : B.t) =
-    (A.best Device.gtx8800 (kernel_of b) ~shapes:(shapes_for b) ~scalars:[])
+    (List.hd
+       (A.sweep Device.gtx8800 (kernel_of b) ~shapes:(shapes_for b) ~scalars:[]))
       .A.at_name
   in
   let mosaic = winner Lime_benchmarks.Mosaic.bench in

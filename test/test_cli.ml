@@ -170,7 +170,18 @@ let test_cache_dir_warm_sweep () =
   Alcotest.(check bool) "warm run hits the tunestore" true
     (contains "tunestore: hit" out2);
   Alcotest.(check bool) "warm run loads the kernel from disk" true
-    (contains "kernel cache: hit (disk)" out2)
+    (contains "kernel cache: hit (disk)" out2);
+  (* the warm headline is the re-timed winner's: the same line the cold
+     sweep printed *)
+  let winner out =
+    List.find_opt
+      (Lime_support.Util.starts_with ~prefix:"winner: occupancy ")
+      (String.split_on_char '\n' out)
+  in
+  Alcotest.(check bool) "cold run prints the winner's headline" true
+    (winner out1 <> None);
+  Alcotest.(check (option string)) "warm headline is the cold one"
+    (winner out1) (winner out2)
 
 let test_run_with_stats () =
   skip_unless_available ();

@@ -136,11 +136,14 @@ let test_registry_consistency () =
 (* every registry workload x --config x device: the launch limec
    --estimate/--counters prices (the compiled placements) is the sweep's —
    breakdown and counters equal to Autotune.time_config_ex's — and it
-   keeps the counter invariants *)
+   keeps the counter invariants.  For the eight Fig 8 configs the
+   Autotune.sweep entry, priced from one shared analysis, carries the
+   same breakdown and counters. *)
 let test_grid_agrees_with_sweep () =
   List.iter
     (fun (b : B.t) ->
       let input = b.B.input_small () in
+      let sweeps = Hashtbl.create 4 in
       List.iter
         (fun (cname, cfg) ->
           let c = Lime_benchmarks.Registry.compile_small ~config:cfg b in
@@ -163,6 +166,26 @@ let test_grid_agrees_with_sweep () =
                 (compare bd bd' = 0);
               Alcotest.(check bool) (name ^ ": sweep's counters") true
                 (compare c c' = 0);
+              let sweep =
+                match Hashtbl.find_opt sweeps d.Device.name with
+                | Some s -> s
+                | None ->
+                    let s = Gpusim.Autotune.sweep d k ~shapes ~scalars:[] in
+                    Hashtbl.replace sweeps d.Device.name s;
+                    s
+              in
+              (* every config but "all" is one of the eight *)
+              Option.iter
+                (fun (e : Gpusim.Autotune.entry) ->
+                  Alcotest.(check bool) (name ^ ": Autotune.sweep breakdown")
+                    true
+                    (compare e.at_breakdown bd' = 0);
+                  Alcotest.(check bool) (name ^ ": Autotune.sweep counters")
+                    true
+                    (compare e.at_counters c' = 0))
+                (List.find_opt
+                   (fun e -> e.Gpusim.Autotune.at_config = cfg)
+                   sweep);
               check_counters name d bd c)
             Device.all)
         Lime_server.Server.configs)

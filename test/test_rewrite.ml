@@ -344,7 +344,6 @@ let record ?(sequence = None) () =
     Tunestore.tr_config_name = "beam";
     tr_config = Memopt.config_local_noconflict;
     tr_time_s = 1.25e-4;
-    tr_headline = None;
     tr_sequence = sequence;
     tr_placement = None;
   }

@@ -141,13 +141,6 @@ let test_tunestore_roundtrip () =
           Tunestore.tr_config_name = "Local+Conflicts removed";
           tr_config = Memopt.config_local_noconflict;
           tr_time_s = 3.25e-4;
-          tr_headline =
-            Some
-              {
-                Tunestore.th_occupancy = 0.87;
-                th_bank_replays = 1024.0;
-                th_roofline = "memory-bound";
-              };
           tr_sequence = None;
           tr_placement = None;
         }
@@ -162,16 +155,7 @@ let test_tunestore_roundtrip () =
           Alcotest.(check bool) "config" true
             (r.Tunestore.tr_config = r'.Tunestore.tr_config);
           Alcotest.(check (float 1e-9)) "time" r.Tunestore.tr_time_s
-            r'.Tunestore.tr_time_s;
-          (match r'.Tunestore.tr_headline with
-          | Some h ->
-              Alcotest.(check (float 1e-9)) "occupancy" 0.87
-                h.Tunestore.th_occupancy;
-              Alcotest.(check (float 1e-9)) "bank replays" 1024.0
-                h.Tunestore.th_bank_replays;
-              Alcotest.(check string) "roofline" "memory-bound"
-                h.Tunestore.th_roofline
-          | None -> Alcotest.fail "headline did not round-trip")
+            r'.Tunestore.tr_time_s
       | None -> Alcotest.fail "stored entry did not load");
       Alcotest.(check bool) "other device misses" true
         (Tunestore.load ts ~digest ~device:"gtx580" = None);
@@ -184,6 +168,19 @@ let test_tunestore_roundtrip () =
             (Digest.canonical_config r.Tunestore.tr_config)
             r.Tunestore.tr_time_s);
       Alcotest.(check bool) "version-1 file is a miss" true
+        (Tunestore.load ts ~digest ~device:"gtx580" = None);
+      (* so is a format-4 file, which carried the winner's headline
+         counters: a sweep now re-prices them with the stored best *)
+      Out_channel.with_open_text
+        (Tunestore.path ts ~digest ~device:"gtx580")
+        (fun oc ->
+          Printf.fprintf oc
+            "lime-tunestore 4\nname %s\nconfig %s\ntime_s %.9g\n\
+             occupancy 0.87\nbank_replays 1024\nroofline memory-bound\n"
+            r.Tunestore.tr_config_name
+            (Digest.canonical_config r.Tunestore.tr_config)
+            r.Tunestore.tr_time_s);
+      Alcotest.(check bool) "format-4 file is a miss" true
         (Tunestore.load ts ~digest ~device:"gtx580" = None);
       (* corrupt file -> miss, not crash *)
       Out_channel.with_open_text
@@ -216,17 +213,54 @@ let test_sweep_consults_tunestore () =
         Service.sweep svc Gpusim.Device.gtx8800 ~device_key:"gtx8800" ~digest
           kernel ~shapes ~scalars:[]
       in
-      (match status2 with
-      | `Hit r ->
+      Alcotest.(check bool) "warm sweep hits" true (status2 = `Hit);
+      (match
+         Tunestore.load
+           (Option.get (Service.tunestore svc))
+           ~digest ~device:"gtx8800"
+       with
+      | Some r ->
           Alcotest.(check string) "stored best is the sweep winner"
             (List.hd entries1).Gpusim.Autotune.at_name
             r.Tunestore.tr_config_name
-      | `Miss -> Alcotest.fail "warm sweep should hit the tunestore");
+      | None -> Alcotest.fail "cold sweep stored no record");
+      Alcotest.(check string) "warm sweep re-times the stored best"
+        (List.hd entries1).Gpusim.Autotune.at_name
+        (List.hd entries2).Gpusim.Autotune.at_name;
       Alcotest.(check int) "warm sweep times only the stored best" 1
         (List.length entries2);
       Alcotest.(check (float 1e-9)) "same winning time"
         (List.hd entries1).Gpusim.Autotune.at_time_s
-        (List.hd entries2).Gpusim.Autotune.at_time_s)
+        (List.hd entries2).Gpusim.Autotune.at_time_s;
+      Alcotest.(check bool) "same winner's counters" true
+        (compare (List.hd entries1).Gpusim.Autotune.at_counters
+           (List.hd entries2).Gpusim.Autotune.at_counters
+        = 0))
+
+(* A miss on a pooled service prices the configurations on worker
+   domains, all reading one shared analysis: the entries (order, times,
+   breakdowns, counters) are the sequential sweep's. *)
+let test_pool_sweep_is_sequential () =
+  let b = Lime_benchmarks.Nbody.single in
+  let c = Lime_benchmarks.Registry.compile_small b in
+  let kernel = c.Lime_gpu.Pipeline.cp_kernel in
+  let shapes, scalars =
+    Lime_runtime.Engine.shapes_of_args kernel [ b.Lime_benchmarks.Bench_def.input_small () ]
+  in
+  let svc = Service.create ~jobs:2 () in
+  let digest = Service.request_digest ~worker:"W" "src" in
+  let pooled, status =
+    Fun.protect
+      ~finally:(fun () -> Service.shutdown svc)
+      (fun () ->
+        Service.sweep svc Gpusim.Device.gtx580 ~device_key:"gtx580" ~digest
+          kernel ~shapes ~scalars)
+  in
+  Alcotest.(check bool) "no store: a miss" true (status = `Miss);
+  Alcotest.(check bool) "pooled entries = sequential sweep" true
+    (compare pooled
+       (Gpusim.Autotune.sweep Gpusim.Device.gtx580 kernel ~shapes ~scalars)
+    = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -566,6 +600,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_tunestore_roundtrip;
           Alcotest.test_case "sweep consults store" `Quick
             test_sweep_consults_tunestore;
+          Alcotest.test_case "pooled sweep = sequential" `Quick
+            test_pool_sweep_is_sequential;
         ] );
       ( "metrics",
         [

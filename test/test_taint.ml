@@ -90,6 +90,45 @@ let test_reduce_dst_tainted () =
     (any_tainted "mapout");
   Alcotest.(check bool) "reduce destination tainted" true (any_tainted "red")
 
+(* A destination declared and initialized outside the parallel loop,
+   reducing an array each thread fills: only the reduce rule can taint
+   it.  Compiled kernels never show this shape alone (their reduce
+   destinations are also uninitialized declarations inside the loop), so
+   the body is built by hand. *)
+let test_reduce_only_taint () =
+  let long = Ir.TScalar Ir.SLong in
+  let scores = { Ir.elem = Ir.SLong; dims = [ Ir.DFixed 8 ]; value = false } in
+  let body =
+    [
+      Ir.SDecl ("best", long, Some (Ir.Const (Ir.CLong 0L)));
+      Ir.SParFor
+        {
+          Ir.pf_var = "t";
+          pf_count = Ir.Const (Ir.CInt 64);
+          pf_out = None;
+          pf_body =
+            [
+              Ir.SDecl ("scores", Ir.TArr scores, None);
+              Ir.SArrStore
+                ( Ir.Var "scores",
+                  [ Ir.Const (Ir.CInt 0) ],
+                  Ir.Cast (Ir.SLong, Ir.SInt, Ir.Var "t") );
+              Ir.SReduce
+                {
+                  Ir.rd_dst = "best";
+                  rd_op = Lime_typecheck.Tast.RO_Binop Lime_frontend.Ast.Add;
+                  rd_scalar = Ir.SLong;
+                  rd_arr = Ir.Var "scores";
+                };
+            ];
+        };
+    ]
+  in
+  let t = Taint.thread_dependent body in
+  Alcotest.(check bool) "per-thread array tainted" true (Hashtbl.mem t "scores");
+  Alcotest.(check bool) "destination tainted through the reduce" true
+    (Hashtbl.mem t "best")
+
 let test_seq_loop_vars_not_tainted () =
   let body = body_of src ~worker:"K.work" in
   let t = Taint.thread_dependent body in
@@ -274,6 +313,8 @@ let () =
           Alcotest.test_case "flow rules" `Quick test_flow;
           Alcotest.test_case "reduce destination" `Quick
             test_reduce_dst_tainted;
+          Alcotest.test_case "reduce is the only taint" `Quick
+            test_reduce_only_taint;
           Alcotest.test_case "seq loop vars" `Quick
             test_seq_loop_vars_not_tainted;
           Alcotest.test_case "parallel index" `Quick
