@@ -146,6 +146,17 @@ for f in $(grep -rl --include='*.ml' 'Pool\.map' lib bin examples); do
   fi
 done
 
+echo "== one pipeline clock =="
+# Lime_runtime.Schedule.overlapped_makespan is the one pipelined-firing
+# clock: the engine, the placement cost model and the §5.3 projection all
+# price their stages with it; the closed-form three-stage model is gone
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'pipelined_time' -e 'serial_time' -e 'stages_of_phases' \
+     -e 'overlap_speedup' -e 'worthwhile' lib bin bench examples test; then
+  echo "FAIL: a second pipeline clock; price the stages with Schedule.overlapped_makespan"
+  exit 1
+fi
+
 echo "== one wire layout =="
 # lib/server/wire.ml holds the daemon's only binary layout: the spans a
 # Result frame carries are Wire fields, not a second codec's opaque
@@ -542,13 +553,17 @@ wait "$obs_pid" || obs_status=$?
   || { echo "FAIL: observed daemon exit $obs_status after SIGTERM"; cat "$obs_log"; exit 1; }
 
 echo "== bench JSON regression gate =="
-# collect a quick perf snapshot, check it is well-formed JSON, then diff a
-# fresh collection against it: a self-diff must report zero regressions
-bench_json="$cache_dir/BENCH_ci.json"
+# collect a quick perf snapshot, check it is well-formed JSON and
+# byte-identical to the committed BENCH_quick.json (the file name sets the
+# run's "name", so it is written as quick.json), then diff a fresh
+# collection against it: a self-diff must report zero regressions
+bench_json="$cache_dir/quick.json"
 dune exec --no-build bench/main.exe -- --quick --seed 1 --json "$bench_json" \
   > /dev/null
 [ -s "$bench_json" ] \
   || { echo "FAIL: --json wrote nothing"; exit 1; }
+cmp "$bench_json" BENCH_quick.json \
+  || { echo "FAIL: the quick collection differs from the committed BENCH_quick.json"; exit 1; }
 grep -q '"schema": "lime-bench"' "$bench_json" \
   || { echo "FAIL: bench JSON lacks the schema header"; exit 1; }
 ocaml "$cache_dir/jsoncheck.ml" "$bench_json" \
@@ -672,7 +687,8 @@ echo "        trace, and flipped readiness while draining;"
 echo "        /alertz fired on a deadline-0 burn, the summary exposed"
 echo "        exemplars, and SIGQUIT dumped the flight recorder with the"
 echo "        slowest request's trace id while the daemon kept serving;"
-echo "        bench JSON self-diff and the beam-vs-fig8 gate showed no"
+echo "        bench JSON matched BENCH_quick.json byte for byte, and its"
+echo "        self-diff and the beam-vs-fig8 gate showed no"
 echo "        regressions; the differential fuzz smoke agreed three ways,"
 echo "        its selftest caught a nudged reference, and generated traffic"
 echo "        drove the daemon cleanly;"

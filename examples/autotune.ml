@@ -32,12 +32,12 @@ let () =
       Printf.printf "=== %s ===\n" b.B.name;
       let p = E.prepare b in
       let k = p.E.p_compiled.Lime_gpu.Pipeline.cp_kernel in
-      let shapes, scalars =
-        Lime_runtime.Engine.shapes_of_args k [ p.E.p_input ]
-      in
       List.iter
         (fun d ->
-          let entries = Gpusim.Autotune.sweep d k ~shapes ~scalars in
+          let entries =
+            Gpusim.Autotune.sweep d k ~shapes:p.E.p_shapes
+              ~scalars:p.E.p_scalars
+          in
           let best = List.hd entries
           and worst = List.nth entries (List.length entries - 1) in
           Printf.printf "  %-28s best: %-32s %8.3f ms (worst/best %.1fx)\n"

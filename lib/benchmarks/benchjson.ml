@@ -1,9 +1,7 @@
 (** Versioned machine-readable benchmark results — see the interface. *)
 
 module Device = Gpusim.Device
-module Model = Gpusim.Model
 module Counters = Gpusim.Counters
-module Memopt = Lime_gpu.Memopt
 module Json = Lime_support.Json
 
 let schema_name = "lime-bench"
@@ -65,15 +63,10 @@ let collect ?(quick = false) ?(seed = 1) ?(multidev = false) ~name () : run =
       (fun (b : Bench_def.t) ->
         let p = Experiments.prepare ~quick ~seed b in
         let base = Experiments.baseline_seconds p in
-        let decisions =
-          Memopt.optimize b.Bench_def.best_config
-            p.Experiments.p_compiled.Lime_gpu.Pipeline.cp_kernel
-        in
-        let prof, bindings = Experiments.launch_of p decisions in
         List.map
           (fun (d : Device.t) ->
-            let ee = Experiments.endtoend p d b.Bench_def.best_config in
-            let _, c = Model.kernel_time_ex d prof bindings in
+            let ee = Experiments.endtoend p d in
+            let c = ee.Experiments.ee_counters in
             {
               e_bench = b.Bench_def.name;
               e_device = d.Device.name;

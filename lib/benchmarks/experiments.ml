@@ -8,6 +8,7 @@ module Value = Lime_ir.Value
 module Device = Gpusim.Device
 module Model = Gpusim.Model
 module Profile = Gpusim.Profile
+module Counters = Gpusim.Counters
 module Memopt = Lime_gpu.Memopt
 module Pipeline = Lime_gpu.Pipeline
 module Kernel = Lime_gpu.Kernel
@@ -26,6 +27,9 @@ type prepared = {
   p_bench : B.t;
   p_compiled : Pipeline.compiled;
   p_input : Value.t;
+  p_shapes : (string * int array) list;
+  p_scalars : (string * float) list;
+  p_launch : Profile.t * Model.array_binding list;
   p_in_bytes : int;
   p_out_bytes : int;
   p_out_shape : int array option;
@@ -33,7 +37,8 @@ type prepared = {
 
 (** Compile and build the input — at paper scale by default, at the
     test scale with [~quick:true] (the CI path of the bench JSON
-    harness).  [seed] feeds the deterministic input builders. *)
+    harness).  [seed] feeds the deterministic input builders.  The
+    launch of the compiled placements is priced here, once. *)
 let prepare ?config ?(quick = false) ?seed (b : B.t) : prepared =
   let c =
     if quick then Registry.compile_small ?config b
@@ -41,12 +46,12 @@ let prepare ?config ?(quick = false) ?seed (b : B.t) : prepared =
   in
   let input = if quick then b.B.input_small ?seed () else b.B.input ?seed () in
   let k = c.Pipeline.cp_kernel in
-  (* the output-producing loop's trip count sizes the result buffer *)
   let shapes, scalars = Lime_runtime.Engine.shapes_of_args k [ input ] in
-  let prof, _ =
+  let launch =
     Gpusim.Autotune.launch k c.Pipeline.cp_decisions ~shapes ~scalars
   in
-  let rows = int_of_float prof.Profile.p_last_parfor_items in
+  (* the output-producing loop's trip count sizes the result buffer *)
+  let rows = int_of_float (fst launch).Profile.p_last_parfor_items in
   let out_shape = Lime_runtime.Engine.output_shape ~rows k input in
   let out_bytes =
     match (k.Kernel.k_ret, out_shape) with
@@ -58,23 +63,26 @@ let prepare ?config ?(quick = false) ?seed (b : B.t) : prepared =
     p_bench = b;
     p_compiled = c;
     p_input = input;
+    p_shapes = shapes;
+    p_scalars = scalars;
+    p_launch = launch;
     p_in_bytes = Marshal_.wire_size input;
     p_out_bytes = out_bytes;
     p_out_shape = out_shape;
   }
 
-let launch_of (p : prepared) (decisions : Memopt.decision list) :
-    Profile.t * Model.array_binding list =
-  let k = p.p_compiled.Pipeline.cp_kernel in
-  let shapes, scalars = Lime_runtime.Engine.shapes_of_args k [ p.p_input ] in
-  Gpusim.Autotune.launch k decisions ~shapes ~scalars
-
 (** Kernel-only time under a memory configuration. *)
 let kernel_time_under (p : prepared) (d : Device.t) (cfg : Memopt.config) :
     float =
-  let k = p.p_compiled.Pipeline.cp_kernel in
-  let shapes, scalars = Lime_runtime.Engine.shapes_of_args k [ p.p_input ] in
-  (fst (Gpusim.Autotune.time_config_ex d k cfg ~shapes ~scalars)).Model.bd_total_s
+  (fst
+     (Gpusim.Autotune.time_config_ex d p.p_compiled.Pipeline.cp_kernel cfg
+        ~shapes:p.p_shapes ~scalars:p.p_scalars))
+    .Model.bd_total_s
+
+(* The prepared launch on [d]: its breakdown and counters. *)
+let price (p : prepared) (d : Device.t) : Model.breakdown * Counters.t =
+  let prof, bindings = p.p_launch in
+  Model.kernel_time_ex d prof bindings
 
 (** Host-side (source + sink) bytecode work: proportional to the data
     produced and consumed — a few JVM-weighted ops per element. *)
@@ -84,46 +92,52 @@ let host_task_seconds (p : prepared) : float =
 
 (** The Fig 7 baseline: the whole program as bytecode on one core. *)
 let baseline_seconds (p : prepared) : float =
-  let decisions =
-    Memopt.optimize Memopt.config_global p.p_compiled.Pipeline.cp_kernel
+  let k = p.p_compiled.Pipeline.cp_kernel in
+  let prof, _ =
+    Gpusim.Autotune.launch k
+      (Memopt.optimize Memopt.config_global k)
+      ~shapes:p.p_shapes ~scalars:p.p_scalars
   in
-  let prof, _ = launch_of p decisions in
   (Model.jvm_time_profile prof *. p.p_bench.B.interop_factor)
   +. host_task_seconds p
+
+(* One offloaded firing's legs around a kernel of [kernel_s] seconds,
+   with no host-task work. *)
+let offload ?serializer (p : prepared) (d : Device.t) ~(kernel_s : float) :
+    Comm.phases =
+  let elem_bytes =
+    match p.p_input with
+    | Value.VArr a -> Ir.scalar_size_bytes a.Value.elem
+    | _ -> 4
+  in
+  let ph =
+    Comm.offload_phases d ?serializer ~elem_bytes ~in_bytes:p.p_in_bytes
+      ~out_bytes:p.p_out_bytes ()
+  in
+  ph.Comm.kernel_s <- kernel_s;
+  ph
 
 (** End-to-end time on a device, including all communication. *)
 type endtoend = {
   ee_total_s : float;
   ee_kernel_s : float;
   ee_phases : Comm.phases;
+  ee_counters : Counters.t;
 }
 
-let elem_bytes_of (p : prepared) : int =
-  match p.p_input with
-  | Value.VArr a -> Ir.scalar_size_bytes a.Value.elem
-  | _ -> 4
-
-let endtoend (p : prepared) (d : Device.t) (cfg : Memopt.config) : endtoend =
-  let kernel_s = kernel_time_under p d cfg in
-  let elem_bytes = elem_bytes_of p in
-  let phases =
-    if d.Device.kind = Device.Cpu then begin
-      (* shared memory: no PCIe transfer and cheap buffer setup, but the
-         Java <-> native marshaling remains (Fig 9a) *)
-      let ph =
-        Comm.offload_phases d ~elem_bytes ~in_bytes:p.p_in_bytes
-          ~out_bytes:p.p_out_bytes ()
-      in
-      ph.Comm.setup_s <- 6.0e-6;
-      ph
-    end
-    else
-      Comm.offload_phases d ~elem_bytes ~in_bytes:p.p_in_bytes
-        ~out_bytes:p.p_out_bytes ()
-  in
-  phases.Comm.kernel_s <- kernel_s;
+let endtoend (p : prepared) (d : Device.t) : endtoend =
+  let bd, counters = price p d in
+  let phases = offload p d ~kernel_s:bd.Model.bd_total_s in
+  (* shared memory: no PCIe transfer and cheap buffer setup, but the
+     Java <-> native marshaling remains (Fig 9a) *)
+  if d.Device.kind = Device.Cpu then phases.Comm.setup_s <- 6.0e-6;
   phases.Comm.host_s <- host_task_seconds p;
-  { ee_total_s = Comm.total phases; ee_kernel_s = kernel_s; ee_phases = phases }
+  {
+    ee_total_s = Comm.total phases;
+    ee_kernel_s = bd.Model.bd_total_s;
+    ee_phases = phases;
+    ee_counters = counters;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: OpenCL vs Lime programming model                           *)
@@ -201,8 +215,8 @@ let fig7a () : fig7_row list =
   |> List.map (fun b ->
          let p = prepare b in
          let base = baseline_seconds p in
-         let one = endtoend p core_i7_1core b.B.best_config in
-         let six = endtoend p Device.core_i7 b.B.best_config in
+         let one = endtoend p core_i7_1core in
+         let six = endtoend p Device.core_i7 in
          {
            f7_bench = b.B.name;
            f7_series =
@@ -217,8 +231,8 @@ let fig7b () : fig7_row list =
   |> List.map (fun b ->
          let p = prepare b in
          let base = baseline_seconds p in
-         let gtx = endtoend p Device.gtx580 b.B.best_config in
-         let amd = endtoend p Device.hd5970 b.B.best_config in
+         let gtx = endtoend p Device.gtx580 in
+         let amd = endtoend p Device.hd5970 in
          {
            f7_bench = b.B.name;
            f7_series =
@@ -262,24 +276,31 @@ type fig8_cell = {
 
 type fig8_row = { f8_bench : string; f8_cells : fig8_cell list }
 
+(* One sweep per benchmark prices the eight cells and the hand-tuned
+   comparator, whose config is always one of the eight. *)
 let fig8_for (d : Device.t) : fig8_row list =
   Registry.fig8
   |> List.map (fun b ->
          let p = prepare b in
+         let entries =
+           Gpusim.Autotune.sweep d p.p_compiled.Pipeline.cp_kernel
+             ~shapes:p.p_shapes ~scalars:p.p_scalars
+         in
+         let time cfg =
+           (List.find (fun e -> e.Gpusim.Autotune.at_config = cfg) entries)
+             .Gpusim.Autotune.at_time_s
+         in
          let hand =
            match List.assoc_opt d.Device.name b.B.hand with
            | Some h -> h
            | None ->
                { B.ht_config = b.B.best_config; ht_factor = 1.0 }
          in
-         let hand_s =
-           kernel_time_under p d hand.B.ht_config *. hand.B.ht_factor
-         in
+         let hand_s = time hand.B.ht_config *. hand.B.ht_factor in
          let cells =
            List.map
              (fun (cname, cfg) ->
-               let lime_s = kernel_time_under p d cfg in
-               { f8_config = cname; f8_rel = hand_s /. lime_s })
+               { f8_config = cname; f8_rel = hand_s /. time cfg })
              Memopt.fig8_configs
          in
          { f8_bench = b.B.name; f8_cells = cells })
@@ -344,7 +365,7 @@ let fig9 (d : Device.t) : fig9_row list =
   Registry.all
   |> List.map (fun b ->
          let p = prepare b in
-         let ee = endtoend p d b.B.best_config in
+         let ee = endtoend p d in
          { f9_bench = b.B.name; f9_phases = ee.ee_phases })
 
 let render_fig9 (d : Device.t) (rows : fig9_row list) : string =
@@ -387,13 +408,9 @@ let marshal_ablation (d : Device.t) : marshal_ablation list =
   Registry.all
   |> List.map (fun b ->
          let p = prepare b in
+         let kernel_s = (fst (price p d)).Model.bd_total_s in
          let pct serializer =
-           let kernel_s = kernel_time_under p d b.B.best_config in
-           let ph =
-             Comm.offload_phases d ~serializer ~elem_bytes:(elem_bytes_of p)
-               ~in_bytes:p.p_in_bytes ~out_bytes:p.p_out_bytes ()
-           in
-           ph.Comm.kernel_s <- kernel_s;
+           let ph = offload ~serializer p d ~kernel_s in
            100.0 *. ph.Comm.java_marshal_s /. Comm.total ph
          in
          {
@@ -443,39 +460,40 @@ type overlap_row = {
 (** Projected gains of the two §5.3 "future work" optimizations the
     runtime implements: pipelined double buffering and the direct-to-device
     serializer.  [firings] models a streaming execution (e.g. simulation
-    steps); the gains grow with the communication share of Fig 9. *)
+    steps); the gains grow with the communication share of Fig 9.  The
+    pipelined clock is {!Lime_runtime.Schedule.overlapped_makespan} — the
+    engine's and the placement search's — over three single-leg stages:
+    the host thread (marshaling, JNI, setup and the source/sink work), the
+    PCIe link and the device. *)
 let overlap ?(firings = 32) (d : Device.t) : overlap_row list =
+  let module S = Lime_runtime.Schedule in
   Registry.all
   |> List.map (fun b ->
          let p = prepare b in
-         let mk serializer =
-           let kernel_s = kernel_time_under p d b.B.best_config in
-           let ph =
-             Comm.offload_phases d ~serializer ~elem_bytes:(elem_bytes_of p)
-               ~in_bytes:p.p_in_bytes ~out_bytes:p.p_out_bytes ()
-           in
-           ph.Comm.kernel_s <- kernel_s;
+         let kernel_s = (fst (price p d)).Model.bd_total_s in
+         let firing serializer =
+           let ph = offload ~serializer p d ~kernel_s in
            ph.Comm.host_s <- host_task_seconds p;
            ph
          in
-         let ph = mk Marshal_.Custom in
-         let st =
-           Lime_runtime.Schedule.stages_of_phases ~firings:1 ph
+         let pipelined (ph : Comm.phases) =
+           let leg r s = [ { S.lg_resource = r; lg_seconds = s } ] in
+           S.overlapped_makespan ~firings
+             [
+               leg "host"
+                 (ph.Comm.java_marshal_s +. ph.Comm.jni_s
+                +. ph.Comm.c_marshal_s +. ph.Comm.setup_s +. ph.Comm.host_s);
+               leg "link" ph.Comm.pcie_s;
+               leg "dev" ph.Comm.kernel_s;
+             ]
          in
-         let serial = Lime_runtime.Schedule.serial_time ~firings st in
-         let piped = Lime_runtime.Schedule.pipelined_time ~firings st in
-         let ph_direct = mk Marshal_.Direct in
-         let st_direct =
-           Lime_runtime.Schedule.stages_of_phases ~firings:1 ph_direct
-         in
-         let piped_direct =
-           Lime_runtime.Schedule.pipelined_time ~firings st_direct
-         in
+         let ph = firing Marshal_.Custom in
+         let serial = float_of_int firings *. Comm.total ph in
          {
            ov_bench = b.B.name;
            ov_serial_ms = serial *. 1e3;
-           ov_pipelined_speedup = serial /. piped;
-           ov_direct_speedup = serial /. piped_direct;
+           ov_pipelined_speedup = serial /. pipelined ph;
+           ov_direct_speedup = serial /. pipelined (firing Marshal_.Direct);
            ov_comm_share = Comm.communication ph /. Comm.total ph;
          })
 
@@ -522,11 +540,11 @@ let optimize_rows ?width ?depth ?(quick = false) ?seed (d : Device.t) :
   List.map
     (fun (b : B.t) ->
       let p = prepare ~quick ?seed b in
-      let k = p.p_compiled.Pipeline.cp_kernel in
-      let shapes, scalars =
-        Lime_runtime.Engine.shapes_of_args k [ p.p_input ]
+      let o =
+        Lime_rewrite.Search.search ?width ?depth d
+          p.p_compiled.Pipeline.cp_kernel ~shapes:p.p_shapes
+          ~scalars:p.p_scalars
       in
-      let o = Lime_rewrite.Search.search ?width ?depth d k ~shapes ~scalars in
       let op_fig8_name, f8 = o.Lime_rewrite.Search.so_fig8_best in
       {
         op_bench = b.B.name;

@@ -13,15 +13,16 @@ module B = Bench_def
 val gpu_devices : Device.t list
 (** GTX8800, GTX580, HD5970 — the Fig 8 platforms. *)
 
-val core_i7_1core : Device.t
-(** The single-core CPU variant of Fig 7(a). *)
-
 (** {2 Shared machinery} *)
 
 type prepared = {
   p_bench : B.t;
   p_compiled : Pipeline.compiled;
   p_input : Lime_ir.Value.t;  (** paper-scale input *)
+  p_shapes : (string * int array) list;  (** the input's launch shapes *)
+  p_scalars : (string * float) list;  (** and scalar arguments *)
+  p_launch : Profile.t * Model.array_binding list;
+      (** {!Gpusim.Autotune.launch} of the compiled placements *)
   p_in_bytes : int;  (** wire size *)
   p_out_bytes : int;
   p_out_shape : int array option;
@@ -32,14 +33,9 @@ val prepare : ?config:Memopt.config -> ?quick:bool -> ?seed:int -> B.t -> prepar
     input — at paper scale by default, at the test scale with
     [~quick:true].  [seed] feeds the deterministic input builders. *)
 
-val launch_of :
-  prepared -> Memopt.decision list -> Profile.t * Model.array_binding list
-(** {!Gpusim.Autotune.launch} on the prepared input. *)
-
 val kernel_time_under : prepared -> Device.t -> Memopt.config -> float
 (** Kernel-only device time under one memory configuration. *)
 
-val host_task_seconds : prepared -> float
 val baseline_seconds : prepared -> float
 (** The Fig 7 baseline: the whole program as bytecode on one core. *)
 
@@ -47,10 +43,13 @@ type endtoend = {
   ee_total_s : float;
   ee_kernel_s : float;
   ee_phases : Comm.phases;
+  ee_counters : Gpusim.Counters.t;  (** the kernel launch's counters *)
 }
 
-val elem_bytes_of : prepared -> int
-val endtoend : prepared -> Device.t -> Memopt.config -> endtoend
+val endtoend : prepared -> Device.t -> endtoend
+(** One firing on a device under the config [prepare] compiled with:
+    the prepared launch priced once ({!Model.kernel_time_ex}) plus all
+    communication. *)
 
 (** {2 Tables} *)
 
@@ -158,13 +157,10 @@ type multidev_row = {
       (** multi-device engine sink equals the single-device engine sink *)
 }
 
-val multidev_workloads : B.t list
-(** The pipelined registry workloads: everything whose program builds a
-    [=>] task graph (the paper's nine plus N-Body Pipe; TMatMul is
-    kernel-only and has no pipeline to place). *)
-
 val multidev_rows : ?quick:bool -> unit -> multidev_row list
-(** One row per {!multidev_workloads} entry: probe the pipeline, search
+(** One row per pipelined registry workload — everything whose program
+    builds a [=>] task graph (the paper's nine plus N-Body Pipe; TMatMul
+    is kernel-only and has no pipeline to place): probe the pipeline, search
     placements ({!Lime_sched.Search.search}), and check the sink value of
     a placed engine run against the single-device engine at test scale.
     The search is seeded with the single-device baselines, so

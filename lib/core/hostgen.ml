@@ -151,7 +151,7 @@ int %s_offload(const void **inputs, const int *input_bytes,
      populated by the JNI bridge */
   /* check(clSetKernelArg(kern, %d, sizeof(KArgs), &kargs), ...); */
 
-  size_t global = 0, local = 256;
+  size_t global = 0, local = %d;
   /* the generated kernel adapts to any thread count (robust thread loop) */
   global = ((output_bytes / 4 + local - 1) / local) * local;
   check(clEnqueueNDRangeKernel(queue, kern, 1, NULL, &global, &local, 0,
@@ -163,7 +163,7 @@ int %s_offload(const void **inputs, const int *input_bytes,
   check(clFinish(queue), "clFinish");
 
 |}
-       n_bufs (n_bufs + 1));
+       n_bufs (n_bufs + 1) Kernel.group_size);
   List.iter
     (fun (p, _) ->
       Buffer.add_string b

@@ -32,6 +32,8 @@ type kernel = {
   k_uses_double : bool;
 }
 
+let group_size = 256
+
 (** Why a task cannot be offloaded (used for diagnostics and tests). *)
 type offload_verdict =
   | Offloadable

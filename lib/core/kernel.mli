@@ -15,6 +15,11 @@ type kernel = {
   k_uses_double : bool;
 }
 
+val group_size : int
+(** The work-group size of every launch: the OpenCL staging tiles and
+    reduction scratch ([TILE]), the host glue's [local] size and the
+    timing model's groups all use it. *)
+
 (** Why a task can or cannot be offloaded. *)
 type offload_verdict =
   | Offloadable

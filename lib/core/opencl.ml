@@ -820,7 +820,7 @@ let local_staging_c g =
     g.placements
 
 (** Generate the OpenCL source of a kernel under the given placements. *)
-let generate ?(group_size = 256) (k : Kernel.kernel)
+let generate (k : Kernel.kernel)
     (decisions : Memopt.decision list) : string =
   let placements = Memopt.placements decisions in
   let g =
@@ -848,7 +848,7 @@ let generate ?(group_size = 256) (k : Kernel.kernel)
     buf_add g.b "#pragma OPENCL EXTENSION cl_khr_fp64 : enable\n\n";
   let inter = intermediates g k in
   let sname, fields = args_struct_c ~extra:inter k in
-  buf_add g.b (Printf.sprintf "#define TILE %d\n\n" group_size);
+  buf_add g.b (Printf.sprintf "#define TILE %d\n\n" Kernel.group_size);
   buf_add g.b (Printf.sprintf "typedef struct {\n");
   List.iter (fun f -> buf_add g.b ("  " ^ f ^ "\n")) fields;
   if fields = [] then buf_add g.b "  int _unused;\n";

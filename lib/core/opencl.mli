@@ -6,10 +6,9 @@
     vector types, and private arrays.  Validated by {!Clcheck} and the
     structural tests. *)
 
-val generate : ?group_size:int -> Kernel.kernel -> Memopt.decision list -> string
-(** [generate kernel decisions] returns the OpenCL source text.
-    [group_size] sets the work-group size baked into the staging tiles
-    (default 256). *)
+val generate : Kernel.kernel -> Memopt.decision list -> string
+(** [generate kernel decisions] returns the OpenCL source text; its
+    staging tiles are {!Kernel.group_size} wide. *)
 
 val float_lit : float -> string
 (** A C floating literal that always contains a ['.'] or an exponent. *)

@@ -253,7 +253,8 @@ let jvm_default =
   }
 
 (** Seconds for an operation-count profile executed as bytecode. *)
-let jvm_time ?(m = jvm_default) (c : Lime_ir.Interp.counters) : float =
+let jvm_time (c : Lime_ir.Interp.counters) : float =
+  let m = jvm_default in
   let f = float_of_int in
   let cycles =
     (f c.Lime_ir.Interp.alu *. m.jvm_alu)

@@ -78,5 +78,6 @@ type jvm_model = {
 
 val jvm_default : jvm_model
 
-val jvm_time : ?m:jvm_model -> Lime_ir.Interp.counters -> float
-(** Seconds for an operation-count profile executed as bytecode. *)
+val jvm_time : Lime_ir.Interp.counters -> float
+(** Seconds for an operation-count profile executed as bytecode under
+    {!jvm_default}. *)

@@ -27,6 +27,7 @@
 
 module Ir = Lime_ir.Ir
 module Access = Lime_gpu.Access
+module Kernel = Lime_gpu.Kernel
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
@@ -55,8 +56,6 @@ type array_binding = {
   ab_row_len : int;  (** innermost dimension length (1 if rank 1) *)
   ab_placement : Ir.placement;
 }
-
-let group_size = 256
 
 (** One pass computes both the timing breakdown and the simulated hardware
     counters, so the two cannot disagree: every second the breakdown
@@ -302,7 +301,8 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
               (* staging traffic: each work group streams the array through
                  its tile once *)
               let groups =
-                Float.max 1.0 (p.Profile.p_items /. float_of_int group_size)
+                Float.max 1.0
+                  (p.Profile.p_items /. float_of_int Kernel.group_size)
               in
               let staging = float_of_int ab.ab_total_bytes *. groups in
               global_bytes := !global_bytes +. staging;
@@ -358,8 +358,10 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
   in
   (* launch geometry, same rules as {!launch_attrs} *)
   let items = Float.max 1.0 p.Profile.p_items in
-  let groups = ceil (items /. float_of_int group_size) in
-  let warps_per_group = (group_size + d.Device.warp - 1) / d.Device.warp in
+  let groups = ceil (items /. float_of_int Kernel.group_size) in
+  let warps_per_group =
+    (Kernel.group_size + d.Device.warp - 1) / d.Device.warp
+  in
   let total_warps = groups *. float_of_int warps_per_group in
   let pool = float_of_int (d.Device.sms * d.Device.inflight_warps) in
   let counters =
@@ -420,9 +422,9 @@ let kernel_time d p arrays = fst (kernel_time_ex d p arrays)
 let launch_attrs (d : Device.t) (p : Profile.t)
     (arrays : array_binding list) : (string * string) list =
   let items = Float.max 1.0 p.Profile.p_items in
-  let groups = ceil (items /. float_of_int group_size) in
+  let groups = ceil (items /. float_of_int Kernel.group_size) in
   let warps_per_group =
-    (group_size + d.Device.warp - 1) / d.Device.warp
+    (Kernel.group_size + d.Device.warp - 1) / d.Device.warp
   in
   let total_warps = groups *. float_of_int warps_per_group in
   let pool = float_of_int (d.Device.sms * d.Device.inflight_warps) in
@@ -443,7 +445,7 @@ let launch_attrs (d : Device.t) (p : Profile.t)
   [
     ("device", d.Device.name);
     ("work_items", Printf.sprintf "%.0f" items);
-    ("work_group_size", string_of_int group_size);
+    ("work_group_size", string_of_int Kernel.group_size);
     ("work_groups", Printf.sprintf "%.0f" groups);
     ("warps_per_group", string_of_int warps_per_group);
     ("occupancy", Printf.sprintf "%.2f" occupancy);
@@ -476,7 +478,8 @@ let binding_of_shape ~name ~elem ~(shape : int array)
     same work, from the analytic profile — the Fig 7 baseline.  Matches the
     weights of {!Device.jvm_time} used when counting a real interpreter
     run. *)
-let jvm_time_profile ?(m = Device.jvm_default) (p : Profile.t) : float =
+let jvm_time_profile (p : Profile.t) : float =
+  let m = Device.jvm_default in
   let accesses =
     List.fold_left (fun acc a -> acc +. a.Profile.ac_count) 0.0
       p.Profile.p_accesses

@@ -24,9 +24,6 @@ type array_binding = {
   ab_placement : Lime_ir.Ir.placement;
 }
 
-val group_size : int
-(** Work-group size assumed by the local-memory staging model. *)
-
 val kernel_time : Device.t -> Profile.t -> array_binding list -> breakdown
 
 val kernel_time_ex :
@@ -49,6 +46,6 @@ val binding_of_shape :
   Lime_ir.Ir.placement ->
   array_binding
 
-val jvm_time_profile : ?m:Device.jvm_model -> Profile.t -> float
-(** The "Lime compiled to bytecode" time of the same work — the Fig 7
-    baseline. *)
+val jvm_time_profile : Profile.t -> float
+(** The "Lime compiled to bytecode" time of the same work under
+    {!Device.jvm_default} — the Fig 7 baseline. *)

@@ -3,78 +3,26 @@
     §5.3: "the communication costs can be hidden by well-known pipelining
     techniques that overlap communication and computation; these techniques
     lie beyond the scope of this paper."  This module implements them for
-    the linear task pipelines the engine runs.
+    the task pipelines the engine runs.
 
     With double buffering, firing [i]'s device kernel overlaps firing
     [i+1]'s host-side work (Java marshal + JNI + C marshal) and its PCIe
     upload, and firing [i-1]'s download/return path.  The steady-state
-    period of the pipeline is the maximum of three stage times instead of
-    their sum:
+    period of the pipeline is the busiest resource's time instead of the
+    sum of the legs:
 
-      serial   total = n * (host_up + up + kernel + down + host_down)
-      pipelined total ≈ fill + n * max(host, up + down, kernel)
+      serial    total = n * (host + link + kernel)
+      pipelined total = fill + (n - 1) * max(host, link, kernel)
 
-    where [fill] is one serial pass through the stages.  The host stage is
-    not overlappable with itself (one JVM marshaling thread), PCIe is
-    full-duplex on the paper's hardware only for small degrees, so we
-    conservatively serialize up+down on the link.
+    for a single-device pipeline of three resources, where [fill] is one
+    serial pass through the stages (a flow shop of identical jobs).  The
+    host stage is not overlappable with itself (one JVM marshaling
+    thread); PCIe is full-duplex on the paper's hardware only for small
+    degrees, so up and down are conservatively serialized on the link.
 
-    The schedule is computed from the same {!Comm.phases} the serial
-    engine accounts, so the ablation benchmark can report serial vs
-    pipelined end-to-end time per benchmark. *)
-
-type stages = {
-  st_host_s : float;  (** Java marshal + JNI + C marshal + setup, per firing *)
-  st_link_s : float;  (** PCIe up + down, per firing *)
-  st_kernel_s : float;  (** device execution, per firing *)
-  st_source_sink_s : float;  (** host-resident task work, per firing *)
-}
-
-(** Decompose per-firing phase totals into pipeline stages. *)
-let stages_of_phases ~(firings : int) (p : Comm.phases) : stages =
-  let n = float_of_int (max 1 firings) in
-  {
-    st_host_s =
-      (p.Comm.java_marshal_s +. p.Comm.jni_s +. p.Comm.c_marshal_s
-      +. p.Comm.setup_s)
-      /. n;
-    st_link_s = p.Comm.pcie_s /. n;
-    st_kernel_s = p.Comm.kernel_s /. n;
-    st_source_sink_s = p.Comm.host_s /. n;
-  }
-
-(** Wall-clock of [n] firings executed serially (the baseline engine). *)
-let serial_time ~(firings : int) (st : stages) : float =
-  float_of_int firings
-  *. (st.st_host_s +. st.st_link_s +. st.st_kernel_s +. st.st_source_sink_s)
-
-(** Wall-clock of [n] firings with double-buffered overlap.
-
-    The pipeline has three overlappable resources: the host thread
-    (marshaling plus the source/sink work), the PCIe link, and the device.
-    Steady state advances one firing per [max] of the three; filling and
-    draining cost one pass through the remaining stages. *)
-let pipelined_time ~(firings : int) (st : stages) : float =
-  if firings <= 0 then 0.0
-  else
-    let host = st.st_host_s +. st.st_source_sink_s in
-    let period = Float.max host (Float.max st.st_link_s st.st_kernel_s) in
-    let fill = host +. st.st_link_s +. st.st_kernel_s in
-    fill +. (float_of_int (firings - 1) *. period)
-
-(** Speedup of pipelining for a given per-firing profile. *)
-let overlap_speedup ~(firings : int) (st : stages) : float =
-  serial_time ~firings st /. pipelined_time ~firings st
-
-(** The pipeline is only worth its buffers when communication is a
-    significant share; the runtime enables it when the projected gain
-    exceeds [threshold] (default 10%). *)
-let worthwhile ?(threshold = 1.1) ~(firings : int) (st : stages) : bool =
-  overlap_speedup ~firings st >= threshold
-
-(* ------------------------------------------------------------------ *)
-(* Multi-resource overlapped makespan                                   *)
-(* ------------------------------------------------------------------ *)
+    {!overlapped_makespan} is the one pipeline clock: the engine reports
+    it, the placement search's cost model predicts with it, and the §5.3
+    projection prices its three stages with it. *)
 
 type leg = {
   lg_resource : string;
@@ -95,10 +43,10 @@ type leg = {
     leg of the next firing occupies the device.  Within a round, deeper
     stages (older firings) claim their resources first.
 
-    For a single-device three-resource pipeline this converges to
-    {!pipelined_time}'s [fill + (n-1) * max] shape; the generalization is
-    what the multi-device scheduler's analytic model predicts, and the
-    engine reports this simulated clock so the two can be compared. *)
+    For three single-leg stages on distinct resources this is the flow
+    shop's [fill + (n-1) * max]; the generalization is what the
+    multi-device scheduler's analytic model predicts, and the engine
+    reports this simulated clock so the two can be compared. *)
 (* Busy intervals of one serialized resource, sorted by start time.
    [book] places a leg at the earliest gap that both fits it and starts
    no earlier than [ready] — backfilling matters: a leg stalled on its

@@ -2,28 +2,6 @@
     work: overlap communication with computation across consecutive
     firings of a task pipeline. *)
 
-type stages = {
-  st_host_s : float;  (** Java marshal + JNI + C marshal + setup, per firing *)
-  st_link_s : float;  (** PCIe up + down, per firing *)
-  st_kernel_s : float;  (** device execution, per firing *)
-  st_source_sink_s : float;  (** host-resident task work, per firing *)
-}
-
-val stages_of_phases : firings:int -> Comm.phases -> stages
-(** Decompose accumulated phase totals into per-firing pipeline stages. *)
-
-val serial_time : firings:int -> stages -> float
-(** Wall-clock of [n] firings executed back to back (the baseline engine). *)
-
-val pipelined_time : firings:int -> stages -> float
-(** Wall-clock with double-buffered overlap: fill + (n-1) x max-stage. *)
-
-val overlap_speedup : firings:int -> stages -> float
-
-val worthwhile : ?threshold:float -> firings:int -> stages -> bool
-(** Should the runtime enable pipelining?  True when the projected gain
-    exceeds [threshold] (default 1.1). *)
-
 type leg = {
   lg_resource : string;
       (** serialized resource the leg occupies ("host", "link:<dev>",
@@ -35,5 +13,6 @@ val overlapped_makespan : firings:int -> leg list list -> float
 (** Wall-clock of [firings] identical passes through a placed pipeline
     (one leg list per stage, legs in execution order) with double-buffered
     overlap across firings: firing [f+1]'s legs run as soon as their
-    resource frees, so transfers overlap kernels.  Generalizes
-    {!pipelined_time} to per-device links and compute resources. *)
+    resource frees, so transfers overlap kernels.  For three single-leg
+    stages on distinct resources this is [fill + (n-1) * max], [fill]
+    being one pass through the three. *)

@@ -117,19 +117,25 @@ let check_counters name (d : Device.t) (bd : Model.breakdown)
   check_close (name ^ ": reconstructed total") total bd.Model.bd_total_s
 
 (* every registry benchmark x every device, under the shipped best
-   config *)
+   config; the counters Experiments.endtoend carries (priced once from
+   the prepared launch) are Autotune.time_config_ex's for that config *)
 let test_registry_consistency () =
   List.iter
     (fun (b : B.t) ->
       let p = E.prepare ~quick:true b in
-      let ds = p.E.p_compiled.Lime_gpu.Pipeline.cp_decisions in
-      let prof, bindings = E.launch_of p ds in
+      let prof, bindings = p.E.p_launch in
+      let k = p.E.p_compiled.Lime_gpu.Pipeline.cp_kernel in
       List.iter
         (fun (d : Device.t) ->
+          let name = Printf.sprintf "%s/%s" b.B.name d.Device.name in
           let bd, c = Model.kernel_time_ex d prof bindings in
-          check_counters
-            (Printf.sprintf "%s/%s" b.B.name d.Device.name)
-            d bd c)
+          check_counters name d bd c;
+          let _, c' =
+            Gpusim.Autotune.time_config_ex d k b.B.best_config
+              ~shapes:p.E.p_shapes ~scalars:p.E.p_scalars
+          in
+          Alcotest.(check bool) (name ^ ": endtoend's counters") true
+            (compare (E.endtoend p d).E.ee_counters c' = 0))
         Device.all)
     Lime_benchmarks.Registry.all
 

@@ -177,9 +177,9 @@ let test_cpu_device_ignores_placement () =
     (Float.abs (tg -. tl) /. tg < 0.2)
 
 let test_jvm_slower_than_multicore () =
-  let p = E.prepare Lime_benchmarks.Nbody.single in
+  let p = E.prepare ~config:Memopt.config_global Lime_benchmarks.Nbody.single in
   let base = E.baseline_seconds p in
-  let six = (E.endtoend p Device.core_i7 Memopt.config_global).E.ee_total_s in
+  let six = (E.endtoend p Device.core_i7).E.ee_total_s in
   Alcotest.(check bool) "6 cores beat bytecode" true (six < base)
 
 let test_device_table2_shapes () =

@@ -86,7 +86,7 @@ let test_affine_profiles_exact () =
   List.iter
     (fun (b : B.t) ->
       let p = E.prepare b in
-      let prof, _ = E.launch_of p p.E.p_compiled.Lime_gpu.Pipeline.cp_decisions in
+      let prof, _ = p.E.p_launch in
       Alcotest.(check bool) (b.B.name ^ " profile exact") false
         prof.Profile.p_approx)
     Lime_benchmarks.Registry.all

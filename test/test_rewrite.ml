@@ -239,10 +239,11 @@ let test_golden_search_table () =
     (fun (b : B.t) ->
       let p = E.prepare ~seed:1 b in
       let k = p.E.p_compiled.Pipeline.cp_kernel in
-      let shapes, scalars = Engine.shapes_of_args k [ p.E.p_input ] in
       List.iter
         (fun (d : Device.t) ->
-          let o = Search.search d k ~shapes ~scalars in
+          let o =
+            Search.search d k ~shapes:p.E.p_shapes ~scalars:p.E.p_scalars
+          in
           let got =
             ( b.B.name,
               d.Device.name,

@@ -8,21 +8,21 @@ module Ir = Lime_ir.Ir
 module E = Lime_benchmarks.Experiments
 module B = Lime_benchmarks.Bench_def
 
-let st ~host ~link ~kernel =
-  {
-    S.st_host_s = host;
-    st_link_s = link;
-    st_kernel_s = kernel;
-    st_source_sink_s = 0.0;
-  }
+(* the §5.3 single-device pipeline: three single-leg stages on distinct
+   resources (host thread, PCIe link, device) *)
+let three ~host ~link ~kernel =
+  let leg r s = [ { S.lg_resource = r; lg_seconds = s } ] in
+  [ leg "host" host; leg "link" link; leg "dev" kernel ]
 
 let test_serial_is_sum () =
-  let s = st ~host:1.0 ~link:2.0 ~kernel:3.0 in
-  Alcotest.(check (float 1e-9)) "serial" 60.0 (S.serial_time ~firings:10 s)
+  (* one firing has nothing to overlap: a serial pass through the legs *)
+  let s = three ~host:1.0 ~link:2.0 ~kernel:3.0 in
+  Alcotest.(check (float 1e-9)) "serial" 6.0
+    (S.overlapped_makespan ~firings:1 s)
 
 let test_pipelined_bounded_by_bottleneck () =
-  let s = st ~host:1.0 ~link:2.0 ~kernel:3.0 in
-  let t = S.pipelined_time ~firings:100 s in
+  let s = three ~host:1.0 ~link:2.0 ~kernel:3.0 in
+  let t = S.overlapped_makespan ~firings:100 s in
   (* steady state: one firing per max stage = 3.0 *)
   Alcotest.(check bool) "close to n*max" true (t < 100.0 *. 3.0 +. 7.0);
   Alcotest.(check bool) "not faster than bottleneck" true (t >= 100.0 *. 3.0)
@@ -30,25 +30,18 @@ let test_pipelined_bounded_by_bottleneck () =
 let test_pipelining_never_slower () =
   List.iter
     (fun (h, l, k) ->
-      let s = st ~host:h ~link:l ~kernel:k in
+      let s = three ~host:h ~link:l ~kernel:k in
       Alcotest.(check bool) "pipelined <= serial" true
-        (S.pipelined_time ~firings:16 s <= S.serial_time ~firings:16 s +. 1e-12))
+        (S.overlapped_makespan ~firings:16 s
+        <= (16.0 *. (h +. l +. k)) +. 1e-12))
     [ (1., 1., 1.); (0.1, 0.2, 5.0); (4.0, 0.1, 0.1); (0.0, 0.0, 1.0) ]
 
 let test_speedup_capped_by_stages () =
   (* with three overlappable resources the gain cannot exceed 3x *)
-  let s = st ~host:1.0 ~link:1.0 ~kernel:1.0 in
-  let sp = S.overlap_speedup ~firings:1000 s in
+  let s = three ~host:1.0 ~link:1.0 ~kernel:1.0 in
+  let sp = 3000.0 /. S.overlapped_makespan ~firings:1000 s in
   Alcotest.(check bool) "near 3x for balanced stages" true
     (sp > 2.5 && sp <= 3.0)
-
-let test_worthwhile_threshold () =
-  let balanced = st ~host:1.0 ~link:1.0 ~kernel:1.0 in
-  Alcotest.(check bool) "balanced stages worthwhile" true
-    (S.worthwhile ~firings:100 balanced);
-  let kernel_bound = st ~host:0.001 ~link:0.001 ~kernel:1.0 in
-  Alcotest.(check bool) "kernel-bound not worthwhile" false
-    (S.worthwhile ~firings:100 kernel_bound)
 
 let test_direct_roundtrip () =
   let a = V.of_float_matrix 5 4 (Array.init 20 float_of_int) in
@@ -88,36 +81,27 @@ let test_engine_direct_results_identical () =
     (V.approx_equal ~rtol:0.0 ~atol:0.0 (run M.Custom) (run M.Direct))
 
 (* ------------------------------------------------------------------ *)
-(* Properties: overlap never hurts, and never beats the bottleneck      *)
+(* Properties: the flow-shop closed form, bounds and monotonicity     *)
 (* ------------------------------------------------------------------ *)
-
-let stages_gen =
-  QCheck.map
-    (fun (h, l, k, s) ->
-      { S.st_host_s = h; st_link_s = l; st_kernel_s = k; st_source_sink_s = s })
-    (QCheck.quad
-       (QCheck.float_range 0.0 5.0)
-       (QCheck.float_range 0.0 5.0)
-       (QCheck.float_range 0.0 5.0)
-       (QCheck.float_range 0.0 5.0))
 
 let firings_gen = QCheck.int_range 1 64
 
-let prop_pipelined_never_slower =
-  QCheck.Test.make ~name:"pipelined <= serial for any stages" ~count:500
-    (QCheck.pair firings_gen stages_gen)
-    (fun (firings, s) ->
-      S.pipelined_time ~firings s <= S.serial_time ~firings s +. 1e-9)
-
-let prop_pipelined_bottleneck_bound =
-  QCheck.Test.make ~name:"pipelined >= firings x slowest stage" ~count:500
-    (QCheck.pair firings_gen stages_gen)
-    (fun (firings, s) ->
-      let slowest =
-        List.fold_left max 0.0
-          [ s.S.st_host_s; s.S.st_link_s; s.S.st_kernel_s; s.S.st_source_sink_s ]
+(* identical firings through three single-leg stages on distinct
+   resources finish at one serial pass plus (n-1) bottleneck periods *)
+let prop_flow_shop =
+  QCheck.Test.make ~name:"flow shop: fill + (n-1) x max" ~count:500
+    (QCheck.pair firings_gen
+       (QCheck.triple
+          (QCheck.float_range 0.0 5.0)
+          (QCheck.float_range 0.0 5.0)
+          (QCheck.float_range 0.0 5.0)))
+    (fun (firings, (host, link, kernel)) ->
+      let t = S.overlapped_makespan ~firings (three ~host ~link ~kernel) in
+      let slowest = Float.max host (Float.max link kernel) in
+      let expected =
+        host +. link +. kernel +. (float_of_int (firings - 1) *. slowest)
       in
-      S.pipelined_time ~firings s >= (float_of_int firings *. slowest) -. 1e-9)
+      Float.abs (t -. expected) <= 1e-9 *. expected)
 
 (* random placed pipelines for the generalized simulator: a few stages,
    each a leg sequence over a small resource alphabet *)
@@ -197,7 +181,6 @@ let () =
             test_pipelined_bounded_by_bottleneck;
           Alcotest.test_case "never slower" `Quick test_pipelining_never_slower;
           Alcotest.test_case "speedup cap" `Quick test_speedup_capped_by_stages;
-          Alcotest.test_case "worthwhile" `Quick test_worthwhile_threshold;
         ] );
       ( "direct serializer",
         [
@@ -212,8 +195,7 @@ let () =
         [ Alcotest.test_case "overlap shape" `Slow test_overlap_experiment_shape ] );
       Testutil.qsuite "properties"
         [
-          prop_pipelined_never_slower;
-          prop_pipelined_bottleneck_bound;
+          prop_flow_shop;
           prop_makespan_between_bounds;
           prop_makespan_monotone_in_firings;
         ];
