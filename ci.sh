@@ -128,6 +128,25 @@ if grep -rn --include='*.ml' --include='*.mli' \
   exit 1
 fi
 
+echo "== one structural attempt per (body, step) =="
+# within one rewrite search a body digest fixes the kernel, so a
+# structural step's walk runs once per (parent body, step) and a child
+# body is analyzed once per digest: Search.structural, the memo helper, is
+# the only place lib/rewrite/search.ml applies a Structural attempt or
+# calls body_of for a child (the baseline and a replay analyze their own)
+if awk '/^let /{f=$2}
+        /Structural attempt/ && f != "structural" {print FILENAME":"FNR": "$0; bad=1}
+        /body_of / && !/^let body_of / && !/body_of baseline_state/ \
+          && f != "structural" && f != "replay" {print FILENAME":"FNR": "$0; bad=1}
+        END {exit !bad}' lib/rewrite/search.ml; then
+  echo "FAIL: a structural attempt or child analysis outside Search.structural; go through the memo"
+  exit 1
+fi
+if grep -rn --include='*.ml' 'Search\.body_of' lib bin examples; then
+  echo "FAIL: Search.body_of called outside lib/rewrite/search.ml; a search analyzes its own bodies"
+  exit 1
+fi
+
 echo "== one Fig 8 sweep =="
 # Gpusim.Autotune.sweep_with is the one sweep loop (one analysis, every
 # entry carrying its counters); the service replays or re-runs it through

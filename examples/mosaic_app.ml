@@ -44,10 +44,17 @@ let () =
   List.iter
     (fun d ->
       Printf.printf "\n%s:\n" d.Gpusim.Device.name;
+      let entries =
+        Gpusim.Autotune.sweep d p.E.p_compiled.Lime_gpu.Pipeline.cp_kernel
+          ~shapes:p.E.p_shapes ~scalars:p.E.p_scalars
+      in
       List.iter
-        (fun (name, cfg) ->
+        (fun (name, _) ->
+          let e =
+            List.find (fun e -> e.Gpusim.Autotune.at_name = name) entries
+          in
           Printf.printf "  %-32s %8.3f ms\n" name
-            (E.kernel_time_under p d cfg *. 1e3))
+            (e.Gpusim.Autotune.at_time_s *. 1e3))
         Memopt.fig8_configs)
     E.gpu_devices;
   print_endline

@@ -18,10 +18,16 @@
     three body facts (the kernel is unchanged) and the one
     {!Lime_gpu.Memopt.decide_all} that showed the toggle changes the
     table, so pricing it costs one profile walk and no dataflow pass.  A
-    structural child costs one [Structural] walk, one
-    {!Lime_gpu.Taint.thread_dependent} pass, one [analyze], one
-    [decide_all], one marshalled body digest and one profile walk; the
-    analysis and the profile read the same table.
+    structural step reads only the kernel, and within one search a body
+    digest fixes the kernel, so each search attempts a step once per
+    (parent body, step) and analyzes a body once per digest ({!memo}):
+    the first structural child of a (body, step) pays one [Structural]
+    walk and one marshalled body digest, plus one
+    {!Lime_gpu.Taint.thread_dependent} pass and one [analyze] if its body
+    is new.  Once that (body, step) has been seen — placement siblings
+    share their parent's body — a structural child costs one
+    [decide_all], one signature and one profile walk; the analysis and
+    the profile read the same table.
 
     The initial population is the empty schedule plus the eight canned
     Fig 8 sequences of {!Rewrite.fig8_sequences}.  Seeding guarantees the
@@ -146,6 +152,62 @@ type entry = {
   en_decisions : Memopt.decision list;
 }
 
+(** One search's device-independent child construction.  A [Structural]
+    attempt reads only the state's kernel, and {!Rewrite.with_body} is the
+    only way a step changes a kernel, so within one search a body digest
+    fixes the kernel, and the parent's body digest fixes the attempt's
+    outcome.  [m_attempts] keeps that outcome per (parent body digest,
+    step name): the child's body digest, or [None] when the step does not
+    apply.  [m_bodies] keeps each body's kernel and facts per digest,
+    seeded with the baseline's.  The counters are what the search reports
+    on its [End] event. *)
+type memo = {
+  m_attempts : (Digest.t * string, Digest.t option) Hashtbl.t;
+  m_bodies : (Digest.t, Kernel.kernel * body) Hashtbl.t;
+  mutable m_walks : int;  (** structural attempts run *)
+  mutable m_hits : int;  (** structural attempts answered by [m_attempts] *)
+  mutable m_analyses : int;  (** {!body_of} calls, the baseline's included *)
+}
+
+(** [structural m e step] is [e]'s child under the structural [step] —
+    its state, body facts and body digest — or [None] when the step does
+    not apply (or is a placement).  The only place a search runs a step's
+    walk or analyzes a child body. *)
+let structural (m : memo) (e : entry) (step : Rewrite.step) :
+    (Rewrite.state * body * Digest.t) option =
+  let st = e.en_cand.sc_state in
+  let key = (e.en_digest, step.Rewrite.name) in
+  let child =
+    match Hashtbl.find_opt m.m_attempts key with
+    | Some child ->
+        m.m_hits <- m.m_hits + 1;
+        child
+    | None ->
+        let child =
+          match step.Rewrite.kind with
+          | Rewrite.Placement _ -> None
+          | Rewrite.Structural attempt -> (
+              m.m_walks <- m.m_walks + 1;
+              match attempt st with
+              | Error _ -> None
+              | Ok st' ->
+                  let digest = body_digest st' in
+                  if not (Hashtbl.mem m.m_bodies digest) then begin
+                    m.m_analyses <- m.m_analyses + 1;
+                    Hashtbl.add m.m_bodies digest
+                      (st'.Rewrite.st_kernel, body_of st')
+                  end;
+                  Some digest)
+        in
+        Hashtbl.add m.m_attempts key child;
+        child
+  in
+  Option.map
+    (fun digest ->
+      let k, body = Hashtbl.find m.m_bodies digest in
+      ({ st with Rewrite.st_kernel = k }, body, digest))
+    child
+
 let default_width = 8
 let default_depth = 5
 
@@ -196,6 +258,16 @@ let search ?(width = default_width) ?(depth = default_depth)
   let baseline_state = Rewrite.initial k in
   let baseline_body = body_of baseline_state in
   let baseline_digest = body_digest baseline_state in
+  let memo =
+    {
+      m_attempts = Hashtbl.create 64;
+      m_bodies = Hashtbl.create 16;
+      m_walks = 0;
+      m_hits = 0;
+      m_analyses = 1;
+    }
+  in
+  Hashtbl.add memo.m_bodies baseline_digest (k, baseline_body);
   let baseline_ds = decisions baseline_state baseline_body in
   ignore (fresh_state baseline_digest baseline_ds);
   let baseline_entry =
@@ -255,13 +327,9 @@ let search ?(width = default_width) ?(depth = default_depth)
               let ds' = decisions st' e.en_body in
               if Memopt.placements ds' = placements then None
               else child e step st' e.en_body e.en_digest ds'
-        | Rewrite.Structural attempt -> (
-            match attempt st with
-            | Error _ -> None
-            | Ok st' ->
-                let body' = body_of st' in
-                child e step st' body' (body_digest st')
-                  (decisions st' body')))
+        | Rewrite.Structural _ ->
+            Option.bind (structural memo e step) (fun (st', body', digest') ->
+                child e step st' body' digest' (decisions st' body')))
       Rewrite.catalog
   in
   let on_level level frontier (best : entry) =
@@ -289,6 +357,12 @@ let search ?(width = default_width) ?(depth = default_depth)
          best_time_s = best.sc_time_s;
          best = seq_arg best.sc_sequence;
          improved = best.sc_time_s < (snd fig8_best).sc_time_s;
+         args =
+           [
+             ("attempts", string_of_int memo.m_walks);
+             ("attempt_hits", string_of_int memo.m_hits);
+             ("analyses", string_of_int memo.m_analyses);
+           ];
        });
   {
     so_best = best;

@@ -181,6 +181,7 @@ let search ?(serializer = Marshal_.Custom) ~(firings : int)
          best_time_s = best.pc_time_s;
          best = placement_arg best.pc_placement;
          improved = best.pc_time_s < (snd best_single).pc_time_s;
+         args = [];
        });
   {
     po_best = best;

@@ -524,15 +524,16 @@ let install ?(tracer = default) () =
           begin_span tracer ~cat:search ~args (search ^ ".search")
       | Beam.Level args ->
           complete tracer ~cat:search ~dur_us:1.0 ~args (search ^ ".level")
-      | Beam.End { evals; best_time_s; best; improved } ->
+      | Beam.End { evals; best_time_s; best; improved; args } ->
           end_span tracer
             ~args:
-              [
-                ("evals", string_of_int evals);
-                ("best_time_s", Printf.sprintf "%.3e" best_time_s);
-                best;
-                ("improved", string_of_bool improved);
-              ]
+              ([
+                 ("evals", string_of_int evals);
+                 ("best_time_s", Printf.sprintf "%.3e" best_time_s);
+                 best;
+                 ("improved", string_of_bool improved);
+               ]
+              @ args)
             (search ^ ".search")
       | Beam.Replay { args; ok } ->
           complete tracer ~cat:search ~dur_us:1.0

@@ -26,6 +26,7 @@ type event =
       best_time_s : float;
       best : string * string;
       improved : bool;
+      args : (string * string) list;
     }
   | Replay of { args : (string * string) list; ok : bool }
 

@@ -31,6 +31,8 @@ type event =
       best_time_s : float;
       best : string * string;  (** the winner, as one attribute *)
       improved : bool;  (** the winner beat the search's baselines *)
+      args : (string * string) list;
+          (** what the search's work cost, beyond [evals] *)
     }
   | Replay of {
       args : (string * string) list;

@@ -1,6 +1,7 @@
 (* The rewrite engine (lib/rewrite): catalog naming, canned Fig 8
    sequences vs the Fig 8 configurations, beam search vs the sweep on the
-   registry workloads, schedule replay, and the tunestore's schedule records. *)
+   registry workloads, the search's work counts vs a memo-free reference,
+   schedule replay, and the tunestore's schedule records. *)
 
 module Rewrite = Lime_rewrite.Rewrite
 module Search = Lime_rewrite.Search
@@ -272,6 +273,151 @@ let test_golden_search_table () =
   Alcotest.(check int) "every golden row checked" 0 (List.length !row)
 
 (* ------------------------------------------------------------------ *)
+(* Memoized child construction: a search attempts each structural step
+   once per (parent body, step) and analyzes each body once.  The
+   reference below is the search without its memo tables — every
+   expanded entry re-attempts every structural step — and counts the
+   distinct bodies it reaches and the distinct (body, step) pairs it
+   attempts; the search's End event must report exactly those.        *)
+(* ------------------------------------------------------------------ *)
+
+type work = { evals : int; attempts : int; pairs : int; bodies : int }
+
+let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
+    =
+  let evals = ref 0 and attempts = ref 0 in
+  let pairs = Hashtbl.create 64 and bodies = Hashtbl.create 16 in
+  let seen = Hashtbl.create 64 in
+  let fresh digest ds =
+    let s = Search.signature digest ds in
+    (not (Hashtbl.mem seen s)) && (Hashtbl.add seen s (); true)
+  in
+  (* sequence, state, body, digest, decisions, modeled time *)
+  let evaluate seq st body digest ds =
+    incr evals;
+    let time, _, _ = Search.score d st body ds ~shapes ~scalars in
+    (seq, st, body, digest, ds, time)
+  in
+  let st0 = Rewrite.initial k in
+  let body0 = Search.body_of st0 and digest0 = Search.body_digest st0 in
+  Hashtbl.replace bodies digest0 ();
+  let ds0 = Search.decisions st0 body0 in
+  ignore (fresh digest0 ds0);
+  let base = evaluate [] st0 body0 digest0 ds0 in
+  let seeds =
+    List.filter_map
+      (fun (_, seq) ->
+        if seq = [] then Some base
+        else
+          match Rewrite.apply_sequence st0 seq with
+          | Error _ -> None
+          | Ok st ->
+              let ds = Search.decisions st body0 in
+              ignore (fresh digest0 ds);
+              Some (evaluate seq st body0 digest0 ds))
+      Rewrite.fig8_sequences
+  in
+  let expand _ (seq, st, body, digest, ds, _) =
+    List.filter_map
+      (fun (step : Rewrite.step) ->
+        let child st' body' digest' ds' =
+          if fresh digest' ds' then
+            Some (evaluate (seq @ [ step.Rewrite.name ]) st' body' digest' ds')
+          else None
+        in
+        match step.Rewrite.kind with
+        | Rewrite.Placement { get; set } ->
+            let cfg = st.Rewrite.st_config in
+            if get cfg then None
+            else
+              let st' = { st with Rewrite.st_config = set cfg } in
+              let ds' = Search.decisions st' body in
+              if Memopt.placements ds' = Memopt.placements ds then None
+              else child st' body digest ds'
+        | Rewrite.Structural attempt -> (
+            incr attempts;
+            Hashtbl.replace pairs (digest, step.Rewrite.name) ();
+            match attempt st with
+            | Error _ -> None
+            | Ok st' ->
+                let body' = Search.body_of st' in
+                let digest' = Search.body_digest st' in
+                Hashtbl.replace bodies digest' ();
+                child st' body' digest' (Search.decisions st' body')))
+      Rewrite.catalog
+  in
+  let cmp (sa, _, _, _, _, ta) (sb, _, _, _, _, tb) =
+    compare (ta, List.length sa, sa) (tb, List.length sb, sb)
+  in
+  ignore
+    (Lime_support.Beam.run ~cmp ~width:Search.default_width
+       ~levels:Search.default_depth ~expand ~best:base (base :: seeds));
+  {
+    evals = !evals;
+    attempts = !attempts;
+    pairs = Hashtbl.length pairs;
+    bodies = Hashtbl.length bodies;
+  }
+
+(* The memoized search's own account of its work, from its End event:
+   evals, then attempts, attempt hits and analyses. *)
+let search_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars =
+  let got = ref None in
+  Lime_support.Hooks.add Lime_support.Beam.hooks ~key:"test_rewrite"
+    (function
+    | "rewrite", Lime_support.Beam.End e ->
+        let arg name = int_of_string (List.assoc name e.args) in
+        got :=
+          Some
+            (e.evals, arg "attempts", arg "attempt_hits", arg "analyses")
+    | _ -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      Lime_support.Hooks.remove Lime_support.Beam.hooks "test_rewrite")
+    (fun () -> ignore (Search.search d k ~shapes ~scalars));
+  Option.get !got
+
+let test_search_work_once_per_body () =
+  List.iter
+    (fun (b : B.t) ->
+      let p = E.prepare ~seed:1 b in
+      let k = p.E.p_compiled.Pipeline.cp_kernel in
+      let shapes = p.E.p_shapes and scalars = p.E.p_scalars in
+      List.iter
+        (fun (d : Device.t) ->
+          let what = Printf.sprintf "%s on %s" b.B.name d.Device.name in
+          let want = unmemoized_work d k ~shapes ~scalars in
+          let evals, attempts, hits, analyses =
+            search_work d k ~shapes ~scalars
+          in
+          Alcotest.(check int) (what ^ ": evaluations") want.evals evals;
+          Alcotest.(check int)
+            (what ^ ": one attempt per (body, step)")
+            want.pairs attempts;
+          Alcotest.(check int)
+            (what ^ ": every other attempt a hit")
+            (want.attempts - want.pairs) hits;
+          Alcotest.(check int)
+            (what ^ ": one analysis per body")
+            want.bodies analyses)
+        Device.all)
+    Registry.workloads
+
+let test_mosaic_gtx580_work () =
+  match Registry.find "Mosaic" with
+  | None -> Alcotest.fail "Mosaic missing from the registry"
+  | Some b ->
+      let p = E.prepare ~seed:1 b in
+      let work =
+        search_work Device.gtx580 p.E.p_compiled.Pipeline.cp_kernel
+          ~shapes:p.E.p_shapes ~scalars:p.E.p_scalars
+      in
+      Alcotest.(check (list int))
+        "evals, attempts, attempt hits, analyses" [ 145; 144; 216; 51 ]
+        (let e, a, h, n = work in
+         [ e; a; h; n ])
+
+(* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -444,6 +590,10 @@ let () =
             test_beam_at_least_fig8_everywhere;
           Alcotest.test_case "golden table, registry x devices" `Slow
             test_golden_search_table;
+          Alcotest.test_case "once per (body, step) and per body" `Slow
+            test_search_work_once_per_body;
+          Alcotest.test_case "Mosaic on GTX 580 work" `Quick
+            test_mosaic_gtx580_work;
           Alcotest.test_case "replay reproduces the best" `Quick
             test_replay_reproduces_search_best;
           Alcotest.test_case "stale schedule rejected" `Quick
