@@ -167,6 +167,72 @@ let test_all_benchmarks_generate () =
         ])
     Lime_benchmarks.Registry.workloads
 
+(* ------------------------------------------------------------------ *)
+(* Printer pin: one MD5 over every text the printer makes               *)
+(* ------------------------------------------------------------------ *)
+
+(* The OpenCL text and Clcheck report of: every registry workload at both
+   scales under the nine configurations (Fig 8 plus All); each worker of
+   the first 200 generated programs under All; and each single catalog
+   rewrite that applies to a registry kernel, printed through
+   [Pipeline.reschedule].  Any byte the printer changes changes the MD5. *)
+let printer_digest = "1dcbe5a13418ed9ee70fa4f323e6dd49"
+
+let add_text b label cl =
+  Printf.bprintf b "== %s\n%s%s\n" label cl
+    (Lime_gpu.Clcheck.report (Lime_gpu.Clcheck.check cl))
+
+let test_printer_pin () =
+  let module P = Lime_gpu.Pipeline in
+  let module Rewrite = Lime_rewrite.Rewrite in
+  let b = Buffer.create (1 lsl 20) in
+  let configs = Memopt.fig8_configs @ [ ("All", Memopt.config_all) ] in
+  List.iter
+    (fun (w : Lime_benchmarks.Bench_def.t) ->
+      List.iter
+        (fun (scale, source) ->
+          let c = P.compile ~worker:w.worker source in
+          List.iter
+            (fun (cname, cfg) ->
+              add_text b
+                (Printf.sprintf "%s@%s / %s" w.name scale cname)
+                (P.reoptimize c cfg).P.cp_opencl)
+            configs)
+        [ ("paper", w.source); ("small", w.source_small) ])
+    Lime_benchmarks.Registry.workloads;
+  List.iteri
+    (fun i p ->
+      let source = Lime_fuzz.Gen.to_source p in
+      List.iter
+        (fun worker ->
+          let label = Printf.sprintf "gen#%d/%s" i worker in
+          match P.compile ~config:Memopt.config_all ~worker source with
+          | c -> add_text b label c.P.cp_opencl
+          | exception e ->
+              Printf.bprintf b "== %s\nraised %s\n" label (Printexc.to_string e))
+        (Lime_fuzz.Gen.workers p))
+    (Lime_fuzz.Gen.corpus ~seed:0 200);
+  List.iter
+    (fun (w : Lime_benchmarks.Bench_def.t) ->
+      let c = Lime_benchmarks.Registry.compile_small w in
+      let st0 = Rewrite.initial c.P.cp_kernel in
+      List.iter
+        (fun (step : Rewrite.step) ->
+          match Rewrite.apply_step step st0 with
+          | Error _ -> ()
+          | Ok st ->
+              let r =
+                P.reschedule c ~schedule:[ step.Rewrite.name ]
+                  st.Rewrite.st_kernel st.Rewrite.st_config
+              in
+              add_text b
+                (Printf.sprintf "%s / %s" w.name step.Rewrite.name)
+                r.P.cp_opencl)
+        Rewrite.catalog)
+    Lime_benchmarks.Registry.workloads;
+  Alcotest.(check string) "digest" printer_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   Alcotest.run "opencl"
     [
@@ -186,5 +252,9 @@ let () =
             test_parallel_reduction_kernel;
           Alcotest.test_case "all benchmarks generate" `Quick
             test_all_benchmarks_generate;
+        ] );
+      ( "printer",
+        [
+          Alcotest.test_case "printer pin" `Quick test_printer_pin;
         ] );
     ]
