@@ -214,6 +214,25 @@ if grep -n -e 'Value\.\(f32\|i32\)\b' -e 'open Value\b' -e 'Value\.(' \
   exit 1
 fi
 
+echo "== one buffer printer =="
+# lib/core/opencl.ml prints straight into the one Buffer.t its state
+# carries, in time linear in its output: no emitter formats a string
+# (float_lit's "%.9g" alone defines the literal text), and only the facts
+# builder make_gen walks the kernel body (tail_return_only counts the
+# returns of one inline block)
+if grep -n -e 'printf' -e 'Fmt\.' -e 'Format\.' lib/core/opencl.ml \
+     | grep -v 'Printf\.sprintf "%\.9g" f in$'; then
+  echo "FAIL: a formatted string in lib/core/opencl.ml; append to the printer's buffer"
+  exit 1
+fi
+if awk '/^(let|and) /{f=$2; if (f == "rec") f=$3}
+        /iter_stmt/ && f != "make_gen" && f != "tail_return_only" \
+          {print FILENAME":"FNR": "$0; bad=1}
+        END {exit !bad}' lib/core/opencl.ml; then
+  echo "FAIL: a kernel-body walk outside Opencl.make_gen; read the per-kernel facts"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 

@@ -187,21 +187,26 @@ let check_float_literals (toks : ltok list) : issue list =
       | _ -> None)
     toks
 
-(** The OpenCL C vocabulary the generated code may rely on without
-    declaring. *)
+(* The OpenCL C vocabulary the generated code may rely on without
+   declaring.  A type word also declares the identifier after it. *)
+type word = Type | Builtin
+
+let type_words =
+  [
+    "void"; "char"; "uchar"; "short"; "ushort"; "int"; "uint"; "long";
+    "ulong"; "float"; "double"; "bool"; "float2"; "float4"; "float8";
+    "float16"; "double2"; "double4"; "int2"; "int4"; "image2d_t";
+    "sampler_t"; "struct"; "size_t"; "ushort2"; "ushort4";
+  ]
+
 let builtin_words =
   [
-    (* types *)
-    "void"; "char"; "uchar"; "short"; "ushort"; "int"; "uint"; "long";
-    "ulong"; "float"; "double"; "bool"; "size_t";
-    "float2"; "float4"; "float8"; "float16"; "double2"; "double4";
-    "int2"; "int4"; "int8"; "int16"; "char2"; "char4"; "char8";
-    "ushort2"; "ushort4"; "long2"; "long4";
-    "image2d_t"; "sampler_t";
+    (* types without a declarator role *)
+    "int8"; "int16"; "char2"; "char4"; "char8"; "long2"; "long4";
     (* qualifiers / keywords *)
     "__kernel"; "__global"; "__local"; "__constant"; "__private";
     "__read_only"; "__write_only"; "restrict"; "const"; "typedef";
-    "struct"; "return"; "if"; "else"; "for"; "while"; "do"; "break";
+    "return"; "if"; "else"; "for"; "while"; "do"; "break";
     "continue"; "sizeof"; "static"; "inline"; "define"; "pragma";
     "OPENCL"; "EXTENSION"; "cl_khr_fp64"; "enable";
     (* work-item functions *)
@@ -220,27 +225,25 @@ let builtin_words =
     "vload2"; "vload4"; "vload8"; "vstore2"; "vstore4";
   ]
 
+(* built once: every check reads it, none writes it *)
+let vocabulary : (string, word) Hashtbl.t =
+  let t = Hashtbl.create 128 in
+  List.iter (fun w -> Hashtbl.replace t w Builtin) builtin_words;
+  List.iter (fun w -> Hashtbl.replace t w Type) type_words;
+  t
+
 (** Declare-before-use over a simplified model: any identifier that appears
     immediately after a type-ish word (or in a parameter list) counts as a
     declaration; struct field names after '.' and the [args.] fields are
     exempt. *)
 let check_declared_before_use (toks : ltok list) : issue list =
   let declared : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun w -> Hashtbl.replace declared w ()) builtin_words;
   let issues = ref [] in
-  let type_words =
-    [
-      "void"; "char"; "uchar"; "short"; "ushort"; "int"; "uint"; "long";
-      "ulong"; "float"; "double"; "bool"; "float2"; "float4"; "float8";
-      "float16"; "double2"; "double4"; "int2"; "int4"; "image2d_t";
-      "sampler_t"; "struct"; "size_t"; "ushort2"; "ushort4";
-    ]
-  in
   let rec scan prev = function
     | [] -> ()
     | { t = Ident id; line } :: rest ->
         (match prev with
-        | Some (Ident tw) when List.mem tw type_words ->
+        | Some (Ident tw) when Hashtbl.find_opt vocabulary tw = Some Type ->
             Hashtbl.replace declared id ()
         | Some (Ident ("define" | "restrict")) ->
             (* macro definitions and the final name of a pointer parameter *)
@@ -259,7 +262,9 @@ let check_declared_before_use (toks : ltok list) : issue list =
         | _ ->
             if String.length id > 6 && String.sub id 0 6 = "KArgs_" then
               Hashtbl.replace declared id ()
-            else if not (Hashtbl.mem declared id) then
+            else if
+              not (Hashtbl.mem vocabulary id || Hashtbl.mem declared id)
+            then
               issues :=
                 {
                   is_line = line;

@@ -24,51 +24,88 @@
 module Ir = Lime_ir.Ir
 module B = Lime_typecheck.Tast
 
-let buf_add = Buffer.add_string
-
+(* The printer writes every byte straight into [b]; no emitter builds an
+   intermediate string.  The lookup tables are built once per [generate]
+   (see [make_gen]), so each emitted reference costs a hash lookup, never
+   a walk of the kernel body. *)
 type gen = {
   b : Buffer.t;
   mutable indent : int;
-  placements : (string * Ir.placement) list;
   kernel : Kernel.kernel;
+  placements : (string * Ir.placement) list;
+      (** decision order: the samplers and the local staging follow it *)
+  placement_of : (string, Ir.placement) Hashtbl.t;
+  param_ty : (string, Ir.ty) Hashtbl.t;
+  body_aty : (string, Ir.aty) Hashtbl.t;
+      (** arrays declared in the kernel body; the last declaration wins *)
+  literal_arrays : (string, unit) Hashtbl.t;
+      (** names whose single assignment is an array literal *)
   (* view variables: name -> (root, prefix index exprs) *)
   views : (string, string * Ir.expr list) Hashtbl.t;
   materialized : (string, unit) Hashtbl.t;
       (** view variables that exist as C registers/pointers *)
-  mutable out_var : string option;
+  out_var : string option;
       (** IR variable aliased to the [_out] kernel parameter *)
-  mutable local_decls : string list;  (** __local declarations to hoist *)
-  mutable uses_image_sampler : bool;
   mutable in_parfor : bool;  (** inside the NDRange thread loop *)
 }
 
-(** C name of a root array, mapping the map-output variable to [_out]. *)
-let root_cname g root =
+let add g s = Buffer.add_string g.b s
+let add_char g c = Buffer.add_char g.b c
+(* most printed integers are single-digit indices, which need no
+   [string_of_int] *)
+let add_int g i =
+  if i >= 0 && i < 10 then Buffer.add_char g.b (Char.unsafe_chr (48 + i))
+  else Buffer.add_string g.b (string_of_int i)
+
+(** An IR name as a C identifier: temporaries look like [%name7]. *)
+let add_cname g s =
+  String.iter
+    (fun c -> Buffer.add_char g.b (if c = '%' || c = '$' then '_' else c))
+    s
+
+(** The C name of a root array, mapping the map-output variable to [_out]. *)
+let add_root g root =
   match g.out_var with
-  | Some v when v = root -> "_out"
-  | _ ->
-      String.map (fun c -> if c = '%' || c = '$' then '_' else c) root
+  | Some v when v = root -> add g "_out"
+  | _ -> add_cname g root
+
+(* A line is its indentation, then appends, then [eol]. *)
+let bol g =
+  for _ = 1 to g.indent do
+    add g "  "
+  done
+
+let eol g s =
+  add g s;
+  add_char g '\n'
+
+let line g s =
+  bol g;
+  eol g s
+
+(* [f] over [xs] with [sep] between *)
+let add_sep g sep f xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then add g sep;
+      f x)
+    xs
 
 let placement g name =
   (* resolve views to their root array's placement *)
   let root =
     match Hashtbl.find_opt g.views name with Some (r, _) -> r | None -> name
   in
-  match List.assoc_opt root g.placements with
+  match Hashtbl.find_opt g.placement_of root with
   | Some p -> p
   | None -> Ir.default_placement
 
-let line g fmt =
-  Printf.ksprintf
-    (fun s ->
-      buf_add g.b (String.make (2 * g.indent) ' ');
-      buf_add g.b s;
-      buf_add g.b "\n")
-    fmt
-
-let cname s =
-  (* IR temporaries look like %name7; make them C identifiers *)
-  String.map (fun c -> if c = '%' || c = '$' then '_' else c) s
+(** The array type of [root]: a kernel parameter's, else a body
+    declaration's. *)
+let array_aty g root : Ir.aty option =
+  match Hashtbl.find_opt g.param_ty root with
+  | Some (Ir.TArr a) -> Some a
+  | _ -> Hashtbl.find_opt g.body_aty root
 
 let scalar_c = function
   | Ir.SInt -> "int"
@@ -79,8 +116,9 @@ let scalar_c = function
   | Ir.SBool -> "int"
   | Ir.SChar -> "ushort"
 
-let vec_c s w =
-  if w = 1 then scalar_c s else Printf.sprintf "%s%d" (scalar_c s) w
+let add_vec g s w =
+  add g (scalar_c s);
+  if w <> 1 then add_int g w
 
 let space_qualifier = function
   | Ir.MGlobal -> "__global"
@@ -94,23 +132,30 @@ let space_qualifier = function
 (* Array layout: flat index computation                                *)
 (* ------------------------------------------------------------------ *)
 
-(** The length of dimension [d] of root array [name]: a constant when the
+(** The length of dimension [d] of root array [root]: a constant when the
     dimension is fixed, otherwise a field of the args struct. *)
-let dim_len_c disp (aty : Ir.aty) d =
+let add_dim_len g root (aty : Ir.aty) d =
   match List.nth aty.Ir.dims d with
-  | Ir.DFixed n -> string_of_int n
-  | Ir.DDyn -> Printf.sprintf "args.%s_len%d" disp d
+  | Ir.DFixed n -> add_int g n
+  | Ir.DDyn ->
+      add g "args.";
+      add_root g root;
+      add g "_len";
+      add_int g d
 
-(** Row stride (in elements) below dimension [d]; vectorized arrays drop the
+(** The dimensions whose lengths make up the row stride below dimension
+    [d], in printed order (innermost first); vectorized arrays drop the
     innermost dimension into the element type. *)
-let stride_c disp (aty : Ir.aty) ~vector_width d =
+let stride_dims (aty : Ir.aty) ~vector_width d =
   let ndims = List.length aty.Ir.dims in
   let last = if vector_width > 1 then ndims - 1 else ndims in
-  let factors = ref [] in
-  for k = d + 1 to last - 1 do
-    factors := dim_len_c disp aty k :: !factors
-  done;
-  match !factors with [] -> "1" | fs -> String.concat " * " fs
+  List.init (max 0 (last - 1 - d)) (fun i -> last - 1 - i)
+
+(* a stride that prints as "1": no factor, or the single factor 1 *)
+let unit_stride (aty : Ir.aty) = function
+  | [] -> true
+  | [ k ] -> List.nth aty.Ir.dims k = Ir.DFixed 1
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
@@ -146,234 +191,276 @@ let intrinsic_c (b : B.builtin) (s : Ir.scalar) =
   | B.BRsqrt -> native "rsqrt"
   | B.BRange | B.BToValue | B.BPrint -> "/*unsupported*/"
 
-let root_aty g root : Ir.aty option =
-  match List.assoc_opt root g.kernel.Kernel.k_params with
-  | Some (Ir.TArr a) -> Some a
-  | _ -> None
+(** Vector component [c]: [.x]–[.w], or [.s0]–[.sf] past four lanes. *)
+let add_lane g ~wide c =
+  if wide then begin
+    add_char g 's';
+    add_char g "0123456789abcdef".[c land 15]
+  end
+  else add g [| "x"; "y"; "z"; "w" |].(c land 3)
 
-let rec expr_c g (e : Ir.expr) : string =
+(* the element type of an array the printer knows nothing about *)
+let unknown_aty = { Ir.elem = Ir.SFloat; dims = [ Ir.DDyn ]; value = false }
+
+let rec expr g (e : Ir.expr) : unit =
   match e with
-  | Ir.Const (Ir.CInt i) -> string_of_int i
-  | Ir.Const (Ir.CLong l) -> Int64.to_string l ^ "L"
-  | Ir.Const (Ir.CFloat f) -> float_lit f ^ "f"
-  | Ir.Const (Ir.CDouble d) -> float_lit d
-  | Ir.Const (Ir.CBool b) -> if b then "1" else "0"
-  | Ir.Var v -> cname v
+  | Ir.Const (Ir.CInt i) -> add_int g i
+  | Ir.Const (Ir.CLong l) ->
+      add g (Int64.to_string l);
+      add_char g 'L'
+  | Ir.Const (Ir.CFloat f) ->
+      add g (float_lit f);
+      add_char g 'f'
+  | Ir.Const (Ir.CDouble d) -> add g (float_lit d)
+  | Ir.Const (Ir.CBool b) -> add_char g (if b then '1' else '0')
+  | Ir.Var v -> add_cname g v
   | Ir.Bin (Lime_frontend.Ast.Ushr, s, a, b) ->
-      let u = match s with Ir.SLong -> "ulong" | _ -> "uint" in
-      Printf.sprintf "((%s)((%s)%s >> %s))" (scalar_c s) u (expr_c g a)
-        (expr_c g b)
+      add g "((";
+      add g (scalar_c s);
+      add g (match s with Ir.SLong -> ")((ulong)" | _ -> ")((uint)");
+      expr g a;
+      add g " >> ";
+      expr g b;
+      add g "))"
   | Ir.Bin (op, _, a, b) ->
-      Printf.sprintf "(%s %s %s)" (expr_c g a) (binop_c op) (expr_c g b)
+      add_char g '(';
+      expr g a;
+      add_char g ' ';
+      add g (binop_c op);
+      add_char g ' ';
+      expr g b;
+      add_char g ')'
   | Ir.Un (op, _, a) ->
-      Printf.sprintf "(%s%s)" (Lime_frontend.Ast.unop_name op) (expr_c g a)
-  | Ir.Cast (d, _, a) -> Printf.sprintf "((%s)%s)" (scalar_c d) (expr_c g a)
+      add_char g '(';
+      add g (Lime_frontend.Ast.unop_name op);
+      expr g a;
+      add_char g ')'
+  | Ir.Cast (d, _, a) ->
+      add g "((";
+      add g (scalar_c d);
+      add_char g ')';
+      expr g a;
+      add_char g ')'
   | Ir.Load (Ir.Var v, idx) when Hashtbl.mem g.materialized v ->
       view_access g v idx
-  | Ir.Load (b, idx) -> load_c g b idx
+  | Ir.Load (b, idx) -> (
+      match Access.resolve g.views b idx with
+      | None -> add g "/*load?*/0"
+      | Some (root, full) -> access g root full)
   | Ir.Len (a, d) -> (
       match Access.resolve g.views a [] with
       | Some (root, _) -> (
-          match root_aty g root with
-          | Some aty -> dim_len_c (root_cname g root) aty d
-          | None -> (
-              (* not a kernel parameter: a body-declared intermediate (whose
-                 dynamic lengths are args-struct fields, like the scratch
-                 buffers) or the _out alias *)
-              match local_array_aty g root with
-              | Some aty -> dim_len_c (root_cname g root) aty d
-              | None -> Printf.sprintf "args.%s_len%d" (root_cname g root) d))
-      | None -> "/*len?*/0")
+          (* a kernel parameter, or a body-declared intermediate whose
+             dynamic lengths are args-struct fields like the scratch
+             buffers'; else the _out alias *)
+          match array_aty g root with
+          | Some aty -> add_dim_len g root aty d
+          | None ->
+              add g "args.";
+              add_root g root;
+              add g "_len";
+              add_int g d)
+      | None -> add g "/*len?*/0")
   | Ir.Intrinsic (b, s, args) ->
-      Printf.sprintf "%s(%s)" (intrinsic_c b s)
-        (String.concat ", " (List.map (expr_c g) args))
+      add g (intrinsic_c b s);
+      add_char g '(';
+      add_sep g ", " (expr g) args;
+      add_char g ')'
   | Ir.This | Ir.CallF _ | Ir.CallM _ | Ir.FieldGet _ | Ir.StaticGet _
   | Ir.NewObj _ | Ir.RangeE _ | Ir.ToValueE _ | Ir.TaskE _ | Ir.ConnectE _ ->
-      "/*non-kernel-expr*/0"
-  | Ir.NewArr _ | Ir.ArrLit _ -> "/*array-expr*/0"
-
-(** Emit an array access.  Behaviour depends on the root's placement:
-    - vectorized: a full access becomes [.sN] component selection on the
-      loaded vector; a row access loads the whole vector;
-    - image: [read_imagef(tex, smp, (int2)(x, 0))];
-    - otherwise: flat pointer indexing with explicit strides. *)
-and load_c g (base : Ir.expr) (idx : Ir.expr list) : string =
-  match Access.resolve g.views base idx with
-  | None -> "/*load?*/0"
-  | Some (root, full) -> access_c g root full
+      add g "/*non-kernel-expr*/0"
+  | Ir.NewArr _ | Ir.ArrLit _ -> add g "/*array-expr*/0"
 
 (** Access through a *materialized* view: a vector register ([float4 q])
     gets component selection; a pointer view gets direct indexing.  Deeper
     accesses fall back to the root array. *)
-and view_access g v (idx : Ir.expr list) : string =
+and view_access g v (idx : Ir.expr list) : unit =
   let root =
     match Hashtbl.find_opt g.views v with Some (r, _) -> r | None -> v
   in
   let p = placement g root in
   let vector_register = p.Ir.space = Ir.MImage || p.Ir.vector_width > 1 in
   match idx with
-  | [] -> cname v
-  | [ i ] when vector_register -> (
-      match i with
-      | Ir.Const (Ir.CInt c) ->
-          let comp =
-            if p.Ir.vector_width > 4 then Printf.sprintf "s%x" (c land 15)
-            else [| "x"; "y"; "z"; "w" |].(c land 3)
-          in
-          Printf.sprintf "%s.%s" (cname v) comp
-      | e -> Printf.sprintf "%s[%s]" (cname v) (expr_c g e))
-  | [ i ] -> Printf.sprintf "%s[%s]" (cname v) (expr_c g i)
+  | [] -> add_cname g v
+  | [ Ir.Const (Ir.CInt c) ] when vector_register ->
+      add_cname g v;
+      add_char g '.';
+      add_lane g ~wide:(p.Ir.vector_width > 4) c
+  | [ i ] ->
+      add_cname g v;
+      add_char g '[';
+      expr g i;
+      add_char g ']'
   | _ -> (
       match Access.resolve g.views (Ir.Var v) idx with
-      | Some (root, full) -> access_c g root full
-      | None -> "/*view?*/0")
+      | Some (root, full) -> access g root full
+      | None -> add g "/*view?*/0")
 
-and access_c g root (full : Ir.expr list) : string =
+(** Emit an array access.  Behaviour depends on the root's placement:
+    - vectorized: a full access becomes [.sN] component selection on the
+      loaded vector; a row access loads the whole vector;
+    - image: [read_imagef(tex, smp, (int2)(x, 0))];
+    - otherwise: flat pointer indexing with explicit strides. *)
+and access g root (full : Ir.expr list) : unit =
   let p = placement g root in
-  let aty =
-    match root_aty g root with
-    | Some a -> a
-    | None -> (
-        (* locally declared array: private/local; treat dims as fixed *)
-        match local_array_aty g root with
-        | Some a -> a
-        | None -> { Ir.elem = Ir.SFloat; dims = [ Ir.DDyn ]; value = false })
-  in
+  (* a locally declared array is private/local: its dims are fixed *)
+  let aty = Option.value (array_aty g root) ~default:unknown_aty in
   let ndims = List.length aty.Ir.dims in
   let nidx = List.length full in
+  let lane ~wide = selected_lane g (List.nth full (nidx - 1)) ~wide in
   if p.Ir.space = Ir.MImage then begin
-    g.uses_image_sampler <- true;
     (* 1-D image indexing: coordinate x = row index; the texel packs the
        innermost dimension (paper: index x maps to (x, 0)) *)
-    let row_idx =
-      match full with
-      | i :: _ -> expr_c g i
-      | [] -> "0"
-    in
-    let texel =
-      Printf.sprintf "read_imagef(%s, %s_smp, (int2)(%s, 0))"
-        (root_cname g root) (root_cname g root) row_idx
-    in
-    if nidx = ndims then
-      let comp =
-        match List.nth full (nidx - 1) with
-        | Ir.Const (Ir.CInt c) -> [| "x"; "y"; "z"; "w" |].(c land 3)
-        | e -> Printf.sprintf "[%s]" (expr_c g e)
-      in
-      Printf.sprintf "%s.%s" texel comp
-    else texel
+    add g "read_imagef(";
+    add_root g root;
+    add g ", ";
+    add_root g root;
+    add g "_smp, (int2)(";
+    (match full with i :: _ -> expr g i | [] -> add_char g '0');
+    add g ", 0))";
+    if nidx = ndims then lane ~wide:false
   end
   else if p.Ir.vector_width > 1 then begin
     (* innermost dim folded into the vector element type *)
     let lead = List.filteri (fun i _ -> i < ndims - 1) full in
-    let flat = flat_index_c g root aty ~vector_width:p.Ir.vector_width lead in
-    if nidx = ndims then
-      let comp =
-        match List.nth full (nidx - 1) with
-        | Ir.Const (Ir.CInt c) ->
-            if p.Ir.vector_width <= 4 then [| "x"; "y"; "z"; "w" |].(c land 3)
-            else Printf.sprintf "s%x" (c land 15)
-        | e -> Printf.sprintf "[%s]" (expr_c g e)
-      in
-      Printf.sprintf "%s[%s].%s" (root_cname g root) flat comp
-    else Printf.sprintf "%s[%s]" (root_cname g root) flat
+    add_root g root;
+    add_char g '[';
+    flat_index g root aty ~vector_width:p.Ir.vector_width lead;
+    add_char g ']';
+    if nidx = ndims then lane ~wide:(p.Ir.vector_width > 4)
   end
+  else if nidx = ndims then element g root aty full
   else begin
-    let flat = flat_index_c g root aty ~vector_width:1 full in
-    if nidx = ndims then Printf.sprintf "%s[%s]" (root_cname g root) flat
-    else Printf.sprintf "(&%s[%s])" (root_cname g root) flat
+    add g "(&";
+    element g root aty full;
+    add_char g ')'
   end
 
-and flat_index_c g root (aty : Ir.aty) ~vector_width (idx : Ir.expr list) :
-    string =
+(* the component a full access selects: [.x], or [.[e]] *)
+and selected_lane g (e : Ir.expr) ~wide =
+  add_char g '.';
+  match e with
+  | Ir.Const (Ir.CInt c) -> add_lane g ~wide c
+  | e ->
+      add_char g '[';
+      expr g e;
+      add_char g ']'
+
+(* [root[flat index]] over scalar elements *)
+and element g root aty full =
+  add_root g root;
+  add_char g '[';
+  flat_index g root aty ~vector_width:1 full;
+  add_char g ']'
+
+and flat_index g root (aty : Ir.aty) ~vector_width (idx : Ir.expr list) :
+    unit =
   let padded = (placement g root).Ir.padded in
-  let terms =
-    List.mapi
+  if idx = [] then add_char g '0'
+  else
+    List.iteri
       (fun d i ->
-        let stride = stride_c (root_cname g root) aty ~vector_width d in
-        let stride =
+        if d > 0 then add g " + ";
+        expr g i;
+        let dims = stride_dims aty ~vector_width d in
+        if not (unit_stride aty dims) then begin
           (* bank-conflict padding widens the row stride by one element *)
-          if padded && stride <> "1" then Printf.sprintf "(%s + 1)" stride
-          else stride
-        in
-        if stride = "1" then expr_c g i
-        else Printf.sprintf "%s * %s" (expr_c g i) stride)
+          add g (if padded then " * (" else " * ");
+          add_sep g " * " (add_dim_len g root aty) dims;
+          if padded then add g " + 1)"
+        end)
       idx
+
+(** [a op b] for a reduce operator; [a] and [b] print the operands. *)
+let combine g op s a b =
+  let call f =
+    add g f;
+    add_char g '(';
+    a ();
+    add g ", ";
+    b ();
+    add_char g ')'
   in
-  match terms with [] -> "0" | ts -> String.concat " + " ts
-
-and local_array_aty g name : Ir.aty option =
-  (* find a declaration in the kernel body *)
-  let found = ref None in
-  List.iter
-    (Ir.iter_stmt
-       ~stmt:(fun s ->
-         match s with
-         | Ir.SDecl (v, Ir.TArr a, _) when v = name -> found := Some a
-         | _ -> ())
-       ~expr:(fun _ -> ()))
-    g.kernel.Kernel.k_body;
-  !found
-
-(* [name]'s single assignment is an array literal: a plain assignment,
-   or the return of the inline block it is the result of *)
-and assigned_array_literal g name : bool =
-  let found = ref false in
-  let iter stmt = List.iter (Ir.iter_stmt ~stmt ~expr:ignore) in
-  iter
-    (function
-      | Ir.SAssign (Ir.LVar v, Ir.ArrLit _) when v = name -> found := true
-      | Ir.SInlineBlock (v, b) when v = name ->
-          iter
-            (function
-              | Ir.SReturn (Some (Ir.ArrLit _)) -> found := true | _ -> ())
-            b
-      | _ -> ())
-    g.kernel.Kernel.k_body;
-  !found
+  match op with
+  | B.RO_Binop bop ->
+      a ();
+      add_char g ' ';
+      add g (binop_c bop);
+      add_char g ' ';
+      b ()
+  | B.RO_Builtin bi -> call (intrinsic_c bi s)
+  | B.RO_Method (c, m) -> call (c ^ "_" ^ m)
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec stmt_c g (s : Ir.stmt) : unit =
+let rec stmt g (s : Ir.stmt) : unit =
   match s with
-  | Ir.SDecl (v, t, init) -> decl_c g v t init
+  | Ir.SDecl (v, t, init) -> decl g v t init
   | Ir.SAssign (Ir.LVar v, Ir.NewArr _) ->
-      line g "/* %s: allocated by the host (deferred sizing) */" (cname v)
-  | Ir.SAssign (Ir.LVar v, e) -> assign_c g v e
-  | Ir.SAssign (_, e) -> line g "/* non-kernel assign */ (void)(%s);" (expr_c g e)
+      bol g;
+      add g "/* ";
+      add_cname g v;
+      eol g ": allocated by the host (deferred sizing) */"
+  | Ir.SAssign (Ir.LVar v, e) -> assign g v e
+  | Ir.SAssign (_, e) ->
+      bol g;
+      add g "/* non-kernel assign */ (void)(";
+      expr g e;
+      eol g ");"
   | Ir.SArrStore (b, idx, v) -> (
       match Access.resolve g.views b idx with
-      | Some (root, full) -> store_c g root full v
+      | Some (root, full) -> store g root full v
       | None -> line g "/* unresolved store */;")
-  | Ir.SIf (c, a, []) ->
-      line g "if (%s) {" (expr_c g c);
-      indented g (fun () -> List.iter (stmt_c g) a);
-      line g "}"
   | Ir.SIf (c, a, b) ->
-      line g "if (%s) {" (expr_c g c);
-      indented g (fun () -> List.iter (stmt_c g) a);
-      line g "} else {";
-      indented g (fun () -> List.iter (stmt_c g) b);
+      bol g;
+      add g "if (";
+      expr g c;
+      eol g ") {";
+      block g a;
+      if b <> [] then begin
+        line g "} else {";
+        block g b
+      end;
       line g "}"
   | Ir.SWhile (c, b) ->
-      line g "while (%s) {" (expr_c g c);
-      indented g (fun () -> List.iter (stmt_c g) b);
+      bol g;
+      add g "while (";
+      expr g c;
+      eol g ") {";
+      block g b;
       line g "}"
   | Ir.SFor (v, lo, hi, b) ->
-      line g "for (int %s = %s; %s < %s; %s++) {" (cname v) (expr_c g lo)
-        (cname v) (expr_c g hi) (cname v);
-      indented g (fun () -> List.iter (stmt_c g) b);
+      bol g;
+      add g "for (int ";
+      add_cname g v;
+      add g " = ";
+      expr g lo;
+      add g "; ";
+      add_cname g v;
+      add g " < ";
+      expr g hi;
+      add g "; ";
+      add_cname g v;
+      eol g "++) {";
+      block g b;
       line g "}"
   | Ir.SParFor p ->
       (* the robust thread loop of Fig 4 *)
-      line g "for (int %s = get_global_id(0); %s < %s; %s += get_global_size(0)) {"
-        (cname p.Ir.pf_var) (cname p.Ir.pf_var) (expr_c g p.Ir.pf_count)
-        (cname p.Ir.pf_var);
+      bol g;
+      add g "for (int ";
+      add_cname g p.Ir.pf_var;
+      add g " = get_global_id(0); ";
+      add_cname g p.Ir.pf_var;
+      add g " < ";
+      expr g p.Ir.pf_count;
+      add g "; ";
+      add_cname g p.Ir.pf_var;
+      eol g " += get_global_size(0)) {";
       let saved = g.in_parfor in
       g.in_parfor <- true;
-      indented g (fun () -> List.iter (stmt_c g) p.Ir.pf_body);
+      block g p.Ir.pf_body;
       g.in_parfor <- saved;
       line g "}"
   | Ir.SReduce r when not g.in_parfor ->
@@ -381,102 +468,127 @@ let rec stmt_c g (s : Ir.stmt) : unit =
          reduction" (§4.1) — emit the classic two-stage tree: grid-stride
          per-thread accumulation, then a local-memory tree per work group;
          the host combines the per-group partials *)
-      emit_tree_reduction g r
+      tree_reduction g r
   | Ir.SReduce r ->
       (* per-thread (nested) reduce: a sequential combine in-thread *)
       let arr = r.Ir.rd_arr in
-      let n =
-        match Access.resolve g.views arr [] with
-        | Some (root, _) -> (
-            match root_aty g root with
-            | Some aty -> dim_len_c (root_cname g root) aty 0
-            | None -> (
-                match local_array_aty g root with
-                | Some aty -> dim_len_c (root_cname g root) aty 0
-                | None -> "/*n*/0"))
-        | None -> "/*n*/0"
-      in
-      line g "%s = %s;" (cname r.Ir.rd_dst)
-        (expr_c g (Ir.Load (arr, [ Ir.Const (Ir.CInt 0) ])));
-      line g "for (int _r = 1; _r < %s; _r++) {" n;
-      indented g (fun () ->
-          let elem = expr_c g (Ir.Load (arr, [ Ir.Var "_r" ])) in
-          line g "%s = %s;" (cname r.Ir.rd_dst)
-            (combine_c () r.Ir.rd_op r.Ir.rd_scalar (cname r.Ir.rd_dst) elem));
+      bol g;
+      add_cname g r.Ir.rd_dst;
+      add g " = ";
+      expr g (Ir.Load (arr, [ Ir.Const (Ir.CInt 0) ]));
+      eol g ";";
+      bol g;
+      add g "for (int _r = 1; _r < ";
+      reduce_len g arr;
+      eol g "; _r++) {";
+      g.indent <- g.indent + 1;
+      bol g;
+      add_cname g r.Ir.rd_dst;
+      add g " = ";
+      combine g r.Ir.rd_op r.Ir.rd_scalar
+        (fun () -> add_cname g r.Ir.rd_dst)
+        (fun () -> expr g (Ir.Load (arr, [ Ir.Var "_r" ])));
+      eol g ";";
+      g.indent <- g.indent - 1;
       line g "}"
   | Ir.SInlineBlock (res, b) ->
       (* single-exit tail return: emit directly; otherwise do/while(0) *)
       if tail_return_only b then begin
         match List.rev b with
         | Ir.SReturn (Some e) :: rest ->
-            List.iter (stmt_c g) (List.rev rest);
-            assign_c g res e
-        | _ -> emit_dowhile g res b
+            List.iter (stmt g) (List.rev rest);
+            assign g res e
+        | _ -> dowhile g res b
       end
-      else emit_dowhile g res b
+      else dowhile g res b
   | Ir.SReturn (Some (Ir.Var v)) when g.out_var = Some v ->
       line g "/* result delivered in _out */"
   | Ir.SReturn (Some e) ->
-      line g "if (get_global_id(0) == 0) _out[0] = %s;" (expr_c g e)
+      bol g;
+      add g "if (get_global_id(0) == 0) _out[0] = ";
+      expr g e;
+      eol g ";"
   | Ir.SReturn None -> line g "return;"
-  | Ir.SExpr e -> line g "(void)(%s);" (expr_c g e)
+  | Ir.SExpr e ->
+      bol g;
+      add g "(void)(";
+      expr g e;
+      eol g ");"
   | Ir.SBreak -> line g "break;"
   | Ir.SContinue -> line g "continue;"
   | Ir.SFinish _ -> line g "/* finish: host-side */;"
 
-and combine_c _g op s a b =
-  match op with
-  | B.RO_Binop bop -> Printf.sprintf "%s %s %s" a (binop_c bop) b
-  | B.RO_Builtin bi -> Printf.sprintf "%s(%s, %s)" (intrinsic_c bi s) a b
-  | B.RO_Method (c, m) -> Printf.sprintf "%s_%s(%s, %s)" c m a b
+and block g (b : Ir.stmt list) =
+  g.indent <- g.indent + 1;
+  List.iter (stmt g) b;
+  g.indent <- g.indent - 1
 
-and emit_tree_reduction g (r : Ir.reduce) : unit =
+(* the length a reduce runs over: dimension 0 of its array *)
+and reduce_len g arr =
+  match Access.resolve g.views arr [] with
+  | Some (root, _) -> (
+      match array_aty g root with
+      | Some aty -> add_dim_len g root aty 0
+      | None -> add g "/*n*/0")
+  | None -> add g "/*n*/0"
+
+and tree_reduction g (r : Ir.reduce) : unit =
   let arr = r.Ir.rd_arr in
-  let n =
-    match Access.resolve g.views arr [] with
-    | Some (root, _) -> (
-        match root_aty g root with
-        | Some aty -> dim_len_c (root_cname g root) aty 0
-        | None -> (
-            match local_array_aty g root with
-            | Some aty -> dim_len_c (root_cname g root) aty 0
-            | None -> "/*n*/0"))
-    | None -> "/*n*/0"
-  in
   let ty = scalar_c r.Ir.rd_scalar in
-  let dst = cname r.Ir.rd_dst in
-  let elem_at i = expr_c g (Ir.Load (arr, [ Ir.Var i ])) in
+  let elem () = expr g (Ir.Load (arr, [ Ir.Var "%r" ])) in
+  let combine a b = combine g r.Ir.rd_op r.Ir.rd_scalar a b in
   line g "/* two-stage parallel reduction (inferred from '!') */";
-  line g "__local %s _partial[TILE];" ty;
+  bol g;
+  add g "__local ";
+  add g ty;
+  eol g " _partial[TILE];";
   line g "__local int _pvalid[TILE];";
   line g "int _lid = get_local_id(0);";
-  line g "%s _acc;" ty;
+  bol g;
+  add g ty;
+  eol g " _acc;";
   line g "int _has = 0;";
-  line g "for (int _r = get_global_id(0); _r < %s; _r += get_global_size(0)) {"
-    n;
-  indented g (fun () ->
-      line g "_acc = _has ? (%s) : %s;"
-        (combine_c () r.Ir.rd_op r.Ir.rd_scalar "_acc" (elem_at "%r"))
-        (elem_at "%r");
-      line g "_has = 1;");
+  bol g;
+  add g "for (int _r = get_global_id(0); _r < ";
+  reduce_len g arr;
+  eol g "; _r += get_global_size(0)) {";
+  g.indent <- g.indent + 1;
+  bol g;
+  add g "_acc = _has ? (";
+  combine (fun () -> add g "_acc") elem;
+  add g ") : ";
+  elem ();
+  eol g ";";
+  line g "_has = 1;";
+  g.indent <- g.indent - 1;
   line g "}";
   line g "_partial[_lid] = _acc;";
   line g "_pvalid[_lid] = _has;";
   line g "barrier(CLK_LOCAL_MEM_FENCE);";
   line g "for (int _s = get_local_size(0) / 2; _s > 0; _s >>= 1) {";
-  indented g (fun () ->
-      line g "if (_lid < _s && _pvalid[_lid + _s]) {";
-      indented g (fun () ->
-          line g "_partial[_lid] = _pvalid[_lid] ? (%s) : _partial[_lid + _s];"
-            (combine_c () r.Ir.rd_op r.Ir.rd_scalar "_partial[_lid]"
-               "_partial[_lid + _s]");
-          line g "_pvalid[_lid] = 1;");
-      line g "}";
-      line g "barrier(CLK_LOCAL_MEM_FENCE);");
+  g.indent <- g.indent + 1;
+  line g "if (_lid < _s && _pvalid[_lid + _s]) {";
+  g.indent <- g.indent + 1;
+  bol g;
+  add g "_partial[_lid] = _pvalid[_lid] ? (";
+  combine
+    (fun () -> add g "_partial[_lid]")
+    (fun () -> add g "_partial[_lid + _s]");
+  eol g ") : _partial[_lid + _s];";
+  line g "_pvalid[_lid] = 1;";
+  g.indent <- g.indent - 1;
+  line g "}";
+  line g "barrier(CLK_LOCAL_MEM_FENCE);";
+  g.indent <- g.indent - 1;
   line g "}";
   line g "/* one partial per work group; the host combines them */";
-  line g "%s = _partial[0];" dst;
-  line g "if (_lid == 0) { _out[get_group_id(0)] = %s; }" dst
+  bol g;
+  add_cname g r.Ir.rd_dst;
+  eol g " = _partial[0];";
+  bol g;
+  add g "if (_lid == 0) { _out[get_group_id(0)] = ";
+  add_cname g r.Ir.rd_dst;
+  eol g "; }"
 
 and tail_return_only (b : Ir.stmt list) : bool =
   (* true iff the only SReturn in the block is the final statement *)
@@ -484,131 +596,148 @@ and tail_return_only (b : Ir.stmt list) : bool =
   List.iter
     (Ir.iter_stmt
        ~stmt:(fun s -> match s with Ir.SReturn _ -> incr count | _ -> ())
-       ~expr:(fun _ -> ()))
+       ~expr:ignore)
     b;
   match List.rev b with
   | Ir.SReturn _ :: _ -> !count = 1
   | _ -> !count = 0
 
-and emit_dowhile g res b =
+and dowhile g res b =
   line g "do {";
-  indented g (fun () ->
-      List.iter
-        (fun s ->
-          match s with
-          | Ir.SReturn (Some e) ->
-              assign_c g res e;
-              line g "break;"
-          | s -> stmt_c g s)
-        b);
+  g.indent <- g.indent + 1;
+  List.iter
+    (fun s ->
+      match s with
+      | Ir.SReturn (Some e) ->
+          assign g res e;
+          line g "break;"
+      | s -> stmt g s)
+    b;
+  g.indent <- g.indent - 1;
   line g "} while (0);"
 
 (** Assign an expression to a named variable; array literals are expanded
     into per-component stores on the (private) destination array, and
     array-to-array assignment aliases the destination to the source (C has
     no array assignment; the IR guarantees single assignment for these). *)
-and assign_c g dst (e : Ir.expr) : unit =
+and assign g dst (e : Ir.expr) : unit =
   match e with
   | Ir.ArrLit (_, es) ->
       List.iteri
-        (fun i x -> line g "%s[%d] = %s;" (cname dst) i (expr_c g x))
+        (fun i x ->
+          bol g;
+          add_cname g dst;
+          add_char g '[';
+          add_int g i;
+          add g "] = ";
+          expr g x;
+          eol g ";")
         es
   | Ir.Var src when is_array_name g dst || is_array_name g src ->
       (match Hashtbl.find_opt g.views src with
       | Some entry -> Hashtbl.replace g.views dst entry
       | None -> Hashtbl.replace g.views dst (src, []));
-      line g "/* %s aliases %s */" (cname dst) (cname src)
-  | e -> line g "%s = %s;" (cname dst) (expr_c g e)
+      bol g;
+      add g "/* ";
+      add_cname g dst;
+      add g " aliases ";
+      add_cname g src;
+      eol g " */"
+  | e ->
+      bol g;
+      add_cname g dst;
+      add g " = ";
+      expr g e;
+      eol g ";"
 
-and is_array_name g v =
-  Hashtbl.mem g.views v || local_array_aty g v <> None
+and is_array_name g v = Hashtbl.mem g.views v || Hashtbl.mem g.body_aty v
 
-and indented g f =
-  g.indent <- g.indent + 1;
-  f ();
-  g.indent <- g.indent - 1
-
-and store_c g root (full : Ir.expr list) (v : Ir.expr) : unit =
-  let aty =
-    match root_aty g root with
-    | Some a -> a
-    | None -> (
-        match local_array_aty g root with
-        | Some a -> a
-        | None -> { Ir.elem = Ir.SFloat; dims = [ Ir.DDyn ]; value = false })
-  in
+and store g root (full : Ir.expr list) (v : Ir.expr) : unit =
+  let aty = Option.value (array_aty g root) ~default:unknown_aty in
   let ndims = List.length aty.Ir.dims in
   let nidx = List.length full in
-  if nidx = ndims then
-    let p = placement g root in
-    let lhs =
-      if p.Ir.vector_width > 1 then
-        access_c g root full (* component select works as lvalue *)
-      else
-        Printf.sprintf "%s[%s]" (root_cname g root)
-          (flat_index_c g root aty ~vector_width:1 full)
-    in
-    line g "%s = %s;" lhs (expr_c g v)
-  else begin
+  let p = placement g root in
+  if nidx = ndims then begin
+    bol g;
+    if p.Ir.vector_width > 1 then
+      access g root full (* component select works as lvalue *)
+    else element g root aty full;
+    add g " = ";
+    expr g v;
+    eol g ";"
+  end
+  else
     (* row store: copy elementwise (or as one vector when vectorized) *)
-    let p = placement g root in
-    let inner = List.nth_opt aty.Ir.dims (ndims - 1) in
-    match (p.Ir.vector_width > 1 && nidx = ndims - 1, inner) with
-    | true, Some (Ir.DFixed n) ->
-        let flat =
-          flat_index_c g root aty ~vector_width:p.Ir.vector_width full
-        in
-        line g "%s[%s] = %s;" (root_cname g root) flat (row_as_vector g v n p)
+    match (p.Ir.vector_width > 1 && nidx = ndims - 1,
+           List.nth_opt aty.Ir.dims (ndims - 1))
+    with
+    | true, Some (Ir.DFixed _) ->
+        bol g;
+        add_root g root;
+        add_char g '[';
+        flat_index g root aty ~vector_width:p.Ir.vector_width full;
+        add g "] = ";
+        row_as_vector g v p;
+        eol g ";"
     | _, Some (Ir.DFixed n) when n <= 8 ->
         for c = 0 to n - 1 do
-          let fullc = full @ [ Ir.Const (Ir.CInt c) ] in
-          let lhs =
-            Printf.sprintf "%s[%s]" (root_cname g root)
-              (flat_index_c g root aty ~vector_width:1 fullc)
-          in
-          line g "%s = %s;" lhs (row_component g v c)
+          bol g;
+          element g root aty (full @ [ Ir.Const (Ir.CInt c) ]);
+          add g " = ";
+          (match v with
+          | Ir.ArrLit (_, es) when c < List.length es -> expr g (List.nth es c)
+          | v -> expr g (Ir.Load (v, [ Ir.Const (Ir.CInt c) ])));
+          eol g ";"
         done
     | _, dim ->
         (* wide or dynamic rows copy with a loop rather than unrolling *)
-        let bound =
-          match dim with
-          | Some (Ir.DFixed n) -> string_of_int n
-          | _ -> dim_len_c (root_cname g root) aty (ndims - 1)
-        in
-        let fullc = full @ [ Ir.Var "%row_c" ] in
-        let lhs =
-          Printf.sprintf "%s[%s]" (root_cname g root)
-            (flat_index_c g root aty ~vector_width:1 fullc)
-        in
-        line g "for (int _row_c = 0; _row_c < %s; _row_c++) {" bound;
-        indented g (fun () -> line g "%s = %s;" lhs (row_var_component g v));
+        bol g;
+        add g "for (int _row_c = 0; _row_c < ";
+        (match dim with
+        | Some (Ir.DFixed n) -> add_int g n
+        | _ -> add_dim_len g root aty (ndims - 1));
+        eol g "; _row_c++) {";
+        g.indent <- g.indent + 1;
+        bol g;
+        element g root aty (full @ [ Ir.Var "%row_c" ]);
+        add g " = ";
+        (* through expr so view aliases and vector registers resolve *)
+        expr g (Ir.Load (v, [ Ir.Var "%row_c" ]));
+        eol g ";";
+        g.indent <- g.indent - 1;
         line g "}"
-  end
 
-(* row components go through expr_c so view aliases and vector registers
-   resolve correctly *)
-and row_var_component g (v : Ir.expr) : string =
-  expr_c g (Ir.Load (v, [ Ir.Var "%row_c" ]))
-
-(** Component [c] of a row value (a view variable or small private array). *)
-and row_component g (v : Ir.expr) c : string =
-  match v with
-  | Ir.ArrLit (_, es) when c < List.length es -> expr_c g (List.nth es c)
-  | v -> expr_c g (Ir.Load (v, [ Ir.Const (Ir.CInt c) ]))
-
-and row_as_vector g (v : Ir.expr) inner (p : Ir.placement) : string =
+and row_as_vector g (v : Ir.expr) (p : Ir.placement) : unit =
   let w = p.Ir.vector_width in
   match v with
   | Ir.ArrLit (aty, es) when List.length es = w ->
-      Printf.sprintf "(%s)(%s)"
-        (vec_c aty.Ir.elem w)
-        (String.concat ", " (List.map (expr_c g) es))
-  | Ir.Var name ->
-      Printf.sprintf "vload%d(0, %s)" w (cname name)
-  | e -> Printf.sprintf "vload%d(0, %s)" w (expr_c g e) |> fun s ->
-      ignore inner; s
+      add_char g '(';
+      add_vec g aty.Ir.elem w;
+      add g ")(";
+      add_sep g ", " (expr g) es;
+      add_char g ')'
+  | e ->
+      add g "vload";
+      add_int g w;
+      add g "(0, ";
+      expr g e;
+      add_char g ')'
 
-and decl_c g v (t : Ir.ty) (init : Ir.expr option) : unit =
+and decl g v (t : Ir.ty) (init : Ir.expr option) : unit =
+  (* [<ty> v], the start of a declaration line *)
+  let declare ty =
+    bol g;
+    add g ty;
+    add_char g ' ';
+    add_cname g v
+  in
+  (* [[n]<rest>] after a declarator, ending the line *)
+  let sized n rest =
+    add_char g '[';
+    add_int g n;
+    add_char g ']';
+    eol g rest
+  in
   match (t, init) with
   | Ir.TArr aty, Some (Ir.Load (b, idx)) -> (
       (* view declaration *)
@@ -617,62 +746,103 @@ and decl_c g v (t : Ir.ty) (init : Ir.expr option) : unit =
           Hashtbl.replace g.views v (root, prefix);
           Hashtbl.replace g.materialized v ();
           let p = placement g root in
+          bol g;
           if p.Ir.space = Ir.MImage then
             (* texel view: load the whole texel into a vector register *)
-            line g "float4 %s = %s;" (cname v) (access_c g root prefix)
-          else if p.Ir.vector_width > 1 then
-            line g "%s %s = %s;" (vec_c aty.Ir.elem p.Ir.vector_width)
-              (cname v) (access_c g root prefix)
+            add g "float4 "
+          else if p.Ir.vector_width > 1 then begin
+            add_vec g aty.Ir.elem p.Ir.vector_width;
+            add_char g ' '
+          end
           else begin
             (* pointer into the row *)
-            let q = space_qualifier p.Ir.space in
-            line g "%s const %s* %s = %s;" q (scalar_c aty.Ir.elem) (cname v)
-              (access_c g root prefix)
-          end
-      | None -> line g "/* unresolved view %s */" (cname v))
-  | Ir.TArr aty, Some (Ir.Var src) ->
+            add g (space_qualifier p.Ir.space);
+            add g " const ";
+            add g (scalar_c aty.Ir.elem);
+            add g "* "
+          end;
+          add_cname g v;
+          add g " = ";
+          access g root prefix;
+          eol g ";"
+      | None ->
+          bol g;
+          add g "/* unresolved view ";
+          add_cname g v;
+          eol g " */")
+  | Ir.TArr _, Some (Ir.Var src) -> (
       (* alias *)
-      (match Hashtbl.find_opt g.views src with
+      match Hashtbl.find_opt g.views src with
       | Some entry -> Hashtbl.replace g.views v entry
-      | None -> Hashtbl.replace g.views v (src, []));
-      ignore aty
-  | Ir.TArr aty, (Some (Ir.NewArr _) | None) when g.out_var = Some v ->
-      ignore aty (* the result array is the _out kernel parameter *)
+      | None -> Hashtbl.replace g.views v (src, []))
+  | Ir.TArr _, (Some (Ir.NewArr _) | None) when g.out_var = Some v ->
+      () (* the result array is the _out kernel parameter *)
   | Ir.TArr aty, None -> (
       (* an array variable bound later (e.g. an inline-block result): a
          small private one, or one filled by an array literal, is a real
          array; others alias their single assignment *)
       match ((placement g v).Ir.space, Ir.static_elem_count aty) with
       | space, Some n
-        when space = Ir.MPrivate || assigned_array_literal g v ->
-          line g "%s %s[%d];" (scalar_c aty.Ir.elem) (cname v) n
+        when space = Ir.MPrivate || Hashtbl.mem g.literal_arrays v ->
+          declare (scalar_c aty.Ir.elem);
+          sized n ";"
       | _ ->
-          line g "/* %s is bound by its single assignment below */" (cname v))
+          bol g;
+          add g "/* ";
+          add_cname g v;
+          eol g " is bound by its single assignment below */")
   | Ir.TArr aty, Some (Ir.NewArr _) -> (
       let p = placement g v in
+      let elem = scalar_c aty.Ir.elem in
       match (p.Ir.space, Ir.static_elem_count aty) with
       | Ir.MPrivate, Some n ->
-          line g "%s %s[%d];" (scalar_c aty.Ir.elem) (cname v) n
+          declare elem;
+          sized n ";"
       | Ir.MLocal, Some n ->
           let n = if p.Ir.padded then n + List.length aty.Ir.dims else n in
-          line g "__local %s %s[%d];" (scalar_c aty.Ir.elem) (cname v) n
+          declare ("__local " ^ elem);
+          sized n ";"
       | _, Some n ->
           (* a per-thread buffer that exceeded the private threshold: the
              host would allocate a global scratch; textually a C array *)
-          line g "%s %s[%d]; /* per-thread spill buffer */"
-            (scalar_c aty.Ir.elem) (cname v) n
+          declare elem;
+          sized n "; /* per-thread spill buffer */"
       | _ ->
-          line g "/* %s: host-allocated scratch buffer (kernel parameter) */"
-            (cname v))
+          bol g;
+          add g "/* ";
+          add_cname g v;
+          eol g ": host-allocated scratch buffer (kernel parameter) */")
   | Ir.TArr aty, Some (Ir.ArrLit (_, es)) ->
-      line g "%s %s[%d] = { %s };" (scalar_c aty.Ir.elem) (cname v)
-        (List.length es)
-        (String.concat ", " (List.map (expr_c g) es))
+      declare (scalar_c aty.Ir.elem);
+      add_char g '[';
+      add_int g (List.length es);
+      add g "] = { ";
+      add_sep g ", " (expr g) es;
+      eol g " };"
   | Ir.TScalar s, Some e ->
-      line g "%s %s = %s;" (scalar_c s) (cname v) (expr_c g e)
-  | Ir.TScalar s, None -> line g "%s %s;" (scalar_c s) (cname v)
-  | _, Some e -> line g "/* %s */ int %s = %s;" (Ir.ty_name t) (cname v) (expr_c g e)
-  | _, None -> line g "/* %s %s */" (Ir.ty_name t) (cname v)
+      declare (scalar_c s);
+      add g " = ";
+      expr g e;
+      eol g ";"
+  | Ir.TScalar s, None ->
+      declare (scalar_c s);
+      eol g ";"
+  | _, Some e ->
+      bol g;
+      add g "/* ";
+      add g (Ir.ty_name t);
+      add g " */ int ";
+      add_cname g v;
+      add g " = ";
+      expr g e;
+      eol g ";"
+  | _, None ->
+      bol g;
+      add g "/* ";
+      add g (Ir.ty_name t);
+      add_char g ' ';
+      add_cname g v;
+      eol g " */"
 
 (* ------------------------------------------------------------------ *)
 (* Kernel assembly                                                     *)
@@ -708,204 +878,248 @@ let scratch_buffers (k : Kernel.kernel) : (string * Ir.aty) list =
   List.iter scan k.Kernel.k_body;
   List.rev !acc
 
-let intermediates g (k : Kernel.kernel) : (string * Ir.aty) list =
-  ignore g;
-  scratch_buffers k
-
-(** The bookkeeping struct of Fig 4(b): dynamic array lengths plus scalar
-    parameters. *)
-let args_struct_c ?(extra = []) (k : Kernel.kernel) : string * string list =
-  let fields = ref [] in
-  List.iter
-    (fun (p, t) ->
-      match t with
-      | Ir.TArr aty ->
-          List.iteri
-            (fun d dk ->
-              match dk with
-              | Ir.DDyn -> fields := Printf.sprintf "int %s_len%d;" (cname p) d :: !fields
-              | Ir.DFixed _ -> ())
-            aty.Ir.dims
-      | Ir.TScalar _ -> ()
-      | _ -> ())
-    k.Kernel.k_params;
-  (* scratch-buffer lengths *)
-  List.iter
-    (fun (p, (aty : Ir.aty)) ->
-      List.iteri
-        (fun d dk ->
-          match dk with
-          | Ir.DDyn ->
-              fields := Printf.sprintf "int %s_len%d;" (cname p) d :: !fields
-          | Ir.DFixed _ -> ())
-        aty.Ir.dims)
-    extra;
-  (* result array lengths *)
-  (match k.Kernel.k_ret with
-  | Ir.TArr aty ->
-      List.iteri
-        (fun d dk ->
-          match dk with
-          | Ir.DDyn -> fields := Printf.sprintf "int _out_len%d;" d :: !fields
-          | Ir.DFixed _ -> ())
-        aty.Ir.dims
-  | _ -> ());
-  let name =
-    "KArgs_" ^ cname (String.map (fun c -> if c = '.' then '_' else c)
-                        k.Kernel.k_name)
+(** The printer state for one kernel, with the per-kernel facts every
+    emitter reads: placements and parameter types by name (the first
+    binding wins, as a list lookup would), and, from one walk of the body,
+    the declared array types and the names assigned an array literal. *)
+let make_gen (k : Kernel.kernel) placements =
+  let first_wins l =
+    let t = Hashtbl.create 16 in
+    List.iter (fun (n, x) -> if not (Hashtbl.mem t n) then Hashtbl.add t n x) l;
+    t
   in
-  (name, List.rev !fields)
+  let body_aty = Hashtbl.create 16 and literal_arrays = Hashtbl.create 8 in
+  let walk stmt = List.iter (Ir.iter_stmt ~stmt ~expr:ignore) in
+  (* an inline block is literal-valued when any return in it is *)
+  let returns_literal b =
+    let found = ref false in
+    walk
+      (function Ir.SReturn (Some (Ir.ArrLit _)) -> found := true | _ -> ())
+      b;
+    !found
+  in
+  walk
+    (function
+      | Ir.SDecl (v, Ir.TArr a, _) -> Hashtbl.replace body_aty v a
+      | Ir.SAssign (Ir.LVar v, Ir.ArrLit _) ->
+          Hashtbl.replace literal_arrays v ()
+      | Ir.SInlineBlock (v, b) when returns_literal b ->
+          Hashtbl.replace literal_arrays v ()
+      | _ -> ())
+    k.Kernel.k_body;
+  {
+    b = Buffer.create 4096;
+    indent = 0;
+    kernel = k;
+    placements;
+    placement_of = first_wins placements;
+    param_ty = first_wins k.Kernel.k_params;
+    body_aty;
+    literal_arrays;
+    views = Hashtbl.create 16;
+    materialized = Hashtbl.create 16;
+    out_var = returned_out_var k;
+    in_parfor = false;
+  }
 
-let param_decl_c g (p : string) (t : Ir.ty) : string option =
+(** The bookkeeping struct's fields (Fig 4(b)): the dynamic lengths of the
+    array parameters, the scratch buffers and the result. *)
+let args_fields g scratch =
+  let k = g.kernel in
+  let count = ref 0 in
+  let lengths name (aty : Ir.aty) =
+    List.iteri
+      (fun d dk ->
+        if dk = Ir.DDyn then begin
+          incr count;
+          add g "  int ";
+          add_cname g name;
+          add g "_len";
+          add_int g d;
+          add g ";\n"
+        end)
+      aty.Ir.dims
+  in
+  List.iter
+    (function p, Ir.TArr aty -> lengths p aty | _ -> ())
+    k.Kernel.k_params;
+  List.iter (fun (p, aty) -> lengths p aty) scratch;
+  (match k.Kernel.k_ret with Ir.TArr aty -> lengths "_out" aty | _ -> ());
+  if !count = 0 then add g "  int _unused;\n"
+
+let param_decl g (p : string) (t : Ir.ty) : unit =
   match t with
   | Ir.TArr aty -> (
       let pl = placement g p in
+      let pointer prefix =
+        add g prefix;
+        add_vec g aty.Ir.elem pl.Ir.vector_width;
+        add g "* restrict ";
+        add_cname g p
+      in
       match pl.Ir.space with
-      | Ir.MImage -> Some (Printf.sprintf "__read_only image2d_t %s" (cname p))
-      | Ir.MConstant ->
-          Some
-            (Printf.sprintf "__constant %s* restrict %s"
-               (vec_c aty.Ir.elem pl.Ir.vector_width)
-               (cname p))
+      | Ir.MImage ->
+          add g "__read_only image2d_t ";
+          add_cname g p
+      | Ir.MConstant -> pointer "__constant "
       | Ir.MLocal ->
           (* staged through a local tile; the global source still comes in *)
-          Some
-            (Printf.sprintf "__global const %s* restrict %s"
-               (vec_c aty.Ir.elem pl.Ir.vector_width)
-               (cname p))
-      | _ ->
-          let const = if aty.Ir.value then "const " else "" in
-          Some
-            (Printf.sprintf "__global %s%s* restrict %s" const
-               (vec_c aty.Ir.elem pl.Ir.vector_width)
-               (cname p)))
-  | Ir.TScalar s -> Some (Printf.sprintf "%s %s" (scalar_c s) (cname p))
-  | _ -> None
+          pointer "__global const "
+      | _ -> pointer (if aty.Ir.value then "__global const " else "__global "))
+  | Ir.TScalar s ->
+      add g (scalar_c s);
+      add_char g ' ';
+      add_cname g p
+  | _ -> ()
 
 (** Emit the local-memory staging loop of Fig 5(d) for arrays placed in
     local memory: threads of the work group cooperatively copy a tile and
     barrier before use. *)
-let local_staging_c g =
+let local_staging g =
   List.iter
     (fun (name, p) ->
-      if p.Ir.space = Ir.MLocal then begin
-        match List.assoc_opt name g.kernel.Kernel.k_params with
-        | Some (Ir.TArr aty) ->
-            let rowlen =
-              match Ir.innermost_fixed aty with Some n -> n | None -> 1
-            in
-            let stride = if p.Ir.padded then rowlen + 1 else rowlen in
-            line g "/* stage %s through local memory (tile + barrier) */"
-              (cname name);
-            line g "__local %s %s_tile[TILE * %d];" (scalar_c aty.Ir.elem)
-              (cname name) stride;
-            line g "const int tile_base = 0; /* tile loop elided: whole-array staging */";
-            line g "for (int t = get_local_id(0); t < TILE * %d; t += get_local_size(0)) {"
-              rowlen;
-            indented g (fun () ->
-                if p.Ir.padded then begin
-                  line g "int row = t / %d;" rowlen;
-                  line g "int col = t %% %d;" rowlen;
-                  line g "%s_tile[row * %d + col] = ((__global const %s*)%s)[tile_base * %d + t];"
-                    (cname name) stride (scalar_c aty.Ir.elem) (cname name)
-                    rowlen
-                end
-                else
-                  line g "%s_tile[t] = ((__global const %s*)%s)[tile_base * %d + t];"
-                    (cname name) (scalar_c aty.Ir.elem) (cname name) rowlen);
-            line g "}";
-            line g "barrier(CLK_LOCAL_MEM_FENCE);"
-        | _ -> ()
-      end)
+      match (p.Ir.space, Hashtbl.find_opt g.param_ty name) with
+      | Ir.MLocal, Some (Ir.TArr aty) ->
+          let rowlen =
+            match Ir.innermost_fixed aty with Some n -> n | None -> 1
+          in
+          let stride = if p.Ir.padded then rowlen + 1 else rowlen in
+          let elem = scalar_c aty.Ir.elem in
+          (* one element of the tile, copied from the global source *)
+          let copy index =
+            bol g;
+            add_cname g name;
+            add g "_tile[";
+            add g index;
+            add g "] = ((__global const ";
+            add g elem;
+            add g "*)";
+            add_cname g name;
+            add g ")[tile_base * ";
+            add_int g rowlen;
+            eol g " + t];"
+          in
+          bol g;
+          add g "/* stage ";
+          add_cname g name;
+          eol g " through local memory (tile + barrier) */";
+          bol g;
+          add g "__local ";
+          add g elem;
+          add_char g ' ';
+          add_cname g name;
+          add g "_tile[TILE * ";
+          add_int g stride;
+          eol g "];";
+          line g "const int tile_base = 0; /* tile loop elided: whole-array staging */";
+          bol g;
+          add g "for (int t = get_local_id(0); t < TILE * ";
+          add_int g rowlen;
+          eol g "; t += get_local_size(0)) {";
+          g.indent <- g.indent + 1;
+          if p.Ir.padded then begin
+            bol g;
+            add g "int row = t / ";
+            add_int g rowlen;
+            eol g ";";
+            bol g;
+            add g "int col = t % ";
+            add_int g rowlen;
+            eol g ";";
+            copy ("row * " ^ string_of_int stride ^ " + col")
+          end
+          else copy "t";
+          g.indent <- g.indent - 1;
+          line g "}";
+          line g "barrier(CLK_LOCAL_MEM_FENCE);"
+      | _ -> ())
     g.placements
 
 (** Generate the OpenCL source of a kernel under the given placements. *)
-let generate (k : Kernel.kernel)
-    (decisions : Memopt.decision list) : string =
+let generate (k : Kernel.kernel) (decisions : Memopt.decision list) : string =
   let placements = Memopt.placements decisions in
-  let g =
-    {
-      b = Buffer.create 4096;
-      indent = 0;
-      placements;
-      kernel = k;
-      views = Hashtbl.create 16;
-      materialized = Hashtbl.create 16;
-      out_var = None;
-      local_decls = [];
-      uses_image_sampler = false;
-      in_parfor = false;
-    }
-  in
-  (* the returned map-output array becomes the _out kernel parameter *)
-  (match List.rev k.Kernel.k_body with
-  | Ir.SReturn (Some (Ir.Var v)) :: _ -> g.out_var <- Some v
-  | _ -> ());
+  let g = make_gen k placements in
   let kname =
     String.map (fun c -> if c = '.' then '_' else c) k.Kernel.k_name
   in
+  let struct_name () =
+    add g "KArgs_";
+    add_cname g kname
+  in
   if k.Kernel.k_uses_double then
-    buf_add g.b "#pragma OPENCL EXTENSION cl_khr_fp64 : enable\n\n";
-  let inter = intermediates g k in
-  let sname, fields = args_struct_c ~extra:inter k in
-  buf_add g.b (Printf.sprintf "#define TILE %d\n\n" Kernel.group_size);
-  buf_add g.b (Printf.sprintf "typedef struct {\n");
-  List.iter (fun f -> buf_add g.b ("  " ^ f ^ "\n")) fields;
-  if fields = [] then buf_add g.b "  int _unused;\n";
-  buf_add g.b (Printf.sprintf "} %s;\n\n" sname);
+    add g "#pragma OPENCL EXTENSION cl_khr_fp64 : enable\n\n";
+  let scratch = scratch_buffers k in
+  add g "#define TILE ";
+  add_int g Kernel.group_size;
+  add g "\n\ntypedef struct {\n";
+  args_fields g scratch;
+  add g "} ";
+  struct_name ();
+  add g ";\n\n";
   (* sampler for image arrays *)
-  let has_image =
-    List.exists (fun (_, p) -> p.Ir.space = Ir.MImage) placements
-  in
-  if has_image then
-    List.iter
-      (fun (name, p) ->
-        if p.Ir.space = Ir.MImage then
-          buf_add g.b
-            (Printf.sprintf
-               "__constant sampler_t %s_smp = CLK_NORMALIZED_COORDS_FALSE | \
-                CLK_ADDRESS_CLAMP | CLK_FILTER_NEAREST;\n"
-               (cname name)))
-      placements;
-  if has_image then buf_add g.b "\n";
+  let images = List.filter (fun (_, p) -> p.Ir.space = Ir.MImage) placements in
+  List.iter
+    (fun (name, _) ->
+      add g "__constant sampler_t ";
+      add_cname g name;
+      add g
+        "_smp = CLK_NORMALIZED_COORDS_FALSE | CLK_ADDRESS_CLAMP | \
+         CLK_FILTER_NEAREST;\n")
+    images;
+  if images <> [] then add_char g '\n';
   (* signature *)
-  let out_param =
-    match k.Kernel.k_ret with
-    | Ir.TArr aty ->
-        let pl =
-          match
-            List.find_opt
-              (fun (n, _) -> Lime_support.Util.starts_with ~prefix:"%mapout" n)
-              placements
-          with
-          | Some (_, p) -> p
-          | None -> Ir.default_placement
-        in
-        [ Printf.sprintf "__global %s* restrict _out"
-            (vec_c aty.Ir.elem pl.Ir.vector_width) ]
-    | Ir.TScalar s -> [ Printf.sprintf "__global %s* restrict _out" (scalar_c s) ]
-    | _ -> []
+  add g "__kernel void ";
+  add g kname;
+  add g "(\n    ";
+  let first = ref true in
+  let param f =
+    if not !first then add g ",\n    ";
+    first := false;
+    f ()
   in
-  let inter_params =
-    List.map
-      (fun (p, (aty : Ir.aty)) ->
-        Printf.sprintf
-          "__global %s* restrict %s /* scratch (per-work-item slices in a \
-           real deployment) */"
-          (scalar_c aty.Ir.elem) (cname p))
-      inter
-  in
-  let params =
-    List.filter_map (fun (p, t) -> param_decl_c g p t) k.Kernel.k_params
-    @ inter_params
-    @ out_param
-    @ [ Printf.sprintf "%s args" sname ]
-  in
-  buf_add g.b (Printf.sprintf "__kernel void %s(\n    %s)\n{\n" kname
-                 (String.concat ",\n    " params));
+  List.iter
+    (fun (p, t) ->
+      match t with
+      | Ir.TArr _ | Ir.TScalar _ -> param (fun () -> param_decl g p t)
+      | _ -> ())
+    k.Kernel.k_params;
+  List.iter
+    (fun (p, (aty : Ir.aty)) ->
+      param (fun () ->
+          add g "__global ";
+          add g (scalar_c aty.Ir.elem);
+          add g "* restrict ";
+          add_cname g p;
+          add g
+            " /* scratch (per-work-item slices in a real deployment) */"))
+    scratch;
+  (match k.Kernel.k_ret with
+  | Ir.TArr aty ->
+      let pl =
+        match
+          List.find_opt
+            (fun (n, _) -> Lime_support.Util.starts_with ~prefix:"%mapout" n)
+            placements
+        with
+        | Some (_, p) -> p
+        | None -> Ir.default_placement
+      in
+      param (fun () ->
+          add g "__global ";
+          add_vec g aty.Ir.elem pl.Ir.vector_width;
+          add g "* restrict _out")
+  | Ir.TScalar s ->
+      param (fun () ->
+          add g "__global ";
+          add g (scalar_c s);
+          add g "* restrict _out")
+  | _ -> ());
+  param (fun () ->
+      struct_name ();
+      add g " args");
+  add g ")\n{\n";
   g.indent <- 1;
-  local_staging_c g;
-  List.iter (stmt_c g) k.Kernel.k_body;
-  g.indent <- 0;
-  buf_add g.b "}\n";
+  local_staging g;
+  List.iter (stmt g) k.Kernel.k_body;
+  add g "}\n";
   Buffer.contents g.b

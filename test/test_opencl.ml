@@ -233,6 +233,47 @@ let test_printer_pin () =
   Alcotest.(check string) "digest" printer_digest
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* A row stride that is the single fixed length 1 prints as no stride at
+   all, the way a unit stride does; no registry kernel has such a row. *)
+let test_unit_row_stride () =
+  let src =
+    (Lime_gpu.Pipeline.compile ~worker:"Unit.work"
+       {|
+class Unit {
+  static local float first(float[[1]] r) { return r[0] * 2.0f; }
+  static local float[[]] work(float[[][1]] a) { return Unit.first @ a; }
+}
+|})
+      .Lime_gpu.Pipeline.cp_opencl
+  in
+  check_has "row view without a stride" "= (&a[_pi4]);" src
+
+(* ------------------------------------------------------------------ *)
+(* Linear time, by allocation                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words [Opencl.generate] allocates per output byte.  A printer
+   linear in its output allocates about the same per byte on a large
+   kernel as on a small one; one that walks the kernel body per array
+   reference allocates more per byte the larger the kernel. *)
+let words_per_byte name =
+  match Lime_benchmarks.Registry.find name with
+  | None -> Alcotest.failf "no workload %s" name
+  | Some w ->
+      let c = Lime_benchmarks.Registry.compile w in
+      let k = c.Lime_gpu.Pipeline.cp_kernel
+      and ds = c.Lime_gpu.Pipeline.cp_decisions in
+      let w0 = Gc.minor_words () in
+      let cl = Opencl.generate k ds in
+      (Gc.minor_words () -. w0) /. float (String.length cl)
+
+let test_linear_allocation () =
+  let small = words_per_byte "N-Body (Single)" and large = words_per_byte "TMatMul" in
+  if large > 2.0 *. small then
+    Alcotest.failf
+      "TMatMul allocates %.1f words/B against N-Body's %.1f (more than 2x)"
+      large small
+
 let () =
   Alcotest.run "opencl"
     [
@@ -256,5 +297,7 @@ let () =
       ( "printer",
         [
           Alcotest.test_case "printer pin" `Quick test_printer_pin;
+          Alcotest.test_case "unit row stride" `Quick test_unit_row_stride;
+          Alcotest.test_case "linear allocation" `Quick test_linear_allocation;
         ] );
     ]
