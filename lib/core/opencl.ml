@@ -24,10 +24,10 @@
 module Ir = Lime_ir.Ir
 module B = Lime_typecheck.Tast
 
-(* The printer writes every byte straight into [b]; no emitter builds an
-   intermediate string.  The lookup tables are built once per [generate]
-   (see [make_gen]), so each emitted reference costs a hash lookup, never
-   a walk of the kernel body. *)
+(* Every emitter appends to [b] rather than returning a string, so no text
+   is copied into its parent's.  The lookup tables are built once per
+   [generate] (see [make_gen]): an emitted reference costs a hash lookup,
+   never a walk of the kernel body. *)
 type gen = {
   b : Buffer.t;
   mutable indent : int;
@@ -51,11 +51,13 @@ type gen = {
 
 let add g s = Buffer.add_string g.b s
 let add_char g c = Buffer.add_char g.b c
-(* most printed integers are single-digit indices, which need no
-   [string_of_int] *)
+(* digit by digit: [string_of_int] parses a format on every call *)
+let rec add_digits b i =
+  if i >= 10 then add_digits b (i / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+
 let add_int g i =
-  if i >= 0 && i < 10 then Buffer.add_char g.b (Char.unsafe_chr (48 + i))
-  else Buffer.add_string g.b (string_of_int i)
+  if i >= 0 then add_digits g.b i else Buffer.add_string g.b (string_of_int i)
 
 (** An IR name as a C identifier: temporaries look like [%name7]. *)
 let add_cname g s =
@@ -82,6 +84,18 @@ let eol g s =
 let line g s =
   bol g;
   eol g s
+
+(* a line of [pre], what [f] prints, then [post] *)
+let line_of g pre f post =
+  bol g;
+  add g pre;
+  f ();
+  eol g post
+
+let indented g f =
+  g.indent <- g.indent + 1;
+  f ();
+  g.indent <- g.indent - 1
 
 (* [f] over [xs] with [sep] between *)
 let add_sep g sep f xs =
@@ -197,9 +211,9 @@ let add_lane g ~wide c =
     add_char g 's';
     add_char g "0123456789abcdef".[c land 15]
   end
-  else add g [| "x"; "y"; "z"; "w" |].(c land 3)
+  else add_char g "xyzw".[c land 3]
 
-(* the element type of an array the printer knows nothing about *)
+(* the type assumed for an array the printer knows nothing about *)
 let unknown_aty = { Ir.elem = Ir.SFloat; dims = [ Ir.DDyn ]; value = false }
 
 let rec expr g (e : Ir.expr) : unit =
@@ -325,14 +339,14 @@ and access g root (full : Ir.expr list) : unit =
     let lead = List.filteri (fun i _ -> i < ndims - 1) full in
     add_root g root;
     add_char g '[';
-    flat_index g root aty ~vector_width:p.Ir.vector_width lead;
+    flat_index g root aty p ~vector_width:p.Ir.vector_width lead;
     add_char g ']';
     if nidx = ndims then lane ~wide:(p.Ir.vector_width > 4)
   end
-  else if nidx = ndims then element g root aty full
+  else if nidx = ndims then element g root aty p full
   else begin
     add g "(&";
-    element g root aty full;
+    element g root aty p full;
     add_char g ')'
   end
 
@@ -347,15 +361,15 @@ and selected_lane g (e : Ir.expr) ~wide =
       add_char g ']'
 
 (* [root[flat index]] over scalar elements *)
-and element g root aty full =
+and element g root aty p full =
   add_root g root;
   add_char g '[';
-  flat_index g root aty ~vector_width:1 full;
+  flat_index g root aty p ~vector_width:1 full;
   add_char g ']'
 
-and flat_index g root (aty : Ir.aty) ~vector_width (idx : Ir.expr list) :
-    unit =
-  let padded = (placement g root).Ir.padded in
+and flat_index g root (aty : Ir.aty) (p : Ir.placement) ~vector_width
+    (idx : Ir.expr list) : unit =
+  let padded = p.Ir.padded in
   if idx = [] then add_char g '0'
   else
     List.iteri
@@ -399,25 +413,17 @@ let rec stmt g (s : Ir.stmt) : unit =
   match s with
   | Ir.SDecl (v, t, init) -> decl g v t init
   | Ir.SAssign (Ir.LVar v, Ir.NewArr _) ->
-      bol g;
-      add g "/* ";
-      add_cname g v;
-      eol g ": allocated by the host (deferred sizing) */"
+      line_of g "/* " (fun () -> add_cname g v)
+        ": allocated by the host (deferred sizing) */"
   | Ir.SAssign (Ir.LVar v, e) -> assign g v e
   | Ir.SAssign (_, e) ->
-      bol g;
-      add g "/* non-kernel assign */ (void)(";
-      expr g e;
-      eol g ");"
+      line_of g "/* non-kernel assign */ (void)(" (fun () -> expr g e) ");"
   | Ir.SArrStore (b, idx, v) -> (
       match Access.resolve g.views b idx with
       | Some (root, full) -> store g root full v
       | None -> line g "/* unresolved store */;")
   | Ir.SIf (c, a, b) ->
-      bol g;
-      add g "if (";
-      expr g c;
-      eol g ") {";
+      line_of g "if (" (fun () -> expr g c) ") {";
       block g a;
       if b <> [] then begin
         line g "} else {";
@@ -425,10 +431,7 @@ let rec stmt g (s : Ir.stmt) : unit =
       end;
       line g "}"
   | Ir.SWhile (c, b) ->
-      bol g;
-      add g "while (";
-      expr g c;
-      eol g ") {";
+      line_of g "while (" (fun () -> expr g c) ") {";
       block g b;
       line g "}"
   | Ir.SFor (v, lo, hi, b) ->
@@ -472,24 +475,21 @@ let rec stmt g (s : Ir.stmt) : unit =
   | Ir.SReduce r ->
       (* per-thread (nested) reduce: a sequential combine in-thread *)
       let arr = r.Ir.rd_arr in
+      let dst () = add_cname g r.Ir.rd_dst in
       bol g;
-      add_cname g r.Ir.rd_dst;
+      dst ();
       add g " = ";
       expr g (Ir.Load (arr, [ Ir.Const (Ir.CInt 0) ]));
       eol g ";";
-      bol g;
-      add g "for (int _r = 1; _r < ";
-      reduce_len g arr;
-      eol g "; _r++) {";
-      g.indent <- g.indent + 1;
-      bol g;
-      add_cname g r.Ir.rd_dst;
-      add g " = ";
-      combine g r.Ir.rd_op r.Ir.rd_scalar
-        (fun () -> add_cname g r.Ir.rd_dst)
-        (fun () -> expr g (Ir.Load (arr, [ Ir.Var "_r" ])));
-      eol g ";";
-      g.indent <- g.indent - 1;
+      line_of g "for (int _r = 1; _r < " (fun () -> reduce_len g arr)
+        "; _r++) {";
+      indented g (fun () ->
+          bol g;
+          dst ();
+          add g " = ";
+          combine g r.Ir.rd_op r.Ir.rd_scalar dst (fun () ->
+              expr g (Ir.Load (arr, [ Ir.Var "_r" ])));
+          eol g ";");
       line g "}"
   | Ir.SInlineBlock (res, b) ->
       (* single-exit tail return: emit directly; otherwise do/while(0) *)
@@ -504,24 +504,14 @@ let rec stmt g (s : Ir.stmt) : unit =
   | Ir.SReturn (Some (Ir.Var v)) when g.out_var = Some v ->
       line g "/* result delivered in _out */"
   | Ir.SReturn (Some e) ->
-      bol g;
-      add g "if (get_global_id(0) == 0) _out[0] = ";
-      expr g e;
-      eol g ";"
+      line_of g "if (get_global_id(0) == 0) _out[0] = " (fun () -> expr g e) ";"
   | Ir.SReturn None -> line g "return;"
-  | Ir.SExpr e ->
-      bol g;
-      add g "(void)(";
-      expr g e;
-      eol g ");"
+  | Ir.SExpr e -> line_of g "(void)(" (fun () -> expr g e) ");"
   | Ir.SBreak -> line g "break;"
   | Ir.SContinue -> line g "continue;"
   | Ir.SFinish _ -> line g "/* finish: host-side */;"
 
-and block g (b : Ir.stmt list) =
-  g.indent <- g.indent + 1;
-  List.iter (stmt g) b;
-  g.indent <- g.indent - 1
+and block g (b : Ir.stmt list) = indented g (fun () -> List.iter (stmt g) b)
 
 (* the length a reduce runs over: dimension 0 of its array *)
 and reduce_len g arr =
@@ -534,61 +524,45 @@ and reduce_len g arr =
 
 and tree_reduction g (r : Ir.reduce) : unit =
   let arr = r.Ir.rd_arr in
-  let ty = scalar_c r.Ir.rd_scalar in
+  let ty () = add g (scalar_c r.Ir.rd_scalar) in
+  let dst () = add_cname g r.Ir.rd_dst in
   let elem () = expr g (Ir.Load (arr, [ Ir.Var "%r" ])) in
+  let text s () = add g s in
   let combine a b = combine g r.Ir.rd_op r.Ir.rd_scalar a b in
   line g "/* two-stage parallel reduction (inferred from '!') */";
-  bol g;
-  add g "__local ";
-  add g ty;
-  eol g " _partial[TILE];";
+  line_of g "__local " ty " _partial[TILE];";
   line g "__local int _pvalid[TILE];";
   line g "int _lid = get_local_id(0);";
-  bol g;
-  add g ty;
-  eol g " _acc;";
+  line_of g "" ty " _acc;";
   line g "int _has = 0;";
-  bol g;
-  add g "for (int _r = get_global_id(0); _r < ";
-  reduce_len g arr;
-  eol g "; _r += get_global_size(0)) {";
-  g.indent <- g.indent + 1;
-  bol g;
-  add g "_acc = _has ? (";
-  combine (fun () -> add g "_acc") elem;
-  add g ") : ";
-  elem ();
-  eol g ";";
-  line g "_has = 1;";
-  g.indent <- g.indent - 1;
+  line_of g "for (int _r = get_global_id(0); _r < " (fun () -> reduce_len g arr)
+    "; _r += get_global_size(0)) {";
+  indented g (fun () ->
+      line_of g "_acc = _has ? ("
+        (fun () ->
+          combine (text "_acc") elem;
+          add g ") : ";
+          elem ())
+        ";";
+      line g "_has = 1;");
   line g "}";
   line g "_partial[_lid] = _acc;";
   line g "_pvalid[_lid] = _has;";
   line g "barrier(CLK_LOCAL_MEM_FENCE);";
   line g "for (int _s = get_local_size(0) / 2; _s > 0; _s >>= 1) {";
-  g.indent <- g.indent + 1;
-  line g "if (_lid < _s && _pvalid[_lid + _s]) {";
-  g.indent <- g.indent + 1;
-  bol g;
-  add g "_partial[_lid] = _pvalid[_lid] ? (";
-  combine
-    (fun () -> add g "_partial[_lid]")
-    (fun () -> add g "_partial[_lid + _s]");
-  eol g ") : _partial[_lid + _s];";
-  line g "_pvalid[_lid] = 1;";
-  g.indent <- g.indent - 1;
-  line g "}";
-  line g "barrier(CLK_LOCAL_MEM_FENCE);";
-  g.indent <- g.indent - 1;
+  indented g (fun () ->
+      line g "if (_lid < _s && _pvalid[_lid + _s]) {";
+      indented g (fun () ->
+          line_of g "_partial[_lid] = _pvalid[_lid] ? ("
+            (fun () -> combine (text "_partial[_lid]") (text "_partial[_lid + _s]"))
+            ") : _partial[_lid + _s];";
+          line g "_pvalid[_lid] = 1;");
+      line g "}";
+      line g "barrier(CLK_LOCAL_MEM_FENCE);");
   line g "}";
   line g "/* one partial per work group; the host combines them */";
-  bol g;
-  add_cname g r.Ir.rd_dst;
-  eol g " = _partial[0];";
-  bol g;
-  add g "if (_lid == 0) { _out[get_group_id(0)] = ";
-  add_cname g r.Ir.rd_dst;
-  eol g "; }"
+  line_of g "" dst " = _partial[0];";
+  line_of g "if (_lid == 0) { _out[get_group_id(0)] = " dst "; }"
 
 and tail_return_only (b : Ir.stmt list) : bool =
   (* true iff the only SReturn in the block is the final statement *)
@@ -604,16 +578,14 @@ and tail_return_only (b : Ir.stmt list) : bool =
 
 and dowhile g res b =
   line g "do {";
-  g.indent <- g.indent + 1;
-  List.iter
-    (fun s ->
-      match s with
-      | Ir.SReturn (Some e) ->
-          assign g res e;
-          line g "break;"
-      | s -> stmt g s)
-    b;
-  g.indent <- g.indent - 1;
+  indented g (fun () ->
+      List.iter
+        (function
+          | Ir.SReturn (Some e) ->
+              assign g res e;
+              line g "break;"
+          | s -> stmt g s)
+        b);
   line g "} while (0);"
 
 (** Assign an expression to a named variable; array literals are expanded
@@ -637,18 +609,19 @@ and assign g dst (e : Ir.expr) : unit =
       (match Hashtbl.find_opt g.views src with
       | Some entry -> Hashtbl.replace g.views dst entry
       | None -> Hashtbl.replace g.views dst (src, []));
-      bol g;
-      add g "/* ";
-      add_cname g dst;
-      add g " aliases ";
-      add_cname g src;
-      eol g " */"
+      line_of g "/* "
+        (fun () ->
+          add_cname g dst;
+          add g " aliases ";
+          add_cname g src)
+        " */"
   | e ->
-      bol g;
-      add_cname g dst;
-      add g " = ";
-      expr g e;
-      eol g ";"
+      line_of g ""
+        (fun () ->
+          add_cname g dst;
+          add g " = ";
+          expr g e)
+        ";"
 
 and is_array_name g v = Hashtbl.mem g.views v || Hashtbl.mem g.body_aty v
 
@@ -661,7 +634,7 @@ and store g root (full : Ir.expr list) (v : Ir.expr) : unit =
     bol g;
     if p.Ir.vector_width > 1 then
       access g root full (* component select works as lvalue *)
-    else element g root aty full;
+    else element g root aty p full;
     add g " = ";
     expr g v;
     eol g ";"
@@ -675,14 +648,14 @@ and store g root (full : Ir.expr list) (v : Ir.expr) : unit =
         bol g;
         add_root g root;
         add_char g '[';
-        flat_index g root aty ~vector_width:p.Ir.vector_width full;
+        flat_index g root aty p ~vector_width:p.Ir.vector_width full;
         add g "] = ";
         row_as_vector g v p;
         eol g ";"
     | _, Some (Ir.DFixed n) when n <= 8 ->
         for c = 0 to n - 1 do
           bol g;
-          element g root aty (full @ [ Ir.Const (Ir.CInt c) ]);
+          element g root aty p (full @ [ Ir.Const (Ir.CInt c) ]);
           add g " = ";
           (match v with
           | Ir.ArrLit (_, es) when c < List.length es -> expr g (List.nth es c)
@@ -691,20 +664,20 @@ and store g root (full : Ir.expr list) (v : Ir.expr) : unit =
         done
     | _, dim ->
         (* wide or dynamic rows copy with a loop rather than unrolling *)
-        bol g;
-        add g "for (int _row_c = 0; _row_c < ";
-        (match dim with
-        | Some (Ir.DFixed n) -> add_int g n
-        | _ -> add_dim_len g root aty (ndims - 1));
-        eol g "; _row_c++) {";
-        g.indent <- g.indent + 1;
-        bol g;
-        element g root aty (full @ [ Ir.Var "%row_c" ]);
-        add g " = ";
-        (* through expr so view aliases and vector registers resolve *)
-        expr g (Ir.Load (v, [ Ir.Var "%row_c" ]));
-        eol g ";";
-        g.indent <- g.indent - 1;
+        line_of g "for (int _row_c = 0; _row_c < "
+          (fun () ->
+            match dim with
+            | Some (Ir.DFixed n) -> add_int g n
+            | _ -> add_dim_len g root aty (ndims - 1))
+          "; _row_c++) {";
+        indented g (fun () ->
+            line_of g ""
+              (fun () ->
+                element g root aty p (full @ [ Ir.Var "%row_c" ]);
+                add g " = ";
+                (* through expr so view aliases and vector registers resolve *)
+                expr g (Ir.Load (v, [ Ir.Var "%row_c" ])))
+              ";");
         line g "}"
 
 and row_as_vector g (v : Ir.expr) (p : Ir.placement) : unit =
@@ -724,12 +697,13 @@ and row_as_vector g (v : Ir.expr) (p : Ir.placement) : unit =
       add_char g ')'
 
 and decl g v (t : Ir.ty) (init : Ir.expr option) : unit =
+  let name () = add_cname g v in
   (* [<ty> v], the start of a declaration line *)
   let declare ty =
     bol g;
     add g ty;
     add_char g ' ';
-    add_cname g v
+    name ()
   in
   (* [[n]<rest>] after a declarator, ending the line *)
   let sized n rest =
@@ -761,15 +735,11 @@ and decl g v (t : Ir.ty) (init : Ir.expr option) : unit =
             add g (scalar_c aty.Ir.elem);
             add g "* "
           end;
-          add_cname g v;
+          name ();
           add g " = ";
           access g root prefix;
           eol g ";"
-      | None ->
-          bol g;
-          add g "/* unresolved view ";
-          add_cname g v;
-          eol g " */")
+      | None -> line_of g "/* unresolved view " name " */")
   | Ir.TArr _, Some (Ir.Var src) -> (
       (* alias *)
       match Hashtbl.find_opt g.views src with
@@ -786,11 +756,7 @@ and decl g v (t : Ir.ty) (init : Ir.expr option) : unit =
         when space = Ir.MPrivate || Hashtbl.mem g.literal_arrays v ->
           declare (scalar_c aty.Ir.elem);
           sized n ";"
-      | _ ->
-          bol g;
-          add g "/* ";
-          add_cname g v;
-          eol g " is bound by its single assignment below */")
+      | _ -> line_of g "/* " name " is bound by its single assignment below */")
   | Ir.TArr aty, Some (Ir.NewArr _) -> (
       let p = placement g v in
       let elem = scalar_c aty.Ir.elem in
@@ -808,10 +774,8 @@ and decl g v (t : Ir.ty) (init : Ir.expr option) : unit =
           declare elem;
           sized n "; /* per-thread spill buffer */"
       | _ ->
-          bol g;
-          add g "/* ";
-          add_cname g v;
-          eol g ": host-allocated scratch buffer (kernel parameter) */")
+          line_of g "/* " name
+            ": host-allocated scratch buffer (kernel parameter) */")
   | Ir.TArr aty, Some (Ir.ArrLit (_, es)) ->
       declare (scalar_c aty.Ir.elem);
       add_char g '[';
@@ -828,20 +792,12 @@ and decl g v (t : Ir.ty) (init : Ir.expr option) : unit =
       declare (scalar_c s);
       eol g ";"
   | _, Some e ->
-      bol g;
-      add g "/* ";
-      add g (Ir.ty_name t);
-      add g " */ int ";
-      add_cname g v;
+      declare ("/* " ^ Ir.ty_name t ^ " */ int");
       add g " = ";
       expr g e;
       eol g ";"
   | _, None ->
-      bol g;
-      add g "/* ";
-      add g (Ir.ty_name t);
-      add_char g ' ';
-      add_cname g v;
+      declare ("/* " ^ Ir.ty_name t);
       eol g " */"
 
 (* ------------------------------------------------------------------ *)
@@ -985,51 +941,49 @@ let local_staging g =
           in
           let stride = if p.Ir.padded then rowlen + 1 else rowlen in
           let elem = scalar_c aty.Ir.elem in
+          let tile () =
+            add_cname g name;
+            add g "_tile"
+          in
+          let int n () = add_int g n in
           (* one element of the tile, copied from the global source *)
           let copy index =
-            bol g;
-            add_cname g name;
-            add g "_tile[";
-            add g index;
-            add g "] = ((__global const ";
-            add g elem;
-            add g "*)";
-            add_cname g name;
-            add g ")[tile_base * ";
-            add_int g rowlen;
-            eol g " + t];"
+            line_of g ""
+              (fun () ->
+                tile ();
+                add_char g '[';
+                index ();
+                add g "] = ((__global const ";
+                add g elem;
+                add g "*)";
+                add_cname g name;
+                add g ")[tile_base * ";
+                add_int g rowlen)
+              " + t];"
           in
-          bol g;
-          add g "/* stage ";
-          add_cname g name;
-          eol g " through local memory (tile + barrier) */";
-          bol g;
-          add g "__local ";
-          add g elem;
-          add_char g ' ';
-          add_cname g name;
-          add g "_tile[TILE * ";
-          add_int g stride;
-          eol g "];";
+          line_of g "/* stage " (fun () -> add_cname g name)
+            " through local memory (tile + barrier) */";
+          line_of g "__local "
+            (fun () ->
+              add g elem;
+              add_char g ' ';
+              tile ();
+              add g "[TILE * ";
+              add_int g stride)
+            "];";
           line g "const int tile_base = 0; /* tile loop elided: whole-array staging */";
-          bol g;
-          add g "for (int t = get_local_id(0); t < TILE * ";
-          add_int g rowlen;
-          eol g "; t += get_local_size(0)) {";
-          g.indent <- g.indent + 1;
-          if p.Ir.padded then begin
-            bol g;
-            add g "int row = t / ";
-            add_int g rowlen;
-            eol g ";";
-            bol g;
-            add g "int col = t % ";
-            add_int g rowlen;
-            eol g ";";
-            copy ("row * " ^ string_of_int stride ^ " + col")
-          end
-          else copy "t";
-          g.indent <- g.indent - 1;
+          line_of g "for (int t = get_local_id(0); t < TILE * " (int rowlen)
+            "; t += get_local_size(0)) {";
+          indented g (fun () ->
+              if p.Ir.padded then begin
+                line_of g "int row = t / " (int rowlen) ";";
+                line_of g "int col = t % " (int rowlen) ";";
+                copy (fun () ->
+                    add g "row * ";
+                    add_int g stride;
+                    add g " + col")
+              end
+              else copy (fun () -> add_char g 't'));
           line g "}";
           line g "barrier(CLK_LOCAL_MEM_FENCE);"
       | _ -> ())
