@@ -61,9 +61,10 @@ let add_int g i =
 
 (** An IR name as a C identifier: temporaries look like [%name7]. *)
 let add_cname g s =
-  String.iter
-    (fun c -> Buffer.add_char g.b (if c = '%' || c = '$' then '_' else c))
-    s
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    Buffer.add_char g.b (if c = '%' || c = '$' then '_' else c)
+  done
 
 (** The C name of a root array, mapping the map-output variable to [_out]. *)
 let add_root g root =
@@ -157,20 +158,6 @@ let add_dim_len g root (aty : Ir.aty) d =
       add g "_len";
       add_int g d
 
-(** The dimensions whose lengths make up the row stride below dimension
-    [d], in printed order (innermost first); vectorized arrays drop the
-    innermost dimension into the element type. *)
-let stride_dims (aty : Ir.aty) ~vector_width d =
-  let ndims = List.length aty.Ir.dims in
-  let last = if vector_width > 1 then ndims - 1 else ndims in
-  List.init (max 0 (last - 1 - d)) (fun i -> last - 1 - i)
-
-(* a stride that prints as "1": no factor, or the single factor 1 *)
-let unit_stride (aty : Ir.aty) = function
-  | [] -> true
-  | [ k ] -> List.nth aty.Ir.dims k = Ir.DFixed 1
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -180,9 +167,13 @@ let binop_c (op : Lime_frontend.Ast.binop) =
   | Ushr -> ">>" (* emitted on unsigned operands *)
   | op -> Lime_frontend.Ast.binop_name op
 
+(* The runtime's C formatter behind Printf's "%g" conversions; called
+   directly, no format is interpreted per literal. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (** A C floating literal that always contains a '.' or exponent. *)
 let float_lit f =
-  let s = Printf.sprintf "%.9g" f in
+  let s = format_float "%.9g" f in
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'n' || c = 'i') s then s
   else s ^ ".0"
 
@@ -367,21 +358,33 @@ and element g root aty p full =
   flat_index g root aty p ~vector_width:1 full;
   add_char g ']'
 
+(* The row stride below dimension [d] is the product of the lengths of
+   dimensions [d+1 .. last-1], printed innermost first; vectorized arrays
+   drop the innermost dimension into the element type. *)
 and flat_index g root (aty : Ir.aty) (p : Ir.placement) ~vector_width
     (idx : Ir.expr list) : unit =
-  let padded = p.Ir.padded in
+  let ndims = List.length aty.Ir.dims in
+  let last = if vector_width > 1 then ndims - 1 else ndims in
   if idx = [] then add_char g '0'
   else
     List.iteri
       (fun d i ->
         if d > 0 then add g " + ";
         expr g i;
-        let dims = stride_dims aty ~vector_width d in
-        if not (unit_stride aty dims) then begin
+        (* a stride that prints as "1" (no factor, or the single factor 1)
+           is left out *)
+        let unit =
+          d + 1 >= last
+          || (d + 2 = last && List.nth aty.Ir.dims (d + 1) = Ir.DFixed 1)
+        in
+        if not unit then begin
           (* bank-conflict padding widens the row stride by one element *)
-          add g (if padded then " * (" else " * ");
-          add_sep g " * " (add_dim_len g root aty) dims;
-          if padded then add g " + 1)"
+          add g (if p.Ir.padded then " * (" else " * ");
+          for k = last - 1 downto d + 1 do
+            add_dim_len g root aty k;
+            if k > d + 1 then add g " * "
+          done;
+          if p.Ir.padded then add g " + 1)"
         end)
       idx
 

@@ -96,6 +96,33 @@ let test_float_literals_valid () =
         | None -> ())
     (tokens src)
 
+(* [float_lit] calls the runtime's formatter itself; every literal must
+   still be the text [Printf.sprintf "%.9g"] gives, with ".0" when that has
+   no '.' or exponent. *)
+let test_float_lit_format () =
+  let reference f =
+    let s = Printf.sprintf "%.9g" f in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'n' || c = 'i') s
+    then s
+    else s ^ ".0"
+  in
+  let powers =
+    List.concat_map
+      (fun k ->
+        let p = 10.0 ** float k in
+        [ p; p -. 1.0; p +. 1.0; -.p; 1.0 /. p ])
+      (List.init 12 Fun.id)
+  in
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (reference f)
+        (Opencl.float_lit f))
+    (List.init 20001 (fun i -> float (i - 10000))
+    @ powers
+    @ [ 0.0; -0.0; 0.5; -2.5; 1e-9; 123456789.0; 999999999.0; 1e9;
+        4294967296.0; 1e300; Float.max_float; Float.min_float; Float.nan;
+        Float.infinity; Float.neg_infinity ])
+
 let test_double_pragma () =
   let nbody_d = Lime_benchmarks.Nbody.double in
   let c =
@@ -298,6 +325,7 @@ let () =
         [
           Alcotest.test_case "printer pin" `Quick test_printer_pin;
           Alcotest.test_case "unit row stride" `Quick test_unit_row_stride;
+          Alcotest.test_case "float literal text" `Quick test_float_lit_format;
           Alcotest.test_case "linear allocation" `Quick test_linear_allocation;
         ] );
     ]
