@@ -31,9 +31,6 @@ module B = Lime_typecheck.Tast
 type gen = {
   b : Buffer.t;
   mutable indent : int;
-  kernel : Kernel.kernel;
-  placements : (string * Ir.placement) list;
-      (** decision order: the samplers and the local staging follow it *)
   placement_of : (string, Ir.placement) Hashtbl.t;
   param_ty : (string, Ir.ty) Hashtbl.t;
   body_aty : (string, Ir.aty) Hashtbl.t;
@@ -147,16 +144,19 @@ let space_qualifier = function
 (* Array layout: flat index computation                                *)
 (* ------------------------------------------------------------------ *)
 
+(* the args-struct field holding dimension [d] of [root] *)
+let add_len_field g root d =
+  add g "args.";
+  add_root g root;
+  add g "_len";
+  add_int g d
+
 (** The length of dimension [d] of root array [root]: a constant when the
     dimension is fixed, otherwise a field of the args struct. *)
 let add_dim_len g root (aty : Ir.aty) d =
   match List.nth aty.Ir.dims d with
   | Ir.DFixed n -> add_int g n
-  | Ir.DDyn ->
-      add g "args.";
-      add_root g root;
-      add g "_len";
-      add_int g d
+  | Ir.DDyn -> add_len_field g root d
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
@@ -260,11 +260,7 @@ let rec expr g (e : Ir.expr) : unit =
              buffers'; else the _out alias *)
           match array_aty g root with
           | Some aty -> add_dim_len g root aty d
-          | None ->
-              add g "args.";
-              add_root g root;
-              add g "_len";
-              add_int g d)
+          | None -> add_len_field g root d)
       | None -> add g "/*len?*/0")
   | Ir.Intrinsic (b, s, args) ->
       add g (intrinsic_c b s);
@@ -869,8 +865,6 @@ let make_gen (k : Kernel.kernel) placements =
   {
     b = Buffer.create 4096;
     indent = 0;
-    kernel = k;
-    placements;
     placement_of = first_wins placements;
     param_ty = first_wins k.Kernel.k_params;
     body_aty;
@@ -883,8 +877,7 @@ let make_gen (k : Kernel.kernel) placements =
 
 (** The bookkeeping struct's fields (Fig 4(b)): the dynamic lengths of the
     array parameters, the scratch buffers and the result. *)
-let args_fields g scratch =
-  let k = g.kernel in
+let args_fields g (k : Kernel.kernel) scratch =
   let count = ref 0 in
   let lengths name (aty : Ir.aty) =
     List.iteri
@@ -934,7 +927,7 @@ let param_decl g (p : string) (t : Ir.ty) : unit =
 (** Emit the local-memory staging loop of Fig 5(d) for arrays placed in
     local memory: threads of the work group cooperatively copy a tile and
     barrier before use. *)
-let local_staging g =
+let local_staging g placements =
   List.iter
     (fun (name, p) ->
       match (p.Ir.space, Hashtbl.find_opt g.param_ty name) with
@@ -990,7 +983,7 @@ let local_staging g =
           line g "}";
           line g "barrier(CLK_LOCAL_MEM_FENCE);"
       | _ -> ())
-    g.placements
+    placements
 
 (** Generate the OpenCL source of a kernel under the given placements. *)
 let generate (k : Kernel.kernel) (decisions : Memopt.decision list) : string =
@@ -1009,7 +1002,7 @@ let generate (k : Kernel.kernel) (decisions : Memopt.decision list) : string =
   add g "#define TILE ";
   add_int g Kernel.group_size;
   add g "\n\ntypedef struct {\n";
-  args_fields g scratch;
+  args_fields g k scratch;
   add g "} ";
   struct_name ();
   add g ";\n\n";
@@ -1076,7 +1069,7 @@ let generate (k : Kernel.kernel) (decisions : Memopt.decision list) : string =
       add g " args");
   add g ")\n{\n";
   g.indent <- 1;
-  local_staging g;
+  local_staging g placements;
   List.iter (stmt g) k.Kernel.k_body;
   add g "}\n";
   Buffer.contents g.b
