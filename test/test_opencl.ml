@@ -195,24 +195,27 @@ let test_all_benchmarks_generate () =
     Lime_benchmarks.Registry.workloads
 
 (* ------------------------------------------------------------------ *)
-(* Printer pin: one MD5 over every text the printer makes               *)
+(* Printer pin: three MD5s over every text the printer makes             *)
 (* ------------------------------------------------------------------ *)
 
-(* The OpenCL text and Clcheck report of: every registry workload at both
-   scales under the nine configurations (Fig 8 plus All); each worker of
-   the first 200 generated programs under All; and each single catalog
-   rewrite that applies to a registry kernel, printed through
-   [Pipeline.reschedule].  Any byte the printer changes changes the MD5. *)
-let printer_digest = "1dcbe5a13418ed9ee70fa4f323e6dd49"
+(* The OpenCL text and Clcheck report of three sets, one MD5 each so a
+   change shows which set it moved: every registry workload at both scales
+   under the nine configurations (Fig 8 plus All); each worker of the first
+   200 generated programs under All; and each single catalog rewrite that
+   applies to a registry kernel, printed through [Pipeline.reschedule].
+   Any byte the printer changes changes an MD5. *)
+let registry_digest = "20b1d765b18f97ac33dcf8be06809a49"
+let gen_digest = "a21961f0a3b9d556bc2ee360f1ba73ff"
+let rewrite_digest = "bcaa8d0ad3d41e3e325ab6b42be413b2"
+
+module P = Lime_gpu.Pipeline
+module Rewrite = Lime_rewrite.Rewrite
 
 let add_text b label cl =
   Printf.bprintf b "== %s\n%s%s\n" label cl
     (Lime_gpu.Clcheck.report (Lime_gpu.Clcheck.check cl))
 
-let test_printer_pin () =
-  let module P = Lime_gpu.Pipeline in
-  let module Rewrite = Lime_rewrite.Rewrite in
-  let b = Buffer.create (1 lsl 20) in
+let registry_texts b =
   let configs = Memopt.fig8_configs @ [ ("All", Memopt.config_all) ] in
   List.iter
     (fun (w : Lime_benchmarks.Bench_def.t) ->
@@ -226,7 +229,9 @@ let test_printer_pin () =
                 (P.reoptimize c cfg).P.cp_opencl)
             configs)
         [ ("paper", w.source); ("small", w.source_small) ])
-    Lime_benchmarks.Registry.workloads;
+    Lime_benchmarks.Registry.workloads
+
+let gen_texts b =
   List.iteri
     (fun i p ->
       let source = Lime_fuzz.Gen.to_source p in
@@ -238,7 +243,9 @@ let test_printer_pin () =
           | exception e ->
               Printf.bprintf b "== %s\nraised %s\n" label (Printexc.to_string e))
         (Lime_fuzz.Gen.workers p))
-    (Lime_fuzz.Gen.corpus ~seed:0 200);
+    (Lime_fuzz.Gen.corpus ~seed:0 200)
+
+let rewrite_texts b =
   List.iter
     (fun (w : Lime_benchmarks.Bench_def.t) ->
       let c = Lime_benchmarks.Registry.compile_small w in
@@ -256,9 +263,28 @@ let test_printer_pin () =
                 (Printf.sprintf "%s / %s" w.name step.Rewrite.name)
                 r.P.cp_opencl)
         Rewrite.catalog)
-    Lime_benchmarks.Registry.workloads;
-  Alcotest.(check string) "digest" printer_digest
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
+    Lime_benchmarks.Registry.workloads
+
+(* all three are compared at once, so a failure shows every set that
+   moved *)
+let test_printer_pin () =
+  let digest texts =
+    let b = Buffer.create (1 lsl 20) in
+    texts b;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  Alcotest.(check (list (pair string string)))
+    "registry, gen, rewrite digests"
+    [
+      ("registry", registry_digest);
+      ("gen", gen_digest);
+      ("rewrite", rewrite_digest);
+    ]
+    [
+      ("registry", digest registry_texts);
+      ("gen", digest gen_texts);
+      ("rewrite", digest rewrite_texts);
+    ]
 
 (* A row stride that is the single fixed length 1 prints as no stride at
    all, the way a unit stride does; no registry kernel has such a row. *)
