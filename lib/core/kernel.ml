@@ -19,7 +19,6 @@
 
 open Lime_support
 module Ir = Lime_ir.Ir
-module Value = Lime_ir.Value
 
 let err ~loc fmt = Diag.error ~phase:Diag.Kernel ~loc fmt
 
@@ -51,69 +50,29 @@ let verdict_name = function
 (* Constant folding of static finals                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** Evaluate the initializer expressions of static final fields to constants.
-    Initializers are restricted to simple expressions by the lowering pass;
-    anything non-constant simply stays unfolded (and later blocks offload if
-    the kernel reads it). *)
+(** Fold the initializers of static fields to constants, in declaration
+    order: a read of an already folded static becomes its literal, and an
+    operator over literals folds to what the host interpreter computes
+    ({!Lime_ir.Interp.fold_literal}).  Anything non-constant simply stays
+    unfolded (and later blocks offload if the kernel reads it). *)
 let static_consts (md : Ir.modul) : (string * string, Ir.const) Hashtbl.t =
   let tbl = Hashtbl.create 16 in
-  let rec eval (e : Ir.expr) : Ir.const option =
+  let fold (e : Ir.expr) =
     match e with
-    | Ir.Const c -> Some c
-    | Ir.StaticGet (c, f) -> Hashtbl.find_opt tbl (c, f)
-    | Ir.Cast (dst, _, a) -> (
-        match eval a with
-        | Some (Ir.CInt i) -> (
-            match dst with
-            | Ir.SFloat -> Some (Ir.CFloat (float_of_int i))
-            | Ir.SDouble -> Some (Ir.CDouble (float_of_int i))
-            | Ir.SLong -> Some (Ir.CLong (Int64.of_int i))
-            | _ -> Some (Ir.CInt i))
-        | Some (Ir.CFloat f) -> (
-            match dst with
-            | Ir.SInt -> Some (Ir.CInt (int_of_float f))
-            | Ir.SDouble -> Some (Ir.CDouble f)
-            | _ -> Some (Ir.CFloat f))
-        | Some (Ir.CDouble f) -> (
-            match dst with
-            | Ir.SInt -> Some (Ir.CInt (int_of_float f))
-            | Ir.SFloat -> Some (Ir.CFloat (Value.f32 f))
-            | _ -> Some (Ir.CDouble f))
-        | c -> c)
-    | Ir.Bin (op, s, a, b) -> (
-        match (eval a, eval b) with
-        | Some ca, Some cb -> fold_bin op s ca cb
-        | _ -> None)
-    | Ir.Un (Lime_frontend.Ast.Neg, _, a) -> (
-        match eval a with
-        | Some (Ir.CInt i) -> Some (Ir.CInt (-i))
-        | Some (Ir.CFloat f) -> Some (Ir.CFloat (-.f))
-        | Some (Ir.CDouble f) -> Some (Ir.CDouble (-.f))
-        | Some (Ir.CLong l) -> Some (Ir.CLong (Int64.neg l))
-        | _ -> None)
-    | _ -> None
-  and fold_bin op _s ca cb =
-    let open Lime_frontend.Ast in
-    match (ca, cb, op) with
-    | Ir.CInt a, Ir.CInt b, Add -> Some (Ir.CInt (Value.i32 (a + b)))
-    | Ir.CInt a, Ir.CInt b, Sub -> Some (Ir.CInt (Value.i32 (a - b)))
-    | Ir.CInt a, Ir.CInt b, Mul -> Some (Ir.CInt (Value.i32 (a * b)))
-    | Ir.CInt a, Ir.CInt b, Div when b <> 0 -> Some (Ir.CInt (a / b))
-    | Ir.CFloat a, Ir.CFloat b, Add -> Some (Ir.CFloat (Value.f32 (a +. b)))
-    | Ir.CFloat a, Ir.CFloat b, Sub -> Some (Ir.CFloat (Value.f32 (a -. b)))
-    | Ir.CFloat a, Ir.CFloat b, Mul -> Some (Ir.CFloat (Value.f32 (a *. b)))
-    | Ir.CFloat a, Ir.CFloat b, Div -> Some (Ir.CFloat (Value.f32 (a /. b)))
-    | Ir.CDouble a, Ir.CDouble b, Add -> Some (Ir.CDouble (a +. b))
-    | Ir.CDouble a, Ir.CDouble b, Sub -> Some (Ir.CDouble (a -. b))
-    | Ir.CDouble a, Ir.CDouble b, Mul -> Some (Ir.CDouble (a *. b))
-    | Ir.CDouble a, Ir.CDouble b, Div -> Some (Ir.CDouble (a /. b))
-    | _ -> None
+    | Ir.StaticGet (c, f) -> (
+        match Hashtbl.find_opt tbl (c, f) with
+        | Some k -> Ir.Const k
+        | None -> e)
+    | _ -> (
+        match Lime_ir.Interp.fold_literal e with
+        | Some k -> Ir.Const k
+        | None -> e)
   in
   List.iter
     (fun (c, f, e) ->
-      match eval e with
-      | Some k -> Hashtbl.replace tbl (c, f) k
-      | None -> ())
+      match Ir.map_expr fold e with
+      | Ir.Const k -> Hashtbl.replace tbl (c, f) k
+      | _ -> ())
     md.Ir.md_static_inits;
   tbl
 
@@ -224,76 +183,32 @@ and rename_stmts (subst : string -> string) (body : Ir.stmt list) :
     Ir.stmt list =
   let uid = string_of_int (Hashtbl.hash body land 0xFFFF) in
   let declared = Hashtbl.create 16 in
-  let rec collect s =
-    (match s with
-    | Ir.SDecl (v, _, _) -> Hashtbl.replace declared v ()
-    | Ir.SFor (v, _, _, _) -> Hashtbl.replace declared v ()
+  let stmt = function
+    | Ir.SDecl (v, _, _) | Ir.SFor (v, _, _, _) -> Hashtbl.replace declared v ()
     | Ir.SParFor p -> Hashtbl.replace declared p.Ir.pf_var ()
-    | _ -> ());
-    match s with
-    | Ir.SIf (_, a, b) ->
-        List.iter collect a;
-        List.iter collect b
-    | Ir.SWhile (_, b) | Ir.SFor (_, _, _, b) | Ir.SInlineBlock (_, b) ->
-        List.iter collect b
-    | Ir.SParFor p -> List.iter collect p.Ir.pf_body
     | _ -> ()
   in
-  List.iter collect body;
+  List.iter (Ir.iter_stmt ~stmt) body;
   let rn v =
     if Hashtbl.mem declared v then v ^ "$" ^ uid else subst v
   in
-  let rec re (e : Ir.expr) : Ir.expr =
-    match e with
-    | Ir.Var v -> Ir.Var (rn v)
-    | Ir.Const _ | Ir.This | Ir.StaticGet _ -> e
-    | Ir.Bin (op, s, a, b) -> Ir.Bin (op, s, re a, re b)
-    | Ir.Un (op, s, a) -> Ir.Un (op, s, re a)
-    | Ir.Cast (d, s, a) -> Ir.Cast (d, s, re a)
-    | Ir.Load (b, idx) -> Ir.Load (re b, List.map re idx)
-    | Ir.Len (a, d) -> Ir.Len (re a, d)
-    | Ir.Intrinsic (b, s, args) -> Ir.Intrinsic (b, s, List.map re args)
-    | Ir.CallF (n, args) -> Ir.CallF (n, List.map re args)
-    | Ir.CallM (n, r, args) -> Ir.CallM (n, re r, List.map re args)
-    | Ir.FieldGet (r, f) -> Ir.FieldGet (re r, f)
-    | Ir.NewArr (a, sizes) -> Ir.NewArr (a, List.map re sizes)
-    | Ir.ArrLit (a, es) -> Ir.ArrLit (a, List.map re es)
-    | Ir.NewObj (c, args) -> Ir.NewObj (c, List.map re args)
-    | Ir.RangeE n -> Ir.RangeE (re n)
-    | Ir.ToValueE a -> Ir.ToValueE (re a)
-    | Ir.TaskE _ | Ir.ConnectE _ -> e
-  in
-  let rec rs (s : Ir.stmt) : Ir.stmt =
-    match s with
-    | Ir.SDecl (v, t, init) -> Ir.SDecl (rn v, t, Option.map re init)
-    | Ir.SAssign (Ir.LVar v, e) -> Ir.SAssign (Ir.LVar (rn v), re e)
-    | Ir.SAssign (lv, e) -> Ir.SAssign (lv, re e)
-    | Ir.SArrStore (b, idx, v) -> Ir.SArrStore (re b, List.map re idx, re v)
-    | Ir.SIf (c, a, b) -> Ir.SIf (re c, List.map rs a, List.map rs b)
-    | Ir.SWhile (c, b) -> Ir.SWhile (re c, List.map rs b)
-    | Ir.SFor (v, lo, hi, b) -> Ir.SFor (rn v, re lo, re hi, List.map rs b)
+  let expr = function Ir.Var v -> Ir.Var (rn v) | e -> e in
+  let stmt = function
+    | Ir.SDecl (v, t, init) -> Ir.SDecl (rn v, t, init)
+    | Ir.SAssign (Ir.LVar v, e) -> Ir.SAssign (Ir.LVar (rn v), e)
+    | Ir.SFor (v, lo, hi, b) -> Ir.SFor (rn v, lo, hi, b)
     | Ir.SParFor p ->
         Ir.SParFor
           {
+            p with
             Ir.pf_var = rn p.Ir.pf_var;
-            pf_count = re p.Ir.pf_count;
-            pf_body = List.map rs p.Ir.pf_body;
             pf_out = Option.map rn p.Ir.pf_out;
           }
-    | Ir.SReduce rd ->
-        Ir.SReduce
-          {
-            rd with
-            Ir.rd_dst = rn rd.Ir.rd_dst;
-            rd_arr = re rd.Ir.rd_arr;
-          }
-    | Ir.SInlineBlock (res, b) -> Ir.SInlineBlock (rn res, List.map rs b)
-    | Ir.SReturn e -> Ir.SReturn (Option.map re e)
-    | Ir.SExpr e -> Ir.SExpr (re e)
-    | Ir.SBreak | Ir.SContinue -> s
-    | Ir.SFinish (g, n) -> Ir.SFinish (re g, Option.map re n)
+    | Ir.SReduce rd -> Ir.SReduce { rd with Ir.rd_dst = rn rd.Ir.rd_dst }
+    | Ir.SInlineBlock (res, b) -> Ir.SInlineBlock (rn res, b)
+    | s -> s
   in
-  List.map rs body
+  List.map (Ir.map_stmt ~expr ~stmt) body
 
 and rw_stmts ctx (body : Ir.stmt list) : Ir.stmt list =
   List.concat_map (rw_stmt ctx) body
@@ -356,25 +271,18 @@ and rw_stmt ctx (s : Ir.stmt) : Ir.stmt list =
     inside another one becomes an ordinary sequential loop in the kernel.
     This is what exposes the inner scoring loop of a nested map to the
     memory optimizer's reuse patterns (Fig 5c). *)
-let rec demote_nested ~inside (body : Ir.stmt list) : Ir.stmt list =
-  List.map
-    (fun s ->
-      match s with
-      | Ir.SParFor p when inside ->
-          Ir.SFor
-            ( p.Ir.pf_var,
-              Ir.Const (Ir.CInt 0),
-              p.Ir.pf_count,
-              demote_nested ~inside:true p.Ir.pf_body )
+let demote_nested (body : Ir.stmt list) : Ir.stmt list =
+  let demote = function
+    | Ir.SParFor p ->
+        Ir.SFor (p.Ir.pf_var, Ir.Const (Ir.CInt 0), p.Ir.pf_count, p.Ir.pf_body)
+    | s -> s
+  in
+  let inner = List.map (Ir.map_stmt ~stmt:demote) in
+  Ir.expand_stmts
+    (function
       | Ir.SParFor p ->
-          Ir.SParFor
-            { p with Ir.pf_body = demote_nested ~inside:true p.Ir.pf_body }
-      | Ir.SIf (c, a, b) ->
-          Ir.SIf (c, demote_nested ~inside a, demote_nested ~inside b)
-      | Ir.SWhile (c, b) -> Ir.SWhile (c, demote_nested ~inside b)
-      | Ir.SFor (v, lo, hi, b) -> Ir.SFor (v, lo, hi, demote_nested ~inside b)
-      | Ir.SInlineBlock (r, b) -> Ir.SInlineBlock (r, demote_nested ~inside b)
-      | s -> s)
+          Some [ Ir.SParFor { p with Ir.pf_body = inner p.Ir.pf_body } ]
+      | _ -> None)
     body
 
 (* ------------------------------------------------------------------ *)
@@ -388,8 +296,7 @@ let body_has_parallelism (body : Ir.stmt list) =
        ~stmt:(fun s ->
          match s with
          | Ir.SParFor _ | Ir.SReduce _ -> found := true
-         | _ -> ())
-       ~expr:(fun _ -> ()))
+         | _ -> ()))
     body;
   !found
 
@@ -450,7 +357,7 @@ let extract (md : Ir.modul) ~(worker : string) : kernel =
       stack = [ worker ];
     }
   in
-  let body = demote_nested ~inside:false (rw_stmts ctx f.Ir.fn_body) in
+  let body = demote_nested (rw_stmts ctx f.Ir.fn_body) in
   {
     k_name = f.Ir.fn_name;
     k_params = f.Ir.fn_params;

@@ -568,8 +568,7 @@ and tail_return_only (b : Ir.stmt list) : bool =
   let count = ref 0 in
   List.iter
     (Ir.iter_stmt
-       ~stmt:(fun s -> match s with Ir.SReturn _ -> incr count | _ -> ())
-       ~expr:ignore)
+       ~stmt:(fun s -> match s with Ir.SReturn _ -> incr count | _ -> ()))
     b;
   match List.rev b with
   | Ir.SReturn _ :: _ -> !count = 1
@@ -844,7 +843,7 @@ let make_gen (k : Kernel.kernel) placements =
     t
   in
   let body_aty = Hashtbl.create 16 and literal_arrays = Hashtbl.create 8 in
-  let walk stmt = List.iter (Ir.iter_stmt ~stmt ~expr:ignore) in
+  let walk stmt = List.iter (Ir.iter_stmt ~stmt) in
   (* an inline block is literal-valued when any return in it is *)
   let returns_literal b =
     let found = ref false in

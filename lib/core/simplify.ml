@@ -4,84 +4,35 @@
     Runs after kernel extraction (inlining leaves behind folded static
     finals, single-use temporaries and identity arithmetic) and before the
     memory optimizer.  Every rewrite is semantics-preserving under the
-    interpreter's Java numerics — single-precision results are rounded with
-    {!Lime_ir.Value.f32} exactly as the interpreter would, and integer
-    arithmetic wraps at 32 bits — so the differential tests pin the pass
-    down.
+    interpreter's Java numerics: an operator over literals folds to what
+    {!Lime_ir.Interp.fold_literal} evaluates it to — the interpreter's own
+    operators, single-precision rounding and 32-bit wrapping included — and
+    stays put wherever the interpreter would raise, so the differential
+    tests pin the pass down.
 
     Folding float expressions is deliberately conservative: only exact
     identities (x*1, x+0, 0/…) and literal-literal operations are touched,
     never reassociation. *)
 
 module Ir = Lime_ir.Ir
-module Value = Lime_ir.Value
 open Lime_frontend.Ast
 
 (* ------------------------------------------------------------------ *)
 (* Constant folding                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let fold_int op a b : int option =
-  match op with
-  | Add -> Some (Value.i32 (a + b))
-  | Sub -> Some (Value.i32 (a - b))
-  | Mul -> Some (Value.i32 (a * b))
-  | Div when b <> 0 -> Some (Value.i32 (a / b))
-  | Mod when b <> 0 -> Some (Value.i32 (a mod b))
-  | BitAnd -> Some (a land b)
-  | BitOr -> Some (a lor b)
-  | BitXor -> Some (a lxor b)
-  | Shl -> Some (Value.i32 (a lsl (b land 31)))
-  | Shr -> Some (a asr (b land 31))
-  | Ushr -> Some (Value.i32 ((a land 0xFFFFFFFF) lsr (b land 31)))
-  | _ -> None
-
-let fold_float ~single op a b : float option =
-  let r = match op with
-    | Add -> Some (a +. b)
-    | Sub -> Some (a -. b)
-    | Mul -> Some (a *. b)
-    | Div -> Some (a /. b)
-    | _ -> None
-  in
-  Option.map (fun x -> if single then Value.f32 x else x) r
-
-let fold_cmp op c : bool option =
-  match op with
-  | Lt -> Some (c < 0)
-  | Le -> Some (c <= 0)
-  | Gt -> Some (c > 0)
-  | Ge -> Some (c >= 0)
-  | Eq -> Some (c = 0)
-  | Ne -> Some (c <> 0)
-  | _ -> None
-
-let rec simp_expr (e : Ir.expr) : Ir.expr =
-  match e with
-  | Ir.Const _ | Ir.Var _ | Ir.This | Ir.StaticGet _ -> e
-  | Ir.Bin (op, s, a, b) -> (
-      let a = simp_expr a and b = simp_expr b in
+(* One node, its children already simplified: fold it if its operands are
+   literals, else apply an exact identity. *)
+let rec fold (e : Ir.expr) : Ir.expr =
+  match (Lime_ir.Interp.fold_literal e, e) with
+  | Some k, _ -> Ir.Const k
+  | None, Ir.Bin (op, s, a, b) -> (
       match (a, b, op, s) with
-      (* literal folding *)
-      | Ir.Const (Ir.CInt x), Ir.Const (Ir.CInt y), _, (Ir.SInt | Ir.SByte | Ir.SChar)
-        -> (
-          match fold_int op x y with
-          | Some v -> Ir.Const (Ir.CInt v)
-          | None -> (
-              match fold_cmp op (compare x y) with
-              | Some bl -> Ir.Const (Ir.CBool bl)
-              | None -> Ir.Bin (op, s, a, b)))
-      | Ir.Const (Ir.CFloat x), Ir.Const (Ir.CFloat y), _, Ir.SFloat -> (
-          match fold_float ~single:true op x y with
-          | Some v -> Ir.Const (Ir.CFloat v)
-          | None -> Ir.Bin (op, s, a, b))
-      | Ir.Const (Ir.CDouble x), Ir.Const (Ir.CDouble y), _, Ir.SDouble -> (
-          match fold_float ~single:false op x y with
-          | Some v -> Ir.Const (Ir.CDouble v)
-          | None -> Ir.Bin (op, s, a, b))
       (* exact algebraic identities *)
-      | x, Ir.Const (Ir.CInt 0), (Add | Sub | BitOr | BitXor | Shl | Shr | Ushr), _
-        ->
+      | ( x,
+          Ir.Const (Ir.CInt 0),
+          (Add | Sub | BitOr | BitXor | Shl | Shr | Ushr),
+          _ ) ->
           x
       | Ir.Const (Ir.CInt 0), y, (Add | BitOr | BitXor), _ -> y
       | x, Ir.Const (Ir.CInt 1), (Mul | Div), _ -> x
@@ -102,48 +53,16 @@ let rec simp_expr (e : Ir.expr) : Ir.expr =
       | Ir.Const (Ir.CBool false), _, And, _ -> Ir.Const (Ir.CBool false)
       | Ir.Const (Ir.CBool false), y, Or, _ -> y
       | Ir.Const (Ir.CBool true), _, Or, _ -> Ir.Const (Ir.CBool true)
-      | _ -> Ir.Bin (op, s, a, b))
-  | Ir.Un (op, s, a) -> (
-      let a = simp_expr a in
-      match (op, a) with
-      | Neg, Ir.Const (Ir.CInt x) -> Ir.Const (Ir.CInt (Value.i32 (-x)))
-      | Neg, Ir.Const (Ir.CFloat x) -> Ir.Const (Ir.CFloat (-.x))
-      | Neg, Ir.Const (Ir.CDouble x) -> Ir.Const (Ir.CDouble (-.x))
-      | Not, Ir.Const (Ir.CBool b) -> Ir.Const (Ir.CBool (not b))
-      | BitNot, Ir.Const (Ir.CInt x) -> Ir.Const (Ir.CInt (Value.i32 (lnot x)))
-      | _ -> Ir.Un (op, s, a))
-  | Ir.Cast (d, sc, a) -> (
-      let a = simp_expr a in
-      match (d, a) with
-      | Ir.SFloat, Ir.Const (Ir.CInt x) ->
-          Ir.Const (Ir.CFloat (Value.f32 (float_of_int x)))
-      | Ir.SDouble, Ir.Const (Ir.CInt x) ->
-          Ir.Const (Ir.CDouble (float_of_int x))
-      | Ir.SInt, Ir.Const (Ir.CInt x) -> Ir.Const (Ir.CInt (Value.i32 x))
-      | Ir.SByte, Ir.Const (Ir.CInt x) -> Ir.Const (Ir.CInt (Value.i8 x))
-      | Ir.SLong, Ir.Const (Ir.CInt x) -> Ir.Const (Ir.CLong (Int64.of_int x))
-      | _ -> Ir.Cast (d, sc, a))
-  | Ir.Load (b, idx) -> Ir.Load (simp_expr b, List.map simp_expr idx)
-  | Ir.Len (a, d) -> Ir.Len (simp_expr a, d)
-  | Ir.Intrinsic (b, s, args) -> Ir.Intrinsic (b, s, List.map simp_expr args)
-  | Ir.CallF (n, args) -> Ir.CallF (n, List.map simp_expr args)
-  | Ir.CallM (n, r, args) ->
-      Ir.CallM (n, simp_expr r, List.map simp_expr args)
-  | Ir.FieldGet (r, f) -> Ir.FieldGet (simp_expr r, f)
-  | Ir.NewArr (a, sizes) -> Ir.NewArr (a, List.map simp_expr sizes)
-  | Ir.ArrLit (a, es) -> Ir.ArrLit (a, List.map simp_expr es)
-  | Ir.NewObj (c, args) -> Ir.NewObj (c, List.map simp_expr args)
-  | Ir.RangeE n -> Ir.RangeE (simp_expr n)
-  | Ir.ToValueE a -> Ir.ToValueE (simp_expr a)
-  | Ir.TaskE _ | Ir.ConnectE _ -> e
+      | _ -> e)
+  | None, _ -> e
 
 (** Is the expression free of side effects (calls can print or fail)? *)
 and pure (e : Ir.expr) : bool =
   match e with
   | Ir.Const _ | Ir.Var _ | Ir.This | Ir.StaticGet _ | Ir.Len _ -> true
-  | Ir.Bin ((Div | Mod), _, _, b) ->
+  | Ir.Bin ((Div | Mod), _, a, b) ->
       (* integer division can trap *)
-      (match b with Ir.Const (Ir.CInt n) -> n <> 0 | _ -> false) && pure b
+      (match b with Ir.Const (Ir.CInt n) -> n <> 0 | _ -> false) && pure a
   | Ir.Bin (_, _, a, b) -> pure a && pure b
   | Ir.Un (_, _, a) | Ir.Cast (_, _, a) | Ir.FieldGet (a, _) -> pure a
   | Ir.Load (b, idx) -> pure b && List.for_all pure idx
@@ -160,12 +79,10 @@ and pure (e : Ir.expr) : bool =
 (* Statement simplification + dead declaration elimination             *)
 (* ------------------------------------------------------------------ *)
 
+let simp_expr = Ir.map_expr fold
+
 let rec simp_stmt (s : Ir.stmt) : Ir.stmt list =
   match s with
-  | Ir.SDecl (v, t, init) -> [ Ir.SDecl (v, t, Option.map simp_expr init) ]
-  | Ir.SAssign (lv, e) -> [ Ir.SAssign (lv, simp_expr e) ]
-  | Ir.SArrStore (b, idx, v) ->
-      [ Ir.SArrStore (simp_expr b, List.map simp_expr idx, simp_expr v) ]
   | Ir.SIf (c, a, b) -> (
       match simp_expr c with
       | Ir.Const (Ir.CBool true) -> simp_stmts a
@@ -189,19 +106,15 @@ let rec simp_stmt (s : Ir.stmt) : Ir.stmt list =
             pf_body = simp_stmts p.Ir.pf_body;
           };
       ]
-  | Ir.SReduce r -> [ Ir.SReduce { r with Ir.rd_arr = simp_expr r.Ir.rd_arr } ]
   | Ir.SInlineBlock (res, b) -> (
       (* a block whose body is exactly one trailing return collapses *)
       match simp_stmts b with
       | [ Ir.SReturn (Some e) ] -> [ Ir.SAssign (Ir.LVar res, e) ]
       | b -> [ Ir.SInlineBlock (res, b) ])
-  | Ir.SReturn e -> [ Ir.SReturn (Option.map simp_expr e) ]
   | Ir.SExpr e ->
       let e = simp_expr e in
       if pure e then [] else [ Ir.SExpr e ]
-  | Ir.SBreak | Ir.SContinue -> [ s ]
-  | Ir.SFinish (g, n) ->
-      [ Ir.SFinish (simp_expr g, Option.map simp_expr n) ]
+  | _ -> [ Ir.map_stmt ~expr:fold s ]
 
 and simp_stmts (b : Ir.stmt list) : Ir.stmt list =
   List.concat_map simp_stmt b
@@ -226,34 +139,22 @@ let used_vars (body : Ir.stmt list) : (string, int) Hashtbl.t =
 let rec eliminate_dead (body : Ir.stmt list) : Ir.stmt list =
   let uses = used_vars body in
   let changed = ref false in
-  let rec clean (stmts : Ir.stmt list) : Ir.stmt list =
-    List.filter_map
-      (fun (s : Ir.stmt) ->
-        match s with
+  let unread v = not (Hashtbl.mem uses v) in
+  let body =
+    Ir.expand_stmts
+      (function
         | Ir.SDecl (v, _, init)
-          when (not (Hashtbl.mem uses v))
-               && (match init with None -> true | Some e -> pure e) ->
+          when unread v && Option.fold ~none:true ~some:pure init ->
             changed := true;
-            None
-        | Ir.SAssign (Ir.LVar v, e)
-          when (not (Hashtbl.mem uses v)) && pure e ->
+            Some []
+        | Ir.SAssign (Ir.LVar v, e) when unread v && pure e ->
             changed := true;
-            None
-        | Ir.SIf (c, a, b) -> Some (Ir.SIf (c, clean a, clean b))
-        | Ir.SWhile (c, b) -> Some (Ir.SWhile (c, clean b))
-        | Ir.SFor (v, lo, hi, b) -> Some (Ir.SFor (v, lo, hi, clean b))
-        | Ir.SParFor p ->
-            Some (Ir.SParFor { p with Ir.pf_body = clean p.Ir.pf_body })
-        | Ir.SInlineBlock (r, b) -> Some (Ir.SInlineBlock (r, clean b))
-        | s -> Some s)
-      stmts
+            Some []
+        | _ -> None)
+      body
   in
-  let body = clean body in
   if !changed then eliminate_dead body else body
 
 (** Simplify a kernel: fold constants, apply identities, prune dead code. *)
 let kernel (k : Kernel.kernel) : Kernel.kernel =
   { k with Kernel.k_body = eliminate_dead (simp_stmts k.Kernel.k_body) }
-
-(** Simplify one function body (used by tests and tooling). *)
-let stmts = simp_stmts

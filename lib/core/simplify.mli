@@ -3,17 +3,8 @@
     interpreter's Java numerics (differential-tested across the whole
     benchmark suite). *)
 
-val simp_expr : Lime_ir.Ir.expr -> Lime_ir.Ir.expr
-
-val pure : Lime_ir.Ir.expr -> bool
-(** Free of side effects: no prints, no possible traps.  Conservative. *)
-
-val stmts : Lime_ir.Ir.stmt list -> Lime_ir.Ir.stmt list
-(** Fold and prune one statement list (no dead-code pass). *)
-
-val eliminate_dead : Lime_ir.Ir.stmt list -> Lime_ir.Ir.stmt list
-(** Remove declarations and assignments of never-read variables whose
-    initializers are pure; iterates to a fixpoint. *)
-
 val kernel : Kernel.kernel -> Kernel.kernel
-(** The full pipeline pass: fold, then eliminate dead code. *)
+(** Fold constants through {!Lime_ir.Interp.fold_literal}, apply exact
+    identities, prune constant branches, then remove declarations and
+    assignments of never-read variables whose initializers are pure,
+    iterating to a fixpoint. *)

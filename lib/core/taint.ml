@@ -68,8 +68,7 @@ let thread_dependent (body : Ir.stmt list) : (string, unit) Hashtbl.t =
              ~stmt:(fun s ->
                match s with
                | Ir.SReturn (Some e) when mentions e -> returns_tainted := true
-               | _ -> ())
-             ~expr:(fun _ -> ()))
+               | _ -> ()))
           b;
         if !returns_tainted then add res
     | Ir.SReturn _ | Ir.SExpr _ | Ir.SBreak | Ir.SContinue | Ir.SFinish _ ->

@@ -740,6 +740,37 @@ let const_value = function
   | Ir.CDouble d -> Value.VDouble d
   | Ir.CBool b -> of_bool b
 
+(* the literal of scalar [s] that [v] is *)
+let const_of_value (s : Ir.scalar) (v : Value.t) : Ir.const =
+  match (s, v) with
+  | Ir.SBool, Value.VInt i -> Ir.CBool (i <> 0)
+  | (Ir.SInt | Ir.SByte | Ir.SChar), Value.VInt i -> Ir.CInt i
+  | Ir.SLong, Value.VLong l -> Ir.CLong l
+  | Ir.SFloat, Value.VFloat x -> Ir.CFloat x
+  | Ir.SDouble, Value.VDouble d -> Ir.CDouble d
+  | _ -> fail "%s is not a %s literal" (Value.to_string v) (Ir.scalar_name s)
+
+let fold_literal (e : Ir.expr) : Ir.const option =
+  let k = const_value in
+  match
+    match e with
+    | Ir.Bin (op, s, Ir.Const a, Ir.Const b) ->
+        let result =
+          match op with
+          | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> Ir.SBool
+          | _ -> s
+        in
+        Some (const_of_value result (eval_binop op s (k a) (k b)))
+    | Ir.Un (op, s, Ir.Const a) ->
+        let result = if op = Not then Ir.SBool else s in
+        Some (const_of_value result (eval_unop op s (k a)))
+    | Ir.Cast (dst, src, Ir.Const a) ->
+        Some (const_of_value dst (eval_cast dst src (k a)))
+    | _ -> None
+  with
+  | r -> r
+  | exception Runtime_error _ -> None
+
 let fn_of st name =
   match Hashtbl.find_opt st.code.fns name with
   | Some _ as r -> r

@@ -274,10 +274,13 @@ and mentions_any p = function
   | [] -> false
   | e :: rest -> mentions p e || mentions_any p rest
 
-let rec iter_stmt ~(stmt : stmt -> unit) ~(expr : expr -> unit) (s : stmt) =
+(** [iter_stmt ~stmt ?expr s] calls [stmt] on [s] and every statement
+    nested in it, parent first, and [expr] on every expression node they
+    hold; without [expr], expressions are not walked. *)
+let rec iter_stmt ~(stmt : stmt -> unit) ?expr (s : stmt) =
   stmt s;
-  let fe = iter_expr expr in
-  let fs = iter_stmt ~stmt ~expr in
+  let fe = match expr with None -> ignore | Some f -> iter_expr f in
+  let fs = iter_stmt ~stmt ?expr in
   match s with
   | SDecl (_, _, None) | SBreak | SContinue | SReturn None -> ()
   | SDecl (_, _, Some e) | SReturn (Some e) | SExpr e -> fe e
@@ -309,6 +312,83 @@ let rec iter_stmt ~(stmt : stmt -> unit) ~(expr : expr -> unit) (s : stmt) =
   | SFinish (g, n) ->
       fe g;
       Option.iter fe n
+
+(** [map_expr f e] rebuilds [e] bottom-up: every node's children are
+    mapped first, then [f] rewrites the node. *)
+let rec map_expr (f : expr -> expr) (e : expr) : expr =
+  let r = map_expr f in
+  let rs = List.map r in
+  f
+    (match e with
+    | Const _ | Var _ | This | StaticGet _ -> e
+    | Bin (op, s, a, b) -> Bin (op, s, r a, r b)
+    | Un (op, s, a) -> Un (op, s, r a)
+    | Cast (t, fr, a) -> Cast (t, fr, r a)
+    | Load (b, idx) -> Load (r b, rs idx)
+    | Len (a, i) -> Len (r a, i)
+    | Intrinsic (b, s, args) -> Intrinsic (b, s, rs args)
+    | CallF (n, args) -> CallF (n, rs args)
+    | CallM (n, rc, args) -> CallM (n, r rc, rs args)
+    | FieldGet (a, fl) -> FieldGet (r a, fl)
+    | NewArr (t, args) -> NewArr (t, rs args)
+    | ArrLit (t, args) -> ArrLit (t, rs args)
+    | NewObj (c, args) -> NewObj (c, rs args)
+    | RangeE a -> RangeE (r a)
+    | ToValueE a -> ToValueE (r a)
+    | TaskE td -> TaskE { td with td_ctor = Option.map rs td.td_ctor }
+    | ConnectE (a, b) -> ConnectE (r a, r b))
+
+(** [map_stmt ?expr ?stmt s] rebuilds [s] bottom-up: its expressions are
+    mapped with [map_expr expr] (left alone without [expr]), its nested
+    statements with [map_stmt], and then [stmt] rewrites the rebuilt
+    statement. *)
+let rec map_stmt ?expr ?(stmt : stmt -> stmt = Fun.id) (s : stmt) : stmt =
+  let fe = match expr with None -> Fun.id | Some f -> map_expr f in
+  let fs = List.map (map_stmt ?expr ~stmt) in
+  stmt
+    (match s with
+    | SDecl (v, t, init) -> SDecl (v, t, Option.map fe init)
+    | SAssign (lv, e) ->
+        let lv =
+          match lv with
+          | LVar _ | LStatic _ -> lv
+          | LField (r, f) -> LField (fe r, f)
+        in
+        SAssign (lv, fe e)
+    | SArrStore (b, idx, v) -> SArrStore (fe b, List.map fe idx, fe v)
+    | SIf (c, a, b) -> SIf (fe c, fs a, fs b)
+    | SWhile (c, b) -> SWhile (fe c, fs b)
+    | SFor (v, lo, hi, b) -> SFor (v, fe lo, fe hi, fs b)
+    | SParFor p ->
+        SParFor { p with pf_count = fe p.pf_count; pf_body = fs p.pf_body }
+    | SReduce r -> SReduce { r with rd_arr = fe r.rd_arr }
+    | SInlineBlock (n, b) -> SInlineBlock (n, fs b)
+    | SReturn e -> SReturn (Option.map fe e)
+    | SExpr e -> SExpr (fe e)
+    | SBreak | SContinue -> s
+    | SFinish (g, n) -> SFinish (fe g, Option.map fe n))
+
+(** Replace whole statements, parent first: [f s = Some repl] splices
+    [repl] in place of [s]; [None] keeps [s] and descends into the
+    statement lists it holds. *)
+let rec expand_stmts (f : stmt -> stmt list option) (ss : stmt list) :
+    stmt list =
+  List.concat_map
+    (fun s ->
+      match f s with
+      | Some repl -> repl
+      | None ->
+          let fs = expand_stmts f in
+          [
+            (match s with
+            | SIf (c, a, b) -> SIf (c, fs a, fs b)
+            | SWhile (c, b) -> SWhile (c, fs b)
+            | SFor (v, lo, hi, b) -> SFor (v, lo, hi, fs b)
+            | SParFor p -> SParFor { p with pf_body = fs p.pf_body }
+            | SInlineBlock (n, b) -> SInlineBlock (n, fs b)
+            | s -> s);
+          ])
+    ss
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printing (for tests and --dump-ir)                           *)

@@ -557,8 +557,7 @@ and lower_for env ~loc init cond step body =
                  err ~loc
                    "'continue' is only supported in canonical counted for \
                     loops"
-             | _ -> ())
-           ~expr:(fun _ -> ()))
+             | _ -> ()))
         sb;
       emit env
         (Ir.SWhile

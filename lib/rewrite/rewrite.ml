@@ -63,93 +63,11 @@ type step = { name : string; kind : kind }
 (* IR utilities                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec map_expr (f : Ir.expr -> Ir.expr) (e : Ir.expr) : Ir.expr =
-  let r = map_expr f in
-  let e' =
-    match e with
-    | Ir.Const _ | Ir.Var _ | Ir.This | Ir.StaticGet _ | Ir.TaskE _ -> e
-    | Ir.Bin (op, s, a, b) -> Ir.Bin (op, s, r a, r b)
-    | Ir.Un (op, s, a) -> Ir.Un (op, s, r a)
-    | Ir.Cast (t, fr, a) -> Ir.Cast (t, fr, r a)
-    | Ir.Load (b, idx) -> Ir.Load (r b, List.map r idx)
-    | Ir.Len (a, i) -> Ir.Len (r a, i)
-    | Ir.Intrinsic (b, s, args) -> Ir.Intrinsic (b, s, List.map r args)
-    | Ir.CallF (n, args) -> Ir.CallF (n, List.map r args)
-    | Ir.CallM (n, rc, args) -> Ir.CallM (n, r rc, List.map r args)
-    | Ir.FieldGet (a, fl) -> Ir.FieldGet (r a, fl)
-    | Ir.NewArr (t, args) -> Ir.NewArr (t, List.map r args)
-    | Ir.ArrLit (t, args) -> Ir.ArrLit (t, List.map r args)
-    | Ir.NewObj (c, args) -> Ir.NewObj (c, List.map r args)
-    | Ir.RangeE a -> Ir.RangeE (r a)
-    | Ir.ToValueE a -> Ir.ToValueE (r a)
-    | Ir.ConnectE (a, b) -> Ir.ConnectE (r a, r b)
-  in
-  f e'
-
-let rec map_stmt ~(expr : Ir.expr -> Ir.expr)
-    ?(stmt : Ir.stmt -> Ir.stmt = Fun.id) (s : Ir.stmt) : Ir.stmt =
-  let fe = map_expr expr in
-  let fs = map_stmt ~expr ~stmt in
-  let s' =
-    match s with
-    | Ir.SDecl (v, t, init) -> Ir.SDecl (v, t, Option.map fe init)
-    | Ir.SAssign (lv, e) ->
-        let lv =
-          match lv with
-          | Ir.LVar _ | Ir.LStatic _ -> lv
-          | Ir.LField (r, f) -> Ir.LField (fe r, f)
-        in
-        Ir.SAssign (lv, fe e)
-    | Ir.SArrStore (b, idx, v) -> Ir.SArrStore (fe b, List.map fe idx, fe v)
-    | Ir.SIf (c, a, b) -> Ir.SIf (fe c, List.map fs a, List.map fs b)
-    | Ir.SWhile (c, b) -> Ir.SWhile (fe c, List.map fs b)
-    | Ir.SFor (v, lo, hi, b) -> Ir.SFor (v, fe lo, fe hi, List.map fs b)
-    | Ir.SParFor p ->
-        Ir.SParFor
-          {
-            p with
-            Ir.pf_count = fe p.Ir.pf_count;
-            pf_body = List.map fs p.Ir.pf_body;
-          }
-    | Ir.SReduce r -> Ir.SReduce { r with Ir.rd_arr = fe r.Ir.rd_arr }
-    | Ir.SInlineBlock (n, b) -> Ir.SInlineBlock (n, List.map fs b)
-    | Ir.SReturn e -> Ir.SReturn (Option.map fe e)
-    | Ir.SExpr e -> Ir.SExpr (fe e)
-    | Ir.SBreak | Ir.SContinue -> s
-    | Ir.SFinish (g, n) -> Ir.SFinish (fe g, Option.map fe n)
-  in
-  stmt s'
-
 (** Substitute [Var v] by [repl] in a statement list. *)
 let subst_var (v : string) (repl : Ir.expr) (ss : Ir.stmt list) :
     Ir.stmt list =
   let expr = function Ir.Var x when x = v -> repl | e -> e in
-  List.map (map_stmt ~expr) ss
-
-(** Replace whole statements: [f s = Some repl] splices [repl] in place of
-    [s]; [None] descends into [s]'s children. *)
-let rec expand_stmts (f : Ir.stmt -> Ir.stmt list option)
-    (ss : Ir.stmt list) : Ir.stmt list =
-  List.concat_map
-    (fun s ->
-      match f s with
-      | Some repl -> repl
-      | None ->
-          [
-            (match s with
-            | Ir.SIf (c, a, b) ->
-                Ir.SIf (c, expand_stmts f a, expand_stmts f b)
-            | Ir.SWhile (c, b) -> Ir.SWhile (c, expand_stmts f b)
-            | Ir.SFor (v, lo, hi, b) ->
-                Ir.SFor (v, lo, hi, expand_stmts f b)
-            | Ir.SParFor p ->
-                Ir.SParFor
-                  { p with Ir.pf_body = expand_stmts f p.Ir.pf_body }
-            | Ir.SInlineBlock (n, b) ->
-                Ir.SInlineBlock (n, expand_stmts f b)
-            | s -> s);
-          ])
-    ss
+  List.map (Ir.map_stmt ~expr) ss
 
 (** Every identifier mentioned by the statements (variables, declarations,
     loop indices) — the conservative footprint used by fission/fusion. *)
@@ -186,7 +104,7 @@ let written_of (ss : Ir.stmt list) : (string, unit) Hashtbl.t =
     | Ir.SReduce r -> add r.Ir.rd_dst
     | _ -> ()
   in
-  List.iter (Ir.iter_stmt ~stmt ~expr:(fun _ -> ())) ss;
+  List.iter (Ir.iter_stmt ~stmt) ss;
   tbl
 
 let disjoint a b =
@@ -464,8 +382,7 @@ let rename_decls (names : (string, unit) Hashtbl.t) (ss : Ir.stmt list) :
          | Ir.SDecl (v, _, _) ->
              if not (Hashtbl.mem renames v) then
                Hashtbl.replace renames v (fresh names (v ^ "u"))
-         | _ -> ())
-       ~expr:(fun _ -> ()))
+         | _ -> ()))
     ss;
   if Hashtbl.length renames = 0 then ss
   else
@@ -478,7 +395,7 @@ let rename_decls (names : (string, unit) Hashtbl.t) (ss : Ir.stmt list) :
       | Ir.SAssign (Ir.LVar v, e) -> Ir.SAssign (Ir.LVar (rn v), e)
       | s -> s
     in
-    List.map (map_stmt ~expr ~stmt) ss
+    List.map (Ir.map_stmt ~expr ~stmt) ss
 
 (** Fully unroll the first counted loop with 2..16 constant trips,
     substituting the literal index into each copy — which turns affine
@@ -679,8 +596,7 @@ let scalarize_candidate (k : Kernel.kernel) :
                when n >= 1 && n <= max_scalarize_elems ->
                  consider v aty init n
              | _ -> ())
-         | _ -> ())
-       ~expr:(fun _ -> ()))
+         | _ -> ()))
     k.Kernel.k_body;
   !found
 
@@ -715,11 +631,11 @@ let scalarize : step =
           | s -> s
         in
         let body =
-          List.map (map_stmt ~expr ~stmt) st.st_kernel.Kernel.k_body
+          List.map (Ir.map_stmt ~expr ~stmt) st.st_kernel.Kernel.k_body
         in
         (* splice the per-cell declarations where the array was declared *)
         let body =
-          expand_stmts
+          Ir.expand_stmts
             (function
               | Ir.SDecl (x, Ir.TArr _, _) when x = v ->
                   Some
@@ -762,8 +678,7 @@ let soa_candidate (k : Kernel.kernel) :
              | [ _; Ir.DFixed f ] when f >= 2 && f <= 4 ->
                  consider v aty sizes f
              | _ -> ())
-         | _ -> ())
-       ~expr:(fun _ -> ()))
+         | _ -> ()))
     k.Kernel.k_body;
   !found
 
@@ -798,10 +713,10 @@ let soa : step =
           | s -> s
         in
         let body =
-          List.map (map_stmt ~expr ~stmt) st.st_kernel.Kernel.k_body
+          List.map (Ir.map_stmt ~expr ~stmt) st.st_kernel.Kernel.k_body
         in
         let body =
-          expand_stmts
+          Ir.expand_stmts
             (function
               | Ir.SDecl (x, Ir.TArr _, _) when x = v ->
                   Some

@@ -159,6 +159,64 @@ let test_double_detection () =
   let k = Kernel.extract md ~worker:"K.work" in
   Alcotest.(check bool) "uses double" true k.Kernel.k_uses_double
 
+(* A static final read inside a kernel is inlined as the literal the host
+   computes for it at module load.  Each initializer below was once folded
+   by extraction's own arithmetic to a different value than the host's
+   (or, for [1 << 4] and [7 % 3], not at all, failing extraction). *)
+let test_static_finals_fold_like_host () =
+  let show = function
+    | Ir.CFloat x | Ir.CDouble x -> Printf.sprintf "%.17g" x
+    | c -> Ir.const_str c
+  in
+  let mismatch (ty, init) =
+    let src =
+      Printf.sprintf
+        {|class K {
+  static final %s C = %s;
+  static local %s f(int x) { return C; }
+  static local %s[[]] work(int[[]] xs) { return K.f @ xs; }
+}|}
+        ty init ty ty
+    in
+    let md = lower src in
+    let want =
+      match
+        !(Hashtbl.find (Lime_ir.Interp.create md).Lime_ir.Interp.statics
+            ("K", "C"))
+      with
+      | Lime_ir.Value.VInt i -> Ir.CInt i
+      | Lime_ir.Value.VLong l -> Ir.CLong l
+      | Lime_ir.Value.VFloat x -> Ir.CFloat x
+      | Lime_ir.Value.VDouble d -> Ir.CDouble d
+      | v -> Alcotest.failf "%s: host value %s" init (Lime_ir.Value.to_string v)
+    in
+    match Kernel.extract md ~worker:"K.work" with
+    | exception Lime_support.Diag.Error_exn d ->
+        Some (Printf.sprintf "%s: %s" init d.Lime_support.Diag.message)
+    | k ->
+        let consts = ref [] in
+        List.iter
+          (Ir.iter_stmt
+             ~stmt:(fun _ -> ())
+             ~expr:(function Ir.Const c -> consts := c :: !consts | _ -> ()))
+          k.Kernel.k_body;
+        if List.mem want !consts then None
+        else
+          Some
+            (Printf.sprintf "%s: host %s, kernel literals [%s]" init (show want)
+               (String.concat "; " (List.map show !consts)))
+  in
+  Alcotest.(check (list string)) "kernel literal = host value" []
+    (List.filter_map mismatch
+       [
+         ("float", "(float) 16777217");
+         ("int", "-(-2147483647 - 1)");
+         ("int", "(-2147483647 - 1) / -1");
+         ("long", "(long) 2.5f");
+         ("int", "1 << 4");
+         ("int", "7 % 3");
+       ])
+
 (* a worker that is not a legal filter is reported at its declaration:
    base_src declares instWork on line 8 and nonLocal on line 9 *)
 let test_rejection_located () =
@@ -201,6 +259,8 @@ let () =
           Alcotest.test_case "executes identically" `Quick
             test_extracted_kernel_executes;
           Alcotest.test_case "double detection" `Quick test_double_detection;
+          Alcotest.test_case "static finals fold like the host" `Quick
+            test_static_finals_fold_like_host;
         ] );
       ( "classification",
         [

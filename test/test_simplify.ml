@@ -117,27 +117,61 @@ let test_branch_pruning () =
   Alcotest.(check int) "constant-false branch pruned" 0
     (count (function `S (Ir.SIf _) -> true | _ -> false) k'.Kernel.k_body)
 
-let test_division_by_zero_preserved () =
-  (* x / 0 must NOT be folded away or treated as pure *)
+(* a comparison of two float literals folds like any other operator on
+   literals, and the branch it decides is pruned *)
+let test_float_comparison_folds () =
   let k =
     kernel_of
       {|class K {
-  static local int f(int x) {
-    int trap = x / (x - x);
-    return trap;
+  static local float f(float x) {
+    if (1.25f < 0.75f) { x = x * 100.0f; }
+    return x;
   }
-  static local int[[]] work(int[[]] xs) { return K.f @ xs; }
+  static local float[[]] work(float[[]] xs) { return K.f @ xs; }
 }|}
       ~worker:"K.work"
   in
-  let k' = S.kernel k in
-  let st = Lime_ir.Interp.create (Kernel.to_module k') in
-  match
-    Lime_ir.Interp.call_function st "K.work" None
-      [ V.VArr (V.of_int_array [| 5 |]) ]
-  with
-  | exception Lime_ir.Interp.Runtime_error _ -> ()
-  | _ -> Alcotest.fail "division by zero must survive simplification"
+  Alcotest.(check bool) "comparison before" true
+    (count
+       (function
+         | `E (Ir.Bin (Lt, Ir.SFloat, Ir.Const _, Ir.Const _)) -> true
+         | _ -> false)
+       k.Kernel.k_body
+    > 0);
+  Alcotest.(check int) "branch pruned" 0
+    (count (function `S (Ir.SIf _) -> true | _ -> false)
+       (S.kernel k).Kernel.k_body)
+
+let test_division_by_zero_preserved () =
+  (* a division that traps in the interpreter must NOT be folded away or
+     treated as pure: x / 0, the literal 1L / 0L, and a dead declaration
+     whose dividend traps *)
+  List.iter
+    (fun (ty, body) ->
+      let k =
+        kernel_of
+          (Printf.sprintf
+             {|class K {
+  static local %s f(int x) { %s }
+  static local %s[[]] work(int[[]] xs) { return K.f @ xs; }
+}|}
+             ty body ty)
+          ~worker:"K.work"
+      in
+      let st = Lime_ir.Interp.create (Kernel.to_module (S.kernel k)) in
+      match
+        Lime_ir.Interp.call_function st "K.work" None
+          [ V.VArr (V.of_int_array [| 5 |]) ]
+      with
+      | exception Lime_ir.Interp.Runtime_error _ -> ()
+      | _ ->
+          Alcotest.failf "%s: division by zero must survive simplification"
+            body)
+    [
+      ("int", "int trap = x / (x - x); return trap;");
+      ("long", "long trap = 1L / 0L; return trap + x;");
+      ("int", "int unused = (x / (x - x)) / 2; return x;");
+    ]
 
 let differential (b : B.t) () =
   (* simplified and unsimplified kernels produce identical results *)
@@ -187,6 +221,8 @@ let () =
           Alcotest.test_case "identities" `Quick test_identities;
           Alcotest.test_case "dead code" `Quick test_dead_code_removed;
           Alcotest.test_case "branch pruning" `Quick test_branch_pruning;
+          Alcotest.test_case "float comparison folds" `Quick
+            test_float_comparison_folds;
           Alcotest.test_case "div-by-zero preserved" `Quick
             test_division_by_zero_preserved;
         ] );
