@@ -5,8 +5,6 @@
 
 type issue = { is_line : int; is_msg : string }
 
-val pp_issue : Format.formatter -> issue -> unit
-
 type result = { issues : issue list }
 
 val ok : result -> bool

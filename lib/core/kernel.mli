@@ -42,10 +42,3 @@ val extract : Lime_ir.Ir.modul -> worker:string -> kernel
 val to_module : kernel -> Lime_ir.Ir.modul
 (** Wrap an extracted kernel as a callable module so the reference
     interpreter (and the simulator's functional mode) can execute it. *)
-
-(**/**)
-
-val static_consts :
-  Lime_ir.Ir.modul -> (string * string, Lime_ir.Ir.const) Hashtbl.t
-
-val body_has_parallelism : Lime_ir.Ir.stmt list -> bool

@@ -32,12 +32,6 @@ val fig8_configs : (string * config) list
 
 val config_name : config -> string
 
-val private_threshold_elems : int
-(** Maximum statically sized per-thread array promoted to private memory. *)
-
-val constant_budget_bytes : int
-(** Constant-memory capacity (64KB on all Table 2 GPUs). *)
-
 type array_info = {
   ai_name : string;
   ai_ty : Lime_ir.Ir.aty;

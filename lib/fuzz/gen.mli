@@ -41,10 +41,6 @@ type prog = {
   p_steps : int;
 }
 
-val split_effective : prog -> bool
-(** Whether the pipeline actually renders as two workers ([p_split] is
-    ignored for single-stage programs). *)
-
 val to_source : prog -> string
 (** Render as a self-contained [.lime] compilation unit: [class Gen]
     (stage element functions + workers) and [class GenApp] (input
@@ -55,12 +51,8 @@ val workers : prog -> string list
     [Pipeline.compile ~worker], and the functions to chain for the
     reference result. *)
 
-val gen_prog : prog QCheck.Gen.t
-val shrink_prog : prog -> prog QCheck.Iter.t
-val print_prog : prog -> string
-
 val arbitrary : prog QCheck.arbitrary
-(** [gen_prog] + structural shrinking + source-level printing: a failure
+(** Random programs + structural shrinking + source-level printing: a failure
     report is a loadable [.lime] file, not an AST dump. *)
 
 val corpus : seed:int -> int -> prog list

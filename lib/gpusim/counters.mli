@@ -79,11 +79,6 @@ val mem_s : t -> float
 (** The memory side of the roofline [max]: global + local + constant +
     image seconds. *)
 
-val achieved_bw : t -> float
-(** Bytes over the bus / total time, bytes/s (0 for a zero-time launch). *)
-
-val achieved_flops : t -> float
-
 val arithmetic_intensity : t -> float
 (** FLOPs per byte of device-memory traffic; [infinity] when the launch
     moved no global bytes. *)

@@ -20,8 +20,6 @@ type counters = {
   mutable double_ops : int;
 }
 
-val fresh_counters : unit -> counters
-
 val copy_counters : counters -> counters
 (** A snapshot: later increments of the original do not reach it. *)
 
@@ -43,14 +41,17 @@ type state = {
   code : code;
 }
 
-val default_value : Ir.ty -> Value.t
-
-val instantiate : state -> string -> Value.t list -> Value.obj
-(** Allocate an object, run field initializers and the constructor. *)
-
 val call_function :
   state -> string -> Value.obj option -> Value.t list -> Value.t
 (** Invoke a function by qualified name (["Class.method"]). *)
+
+val fold_literal : Ir.expr -> Ir.const option
+(** The literal a [Bin], [Un] or [Cast] node over [Const] operands
+    evaluates to under this interpreter's own operators; [None] for any
+    other node, and wherever evaluating it raises (division by zero, an
+    operator its scalar does not have).  Every compile-time fold of
+    constant arithmetic goes through here, so the kernel computes what the
+    host computes. *)
 
 val create : Ir.modul -> state
 (** Load a module: registers statics and runs their initializers. *)

@@ -245,18 +245,6 @@ let of_float_matrix ?(is_value = true) ?(elem = Ir.SFloat) rows cols
   | _ -> assert false);
   a
 
-let to_float_array a : float array =
-  let n = elem_count a.shape in
-  let out = Array.make n 0.0 in
-  let contiguous = a.strides = strides_of a.shape in
-  (match (a.buf, contiguous) with
-  | BFloat b, true -> Array.blit b a.offset out 0 n
-  | BInt b, true -> Array.iteri (fun i _ -> out.(i) <- float_of_int b.(a.offset + i)) out
-  | BLong b, true -> Array.iteri (fun i _ -> out.(i) <- Int64.to_float b.(a.offset + i)) out
-  | _, false -> failwith "to_float_array: non-contiguous view"
-  );
-  out
-
 let to_int_array a : int array =
   let n = elem_count a.shape in
   let contiguous = a.strides = strides_of a.shape in

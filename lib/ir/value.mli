@@ -63,10 +63,7 @@ val length : arr -> int
 
 val total_bytes : arr -> int
 
-val check_bounds : arr -> int -> int -> unit
 val flat_index : arr -> int array -> int
-val get_scalar : arr -> int array -> t
-val set_scalar : arr -> int array -> t -> unit
 
 val view : arr -> int -> arr
 (** Row view: drops the outermost dimension; O(1), shares storage. *)
@@ -79,7 +76,6 @@ val store : arr -> int list -> t -> unit
 (** Scalar store at a full index, or a copying row store when [t] is an
     array and the index is partial. *)
 
-val copy_into : dst:arr -> src:arr -> unit
 val deep_copy : ?is_value:bool -> arr -> arr
 
 (** {2 Conversions} *)
@@ -91,7 +87,6 @@ val of_float_matrix :
   ?is_value:bool -> ?elem:Ir.scalar -> int -> int -> float array -> arr
 (** [of_float_matrix rows cols data] with [data] row-major. *)
 
-val to_float_array : arr -> float array
 val to_int_array : arr -> int array
 
 (** {2 Display and comparison} *)

@@ -92,8 +92,6 @@ val configs : (string * Lime_gpu.Memopt.config) list
 (** The canonical configuration-name table shared by [limec] and the
     wire protocol (["global"], ["local+pad+vec"], …, ["all"]). *)
 
-val config_of_name : string -> Lime_gpu.Memopt.config option
-
 type t
 
 val create : ?service:Lime_service.Service.t -> config -> t
@@ -109,9 +107,6 @@ val service : t -> Lime_service.Service.t
 val http_port : t -> int option
 (** The bound observability-plane port ([None] when [sc_http_port] is
     [None]) — the actual port even when configured as ephemeral [0]. *)
-
-val build_version : string
-(** Human version string exported in [lime_build_info]. *)
 
 val run : t -> unit
 (** The reactor loop.  Blocks until a drain completes; single-shot

@@ -53,8 +53,6 @@ val histogram :
     appended.  Default buckets span 1µs..1s decades — sized for the
     compile and communication latencies this repo measures. *)
 
-val default_buckets : float list
-
 val summary :
   registry -> ?help:string -> ?alpha:float -> ?quantiles:float list ->
   ?windows:(string * float) list -> ?clock:(unit -> float) -> string ->
@@ -64,15 +62,11 @@ val summary :
     [name{quantile="q"} v] sample per quantile over {e all} values ever
     observed, plus one [name{window="label",quantile="q"} v] sample per
     rolling window in [windows] (label, span in seconds — default
-    {!default_windows}), then [_sum] and [_count]; empty sketches emit no
+    [["1m", 60.; "5m", 300.; "1h", 3600.]]), then [_sum] and [_count]; empty sketches emit no
     quantile samples.  [alpha] is the sketch's relative-error bound
     (default {!Sketch.default_alpha}); [clock] supplies "now" in seconds
     for window rotation (default {!Lime_support.Clock.now_s}; tests pass a
     fake). *)
-
-val default_windows : (string * float) list
-(** [["1m", 60.; "5m", 300.; "1h", 3600.]] — the multi-resolution views a
-    summary exposes by default. *)
 
 val inc : ?by:int -> counter -> unit
 val counter_value : counter -> int
@@ -93,7 +87,6 @@ val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
 val observe_summary : summary -> float -> unit
 val summary_count : summary -> int
-val summary_sum : summary -> float
 
 val summary_quantile : summary -> ?window_s:float -> float -> float option
 (** [summary_quantile s q]: the cumulative quantile estimate (all values

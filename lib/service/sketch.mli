@@ -37,10 +37,6 @@ val create : ?alpha:float -> unit -> t
 val default_alpha : float
 (** 0.01 — 1% relative error, the accuracy the bench gates quote. *)
 
-val min_value : float
-(** Smallest positively-bucketed value (1e-9); anything at or below it
-    counts as zero. *)
-
 val alpha : t -> float
 val add : t -> float -> unit
 val count : t -> int

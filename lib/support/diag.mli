@@ -22,9 +22,6 @@ type t = {
 exception Error_exn of t
 (** Raised by {!error}; rendered by the registered exception printer. *)
 
-val phase_name : phase -> string
-val severity_name : severity -> string
-
 val make :
   ?severity:severity ->
   phase:phase ->

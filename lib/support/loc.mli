@@ -15,8 +15,6 @@ type t = {
 val start_pos_of : t -> pos
 val end_pos_of : t -> pos
 
-val dummy_pos : pos
-
 val dummy : t
 (** The unknown location; {!is_dummy} recognizes it. *)
 
@@ -30,6 +28,5 @@ val merge : t -> t -> t
 (** [merge a b] spans from the start of [a] to the end of [b]; dummy
     locations are absorbed. *)
 
-val pp_pos : Format.formatter -> pos -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

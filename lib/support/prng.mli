@@ -8,8 +8,6 @@ type t
 val create : int -> t
 val copy : t -> t
 
-val next_int64 : t -> int64
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]; [bound] must be positive. *)
 
