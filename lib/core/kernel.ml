@@ -271,17 +271,17 @@ and rw_stmt ctx (s : Ir.stmt) : Ir.stmt list =
     inside another one becomes an ordinary sequential loop in the kernel.
     This is what exposes the inner scoring loop of a nested map to the
     memory optimizer's reuse patterns (Fig 5c). *)
-let demote_nested (body : Ir.stmt list) : Ir.stmt list =
-  let demote = function
-    | Ir.SParFor p ->
-        Ir.SFor (p.Ir.pf_var, Ir.Const (Ir.CInt 0), p.Ir.pf_count, p.Ir.pf_body)
-    | s -> s
-  in
-  let inner = List.map (Ir.map_stmt ~stmt:demote) in
+let rec demote_nested ~inside (body : Ir.stmt list) : Ir.stmt list =
   Ir.expand_stmts
     (function
       | Ir.SParFor p ->
-          Some [ Ir.SParFor { p with Ir.pf_body = inner p.Ir.pf_body } ]
+          let b = demote_nested ~inside:true p.Ir.pf_body in
+          Some
+            [
+              (if inside then
+                 Ir.SFor (p.Ir.pf_var, Ir.Const (Ir.CInt 0), p.Ir.pf_count, b)
+               else Ir.SParFor { p with Ir.pf_body = b });
+            ]
       | _ -> None)
     body
 
@@ -357,7 +357,7 @@ let extract (md : Ir.modul) ~(worker : string) : kernel =
       stack = [ worker ];
     }
   in
-  let body = demote_nested (rw_stmts ctx f.Ir.fn_body) in
+  let body = demote_nested ~inside:false (rw_stmts ctx f.Ir.fn_body) in
   {
     k_name = f.Ir.fn_name;
     k_params = f.Ir.fn_params;
