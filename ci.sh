@@ -48,6 +48,21 @@ if grep -rn --include='*.ml' --include='*.mli' \
   echo "FAIL: control-flow exceptions under lib/ or bin/; lib/ir/interp.ml is the one evaluator"
   exit 1
 fi
+# the compiler folds constant arithmetic only through
+# Lime_ir.Interp.fold_literal, so a kernel computes what the host does:
+# no rounding or wrapping helpers in the kernel pipeline or the rewrites
+if grep -rnE --include='*.ml' --include='*.mli' \
+     '(Value|V)\.(i32|f32|i8|u16)\b' lib/core lib/rewrite; then
+  echo "FAIL: operator semantics under lib/core/ or lib/rewrite/; fold with Lime_ir.Interp.fold_literal"
+  exit 1
+fi
+# one structural mapper: Ir.map_expr / Ir.map_stmt
+if grep -rnE --include='*.ml' --include='*.mli' \
+     '(let|and)( rec)? (map_expr|map_stmt)\b' lib bin bench \
+     | grep -v '^lib/ir/ir\.ml:'; then
+  echo "FAIL: a map_expr/map_stmt outside lib/ir/ir.ml; use Ir.map_expr / Ir.map_stmt"
+  exit 1
+fi
 
 echo "== one step shape =="
 # a rewrite step is one function that walks to its first site once

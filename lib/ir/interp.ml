@@ -751,7 +751,7 @@ let const_of_value (s : Ir.scalar) (v : Value.t) : Ir.const =
   | _ -> fail "%s is not a %s literal" (Value.to_string v) (Ir.scalar_name s)
 
 let fold_literal (e : Ir.expr) : Ir.const option =
-  let k = const_value in
+  let value = const_value in
   match
     match e with
     | Ir.Bin (op, s, Ir.Const a, Ir.Const b) ->
@@ -760,12 +760,12 @@ let fold_literal (e : Ir.expr) : Ir.const option =
           | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> Ir.SBool
           | _ -> s
         in
-        Some (const_of_value result (eval_binop op s (k a) (k b)))
+        Some (const_of_value result (eval_binop op s (value a) (value b)))
     | Ir.Un (op, s, Ir.Const a) ->
         let result = if op = Not then Ir.SBool else s in
-        Some (const_of_value result (eval_unop op s (k a)))
+        Some (const_of_value result (eval_unop op s (value a)))
     | Ir.Cast (dst, src, Ir.Const a) ->
-        Some (const_of_value dst (eval_cast dst src (k a)))
+        Some (const_of_value dst (eval_cast dst src (value a)))
     | _ -> None
   with
   | r -> r
