@@ -45,14 +45,6 @@ module SExec = Lime_sched.Exec
 (* one canonical name table, shared with the daemon's wire protocol *)
 let configs = Server.configs
 
-let devices =
-  [
-    ("gtx8800", Gpusim.Device.gtx8800);
-    ("gtx580", Gpusim.Device.gtx580);
-    ("hd5970", Gpusim.Device.hd5970);
-    ("corei7", Gpusim.Device.core_i7);
-  ]
-
 let parse_shape s =
   (* particles=4096x4 *)
   let fail msg =
@@ -86,14 +78,14 @@ let print_devices () =
         d.Gpusim.Device.pcie_gbs d.Gpusim.Device.info_const_mem
         d.Gpusim.Device.info_local_mem d.Gpusim.Device.info_l1
         d.Gpusim.Device.info_l2 d.Gpusim.Device.info_l3)
-    devices
+    SPlacement.devices
 
 let lookup_device flag dev_name =
-  match List.assoc_opt dev_name devices with
+  match List.assoc_opt dev_name SPlacement.devices with
   | Some d -> d
   | None ->
       Printf.eprintf "unknown device %s for %s; available: %s\n" dev_name flag
-        (String.concat ", " (List.map fst devices));
+        (String.concat ", " (List.map fst SPlacement.devices));
       exit 2
 
 let lookup_config config_name =

@@ -64,6 +64,23 @@ if grep -rnE --include='*.ml' --include='*.mli' \
   exit 1
 fi
 
+echo "== one firing model =="
+# lib/runtime/engine.ml is the one place that knows how a stage fires and
+# what it costs: the resource legs and their names, the crossing phases
+# and the host-cost pricing live there, and the placement layer prices a
+# stage with the engine's functions on the engine's compiled stages
+if grep -rn --include='*.ml' \
+     -e '"link:' -e '"dev:' -e 'Comm\.transfer_phases' -e 'Device\.jvm_time' lib \
+     | grep -v '^lib/runtime/engine\.ml:'; then
+  echo "FAIL: a firing leg or firing cost built outside lib/runtime/engine.ml; use Engine.device_legs / Engine.host_firing"
+  exit 1
+fi
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'Kernel\.extract' -e 'Memopt\.optimize' lib/sched; then
+  echo "FAIL: lib/sched/ compiles a kernel; probe the engine's stages (Engine.stages)"
+  exit 1
+fi
+
 echo "== one step shape =="
 # a rewrite step is one function that walks to its first site once
 # (Rewrite.kind); the search dedups on a structural digest, never on

@@ -86,10 +86,6 @@ let rand_floats ?(elem = Ir.SFloat) ~seed ~n ~lo ~hi () : Value.t =
     (Value.of_float_array ~elem
        (Array.init n (fun _ -> Prng.float_range rng lo hi)))
 
-let rand_ints ~seed ~n ~bound () : Value.t =
-  let rng = Prng.create seed in
-  Value.VArr (Value.of_int_array (Array.init n (fun _ -> Prng.int rng bound)))
-
 let arr_of (v : Value.t) : Value.arr =
   match v with
   | Value.VArr a -> a

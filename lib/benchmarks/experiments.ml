@@ -66,7 +66,7 @@ let prepare ?config ?(quick = false) ?seed (b : B.t) : prepared =
     p_shapes = shapes;
     p_scalars = scalars;
     p_launch = launch;
-    p_in_bytes = Marshal_.wire_size input;
+    p_in_bytes = Marshal_.wire_size Marshal_.Custom input;
     p_out_bytes = out_bytes;
     p_out_shape = out_shape;
   }
@@ -105,14 +105,10 @@ let baseline_seconds (p : prepared) : float =
    with no host-task work. *)
 let offload ?serializer (p : prepared) (d : Device.t) ~(kernel_s : float) :
     Comm.phases =
-  let elem_bytes =
-    match p.p_input with
-    | Value.VArr a -> Ir.scalar_size_bytes a.Value.elem
-    | _ -> 4
-  in
   let ph =
-    Comm.offload_phases d ?serializer ~elem_bytes ~in_bytes:p.p_in_bytes
-      ~out_bytes:p.p_out_bytes ()
+    Comm.offload_phases d ?serializer
+      ~elem_bytes:(Lime_runtime.Engine.elem_bytes p.p_input)
+      ~in_bytes:p.p_in_bytes ~out_bytes:p.p_out_bytes ()
   in
   ph.Comm.kernel_s <- kernel_s;
   ph

@@ -475,8 +475,8 @@ let binding_of_shape ~name ~elem ~(shape : int array)
 (* ------------------------------------------------------------------ *)
 
 (** Estimate the "Lime compiled to bytecode" (JVM) execution time of the
-    same work, from the analytic profile — the Fig 7 baseline.  Matches the
-    weights of {!Device.jvm_time} used when counting a real interpreter
+    same work, from the analytic profile — the Fig 7 baseline.  Uses the
+    {!Device.jvm_default} weights that also price a counted interpreter
     run. *)
 let jvm_time_profile (p : Profile.t) : float =
   let m = Device.jvm_default in

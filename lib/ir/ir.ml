@@ -490,9 +490,3 @@ let rec stmt_str ?(ind = 0) s =
   | SFinish (g, None) -> Printf.sprintf "%sfinish %s;" pad (expr_str g)
   | SFinish (g, Some n) ->
       Printf.sprintf "%sfinish %s x %s;" pad (expr_str g) (expr_str n)
-
-let func_str (f : func) =
-  Printf.sprintf "%s %s(%s) {\n%s\n}" (ty_name f.fn_ret) f.fn_name
-    (String.concat ", "
-       (List.map (fun (v, t) -> ty_name t ^ " " ^ v) f.fn_params))
-    (String.concat "\n" (List.map (stmt_str ~ind:2) f.fn_body))

@@ -547,9 +547,6 @@ let usage_clean (k : Kernel.kernel) (name : string)
   List.iter (Ir.iter_stmt ~stmt ~expr) k.Kernel.k_body;
   !total > 0 && !total = !clean
 
-let all_const_int idx =
-  List.for_all (function Ir.Const (Ir.CInt _) -> true | _ -> false) idx
-
 let zero_const = function
   | Ir.SInt | Ir.SByte | Ir.SChar -> Ir.Const (Ir.CInt 0)
   | Ir.SLong -> Ir.Const (Ir.CLong 0L)

@@ -49,15 +49,6 @@ let default_config =
     placement = None;
   }
 
-type offloaded = {
-  of_kernel : Kernel.kernel;
-  of_decisions : Memopt.decision list;
-  of_state : Interp.state Lazy.t;
-      (** the kernel wrapped for functional execution, loaded once for
-          all of the stage's firings *)
-  of_device : Gpusim.Device.t;  (** the device this stage fires on *)
-}
-
 (** Everything observable about one task firing.  Device firings carry the
     device model, the analytic launch profile and the kernel-time
     breakdown; host firings only the task name and its [host_s] leg. *)
@@ -138,7 +129,7 @@ let zero_result ?rows (k : Kernel.kernel) (input : Value.t) : Value.t =
   | _ -> Value.VUnit
 
 (* ------------------------------------------------------------------ *)
-(* Device-side execution of one firing                                 *)
+(* The firing model: what one firing costs and which resources it uses *)
 (* ------------------------------------------------------------------ *)
 
 let shapes_of_args (k : Kernel.kernel) (args : Value.t list) :
@@ -163,100 +154,180 @@ let array_bindings (k : Kernel.kernel) (decisions : Memopt.decision list)
   Gpusim.Autotune.bindings_of k decisions
     ~shapes:(fst (shapes_of_args k args)) ~out_shape:result_shape
 
-(** Simulate (and optionally functionally execute) one kernel firing.
-    [transfer_in]/[transfer_out] say whether the input (output) actually
-    crosses the host↔device boundary; an edge whose both ends share this
-    stage's device keeps the value resident and charges nothing.  Returns
-    the result and the firing's resource legs for the overlap clock. *)
-let fire_device (cfg : config) (report : report) (off : offloaded)
-    ?(transfer_in = true) ?(transfer_out = true) (input : Value.t) :
+(* One direction of the Fig 6 crossing: the Java side encodes, the C side
+   decodes.  The Direct serializer emits device layout, skipping the wire
+   header and the C-side conversion (§5.3 future work); scalars keep the
+   wire format and ride in the args struct. *)
+let encode (serializer : Marshal.serializer) (v : Value.t) : bytes =
+  match serializer with
+  | Marshal.Custom -> Marshal.encode v
+  | Marshal.Generic -> Marshal.encode_generic v
+  | Marshal.Direct -> Marshal.encode_direct v
+
+let decode (serializer : Marshal.serializer) (v : Value.t) (e : bytes) :
+    Value.t =
+  match (serializer, v) with
+  | Marshal.Direct, Value.VArr a ->
+      Marshal.decode_direct ~elem:a.Value.elem ~shape:a.Value.shape e
+  | Marshal.Direct, v -> v
+  | (Marshal.Custom | Marshal.Generic), _ -> Marshal.decode e
+
+let elem_bytes = function
+  | Value.VArr a -> Ir.scalar_size_bytes a.Value.elem
+  | _ -> 4
+
+(* Residency: an edge whose two ends fire on the same device keeps the
+   value there, so neither end transfers it. *)
+let transfers (devices : string option array) (k : int) : bool * bool =
+  let shared j =
+    j >= 0
+    && j < Array.length devices
+    && devices.(k) <> None
+    && devices.(j) = devices.(k)
+  in
+  (not (shared (k - 1)), not (shared (k + 1)))
+
+let host_legs (seconds : float) : Schedule.leg list =
+  [ { Schedule.lg_resource = "host"; lg_seconds = seconds } ]
+
+(* The legs in execution order: host-side marshal work on the host thread,
+   PCIe on this device's link, the kernel on this device. *)
+let device_legs (serializer : Marshal.serializer) (d : Gpusim.Device.t)
+    ~(elem_bytes : int) ~(in_bytes : int) ~(out_bytes : int)
+    ~(kernel_s : float) ((upload, download) : bool * bool) :
+    Comm.phases list * Schedule.leg list =
+  let crossing go bytes =
+    if go then Some (Comm.transfer_phases d ~serializer ~elem_bytes ~bytes ())
+    else None
+  in
+  let up = crossing upload in_bytes and down = crossing download out_bytes in
+  let leg lg_resource lg_seconds = { Schedule.lg_resource; lg_seconds } in
+  let host p = leg "host" (Comm.total p -. p.Comm.pcie_s)
+  and link p = leg ("link:" ^ d.Gpusim.Device.name) p.Comm.pcie_s in
+  let legs =
+    (match up with Some p -> [ host p; link p ] | None -> [])
+    @ [ leg ("dev:" ^ d.Gpusim.Device.name) kernel_s ]
+    @ match down with Some p -> [ link p; host p ] | None -> []
+  in
+  (List.filter_map Fun.id [ up; down ], legs)
+
+(* ------------------------------------------------------------------ *)
+(* Stages                                                              *)
+(* ------------------------------------------------------------------ *)
+
+type compiled = {
+  cs_kernel : Kernel.kernel;
+  cs_decisions : Memopt.decision list;
+  cs_state : Interp.state Lazy.t;
+      (** the kernel wrapped for functional execution, loaded once for
+          all of the stage's firings *)
+}
+
+type stage = {
+  sg_node : Value.task_node;
+  sg_task : string;
+  sg_verdict : Kernel.offload_verdict;
+  sg_compiled : compiled Lazy.t;
+}
+
+let stages (cfg : config) (md : Ir.modul) (graph : Value.task_node list) :
+    stage list =
+  List.map
+    (fun node ->
+      let td = node.Value.tk_desc in
+      let name = Ir.qualify td.Ir.td_class td.Ir.td_method in
+      {
+        sg_node = node;
+        sg_task = name;
+        sg_verdict = Kernel.classify md td;
+        sg_compiled =
+          lazy
+            (let kernel = Kernel.extract md ~worker:name in
+             {
+               cs_kernel = kernel;
+               cs_decisions = Memopt.optimize cfg.opt_config kernel;
+               cs_state = lazy (Interp.create (Kernel.to_module kernel));
+             });
+      })
+    graph
+
+let launch (c : compiled) (input : Value.t) :
+    Gpusim.Profile.t * Gpusim.Model.array_binding list =
+  let shapes, scalars = shapes_of_args c.cs_kernel [ input ] in
+  Gpusim.Autotune.launch c.cs_kernel c.cs_decisions ~shapes ~scalars
+
+(* ------------------------------------------------------------------ *)
+(* One firing                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let host_firing (st : Interp.state) (sg : stage) (input : Value.t) :
+    Value.t * float =
+  let args =
+    match sg.sg_node.Value.tk_desc.Ir.td_in with
+    | Ir.TUnit -> []
+    | _ -> [ input ]
+  in
+  let before = Interp.copy_counters st.Interp.counters in
+  let result =
+    Interp.call_function st sg.sg_task sg.sg_node.Value.tk_instance args
+  in
+  let delta = Interp.diff_counters st.Interp.counters before in
+  (result, Gpusim.Device.jvm_time delta)
+
+let fire_host (st : Interp.state) (report : report) (sg : stage)
+    (input : Value.t) : Value.t * Schedule.leg list =
+  let result, host_s = host_firing st sg input in
+  report.phases.Comm.host_s <- report.phases.Comm.host_s +. host_s;
+  let ph = Comm.zero () in
+  ph.Comm.host_s <- host_s;
+  Lime_support.Hooks.emit firing_hooks
+    {
+      fi_task = sg.sg_task;
+      fi_device = false;
+      fi_phases = ph;
+      fi_dev = None;
+      fi_profile = None;
+      fi_breakdown = None;
+      fi_counters = None;
+      fi_bindings = [];
+    };
+  (result, host_legs host_s)
+
+(** Simulate (and optionally functionally execute) one kernel firing on
+    [d].  [crossing] says whether the input and the output actually cross
+    the host↔device boundary ({!transfers}).  Returns the result and the
+    firing's resource legs for the overlap clock. *)
+let fire_device (cfg : config) (report : report) (c : compiled)
+    (d : Gpusim.Device.t) (crossing : bool * bool) (input : Value.t) :
     Value.t * Schedule.leg list =
-  let d = off.of_device in
-  let k = off.of_kernel in
-  (* 1. Java-side marshal, 2. JNI, 3. C-side decode.  The Direct
-     serializer emits device layout, skipping the wire header and the
-     C-side conversion (§5.3 future work). *)
-  let encoded, device_input =
-    match cfg.serializer with
-    | Marshal.Custom ->
-        let e = Marshal.encode input in
-        (e, Marshal.decode (Bytes.copy e))
-    | Marshal.Generic ->
-        let e = Marshal.encode_generic input in
-        (e, Marshal.decode (Bytes.copy e))
-    | Marshal.Direct -> (
-        let e = Marshal.encode_direct input in
-        match input with
-        | Value.VArr a ->
-            (e, Marshal.decode_direct ~elem:a.Value.elem ~shape:a.Value.shape e)
-        | v -> (e, v))
+  let k = c.cs_kernel in
+  (* 1. Java-side marshal, 2. JNI, 3. C-side decode *)
+  let device_input =
+    decode cfg.serializer input (encode cfg.serializer input)
   in
-  let in_bytes = Bytes.length encoded in
-  let args = [ device_input ] in
   (* timing profile also yields the output-producing loop's trip count *)
-  let shapes, scalars = shapes_of_args k args in
-  let prof, bindings =
-    Gpusim.Autotune.launch k off.of_decisions ~shapes ~scalars
-  in
+  let prof, bindings = launch c device_input in
   let rows = int_of_float prof.Gpusim.Profile.p_last_parfor_items in
   (* functional execution *)
   let result =
     if cfg.functional then
-      Interp.call_function (Lazy.force off.of_state) k.Kernel.k_name None args
+      Interp.call_function (Lazy.force c.cs_state) k.Kernel.k_name None
+        [ device_input ]
     else zero_result ~rows k device_input
   in
   (* the return path re-encodes on the device side and decodes in Java *)
-  let out_encoded, result =
-    match cfg.serializer with
-    | Marshal.Custom | Marshal.Generic ->
-        let e = Marshal.encode result in
-        (e, Marshal.decode e)
-    | Marshal.Direct -> (
-        let e = Marshal.encode_direct result in
-        match result with
-        | Value.VArr a ->
-            (e, Marshal.decode_direct ~elem:a.Value.elem ~shape:a.Value.shape e)
-        | v -> (e, v))
-  in
-  let out_bytes = Bytes.length out_encoded in
+  let out_bytes = Marshal.wire_size cfg.serializer result in
+  let result = decode cfg.serializer result (encode cfg.serializer result) in
   let bd, counters = Gpusim.Model.kernel_time_ex d prof bindings in
-  let elem_bytes =
-    match device_input with
-    | Value.VArr a -> Ir.scalar_size_bytes a.Value.elem
-    | _ -> 4
+  let crossings, legs =
+    device_legs cfg.serializer d ~elem_bytes:(elem_bytes device_input)
+      ~in_bytes:(Marshal.wire_size cfg.serializer input) ~out_bytes
+      ~kernel_s:bd.Gpusim.Model.bd_total_s crossing
   in
-  let transfer bytes =
-    Comm.transfer_phases d ~serializer:cfg.serializer ~elem_bytes ~bytes ()
-  in
-  let ph_in = if transfer_in then transfer in_bytes else Comm.zero () in
-  let ph_out = if transfer_out then transfer out_bytes else Comm.zero () in
   let ph = Comm.zero () in
-  Comm.add ph ph_in;
-  Comm.add ph ph_out;
+  List.iter (Comm.add ph) crossings;
   ph.Comm.kernel_s <- bd.Gpusim.Model.bd_total_s;
   Comm.add report.phases ph;
-  (* the firing's legs in execution order, for the overlap clock: host-side
-     marshal work on the host thread, PCIe on this device's link, the
-     kernel on this device *)
-  let host_leg p = Comm.total p -. p.Comm.pcie_s in
-  let link = "link:" ^ d.Gpusim.Device.name
-  and dev = "dev:" ^ d.Gpusim.Device.name in
-  let legs =
-    (if transfer_in then
-       [
-         { Schedule.lg_resource = "host"; lg_seconds = host_leg ph_in };
-         { Schedule.lg_resource = link; lg_seconds = ph_in.Comm.pcie_s };
-       ]
-     else [])
-    @ [ { Schedule.lg_resource = dev; lg_seconds = ph.Comm.kernel_s } ]
-    @
-    if transfer_out then
-      [
-        { Schedule.lg_resource = link; lg_seconds = ph_out.Comm.pcie_s };
-        { Schedule.lg_resource = "host"; lg_seconds = host_leg ph_out };
-      ]
-    else []
-  in
   Lime_support.Hooks.emit firing_hooks
     {
       fi_task = k.Kernel.k_name;
@@ -271,123 +342,68 @@ let fire_device (cfg : config) (report : report) (off : offloaded)
   (result, legs)
 
 (* ------------------------------------------------------------------ *)
-(* Host-side execution of one firing                                   *)
-(* ------------------------------------------------------------------ *)
-
-let fire_host (st : Interp.state) (report : report)
-    (node : Value.task_node) (input : Value.t) : Value.t * Schedule.leg list
-    =
-  let td = node.Value.tk_desc in
-  let fname = Ir.qualify td.Ir.td_class td.Ir.td_method in
-  let args = match td.Ir.td_in with Ir.TUnit -> [] | _ -> [ input ] in
-  let before = Interp.copy_counters st.Interp.counters in
-  let result =
-    Interp.call_function st fname node.Value.tk_instance args
-  in
-  let delta = Interp.diff_counters st.Interp.counters before in
-  let host_s = Gpusim.Device.jvm_time delta in
-  report.phases.Comm.host_s <- report.phases.Comm.host_s +. host_s;
-  let ph = Comm.zero () in
-  ph.Comm.host_s <- host_s;
-  Lime_support.Hooks.emit firing_hooks
-    {
-      fi_task = fname;
-      fi_device = false;
-      fi_phases = ph;
-      fi_dev = None;
-      fi_profile = None;
-      fi_breakdown = None;
-      fi_counters = None;
-      fi_bindings = [];
-    };
-  (result, [ { Schedule.lg_resource = "host"; lg_seconds = host_s } ])
-
-(* ------------------------------------------------------------------ *)
 (* Graph execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type prepared =
-  | P_host of Value.task_node
-  | P_device of Value.task_node * offloaded
-
-let prepare (cfg : config) (md : Ir.modul) (report : report)
-    (graph : Value.task_node list) : prepared list =
-  List.map
-    (fun node ->
-      let td = node.Value.tk_desc in
-      let name = Ir.qualify td.Ir.td_class td.Ir.td_method in
-      (* the device this stage wants: the placement's per-task assignment
-         when one is set (absent tasks stay on the host), else the global
-         single-device config *)
-      let want =
-        match cfg.placement with
-        | None -> cfg.device
-        | Some map -> Option.join (List.assoc_opt name map)
-      in
-      match (want, Kernel.classify md td) with
-      | Some d, Kernel.Offloadable ->
-          let kernel = Kernel.extract md ~worker:name in
-          let decisions = Memopt.optimize cfg.opt_config kernel in
-          report.offloaded_tasks <- report.offloaded_tasks @ [ name ];
-          report.placements <- report.placements @ [ (name, Some d) ];
-          Log.debug (fun m ->
-              m "offloading %s to %s:@.%s" name d.Gpusim.Device.name
-                (Memopt.describe decisions));
-          P_device
-            ( node,
-              {
-                of_kernel = kernel;
-                of_decisions = decisions;
-                of_state = lazy (Interp.create (Kernel.to_module kernel));
-                of_device = d;
-              } )
-      | _, verdict ->
-          if want <> None then
-            Log.debug (fun m ->
-                m "task %s stays on host (%s)" name
-                  (Kernel.verdict_name verdict));
-          report.host_tasks <- report.host_tasks @ [ name ];
-          report.placements <- report.placements @ [ (name, None) ];
-          P_host node)
-    graph
-
-let run_prepared (cfg : config) (st : Interp.state) (report : report)
-    (pipeline : prepared list) ~(iters : int) : unit =
-  (* Residency: under an explicit placement, an edge whose both ends sit on
-     the same device skips its transfer; the legacy single-device mode
-     keeps the paper's accounting (every device firing pays both
-     directions). *)
-  let dev_of = function
-    | P_host _ -> None
-    | P_device (_, off) -> Some off.of_device.Gpusim.Device.name
+(* Where each stage fires: the placement's per-task assignment when one is
+   set (absent tasks stay on the host), else the global single-device
+   config.  Records the outcome in the report. *)
+let place (cfg : config) (report : report) (sg : stage) :
+    Gpusim.Device.t option =
+  let want =
+    match cfg.placement with
+    | None -> cfg.device
+    | Some map -> Option.join (List.assoc_opt sg.sg_task map)
   in
-  let stages = Array.of_list pipeline in
-  let resident k =
-    cfg.placement <> None
-    && k >= 0
-    && k < Array.length stages
-    && dev_of stages.(k) <> None
+  let on = if sg.sg_verdict = Kernel.Offloadable then want else None in
+  (match on with
+  | Some d ->
+      report.offloaded_tasks <- report.offloaded_tasks @ [ sg.sg_task ];
+      Log.debug (fun m ->
+          m "offloading %s to %s:@.%s" sg.sg_task d.Gpusim.Device.name
+            (Memopt.describe (Lazy.force sg.sg_compiled).cs_decisions))
+  | None ->
+      if want <> None then
+        Log.debug (fun m ->
+            m "task %s stays on host (%s)" sg.sg_task
+              (Kernel.verdict_name sg.sg_verdict));
+      report.host_tasks <- report.host_tasks @ [ sg.sg_task ]);
+  report.placements <- report.placements @ [ (sg.sg_task, on) ];
+  on
+
+let run_stages (cfg : config) (st : Interp.state) (report : report)
+    (stages : stage list) ~(iters : int) : unit =
+  let stages = Array.of_list stages in
+  (* an offloaded stage compiles once, before its first firing *)
+  let placed =
+    Array.map
+      (fun sg ->
+        Option.map
+          (fun d -> (d, Lazy.force sg.sg_compiled))
+          (place cfg report sg))
+      stages
   in
-  let same_dev j k =
-    resident j && resident k && dev_of stages.(j) = dev_of stages.(k)
+  (* residency holds only under an explicit placement; the legacy
+     single-device mode keeps the paper's accounting, where every device
+     firing pays both directions *)
+  let devices =
+    Array.map
+      (function
+        | Some (d, _) when cfg.placement <> None -> Some d.Gpusim.Device.name
+        | _ -> None)
+      placed
   in
   let first_legs : Schedule.leg list list ref = ref [] in
   for iter = 1 to iters do
     report.firings <- report.firings + 1;
     let v = ref Value.VUnit in
     Array.iteri
-      (fun k p ->
+      (fun k sg ->
+        report.last_value <- !v;
         let result, legs =
-          match p with
-          | P_host node ->
-              report.last_value <- !v;
-              fire_host st report node !v
-          | P_device (_, off) ->
-              report.last_value <- !v;
-              fire_device cfg report off
-                ~transfer_in:(not (same_dev (k - 1) k))
-                ~transfer_out:(not (same_dev k (k + 1)))
-                !v
+          match placed.(k) with
+          | Some (d, c) -> fire_device cfg report c d (transfers devices k) !v
+          | None -> fire_host st report sg !v
         in
         v := result;
         if iter = 1 then first_legs := legs :: !first_legs)
@@ -406,8 +422,8 @@ let attach (cfg : config) (st : Interp.state) : report =
   let report = fresh_report () in
   st.Interp.finish_hook <-
     (fun st graph iters ->
-      let pipeline = prepare cfg st.Interp.md report graph in
-      run_prepared cfg st report pipeline ~iters:(Option.value iters ~default:1));
+      run_stages cfg st report (stages cfg st.Interp.md graph)
+        ~iters:(Option.value iters ~default:1));
   report
 
 (** Convenience: run a whole program's entry point under the engine. *)

@@ -14,22 +14,15 @@ type config = {
   placement : (string * Gpusim.Device.t option) list option;
       (** per-task placement (task name → device, [None] = host).  When
           set it overrides [device] per stage; tasks absent from the list
-          stay on the host, and adjacent stages sharing a device keep the
-          value resident (no transfer charged on that edge).  [None] = the
-          legacy single-device mode. *)
+          stay on the host, and an edge whose two ends fire on the same
+          device keeps the value resident ({!transfers}).  [None] = the
+          legacy single-device mode, where every device firing pays both
+          directions. *)
 }
 
 val default_config : config
 (** GTX 580, all optimizations, functional execution, custom serializer,
     no multi-device placement. *)
-
-type offloaded = {
-  of_kernel : Lime_gpu.Kernel.kernel;
-  of_decisions : Lime_gpu.Memopt.decision list;
-  of_state : Lime_ir.Interp.state Lazy.t;
-      (** the kernel loaded for functional execution, once per stage *)
-  of_device : Gpusim.Device.t;  (** the device this stage fires on *)
-}
 
 type firing_info = {
   fi_task : string;
@@ -86,25 +79,80 @@ val array_bindings :
   int array option ->
   Gpusim.Model.array_binding list
 
-type prepared =
-  | P_host of Lime_ir.Value.task_node
-  | P_device of Lime_ir.Value.task_node * offloaded
+(** {2 The firing model}
 
-val prepare :
-  config ->
-  Lime_ir.Ir.modul ->
-  report ->
-  Lime_ir.Value.task_node list ->
-  prepared list
-(** Classify and compile each stage of a graph for its placement,
-    recording the outcome in the report ([offloaded_tasks]/[host_tasks]/
-    [placements]).  Exposed so schedulers can decide a placement from the
-    graph at [finish] time and then drive execution themselves. *)
+    What one firing costs and which serialized resources it occupies.
+    A crossing carries {!Marshal.wire_size} bytes of the value under the
+    run's serializer.
+    The engine fires with these, and the placement cost model in
+    [lib/sched] prices a candidate with the same functions, so a modeled
+    placement and the engine's [overlapped_s] agree exactly. *)
 
-val run_prepared :
-  config -> Lime_ir.Interp.state -> report -> prepared list -> iters:int -> unit
-(** Fire a prepared pipeline [iters] times, accumulating into the
-    report (phases, sink value, overlap clock). *)
+val elem_bytes : Lime_ir.Value.t -> int
+(** Element width of an array input (4 for anything else): the Java-side
+    marshal is priced per element. *)
+
+val transfers : string option array -> int -> bool * bool
+(** The residency rule: given the device each stage fires on ([None] for
+    the host), whether stage [k]'s input and output cross the host↔device
+    boundary.  An edge whose two ends fire on the same device keeps the
+    value resident. *)
+
+val host_legs : float -> Schedule.leg list
+(** The one leg of a host firing of the given bytecode seconds. *)
+
+val device_legs :
+  Marshal.serializer ->
+  Gpusim.Device.t ->
+  elem_bytes:int ->
+  in_bytes:int ->
+  out_bytes:int ->
+  kernel_s:float ->
+  bool * bool ->
+  Comm.phases list * Schedule.leg list
+(** One device firing: the phases of each crossing it pays (upload, then
+    download, as {!transfers} says) and its resource legs in execution
+    order ("host", "link:<dev>", "dev:<dev>"). *)
+
+(** {2 Stages} *)
+
+type compiled
+(** An offloadable stage's kernel, extracted and memory-optimized. *)
+
+type stage = {
+  sg_node : Lime_ir.Value.task_node;
+  sg_task : string;  (** qualified worker name *)
+  sg_verdict : Lime_gpu.Kernel.offload_verdict;
+  sg_compiled : compiled Lazy.t;
+      (** compiled on first use: only an offloadable stage placed on a
+          device (or probed for placement) ever forces it *)
+}
+
+val stages :
+  config -> Lime_ir.Ir.modul -> Lime_ir.Value.task_node list -> stage list
+(** Classify each task of a graph; kernels compile lazily under
+    [config.opt_config].  Schedulers call this at [finish] time, price the
+    stages, and hand the same list to {!run_stages}, so a kernel compiles
+    once per [finish]. *)
+
+val launch :
+  compiled ->
+  Lime_ir.Value.t ->
+  Gpusim.Profile.t * Gpusim.Model.array_binding list
+(** The device-independent launch profile and array bindings of one
+    firing on the given input. *)
+
+val host_firing :
+  Lime_ir.Interp.state -> stage -> Lime_ir.Value.t -> Lime_ir.Value.t * float
+(** Run the stage's worker once as bytecode: its result and its host
+    seconds (the interpreter's counter delta priced by the JVM model). *)
+
+val run_stages :
+  config -> Lime_ir.Interp.state -> report -> stage list -> iters:int -> unit
+(** Place every stage (recording the outcome in the report's
+    [offloaded_tasks]/[host_tasks]/[placements]) and fire the pipeline
+    [iters] times, accumulating phases, the sink value and the overlap
+    clock. *)
 
 val attach : config -> Lime_ir.Interp.state -> report
 (** Install the engine as the interpreter's [finish] hook; Lime-level

@@ -228,20 +228,6 @@ let decode (b : bytes) : Value.t =
 (* Size and time model                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Wire size in bytes of a value (without encoding it). *)
-let wire_size (v : Value.t) : int =
-  match v with
-  | Value.VUnit -> 1
-  | Value.VInt _ | Value.VFloat _ -> 5
-  | Value.VLong _ | Value.VDouble _ -> 9
-  | Value.VArr a ->
-      3
-      + (4 * Value.rank a)
-      + (Value.elem_count a.Value.shape * Ir.scalar_size_bytes a.Value.elem)
-  | Value.VObj _ | Value.VGraph _ -> 0
-
-let _ = wire_size
-
 type serializer =
   | Custom  (** wire format via custom bulk serializers (the paper's §4.3) *)
   | Generic  (** wire format via runtime type information (the slow first
@@ -252,6 +238,28 @@ type serializer =
           approximately halve the marshaling overhead."  Skips the wire
           header and the C-side conversion: the Java side emits the dense
           row-major bytes the device consumes. *)
+
+(* Bytes one array element occupies in either layout: what [add_elem]
+   writes, so booleans take a 32-bit word. *)
+let elem_width = function
+  | Ir.SByte -> 1
+  | Ir.SChar -> 2
+  | Ir.SInt | Ir.SBool | Ir.SFloat -> 4
+  | Ir.SLong | Ir.SDouble -> 8
+
+(** Encoded size in bytes of a value (without encoding it). *)
+let wire_size (serializer : serializer) (v : Value.t) : int =
+  match (serializer, v) with
+  | _, Value.VUnit -> 1
+  | _, (Value.VInt _ | Value.VFloat _) -> 5
+  | _, (Value.VLong _ | Value.VDouble _) -> 9
+  | Direct, Value.VArr a ->
+      Value.elem_count a.Value.shape * elem_width a.Value.elem
+  | (Custom | Generic), Value.VArr a ->
+      3
+      + (4 * Value.rank a)
+      + (Value.elem_count a.Value.shape * elem_width a.Value.elem)
+  | _, (Value.VObj _ | Value.VGraph _) -> 0
 
 (** Java-side marshaling rate model: custom serializers move whole rows at
     memory-copy speed but pay array bounds checks and allocation; the
@@ -324,7 +332,7 @@ let decode_direct ~(elem : Ir.scalar) ~(shape : int array) (b : bytes) :
     Value.t =
   let a = Value.make_arr ~is_value:true elem shape in
   let n = Value.elem_count shape in
-  let expect = n * Ir.scalar_size_bytes elem in
+  let expect = n * elem_width elem in
   if Bytes.length b <> expect then
     fail "direct decode: %d bytes but shape needs %d" (Bytes.length b) expect;
   let r = { data = b; pos = 0 } in

@@ -30,9 +30,10 @@ val encode_direct : Lime_ir.Value.t -> bytes
 val decode_direct :
   elem:Lime_ir.Ir.scalar -> shape:int array -> bytes -> Lime_ir.Value.t
 
-val wire_size : Lime_ir.Value.t -> int
-(** Wire size in bytes, without encoding ({!encode} produces exactly this
-    many bytes). *)
+val wire_size : serializer -> Lime_ir.Value.t -> int
+(** Encoded size in bytes, without encoding: {!encode} (or
+    {!encode_direct} under [Direct]) produces exactly this many bytes.
+    [0] for values that never cross (objects, graphs). *)
 
 (** {2 Time model} *)
 

@@ -26,8 +26,8 @@
 
 type leg = {
   lg_resource : string;
-      (** the serialized resource this leg occupies ("host", "link:<dev>",
-          "dev:<dev>") *)
+      (** the serialized resource this leg occupies: [host], [link:<dev>]
+          or [dev:<dev>] *)
   lg_seconds : float;
 }
 

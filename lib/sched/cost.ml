@@ -2,50 +2,35 @@
 
     The pipeline's resources are the host thread (marshaling plus
     host-resident task work), one PCIe link per device and one compute
-    queue per device.  A candidate placement charges:
-
-    - each host stage's bytecode time to the host thread,
-    - each device stage's kernel time (from {!Gpusim.Model.kernel_time_ex}
-      over the probe's device-independent profile) to that device,
-    - each edge whose ends differ to the crossing's legs: the marshal/JNI/
-      setup work to the host thread and the PCIe leg to the producing or
-      consuming device's link.  A device→device edge is honestly
-      device→host→device: a download on the producer's link plus an upload
-      on the consumer's link.  Same-placement edges are free (the value
-      stays resident).
+    queue per device.  A candidate placement is priced with the engine's
+    own firing model ({!Lime_runtime.Engine}): each stage's legs are the
+    ones the engine emits when it fires that stage under the placement —
+    {!Lime_runtime.Engine.host_legs} over the probe's host seconds, or
+    {!Lime_runtime.Engine.device_legs} over the stage's kernel time
+    ({!Gpusim.Model.kernel_time_ex} on the probe's device-independent
+    profile), wire sizes and serializer, with the crossings that
+    {!Lime_runtime.Engine.transfers}' residency rule leaves.  A
+    device→device edge is honestly device→host→device: a download on the
+    producer's link plus an upload on the consumer's link.
 
     The makespan is the same wavefront simulation the engine's overlap
-    clock runs ({!Lime_runtime.Schedule.overlapped_makespan}) over the
-    same per-stage resource legs the engine emits, so a candidate's
-    modeled time and the engine's [overlapped_s] for that placement agree
-    by construction — the closed form [fill + (n-1) * period] undershoots
-    when the host thread is touched at both ends of every crossing.  The
-    breakdown still reports the busiest resource as the steady-state
-    bottleneck. *)
+    clock runs ({!Lime_runtime.Schedule.overlapped_makespan}) over those
+    legs, so a candidate's modeled time equals the engine's
+    [overlapped_s] for that placement.  The breakdown still reports the
+    busiest resource as the steady-state bottleneck. *)
 
 module Device = Gpusim.Device
 module Comm = Lime_runtime.Comm
-module Marshal_ = Lime_runtime.Marshal
+module Engine = Lime_runtime.Engine
 module Schedule = Lime_runtime.Schedule
 
 type breakdown = {
   cb_occupancy : (string * float) list;
-      (** per-firing busy seconds per resource ("host", "link:<dev>",
-          "dev:<dev>"), in first-use order *)
-  cb_fill_s : float;  (** one serial pass through every leg *)
-  cb_period_s : float;  (** steady-state period: the busiest resource *)
-  cb_bottleneck : string;  (** the resource setting the period *)
-  cb_transfer_s : float;  (** edge-crossing share of the fill *)
+  cb_fill_s : float;
+  cb_period_s : float;
+  cb_bottleneck : string;
+  cb_transfer_s : float;
 }
-
-(** Kernel times priced once per (stage, device): the probe's profile and
-    bindings are device-independent, so the search never re-profiles. *)
-let kernel_seconds (st : Probe.stage) (d : Device.t) : float =
-  match st.Probe.st_profile with
-  | None -> invalid_arg ("Cost.kernel_seconds: host-only stage " ^ st.Probe.st_task)
-  | Some prof ->
-      let bd, _ = Gpusim.Model.kernel_time_ex d prof st.Probe.st_bindings in
-      bd.Gpusim.Model.bd_total_s
 
 type table = {
   tb_stages : Probe.stage array;
@@ -54,98 +39,55 @@ type table = {
           stages only) *)
 }
 
+(* Kernel times are priced once per (stage, device): the probe's profile
+   and bindings are device-independent, so the search never re-profiles. *)
 let table (stages : Probe.stage list) : table =
-  let tb_stages = Array.of_list stages in
-  let tb_kernel_s =
-    Array.map
-      (fun st ->
-        if st.Probe.st_offloadable then
-          List.map
-            (fun (name, d) -> (name, kernel_seconds st d))
-            Placement.devices
-        else [])
-      tb_stages
+  let kernel_seconds (st : Probe.stage) =
+    match st.Probe.st_profile with
+    | None -> []
+    | Some prof ->
+        List.map
+          (fun (name, d) ->
+            let bd, _ =
+              Gpusim.Model.kernel_time_ex d prof st.Probe.st_bindings
+            in
+            (name, bd.Gpusim.Model.bd_total_s))
+          Placement.devices
   in
-  { tb_stages; tb_kernel_s }
+  let tb_stages = Array.of_list stages in
+  { tb_stages; tb_kernel_s = Array.map kernel_seconds tb_stages }
 
-(** The per-stage resource legs of one firing under [assigns], in the
-    engine's execution order: the upload (host marshal then PCIe) when
-    the input is not already resident on the stage's device, the kernel,
-    the download when the consumer lives elsewhere.  Host stages are one
-    host leg.  Mirrors {!Lime_runtime.Engine}'s residency rules, so the
-    model prices exactly the legs the engine will emit. *)
-let stage_legs ?(serializer = Marshal_.Custom) (tb : table)
-    (assigns : Placement.assignment array) :
-    Schedule.leg list list * float =
+let price ~(firings : int) (tb : table) (assigns : Placement.assignment array)
+    : float * breakdown =
   let n = Array.length tb.tb_stages in
   if Array.length assigns <> n then
     invalid_arg "Cost.price: placement arity mismatch";
-  let transfer_s = ref 0.0 in
-  let same k k' =
-    k >= 0 && k < n && k' >= 0 && k' < n
-    &&
-    match (assigns.(k), assigns.(k')) with
-    | Placement.On a, Placement.On b -> a.Device.name = b.Device.name
-    | _ -> false
+  let devices =
+    Array.map
+      (function Placement.On d -> Some d.Device.name | Placement.Host -> None)
+      assigns
   in
+  let transfer_s = ref 0.0 in
   let legs =
     List.init n (fun k ->
         let st = tb.tb_stages.(k) in
         match assigns.(k) with
-        | Placement.Host ->
-            [
-              {
-                Schedule.lg_resource = "host";
-                lg_seconds = st.Probe.st_host_s;
-              };
-            ]
+        | Placement.Host -> Engine.host_legs st.Probe.st_host_s
         | Placement.On d ->
-            let link = "link:" ^ d.Device.name
-            and dev = "dev:" ^ d.Device.name in
-            let crossing bytes =
-              let p =
-                Comm.transfer_phases d ~serializer
-                  ~elem_bytes:st.Probe.st_elem_bytes ~bytes ()
-              in
-              transfer_s := !transfer_s +. Comm.total p;
-              p
+            let crossings, legs =
+              Engine.device_legs st.Probe.st_serializer d
+                ~elem_bytes:st.Probe.st_elem_bytes
+                ~in_bytes:st.Probe.st_in_bytes
+                ~out_bytes:st.Probe.st_out_bytes
+                ~kernel_s:
+                  (List.assoc (Placement.short_name d) tb.tb_kernel_s.(k))
+                (Engine.transfers devices k)
             in
-            (if same (k - 1) k then []
-             else
-               let p = crossing st.Probe.st_in_bytes in
-               [
-                 {
-                   Schedule.lg_resource = "host";
-                   lg_seconds = Comm.total p -. p.Comm.pcie_s;
-                 };
-                 { Schedule.lg_resource = link; lg_seconds = p.Comm.pcie_s };
-               ])
-            @ [
-                {
-                  Schedule.lg_resource = dev;
-                  lg_seconds =
-                    List.assoc (Placement.short_name d) tb.tb_kernel_s.(k);
-                };
-              ]
-            @
-            if same k (k + 1) then []
-            else
-              let p = crossing st.Probe.st_out_bytes in
-              [
-                { Schedule.lg_resource = link; lg_seconds = p.Comm.pcie_s };
-                {
-                  Schedule.lg_resource = "host";
-                  lg_seconds = Comm.total p -. p.Comm.pcie_s;
-                };
-              ])
+            List.iter
+              (fun p -> transfer_s := !transfer_s +. Comm.total p)
+              crossings;
+            legs)
   in
-  (legs, !transfer_s)
-
-(** Makespan of [firings] firings under [assigns] (one assignment per
-    stage), plus the per-resource breakdown. *)
-let price ?(serializer = Marshal_.Custom) ~(firings : int) (tb : table)
-    (assigns : Placement.assignment array) : float * breakdown =
-  let legs, transfer_s = stage_legs ~serializer tb assigns in
   (* occupancy accumulates in an assoc kept in first-use order *)
   let occ : (string * float ref) list ref = ref [] in
   let charge r s =
@@ -171,5 +113,5 @@ let price ?(serializer = Marshal_.Custom) ~(firings : int) (tb : table)
       cb_fill_s = fill;
       cb_period_s = period;
       cb_bottleneck = bottleneck;
-      cb_transfer_s = transfer_s;
+      cb_transfer_s = !transfer_s;
     } )

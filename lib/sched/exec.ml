@@ -2,48 +2,44 @@
     scheduler as an interpreter's [finish] hook.
 
     The pipeline graph only exists once the program builds it, so the
-    placement decision happens inside the hook: probe the stages, ask
-    [choose] for a placement (search, tunestore replay, or a user SPEC),
-    then prepare and fire the graph under that placement.  The chosen
-    placement and the probe both live in the returned report /
+    placement decision happens inside the hook: classify the stages with
+    the engine, probe them, ask [choose] for a placement (search,
+    tunestore replay, or a user SPEC), then fire the same stages under
+    that placement, so each kernel the probe compiled fires as compiled.
+    The chosen placement and the probe both live in the returned report /
     [decisions] cell for the caller to inspect after the run. *)
 
 module Interp = Lime_ir.Interp
 module Engine = Lime_runtime.Engine
 
 type decision = {
-  dc_stages : Probe.stage list;  (** the probed pipeline *)
-  dc_placement : Placement.t;  (** what [choose] picked *)
+  dc_stages : Probe.stage list;
+  dc_placement : Placement.t;
   dc_firings : int;
 }
 
-(** [attach cfg ~choose st] installs a placement-aware engine.  [choose]
-    is called once per finished graph with the probed stages and the
-    firing count; whatever it returns is executed.  Decisions accumulate
-    (in graph order) into the returned cell alongside the engine report. *)
-let attach (cfg : Engine.config) ~(choose : Probe.stage list -> firings:int -> Placement.t)
+let attach (cfg : Engine.config)
+    ~(choose : Probe.stage list -> firings:int -> Placement.t)
     (st : Interp.state) : Engine.report * decision list ref =
   let report = Engine.fresh_report () in
   let decisions = ref [] in
   st.Interp.finish_hook <-
     (fun st graph iters ->
       let firings = Option.value iters ~default:1 in
-      let stages =
-        Probe.probe ~config:cfg.Engine.opt_config
-          ~serializer:cfg.Engine.serializer st.Interp.md graph
-      in
+      let graph = Engine.stages cfg st.Interp.md graph in
+      let stages = Probe.measure cfg st.Interp.md graph in
       let placement = choose stages ~firings in
       decisions :=
-        !decisions @ [ { dc_stages = stages; dc_placement = placement; dc_firings = firings } ];
+        !decisions
+        @ [
+            { dc_stages = stages; dc_placement = placement; dc_firings = firings };
+          ];
       let cfg =
         { cfg with Engine.placement = Some (Placement.to_engine placement) }
       in
-      let pipeline = Engine.prepare cfg st.Interp.md report graph in
-      Engine.run_prepared cfg st report pipeline ~iters:firings);
+      Engine.run_stages cfg st report graph ~iters:firings);
   (report, decisions)
 
-(** Convenience: run a whole program's entry point under the placement
-    scheduler. *)
 let run_program (cfg : Engine.config)
     ~(choose : Probe.stage list -> firings:int -> Placement.t)
     (md : Lime_ir.Ir.modul) ~cls ~meth (args : Lime_ir.Value.t list) :

@@ -101,5 +101,3 @@ let of_spec (s : string) : (t, string) result =
                 | Ok a -> go ((task, a) :: acc) rest))
     in
     go [] parts
-
-let pp ppf (p : t) = Fmt.string ppf (to_spec p)

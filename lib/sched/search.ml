@@ -11,15 +11,11 @@
 
     The all-on-one-device placements (and all-host) are always evaluated
     and seed the beam, so the chosen placement is never worse under the
-    cost model than the best single device — multi-device search only ever
-    improves on the engine's legacy mode.
+    cost model than the best single device.
 
     Everything is deterministic: candidates order by (modeled time, spec)
     and no randomness enters, so a stored placement replays byte-identically
     on a warm run. *)
-
-module Device = Gpusim.Device
-module Marshal_ = Lime_runtime.Marshal
 
 type candidate = {
   pc_placement : Placement.t;
@@ -61,10 +57,10 @@ let cmp_candidate (a : candidate) (b : candidate) : int =
     (a.pc_time_s, Placement.to_spec a.pc_placement)
     (b.pc_time_s, Placement.to_spec b.pc_placement)
 
-let evaluate_with (tb : Cost.table) ~serializer ~firings
-    (evals : int ref) (assigns : Placement.assignment array) : candidate =
+let evaluate_with (tb : Cost.table) ~firings (evals : int ref)
+    (assigns : Placement.assignment array) : candidate =
   incr evals;
-  let time_s, bd = Cost.price ~serializer ~firings tb assigns in
+  let time_s, bd = Cost.price ~firings tb assigns in
   { pc_placement = spec_of tb assigns; pc_time_s = time_s; pc_breakdown = bd }
 
 let uniform_assigns (tb : Cost.table) (a : Placement.assignment) :
@@ -94,20 +90,12 @@ let priced_singles (tb : Cost.table)
   in
   (s, best_of s)
 
-(** The legacy baselines, priced: all offloadable stages on one device
-    (the engine's [config.device] mode) for each device, plus everything
-    on the host.  Returns the scored list and the best of them.  Used by
-    both the search (as its seed) and warm tunestore replays (so a
-    replayed placement prints the same scored table a cold search
-    does). *)
-let singles ?(serializer = Marshal_.Custom) ~(firings : int)
-    (stages : Probe.stage list) :
+let singles ~(firings : int) (stages : Probe.stage list) :
     (string * candidate) list * (string * candidate) =
   let tb = Cost.table stages in
-  priced_singles tb (evaluate_with tb ~serializer ~firings (ref 0))
+  priced_singles tb (evaluate_with tb ~firings (ref 0))
 
-let search ?(serializer = Marshal_.Custom) ~(firings : int)
-    (stages : Probe.stage list) : outcome =
+let search ~(firings : int) (stages : Probe.stage list) : outcome =
   let tb = Cost.table stages in
   let n = Array.length tb.Cost.tb_stages in
   (* indices of the offloadable stages, in pipeline order *)
@@ -128,7 +116,7 @@ let search ?(serializer = Marshal_.Custom) ~(firings : int)
          ("exhaustive", string_of_bool exhaustive);
        ]);
   let evals = ref 0 in
-  let evaluate = evaluate_with tb ~serializer ~firings evals in
+  let evaluate = evaluate_with tb ~firings evals in
   let options k =
     if tb.Cost.tb_stages.(k).Probe.st_offloadable then
       Placement.Host :: List.map (fun (_, d) -> Placement.On d) Placement.devices
@@ -196,12 +184,7 @@ let search ?(serializer = Marshal_.Custom) ~(firings : int)
 (* Replay and validation                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** Validate a placement (stored or user-specified) against a probed
-    pipeline and price it: every placed task must exist, only offloadable
-    tasks may leave the host, and unmentioned tasks stay on the host.
-    Returns the completed (all-stages) placement as a candidate. *)
-let replay ?(serializer = Marshal_.Custom) ~(firings : int)
-    (stages : Probe.stage list) (p : Placement.t) :
+let replay ~(firings : int) (stages : Probe.stage list) (p : Placement.t) :
     (candidate, string) result =
   let tb = Cost.table stages in
   let replayed ok = emit (Beam.Replay { args = [ placement_arg p ]; ok }) in
@@ -242,7 +225,7 @@ let replay ?(serializer = Marshal_.Custom) ~(firings : int)
                  stages)
           in
           replayed true;
-          let time_s, bd = Cost.price ~serializer ~firings tb assigns in
+          let time_s, bd = Cost.price ~firings tb assigns in
           Ok
             {
               pc_placement = spec_of tb assigns;
@@ -254,11 +237,6 @@ let replay ?(serializer = Marshal_.Custom) ~(firings : int)
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** The scored placement table shared by cold searches and warm replays:
-    the single-device baselines, the chosen placement with its resource
-    breakdown, and the speedup over the best single device.  Provenance
-    (searched vs replayed) is the caller's header line, so cold and warm
-    runs print byte-identical tables. *)
 let explain_table ~(singles : (string * candidate) list)
     ~(best_single : string * candidate) (best : candidate) : string =
   let b = Buffer.create 512 in
@@ -286,7 +264,6 @@ let explain_table ~(singles : (string * candidate) list)
        (single.pc_time_s /. best.pc_time_s));
   Buffer.contents b
 
-(** Human-readable scored placement table, for [limec --explain]. *)
 let explain (o : outcome) : string =
   Printf.sprintf
     "placement search: %d candidates scored over %d firings (%s)\n%s"

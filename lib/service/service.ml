@@ -315,7 +315,7 @@ module Sched = Lime_sched
    pipeline) is treated as a miss. *)
 let sched_device_key = "multi.sched"
 
-let sched_placement t ~digest ?serializer ~firings
+let sched_placement t ~digest ~firings
     (stages : Sched.Probe.stage list) :
     Sched.Search.candidate
     * [ `Replayed | `Searched of Sched.Search.outcome ] =
@@ -323,9 +323,9 @@ let sched_placement t ~digest ?serializer ~firings
     ~stored:(fun r ->
       Option.bind r.Tunestore.tr_placement (fun spec ->
           Result.to_option (Sched.Placement.of_spec spec)))
-    ~replay:(Sched.Search.replay ?serializer ~firings stages)
+    ~replay:(Sched.Search.replay ~firings stages)
     ~search:(fun () ->
-      let o = Sched.Search.search ?serializer ~firings stages in
+      let o = Sched.Search.search ~firings stages in
       (o.Sched.Search.po_best, o))
     ~record:(fun best ->
       {

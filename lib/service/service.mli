@@ -155,7 +155,6 @@ val beam_schedule :
 val sched_placement :
   t ->
   digest:Digest.t ->
-  ?serializer:Lime_runtime.Marshal.serializer ->
   firings:int ->
   Lime_sched.Probe.stage list ->
   Lime_sched.Search.candidate

@@ -23,11 +23,6 @@ let rec last = function
   | [ x ] -> x
   | _ :: tl -> last tl
 
-let sum_floats l = List.fold_left ( +. ) 0.0 l
-let sum_ints l = List.fold_left ( + ) 0 l
-
-let max_float_of l = List.fold_left Float.max neg_infinity l
-
 (** [tabulate n f] = [[f 0; f 1; ...; f (n-1)]]. *)
 let tabulate n f = List.init n f
 

@@ -67,7 +67,7 @@ let test_wire_size () =
   let v = V.VArr (V.of_float_matrix 10 4 (Array.make 40 0.0)) in
   Alcotest.(check int) "predicted size matches encoding"
     (Bytes.length (M.encode v))
-    (M.wire_size v)
+    (M.wire_size M.Custom v)
 
 let test_time_model () =
   (* generic must be much slower than custom; bigger is slower *)

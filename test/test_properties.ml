@@ -87,7 +87,7 @@ let arr_gen : V.t QCheck.arbitrary =
   let build (kind, (rows, cols), seed) =
     let rows = (rows mod 6) + 1 and cols = (cols mod 6) + 1 in
     let rng = Lime_support.Prng.create seed in
-    match kind mod 4 with
+    match kind mod 5 with
     | 0 ->
         let a = V.make_arr ~is_value:true Ir.SFloat [| rows; cols |] in
         (match a.V.buf with
@@ -106,6 +106,13 @@ let arr_gen : V.t QCheck.arbitrary =
         (match a.V.buf with
         | V.BInt b ->
             Array.iteri (fun i _ -> b.(i) <- V.i8 (Lime_support.Prng.byte rng)) b
+        | _ -> ());
+        V.VArr a
+    | 3 ->
+        let a = V.make_arr ~is_value:true Ir.SBool [| rows; cols |] in
+        (match a.V.buf with
+        | V.BInt b ->
+            Array.iteri (fun i _ -> b.(i) <- Lime_support.Prng.int rng 2) b
         | _ -> ());
         V.VArr a
     | _ ->
@@ -131,7 +138,9 @@ let prop_generic_equals_custom =
 
 let prop_wire_size_exact =
   QCheck.Test.make ~name:"wire_size predicts encoding length" ~count:300
-    arr_gen (fun v -> M.wire_size v = Bytes.length (M.encode v))
+    arr_gen (fun v ->
+      M.wire_size M.Custom v = Bytes.length (M.encode v)
+      && M.wire_size M.Direct v = Bytes.length (M.encode_direct v))
 
 (* ------------------------------------------------------------------ *)
 (* Parser stability                                                     *)

@@ -328,35 +328,55 @@ let test_placed_run_attributes_devices () =
       | Some got -> Alcotest.(check string) (task ^ " fired on") want got)
     d.Exec.dc_placement
 
-let test_overlapped_clock_matches_model () =
-  (* the engine's overlapped wall-clock agrees with the cost model's
-     fill + (n-1)*period makespan on a pinned split placement *)
-  let fixed stages ~firings:_ =
-    List.map
-      (fun st ->
-        ( st.Probe.st_task,
-          match st.Probe.st_task with
-          | "NBodyP.computeForces" -> P.On Device.gtx580
-          | "NBodyP.smooth" -> P.On Device.hd5970
-          | _ -> P.Host ))
-      stages
-  in
-  let report, decisions = run_placed ~steps:6 fixed in
-  let d = List.hd decisions in
-  let tb = Cost.table d.Exec.dc_stages in
-  let assigns =
-    Array.of_list (List.map snd d.Exec.dc_placement)
-  in
-  let model_s, _ = Cost.price ~firings:6 tb assigns in
-  let got = report.Engine.overlapped_s in
-  Alcotest.(check bool) "overlap clock positive" true (got > 0.0);
-  let rel = Float.abs (got -. model_s) /. model_s in
-  Alcotest.(check bool)
-    (Printf.sprintf "engine %.3e vs model %.3e within 2%% (rel %.4f)" got
-       model_s rel)
-    true (rel < 0.02);
-  Alcotest.(check bool) "overlap no slower than serial clock" true
-    (got <= Comm.total report.Engine.phases +. 1e-9)
+(* The engine's overlap clock is the cost model, bit for bit: for every
+   placement of the two kernels (host or one of the four devices each) and
+   both the custom and the direct serializer, a placed run's
+   [overlapped_s] equals [Cost.price] over the run's own probe. *)
+let test_engine_clock_is_model () =
+  let options = P.Host :: List.map (fun (_, d) -> P.On d) P.devices in
+  let c = compile_pipe () in
+  List.iter
+    (fun serializer ->
+      List.iter
+        (fun forces ->
+          List.iter
+            (fun smooth ->
+              let fixed stages ~firings:_ =
+                List.map
+                  (fun st ->
+                    ( st.Probe.st_task,
+                      match st.Probe.st_task with
+                      | "NBodyP.computeForces" -> forces
+                      | "NBodyP.smooth" -> smooth
+                      | _ -> P.Host ))
+                  stages
+              in
+              let _, report, decisions =
+                Exec.run_program
+                  { Engine.default_config with Engine.serializer }
+                  ~choose:fixed c.Lime_gpu.Pipeline.cp_module ~cls:"NBodyPSim"
+                  ~meth:"main" [ V.VInt 6 ]
+              in
+              let d = List.hd decisions in
+              let model_s, _ =
+                Cost.price ~firings:6 (Cost.table d.Exec.dc_stages)
+                  (Array.of_list (List.map snd d.Exec.dc_placement))
+              in
+              let got = report.Engine.overlapped_s in
+              let name =
+                Printf.sprintf "%s %s: engine %h = model %h"
+                  (match serializer with
+                  | Lime_runtime.Marshal.Custom -> "custom"
+                  | Lime_runtime.Marshal.Generic -> "generic"
+                  | Lime_runtime.Marshal.Direct -> "direct")
+                  (P.to_spec d.Exec.dc_placement) got model_s
+              in
+              Alcotest.(check bool) name true (got = model_s);
+              Alcotest.(check bool) "overlap no slower than serial clock" true
+                (got <= Comm.total report.Engine.phases))
+            options)
+        options)
+    [ Lime_runtime.Marshal.Custom; Lime_runtime.Marshal.Direct ]
 
 (* ------------------------------------------------------------------ *)
 (* Comm boundary cases                                                 *)
@@ -438,8 +458,8 @@ let () =
                   NBodyP.smooth=host,NBodyP.computeForces2=host,\
                   NBodyP.smooth2=host,NBodyP.computeForces3=host,\
                   NBodyP.smooth3=host,NBodyPSim.accumulate=host"
-               ~time_h:"0x1.923d942a3f3f2p-12"
-               ~table_md5:"4fa7433ab544b8e4e06c7ad4228c7c08");
+               ~time_h:"0x1.97d3945648e9fp-12"
+               ~table_md5:"b78a8c24ac91dee6e14107f04e246676");
           Alcotest.test_case "beam branch, n = 1024" `Slow
             (check_beam_branch ~n:1024
                ~spec:
@@ -448,7 +468,7 @@ let () =
                   NBodyP.smooth2=hd5970,NBodyP.computeForces3=gtx580,\
                   NBodyP.smooth3=gtx580,NBodyPSim.accumulate=host"
                ~time_h:"0x1.3862eca3a316dp-8"
-               ~table_md5:"51d35debec480b5d499568c8f0252c15");
+               ~table_md5:"9d0bab3cb6b4e583e1a337938083fe3d");
           Alcotest.test_case "replay validates" `Quick test_replay_validates;
           Alcotest.test_case "zero firings" `Quick test_cost_zero_firings;
           Alcotest.test_case "residency" `Quick test_cost_residency_free;
@@ -458,8 +478,8 @@ let () =
           Alcotest.test_case "bit-exact sink" `Quick test_placed_run_bit_exact;
           Alcotest.test_case "per-device attribution" `Quick
             test_placed_run_attributes_devices;
-          Alcotest.test_case "overlap clock" `Quick
-            test_overlapped_clock_matches_model;
+          Alcotest.test_case "engine clock = model" `Quick
+            test_engine_clock_is_model;
         ] );
       ( "comm",
         [

@@ -492,7 +492,7 @@ let test_search_observability () =
       "rewrite.replay [rewrite] <-> kernel=TMatMul.multiply \
        sequence=warp-shuffle ok=false";
       "sched.search [sched] <-> stages=4 placeable=2 firings=16 \
-       exhaustive=true evals=30 best_time_s=1.324e-04 placement=" ^ host_pipe
+       exhaustive=true evals=30 best_time_s=1.341e-04 placement=" ^ host_pipe
       ^ " improved=false";
       "sched.replay [sched] <-> placement=" ^ host_pipe ^ " ok=true";
     ]
@@ -521,7 +521,7 @@ let test_search_observability () =
       "# TYPE lime_rewrite_searches_total counter";
       "lime_rewrite_searches_total 1";
       "# TYPE lime_sched_best_time_s gauge";
-      "lime_sched_best_time_s 0.000132371";
+      "lime_sched_best_time_s 0.000134147";
       "# TYPE lime_sched_evals_total counter";
       "lime_sched_evals_total 30";
       "# TYPE lime_sched_improved_total counter";
