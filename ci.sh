@@ -160,18 +160,25 @@ if grep -rn --include='*.ml' --include='*.mli' \
   exit 1
 fi
 
-echo "== one structural attempt per (body, step) =="
-# within one rewrite search a body digest fixes the kernel, so a
-# structural step's walk runs once per (parent body, step) and a child
-# body is analyzed once per digest: Search.structural, the memo helper, is
-# the only place lib/rewrite/search.ml applies a Structural attempt or
-# calls body_of for a child (the baseline and a replay analyze their own)
+echo "== one search memo =="
+# the rewrite searches of one kernel share one Lime_rewrite.Search memo,
+# keyed by the whole kernel: the service hands every rewrite search the
+# memo of the last kernel it searched (Service.beam_schedule), and in
+# lib/rewrite/search.ml a structural step's walk runs only in
+# Search.structural and a body is analyzed only in Search.facts (a new
+# child's facts and the baseline lookup), so no walk or analysis bypasses
+# the memo; a replay, which searches nothing, analyzes its one body itself
+if grep -nE '(^|[^.[:alnum:]_])Search\.search|Lime_rewrite\.Search\.search' \
+     lib/service/*.ml | grep -v '~memo'; then
+  echo "FAIL: lib/service/ runs a rewrite search without ~memo; pass the service's memo"
+  exit 1
+fi
 if awk '/^let /{f=$2}
         /Structural attempt/ && f != "structural" {print FILENAME":"FNR": "$0; bad=1}
-        /body_of / && !/^let body_of / && !/body_of baseline_state/ \
-          && f != "structural" && f != "replay" {print FILENAME":"FNR": "$0; bad=1}
+        /body_of / && !/^let body_of / && f != "facts" && f != "replay" \
+          {print FILENAME":"FNR": "$0; bad=1}
         END {exit !bad}' lib/rewrite/search.ml; then
-  echo "FAIL: a structural attempt or child analysis outside Search.structural; go through the memo"
+  echo "FAIL: a structural walk or body analysis outside Search.structural and Search.facts; go through the memo"
   exit 1
 fi
 if grep -rn --include='*.ml' 'Search\.body_of' lib bin examples; then

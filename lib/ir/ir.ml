@@ -276,11 +276,16 @@ and mentions_any p = function
 
 (** [iter_stmt ~stmt ?expr s] calls [stmt] on [s] and every statement
     nested in it, parent first, and [expr] on every expression node they
-    hold; without [expr], expressions are not walked. *)
-let rec iter_stmt ~(stmt : stmt -> unit) ?expr (s : stmt) =
+    hold; without [expr], expressions are not walked.  With [sub], the
+    walk stops at [s]'s own level: each statement directly nested in [s]
+    is handed to [sub] instead. *)
+let rec iter_stmt ~(stmt : stmt -> unit) ?expr ?(sub : (stmt -> unit) option)
+    (s : stmt) =
   stmt s;
   let fe = match expr with None -> ignore | Some f -> iter_expr f in
-  let fs = iter_stmt ~stmt ?expr in
+  let fs =
+    match sub with Some f -> f | None -> fun c -> iter_stmt ~stmt ?expr c
+  in
   match s with
   | SDecl (_, _, None) | SBreak | SContinue | SReturn None -> ()
   | SDecl (_, _, Some e) | SReturn (Some e) | SExpr e -> fe e

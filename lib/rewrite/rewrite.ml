@@ -69,11 +69,10 @@ let subst_var (v : string) (repl : Ir.expr) (ss : Ir.stmt list) :
   let expr = function Ir.Var x when x = v -> repl | e -> e in
   List.map (Ir.map_stmt ~expr) ss
 
-(** Every identifier mentioned by the statements (variables, declarations,
-    loop indices) — the conservative footprint used by fission/fusion. *)
-let names_of (ss : Ir.stmt list) : (string, unit) Hashtbl.t =
-  let tbl = Hashtbl.create 16 in
-  let add v = Hashtbl.replace tbl v () in
+(** The [~stmt] and [~expr] callbacks of {!Ir.iter_stmt} that hand [add]
+    every identifier a statement mentions (variables, declarations, loop
+    indices). *)
+let name_walk (add : string -> unit) =
   let stmt = function
     | Ir.SDecl (v, _, _) -> add v
     | Ir.SAssign (Ir.LVar v, _) -> add v
@@ -85,6 +84,13 @@ let names_of (ss : Ir.stmt list) : (string, unit) Hashtbl.t =
     | _ -> ()
   in
   let expr = function Ir.Var v -> add v | _ -> () in
+  (stmt, expr)
+
+(** Every identifier mentioned by the statements — the conservative
+    footprint used by fission/fusion. *)
+let names_of (ss : Ir.stmt list) : (string, unit) Hashtbl.t =
+  let tbl = Hashtbl.create 16 in
+  let stmt, expr = name_walk (fun v -> Hashtbl.replace tbl v ()) in
   List.iter (Ir.iter_stmt ~stmt ~expr) ss;
   tbl
 
@@ -427,49 +433,96 @@ let unroll : step =
 (* fission / fusion                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** The first [p] in [1, n) that splits the [n]-statement loop body into
-    [body[0,p)] and [body[p,n)] with disjoint footprints (the loop index
-    [v] aside).  A split at [p] is independent iff no name is used both
-    before [p] and from [p] on, i.e. iff the furthest last use of any name
-    in the prefix precedes [p] — one name set per statement, one pass. *)
-let split_point (v : string) (body : Ir.stmt list) : int option =
-  match body with
-  | [] | [ _ ] -> None
-  | _ ->
-      let sets =
-        Array.of_list
-          (List.map
-             (fun s ->
-               let names = names_of [ s ] in
-               Hashtbl.remove names v;
-               names)
-             body)
-      in
-      let last = Hashtbl.create 16 in
-      Array.iteri
-        (fun i names -> Hashtbl.iter (fun x () -> Hashtbl.replace last x i) names)
-        sets;
-      let n = Array.length sets in
-      let rec try_at p reach =
+module Phys = Hashtbl.Make (struct
+  type t = Ir.stmt
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(** One walk's split finder: the function returned maps a loop
+    [for v in [lo, hi) body] to the first [p] in [1, n) that splits the
+    [n]-statement [body] into [body[0,p)] and [body[p,n)] with disjoint
+    footprints (the index [v] aside).  A split at [p] is independent iff
+    no name other than [v] occurs both before [p] and from [p] on, i.e.
+    iff [p] lies in no name's span (first statement, last statement].  A
+    loop's spans come from one walk of its body, kept per loop
+    (physically); a loop nested in the body that can split (two or more
+    statements) hands up its own spans' names instead of being walked
+    again, so a nest is walked once, not once per enclosing loop. *)
+let split_points () : Ir.stmt -> int option =
+  let memo = Phys.create 16 in
+  (* [names l f] calls [f] on every name of loop [l] ({!names_of}) *)
+  let rec names l f =
+    match l with
+    | Ir.SFor (v, lo, hi, body) ->
+        f v;
+        let bound = Ir.iter_expr (function Ir.Var x -> f x | _ -> ()) in
+        bound lo;
+        bound hi;
+        Hashtbl.iter (fun x _ -> f x) (spans l v body)
+    | _ -> ()
+  (* name -> first and last statement of [body], loop [l]'s, that
+     mention it *)
+  and spans l v body =
+    match Phys.find_opt memo l with
+    | Some span -> span
+    | None ->
+        let span = Hashtbl.create 16 in
+        let at = ref 0 in
+        let add x =
+          if x <> v then
+            match Hashtbl.find_opt span x with
+            | None -> Hashtbl.add span x (!at, !at)
+            | Some (_, last) when last = !at -> ()
+            | Some (first, _) -> Hashtbl.replace span x (first, !at)
+        in
+        let stmt, expr = name_walk add in
+        let rec visit s =
+          match s with
+          | Ir.SFor (_, _, _, _ :: _ :: _) -> names s add
+          | _ -> Ir.iter_stmt ~stmt ~expr ~sub:visit s
+        in
+        List.iteri
+          (fun i s ->
+            at := i;
+            visit s)
+          body;
+        Phys.add memo l span;
+        span
+  in
+  function
+  | Ir.SFor (_, _, _, ([] | [ _ ])) -> None
+  | Ir.SFor (v, _, _, body) as l ->
+      let n = List.length body in
+      (* the prefix sum of [cover] up to [p] counts the spans covering [p] *)
+      let cover = Array.make (n + 1) 0 in
+      Hashtbl.iter
+        (fun _ (first, last) ->
+          if first < last then begin
+            cover.(first + 1) <- cover.(first + 1) + 1;
+            cover.(last + 1) <- cover.(last + 1) - 1
+          end)
+        (spans l v body);
+      let rec split p open_ =
         if p >= n then None
         else
-          let reach =
-            Hashtbl.fold
-              (fun x () r -> max r (Hashtbl.find last x))
-              sets.(p - 1) reach
-          in
-          if reach < p then Some p else try_at (p + 1) reach
+          let open_ = open_ + cover.(p) in
+          if open_ = 0 then Some p else split (p + 1) open_
       in
-      try_at 1 (-1)
+      split 1 0
+  | _ -> None
 
 (** Distribute the first loop whose body splits into halves with disjoint
     footprints.  Disjointness makes the halves independent, so running all
     iterations of one before the other is bit-exact. *)
 let fission : step =
-  let attempt =
-    at_first_site (function
-      | Ir.SFor (v, lo, hi, body) :: rest -> (
-          match split_point v body with
+  let attempt st =
+    let split_point = split_points () in
+    at_first_site
+      (function
+      | (Ir.SFor (v, lo, hi, body) as l) :: rest -> (
+          match split_point l with
           | Some p
             when disjoint (written_of body)
                    (names_of [ Ir.SExpr lo; Ir.SExpr hi ]) ->
@@ -482,6 +535,7 @@ let fission : step =
                    :: rest))
           | _ -> None)
       | _ -> None)
+      st
   in
   { name = "fission"; kind = Structural attempt }
 

@@ -18,16 +18,29 @@
     three body facts (the kernel is unchanged) and the one
     {!Lime_gpu.Memopt.decide_all} that showed the toggle changes the
     table, so pricing it costs one profile walk and no dataflow pass.  A
-    structural step reads only the kernel, and within one search a body
-    digest fixes the kernel, so each search attempts a step once per
-    (parent body, step) and analyzes a body once per digest ({!memo}):
-    the first structural child of a (body, step) pays one [Structural]
-    walk and one marshalled body digest, plus one
+    structural step reads only the kernel, and every step changes only
+    the body, so among the searches of one kernel a body digest fixes the
+    kernel, and each (parent body, step) is attempted and each body
+    analyzed once ({!memo}): the first structural child of a (body, step)
+    pays one [Structural] walk and one marshalled body digest, plus one
     {!Lime_gpu.Taint.thread_dependent} pass and one [analyze] if its body
     is new.  Once that (body, step) has been seen — placement siblings
     share their parent's body — a structural child costs one
     [decide_all], one signature and one profile walk; the analysis and
     the profile read the same table.
+
+    A {!memo} belongs to one kernel.  Its key is the MD5 of the whole
+    marshalled baseline kernel (name, parameters, return type, body and
+    flags): two kernels with equal bodies but different parameters are
+    analyzed differently.  A search of another kernel empties the memo
+    before it does any work, so the memo holds one kernel's walks and
+    facts, and it lives as long as its caller keeps it.  Nothing in it
+    depends on the device: a caller that tunes one kernel on several
+    devices passes one memo to each search, and the later searches reuse
+    the walks, digests and analyses of the earlier ones (the service
+    keeps the memo of the last kernel it searched).  Scoring is per
+    device and per search; no profile is memoized.  Without [?memo] a
+    search builds a fresh one.
 
     The initial population is the empty schedule plus the eight canned
     Fig 8 sequences of {!Rewrite.fig8_sequences}.  Seeding guarantees the
@@ -43,15 +56,12 @@ module Kernel = Lime_gpu.Kernel
 module Memopt = Lime_gpu.Memopt
 module Device = Gpusim.Device
 module Model = Gpusim.Model
-module Counters = Gpusim.Counters
 module Autotune = Gpusim.Autotune
 
 type candidate = {
   sc_sequence : string list;  (** rewrite names, in application order *)
   sc_state : Rewrite.state;
   sc_time_s : float;  (** modeled kernel time on the search device *)
-  sc_breakdown : Model.breakdown;
-  sc_counters : Counters.t;
 }
 
 type outcome = {
@@ -104,15 +114,13 @@ let decisions (st : Rewrite.state) (b : body) : Memopt.decision list =
     the device.  The profile reads [b]'s thread-dependence table. *)
 let score (device : Device.t) (st : Rewrite.state) (b : body)
     (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
-    ~(scalars : (string * float) list) : float * Model.breakdown * Counters.t
-    =
+    ~(scalars : (string * float) list) : float =
   let prof, bindings =
     Autotune.launch ~hoist_invariant:true ~affine_lanes:true
       ~thread_vars:b.b_thread_vars st.Rewrite.st_kernel decisions ~shapes
       ~scalars
   in
-  let bd, ctr = Model.kernel_time_ex device prof bindings in
-  (bd.Model.bd_total_s, bd, ctr)
+  (Model.kernel_time device prof bindings).Model.bd_total_s
 
 (** Digest of a state's rewritten body, marshalled without sharing so
     equal structures give equal bytes. *)
@@ -152,27 +160,65 @@ type entry = {
   en_decisions : Memopt.decision list;
 }
 
-(** One search's device-independent child construction.  A [Structural]
+(** One kernel's device-independent child construction.  A [Structural]
     attempt reads only the state's kernel, and {!Rewrite.with_body} is the
-    only way a step changes a kernel, so within one search a body digest
-    fixes the kernel, and the parent's body digest fixes the attempt's
-    outcome.  [m_attempts] keeps that outcome per (parent body digest,
-    step name): the child's body digest, or [None] when the step does not
-    apply.  [m_bodies] keeps each body's kernel and facts per digest,
-    seeded with the baseline's.  The counters are what the search reports
+    only way a step changes a kernel, so for one baseline kernel a body
+    digest fixes the kernel, and the parent's body digest fixes the
+    attempt's outcome.  [m_attempts] keeps that outcome per (parent body
+    digest, step name): the child's body digest, or [None] when the step
+    does not apply.  [m_bodies] keeps each body's kernel and facts per
+    digest, the baseline's included.  [m_key] names the baseline kernel
+    the tables belong to.  The counters are this search's work, reported
     on its [End] event. *)
 type memo = {
+  mutable m_key : Digest.t;  (** [""] until a search claims the memo *)
   m_attempts : (Digest.t * string, Digest.t option) Hashtbl.t;
   m_bodies : (Digest.t, Kernel.kernel * body) Hashtbl.t;
   mutable m_walks : int;  (** structural attempts run *)
   mutable m_hits : int;  (** structural attempts answered by [m_attempts] *)
-  mutable m_analyses : int;  (** {!body_of} calls, the baseline's included *)
+  mutable m_analyses : int;  (** {!body_of} calls, a new baseline's included *)
 }
+
+let create_memo () =
+  {
+    m_key = "";
+    m_attempts = Hashtbl.create 64;
+    m_bodies = Hashtbl.create 16;
+    m_walks = 0;
+    m_hits = 0;
+    m_analyses = 0;
+  }
+
+(** Claim [m] for a search of [k]: a memo of another kernel is emptied
+    first.  The work counters restart either way. *)
+let claim (m : memo) (k : Kernel.kernel) =
+  let key = Digest.string (Marshal.to_string k [ Marshal.No_sharing ]) in
+  if m.m_key <> key then begin
+    Hashtbl.reset m.m_attempts;
+    Hashtbl.reset m.m_bodies;
+    m.m_key <- key
+  end;
+  m.m_walks <- 0;
+  m.m_hits <- 0;
+  m.m_analyses <- 0
+
+(** [facts m st digest] is the kernel and body facts of [st], whose body
+    digest is [digest], analyzing the body only if [m] has not seen it.
+    The baseline's lookup and {!structural} share it. *)
+let facts (m : memo) (st : Rewrite.state) (digest : Digest.t) :
+    Kernel.kernel * body =
+  match Hashtbl.find_opt m.m_bodies digest with
+  | Some kb -> kb
+  | None ->
+      m.m_analyses <- m.m_analyses + 1;
+      let kb = (st.Rewrite.st_kernel, body_of st) in
+      Hashtbl.add m.m_bodies digest kb;
+      kb
 
 (** [structural m e step] is [e]'s child under the structural [step] —
     its state, body facts and body digest — or [None] when the step does
     not apply (or is a placement).  The only place a search runs a step's
-    walk or analyzes a child body. *)
+    walk. *)
 let structural (m : memo) (e : entry) (step : Rewrite.step) :
     (Rewrite.state * body * Digest.t) option =
   let st = e.en_cand.sc_state in
@@ -192,11 +238,7 @@ let structural (m : memo) (e : entry) (step : Rewrite.step) :
               | Error _ -> None
               | Ok st' ->
                   let digest = body_digest st' in
-                  if not (Hashtbl.mem m.m_bodies digest) then begin
-                    m.m_analyses <- m.m_analyses + 1;
-                    Hashtbl.add m.m_bodies digest
-                      (st'.Rewrite.st_kernel, body_of st')
-                  end;
+                  ignore (facts m st' digest);
                   Some digest)
         in
         Hashtbl.add m.m_attempts key child;
@@ -214,8 +256,8 @@ let default_depth = 5
 (** [search device k ~shapes ~scalars] beam-searches a rewrite schedule
     for [k] launched with the given argument shapes.  [width] states
     survive each level; at most [depth] rewrites are chained. *)
-let search ?(width = default_width) ?(depth = default_depth)
-    (device : Device.t) (k : Kernel.kernel)
+let search ?(memo = create_memo ()) ?(width = default_width)
+    ?(depth = default_depth) (device : Device.t) (k : Kernel.kernel)
     ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) : outcome =
   let width = max 1 width and depth = max 0 depth in
@@ -231,16 +273,9 @@ let search ?(width = default_width) ?(depth = default_depth)
   let evaluate (sequence : string list) (st : Rewrite.state) body digest ds
       : entry =
     incr evals;
-    let time_s, bd, ctr = score device st body ds ~shapes ~scalars in
+    let time_s = score device st body ds ~shapes ~scalars in
     {
-      en_cand =
-        {
-          sc_sequence = sequence;
-          sc_state = st;
-          sc_time_s = time_s;
-          sc_breakdown = bd;
-          sc_counters = ctr;
-        };
+      en_cand = { sc_sequence = sequence; sc_state = st; sc_time_s = time_s };
       en_body = body;
       en_digest = digest;
       en_decisions = ds;
@@ -255,19 +290,11 @@ let search ?(width = default_width) ?(depth = default_depth)
       true
     end
   in
+  claim memo k;
+  let memo_bodies = Hashtbl.length memo.m_bodies in
   let baseline_state = Rewrite.initial k in
-  let baseline_body = body_of baseline_state in
   let baseline_digest = body_digest baseline_state in
-  let memo =
-    {
-      m_attempts = Hashtbl.create 64;
-      m_bodies = Hashtbl.create 16;
-      m_walks = 0;
-      m_hits = 0;
-      m_analyses = 1;
-    }
-  in
-  Hashtbl.add memo.m_bodies baseline_digest (k, baseline_body);
+  let _, baseline_body = facts memo baseline_state baseline_digest in
   let baseline_ds = decisions baseline_state baseline_body in
   ignore (fresh_state baseline_digest baseline_ds);
   let baseline_entry =
@@ -362,6 +389,7 @@ let search ?(width = default_width) ?(depth = default_depth)
              ("attempts", string_of_int memo.m_walks);
              ("attempt_hits", string_of_int memo.m_hits);
              ("analyses", string_of_int memo.m_analyses);
+             ("memo_bodies", string_of_int memo_bodies);
            ];
        });
   {
@@ -394,16 +422,11 @@ let replay (device : Device.t) (k : Kernel.kernel) (sequence : string list)
   | Ok st ->
       replayed true;
       let body = body_of st in
-      let time_s, bd, ctr =
-        score device st body (decisions st body) ~shapes ~scalars
-      in
       Ok
         {
           sc_sequence = sequence;
           sc_state = st;
-          sc_time_s = time_s;
-          sc_breakdown = bd;
-          sc_counters = ctr;
+          sc_time_s = score device st body (decisions st body) ~shapes ~scalars;
         }
 
 (** Human-readable account of a search, for [limec --explain]. *)

@@ -173,7 +173,7 @@ let decode (serializer : Marshal.serializer) (v : Value.t) (e : bytes) :
   | (Marshal.Custom | Marshal.Generic), _ -> Marshal.decode e
 
 let elem_bytes = function
-  | Value.VArr a -> Ir.scalar_size_bytes a.Value.elem
+  | Value.VArr a -> Marshal.elem_width a.Value.elem
   | _ -> 4
 
 (* Residency: an edge whose two ends fire on the same device keeps the

@@ -89,8 +89,8 @@ val array_bindings :
     placement and the engine's [overlapped_s] agree exactly. *)
 
 val elem_bytes : Lime_ir.Value.t -> int
-(** Element width of an array input (4 for anything else): the Java-side
-    marshal is priced per element. *)
+(** Element width of an array input on the wire ({!Marshal.elem_width}; 4
+    for anything else): the Java-side marshal is priced per element. *)
 
 val transfers : string option array -> int -> bool * bool
 (** The residency rule: given the device each stage fires on ([None] for

@@ -30,6 +30,10 @@ val encode_direct : Lime_ir.Value.t -> bytes
 val decode_direct :
   elem:Lime_ir.Ir.scalar -> shape:int array -> bytes -> Lime_ir.Value.t
 
+val elem_width : Lime_ir.Ir.scalar -> int
+(** Bytes one array element occupies in either layout; a boolean takes a
+    32-bit word. *)
+
 val wire_size : serializer -> Lime_ir.Value.t -> int
 (** Encoded size in bytes, without encoding: {!encode} (or
     {!encode_direct} under [Direct]) produces exactly this many bytes.

@@ -24,6 +24,8 @@ type t = {
   sv_registry : Metrics.registry;
   sv_disk_hits : int Atomic.t;
   sv_pool : Pool.t;
+  sv_search_memo : Search.memo option Atomic.t;
+      (** the rewrite-search memo of the last kernel searched *)
 }
 
 (* Bump when the shape of Pipeline.compiled changes: artifacts are
@@ -59,6 +61,7 @@ let create ?cache_dir ?(capacity = 64) ?(registry = Metrics.default)
     sv_registry = registry;
     sv_disk_hits = Atomic.make 0;
     sv_pool;
+    sv_search_memo = Atomic.make None;
   }
 
 let cache t = t.sv_cache
@@ -285,7 +288,11 @@ let sweep t d ~device_key ~digest kernel ~shapes ~scalars =
 (* Beam results live in the tunestore beside the Fig 8 sweep records,
    under a ".beam"-suffixed device key so the two kinds of record never
    clobber each other.  A schedule that no longer replays (store written
-   against a different kernel shape) is treated as a miss. *)
+   against a different kernel shape) is treated as a miss.  A search takes
+   the last kernel's memo out of its slot and puts it back when done, so
+   tuning one kernel on several devices walks and analyzes each body once;
+   a search that runs meanwhile finds the slot empty and builds its own,
+   so no two searches share a memo. *)
 let beam_device_key device = device ^ ".beam"
 
 let beam_schedule t (d : Gpusim.Device.t) ~device_key ~digest ?width ?depth
@@ -295,8 +302,16 @@ let beam_schedule t (d : Gpusim.Device.t) ~device_key ~digest ?width ?depth
     ~stored:(fun r -> r.Tunestore.tr_sequence)
     ~replay:(fun seq -> Search.replay d k seq ~shapes ~scalars)
     ~search:(fun () ->
-      let o = Search.search ?width ?depth d k ~shapes ~scalars in
-      (o.Search.so_best, o))
+      let memo =
+        match Atomic.exchange t.sv_search_memo None with
+        | Some m -> m
+        | None -> Search.create_memo ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Atomic.set t.sv_search_memo (Some memo))
+        (fun () ->
+          let o = Search.search ~memo ?width ?depth d k ~shapes ~scalars in
+          (o.Search.so_best, o)))
     ~record:(fun best ->
       {
         Tunestore.tr_config_name = "beam";

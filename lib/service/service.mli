@@ -150,7 +150,11 @@ val beam_schedule :
     warm call replays the stored sequence ({!Lime_rewrite.Search.replay} —
     one cost-model evaluation, [`Replayed]) instead of re-searching.  A
     stored schedule that no longer applies falls back to a fresh search.
-    Without a [cache_dir] every call searches ([`Searched]). *)
+    Without a [cache_dir] every call searches ([`Searched]).  The service
+    keeps the {!Lime_rewrite.Search.memo} of the last kernel it searched,
+    so searching one kernel on several devices in a row walks and
+    analyzes each rewritten body once; concurrent searches never share
+    one. *)
 
 val sched_placement :
   t ->

@@ -185,6 +185,29 @@ let test_multi_filter_pipeline () =
   Alcotest.(check bool) "composed values correct" true
     (V.approx_equal ~rtol:0.0 ~atol:0.0 r.Engine.last_value (V.VArr want))
 
+(* A boolean crosses as a 32-bit word, so the Java-side marshal prices a
+   4x3 boolean array as 12 elements, like a 4x3 int array, under the
+   custom serializer and the direct layout alike. *)
+let test_boolean_marshal_priced_per_element () =
+  let module M = Lime_runtime.Marshal in
+  let bools = V.VArr (V.make_arr Lime_ir.Ir.SBool [| 4; 3 |])
+  and ints = V.VArr (V.make_arr Lime_ir.Ir.SInt [| 4; 3 |]) in
+  let price serializer v =
+    M.java_marshal_seconds ~serializer ~elem_bytes:(Engine.elem_bytes v)
+      (M.wire_size serializer v)
+  in
+  Alcotest.(check int) "a boolean is a 4-byte word" 4 (Engine.elem_bytes bools);
+  List.iter
+    (fun (name, serializer) ->
+      Alcotest.(check (float 0.0))
+        (name ^ ": priced as 12 ints")
+        (price serializer ints) (price serializer bools))
+    [ ("custom", M.Custom); ("direct", M.Direct) ];
+  Alcotest.(check (float 0.0))
+    "direct: 12 elements"
+    (M.java_marshal_seconds ~serializer:M.Direct ~elem_bytes:1 12)
+    (price M.Direct bools)
+
 let () =
   Alcotest.run "engine"
     [
@@ -212,5 +235,7 @@ let () =
             test_generic_serializer_slower;
           Alcotest.test_case "device choice" `Quick
             test_device_choice_changes_kernel_time;
+          Alcotest.test_case "boolean marshal per element" `Quick
+            test_boolean_marshal_priced_per_element;
         ] );
     ]

@@ -281,7 +281,12 @@ let test_golden_search_table () =
    attempts; the search's End event must report exactly those.        *)
 (* ------------------------------------------------------------------ *)
 
-type work = { evals : int; attempts : int; pairs : int; bodies : int }
+type work = {
+  evals : int;
+  attempts : int;
+  pairs : (Stdlib.Digest.t * string, unit) Hashtbl.t;
+  bodies : (Stdlib.Digest.t, unit) Hashtbl.t;
+}
 
 let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
     =
@@ -295,7 +300,7 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
   (* sequence, state, body, digest, decisions, modeled time *)
   let evaluate seq st body digest ds =
     incr evals;
-    let time, _, _ = Search.score d st body ds ~shapes ~scalars in
+    let time = Search.score d st body ds ~shapes ~scalars in
     (seq, st, body, digest, ds, time)
   in
   let st0 = Rewrite.initial k in
@@ -352,30 +357,32 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
   ignore
     (Lime_support.Beam.run ~cmp ~width:Search.default_width
        ~levels:Search.default_depth ~expand ~best:base (base :: seeds));
-  {
-    evals = !evals;
-    attempts = !attempts;
-    pairs = Hashtbl.length pairs;
-    bodies = Hashtbl.length bodies;
-  }
+  { evals = !evals; attempts = !attempts; pairs; bodies }
 
-(* The memoized search's own account of its work, from its End event:
-   evals, then attempts, attempt hits and analyses. *)
-let search_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars =
+(* A search's outcome and its own account of its work, from its End
+   event: evals, then the named counters. *)
+let search_end ?memo (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars =
   let got = ref None in
   Lime_support.Hooks.add Lime_support.Beam.hooks ~key:"test_rewrite"
     (function
     | "rewrite", Lime_support.Beam.End e ->
-        let arg name = int_of_string (List.assoc name e.args) in
         got :=
-          Some
-            (e.evals, arg "attempts", arg "attempt_hits", arg "analyses")
+          Some (e.evals, List.map (fun (n, v) -> (n, int_of_string v)) e.args)
     | _ -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      Lime_support.Hooks.remove Lime_support.Beam.hooks "test_rewrite")
-    (fun () -> ignore (Search.search d k ~shapes ~scalars));
-  Option.get !got
+  let o =
+    Fun.protect
+      ~finally:(fun () ->
+        Lime_support.Hooks.remove Lime_support.Beam.hooks "test_rewrite")
+      (fun () -> Search.search ?memo d k ~shapes ~scalars)
+  in
+  (o, Option.get !got)
+
+(* The memoized search's work: evals, then attempts, attempt hits and
+   analyses. *)
+let search_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars =
+  let _, (evals, args) = search_end d k ~shapes ~scalars in
+  let arg name = List.assoc name args in
+  (evals, arg "attempts", arg "attempt_hits", arg "analyses")
 
 let test_search_work_once_per_body () =
   List.iter
@@ -393,13 +400,14 @@ let test_search_work_once_per_body () =
           Alcotest.(check int) (what ^ ": evaluations") want.evals evals;
           Alcotest.(check int)
             (what ^ ": one attempt per (body, step)")
-            want.pairs attempts;
+            (Hashtbl.length want.pairs) attempts;
           Alcotest.(check int)
             (what ^ ": every other attempt a hit")
-            (want.attempts - want.pairs) hits;
+            (want.attempts - Hashtbl.length want.pairs)
+            hits;
           Alcotest.(check int)
             (what ^ ": one analysis per body")
-            want.bodies analyses)
+            (Hashtbl.length want.bodies) analyses)
         Device.all)
     Registry.workloads
 
@@ -416,6 +424,96 @@ let test_mosaic_gtx580_work () =
         "evals, attempts, attempt hits, analyses" [ 145; 144; 216; 51 ]
         (let e, a, h, n = work in
          [ e; a; h; n ])
+
+(* ------------------------------------------------------------------ *)
+(* One memo across a kernel's searches: the four device searches of a
+   kernel share one memo and reach the outcomes of four fresh searches,
+   while their walks and analyses add up to the distinct (body, step)
+   pairs and bodies of the four memo-free reference searches.         *)
+(* ------------------------------------------------------------------ *)
+
+let state_md5 (c : Search.candidate) =
+  Stdlib.Digest.to_hex
+    (Stdlib.Digest.string
+       (Marshal.to_string c.Search.sc_state [ Marshal.No_sharing ]))
+
+let check_same_outcome what (want : Search.outcome) (got : Search.outcome) =
+  Alcotest.(check string)
+    (what ^ ": best sequence")
+    (Search.seq_str want.Search.so_best.Search.sc_sequence)
+    (Search.seq_str got.Search.so_best.Search.sc_sequence);
+  Alcotest.(check string)
+    (what ^ ": best time")
+    (Printf.sprintf "%h" want.Search.so_best.Search.sc_time_s)
+    (Printf.sprintf "%h" got.Search.so_best.Search.sc_time_s);
+  Alcotest.(check string)
+    (what ^ ": best state")
+    (state_md5 want.Search.so_best)
+    (state_md5 got.Search.so_best);
+  Alcotest.(check int) (what ^ ": evaluations") want.Search.so_evals
+    got.Search.so_evals;
+  Alcotest.(check int) (what ^ ": depth") want.Search.so_depth_reached
+    got.Search.so_depth_reached
+
+let test_shared_memo_equals_fresh () =
+  List.iter
+    (fun (b : B.t) ->
+      let p = E.prepare ~seed:1 b in
+      let k = p.E.p_compiled.Pipeline.cp_kernel in
+      let shapes = p.E.p_shapes and scalars = p.E.p_scalars in
+      let memo = Search.create_memo () in
+      let pairs = Hashtbl.create 64 and bodies = Hashtbl.create 16 in
+      let attempts = ref 0 and analyses = ref 0 in
+      List.iteri
+        (fun i (d : Device.t) ->
+          let what = Printf.sprintf "%s on %s" b.B.name d.Device.name in
+          let fresh = Search.search d k ~shapes ~scalars in
+          let shared, (_, args) = search_end ~memo d k ~shapes ~scalars in
+          check_same_outcome what fresh shared;
+          if i = 0 then
+            Alcotest.(check int) (what ^ ": first search, empty memo") 0
+              (List.assoc "memo_bodies" args);
+          attempts := !attempts + List.assoc "attempts" args;
+          analyses := !analyses + List.assoc "analyses" args;
+          let want = unmemoized_work d k ~shapes ~scalars in
+          Hashtbl.iter (Hashtbl.replace pairs) want.pairs;
+          Hashtbl.iter (Hashtbl.replace bodies) want.bodies)
+        Device.all;
+      Alcotest.(check int)
+        (b.B.name ^ ": one attempt per (body, step) over the devices")
+        (Hashtbl.length pairs) !attempts;
+      Alcotest.(check int)
+        (b.B.name ^ ": one analysis per body over the devices")
+        (Hashtbl.length bodies) !analyses)
+    Registry.workloads
+
+(* The memo is keyed by the whole kernel: a kernel with the same body
+   but one more parameter empties it, and so does the way back. *)
+let test_memo_keyed_by_kernel () =
+  let k = nest_kernel () in
+  let spare_param = ("spare", Lime_ir.Ir.TScalar Lime_ir.Ir.SInt) in
+  let k' = { k with Kernel.k_params = k.Kernel.k_params @ [ spare_param ] } in
+  let shapes = [ ("a", [| 8; 8 |]) ] in
+  (* the bodies the memo held, and the walks the search ran *)
+  let search ?memo k scalars =
+    let _, (_, args) = search_end ?memo Device.gtx580 k ~shapes ~scalars in
+    (List.assoc "memo_bodies" args, List.assoc "attempts" args)
+  in
+  let memo = Search.create_memo () in
+  let held = search ~memo and spare = [ ("spare", 0.0) ] in
+  let bodies, _ = held k [] in
+  Alcotest.(check int) "fresh memo holds nothing" 0 bodies;
+  let bodies, attempts = held k [] in
+  Alcotest.(check bool) "same kernel: the bodies carry over" true (bodies > 0);
+  Alcotest.(check int) "same kernel: no walk repeated" 0 attempts;
+  let bodies, attempts = held k' spare in
+  Alcotest.(check int) "equal body, other params: memo emptied" 0 bodies;
+  let _, want = search k' spare in
+  Alcotest.(check bool) "the nest has structural walks" true (want > 0);
+  Alcotest.(check int) "equal body, other params: every walk redone" want
+    attempts;
+  let bodies, _ = held k [] in
+  Alcotest.(check int) "back to the first kernel: memo emptied" 0 bodies
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
@@ -594,6 +692,10 @@ let () =
             test_search_work_once_per_body;
           Alcotest.test_case "Mosaic on GTX 580 work" `Quick
             test_mosaic_gtx580_work;
+          Alcotest.test_case "shared memo = fresh searches" `Slow
+            test_shared_memo_equals_fresh;
+          Alcotest.test_case "memo keyed by kernel, not body" `Quick
+            test_memo_keyed_by_kernel;
           Alcotest.test_case "replay reproduces the best" `Quick
             test_replay_reproduces_search_best;
           Alcotest.test_case "stale schedule rejected" `Quick

@@ -262,6 +262,73 @@ let test_pool_sweep_is_sequential () =
        (Gpusim.Autotune.sweep Gpusim.Device.gtx580 kernel ~shapes ~scalars)
     = 0)
 
+(* Two domains tune different kernels on every device through one
+   service.  Each beam search takes the memo the last search put back, or
+   builds its own while the other domain holds it; either way it reaches
+   a fresh search's outcome. *)
+let test_concurrent_beam_searches () =
+  let module E = Lime_benchmarks.Experiments in
+  let module Search = Lime_rewrite.Search in
+  let prepared name =
+    match Lime_benchmarks.Registry.find name with
+    | Some b -> E.prepare ~seed:1 b
+    | None -> Alcotest.failf "%s missing from the registry" name
+  in
+  let ps = List.map prepared [ "Mosaic"; "JG-Series (Single)" ] in
+  let kernel (p : E.prepared) = p.E.p_compiled.Lime_gpu.Pipeline.cp_kernel in
+  let svc = Service.create ~jobs:2 () in
+  let digest = Service.request_digest ~worker:"W" "src" in
+  let tune (p : E.prepared) =
+    List.map
+      (fun (d : Gpusim.Device.t) ->
+        match
+          Service.beam_schedule svc d ~device_key:d.name ~digest (kernel p)
+            ~shapes:p.E.p_shapes ~scalars:p.E.p_scalars
+        with
+        | _, `Searched o -> o
+        | _, `Replayed -> Alcotest.fail "no store, yet a replay")
+      Gpusim.Device.all
+  in
+  let got =
+    Fun.protect
+      ~finally:(fun () -> Service.shutdown svc)
+      (fun () ->
+        List.map Domain.join
+          (List.map (fun p -> Domain.spawn (fun () -> tune p)) ps))
+  in
+  let state_md5 (o : Search.outcome) =
+    Stdlib.Digest.string
+      (Marshal.to_string o.Search.so_best.Search.sc_state
+         [ Marshal.No_sharing ])
+  in
+  List.iter2
+    (fun p outcomes ->
+      List.iter2
+        (fun (d : Gpusim.Device.t) (o : Search.outcome) ->
+          let want =
+            Search.search d (kernel p) ~shapes:p.E.p_shapes
+              ~scalars:p.E.p_scalars
+          in
+          let what =
+            p.E.p_bench.Lime_benchmarks.Bench_def.name ^ " on " ^ d.name
+          in
+          Alcotest.(check (list string))
+            (what ^ ": best sequence")
+            want.Search.so_best.Search.sc_sequence
+            o.Search.so_best.Search.sc_sequence;
+          Alcotest.(check (float 0.0))
+            (what ^ ": best time")
+            want.Search.so_best.Search.sc_time_s
+            o.Search.so_best.Search.sc_time_s;
+          Alcotest.(check bool) (what ^ ": best state") true
+            (state_md5 want = state_md5 o);
+          Alcotest.(check (pair int int))
+            (what ^ ": evaluations, depth")
+            (want.Search.so_evals, want.Search.so_depth_reached)
+            (o.Search.so_evals, o.Search.so_depth_reached))
+        Gpusim.Device.all outcomes)
+    ps got
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -602,6 +669,8 @@ let () =
             test_sweep_consults_tunestore;
           Alcotest.test_case "pooled sweep = sequential" `Quick
             test_pool_sweep_is_sequential;
+          Alcotest.test_case "concurrent beam searches = fresh" `Quick
+            test_concurrent_beam_searches;
         ] );
       ( "metrics",
         [
