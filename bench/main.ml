@@ -1,8 +1,7 @@
 (** Benchmark harness: regenerates every table and figure of the paper's
     evaluation (§5) from the simulated platforms' modelled seconds, gates
     the optimizer and multi-device placement against the Fig 8 and
-    single-device baselines, drives generated-program traffic through an
-    in-process daemon, and emits machine-readable perf results for
+    single-device baselines, and emits machine-readable perf results for
     regression tracking.  The toolchain's own wall-clock cost, layer by
     layer, is measured by perfbench/ (see perfbench/METRICS.md).
 
@@ -12,20 +11,11 @@
                                            marshal-ablation overlap glue
       dune exec bench/main.exe -- --quick --json BENCH_ci.json
       dune exec bench/main.exe -- --quick --baseline BENCH_ci.json
-      dune exec bench/main.exe -- --fuzz 30 --seed 2
 *)
 
 module E = Lime_benchmarks.Experiments
 module Benchjson = Lime_benchmarks.Benchjson
 module Device = Gpusim.Device
-module Sketch = Lime_service.Sketch
-module Clock = Lime_support.Clock
-
-(* Streaming percentiles without retaining the stream: the same sketch
-   the daemon serves from /metrics, so bench and daemon quote the same
-   estimator (offline sorts survive only in the agreement gate). *)
-let sketch_pct sk q =
-  match Sketch.quantile sk q with Some v -> v | None -> 0.0
 
 let section title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
@@ -192,224 +182,6 @@ let run_glue () =
   Printf.printf "\nDistinct OpenCL API procedures used by the glue: %d\n"
     (List.length (Lime_gpu.Hostgen.api_calls_used glue))
 
-(* Generated-program traffic against the daemon (--fuzz N): a
-   zipf-weighted stream drawn from a lime.fuzz corpus, the precursor to
-   the fleet bench.  Unlike the registry suites, the program mix is
-   novel by construction — the head of the distribution hits the cache
-   tiers, the tail forces cold compiles — so this measures the daemon's
-   tail latency under realistic cache pressure. *)
-let run_fuzz_traffic ~count ~seed () =
-  section "Compile daemon — generated-program traffic (lime.fuzz)";
-  let module Server = Lime_server.Server in
-  let module Client = Lime_server.Client in
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let pool = max 4 (min 64 (count / 4)) in
-  let items =
-    Lime_fuzz.Gen.corpus ~seed pool
-    |> List.map (fun p ->
-           ( List.hd (List.rev (Lime_fuzz.Gen.workers p)),
-             Lime_fuzz.Gen.to_source p ))
-    |> Array.of_list
-  in
-  (* zipf(1.1) over pool ranks, inverse-cdf sampled from the
-     deterministic Prng so a seed fully determines the traffic *)
-  let weights =
-    Array.init pool (fun r -> 1.0 /. (float_of_int (r + 1) ** 1.1))
-  in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  let rng = Lime_support.Prng.create (0x5a69 lxor (seed * 2654435761)) in
-  let pick () =
-    let x = Lime_support.Prng.float01 rng *. total in
-    let acc = ref 0.0 and hit = ref (pool - 1) in
-    (try
-       Array.iteri
-         (fun r w ->
-           acc := !acc +. w;
-           if x < !acc then begin
-             hit := r;
-             raise Exit
-           end)
-         weights
-     with Exit -> ());
-    !hit
-  in
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "limed-fuzz-%d.sock" (Unix.getpid ()))
-  in
-  (* the daemon keeps its own access log: the server-side exact
-     durations the agreement gate below replays offline *)
-  let log_file = Filename.temp_file "limed-fuzz-access" ".jsonl" in
-  let server =
-    Server.create
-      {
-        (Server.default_config ~socket:sock) with
-        Server.sc_access_log = Some log_file;
-      }
-  in
-  let dom = Domain.spawn (fun () -> Server.run server) in
-  let cl =
-    match Client.connect sock with
-    | Ok cl -> cl
-    | Error msg ->
-        prerr_endline msg;
-        exit 1
-  in
-  let sk = Sketch.create () in
-  let origins = Hashtbl.create 4 in
-  let errors = ref 0 in
-  let t_all = Clock.now_s () in
-  for _ = 1 to count do
-    let worker, source = items.(pick ()) in
-    let t0 = Clock.now_s () in
-    (match Client.compile cl ~name:"fuzz" ~worker source with
-    | Ok art ->
-        let o = art.Lime_server.Wire.ar_origin in
-        Hashtbl.replace origins o
-          (1 + Option.value ~default:0 (Hashtbl.find_opt origins o))
-    | Error f ->
-        incr errors;
-        prerr_endline (Client.failure_to_string f));
-    Sketch.add sk (Clock.now_s () -. t0)
-  done;
-  let wall = Clock.now_s () -. t_all in
-  (* scrape the daemon's windowed quantiles while it is still up *)
-  let stats_text =
-    match Client.stats cl with
-    | Ok text -> text
-    | Error f ->
-        prerr_endline (Client.failure_to_string f);
-        exit 1
-  in
-  Client.close cl;
-  Server.drain server;
-  Domain.join dom;
-  let origin o = Option.value ~default:0 (Hashtbl.find_opt origins o) in
-  let compiled = origin "compiled" in
-  let hits = origin "memory" + origin "disk" in
-  Printf.printf
-    "pool: %d generated programs (seed %d), %d requests, zipf 1.1\n" pool
-    seed count;
-  Printf.printf
-    "cold compiles: %d   cache hits: %d (%.0f%%: %d memory, %d disk)   \
-     errors: %d\n"
-    compiled hits
-    (100.0 *. float_of_int hits /. float_of_int (max 1 count))
-    (origin "memory") (origin "disk") !errors;
-  Printf.printf
-    "latency: p50 %.2f ms  p99 %.2f ms  max %.2f ms  (%.0f req/s, sketch \
-     alpha %g)\n"
-    (sketch_pct sk 0.5 *. 1e3)
-    (sketch_pct sk 0.99 *. 1e3)
-    (Sketch.max_seen sk *. 1e3)
-    (float_of_int count /. wall)
-    (Sketch.alpha sk);
-  (* -------------------------------------------------------------- *)
-  (* Agreement gate: the daemon's own windowed p50/p99 (streaming
-     sketch over server-side durations) must agree with the exact
-     quantiles of the same durations, replayed offline from the access
-     log with the shared rank convention, within the sketch's
-     documented relative-error bound. *)
-  let find_sub s pat =
-    let n = String.length s and m = String.length pat in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub s i m = pat then Some (i + m)
-      else go (i + 1)
-    in
-    go 0
-  in
-  let json_field_string line key =
-    Option.bind (find_sub line ("\"" ^ key ^ "\":\"")) (fun start ->
-        Option.map
-          (fun stop -> String.sub line start (stop - start))
-          (String.index_from_opt line start '"'))
-  in
-  let json_field_float line key =
-    Option.bind (find_sub line ("\"" ^ key ^ "\":")) (fun start ->
-        let stop = ref start in
-        while
-          !stop < String.length line
-          && not (List.mem line.[!stop] [ ','; '}' ])
-        do
-          incr stop
-        done;
-        float_of_string_opt (String.sub line start (!stop - start)))
-  in
-  (* only outcomes that were answered with a reply feed the summary *)
-  let observed = [ "ok"; "compile-error"; "error" ] in
-  let exact =
-    In_channel.with_open_text log_file In_channel.input_lines
-    |> List.filter_map (fun line ->
-           match json_field_string line "outcome" with
-           | Some o when List.mem o observed -> json_field_float line "duration_s"
-           | _ -> None)
-    |> Array.of_list
-  in
-  (try Sys.remove log_file with Sys_error _ -> ());
-  Array.sort compare exact;
-  let n_obs = Array.length exact in
-  let sample name =
-    let prefix = name ^ " " in
-    String.split_on_char '\n' stats_text
-    |> List.find_map (fun line ->
-           let pl = String.length prefix in
-           if String.length line > pl && String.sub line 0 pl = prefix then
-             float_of_string_opt
-               (String.trim (String.sub line pl (String.length line - pl)))
-           else None)
-  in
-  let alpha = Sketch.default_alpha in
-  let failed = ref false in
-  (match sample "lime_server_request_seconds_summary_count" with
-  | Some c when int_of_float c = n_obs -> ()
-  | reported ->
-      Printf.printf
-        "FAIL: daemon summary count %s != %d access-log observations\n"
-        (match reported with
-        | Some c -> string_of_int (int_of_float c)
-        | None -> "(missing)")
-        n_obs;
-      failed := true);
-  if n_obs = 0 then begin
-    print_endline "FAIL: no observed requests in the access log";
-    failed := true
-  end
-  else
-    List.iter
-      (fun q ->
-        let name =
-          Printf.sprintf
-            "lime_server_request_seconds_summary{window=\"5m\",quantile=\"%g\"}"
-            q
-        in
-        match sample name with
-        | None ->
-            Printf.printf "FAIL: exposition lacks %s\n" name;
-            failed := true
-        | Some est ->
-            let x = exact.(Sketch.rank_of q n_obs - 1) in
-            let rel = Float.abs (est -. x) /. x in
-            Printf.printf
-              "agreement p%g: daemon %.3f ms  offline exact %.3f ms  \
-               (relative error %.4f, bound %g)\n"
-              (q *. 100.0) (est *. 1e3) (x *. 1e3) rel alpha;
-            (* the %g exposition rounds to 6 significant digits; allow
-               that on top of the sketch bound *)
-            if rel > alpha +. 1e-4 then begin
-              Printf.printf "FAIL: p%g disagrees beyond the sketch bound\n"
-                (q *. 100.0);
-              failed := true
-            end)
-      [ 0.5; 0.99 ];
-  if !failed || !errors > 0 then exit 1
-  else
-    Printf.printf
-      "gate: daemon windowed quantiles within alpha=%g of offline exact — \
-       ok\n"
-      alpha
-
 let all_experiments =
   [
     ("validate", run_validate);
@@ -447,9 +219,6 @@ let usage () =
     \  --quick          use the test-scale programs and inputs, so the JSON\n\
     \                   harness finishes in seconds (for CI)\n\
     \  --seed N         seed for the deterministic input builders (default 1)\n\
-    \  --fuzz N         drive N zipf-weighted generated-program requests\n\
-    \                   (lime.fuzz corpus, seeded by --seed) against an\n\
-    \                   in-process daemon; reports cache hit rate and p50/p99\n\
     \  --workload NAME  restrict registry-driven experiments to NAME (repeat\n\
     \                   for several); unknown names list what is available\n\
     \  --help           this text\n"
@@ -462,7 +231,6 @@ type opts = {
   mutable o_quick : bool;
   mutable o_seed : int;
   mutable o_names : string list;
-  mutable o_fuzz : int option;
   mutable o_workloads : string list;
 }
 
@@ -474,7 +242,6 @@ let parse_args () =
       o_quick = false;
       o_seed = 1;
       o_names = [];
-      o_fuzz = None;
       o_workloads = [];
     }
   in
@@ -500,18 +267,10 @@ let parse_args () =
         | None ->
             Printf.eprintf "bad --seed %s: expected an integer\n" n;
             exit 2)
-    | "--fuzz" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some count when count > 0 ->
-            o.o_fuzz <- Some count;
-            go rest
-        | _ ->
-            Printf.eprintf "bad --fuzz %s: expected a positive integer\n" n;
-            exit 2)
     | "--workload" :: name :: rest ->
         o.o_workloads <- o.o_workloads @ [ name ];
         go rest
-    | ("--json" | "--baseline" | "--seed" | "--fuzz" | "--workload") :: [] ->
+    | ("--json" | "--baseline" | "--seed" | "--workload") :: [] ->
         Printf.eprintf "missing argument (see --help)\n";
         exit 2
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
@@ -592,13 +351,10 @@ let () =
                 prerr_endline msg;
                 exit 2)
           names);
-  (match o.o_fuzz with
-  | Some count -> run_fuzz_traffic ~count ~seed:o.o_seed ()
-  | None -> ());
   let perf_mode = o.o_json <> None || o.o_baseline <> None in
   let requested =
     match o.o_names with
-    | [] when perf_mode || o.o_fuzz <> None -> []
+    | [] when perf_mode -> []
     | [] -> List.map fst all_experiments
     | names -> names
   in

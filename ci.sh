@@ -38,6 +38,22 @@ if grep -rn -i 'bechamel' bench; then
   echo "FAIL: a micro-benchmark harness under bench/; measure wall clock in perfbench/"
   exit 1
 fi
+# nor does it read a clock or stream latencies into a sketch
+if grep -rn -e 'Clock\.' -e 'Sketch\.' -e 'gettimeofday' bench; then
+  echo "FAIL: bench/ times something; measure wall clock in perfbench/"
+  exit 1
+fi
+
+echo "== one JSON reader =="
+# every JSON text is read with Lime_support.Json.parse; no second parser,
+# value type or field scraper under lib/, bin/, bench/ or test/
+if grep -rn --include='*.ml' --include='*.mli' \
+     -e 'parse_json' -e 'json_field_' -e 'find_sub' -e 'type json' \
+     lib bin bench test \
+     | grep -v '^lib/support/json\.ml:'; then
+  echo "FAIL: a JSON reader outside lib/support/json.ml; use Lime_support.Json.parse"
+  exit 1
+fi
 
 echo "== one evaluator =="
 # lib/ir/interp.ml is the only IR evaluator: its compiled statements
@@ -668,13 +684,7 @@ echo "$fuzz_out" | grep -q "40 generated programs, 0 disagreements" \
 dune exec --no-build bin/limefuzz.exe -- --selftest --count 10 --seed 1 \
   | grep -q "selftest ok" \
   || { echo "FAIL: fuzz oracle did not catch a nudged reference"; exit 1; }
-# generated programs double as daemon traffic: a zipf-weighted stream
-# must complete without request errors and report its tail latency
-fuzz_traffic=$(dune exec --no-build bench/main.exe -- --fuzz 30 --seed 2)
-echo "$fuzz_traffic" | grep -q "errors: 0" \
-  || { echo "FAIL: fuzz traffic run had request errors"; echo "$fuzz_traffic"; exit 1; }
-echo "$fuzz_traffic" | grep -q "p99" \
-  || { echo "FAIL: fuzz traffic run reported no tail latency"; echo "$fuzz_traffic"; exit 1; }
+# generated-program daemon traffic is gated in dune runtest: test_server "generated traffic"
 
 echo "== optimizer smoke test =="
 # a cold beam search must store its schedule; the warm rerun must replay it
@@ -766,8 +776,7 @@ echo "        slowest request's trace id while the daemon kept serving;"
 echo "        bench JSON matched BENCH_quick.json byte for byte, and its"
 echo "        self-diff and the beam-vs-fig8 gate showed no"
 echo "        regressions; the differential fuzz smoke agreed three ways,"
-echo "        its selftest caught a nudged reference, and generated traffic"
-echo "        drove the daemon cleanly;"
+echo "        and its selftest caught a nudged reference;"
 echo "        beam schedule stored cold and replayed warm;"
 echo "        multi-device placement stored cold, replayed warm byte-"
 echo "        identically, honoured a pinned SPEC, and --devices listed"

@@ -124,178 +124,20 @@ let to_json (r : run) : string =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* JSON parsing (minimal, no external dependency)                      *)
+(* JSON reading                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type json =
-  | JNull
-  | JBool of bool
-  | JNum of float
-  | JStr of string
-  | JList of json list
-  | JObj of (string * json) list
+let str_field key v =
+  match Json.member key v with Some (Json.Str s) -> Some s | _ -> None
 
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then advance ()
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal lit v =
-    if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit
-    then begin
-      pos := !pos + String.length lit;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char b '"'
-               | '\\' -> Buffer.add_char b '\\'
-               | '/' -> Buffer.add_char b '/'
-               | 'n' -> Buffer.add_char b '\n'
-               | 't' -> Buffer.add_char b '\t'
-               | 'r' -> Buffer.add_char b '\r'
-               | 'b' -> Buffer.add_char b '\b'
-               | 'f' -> Buffer.add_char b '\012'
-               | 'u' ->
-                   if !pos + 4 >= n then fail "bad \\u escape";
-                   let hex = String.sub s (!pos + 1) 4 in
-                   (match int_of_string_opt ("0x" ^ hex) with
-                   | Some code when code < 128 ->
-                       Buffer.add_char b (Char.chr code)
-                   | Some _ -> Buffer.add_char b '?'
-                   | None -> fail "bad \\u escape");
-                   pos := !pos + 4
-               | c -> fail (Printf.sprintf "bad escape \\%c" c));
-            advance ();
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            advance ();
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> JStr (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          JObj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected , or } in object"
-          in
-          members ();
-          JObj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          JList []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected , or ] in array"
-          in
-          elements ();
-          JList (List.rev !items)
-        end
-    | Some 't' -> literal "true" (JBool true)
-    | Some 'f' -> literal "false" (JBool false)
-    | Some 'n' -> literal "null" JNull
-    | Some _ -> JNum (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content";
-  v
-
-let jfield obj key =
-  match obj with
-  | JObj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let jstr = function Some (JStr s) -> Some s | _ -> None
-let jnum = function Some (JNum f) -> Some f | _ -> None
-let jbool = function Some (JBool b) -> Some b | _ -> None
+let num_field key v =
+  match Json.member key v with Some (Json.Num f) -> Some f | _ -> None
 
 let of_json (text : string) : (run, string) result =
-  match parse_json text with
-  | exception Parse_error msg -> Error msg
-  | j -> (
-      match (jstr (jfield j "schema"), jnum (jfield j "version")) with
+  match Json.parse text with
+  | Error msg -> Error msg
+  | Ok j -> (
+      match (str_field "schema" j, num_field "version" j) with
       | Some s, _ when s <> schema_name ->
           Error (Printf.sprintf "not a %s file (schema %S)" schema_name s)
       | _, Some v when int_of_float v > schema_version ->
@@ -304,10 +146,9 @@ let of_json (text : string) : (run, string) result =
                (int_of_float v) schema_version)
       | Some _, Some _ -> (
           let entry_of e =
+            let num_or default key = Option.value ~default (num_field key e) in
             match
-              ( jstr (jfield e "bench"),
-                jstr (jfield e "device"),
-                jnum (jfield e "time_s") )
+              (str_field "bench" e, str_field "device" e, num_field "time_s" e)
             with
             | Some e_bench, Some e_device, Some e_time_s ->
                 Some
@@ -315,38 +156,32 @@ let of_json (text : string) : (run, string) result =
                     e_bench;
                     e_device;
                     e_time_s;
-                    e_kernel_s =
-                      Option.value ~default:0.0 (jnum (jfield e "kernel_s"));
-                    e_speedup =
-                      Option.value ~default:0.0 (jnum (jfield e "speedup"));
-                    e_occupancy =
-                      Option.value ~default:0.0 (jnum (jfield e "occupancy"));
-                    e_bank_replays =
-                      Option.value ~default:0.0
-                        (jnum (jfield e "bank_replays"));
-                    e_intensity =
-                      Option.value ~default:(-1.0)
-                        (jnum (jfield e "intensity"));
+                    e_kernel_s = num_or 0.0 "kernel_s";
+                    e_speedup = num_or 0.0 "speedup";
+                    e_occupancy = num_or 0.0 "occupancy";
+                    e_bank_replays = num_or 0.0 "bank_replays";
+                    e_intensity = num_or (-1.0) "intensity";
                     e_roofline =
-                      Option.value ~default:"" (jstr (jfield e "roofline"));
+                      Option.value ~default:"" (str_field "roofline" e);
                   }
             | _ -> None
           in
-          match jfield j "results" with
-          | Some (JList items) ->
+          match Json.member "results" j with
+          | Some (Json.List items) ->
               let entries = List.filter_map entry_of items in
               if List.length entries <> List.length items then
                 Error "results contain malformed entries"
               else
                 Ok
                   {
-                    r_name =
-                      Option.value ~default:"" (jstr (jfield j "name"));
+                    r_name = Option.value ~default:"" (str_field "name" j);
                     r_quick =
-                      Option.value ~default:false (jbool (jfield j "quick"));
+                      (match Json.member "quick" j with
+                      | Some (Json.Bool b) -> b
+                      | _ -> false);
                     r_seed =
                       int_of_float
-                        (Option.value ~default:0.0 (jnum (jfield j "seed")));
+                        (Option.value ~default:0.0 (num_field "seed" j));
                     r_entries = entries;
                   }
           | _ -> Error "missing results array")

@@ -6,9 +6,10 @@
     and one result entry per benchmark × device: modelled end-to-end
     time, kernel-leg time, speedup vs. the JVM bytecode baseline, and the
     headline simulated hardware counters (occupancy, bank-conflict
-    replays, arithmetic intensity, roofline class).  Emission and parsing
-    are both hand-written here (no JSON dependency); [of_json] accepts any
-    file up to the current [schema_version]. *)
+    replays, arithmetic intensity, roofline class).  [to_json] writes the
+    layout by hand with {!Lime_support.Json.escape}; [of_json] reads it
+    with {!Lime_support.Json.parse} and accepts any file up to the current
+    [schema_version]. *)
 
 val schema_name : string
 val schema_version : int
@@ -48,6 +49,9 @@ val collect :
 
 val to_json : run -> string
 val of_json : string -> (run, string) result
+(** The run [to_json] wrote, or why [text] is not one; a malformed
+    document's error names its byte offset. *)
+
 val read_file : string -> (run, string) result
 val write_file : string -> run -> unit
 

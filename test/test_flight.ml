@@ -4,6 +4,7 @@
 module Flight = Lime_server.Flight
 module Trace = Lime_service.Trace
 module Util = Lime_support.Util
+module Json = Lime_support.Json
 
 let entry ?(outcome = "ok") ?(trace_id = "") ~id ~dur () =
   {
@@ -115,11 +116,14 @@ let test_dump_jsonl () =
       Alcotest.(check int) "one line per retained entry" 3 (List.length lines);
       List.iter
         (fun l ->
-          Alcotest.(check bool) "line is a json object" true
-            (String.length l > 2 && l.[0] = '{' && l.[String.length l - 1] = '}');
+          let v = Testutil.json_exn ~what:"dump line" l in
           Alcotest.(check bool) "line names its ring" true
-            (Util.contains_substring ~sub:"\"ring\":\"errors\"" l
-            || Util.contains_substring ~sub:"\"ring\":\"slow\"" l))
+            (List.mem (Json.member "ring" v)
+               [ Some (Json.Str "errors"); Some (Json.Str "slow") ]);
+          Alcotest.(check bool) "line wraps an entry object" true
+            (match Json.member "entry" v with
+            | Some (Json.Obj _) -> true
+            | _ -> false))
         lines;
       let whole = String.concat "\n" lines in
       Alcotest.(check bool) "trace ids present" true

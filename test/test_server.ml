@@ -16,6 +16,7 @@ module Registry = Lime_benchmarks.Registry
 module Bench_def = Lime_benchmarks.Bench_def
 module Trace = Lime_service.Trace
 module Util = Lime_support.Util
+module Json = Lime_support.Json
 
 (* either side may write to a peer that already closed (the drain tests
    do it on purpose); that must surface as EPIPE, not kill the process *)
@@ -702,6 +703,17 @@ let http_get port req =
       in
       go ())
 
+(* the body of an HTTP/1.0 response: everything after the blank line *)
+let http_body resp =
+  let rec go i =
+    if i + 4 > String.length resp then
+      Alcotest.failf "no end of headers in %S" resp
+    else if String.sub resp i 4 = "\r\n\r\n" then
+      String.sub resp (i + 4) (String.length resp - i - 4)
+    else go (i + 1)
+  in
+  go 0
+
 let http_port_exn server =
   match Server.http_port server with
   | Some p -> p
@@ -856,22 +868,12 @@ let test_healthz_flips_while_draining () =
 (* The access log                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The first ["ts":N] in a JSON text.  Durations run on a monotonic
-   clock, but these labels must stay seconds since the Unix epoch. *)
-let epoch_ts json =
-  let key = "\"ts\":" in
-  let n = String.length json and k = String.length key in
-  let rec find i =
-    if i + k > n then Alcotest.failf "no %s in %s" key json
-    else if String.sub json i k = key then i + k
-    else find (i + 1)
-  in
-  let start = find 0 in
-  let stop = ref start in
-  while !stop < n && String.contains "0123456789.-e+" json.[!stop] do
-    incr stop
-  done;
-  float_of_string (String.sub json start (!stop - start))
+(* The ["ts"] of a JSON record.  Durations run on a monotonic clock, but
+   these labels must stay seconds since the Unix epoch. *)
+let epoch_ts record =
+  match Json.member "ts" record with
+  | Some (Json.Num ts) -> ts
+  | _ -> Alcotest.fail "record has no numeric ts"
 
 let test_access_log () =
   let log_file =
@@ -906,7 +908,7 @@ let test_access_log () =
       match lines with
       | [ line ] ->
           Alcotest.(check bool) "access-log ts is Unix time" true
-            (epoch_ts line > 1e9);
+            (epoch_ts (Testutil.json_exn ~what:"access record" line) > 1e9);
           List.iter
             (fun sub ->
               Alcotest.(check bool) (sub ^ " in the access line") true
@@ -1006,6 +1008,128 @@ let test_always_on_warm_path () =
       Alcotest.(check int) "one access record per request" (warm_hits + 1)
         (List.length records))
 
+(* Generated-program traffic: [traffic_requests] zipf(1.1) draws over a
+   pool of [traffic_pool] lime.fuzz programs, so the head of the
+   distribution hits the cache and the tail forces cold compiles.  The
+   daemon's windowed p50/p99 (a streaming sketch over server-side
+   durations) must agree with the exact quantiles of the same durations,
+   replayed from its access log with the shared rank convention. *)
+let traffic_pool = 7
+let traffic_requests = 30
+
+let test_generated_traffic () =
+  let seed = 2 in
+  let items =
+    Lime_fuzz.Gen.corpus ~seed traffic_pool
+    |> List.map (fun p ->
+           ( List.hd (List.rev (Lime_fuzz.Gen.workers p)),
+             Lime_fuzz.Gen.to_source p ))
+    |> Array.of_list
+  in
+  let weights =
+    Array.init traffic_pool (fun r -> 1.0 /. (float_of_int (r + 1) ** 1.1))
+  in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  let rng = Lime_support.Prng.create (0x5a69 lxor (seed * 2654435761)) in
+  (* inverse-cdf sampling over the pool ranks *)
+  let pick () =
+    let x = Lime_support.Prng.float01 rng *. total in
+    let rec go r acc =
+      let acc = acc +. weights.(r) in
+      if x < acc || r = traffic_pool - 1 then r else go (r + 1) acc
+    in
+    go 0 0.0
+  in
+  let log_file = Filename.temp_file "limed-traffic" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove log_file with Sys_error _ -> ())
+  @@ fun () ->
+  (* an isolated registry: the summary must count this stream alone *)
+  let svc = Service.create ~registry:(Lime_service.Metrics.create ()) () in
+  Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->
+  let drawn = Hashtbl.create traffic_pool and origins = ref [] in
+  let stats =
+    with_server ~service:svc
+      ~reshape:(fun c -> { c with Server.sc_access_log = Some log_file })
+      (fun sock _server ->
+        let cl = connect_exn sock in
+        Fun.protect
+          ~finally:(fun () -> Client.close cl)
+          (fun () ->
+            for _ = 1 to traffic_requests do
+              let r = pick () in
+              let worker, source = items.(r) in
+              let art = compile_exn cl ~name:"fuzz" ~worker source in
+              Hashtbl.replace drawn r ();
+              origins := art.Wire.ar_origin :: !origins
+            done;
+            (* the daemon's windowed quantiles, while it is still up *)
+            match Client.stats cl with
+            | Ok text -> text
+            | Error f ->
+                Alcotest.failf "stats: %s" (Client.failure_to_string f)))
+  in
+  let origin o = List.length (List.filter (String.equal o) !origins) in
+  Alcotest.(check int) "each drawn program compiles once"
+    (Hashtbl.length drawn) (origin "compiled");
+  Alcotest.(check int) "every repeat is a memory hit"
+    (traffic_requests - Hashtbl.length drawn)
+    (origin "memory");
+  (* only outcomes answered with a reply feed the summary *)
+  let answered = [ "ok"; "compile-error"; "error" ] in
+  let exact =
+    In_channel.with_open_text log_file In_channel.input_lines
+    |> List.filter_map (fun line ->
+           let record = Testutil.json_exn ~what:"access record" line in
+           match
+             (Json.member "outcome" record, Json.member "duration_s" record)
+           with
+           | Some (Json.Str o), Some (Json.Num d) when List.mem o answered ->
+               Some d
+           | _ -> None)
+    |> Array.of_list
+  in
+  Array.sort compare exact;
+  let n = Array.length exact in
+  Alcotest.(check bool) "answered requests in the access log" true (n > 0);
+  let sample name =
+    let prefix = name ^ " " in
+    match
+      List.find_map
+        (fun line ->
+          if String.starts_with ~prefix line then
+            let pl = String.length prefix in
+            float_of_string_opt
+              (String.trim (String.sub line pl (String.length line - pl)))
+          else None)
+        (String.split_on_char '\n' stats)
+    with
+    | Some v -> v
+    | None -> Alcotest.failf "exposition lacks %s" name
+  in
+  Alcotest.(check int) "summary count = answered access records" n
+    (int_of_float (sample "lime_server_request_seconds_summary_count"));
+  List.iter
+    (fun q ->
+      let est =
+        sample
+          (Printf.sprintf
+             "lime_server_request_seconds_summary{window=\"5m\",\
+              quantile=\"%g\"}"
+             q)
+      in
+      let x = exact.(Lime_service.Sketch.rank_of q n - 1) in
+      let rel = Float.abs (est -. x) /. x in
+      (* the %g exposition rounds to 6 significant digits; allow that on
+         top of the sketch bound *)
+      Alcotest.(check bool)
+        (Printf.sprintf "p%g: daemon %.6f s within the sketch bound of \
+                         exact %.6f s (relative error %.4f)"
+           (q *. 100.0) est x rel)
+        true
+        (rel <= Lime_service.Sketch.default_alpha +. 1e-4))
+    [ 0.5; 0.99 ]
+
 (* ------------------------------------------------------------------ *)
 (* SLOs, /alertz, and the flight recorder                              *)
 (* ------------------------------------------------------------------ *)
@@ -1091,8 +1215,11 @@ let test_alertz_flips_under_burn () =
         && contains "server.queue_wait" slow);
       Alcotest.(check bool) "slow entry keeps the trace id" true
         (contains trace.Wire.tc_trace_id slow);
-      Alcotest.(check bool) "flight entry ts is Unix time" true
-        (epoch_ts slow > 1e9);
+      (match Testutil.json_exn ~what:"/debug/slow" (http_body slow) with
+      | Json.List (first :: _) ->
+          Alcotest.(check bool) "flight entry ts is Unix time" true
+            (epoch_ts first > 1e9)
+      | _ -> Alcotest.fail "/debug/slow is not a non-empty list");
       let errors = http_get port "GET /debug/errors HTTP/1.0\r\n\r\n" in
       Alcotest.(check bool) "/debug/errors holds the doomed requests" true
         (contains "\"outcome\":\"deadline\"" errors
@@ -1147,13 +1274,14 @@ let test_flight_dump_on_drain () =
         (List.length lines >= 2);
       List.iter
         (fun l ->
-          Alcotest.(check bool) "line is a json object" true
-            (String.length l > 2
-            && l.[0] = '{'
-            && l.[String.length l - 1] = '}');
+          let v = Testutil.json_exn ~what:"dump line" l in
           Alcotest.(check bool) "line names its ring" true
-            (Util.contains_substring ~sub:"\"ring\":\"errors\"" l
-            || Util.contains_substring ~sub:"\"ring\":\"slow\"" l))
+            (List.mem (Json.member "ring" v)
+               [ Some (Json.Str "errors"); Some (Json.Str "slow") ]);
+          Alcotest.(check bool) "line wraps an entry object" true
+            (match Json.member "entry" v with
+            | Some (Json.Obj _) -> true
+            | _ -> false))
         lines;
       let whole = String.concat "\n" lines in
       Alcotest.(check bool) "the answered request is in the dump" true
@@ -1193,6 +1321,7 @@ let () =
           test_case "healthz flips while draining" test_healthz_flips_while_draining;
           test_case "access log" test_access_log;
           test_case "always-on work per warm hit" test_always_on_warm_path;
+          test_case "generated traffic" test_generated_traffic;
           test_case "alertz flips under deadline-0 burn" test_alertz_flips_under_burn;
           test_case "flight dump on drain" test_flight_dump_on_drain;
         ] );

@@ -1,5 +1,5 @@
 (* Unit tests for lib/support: locations, diagnostics, PRNG, utilities,
-   observer registries. *)
+   observer registries, JSON. *)
 
 open Lime_support
 
@@ -122,6 +122,100 @@ let test_hooks_keyed () =
   Hooks.remove h "b";
   Alcotest.(check bool) "inactive after removing all" false (Hooks.active h)
 
+(* JSON: the one reader every other reader of the repo builds on *)
+
+let accepts text v =
+  match Json.parse text with
+  | Ok got -> Alcotest.(check bool) ("reads " ^ text) true (got = v)
+  | Error msg -> Alcotest.failf "%S refused: %s" text msg
+
+(* refused, with the error naming the byte offset [at] *)
+let rejects ~at text =
+  let shown =
+    if String.length text <= 40 then text else String.sub text 0 40 ^ "..."
+  in
+  match Json.parse text with
+  | Ok _ -> Alcotest.failf "%S accepted" shown
+  | Error msg ->
+      let where = Printf.sprintf "at offset %d" at in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S refused %s (%s)" shown where msg)
+        true
+        (String.ends_with ~suffix:where msg)
+
+let test_json_values () =
+  accepts {| {"a": [1, -2.5e3, true, false, null], "b": {"c": "d"}} |}
+    (Json.Obj
+       [
+         ( "a",
+           Json.List
+             [ Json.Num 1.0; Json.Num (-2500.0); Json.Bool true;
+               Json.Bool false; Json.Null ] );
+         ("b", Json.Obj [ ("c", Json.Str "d") ]);
+       ]);
+  accepts "[]" (Json.List []);
+  accepts "{ }" (Json.Obj []);
+  let v = Json.Obj [ ("k", Json.Num 1.0) ] in
+  Alcotest.(check bool) "member" true (Json.member "k" v = Some (Json.Num 1.0));
+  Alcotest.(check bool) "missing member" true (Json.member "x" v = None);
+  Alcotest.(check bool) "member of a non-object" true
+    (Json.member "k" (Json.List [ v ]) = None);
+  (* what escape writes, parse reads back *)
+  let s = "q\"b\\n\nt\tr\r\001/\x7f\xc3\xa9" in
+  accepts ("\"" ^ Json.escape s ^ "\"") (Json.Str s);
+  rejects ~at:1 "[}";
+  rejects ~at:3 "[1,";
+  rejects ~at:3 "{} x";
+  rejects ~at:0 ""
+
+(* a deep document fails at the limit, without walking the rest of it *)
+let test_json_nesting_bounded () =
+  let nest k = String.make k '[' ^ String.make k ']' in
+  (match Json.parse (nest 512) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "512 levels refused: %s" msg);
+  rejects ~at:512 (nest 513);
+  rejects ~at:512 (String.make 1_000_000 '[');
+  rejects ~at:(512 * 5) (String.concat "" (List.init 600 (fun _ -> "{\"k\":")))
+
+let test_json_raw_control_rejected () =
+  rejects ~at:2 "\"a\tb\"";
+  rejects ~at:1 "\"\n\"";
+  rejects ~at:2 "[\"\000\"]";
+  accepts "\"a\\tb\"" (Json.Str "a\tb")
+
+let test_json_unicode_escape_strict () =
+  rejects ~at:3 "\"\\u0_1f\"";
+  rejects ~at:3 "\"\\u+01f\"";
+  rejects ~at:3 "\"\\u 01f\"";
+  rejects ~at:3 "\"\\u01\"";
+  accepts "\"\\u001F\"" (Json.Str "\031")
+
+let test_json_unicode_decodes_utf8 () =
+  accepts "\"\\u00e9\"" (Json.Str "\xc3\xa9");
+  accepts "\"\\u20AC\"" (Json.Str "\xe2\x82\xac");
+  accepts "\"\\ud83d\\ude00\"" (Json.Str "\xf0\x9f\x98\x80");
+  accepts "\"\\u0041\"" (Json.Str "A");
+  (* a surrogate half alone is not a character *)
+  rejects ~at:7 "\"\\ud83d\"";
+  rejects ~at:7 "\"\\ud83d\\u0041\"";
+  rejects ~at:1 "\"\\ude00\""
+
+let test_json_number_grammar () =
+  List.iter
+    (fun (text, v) -> accepts text (Json.Num v))
+    [
+      ("0", 0.0); ("-0", -0.0); ("12", 12.0); ("-7", -7.0); ("1.5", 1.5);
+      ("1e3", 1000.0); ("1E+2", 100.0); ("2.5e-1", 0.25);
+    ];
+  List.iter
+    (fun (text, at) -> rejects ~at text)
+    [
+      ("+1", 0); ("01", 1); ("-01", 2); ("1.", 2); (".5", 0); ("1e", 2);
+      ("1e+", 3); ("-", 1); ("0x10", 1); ("1_000", 1); ("infinity", 0);
+      ("nan", 0); ("--1", 1);
+    ]
+
 let () =
   Alcotest.run "support"
     [
@@ -150,4 +244,17 @@ let () =
           Alcotest.test_case "geomean" `Quick test_util_geomean;
         ] );
       ("hooks", [ Alcotest.test_case "keyed" `Quick test_hooks_keyed ]);
+      ( "json",
+        [
+          Alcotest.test_case "values and members" `Quick test_json_values;
+          Alcotest.test_case "nesting is bounded" `Quick
+            test_json_nesting_bounded;
+          Alcotest.test_case "raw control characters rejected" `Quick
+            test_json_raw_control_rejected;
+          Alcotest.test_case "\\u takes four hex digits" `Quick
+            test_json_unicode_escape_strict;
+          Alcotest.test_case "\\u decodes to UTF-8" `Quick
+            test_json_unicode_decodes_utf8;
+          Alcotest.test_case "RFC 8259 numbers" `Quick test_json_number_grammar;
+        ] );
     ]

@@ -7,6 +7,7 @@ module Service = Lime_service.Service
 module Pipeline = Lime_gpu.Pipeline
 module Engine = Lime_runtime.Engine
 module Metrics = Lime_service.Metrics
+module Json = Lime_support.Json
 
 let contains = Lime_support.Util.contains_substring
 
@@ -115,43 +116,28 @@ let test_monotonic_now () =
 (* Chrome JSON export                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* a micro JSON validator: brackets/braces balance outside of strings,
-   strings close, and no raw control characters appear *)
-let check_json_well_formed json =
-  let depth = ref 0 and in_str = ref false and escaped = ref false in
-  String.iter
-    (fun ch ->
-      if !in_str then
-        if !escaped then escaped := false
-        else if ch = '\\' then escaped := true
-        else if ch = '"' then in_str := false
-        else if Char.code ch < 0x20 then
-          Alcotest.failf "raw control char %d inside a JSON string"
-            (Char.code ch)
-        else ()
-      else
-        match ch with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-            decr depth;
-            if !depth < 0 then Alcotest.fail "unbalanced brackets"
-        | _ -> ())
-    json;
-  Alcotest.(check bool) "string closed" false !in_str;
-  Alcotest.(check int) "brackets balanced" 0 !depth
+(* the export is one JSON object whose traceEvents is a list *)
+let trace_events json =
+  match Json.member "traceEvents" (Testutil.json_exn ~what:"trace" json) with
+  | Some (Json.List evs) -> evs
+  | _ -> Alcotest.fail "no traceEvents list in the export"
 
 let test_chrome_export_shape () =
   let tr = Trace.create ~clock:(ticking ()) () in
   Trace.with_span tr ~cat:"c" ~args:[ ("k", "v\"quoted\\") ] "root"
     (fun () -> Trace.complete tr ~cat:"m" ~dur_us:3.0 "leaf");
   let json = Trace.to_chrome_json tr in
-  check_json_well_formed json;
-  Alcotest.(check bool) "has traceEvents" true
-    (contains ~sub:"\"traceEvents\"" json);
+  let evs = trace_events json in
   Alcotest.(check bool) "complete events" true (contains ~sub:"\"ph\":\"X\"" json);
   Alcotest.(check bool) "args escaped" true
     (contains ~sub:"\\\"quoted\\\\" json);
+  Alcotest.(check (list string)) "args read back unchanged" [ "v\"quoted\\" ]
+    (List.filter_map
+       (fun ev ->
+         match Option.bind (Json.member "args" ev) (Json.member "k") with
+         | Some (Json.Str v) -> Some v
+         | _ -> None)
+       evs);
   Alcotest.(check bool) "names exported" true
     (contains ~sub:"\"root\"" json && contains ~sub:"\"leaf\"" json)
 
@@ -161,27 +147,12 @@ let test_chrome_export_monotonic_ts () =
     Trace.with_span tr (Printf.sprintf "s%d" i) (fun () -> ())
   done;
   let json = Trace.to_chrome_json tr in
-  (* pull every "ts":N field out and check the export order is sorted *)
-  let ts = ref [] in
-  let re_prefix = "\"ts\":" in
-  let n = String.length json in
-  let i = ref 0 in
-  while !i < n - String.length re_prefix do
-    if String.sub json !i (String.length re_prefix) = re_prefix then begin
-      let j = ref (!i + String.length re_prefix) in
-      let start = !j in
-      while
-        !j < n && (json.[!j] = '.' || json.[!j] = '-'
-                  || (json.[!j] >= '0' && json.[!j] <= '9'))
-      do
-        incr j
-      done;
-      ts := float_of_string (String.sub json start (!j - start)) :: !ts;
-      i := !j
-    end
-    else incr i
-  done;
-  let ts = List.rev !ts in
+  let ts =
+    List.filter_map
+      (fun ev ->
+        match Json.member "ts" ev with Some (Json.Num t) -> Some t | _ -> None)
+      (trace_events json)
+  in
   Alcotest.(check bool) "at least 5 events" true (List.length ts >= 5);
   let rec sorted = function
     | a :: (b :: _ as rest) -> a <= b && sorted rest
@@ -193,7 +164,7 @@ let test_open_spans_closed_on_export () =
   let tr = Trace.create ~clock:(ticking ()) () in
   Trace.begin_span tr "dangling";
   let json = Trace.to_chrome_json tr in
-  check_json_well_formed json;
+  ignore (trace_events json);
   Alcotest.(check bool) "open span exported" true
     (contains ~sub:"\"dangling\"" json);
   Alcotest.(check bool) "no negative durations" false

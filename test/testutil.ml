@@ -1,4 +1,5 @@
-(* Shared QCheck plumbing for the test suites.
+(* Shared plumbing for the test suites: QCheck seeding, and reading the
+   JSON the toolchain writes.
 
    One process-wide seed, taken from QCHECK_SEED when set and drawn
    fresh otherwise, drives every property test through [to_alcotest];
@@ -35,3 +36,11 @@ let to_alcotest (t : QCheck.Test.t) : unit Alcotest.test_case =
         raise e )
 
 let qsuite name tests = (name, List.map to_alcotest tests)
+
+(* The one JSON value that is the whole of [text]; anything else fails the
+   test with the parser's offset.  Tests read what the toolchain writes
+   with the same parser Benchjson uses, never a scanner of their own. *)
+let json_exn ?(what = "json") text =
+  match Lime_support.Json.parse text with
+  | Ok v -> v
+  | Error msg -> Alcotest.failf "%s does not parse: %s" what msg
