@@ -374,27 +374,26 @@ let run_single file worker config_name jobs cache_capacity dump_ast dump_ir
                 in
                 let choose stages ~firings =
                   match mode with
-                  | `Auto when cache_dir <> None ->
+                  | `Auto ->
+                      (* without --cache-dir the service has no tunestore,
+                         so this always searches *)
                       let best, how =
                         Service.sched_placement svc ~digest ~firings stages
                       in
-                      Printf.printf "tunestore: %s\n"
-                        (match how with
-                        | `Replayed -> "hit — replayed stored placement"
-                        | `Searched o ->
-                            Printf.sprintf
-                              "miss — searched %d placements, stored best"
-                              o.SSearch.po_evals);
+                      if cache_dir <> None then
+                        Printf.printf "tunestore: %s\n"
+                          (match how with
+                          | `Replayed -> "hit — replayed stored placement"
+                          | `Searched o ->
+                              Printf.sprintf
+                                "miss — searched %d placements, stored best"
+                                o.SSearch.po_evals);
                       (match how with
                       | `Searched o when explain ->
                           print_string (SSearch.explain o)
                       | `Replayed -> explain_replay best stages ~firings
                       | _ -> ());
                       best.SSearch.pc_placement
-                  | `Auto ->
-                      let o = SSearch.search ~firings stages in
-                      if explain then print_string (SSearch.explain o);
-                      o.SSearch.po_best.SSearch.pc_placement
                   | `Spec p -> (
                       match SSearch.replay ~firings stages p with
                       | Error msg ->

@@ -248,6 +248,28 @@ if grep -rn --include='*.ml' --include='*.mli' \
   exit 1
 fi
 
+echo "== one connection path =="
+# the daemon reactor keeps Wire and HTTP clients in one connection record
+# on one list, with one accept, read, flush and close; every socket read
+# lands in the one buffer the server allocates (the self-pipe wakeup is
+# the only other write)
+srv=lib/server/server.ml
+if grep -n -e 'hconn' -e 'sr_hconns' "$srv"; then
+  echo "FAIL: a second connection type in $srv; Wire and HTTP clients share conn"
+  exit 1
+fi
+if [ "$(grep -c 'Unix\.accept' "$srv")" -gt 1 ] \
+   || [ "$(grep 'Unix\.write_substring' "$srv" | grep -vc 'sr_pipe_w')" -gt 1 ]; then
+  grep -n -e 'Unix\.accept' -e 'Unix\.write_substring' "$srv"
+  echo "FAIL: a second accept or write loop in $srv; use accept / flush_conn"
+  exit 1
+fi
+if [ "$(grep -c 'Bytes\.create' "$srv")" -gt 1 ]; then
+  grep -n 'Bytes\.create' "$srv"
+  echo "FAIL: a buffer allocated per read in $srv; read into sr_buf"
+  exit 1
+fi
+
 echo "== front end: no forced minor GC =="
 # an array over 256 words seeded with a young token forces a full minor
 # collection (caml_make_vect) on every compile: the parser walks the

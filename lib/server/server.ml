@@ -73,26 +73,24 @@ let config_of_name name = List.assoc_opt name configs
 (* State                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(** What a connection speaks, and the state its reads feed. *)
+type proto =
+  | Wire of wire_peer
+  | Http of Buffer.t
+      (** the request head so far: one response, then close
+          ([Connection: close]) *)
+
+and wire_peer = { wp_reader : Wire.reader; mutable wp_greeted : bool }
+
+(** One client connection of either plane. *)
 type conn = {
   cn_fd : Unix.file_descr;
-  cn_reader : Wire.reader;
+  cn_proto : proto;
   mutable cn_out : string;  (** bytes queued for write *)
   mutable cn_off : int;  (** how much of [cn_out] is already written *)
   mutable cn_last : float;  (** last read activity *)
-  mutable cn_greeted : bool;
   mutable cn_closing : bool;  (** flush what is queued, then close *)
   mutable cn_open : bool;
-}
-
-(** One observability-plane HTTP connection: accumulate the request head,
-    serve one response, close ([Connection: close]). *)
-type hconn = {
-  hc_fd : Unix.file_descr;
-  hc_buf : Buffer.t;
-  mutable hc_out : string;
-  mutable hc_off : int;
-  mutable hc_last : float;
-  mutable hc_open : bool;
 }
 
 type pending = {
@@ -168,8 +166,8 @@ type t = {
       (** set by {!request_flight_dump} (SIGQUIT); served by the reactor *)
   sr_access : out_channel option;  (** JSONL access log *)
   sr_started : float;  (** {!now} at creation, for /statusz uptime *)
-  mutable sr_conns : conn list;
-  mutable sr_hconns : hconn list;
+  sr_buf : Bytes.t;  (** the one buffer every socket read lands in *)
+  mutable sr_conns : conn list;  (** Wire and HTTP clients, in accept order *)
   mutable sr_active : pending list;
   mutable sr_draining : bool;
   mutable sr_drain_done_at : float option;
@@ -399,8 +397,8 @@ let create ?service cfg =
     sr_flight_dump_req = Atomic.make false;
     sr_access = access;
     sr_started = now ();
+    sr_buf = Bytes.create 65536;
     sr_conns = [];
-    sr_hconns = [];
     sr_active = [];
     sr_draining = false;
     sr_drain_done_at = None;
@@ -468,11 +466,11 @@ let report t =
 (* ------------------------------------------------------------------ *)
 
 (* One JSONL record per answered request, flushed per line so a tailer
-   (or the ci smoke) sees records as they happen.  [trace_id] is the
+   (or the ci smoke) sees records as they happen: the request's flight
+   entry plus the client-reported placement.  [trace_id] is the
    propagated distributed-trace id — the join key into the client's
    merged Chrome trace and the /statusz table. *)
-let log_access t ~id ~name ~worker ~config ~digest ~deadline_ms ~wait_s ~dur_s
-    ~outcome ~origin ~trace_id ~placement =
+let log_access t (fe : Flight.entry) ~placement =
   match t.sr_access with
   | None -> ()
   | Some oc ->
@@ -482,17 +480,19 @@ let log_access t ~id ~name ~worker ~config ~digest ~deadline_ms ~wait_s ~dur_s
          \"config\":\"%s\",\"digest\":\"%s\",\"deadline_ms\":%s,\
          \"queue_wait_s\":%.9f,\"duration_s\":%.9f,\"outcome\":\"%s\",\
          \"origin\":\"%s\",\"trace_id\":\"%s\",\"placement\":%s}\n%!"
-        (Unix.gettimeofday ()) id (e name) (e worker) (e config) (e digest)
-        (match deadline_ms with
+        fe.Flight.fe_ts fe.Flight.fe_id (e fe.Flight.fe_name)
+        (e fe.Flight.fe_worker) (e fe.Flight.fe_config) (e fe.Flight.fe_digest)
+        (match fe.Flight.fe_deadline_ms with
         | None -> "null"
         | Some ms -> string_of_int ms)
-        wait_s dur_s (e outcome) (e origin) (e trace_id)
+        fe.Flight.fe_wait_s fe.Flight.fe_dur_s (e fe.Flight.fe_outcome)
+        (e fe.Flight.fe_origin) (e fe.Flight.fe_trace_id)
         (match placement with
         | None -> "null"
         | Some spec -> Printf.sprintf "\"%s\"" (e spec))
 
-let trace_id_of pd =
-  match pd.pd_trace with None -> "" | Some tc -> tc.Wire.tc_trace_id
+let trace_id = function None -> "" | Some tc -> tc.Wire.tc_trace_id
+let trace_id_of pd = trace_id pd.pd_trace
 
 (* ------------------------------------------------------------------ *)
 (* Exposition and /statusz                                             *)
@@ -632,107 +632,21 @@ let http_respond t (req : Http.request) =
            /debug/errors\n"
 
 (* ------------------------------------------------------------------ *)
-(* HTTP connection IO                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let kill_hconn hc =
-  if hc.hc_open then begin
-    hc.hc_open <- false;
-    try Unix.close hc.hc_fd with Unix.Unix_error _ -> ()
-  end
-
-let flush_hconn hc =
-  if hc.hc_open && hc.hc_out <> "" then begin
-    let continue = ref true in
-    while !continue && hc.hc_off < String.length hc.hc_out do
-      match
-        Unix.write_substring hc.hc_fd hc.hc_out hc.hc_off
-          (String.length hc.hc_out - hc.hc_off)
-      with
-      | 0 -> continue := false
-      | n -> hc.hc_off <- hc.hc_off + n
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error _ ->
-          kill_hconn hc;
-          continue := false
-    done;
-    (* one response per connection: done writing = done *)
-    if hc.hc_open && hc.hc_off >= String.length hc.hc_out then kill_hconn hc
-  end
-
-let read_hconn t hc =
-  let buf = Bytes.create 4096 in
-  let eof = ref false in
-  (try
-     let continue = ref true in
-     while !continue do
-       match Unix.read hc.hc_fd buf 0 (Bytes.length buf) with
-       | 0 ->
-           eof := true;
-           continue := false
-       | n ->
-           hc.hc_last <- now ();
-           Buffer.add_subbytes hc.hc_buf buf 0 n;
-           if n < Bytes.length buf then continue := false
-     done
-   with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | Unix.Unix_error _ -> eof := true);
-  if hc.hc_open && hc.hc_out = "" then begin
-    match Http.parse (Buffer.contents hc.hc_buf) with
-    | Http.Partial -> if !eof then kill_hconn hc
-    | Http.Request req ->
-        hc.hc_out <- Http.to_string (http_respond t req);
-        flush_hconn hc
-    | Http.Bad msg ->
-        hc.hc_out <- Http.to_string (Http.response 400 (msg ^ "\n"));
-        flush_hconn hc
-  end
-  else if !eof then kill_hconn hc
-
-let accept_http t =
-  match t.sr_http with
-  | None -> ()
-  | Some listen ->
-      let continue = ref true in
-      while !continue do
-        match Unix.accept ~cloexec:true listen with
-        | fd, _ ->
-            Unix.set_nonblock fd;
-            t.sr_hconns <-
-              t.sr_hconns
-              @ [
-                  {
-                    hc_fd = fd;
-                    hc_buf = Buffer.create 256;
-                    hc_out = "";
-                    hc_off = 0;
-                    hc_last = now ();
-                    hc_open = true;
-                  };
-                ]
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            continue := false
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ -> continue := false
-      done
-
-(* ------------------------------------------------------------------ *)
 (* Connection IO                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let kill_conn c =
+let close_conn c =
   if c.cn_open then begin
     c.cn_open <- false;
     try Unix.close c.cn_fd with Unix.Unix_error _ -> ()
   end
 
+let unflushed c = c.cn_off < String.length c.cn_out
+
 let flush_conn c =
   if c.cn_open then begin
     let continue = ref true in
-    while !continue && c.cn_off < String.length c.cn_out do
+    while !continue && unflushed c do
       match
         Unix.write_substring c.cn_fd c.cn_out c.cn_off
           (String.length c.cn_out - c.cn_off)
@@ -741,22 +655,30 @@ let flush_conn c =
       | n -> c.cn_off <- c.cn_off + n
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           continue := false
-      | exception Unix.Unix_error _ -> kill_conn c; continue := false
+      | exception Unix.Unix_error _ -> close_conn c; continue := false
     done;
-    if c.cn_open && c.cn_off >= String.length c.cn_out then begin
+    if c.cn_open && not (unflushed c) then begin
       c.cn_out <- "";
       c.cn_off <- 0;
-      if c.cn_closing then kill_conn c
+      if c.cn_closing then close_conn c
     end
   end
 
+(* Append [s] to what [c] has still to write, and write what the socket
+   takes now. *)
+let queue c s =
+  c.cn_out <- String.sub c.cn_out c.cn_off (String.length c.cn_out - c.cn_off)
+              ^ s;
+  c.cn_off <- 0;
+  flush_conn c
+
 let send c frame =
-  if c.cn_open && not c.cn_closing then begin
-    c.cn_out <- String.sub c.cn_out c.cn_off (String.length c.cn_out - c.cn_off)
-                ^ Wire.encode frame;
-    c.cn_off <- 0;
-    flush_conn c
-  end
+  if c.cn_open && not c.cn_closing then queue c (Wire.encode frame)
+
+(* An HTTP peer's one response, queued with the close that follows it. *)
+let respond c resp =
+  c.cn_closing <- true;
+  queue c (Http.to_string resp)
 
 let send_error t c ~id ~code ?(retry_after_ms = 0) msg =
   (match code with
@@ -851,10 +773,10 @@ let admit t (c : conn) (r : Wire.compile_req) config =
   t.sr_requests <- t.sr_requests + 1;
   t.sr_active <- t.sr_active @ [ pd ]
 
-let handle_frame t (c : conn) (frame : Wire.frame) =
+let handle_frame t (c : conn) w (frame : Wire.frame) =
   match frame with
   | Wire.Hello v ->
-      if c.cn_greeted then begin
+      if w.wp_greeted then begin
         send_error t c ~id:0 ~code:Wire.Protocol_error "duplicate hello";
         c.cn_closing <- true
       end
@@ -865,10 +787,10 @@ let handle_frame t (c : conn) (frame : Wire.frame) =
         c.cn_closing <- true
       end
       else begin
-        c.cn_greeted <- true;
+        w.wp_greeted <- true;
         send c (Wire.Hello_ack Wire.version)
       end
-  | _ when not c.cn_greeted ->
+  | _ when not w.wp_greeted ->
       send_error t c ~id:0 ~code:Wire.Protocol_error
         "first frame must be a hello";
       c.cn_closing <- true
@@ -877,15 +799,22 @@ let handle_frame t (c : conn) (frame : Wire.frame) =
         (* a shed request is a broken promise too: it burns the
            availability budget even though it never entered the queue *)
         Slo.record t.sr_slo ~ok:false ~duration_s:0.0;
-        log_access t ~id:r.Wire.cr_id ~name:r.Wire.cr_name
-          ~worker:r.Wire.cr_worker ~config:r.Wire.cr_config ~digest:""
-          ~deadline_ms:r.Wire.cr_deadline_ms ~wait_s:0.0 ~dur_s:0.0 ~outcome
-          ~origin:""
-          ~trace_id:
-            (match r.Wire.cr_trace with
-            | None -> ""
-            | Some tc -> tc.Wire.tc_trace_id)
-          ~placement:r.Wire.cr_placement
+        log_access t ~placement:r.Wire.cr_placement
+          {
+            Flight.fe_ts = Unix.gettimeofday ();
+            fe_id = r.Wire.cr_id;
+            fe_worker = r.Wire.cr_worker;
+            fe_name = r.Wire.cr_name;
+            fe_config = r.Wire.cr_config;
+            fe_digest = "";
+            fe_trace_id = trace_id r.Wire.cr_trace;
+            fe_deadline_ms = r.Wire.cr_deadline_ms;
+            fe_wait_s = 0.0;
+            fe_dur_s = 0.0;
+            fe_outcome = outcome;
+            fe_origin = "";
+            fe_spans = [];
+          }
       in
       if t.sr_draining then begin
         send_error t c ~id:r.Wire.cr_id ~code:Wire.Draining
@@ -921,8 +850,30 @@ let handle_frame t (c : conn) (frame : Wire.frame) =
         "server-to-client frame on the request path";
       c.cn_closing <- true
 
-let read_conn t (c : conn) =
-  let buf = Bytes.create 65536 in
+(* Parse every complete frame from this read before running any work:
+   admission decisions depend only on arrival order. *)
+let wire_frames t c w =
+  let parsing = ref true in
+  while !parsing do
+    match Wire.next w.wp_reader with
+    | Ok (Some frame) ->
+        handle_frame t c w frame;
+        if c.cn_closing || not c.cn_open then parsing := false
+    | Ok None -> parsing := false
+    | Error e ->
+        send_error t c ~id:0 ~code:Wire.Protocol_error (Wire.error_to_string e);
+        c.cn_closing <- true;
+        parsing := false
+  done
+
+(* A Wire peer is read to its EOF, which abandons its in-flight work; an
+   HTTP peer is read until its one response is queued. *)
+let reading c =
+  c.cn_open
+  && match c.cn_proto with Wire _ -> true | Http _ -> not c.cn_closing
+
+let read_conn t c =
+  let buf = t.sr_buf in
   let eof = ref false in
   (try
      let continue = ref true in
@@ -933,7 +884,9 @@ let read_conn t (c : conn) =
            continue := false
        | n ->
            c.cn_last <- now ();
-           Wire.feed c.cn_reader buf n;
+           (match c.cn_proto with
+           | Wire w -> Wire.feed w.wp_reader buf n
+           | Http head -> Buffer.add_subbytes head buf 0 n);
            (* keep draining the fd until EAGAIN so one select round picks
               up everything a pipelining client sent *)
            if n < Bytes.length buf then continue := false
@@ -941,55 +894,69 @@ let read_conn t (c : conn) =
    with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | Unix.Unix_error _ -> eof := true);
-  (* parse every complete frame from this read before running any work:
-     admission decisions depend only on arrival order *)
-  let parsing = ref (c.cn_open && not c.cn_closing) in
-  while !parsing do
-    match Wire.next c.cn_reader with
-    | Ok (Some frame) ->
-        handle_frame t c frame;
-        if c.cn_closing || not c.cn_open then parsing := false
-    | Ok None -> parsing := false
-    | Error e ->
-        send_error t c ~id:0 ~code:Wire.Protocol_error (Wire.error_to_string e);
-        c.cn_closing <- true;
-        parsing := false
-  done;
-  if !eof then begin
-    (* the peer is gone: discard any result still in flight for it *)
-    List.iter
-      (fun pd -> if pd.pd_conn == c then pd.pd_abandoned <- true)
-      t.sr_active;
-    kill_conn c
-  end
+  (if c.cn_open && not c.cn_closing then
+     match c.cn_proto with
+     | Wire w -> wire_frames t c w
+     | Http head -> (
+         match Http.parse (Buffer.contents head) with
+         | Http.Partial -> ()
+         | Http.Request req -> respond c (http_respond t req)
+         | Http.Bad msg -> respond c (Http.response 400 (msg ^ "\n"))));
+  if !eof then
+    match c.cn_proto with
+    | Wire _ ->
+        (* the peer is gone: discard any result still in flight for it *)
+        List.iter
+          (fun pd -> if pd.pd_conn == c then pd.pd_abandoned <- true)
+          t.sr_active;
+        close_conn c
+    | Http _ ->
+        (* half a request head is never answered; a queued response is
+           still flushed *)
+        if not c.cn_closing then close_conn c
 
-let accept_loop t =
+let accept t listen proto =
   let continue = ref true in
   while !continue do
-    match Unix.accept ~cloexec:true t.sr_listen with
+    match Unix.accept ~cloexec:true listen with
     | fd, _ ->
-        Trace.with_span Trace.default ~cat:"server" "server.accept" (fun () ->
-            Unix.set_nonblock fd;
-            Metrics.inc t.sr_metrics.m_connections;
-            t.sr_conns <-
-              t.sr_conns
-              @ [
-                  {
-                    cn_fd = fd;
-                    cn_reader = Wire.reader ();
-                    cn_out = "";
-                    cn_off = 0;
-                    cn_last = now ();
-                    cn_greeted = false;
-                    cn_closing = false;
-                    cn_open = true;
-                  };
-                ])
+        Unix.set_nonblock fd;
+        let c =
+          {
+            cn_fd = fd;
+            cn_proto = proto ();
+            cn_out = "";
+            cn_off = 0;
+            cn_last = now ();
+            cn_closing = false;
+            cn_open = true;
+          }
+        in
+        (* the compile plane counts and traces its clients; HTTP scrapes
+           stay out of both *)
+        (match c.cn_proto with
+        | Wire _ ->
+            Trace.with_span Trace.default ~cat:"server" "server.accept"
+              (fun () -> Metrics.inc t.sr_metrics.m_connections)
+        | Http _ -> ());
+        t.sr_conns <- t.sr_conns @ [ c ]
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error _ -> continue := false
   done
+
+(* When a quiet connection is closed: a Wire client after
+   [sc_idle_timeout_s] with nothing in flight and nothing queued; an HTTP
+   peer gets a short leash, one request and seconds to send it. *)
+let idle t c t_now =
+  match c.cn_proto with
+  | Http _ -> t_now -. c.cn_last > 10.0
+  | Wire _ ->
+      (not c.cn_closing)
+      && t_now -. c.cn_last > t.sr_cfg.sc_idle_timeout_s
+      && c.cn_out = ""
+      && not (List.exists (fun pd -> pd.pd_conn == c) t.sr_active)
 
 (* The span buffer a traced request ships home inside its Result frame:
    a synthetic [server.request] root from admission to [end_us] (0 =
@@ -1078,13 +1045,7 @@ let reap_one t pd =
     Trace.complete Trace.default ~cat:"server"
       ~args:[ ("worker", pd.pd_worker); ("status", status) ]
       ~ts_us:pd.pd_admit_us ~dur_us:(dur_s *. 1e6) "server.request";
-    log_access t ~id:pd.pd_id ~name:pd.pd_name ~worker:pd.pd_worker
-      ~config:pd.pd_config ~digest:pd.pd_digest
-      ~deadline_ms:pd.pd_deadline_ms ~wait_s ~dur_s ~outcome:status ~origin
-      ~trace_id:(trace_id_of pd) ~placement:pd.pd_placement;
-    Slo.record t.sr_slo ~ok:(status = "ok") ~duration_s:dur_s;
-    Flight.record t.sr_flight
-      ~spans:(fun () -> span_tree pd ~end_us)
+    let entry =
       {
         Flight.fe_ts = Unix.gettimeofday ();
         fe_id = pd.pd_id;
@@ -1099,7 +1060,11 @@ let reap_one t pd =
         fe_outcome = status;
         fe_origin = origin;
         fe_spans = [];
-      };
+      }
+    in
+    log_access t entry ~placement:pd.pd_placement;
+    Slo.record t.sr_slo ~ok:(status = "ok") ~duration_s:dur_s;
+    Flight.record t.sr_flight ~spans:(fun () -> span_tree pd ~end_us) entry;
     if t.sr_draining then t.sr_drain_completed <- t.sr_drain_completed + 1;
     true
   in
@@ -1180,10 +1145,9 @@ let reap_one t pd =
 (* ------------------------------------------------------------------ *)
 
 let drain_pipe t =
-  let buf = Bytes.create 64 in
   let continue = ref true in
   while !continue do
-    match Unix.read t.sr_pipe_r buf 0 (Bytes.length buf) with
+    match Unix.read t.sr_pipe_r t.sr_buf 0 (Bytes.length t.sr_buf) with
     | 0 -> continue := false
     | _ -> ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -1206,9 +1170,7 @@ let final_flush t =
   (* best-effort: give slow readers one second to take their replies *)
   let deadline = now () +. 1.0 in
   let pending () =
-    List.filter
-      (fun c -> c.cn_open && c.cn_off < String.length c.cn_out)
-      t.sr_conns
+    List.filter (fun c -> c.cn_open && unflushed c) t.sr_conns
   in
   let continue = ref true in
   while !continue do
@@ -1229,8 +1191,7 @@ let final_flush t =
   done
 
 let shutdown_sockets t =
-  List.iter kill_conn t.sr_conns;
-  List.iter kill_hconn t.sr_hconns;
+  List.iter close_conn t.sr_conns;
   (match t.sr_http with
   | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
   | None -> ());
@@ -1248,29 +1209,20 @@ let run t =
   let finished = ref false in
   while not !finished do
     t.sr_conns <- List.filter (fun c -> c.cn_open) t.sr_conns;
-    t.sr_hconns <- List.filter (fun hc -> hc.hc_open) t.sr_hconns;
     let rds =
       t.sr_pipe_r
       :: (if t.sr_draining then [] else [ t.sr_listen ])
       (* the observability plane stays up while draining: that is when a
          load balancer most needs /healthz *)
       @ (match t.sr_http with Some fd -> [ fd ] | None -> [])
-      @ List.map (fun c -> c.cn_fd) t.sr_conns
       @ List.filter_map
-          (fun hc -> if hc.hc_out = "" then Some hc.hc_fd else None)
-          t.sr_hconns
+          (fun c -> if reading c then Some c.cn_fd else None)
+          t.sr_conns
     in
     let wrs =
       List.filter_map
-        (fun c ->
-          if c.cn_off < String.length c.cn_out then Some c.cn_fd else None)
+        (fun c -> if unflushed c then Some c.cn_fd else None)
         t.sr_conns
-      @ List.filter_map
-          (fun hc ->
-            if hc.hc_out <> "" && hc.hc_off < String.length hc.hc_out then
-              Some hc.hc_fd
-            else None)
-          t.sr_hconns
     in
     let rready, wready =
       match Unix.select rds wrs [] (select_timeout t) with
@@ -1286,46 +1238,31 @@ let run t =
     List.iter
       (fun c -> if List.mem c.cn_fd wready then flush_conn c)
       t.sr_conns;
-    List.iter
-      (fun hc -> if List.mem hc.hc_fd wready then flush_hconn hc)
-      t.sr_hconns;
-    if (not t.sr_draining) && List.mem t.sr_listen rready then accept_loop t;
+    if (not t.sr_draining) && List.mem t.sr_listen rready then
+      accept t t.sr_listen (fun () ->
+          Wire { wp_reader = Wire.reader (); wp_greeted = false });
     (match t.sr_http with
-    | Some fd when List.mem fd rready -> accept_http t
+    | Some fd when List.mem fd rready ->
+        accept t fd (fun () -> Http (Buffer.create 256))
     | _ -> ());
     List.iter
-      (fun c -> if c.cn_open && List.mem c.cn_fd rready then read_conn t c)
+      (fun c -> if reading c && List.mem c.cn_fd rready then read_conn t c)
       t.sr_conns;
-    List.iter
-      (fun hc ->
-        if hc.hc_open && List.mem hc.hc_fd rready then read_hconn t hc)
-      t.sr_hconns;
     (* a ~jobs:1 service has no worker domains: the reactor runs one
        queued compile per turn so IO and deadline scans stay interleaved *)
     if Service.jobs t.sr_svc = 1 then
       ignore (Pool.run_one (Service.pool t.sr_svc));
     t.sr_active <- List.filter (fun pd -> not (reap_one t pd)) t.sr_active;
-    (* connections that finished flushing after being marked closing *)
-    List.iter
-      (fun c ->
-        if c.cn_closing && c.cn_off >= String.length c.cn_out then kill_conn c)
-      t.sr_conns;
-    (* idle-client timeout: no traffic, nothing in flight *)
+    (* connections that finished flushing after being marked closing, and
+       connections quiet for too long *)
     let t_now = now () in
     List.iter
       (fun c ->
         if
-          c.cn_open && (not c.cn_closing)
-          && t_now -. c.cn_last > t.sr_cfg.sc_idle_timeout_s
-          && (not (List.exists (fun pd -> pd.pd_conn == c) t.sr_active))
-          && c.cn_out = ""
-        then kill_conn c)
+          (c.cn_closing && not (unflushed c))
+          || (c.cn_open && idle t c t_now)
+        then close_conn c)
       t.sr_conns;
-    (* http peers get a short leash: one request, seconds to send it *)
-    List.iter
-      (fun hc ->
-        if hc.hc_open && t_now -. hc.hc_last > 10.0 then kill_hconn hc)
-      t.sr_hconns;
     Metrics.set t.sr_metrics.m_queue_depth
       (float_of_int (List.length t.sr_active));
     if t.sr_draining && t.sr_active = [] then begin

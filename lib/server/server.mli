@@ -41,7 +41,9 @@
     span for one merged timeline.  Untraced requests skip all of it.
 
     {b Observability plane}: with [sc_http_port] set, a loopback TCP
-    listener is multiplexed into the same reactor speaking just enough
+    listener is multiplexed into the same reactor — its peers are the
+    same connection record as Wire clients, accepted, read, flushed,
+    idled and closed by the same code — speaking just enough
     HTTP/1.0 ({!Http}) for six endpoints — [GET /metrics] (canonical
     exposition, including windowed latency quantiles, exemplar-annotated
     histograms and the [lime_slo_*] family), [GET /healthz] ([200 ok]

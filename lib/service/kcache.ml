@@ -160,21 +160,6 @@ let find_or_add t key f =
           Mutex.unlock s.sp_mu;
           v)
 
-let find_or_add_many t reqs =
-  (* keys already resolved earlier in this batch: the coalescing window *)
-  let in_flight = Hashtbl.create 8 in
-  List.map
-    (fun (key, f) ->
-      match Hashtbl.find_opt in_flight key with
-      | Some v ->
-          bump t (fun st -> st.coalesced <- st.coalesced + 1);
-          v
-      | None ->
-          let v = find_or_add t key f in
-          Hashtbl.replace in_flight key v;
-          v)
-    reqs
-
 let note_coalesced t n =
   if n > 0 then bump t (fun st -> st.coalesced <- st.coalesced + n)
 

@@ -18,9 +18,9 @@
     two domains missing the same key concurrently may both compute, and
     the first insert wins (harmless for a deterministic compiler).
 
-    {!find_or_add_many} is the request-coalescing entry point: a batch of N
-    in-flight requests for the same key performs the expensive computation
-    once — the duplicates are counted as [coalesced], not as hits. *)
+    Batch layers coalesce duplicate in-flight requests themselves
+    ({!Service.compile_many} runs one computation per key) and account
+    the duplicates with {!note_coalesced}, as [coalesced], not as hits. *)
 
 type stats = {
   mutable hits : int;
@@ -53,12 +53,6 @@ val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
     the least-recently-used entry of the key's stripe if that stripe is
     over capacity (a miss).  If [f] raises, nothing is inserted and the
     miss is still counted. *)
-
-val find_or_add_many : 'a t -> (string * (unit -> 'a)) list -> 'a list
-(** Serve a batch of in-flight requests, coalescing duplicates: the first
-    occurrence of each key goes through {!find_or_add}; subsequent
-    occurrences in the same batch reuse its result and count as
-    [coalesced].  Results are returned in request order. *)
 
 val note_coalesced : 'a t -> int -> unit
 (** Account [n] additional coalesced requests — used by batch layers (such

@@ -129,6 +129,22 @@ let disk_store t key (c : Pipeline.compiled) =
 (* Cached compilation                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The cached-compile sequence every entry point runs: the in-memory LRU,
+   then the artifact store, then the compiler (persisting what it
+   builds).  [origin] records which of the three answered. *)
+let cached t key origin ~config ~name ~worker source =
+  Kcache.find_or_add t.sv_cache (Digest.to_hex key) (fun () ->
+      match disk_load t key with
+      | Some c ->
+          Atomic.incr t.sv_disk_hits;
+          origin := Disk;
+          c
+      | None ->
+          let c = Pipeline.compile ~config ~name ~worker source in
+          disk_store t key c;
+          origin := Compiled;
+          c)
+
 let compile_ex t ?(config = Memopt.config_all) ?(name = "<service>") ~worker
     source =
   let key = Digest.of_request ~config ~worker source in
@@ -142,18 +158,7 @@ let compile_ex t ?(config = Memopt.config_all) ?(name = "<service>") ~worker
         Trace.end_span Trace.default
           ~args:[ ("origin", origin_name !origin) ]
           "service.compile")
-      (fun () ->
-        Kcache.find_or_add t.sv_cache (Digest.to_hex key) (fun () ->
-            match disk_load t key with
-            | Some c ->
-                Atomic.incr t.sv_disk_hits;
-                origin := Disk;
-                c
-            | None ->
-                let c = Pipeline.compile ~config ~name ~worker source in
-                disk_store t key c;
-                origin := Compiled;
-                c))
+      (fun () -> cached t key origin ~config ~name ~worker source)
   in
   (c, !origin)
 
@@ -181,18 +186,8 @@ let compile_one t (r : request) : (Pipeline.compiled, Diag.t) result =
   in
   try
     Ok
-      (Kcache.find_or_add t.sv_cache (Digest.to_hex key) (fun () ->
-           match disk_load t key with
-           | Some c ->
-               Atomic.incr t.sv_disk_hits;
-               c
-           | None ->
-               let c =
-                 Pipeline.compile ~config:r.rq_config ~name:r.rq_name
-                   ~worker:r.rq_worker r.rq_source
-               in
-               disk_store t key c;
-               c))
+      (cached t key (ref Memory) ~config:r.rq_config ~name:r.rq_name
+         ~worker:r.rq_worker r.rq_source)
   with
   | Diag.Error_exn d -> Error d
   | exn ->
@@ -202,9 +197,8 @@ let compile_one t (r : request) : (Pipeline.compiled, Diag.t) result =
 
 let compile_many t (reqs : request list) :
     (Pipeline.compiled, Diag.t) result list =
-  (* duplicates inside the batch ride the first occurrence's future — the
-     coalescing window find_or_add_many used to provide, kept across the
-     pool dispatch *)
+  (* duplicates inside the batch ride the first occurrence's future: the
+     coalescing window, kept across the pool dispatch *)
   let in_flight = Hashtbl.create 16 in
   let dup = ref 0 in
   let futures =

@@ -589,6 +589,68 @@ let plain_compile id =
       cr_placement = None;
     }
 
+(* The idle rule closes a silent greeted client, but never one whose
+   request is still in flight: a pinned worker holds the compile past
+   several idle periods, and the connection must survive to take its
+   result. *)
+let test_idle_client_closed () =
+  let svc = Service.create ~jobs:2 () in
+  let gate = Atomic.make false in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set gate true;
+      Service.shutdown svc)
+    (fun () ->
+      with_server ~service:svc
+        ~reshape:(fun c -> { c with Server.sc_idle_timeout_s = 0.2 })
+        (fun sock _server ->
+          let greet fd rd =
+            raw_send fd (Wire.encode (Wire.Hello Wire.version));
+            match raw_next fd rd with
+            | Frame (Wire.Hello_ack _) -> ()
+            | _ -> Alcotest.fail "no hello ack"
+          in
+          let silent = raw_connect sock in
+          Fun.protect
+            ~finally:(fun () ->
+              try Unix.close silent with Unix.Unix_error _ -> ())
+            (fun () ->
+              let rd = Wire.reader () in
+              greet silent rd;
+              match raw_next silent rd with
+              | Eof -> ()
+              | Frame _ -> Alcotest.fail "traffic on a silent connection"
+              | Timeout -> Alcotest.fail "silent client left open");
+          let blocker =
+            Pool.submit (Service.pool svc) (fun () ->
+                while not (Atomic.get gate) do
+                  Domain.cpu_relax ()
+                done)
+          in
+          let busy = raw_connect sock in
+          Fun.protect
+            ~finally:(fun () ->
+              Atomic.set gate true;
+              ignore (Pool.await blocker);
+              try Unix.close busy with Unix.Unix_error _ -> ())
+            (fun () ->
+              let rd = Wire.reader () in
+              greet busy rd;
+              raw_send busy (Wire.encode (plain_compile 1));
+              (* five idle periods with the compile pinned: the socket
+                 must stay silent, neither answered nor closed *)
+              (match Unix.select [ busy ] [] [] 1.0 with
+              | [], _, _ -> ()
+              | _ -> Alcotest.fail "a client with work in flight was touched");
+              Atomic.set gate true;
+              match raw_next busy rd with
+              | Frame (Wire.Result a) ->
+                  Alcotest.(check int) "the pinned compile answered" 1
+                    a.Wire.ar_id
+              | Frame _ -> Alcotest.fail "expected the pinned result"
+              | Eof -> Alcotest.fail "closed with a request in flight"
+              | Timeout -> Alcotest.fail "no result")))
+
 (* ------------------------------------------------------------------ *)
 (* Distributed tracing                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -781,6 +843,50 @@ let test_http_endpoints () =
       Alcotest.(check bool) "400 for garbage" true
         (Util.contains_substring ~sub:"400 Bad Request"
            (http_get port "????\r\n\r\n")))
+
+(* A peer that sends half a request head and hangs up gets no reply and
+   is closed at its EOF, well inside the 10 s leash an HTTP peer gets;
+   the daemon serves both planes afterwards. *)
+let test_http_half_request () =
+  with_server
+    ~reshape:(fun c -> { c with Server.sc_http_port = Some 0 })
+    (fun sock server ->
+      let port = http_port_exn server in
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          raw_send fd "GET /healthz HT";
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          let buf = Bytes.create 256 in
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          let rec await_close got =
+            if Unix.gettimeofday () >= deadline then
+              Alcotest.fail "half request left open after its EOF"
+            else
+              match Unix.select [ fd ] [] [] 0.5 with
+              | [], _, _ -> await_close got
+              | _ -> (
+                  match Unix.read fd buf 0 (Bytes.length buf) with
+                  | 0 -> got
+                  | n -> await_close (got + n)
+                  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> got)
+          in
+          Alcotest.(check int) "no reply to half a request" 0 (await_close 0));
+      Alcotest.(check bool) "healthz still served" true
+        (Util.contains_substring ~sub:"200 OK"
+           (http_get port "GET /healthz HTTP/1.0\r\n\r\n"));
+      let cl = connect_exn sock in
+      Fun.protect
+        ~finally:(fun () -> Client.close cl)
+        (fun () ->
+          let a =
+            compile_exn cl ~name:"doubler" ~worker:"Doubler.apply"
+              doubler_source
+          in
+          Alcotest.(check string) "compile still served" "Doubler.apply"
+            a.Wire.ar_kernel))
 
 let test_healthz_flips_while_draining () =
   (* pin the worker so a drain cannot complete while we probe /healthz *)
@@ -1310,6 +1416,7 @@ let () =
           test_case "unknown config" test_unknown_config;
           test_case "garbage does not kill the daemon" test_garbage_resilience;
           test_case "stats over the wire" test_stats_over_the_wire;
+          test_case "idle client closed" test_idle_client_closed;
         ] );
       ( "tracing",
         [
@@ -1318,6 +1425,7 @@ let () =
       ( "observability plane",
         [
           test_case "http endpoints" test_http_endpoints;
+          test_case "http half request" test_http_half_request;
           test_case "healthz flips while draining" test_healthz_flips_while_draining;
           test_case "access log" test_access_log;
           test_case "always-on work per warm hit" test_always_on_warm_path;

@@ -112,18 +112,35 @@ let test_hit_miss_counters () =
   Alcotest.(check int) "compiles" 2 !compiles
 
 let test_coalescing () =
-  let c = Kcache.create ~capacity:4 () in
+  let svc = Service.create () in
   let compiles = ref 0 in
-  let burst =
-    List.init 5 (fun _ -> ("same-key", fun () -> incr compiles; 42))
-  in
-  let results = Kcache.find_or_add_many c burst in
-  Alcotest.(check (list int)) "all served" [ 42; 42; 42; 42; 42 ] results;
-  Alcotest.(check int) "one compile" 1 !compiles;
-  let s = Kcache.stats c in
-  Alcotest.(check int) "one miss" 1 s.Kcache.misses;
-  Alcotest.(check int) "rest coalesced" 4 s.Kcache.coalesced;
-  Alcotest.(check int) "no hits during the burst" 0 s.Kcache.hits
+  let hooks = Lime_gpu.Pipeline.compile_hooks in
+  Lime_support.Hooks.add hooks ~key:"test.coalescing" (fun _ -> incr compiles);
+  Fun.protect
+    ~finally:(fun () ->
+      Lime_support.Hooks.remove hooks "test.coalescing";
+      Service.shutdown svc)
+    (fun () ->
+      let burst =
+        List.init 5 (fun _ ->
+            Service.request ~worker:"Doubler.apply" doubler_source)
+      in
+      let results = Service.compile_many svc burst in
+      let served =
+        match results with
+        | Ok first :: _ ->
+            List.for_all
+              (function Ok c -> c == first | Error _ -> false)
+              results
+        | _ -> false
+      in
+      Alcotest.(check bool) "all served" true served;
+      Alcotest.(check int) "one result per request" 5 (List.length results);
+      Alcotest.(check int) "one compile" 1 !compiles;
+      let s = Service.stats svc in
+      Alcotest.(check int) "one miss" 1 s.Kcache.misses;
+      Alcotest.(check int) "rest coalesced" 4 s.Kcache.coalesced;
+      Alcotest.(check int) "no hits during the burst" 0 s.Kcache.hits)
 
 (* ------------------------------------------------------------------ *)
 (* Tunestore                                                           *)
