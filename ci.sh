@@ -201,6 +201,27 @@ if grep -rn --include='*.ml' 'Search\.body_of' lib bin examples; then
   echo "FAIL: Search.body_of called outside lib/rewrite/search.ml; a search analyzes its own bodies"
   exit 1
 fi
+# a search launches a state only in Search.price, the price table (a
+# device outside Device.all is priced there by Search.score, which replay
+# also uses), and expand takes a parent's children from the child table
+# (Search.children), never computing a placement table or a signature
+if awk '/^let /{f=$2}
+        /Autotune\.launch( |$)/ && f != "price" && f != "score" \
+          {print FILENAME":"FNR": "$0; bad=1}
+        /(^|[^._[:alnum:]])score / && !/^let score / && f != "price" && f != "replay" \
+          {print FILENAME":"FNR": "$0; bad=1}
+        END {exit !bad}' lib/rewrite/search.ml; then
+  echo "FAIL: a launch outside Search.price and Search.replay; price through the memo's price table"
+  exit 1
+fi
+if awk '/^  let expand /{e=1; next}
+        /^let |^  let / {e=0}
+        e && /(^|[^._[:alnum:]])(decisions|signature|decide_all) / \
+          {print FILENAME":"FNR": "$0; bad=1}
+        END {exit !bad}' lib/rewrite/search.ml; then
+  echo "FAIL: expand computes a placement table or a signature; read the child table (Search.children)"
+  exit 1
+fi
 
 echo "== one Fig 8 sweep =="
 # Gpusim.Autotune.sweep_with is the one sweep loop (one analysis, every

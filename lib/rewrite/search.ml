@@ -11,36 +11,40 @@
     applies soundly and deduplicated structurally, so permutations of
     commuting placements cost one evaluation, not many.
 
-    Each piece of work is done once per state, and what depends only on
-    the kernel body once per body.  A frontier entry carries its body's
-    thread-dependence table and memory analysis ({!body}), the body's
-    digest and the state's placement table.  A placement child reuses all
-    three body facts (the kernel is unchanged) and the one
-    {!Lime_gpu.Memopt.decide_all} that showed the toggle changes the
-    table, so pricing it costs one profile walk and no dataflow pass.  A
-    structural step reads only the kernel, and every step changes only
-    the body, so among the searches of one kernel a body digest fixes the
-    kernel, and each (parent body, step) is attempted and each body
-    analyzed once ({!memo}): the first structural child of a (body, step)
-    pays one [Structural] walk and one marshalled body digest, plus one
-    {!Lime_gpu.Taint.thread_dependent} pass and one [analyze] if its body
-    is new.  Once that (body, step) has been seen — placement siblings
-    share their parent's body — a structural child costs one
-    [decide_all], one signature and one profile walk; the analysis and
-    the profile read the same table.
+    Each piece of work is done once per state, what depends only on the
+    kernel body once per body, and nothing that does not depend on the
+    device more than once per kernel ({!memo}).  A frontier entry carries
+    its body's thread-dependence table and memory analysis ({!body}), the
+    body's digest and the state's placement table.  A structural step
+    reads only the kernel, and every step changes only the body, so among
+    the searches of one kernel a body digest fixes the kernel: each
+    (parent body, step) is attempted and each body analyzed once.  A
+    parent's body and configuration fix its placement table and every
+    child it has, so its children — step, configuration, body digest,
+    placement table and signature — are built once per (body,
+    configuration) ({!children}): one {!Lime_gpu.Memopt.decide_all} per
+    child, plus one [Structural] walk and one marshalled body digest per
+    new (body, step), plus one {!Lime_gpu.Taint.thread_dependent} pass
+    and one [analyze] per new body.  A launch ({!Gpusim.Autotune.launch}:
+    the profile and the array bindings) depends on the state, the shapes
+    and the scalars but not on the device, so each distinct state is
+    launched once and priced then on every device of
+    {!Gpusim.Device.all} ({!price}); a later search of the kernel on any
+    of them reads its price.  After the first search, a search of the
+    same kernel costs its own [seen] dedup, a table lookup per child and
+    the sorting of its beam.
 
     A {!memo} belongs to one kernel.  Its key is the MD5 of the whole
     marshalled baseline kernel (name, parameters, return type, body and
     flags): two kernels with equal bodies but different parameters are
     analyzed differently.  A search of another kernel empties the memo
-    before it does any work, so the memo holds one kernel's walks and
-    facts, and it lives as long as its caller keeps it.  Nothing in it
-    depends on the device: a caller that tunes one kernel on several
-    devices passes one memo to each search, and the later searches reuse
-    the walks, digests and analyses of the earlier ones (the service
-    keeps the memo of the last kernel it searched).  Scoring is per
-    device and per search; no profile is memoized.  Without [?memo] a
-    search builds a fresh one.
+    before it does any work, and a search with other shapes or scalars
+    empties only the prices, so the memo holds one kernel's work and
+    lives as long as its caller keeps it.  A caller that tunes one kernel
+    on several devices passes one memo to each search (the service keeps
+    the memo of the last kernel it searched).  A device that is not
+    physically one of {!Gpusim.Device.all} is priced directly, each time.
+    Without [?memo] a search builds a fresh one.
 
     The initial population is the empty schedule plus the eight canned
     Fig 8 sequences of {!Rewrite.fig8_sequences}.  Seeding guarantees the
@@ -108,10 +112,12 @@ let body_of (st : Rewrite.state) : body =
 let decisions (st : Rewrite.state) (b : body) : Memopt.decision list =
   Memopt.decide_all st.Rewrite.st_config b.b_analysis
 
-(** Modeled time of one rewrite state under its [decisions]: profile the
-    (possibly restructured) kernel with the backend-compiler effects the
-    rewrites rely on (invariant hoisting, affine lanes) and price it on
-    the device.  The profile reads [b]'s thread-dependence table. *)
+(** Modeled time of one rewrite state under its [decisions], without a
+    memo: profile the (possibly restructured) kernel with the
+    backend-compiler effects the rewrites rely on (invariant hoisting,
+    affine lanes) and price it on the device.  The profile reads [b]'s
+    thread-dependence table.  A search prices through {!price}; this is
+    for a device outside {!Gpusim.Device.all} and for {!replay}. *)
 let score (device : Device.t) (st : Rewrite.state) (b : body)
     (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) : float =
@@ -160,47 +166,87 @@ type entry = {
   en_decisions : Memopt.decision list;
 }
 
-(** One kernel's device-independent child construction.  A [Structural]
-    attempt reads only the state's kernel, and {!Rewrite.with_body} is the
-    only way a step changes a kernel, so for one baseline kernel a body
-    digest fixes the kernel, and the parent's body digest fixes the
-    attempt's outcome.  [m_attempts] keeps that outcome per (parent body
-    digest, step name): the child's body digest, or [None] when the step
-    does not apply.  [m_bodies] keeps each body's kernel and facts per
-    digest, the baseline's included.  [m_key] names the baseline kernel
-    the tables belong to.  The counters are this search's work, reported
-    on its [End] event. *)
+(** A parent's catalog child, everything about it the device does not
+    change: the step, the child's configuration, body digest, placement
+    table and {!signature}.  The child's kernel and body facts are its
+    body digest's entry in [m_bodies]. *)
+type child = {
+  c_step : Rewrite.step;
+  c_config : Memopt.config;
+  c_digest : Digest.t;
+  c_decisions : Memopt.decision list;
+  c_signature : Digest.t;
+}
+
+(** One kernel's device-independent search work.  A [Structural]
+    attempt reads only the state's kernel, and a step changes a kernel
+    only through its body, so for one baseline kernel a body digest fixes
+    the kernel, and the parent's body digest fixes the attempt's outcome.
+    [m_attempts] keeps that outcome per (parent body digest, step name):
+    the child's body digest, or [None] when the step does not apply.
+    [m_bodies] keeps each body's kernel and facts per digest, the
+    baseline's included.  A parent's body and configuration fix its
+    placement table and every child it has, so [m_children] keeps the
+    parent's children in catalog order per (body digest, configuration).
+    [m_prices] keeps, per {!signature}, the state's modeled time on each
+    device of {!Gpusim.Device.all}, in that order, from one launch; a
+    launch also reads the shapes and scalars, named by [m_price_key].
+    [m_key] names the baseline kernel the tables belong to.  The counters
+    are this search's work, reported on its [End] event. *)
 type memo = {
   mutable m_key : Digest.t;  (** [""] until a search claims the memo *)
+  mutable m_price_key : Digest.t;  (** the shapes and scalars priced *)
   m_attempts : (Digest.t * string, Digest.t option) Hashtbl.t;
   m_bodies : (Digest.t, Kernel.kernel * body) Hashtbl.t;
+  m_children : (Digest.t * Memopt.config, child list) Hashtbl.t;
+  m_prices : (Digest.t, float array) Hashtbl.t;
   mutable m_walks : int;  (** structural attempts run *)
-  mutable m_hits : int;  (** structural attempts answered by [m_attempts] *)
+  mutable m_hits : int;  (** structural attempts the memo answered *)
   mutable m_analyses : int;  (** {!body_of} calls, a new baseline's included *)
+  mutable m_expansions : int;  (** child lists built *)
+  mutable m_launches : int;  (** launches run *)
 }
 
 let create_memo () =
   {
     m_key = "";
+    m_price_key = "";
     m_attempts = Hashtbl.create 64;
     m_bodies = Hashtbl.create 16;
+    m_children = Hashtbl.create 64;
+    m_prices = Hashtbl.create 64;
     m_walks = 0;
     m_hits = 0;
     m_analyses = 0;
+    m_expansions = 0;
+    m_launches = 0;
   }
 
-(** Claim [m] for a search of [k]: a memo of another kernel is emptied
-    first.  The work counters restart either way. *)
-let claim (m : memo) (k : Kernel.kernel) =
+(** Claim [m] for a search of [k] launched with [shapes] and [scalars]: a
+    memo of another kernel is emptied first, and other shapes or scalars
+    empty only the prices.  The work counters restart either way. *)
+let claim (m : memo) (k : Kernel.kernel) ~shapes ~scalars =
   let key = Digest.string (Marshal.to_string k [ Marshal.No_sharing ]) in
+  let price_key =
+    Digest.string (Marshal.to_string (shapes, scalars) [ Marshal.No_sharing ])
+  in
   if m.m_key <> key then begin
     Hashtbl.reset m.m_attempts;
     Hashtbl.reset m.m_bodies;
-    m.m_key <- key
+    Hashtbl.reset m.m_children;
+    Hashtbl.reset m.m_prices;
+    m.m_key <- key;
+    m.m_price_key <- price_key
+  end
+  else if m.m_price_key <> price_key then begin
+    Hashtbl.reset m.m_prices;
+    m.m_price_key <- price_key
   end;
   m.m_walks <- 0;
   m.m_hits <- 0;
-  m.m_analyses <- 0
+  m.m_analyses <- 0;
+  m.m_expansions <- 0;
+  m.m_launches <- 0
 
 (** [facts m st digest] is the kernel and body facts of [st], whose body
     digest is [digest], analyzing the body only if [m] has not seen it.
@@ -250,6 +296,104 @@ let structural (m : memo) (e : entry) (step : Rewrite.step) :
       ({ st with Rewrite.st_kernel = k }, body, digest))
     child
 
+(** The catalog's structural steps: a child list the memo already holds
+    answers that many attempts. *)
+let structural_steps =
+  List.length
+    (List.filter
+       (fun (s : Rewrite.step) ->
+         match s.Rewrite.kind with
+         | Rewrite.Structural _ -> true
+         | Rewrite.Placement _ -> false)
+       Rewrite.catalog)
+
+(** [children m e] is [e]'s catalog children in catalog order: every
+    placement toggle that changes the placement table, and every
+    structural step that applies.  Built once per (body, configuration);
+    a list [m] already holds answers every structural attempt of the
+    parent. *)
+let children (m : memo) (e : entry) : child list =
+  let cfg = e.en_cand.sc_state.Rewrite.st_config in
+  let key = (e.en_digest, cfg) in
+  match Hashtbl.find_opt m.m_children key with
+  | Some cs ->
+      m.m_hits <- m.m_hits + structural_steps;
+      cs
+  | None ->
+      m.m_expansions <- m.m_expansions + 1;
+      let placements = Memopt.placements e.en_decisions in
+      let child step st digest ds =
+        {
+          c_step = step;
+          c_config = st.Rewrite.st_config;
+          c_digest = digest;
+          c_decisions = ds;
+          c_signature = signature digest ds;
+        }
+      in
+      let cs =
+        List.filter_map
+          (fun (step : Rewrite.step) ->
+            match step.Rewrite.kind with
+            | Rewrite.Placement { get; set } ->
+                if get cfg then None
+                else
+                  let st' =
+                    { e.en_cand.sc_state with Rewrite.st_config = set cfg }
+                  in
+                  let ds' = decisions st' e.en_body in
+                  if Memopt.placements ds' = placements then None
+                  else Some (child step st' e.en_digest ds')
+            | Rewrite.Structural _ ->
+                Option.map
+                  (fun (st', body', digest') ->
+                    child step st' digest' (decisions st' body'))
+                  (structural m e step))
+          Rewrite.catalog
+      in
+      Hashtbl.add m.m_children key cs;
+      cs
+
+(** [slot device] is [device]'s index in {!Gpusim.Device.all}, or [None]
+    for a device that is not physically one of them. *)
+let slot (device : Device.t) : int option =
+  let rec go i = function
+    | [] -> None
+    | d :: rest -> if d == device then Some i else go (i + 1) rest
+  in
+  go 0 Device.all
+
+(** [price m slot device st b ds signature] is the modeled time of the
+    state with that {!signature} on [device], whose {!slot} is [slot].
+    The first time [m] sees the signature, one launch is priced on every
+    device of {!Gpusim.Device.all}; a device outside them is priced
+    directly and not kept.  The only place a search launches. *)
+let price (m : memo) (slot : int option) (device : Device.t)
+    (st : Rewrite.state) (b : body) (ds : Memopt.decision list)
+    (signature : Digest.t) ~shapes ~scalars : float =
+  match slot with
+  | None ->
+      m.m_launches <- m.m_launches + 1;
+      score device st b ds ~shapes ~scalars
+  | Some i -> (
+      match Hashtbl.find_opt m.m_prices signature with
+      | Some times -> times.(i)
+      | None ->
+          m.m_launches <- m.m_launches + 1;
+          let prof, bindings =
+            Autotune.launch ~hoist_invariant:true ~affine_lanes:true
+              ~thread_vars:b.b_thread_vars st.Rewrite.st_kernel ds ~shapes
+              ~scalars
+          in
+          let times =
+            Array.of_list
+              (List.map
+                 (fun d -> (Model.kernel_time d prof bindings).Model.bd_total_s)
+                 Device.all)
+          in
+          Hashtbl.add m.m_prices signature times;
+          times.(i))
+
 let default_width = 8
 let default_depth = 5
 
@@ -270,10 +414,11 @@ let search ?(memo = create_memo ()) ?(width = default_width)
          ("depth", string_of_int depth);
        ]);
   let evals = ref 0 in
+  let slot = slot device in
   let evaluate (sequence : string list) (st : Rewrite.state) body digest ds
-      : entry =
+      signature : entry =
     incr evals;
-    let time_s = score device st body ds ~shapes ~scalars in
+    let time_s = price memo slot device st body ds signature ~shapes ~scalars in
     {
       en_cand = { sc_sequence = sequence; sc_state = st; sc_time_s = time_s };
       en_body = body;
@@ -282,23 +427,24 @@ let search ?(memo = create_memo ()) ?(width = default_width)
     }
   in
   let seen : (Digest.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let fresh_state digest ds =
-    let s = signature digest ds in
-    if Hashtbl.mem seen s then false
+  let fresh_state signature =
+    if Hashtbl.mem seen signature then false
     else begin
-      Hashtbl.add seen s ();
+      Hashtbl.add seen signature ();
       true
     end
   in
-  claim memo k;
+  claim memo k ~shapes ~scalars;
   let memo_bodies = Hashtbl.length memo.m_bodies in
   let baseline_state = Rewrite.initial k in
   let baseline_digest = body_digest baseline_state in
   let _, baseline_body = facts memo baseline_state baseline_digest in
   let baseline_ds = decisions baseline_state baseline_body in
-  ignore (fresh_state baseline_digest baseline_ds);
+  let baseline_sig = signature baseline_digest baseline_ds in
+  ignore (fresh_state baseline_sig);
   let baseline_entry =
     evaluate [] baseline_state baseline_body baseline_digest baseline_ds
+      baseline_sig
   in
   let baseline = baseline_entry.en_cand in
   (* Canned Fig 8 sequences seed the beam: the search result can only be
@@ -314,8 +460,10 @@ let search ?(memo = create_memo ()) ?(width = default_width)
           | Error _ -> None
           | Ok st ->
               let ds = decisions st baseline_body in
-              ignore (fresh_state baseline_digest ds);
-              Some (name, evaluate seq st baseline_body baseline_digest ds))
+              let s = signature baseline_digest ds in
+              ignore (fresh_state s);
+              Some
+                (name, evaluate seq st baseline_body baseline_digest ds s))
       Rewrite.fig8_sequences
   in
   let fig8_cands =
@@ -332,32 +480,18 @@ let search ?(memo = create_memo ()) ?(width = default_width)
       None fig8_cands
     |> Option.get
   in
-  let child (e : entry) (step : Rewrite.step) st body digest ds =
-    if fresh_state digest ds then
-      Some
-        (evaluate
-           (e.en_cand.sc_sequence @ [ step.Rewrite.name ])
-           st body digest ds)
-    else None
-  in
   let expand _level (e : entry) =
-    let st = e.en_cand.sc_state in
-    let placements = Memopt.placements e.en_decisions in
     List.filter_map
-      (fun (step : Rewrite.step) ->
-        match step.Rewrite.kind with
-        | Rewrite.Placement { get; set } ->
-            let cfg = st.Rewrite.st_config in
-            if get cfg then None
-            else
-              let st' = { st with Rewrite.st_config = set cfg } in
-              let ds' = decisions st' e.en_body in
-              if Memopt.placements ds' = placements then None
-              else child e step st' e.en_body e.en_digest ds'
-        | Rewrite.Structural _ ->
-            Option.bind (structural memo e step) (fun (st', body', digest') ->
-                child e step st' body' digest' (decisions st' body')))
-      Rewrite.catalog
+      (fun c ->
+        if fresh_state c.c_signature then
+          let k, body = Hashtbl.find memo.m_bodies c.c_digest in
+          Some
+            (evaluate
+               (e.en_cand.sc_sequence @ [ c.c_step.Rewrite.name ])
+               { Rewrite.st_kernel = k; st_config = c.c_config }
+               body c.c_digest c.c_decisions c.c_signature)
+        else None)
+      (children memo e)
   in
   let on_level level frontier (best : entry) =
     emit
@@ -389,6 +523,8 @@ let search ?(memo = create_memo ()) ?(width = default_width)
              ("attempts", string_of_int memo.m_walks);
              ("attempt_hits", string_of_int memo.m_hits);
              ("analyses", string_of_int memo.m_analyses);
+             ("expansions", string_of_int memo.m_expansions);
+             ("launches", string_of_int memo.m_launches);
              ("memo_bodies", string_of_int memo_bodies);
            ];
        });

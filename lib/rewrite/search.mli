@@ -20,10 +20,13 @@ type outcome = {
 
 type memo
 (** One kernel's device-independent search work: each structural
-    attempt's outcome per (parent body, step), and each body's kernel and
-    facts.  It is keyed by the whole baseline kernel; a search of another
-    kernel empties it first.  One memo must not serve two searches at
-    once. *)
+    attempt's outcome per (parent body, step), each body's kernel and
+    facts, each parent's children per (body, configuration), and each
+    distinct state's modeled time on every device of
+    {!Gpusim.Device.all}, from one launch.  It is keyed by the whole
+    baseline kernel; a search of another kernel empties it first, and a
+    search with other shapes or scalars empties only the times.  One memo
+    must not serve two searches at once. *)
 
 val create_memo : unit -> memo
 
@@ -43,9 +46,12 @@ val search :
     for [k] launched with the given argument shapes.  [width] states
     survive each level; at most [depth] rewrites are chained.  A [memo]
     carried over from a search of the same kernel (on any device) spares
-    the walks and analyses that search already made; the outcome is the
-    same with or without it.  The ["rewrite"] [End] event reports this
-    search's [attempts], [attempt_hits] and [analyses], and [memo_bodies],
+    the walks, analyses, child lists and launches that search already
+    made; the outcome is the same with or without it.  A device that is
+    not physically one of {!Gpusim.Device.all} is priced directly.  The
+    ["rewrite"] [End] event reports this search's [attempts] (walks run),
+    [attempt_hits] (structural attempts the memo answered), [analyses],
+    [expansions] (child lists built) and [launches], and [memo_bodies],
     the bodies the memo held for [k] when the search began. *)
 
 val replay :
@@ -82,7 +88,7 @@ val score :
   shapes:(string * int array) list ->
   scalars:(string * float) list ->
   float
-(** Modeled time of a state under its decisions. *)
+(** Modeled time of a state under its decisions, from its own launch. *)
 
 val signature : Digest.t -> Lime_gpu.Memopt.decision list -> Digest.t
 (** A state's dedup key: its body digest and its placement table. *)

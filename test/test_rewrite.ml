@@ -276,9 +276,10 @@ let test_golden_search_table () =
 (* Memoized child construction: a search attempts each structural step
    once per (parent body, step) and analyzes each body once.  The
    reference below is the search without its memo tables — every
-   expanded entry re-attempts every structural step — and counts the
-   distinct bodies it reaches and the distinct (body, step) pairs it
-   attempts; the search's End event must report exactly those.        *)
+   expanded entry re-attempts every structural step and launches every
+   state it prices — and counts the distinct bodies it reaches, the
+   distinct (body, step) pairs it attempts and the distinct states it
+   prices; the search's End event must report exactly those.          *)
 (* ------------------------------------------------------------------ *)
 
 type work = {
@@ -286,12 +287,14 @@ type work = {
   attempts : int;
   pairs : (Stdlib.Digest.t * string, unit) Hashtbl.t;
   bodies : (Stdlib.Digest.t, unit) Hashtbl.t;
+  signatures : (Stdlib.Digest.t, unit) Hashtbl.t;
 }
 
 let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
     =
   let evals = ref 0 and attempts = ref 0 in
   let pairs = Hashtbl.create 64 and bodies = Hashtbl.create 16 in
+  let signatures = Hashtbl.create 64 in
   let seen = Hashtbl.create 64 in
   let fresh digest ds =
     let s = Search.signature digest ds in
@@ -300,6 +303,7 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
   (* sequence, state, body, digest, decisions, modeled time *)
   let evaluate seq st body digest ds =
     incr evals;
+    Hashtbl.replace signatures (Search.signature digest ds) ();
     let time = Search.score d st body ds ~shapes ~scalars in
     (seq, st, body, digest, ds, time)
   in
@@ -357,7 +361,7 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
   ignore
     (Lime_support.Beam.run ~cmp ~width:Search.default_width
        ~levels:Search.default_depth ~expand ~best:base (base :: seeds));
-  { evals = !evals; attempts = !attempts; pairs; bodies }
+  { evals = !evals; attempts = !attempts; pairs; bodies; signatures }
 
 (* A search's outcome and its own account of its work, from its End
    event: evals, then the named counters. *)
@@ -428,8 +432,9 @@ let test_mosaic_gtx580_work () =
 (* ------------------------------------------------------------------ *)
 (* One memo across a kernel's searches: the four device searches of a
    kernel share one memo and reach the outcomes of four fresh searches,
-   while their walks and analyses add up to the distinct (body, step)
-   pairs and bodies of the four memo-free reference searches.         *)
+   while their walks, analyses and launches add up to the distinct
+   (body, step) pairs, bodies and states of the four memo-free
+   reference searches.                                                *)
 (* ------------------------------------------------------------------ *)
 
 let state_md5 (c : Search.candidate) =
@@ -463,7 +468,8 @@ let test_shared_memo_equals_fresh () =
       let shapes = p.E.p_shapes and scalars = p.E.p_scalars in
       let memo = Search.create_memo () in
       let pairs = Hashtbl.create 64 and bodies = Hashtbl.create 16 in
-      let attempts = ref 0 and analyses = ref 0 in
+      let signatures = Hashtbl.create 64 in
+      let attempts = ref 0 and analyses = ref 0 and launches = ref 0 in
       List.iteri
         (fun i (d : Device.t) ->
           let what = Printf.sprintf "%s on %s" b.B.name d.Device.name in
@@ -475,16 +481,21 @@ let test_shared_memo_equals_fresh () =
               (List.assoc "memo_bodies" args);
           attempts := !attempts + List.assoc "attempts" args;
           analyses := !analyses + List.assoc "analyses" args;
+          launches := !launches + List.assoc "launches" args;
           let want = unmemoized_work d k ~shapes ~scalars in
           Hashtbl.iter (Hashtbl.replace pairs) want.pairs;
-          Hashtbl.iter (Hashtbl.replace bodies) want.bodies)
+          Hashtbl.iter (Hashtbl.replace bodies) want.bodies;
+          Hashtbl.iter (Hashtbl.replace signatures) want.signatures)
         Device.all;
       Alcotest.(check int)
         (b.B.name ^ ": one attempt per (body, step) over the devices")
         (Hashtbl.length pairs) !attempts;
       Alcotest.(check int)
         (b.B.name ^ ": one analysis per body over the devices")
-        (Hashtbl.length bodies) !analyses)
+        (Hashtbl.length bodies) !analyses;
+      Alcotest.(check int)
+        (b.B.name ^ ": one launch per state over the devices")
+        (Hashtbl.length signatures) !launches)
     Registry.workloads
 
 (* The memo is keyed by the whole kernel: a kernel with the same body
@@ -514,6 +525,79 @@ let test_memo_keyed_by_kernel () =
     attempts;
   let bodies, _ = held k [] in
   Alcotest.(check int) "back to the first kernel: memo emptied" 0 bodies
+
+(* The prices hang on the launch's shapes and scalars as well as on the
+   state: a search of the same kernel with other shapes or scalars
+   prices every state again but walks nothing again, and a device that
+   is not one of [Device.all] is priced on its own parameters.          *)
+
+let pow_source =
+  {|
+class Pow {
+  static local float f(int n, float x) {
+    float s = x;
+    for (int i = 0; i < n; i++) { s = s * x + 1.0f; }
+    return s;
+  }
+  static local float[[]] work(float[[]] xs, int n) { return Pow.f(n) @ xs; }
+}
+|}
+
+let test_price_key_and_foreign_device () =
+  let arg name (_, (_, args)) = List.assoc name args in
+  (* search [k] once with [memo], then again with [memo] under other
+     shapes or scalars, against a fresh search under those *)
+  let reprice what (k : Kernel.kernel) ~shapes ~scalars ~shapes' ~scalars' =
+    let memo = Search.create_memo () in
+    ignore (search_end ~memo Device.gtx580 k ~shapes ~scalars);
+    let fresh = search_end Device.gtx580 k ~shapes:shapes' ~scalars:scalars' in
+    let shared =
+      search_end ~memo Device.gtx580 k ~shapes:shapes' ~scalars:scalars'
+    in
+    check_same_outcome what (fst fresh) (fst shared);
+    Alcotest.(check int)
+      (what ^ ": no walk repeated")
+      0 (arg "attempts" shared);
+    Alcotest.(check int)
+      (what ^ ": every state priced again")
+      (arg "launches" fresh) (arg "launches" shared)
+  in
+  let mosaic =
+    match Registry.find "Mosaic" with
+    | Some b -> b
+    | None -> Alcotest.fail "Mosaic missing from the registry"
+  in
+  let p = E.prepare ~seed:1 mosaic in
+  let k = p.E.p_compiled.Pipeline.cp_kernel in
+  let shapes = p.E.p_shapes and scalars = p.E.p_scalars in
+  let small, _ = Engine.shapes_of_args k [ mosaic.B.input_small () ] in
+  Alcotest.(check bool) "the small input has other shapes" false
+    (small = shapes);
+  reprice "Mosaic, other shapes" k ~shapes ~scalars ~shapes':small
+    ~scalars':scalars;
+  let pow =
+    (Pipeline.compile ~worker:"Pow.work" pow_source).Pipeline.cp_kernel
+  in
+  let xs = [ ("xs", [| 4096 |]) ] in
+  reprice "Pow, other scalars" pow ~shapes:xs
+    ~scalars:[ ("n", 2.0) ]
+    ~shapes':xs
+    ~scalars':[ ("n", 64.0) ];
+  (* a GTX 580 with a faster clock: not one of [Device.all] *)
+  let fast =
+    let d = Device.gtx580 in
+    { d with Device.clock_ghz = 2.0 *. d.Device.clock_ghz }
+  in
+  let memo = Search.create_memo () in
+  let gtx580 = search_end ~memo Device.gtx580 k ~shapes ~scalars in
+  let fresh = Search.search fast k ~shapes ~scalars in
+  let shared = search_end ~memo fast k ~shapes ~scalars in
+  Alcotest.(check bool) "the clock changes the best time" false
+    ((fst gtx580).Search.so_best.Search.sc_time_s
+    = fresh.Search.so_best.Search.sc_time_s);
+  check_same_outcome "faster GTX 580" fresh (fst shared);
+  Alcotest.(check int) "faster GTX 580: every evaluation launched"
+    (fst shared).Search.so_evals (arg "launches" shared)
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
@@ -694,6 +778,8 @@ let () =
             test_mosaic_gtx580_work;
           Alcotest.test_case "shared memo = fresh searches" `Slow
             test_shared_memo_equals_fresh;
+          Alcotest.test_case "price key, foreign device"
+            `Quick test_price_key_and_foreign_device;
           Alcotest.test_case "memo keyed by kernel, not body" `Quick
             test_memo_keyed_by_kernel;
           Alcotest.test_case "replay reproduces the best" `Quick
