@@ -22,8 +22,9 @@ if grep -rn --include='*.ml' --include='*.mli' 'Unix\.gettimeofday' lib bin \
 fi
 
 echo "== one pricer =="
-# every kernel launch is priced through Gpusim.Autotune.launch: profiling
-# a launch and binding its arrays happen only inside lib/gpusim/
+# every kernel launch is priced through Gpusim.Autotune: a launch is
+# Autotune.profile + Autotune.bind (Autotune.launch runs both), so
+# profiling a launch and binding its arrays happen only inside lib/gpusim/
 if grep -rn --include='*.ml' --include='*.mli' \
      -e 'Profile\.profile' -e 'Model\.binding_of_shape' lib bin bench \
      | grep -v '^lib/gpusim/'; then
@@ -203,15 +204,18 @@ if grep -rn --include='*.ml' 'Search\.body_of' lib bin examples; then
 fi
 # a search launches a state only in Search.price, the price table (a
 # device outside Device.all is priced there by Search.score, which replay
-# also uses), and expand takes a parent's children from the child table
+# also uses), and walks a launch profile only there, on a miss of the
+# profile table; expand takes a parent's children from the child table
 # (Search.children), never computing a placement table or a signature
 if awk '/^let /{f=$2}
         /Autotune\.launch( |$)/ && f != "price" && f != "score" \
           {print FILENAME":"FNR": "$0; bad=1}
+        /Autotune\.profile( |$)/ && f != "price" \
+          {print FILENAME":"FNR": "$0; bad=1}
         /(^|[^._[:alnum:]])score / && !/^let score / && f != "price" && f != "replay" \
           {print FILENAME":"FNR": "$0; bad=1}
         END {exit !bad}' lib/rewrite/search.ml; then
-  echo "FAIL: a launch outside Search.price and Search.replay; price through the memo's price table"
+  echo "FAIL: a launch or profile walk outside Search.price (a launch also in Search.score); price through the memo's tables"
   exit 1
 fi
 if awk '/^  let expand /{e=1; next}

@@ -64,17 +64,21 @@ let bindings_of (k : Kernel.kernel) (decisions : Memopt.decision list)
   in
   param_bindings @ local_bindings
 
-(** The one launch pricer: the launch's profile and the bindings of every
-    array it touches, the result sized by the last parallel loop's trip
-    count.  Every tool that prices a launch goes through here. *)
-let launch ?hoist_invariant ?affine_lanes ?thread_vars (k : Kernel.kernel)
+(** A launch's profile: {!Profile.profile} of the kernel under its
+    placements.  The profile reads the placements only to ask which arrays
+    are private, so two launches of one kernel whose private arrays agree
+    share it. *)
+let profile ?hoist_invariant ?affine_lanes ?thread_vars (k : Kernel.kernel)
     (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
-    ~(scalars : (string * float) list) :
-    Profile.t * Model.array_binding list =
-  let prof =
-    Profile.profile ?hoist_invariant ?affine_lanes ?thread_vars k decisions
-      ~shapes ~scalars
-  in
+    ~(scalars : (string * float) list) : Profile.t =
+  Profile.profile ?hoist_invariant ?affine_lanes ?thread_vars k decisions
+    ~shapes ~scalars
+
+(** The bindings of every array a launch with profile [prof] touches, the
+    result sized by the last parallel loop's trip count. *)
+let bind (k : Kernel.kernel) (decisions : Memopt.decision list)
+    ~(shapes : (string * int array) list) (prof : Profile.t) :
+    Model.array_binding list =
   let out_shape =
     match k.Kernel.k_ret with
     | Ir.TArr aty ->
@@ -87,7 +91,19 @@ let launch ?hoist_invariant ?affine_lanes ?thread_vars (k : Kernel.kernel)
                 aty.Ir.dims))
     | _ -> None
   in
-  (prof, bindings_of k decisions ~shapes ~out_shape)
+  bindings_of k decisions ~shapes ~out_shape
+
+(** The one launch pricer: {!bind} of the launch's {!profile}.  Every tool
+    that prices a launch goes through here. *)
+let launch ?hoist_invariant ?affine_lanes ?thread_vars (k : Kernel.kernel)
+    (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
+    ~(scalars : (string * float) list) :
+    Profile.t * Model.array_binding list =
+  let prof =
+    profile ?hoist_invariant ?affine_lanes ?thread_vars k decisions ~shapes
+      ~scalars
+  in
+  (prof, bind k decisions ~shapes prof)
 
 (** Time one configuration, also yielding its simulated hardware
     counters. *)

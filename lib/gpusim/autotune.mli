@@ -17,6 +17,31 @@ val bindings_of :
   out_shape:int array option ->
   Model.array_binding list
 
+val profile :
+  ?hoist_invariant:bool ->
+  ?affine_lanes:bool ->
+  ?thread_vars:(string, unit) Hashtbl.t ->
+  Lime_gpu.Kernel.kernel ->
+  Lime_gpu.Memopt.decision list ->
+  shapes:(string * int array) list ->
+  scalars:(string * float) list ->
+  Profile.t
+(** A launch's profile ({!Profile.profile}: the two flags and the
+    thread-dependence table are its).  It reads the decisions only to ask
+    which arrays are [MPrivate], so launches of one kernel, with one shape
+    and scalar binding, whose private arrays agree have equal profiles. *)
+
+val bind :
+  Lime_gpu.Kernel.kernel ->
+  Lime_gpu.Memopt.decision list ->
+  shapes:(string * int array) list ->
+  Profile.t ->
+  Model.array_binding list
+(** [bind k decisions ~shapes prof] is the bindings of every array the
+    launch touches — the parameters from [shapes], the kernel-local arrays
+    from their static shapes, the result sized by [prof]'s last parallel
+    loop's trip count. *)
+
 val launch :
   ?hoist_invariant:bool ->
   ?affine_lanes:bool ->
@@ -26,11 +51,8 @@ val launch :
   shapes:(string * int array) list ->
   scalars:(string * float) list ->
   Profile.t * Model.array_binding list
-(** The one launch pricer: the launch's profile (the two flags and the
-    thread-dependence table are {!Profile.profile}'s) and the bindings of every array it touches —
-    the parameters from [shapes], the kernel-local arrays from their
-    static shapes, the result sized by the last parallel loop's trip
-    count.  Price the pair with {!Model.kernel_time_ex}. *)
+(** The one launch pricer: the launch's {!profile} and its {!bind}ings.
+    Price the pair with {!Model.kernel_time_ex}. *)
 
 val time_config_ex :
   Device.t ->

@@ -57,12 +57,81 @@ type array_binding = {
   ab_placement : Ir.placement;
 }
 
+(** The sums of one pricing pass: every cost the breakdown charges and
+    every count the hardware counters report.  All fields are floats, so
+    the record is stored flat and an update boxes nothing. *)
+type sums = {
+  mutable s_issue_slots : float;
+  mutable s_access_slots : float;  (** non-private access slots *)
+  mutable s_compute_s : float;
+  mutable s_global_s : float;
+      (** global-memory seconds: access slots during the pass, plus the
+          bytes over the bandwidth after it *)
+  mutable s_local_s : float;
+  mutable s_constant_s : float;
+  mutable s_image_s : float;
+  mutable s_lat_s : float;  (** exposed memory latency *)
+  mutable s_launch_s : float;
+  mutable s_reduce_s : float;
+  mutable s_total_s : float;
+  (* hardware-counter accumulators, charged next to each cost *)
+  mutable s_global_bytes : float;
+  mutable s_gtx_coalesced : float;
+  mutable s_gtx_uncoalesced : float;
+  mutable s_gslot_cycles : float;
+  mutable s_lat_tx : float;
+  mutable s_cache_hits : float;
+  mutable s_cache_misses : float;
+  mutable s_local_accesses : float;
+  mutable s_bank_replays : float;
+  mutable s_bytes_local : float;
+  mutable s_const_broadcast : float;
+  mutable s_const_serialized : float;
+  mutable s_bytes_constant : float;
+  mutable s_tex_fetches : float;
+  mutable s_tex_hits : float;
+  mutable s_tex_misses : float;
+  mutable s_bytes_image : float;
+}
+
 (** One pass computes both the timing breakdown and the simulated hardware
     counters, so the two cannot disagree: every second the breakdown
     charges is the product of a count accumulated here and a device cost
     parameter (the consistency the counter tests reconstruct). *)
-let kernel_time_ex (d : Device.t) (p : Profile.t)
-    (arrays : array_binding list) : breakdown * Counters.t =
+let pass (d : Device.t) (p : Profile.t) (arrays : array_binding list) : sums
+    =
+  let s =
+    {
+      s_issue_slots = 0.0;
+      s_access_slots = 0.0;
+      s_compute_s = 0.0;
+      s_global_s = 0.0;
+      s_local_s = 0.0;
+      s_constant_s = 0.0;
+      s_image_s = 0.0;
+      s_lat_s = 0.0;
+      s_launch_s = 0.0;
+      s_reduce_s = 0.0;
+      s_total_s = 0.0;
+      s_global_bytes = 0.0;
+      s_gtx_coalesced = 0.0;
+      s_gtx_uncoalesced = 0.0;
+      s_gslot_cycles = 0.0;
+      s_lat_tx = 0.0;
+      s_cache_hits = 0.0;
+      s_cache_misses = 0.0;
+      s_local_accesses = 0.0;
+      s_bank_replays = 0.0;
+      s_bytes_local = 0.0;
+      s_const_broadcast = 0.0;
+      s_const_serialized = 0.0;
+      s_bytes_constant = 0.0;
+      s_tex_fetches = 0.0;
+      s_tex_hits = 0.0;
+      s_tex_misses = 0.0;
+      s_bytes_image = 0.0;
+    }
+  in
   let clock = d.Device.clock_ghz *. 1e9 in
   let lanes = float_of_int (d.Device.sms * d.Device.fp32_lanes) in
   let cpu_threads =
@@ -73,22 +142,20 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
   (* ---- compute ---- *)
   let df = Profile.double_frac p in
   let fp64_scale = 1.0 +. (df *. ((1.0 /. d.Device.fp64_ratio) -. 1.0)) in
-  let issue_slots =
+  s.s_issue_slots <-
     ((p.Profile.p_alu *. d.Device.alu_cost)
     +. (p.Profile.p_div *. d.Device.div_cost)
     +. (p.Profile.p_sqrt *. d.Device.sqrt_cost)
     +. (p.Profile.p_trans *. d.Device.trans_cost)
     +. (p.Profile.p_private_accesses *. 1.0))
-    *. fp64_scale
-  in
+    *. fp64_scale;
   (* total non-private access slots, used by the CPU path *)
-  let access_slots =
+  s.s_access_slots <-
     List.fold_left (fun acc a -> acc +. a.Profile.ac_count) 0.0
-      p.Profile.p_accesses
-  in
-  let compute_s =
-    match d.Device.kind with
-    | Device.Gpu -> issue_slots /. (lanes *. clock)
+      p.Profile.p_accesses;
+  s.s_compute_s <-
+    (match d.Device.kind with
+    | Device.Gpu -> s.s_issue_slots /. (lanes *. clock)
     | Device.Cpu ->
         (* CPU OpenCL: compiled scalar-ish code (auto-vectorization rarely
            fires on these kernels), parallel over cores at ~85% efficiency
@@ -99,42 +166,18 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
           1.0
           +. ((cpu_threads /. float_of_int d.Device.sms -. 1.0) *. 0.06)
         in
-        (issue_slots +. (access_slots *. 1.2))
-        /. (float_of_int d.Device.sms *. par_eff *. ht *. clock)
-  in
+        (s.s_issue_slots +. (s.s_access_slots *. 1.2))
+        /. (float_of_int d.Device.sms *. par_eff *. ht *. clock));
   (* ---- memory ---- *)
   let binding name =
     List.find_opt (fun a -> a.ab_name = name) arrays
   in
-  let global_s = ref 0.0
-  and local_s = ref 0.0
-  and constant_s = ref 0.0
-  and image_s = ref 0.0 in
-  let global_bytes = ref 0.0 in
-  (* hardware-counter accumulators, charged next to each cost below *)
-  let gtx_coalesced = ref 0.0
-  and gtx_uncoalesced = ref 0.0
-  and gslot_cycles = ref 0.0
-  and lat_tx = ref 0.0
-  and cache_hits = ref 0.0
-  and cache_misses = ref 0.0
-  and local_accesses = ref 0.0
-  and bank_replays = ref 0.0
-  and bytes_local = ref 0.0
-  and const_broadcast = ref 0.0
-  and const_serialized = ref 0.0
-  and bytes_constant = ref 0.0
-  and tex_fetches = ref 0.0
-  and tex_hits = ref 0.0
-  and tex_misses = ref 0.0
-  and bytes_image = ref 0.0 in
   let warp_f = float_of_int d.Device.warp in
   let bw = d.Device.global_bw_gbs *. 1e9 in
   (* exposed memory latency: each transaction stalls its warp for the full
      global latency; an SM hides up to [inflight_warps] such stalls
      concurrently.  This is what makes un-cached global access on the
      GTX8800 so much slower than constant/local/texture (Fig 8a). *)
-  let lat_s = ref 0.0 in
   let latency_seconds transactions =
     transactions *. d.Device.global_lat_cycles
     /. (float_of_int (d.Device.sms * d.Device.inflight_warps) *. clock)
@@ -150,12 +193,14 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
             let bytes =
               a.Profile.ac_count *. float_of_int ab.ab_elem_bytes *. miss
             in
-            global_bytes := !global_bytes +. bytes;
+            s.s_global_bytes <- s.s_global_bytes +. bytes;
             (* counters: misses fill 64B cache lines over the bus *)
-            cache_hits :=
-              !cache_hits +. (a.Profile.ac_count *. d.Device.cache_hit_shared);
-            cache_misses := !cache_misses +. (a.Profile.ac_count *. miss);
-            gtx_coalesced := !gtx_coalesced +. (bytes /. 64.0))
+            s.s_cache_hits <-
+              s.s_cache_hits
+              +. (a.Profile.ac_count *. d.Device.cache_hit_shared);
+            s.s_cache_misses <-
+              s.s_cache_misses +. (a.Profile.ac_count *. miss);
+            s.s_gtx_coalesced <- s.s_gtx_coalesced +. (bytes /. 64.0))
       p.Profile.p_accesses
   else
   List.iter
@@ -179,13 +224,13 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
               (* the whole array is L2-resident after the first pass: global
                  accesses behave like a slightly slower on-chip memory —
                  this is what flattens Fig 8(b) on Fermi *)
-              global_s :=
-                !global_s +. (count *. 2.0 /. (lanes *. clock));
-              global_bytes :=
-                !global_bytes +. float_of_int ab.ab_total_bytes;
-              gslot_cycles := !gslot_cycles +. (count *. 2.0);
-              cache_hits := !cache_hits +. count;
-              gtx_coalesced := !gtx_coalesced +. (count /. warp_f)
+              s.s_global_s <-
+                s.s_global_s +. (count *. 2.0 /. (lanes *. clock));
+              s.s_global_bytes <-
+                s.s_global_bytes +. float_of_int ab.ab_total_bytes;
+              s.s_gslot_cycles <- s.s_gslot_cycles +. (count *. 2.0);
+              s.s_cache_hits <- s.s_cache_hits +. count;
+              s.s_gtx_coalesced <- s.s_gtx_coalesced +. (count /. warp_f)
           | Ir.MGlobal | Ir.MHost ->
               (* coalescing: bytes actually moved per useful byte *)
               let waste =
@@ -237,7 +282,7 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
                     *. miss
                 | _ -> count *. access_bytes *. waste *. miss
               in
-              global_bytes := !global_bytes +. bytes;
+              s.s_global_bytes <- s.s_global_bytes +. bytes;
               (* exposed latency: transactions per warp access grow with the
                  coalescing waste *)
               let tx_per_warp_access =
@@ -252,34 +297,35 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
               let transactions =
                 count /. float_of_int d.Device.warp *. tx_per_warp_access
               in
-              lat_s := !lat_s +. latency_seconds transactions;
-              lat_tx := !lat_tx +. transactions;
+              s.s_lat_s <- s.s_lat_s +. latency_seconds transactions;
+              s.s_lat_tx <- s.s_lat_tx +. transactions;
               (* warp accesses that replayed (> 1 segment per warp) count
                  as uncoalesced transactions, the rest as coalesced *)
               if tx_per_warp_access > 1.0 then
-                gtx_uncoalesced := !gtx_uncoalesced +. transactions
-              else gtx_coalesced := !gtx_coalesced +. transactions;
-              cache_hits := !cache_hits +. (count *. (1.0 -. miss));
-              cache_misses := !cache_misses +. (count *. miss);
+                s.s_gtx_uncoalesced <- s.s_gtx_uncoalesced +. transactions
+              else s.s_gtx_coalesced <- s.s_gtx_coalesced +. transactions;
+              s.s_cache_hits <- s.s_cache_hits +. (count *. (1.0 -. miss));
+              s.s_cache_misses <- s.s_cache_misses +. (count *. miss);
               (* cached hits still pay an L1 access slot *)
               if d.Device.has_l1 then (
-                global_s :=
-                  !global_s +. (count *. 1.0 /. (lanes *. clock));
-                gslot_cycles := !gslot_cycles +. count)
+                s.s_global_s <-
+                  s.s_global_s +. (count *. 1.0 /. (lanes *. clock));
+                s.s_gslot_cycles <- s.s_gslot_cycles +. count)
           | Ir.MConstant ->
               let cost =
                 match a.Profile.ac_pattern with
                 | Access.AStream | Access.ABroadcast ->
-                    const_broadcast := !const_broadcast +. count;
+                    s.s_const_broadcast <- s.s_const_broadcast +. count;
                     d.Device.const_cost
                 | _ ->
                     (* divergent constant access serializes the warp *)
-                    const_serialized := !const_serialized +. count;
+                    s.s_const_serialized <- s.s_const_serialized +. count;
                     float_of_int d.Device.warp *. 0.5
               in
-              bytes_constant := !bytes_constant +. (count *. access_bytes);
-              constant_s :=
-                !constant_s +. (count *. cost /. (lanes *. clock))
+              s.s_bytes_constant <-
+                s.s_bytes_constant +. (count *. access_bytes);
+              s.s_constant_s <-
+                s.s_constant_s +. (count *. cost /. (lanes *. clock))
           | Ir.MLocal ->
               let stride =
                 if pl.Ir.padded then ab.ab_row_len + 1 else ab.ab_row_len
@@ -291,13 +337,14 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
                     float_of_int
                       (max 1 (gcd (max 1 stride) d.Device.local_banks))
               in
-              local_s :=
-                !local_s
+              s.s_local_s <-
+                s.s_local_s
                 +. (count *. d.Device.local_cost *. conflict
                    /. (lanes *. clock));
-              local_accesses := !local_accesses +. count;
-              bank_replays := !bank_replays +. (count *. (conflict -. 1.0));
-              bytes_local := !bytes_local +. (count *. access_bytes);
+              s.s_local_accesses <- s.s_local_accesses +. count;
+              s.s_bank_replays <-
+                s.s_bank_replays +. (count *. (conflict -. 1.0));
+              s.s_bytes_local <- s.s_bytes_local +. (count *. access_bytes);
               (* staging traffic: each work group streams the array through
                  its tile once *)
               let groups =
@@ -305,57 +352,63 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
                   (p.Profile.p_items /. float_of_int Kernel.group_size)
               in
               let staging = float_of_int ab.ab_total_bytes *. groups in
-              global_bytes := !global_bytes +. staging;
+              s.s_global_bytes <- s.s_global_bytes +. staging;
               (* staging streams coalesce into 128B segments *)
-              gtx_coalesced := !gtx_coalesced +. (staging /. 128.0)
+              s.s_gtx_coalesced <- s.s_gtx_coalesced +. (staging /. 128.0)
           | Ir.MImage ->
               let hit = d.Device.tex_hit_rate in
               let texel_w =
                 Float.min 4.0 (float_of_int (max 1 ab.ab_row_len))
               in
               let tex_count = count /. texel_w in
-              image_s :=
-                !image_s
+              s.s_image_s <-
+                s.s_image_s
                 +. (tex_count *. d.Device.tex_cost /. (lanes *. clock));
               let miss_tx = tex_count /. float_of_int d.Device.warp
                             *. (1.0 -. hit) in
-              lat_s := !lat_s +. latency_seconds miss_tx;
-              lat_tx := !lat_tx +. miss_tx;
-              gtx_coalesced := !gtx_coalesced +. miss_tx;
-              tex_fetches := !tex_fetches +. tex_count;
-              tex_hits := !tex_hits +. (tex_count *. hit);
-              tex_misses := !tex_misses +. (tex_count *. (1.0 -. hit));
-              bytes_image := !bytes_image +. (tex_count *. elem_b *. texel_w);
-              global_bytes :=
-                !global_bytes
+              s.s_lat_s <- s.s_lat_s +. latency_seconds miss_tx;
+              s.s_lat_tx <- s.s_lat_tx +. miss_tx;
+              s.s_gtx_coalesced <- s.s_gtx_coalesced +. miss_tx;
+              s.s_tex_fetches <- s.s_tex_fetches +. tex_count;
+              s.s_tex_hits <- s.s_tex_hits +. (tex_count *. hit);
+              s.s_tex_misses <- s.s_tex_misses +. (tex_count *. (1.0 -. hit));
+              s.s_bytes_image <-
+                s.s_bytes_image +. (tex_count *. elem_b *. texel_w);
+              s.s_global_bytes <-
+                s.s_global_bytes
                 +. (tex_count *. (1.0 -. hit) *. elem_b *. texel_w)
           | Ir.MPrivate -> ()))
     p.Profile.p_accesses;
-  let global_s = !global_s +. (!global_bytes /. bw) in
-  let mem_s = global_s +. !local_s +. !constant_s +. !image_s in
-  let launch_s = d.Device.launch_overhead_us *. 1e-6 in
+  s.s_global_s <- s.s_global_s +. (s.s_global_bytes /. bw);
+  let mem_s = s.s_global_s +. s.s_local_s +. s.s_constant_s +. s.s_image_s in
+  s.s_launch_s <- d.Device.launch_overhead_us *. 1e-6;
   (* reductions add a log-depth second phase *)
-  let reduce_s =
-    if p.Profile.p_reduce_elems > 0.0 then
-      (p.Profile.p_reduce_elems /. (lanes *. clock)) +. launch_s
-    else 0.0
-  in
+  s.s_reduce_s <-
+    (if p.Profile.p_reduce_elems > 0.0 then
+       (p.Profile.p_reduce_elems /. (lanes *. clock)) +. s.s_launch_s
+     else 0.0);
   (* exposed latency is additive: dependent loads in tight loops stall
      warps beyond what the in-flight pool can hide *)
-  let total =
-    Float.max compute_s mem_s +. !lat_s +. launch_s +. reduce_s
-  in
-  let bd =
-    {
-      bd_compute_s = compute_s;
-      bd_global_s = global_s +. !lat_s;
-      bd_local_s = !local_s;
-      bd_constant_s = !constant_s;
-      bd_image_s = !image_s;
-      bd_launch_s = launch_s;
-      bd_total_s = total;
-    }
-  in
+  s.s_total_s <-
+    Float.max s.s_compute_s mem_s +. s.s_lat_s +. s.s_launch_s +. s.s_reduce_s;
+  s
+
+let breakdown_of (s : sums) : breakdown =
+  {
+    bd_compute_s = s.s_compute_s;
+    bd_global_s = s.s_global_s +. s.s_lat_s;
+    bd_local_s = s.s_local_s;
+    bd_constant_s = s.s_constant_s;
+    bd_image_s = s.s_image_s;
+    bd_launch_s = s.s_launch_s;
+    bd_total_s = s.s_total_s;
+  }
+
+let kernel_time d p arrays = breakdown_of (pass d p arrays)
+
+let kernel_time_ex (d : Device.t) (p : Profile.t)
+    (arrays : array_binding list) : breakdown * Counters.t =
+  let s = pass d p arrays in
   (* launch geometry, same rules as {!launch_attrs} *)
   let items = Float.max 1.0 p.Profile.p_items in
   let groups = ceil (items /. float_of_int Kernel.group_size) in
@@ -367,48 +420,46 @@ let kernel_time_ex (d : Device.t) (p : Profile.t)
   let counters =
     {
       Counters.ct_device = d.Device.name;
-      ct_peak_bw = bw;
+      ct_peak_bw = d.Device.global_bw_gbs *. 1e9;
       ct_peak_flops = Device.peak_flops d;
       ct_items = items;
       ct_work_groups = groups;
       ct_warps = total_warps;
       ct_occupancy = Float.min 1.0 (total_warps /. pool);
       ct_flops = p.Profile.p_total_fp;
-      ct_issue_cycles = issue_slots;
-      ct_access_slots = access_slots;
+      ct_issue_cycles = s.s_issue_slots;
+      ct_access_slots = s.s_access_slots;
       ct_reduce_elems = p.Profile.p_reduce_elems;
-      ct_gtx_total = !gtx_coalesced +. !gtx_uncoalesced;
-      ct_gtx_coalesced = !gtx_coalesced;
-      ct_gtx_uncoalesced = !gtx_uncoalesced;
-      ct_bytes_global = !global_bytes;
-      ct_gslot_cycles = !gslot_cycles;
-      ct_lat_tx = !lat_tx;
-      ct_cache_hits = !cache_hits;
-      ct_cache_misses = !cache_misses;
-      ct_local_accesses = !local_accesses;
-      ct_bank_replays = !bank_replays;
-      ct_bytes_local = !bytes_local;
-      ct_const_broadcast = !const_broadcast;
-      ct_const_serialized = !const_serialized;
-      ct_bytes_constant = !bytes_constant;
-      ct_tex_fetches = !tex_fetches;
-      ct_tex_hits = !tex_hits;
-      ct_tex_misses = !tex_misses;
-      ct_bytes_image = !bytes_image;
-      ct_compute_s = compute_s;
-      ct_global_s = global_s;
-      ct_local_s = !local_s;
-      ct_constant_s = !constant_s;
-      ct_image_s = !image_s;
-      ct_latency_s = !lat_s;
-      ct_launch_s = launch_s;
-      ct_reduce_s = reduce_s;
-      ct_total_s = total;
+      ct_gtx_total = s.s_gtx_coalesced +. s.s_gtx_uncoalesced;
+      ct_gtx_coalesced = s.s_gtx_coalesced;
+      ct_gtx_uncoalesced = s.s_gtx_uncoalesced;
+      ct_bytes_global = s.s_global_bytes;
+      ct_gslot_cycles = s.s_gslot_cycles;
+      ct_lat_tx = s.s_lat_tx;
+      ct_cache_hits = s.s_cache_hits;
+      ct_cache_misses = s.s_cache_misses;
+      ct_local_accesses = s.s_local_accesses;
+      ct_bank_replays = s.s_bank_replays;
+      ct_bytes_local = s.s_bytes_local;
+      ct_const_broadcast = s.s_const_broadcast;
+      ct_const_serialized = s.s_const_serialized;
+      ct_bytes_constant = s.s_bytes_constant;
+      ct_tex_fetches = s.s_tex_fetches;
+      ct_tex_hits = s.s_tex_hits;
+      ct_tex_misses = s.s_tex_misses;
+      ct_bytes_image = s.s_bytes_image;
+      ct_compute_s = s.s_compute_s;
+      ct_global_s = s.s_global_s;
+      ct_local_s = s.s_local_s;
+      ct_constant_s = s.s_constant_s;
+      ct_image_s = s.s_image_s;
+      ct_latency_s = s.s_lat_s;
+      ct_launch_s = s.s_launch_s;
+      ct_reduce_s = s.s_reduce_s;
+      ct_total_s = s.s_total_s;
     }
   in
-  (bd, counters)
-
-let kernel_time d p arrays = fst (kernel_time_ex d p arrays)
+  (breakdown_of s, counters)
 
 (* ------------------------------------------------------------------ *)
 (* Launch attributes for tracing                                       *)

@@ -25,6 +25,8 @@ type array_binding = {
 }
 
 val kernel_time : Device.t -> Profile.t -> array_binding list -> breakdown
+(** The timing breakdown of one launch: the pricing pass of
+    {!kernel_time_ex}, without building its counters. *)
 
 val kernel_time_ex :
   Device.t -> Profile.t -> array_binding list -> breakdown * Counters.t

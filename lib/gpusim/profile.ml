@@ -19,7 +19,7 @@ type access = {
   ac_pattern : Access.cls;
   ac_store : bool;
   ac_last_const : bool;  (** innermost index is a compile-time constant *)
-  mutable ac_count : float;  (** dynamic accesses over the whole launch *)
+  ac_count : float;  (** dynamic accesses over the whole launch *)
 }
 
 type t = {
@@ -51,7 +51,9 @@ type ctx = {
   scalars : (string * float) list;  (** scalar param -> value *)
   placements : (string * Ir.placement) list;
   views : (string, string * Ir.expr list) Hashtbl.t;
-  accs : (string * Access.cls * bool * bool, access) Hashtbl.t;
+  accs : (string * Access.cls * bool * bool, float ref) Hashtbl.t;
+      (** each access site's dynamic count so far, by the fields of its
+          {!access} *)
   mutable alu : float;
   mutable div : float;
   mutable sqrt_ : float;
@@ -169,16 +171,8 @@ let record_access ctx ~mult root (full : Ir.expr list) ~store =
     in
     let key = (root, pattern, store, last_const) in
     match Hashtbl.find_opt ctx.accs key with
-    | Some a -> a.ac_count <- a.ac_count +. mult
-    | None ->
-        Hashtbl.add ctx.accs key
-          {
-            ac_root = root;
-            ac_pattern = pattern;
-            ac_store = store;
-            ac_last_const = last_const;
-            ac_count = mult;
-          }
+    | Some n -> n := !n +. mult
+    | None -> Hashtbl.add ctx.accs key (ref mult)
   end
 
 let is_double = function Ir.SDouble -> true | _ -> false
@@ -430,7 +424,18 @@ let profile ?(hoist_invariant = false) ?(affine_lanes = false) ?thread_vars
     p_trans = ctx.trans;
     p_double_ops = ctx.double_ops;
     p_total_fp = ctx.total_fp;
-    p_accesses = Hashtbl.fold (fun _ a l -> a :: l) ctx.accs [];
+    p_accesses =
+      Hashtbl.fold
+        (fun (root, pattern, store, last_const) n l ->
+          {
+            ac_root = root;
+            ac_pattern = pattern;
+            ac_store = store;
+            ac_last_const = last_const;
+            ac_count = !n;
+          }
+          :: l)
+        ctx.accs [];
     p_private_accesses = ctx.private_accs;
     p_reduce_elems = ctx.reduce_elems;
     p_last_parfor_items = ctx.last_items;

@@ -11,8 +11,11 @@ type access = {
           to per-thread spills of a private array are thread-strided *)
   ac_store : bool;
   ac_last_const : bool;  (** innermost index is a compile-time constant *)
-  mutable ac_count : float;  (** dynamic accesses over the whole launch *)
+  ac_count : float;  (** dynamic accesses over the whole launch *)
 }
+(** One access site class of a launch.  Immutable: a profile may be
+    shared by every launch that has it (the rewrite search keeps one per
+    body and private-array set). *)
 
 type t = {
   p_items : float;  (** work items of the widest top-level parallel loop *)

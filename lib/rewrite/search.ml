@@ -26,24 +26,32 @@
     child, plus one [Structural] walk and one marshalled body digest per
     new (body, step), plus one {!Lime_gpu.Taint.thread_dependent} pass
     and one [analyze] per new body.  A launch ({!Gpusim.Autotune.launch}:
-    the profile and the array bindings) depends on the state, the shapes
-    and the scalars but not on the device, so each distinct state is
-    launched once and priced then on every device of
-    {!Gpusim.Device.all} ({!price}); a later search of the kernel on any
-    of them reads its price.  After the first search, a search of the
-    same kernel costs its own [seen] dedup, a table lookup per child and
-    the sorting of its beam.
+    the profile walk {!Gpusim.Autotune.profile} and the array bindings
+    {!Gpusim.Autotune.bind}) depends on the state, the shapes and the
+    scalars but not on the device, so each distinct state is launched
+    once and priced then on every device of {!Gpusim.Device.all}
+    ({!price}); a later search of the kernel on any of them reads its
+    price.  The walk reads the placement table only to ask which arrays
+    are private, so it runs once per (body, private set) and the states
+    that share both share its profile; the bindings are each state's
+    own.  The baseline's and the Fig 8 seeds' placement tables and
+    signatures are built once per kernel too ({!seeds}).  After the first
+    search, a search of the same kernel costs its own [seen] dedup, a
+    table lookup per seed and per child, and the sorting of its beam.
 
     A {!memo} belongs to one kernel.  Its key is the MD5 of the whole
     marshalled baseline kernel (name, parameters, return type, body and
     flags): two kernels with equal bodies but different parameters are
-    analyzed differently.  A search of another kernel empties the memo
-    before it does any work, and a search with other shapes or scalars
-    empties only the prices, so the memo holds one kernel's work and
-    lives as long as its caller keeps it.  A caller that tunes one kernel
-    on several devices passes one memo to each search (the service keeps
-    the memo of the last kernel it searched).  A device that is not
-    physically one of {!Gpusim.Device.all} is priced directly, each time.
+    analyzed differently.  A kernel is immutable, so a search of the
+    kernel the memo last claimed ([==]) does not marshal it again, and
+    the memo keeps the baseline body's digest.  A search of another
+    kernel empties the memo before it does any work, and a search with
+    other shapes or scalars empties only the profiles and prices, so the
+    memo holds one kernel's work and lives as long as its caller keeps
+    it.  A caller that tunes one kernel on several devices passes one
+    memo to each search (the service keeps the memo of the last kernel it
+    searched).  A device that is not physically one of
+    {!Gpusim.Device.all} is priced directly, each time.
     Without [?memo] a search builds a fresh one.
 
     The initial population is the empty schedule plus the eight canned
@@ -56,6 +64,7 @@
     randomness enters anywhere, so a stored winning sequence replays to
     the same state on a cache-warm compile. *)
 
+module Ir = Lime_ir.Ir
 module Kernel = Lime_gpu.Kernel
 module Memopt = Lime_gpu.Memopt
 module Device = Gpusim.Device
@@ -136,16 +145,23 @@ let body_digest (st : Rewrite.state) : Digest.t =
        [ Marshal.No_sharing ])
 
 (** Structural signature of a state: a digest of its {!body_digest} and
-    the placement table it induces.  The body digest has a fixed length,
-    so two signatures are equal exactly when both the bodies and the
-    tables are (up to MD5).  Two states with equal signatures are
-    indistinguishable to the cost model, so the search keeps only the
-    first (shortest, earliest) sequence reaching each.  The key is 16
-    bytes: the dedup table never holds an IR body. *)
+    the placement table it induces — each decision's array, placement and
+    reason.  A decision's analysis ([d_info]) is left out: it is a
+    function of the body and the array, both already in the key.  The
+    body digest has a fixed length, so two signatures are equal exactly
+    when both the bodies and the tables are (up to MD5).  Two states with
+    equal signatures are indistinguishable to the cost model, so the
+    search keeps only the first (shortest, earliest) sequence reaching
+    each.  The key is 16 bytes: the dedup table never holds an IR body. *)
 let signature (body_digest : Digest.t) (decisions : Memopt.decision list) :
     Digest.t =
-  Digest.string
-    (body_digest ^ Marshal.to_string decisions [ Marshal.No_sharing ])
+  let table =
+    List.map
+      (fun (d : Memopt.decision) ->
+        (d.Memopt.d_array, d.Memopt.d_placement, d.Memopt.d_reason))
+      decisions
+  in
+  Digest.string (body_digest ^ Marshal.to_string table [ Marshal.No_sharing ])
 
 let cmp_candidate (a : candidate) (b : candidate) : int =
   compare
@@ -178,6 +194,17 @@ type child = {
   c_signature : Digest.t;
 }
 
+(** A search's starting state: the baseline or a Fig 8 sequence that
+    applies to it, with its configuration, placement table and
+    {!signature}.  Its body is the baseline's. *)
+type seed = {
+  s_name : string;
+  s_sequence : string list;
+  s_config : Memopt.config;
+  s_decisions : Memopt.decision list;
+  s_signature : Digest.t;
+}
+
 (** One kernel's device-independent search work.  A [Structural]
     attempt reads only the state's kernel, and a step changes a kernel
     only through its body, so for one baseline kernel a body digest fixes
@@ -188,57 +215,85 @@ type child = {
     baseline's included.  A parent's body and configuration fix its
     placement table and every child it has, so [m_children] keeps the
     parent's children in catalog order per (body digest, configuration).
-    [m_prices] keeps, per {!signature}, the state's modeled time on each
-    device of {!Gpusim.Device.all}, in that order, from one launch; a
-    launch also reads the shapes and scalars, named by [m_price_key].
-    [m_key] names the baseline kernel the tables belong to.  The counters
-    are this search's work, reported on its [End] event. *)
+    A launch also reads the shapes and scalars, named by [m_price_key].
+    Its profile reads the placement table only to ask which arrays are
+    private, so [m_profiles] keeps one launch profile per (body digest,
+    private arrays in decision order), and [m_prices] keeps, per
+    {!signature}, the state's modeled time on each device of
+    {!Gpusim.Device.all}, in that order, from that profile and the
+    state's own array bindings.  [m_key] names the baseline kernel the
+    tables belong to, [m_kernel] is the kernel last claimed under it and
+    [m_base_digest] its baseline's {!body_digest}; [m_seeds] holds the
+    baseline and Fig 8 {!seed}s once a search has built them.  The
+    counters are this search's work, reported on its [End] event. *)
 type memo = {
   mutable m_key : Digest.t;  (** [""] until a search claims the memo *)
+  mutable m_kernel : Kernel.kernel option;
+  mutable m_base_digest : Digest.t;
+  mutable m_seeds : (seed * seed list) option;
   mutable m_price_key : Digest.t;  (** the shapes and scalars priced *)
   m_attempts : (Digest.t * string, Digest.t option) Hashtbl.t;
   m_bodies : (Digest.t, Kernel.kernel * body) Hashtbl.t;
   m_children : (Digest.t * Memopt.config, child list) Hashtbl.t;
+  m_profiles : (Digest.t * string list, Gpusim.Profile.t) Hashtbl.t;
   m_prices : (Digest.t, float array) Hashtbl.t;
   mutable m_walks : int;  (** structural attempts run *)
   mutable m_hits : int;  (** structural attempts the memo answered *)
   mutable m_analyses : int;  (** {!body_of} calls, a new baseline's included *)
   mutable m_expansions : int;  (** child lists built *)
+  mutable m_profiled : int;  (** launch profiles walked *)
   mutable m_launches : int;  (** launches run *)
 }
 
 let create_memo () =
   {
     m_key = "";
+    m_kernel = None;
+    m_base_digest = "";
+    m_seeds = None;
     m_price_key = "";
     m_attempts = Hashtbl.create 64;
     m_bodies = Hashtbl.create 16;
     m_children = Hashtbl.create 64;
+    m_profiles = Hashtbl.create 64;
     m_prices = Hashtbl.create 64;
     m_walks = 0;
     m_hits = 0;
     m_analyses = 0;
     m_expansions = 0;
+    m_profiled = 0;
     m_launches = 0;
   }
 
 (** Claim [m] for a search of [k] launched with [shapes] and [scalars]: a
     memo of another kernel is emptied first, and other shapes or scalars
-    empty only the prices.  The work counters restart either way. *)
+    empty only the profiles and prices.  A kernel is immutable, so the
+    one claimed last ([==]) is not marshalled again; the shapes and
+    scalars hold mutable arrays and are hashed on every claim.  The work
+    counters restart either way. *)
 let claim (m : memo) (k : Kernel.kernel) ~shapes ~scalars =
-  let key = Digest.string (Marshal.to_string k [ Marshal.No_sharing ]) in
   let price_key =
     Digest.string (Marshal.to_string (shapes, scalars) [ Marshal.No_sharing ])
   in
+  let claimed = match m.m_kernel with Some k' -> k' == k | None -> false in
+  let key =
+    if claimed then m.m_key
+    else Digest.string (Marshal.to_string k [ Marshal.No_sharing ])
+  in
+  m.m_kernel <- Some k;
   if m.m_key <> key then begin
     Hashtbl.reset m.m_attempts;
     Hashtbl.reset m.m_bodies;
     Hashtbl.reset m.m_children;
+    Hashtbl.reset m.m_profiles;
     Hashtbl.reset m.m_prices;
     m.m_key <- key;
+    m.m_base_digest <- body_digest (Rewrite.initial k);
+    m.m_seeds <- None;
     m.m_price_key <- price_key
   end
   else if m.m_price_key <> price_key then begin
+    Hashtbl.reset m.m_profiles;
     Hashtbl.reset m.m_prices;
     m.m_price_key <- price_key
   end;
@@ -246,6 +301,7 @@ let claim (m : memo) (k : Kernel.kernel) ~shapes ~scalars =
   m.m_hits <- 0;
   m.m_analyses <- 0;
   m.m_expansions <- 0;
+  m.m_profiled <- 0;
   m.m_launches <- 0
 
 (** [facts m st digest] is the kernel and body facts of [st], whose body
@@ -260,6 +316,36 @@ let facts (m : memo) (st : Rewrite.state) (digest : Digest.t) :
       let kb = (st.Rewrite.st_kernel, body_of st) in
       Hashtbl.add m.m_bodies digest kb;
       kb
+
+(** [seeds m st b] is the baseline [st], whose body facts are [b], and
+    the Fig 8 sequences that apply to it, in order, as {!seed}s: built by
+    the first search of [m]'s kernel and read by the others. *)
+let seeds (m : memo) (st : Rewrite.state) (b : body) : seed * seed list =
+  match m.m_seeds with
+  | Some seeds -> seeds
+  | None ->
+      let seed name sequence (st : Rewrite.state) =
+        let ds = decisions st b in
+        {
+          s_name = name;
+          s_sequence = sequence;
+          s_config = st.Rewrite.st_config;
+          s_decisions = ds;
+          s_signature = signature m.m_base_digest ds;
+        }
+      in
+      let base = seed "" [] st in
+      let fig8 =
+        List.filter_map
+          (fun (name, seq) ->
+            if seq = [] then Some { base with s_name = name }
+            else
+              Result.to_option (Rewrite.apply_sequence st seq)
+              |> Option.map (seed name seq))
+          Rewrite.fig8_sequences
+      in
+      m.m_seeds <- Some (base, fig8);
+      (base, fig8)
 
 (** [structural m e step] is [e]'s child under the structural [step] —
     its state, body facts and body digest — or [None] when the step does
@@ -363,14 +449,27 @@ let slot (device : Device.t) : int option =
   in
   go 0 Device.all
 
-(** [price m slot device st b ds signature] is the modeled time of the
-    state with that {!signature} on [device], whose {!slot} is [slot].
-    The first time [m] sees the signature, one launch is priced on every
-    device of {!Gpusim.Device.all}; a device outside them is priced
-    directly and not kept.  The only place a search launches. *)
+(** The arrays [ds] places in private memory, in decision order: with
+    the body, all a launch profile reads of the placement table. *)
+let private_arrays (ds : Memopt.decision list) : string list =
+  List.filter_map
+    (fun (d : Memopt.decision) ->
+      if d.Memopt.d_placement.Ir.space = Ir.MPrivate then Some d.Memopt.d_array
+      else None)
+    ds
+
+(** [price m slot device st b digest ds signature] is the modeled time of
+    the state with that {!signature}, body digest [digest] and placement
+    table [ds] on [device], whose {!slot} is [slot].  The first time [m]
+    sees the signature, one launch is priced on every device of
+    {!Gpusim.Device.all}: its profile is [m]'s for the body and private
+    arrays, walked only if [m] has none, and its array bindings are the
+    state's own.  A device outside them is priced directly and not kept.
+    The only place a search launches. *)
 let price (m : memo) (slot : int option) (device : Device.t)
-    (st : Rewrite.state) (b : body) (ds : Memopt.decision list)
-    (signature : Digest.t) ~shapes ~scalars : float =
+    (st : Rewrite.state) (b : body) (digest : Digest.t)
+    (ds : Memopt.decision list) (signature : Digest.t) ~shapes ~scalars :
+    float =
   match slot with
   | None ->
       m.m_launches <- m.m_launches + 1;
@@ -380,11 +479,21 @@ let price (m : memo) (slot : int option) (device : Device.t)
       | Some times -> times.(i)
       | None ->
           m.m_launches <- m.m_launches + 1;
-          let prof, bindings =
-            Autotune.launch ~hoist_invariant:true ~affine_lanes:true
-              ~thread_vars:b.b_thread_vars st.Rewrite.st_kernel ds ~shapes
-              ~scalars
+          let k = st.Rewrite.st_kernel in
+          let key = (digest, private_arrays ds) in
+          let prof =
+            match Hashtbl.find_opt m.m_profiles key with
+            | Some prof -> prof
+            | None ->
+                m.m_profiled <- m.m_profiled + 1;
+                let prof =
+                  Autotune.profile ~hoist_invariant:true ~affine_lanes:true
+                    ~thread_vars:b.b_thread_vars k ds ~shapes ~scalars
+                in
+                Hashtbl.add m.m_profiles key prof;
+                prof
           in
+          let bindings = Autotune.bind k ds ~shapes prof in
           let times =
             Array.of_list
               (List.map
@@ -393,6 +502,14 @@ let price (m : memo) (slot : int option) (device : Device.t)
           in
           Hashtbl.add m.m_prices signature times;
           times.(i))
+
+(** [memo_time m device signature] is the time [m]'s price table holds
+    for the state with that {!signature} on [device], if any. *)
+let memo_time (m : memo) (device : Device.t) (signature : Digest.t) :
+    float option =
+  match (slot device, Hashtbl.find_opt m.m_prices signature) with
+  | Some i, Some times -> Some times.(i)
+  | _ -> None
 
 let default_width = 8
 let default_depth = 5
@@ -418,7 +535,9 @@ let search ?(memo = create_memo ()) ?(width = default_width)
   let evaluate (sequence : string list) (st : Rewrite.state) body digest ds
       signature : entry =
     incr evals;
-    let time_s = price memo slot device st body ds signature ~shapes ~scalars in
+    let time_s =
+      price memo slot device st body digest ds signature ~shapes ~scalars
+    in
     {
       en_cand = { sc_sequence = sequence; sc_state = st; sc_time_s = time_s };
       en_body = body;
@@ -437,34 +556,26 @@ let search ?(memo = create_memo ()) ?(width = default_width)
   claim memo k ~shapes ~scalars;
   let memo_bodies = Hashtbl.length memo.m_bodies in
   let baseline_state = Rewrite.initial k in
-  let baseline_digest = body_digest baseline_state in
+  let baseline_digest = memo.m_base_digest in
   let _, baseline_body = facts memo baseline_state baseline_digest in
-  let baseline_ds = decisions baseline_state baseline_body in
-  let baseline_sig = signature baseline_digest baseline_ds in
-  ignore (fresh_state baseline_sig);
-  let baseline_entry =
-    evaluate [] baseline_state baseline_body baseline_digest baseline_ds
-      baseline_sig
+  let start (s : seed) =
+    ignore (fresh_state s.s_signature);
+    evaluate s.s_sequence
+      { baseline_state with Rewrite.st_config = s.s_config }
+      baseline_body baseline_digest s.s_decisions s.s_signature
   in
+  let base_seed, fig8_seeds = seeds memo baseline_state baseline_body in
+  let baseline_entry = start base_seed in
   let baseline = baseline_entry.en_cand in
   (* Canned Fig 8 sequences seed the beam: the search result can only be
      at least as good as the paper's sweep winner.  A Fig 8 sequence only
      toggles placements, so its body, and the body's facts, are the
      baseline's. *)
   let fig8_entries =
-    List.filter_map
-      (fun (name, seq) ->
-        if seq = [] then Some (name, baseline_entry)
-        else
-          match Rewrite.apply_sequence baseline_state seq with
-          | Error _ -> None
-          | Ok st ->
-              let ds = decisions st baseline_body in
-              let s = signature baseline_digest ds in
-              ignore (fresh_state s);
-              Some
-                (name, evaluate seq st baseline_body baseline_digest ds s))
-      Rewrite.fig8_sequences
+    List.map
+      (fun s ->
+        (s.s_name, if s.s_sequence = [] then baseline_entry else start s))
+      fig8_seeds
   in
   let fig8_cands =
     match fig8_entries with
@@ -525,6 +636,7 @@ let search ?(memo = create_memo ()) ?(width = default_width)
              ("analyses", string_of_int memo.m_analyses);
              ("expansions", string_of_int memo.m_expansions);
              ("launches", string_of_int memo.m_launches);
+             ("profiles", string_of_int memo.m_profiled);
              ("memo_bodies", string_of_int memo_bodies);
            ];
        });

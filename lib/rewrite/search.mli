@@ -21,12 +21,14 @@ type outcome = {
 type memo
 (** One kernel's device-independent search work: each structural
     attempt's outcome per (parent body, step), each body's kernel and
-    facts, each parent's children per (body, configuration), and each
-    distinct state's modeled time on every device of
-    {!Gpusim.Device.all}, from one launch.  It is keyed by the whole
-    baseline kernel; a search of another kernel empties it first, and a
-    search with other shapes or scalars empties only the times.  One memo
-    must not serve two searches at once. *)
+    facts, the placement tables and signatures of the baseline and the
+    Fig 8 seeds, each parent's children per (body, configuration), one
+    launch profile per (body, private arrays), and each distinct state's
+    modeled time on every device of {!Gpusim.Device.all}, from one
+    launch.  It is keyed by the whole baseline kernel; a search of another
+    kernel empties it first, and a search with other shapes or scalars
+    empties only the profiles and times.  One memo must not serve two
+    searches at once. *)
 
 val create_memo : unit -> memo
 
@@ -51,8 +53,9 @@ val search :
     not physically one of {!Gpusim.Device.all} is priced directly.  The
     ["rewrite"] [End] event reports this search's [attempts] (walks run),
     [attempt_hits] (structural attempts the memo answered), [analyses],
-    [expansions] (child lists built) and [launches], and [memo_bodies],
-    the bodies the memo held for [k] when the search began. *)
+    [expansions] (child lists built), [launches] and [profiles] (launch
+    profiles walked), and [memo_bodies], the bodies the memo held for [k]
+    when the search began. *)
 
 val replay :
   Gpusim.Device.t ->
@@ -91,4 +94,9 @@ val score :
 (** Modeled time of a state under its decisions, from its own launch. *)
 
 val signature : Digest.t -> Lime_gpu.Memopt.decision list -> Digest.t
-(** A state's dedup key: its body digest and its placement table. *)
+(** A state's dedup key: its body digest and its placement table (each
+    decision's array, placement and reason). *)
+
+val memo_time : memo -> Gpusim.Device.t -> Digest.t -> float option
+(** The modeled time a memo's price table holds for the state with that
+    {!signature} on the device, if any. *)

@@ -197,6 +197,33 @@ let test_grid_agrees_with_sweep () =
         Lime_server.Server.configs)
     Lime_benchmarks.Registry.workloads
 
+(* every registry workload x the eight Fig 8 configs x device: the
+   breakdown-only price is the counters pass's breakdown, bit for bit *)
+let test_kernel_time_is_ex () =
+  List.iter
+    (fun (b : B.t) ->
+      let c = Lime_benchmarks.Registry.compile_small b in
+      let k = c.Lime_gpu.Pipeline.cp_kernel in
+      let shapes, _ =
+        Lime_runtime.Engine.shapes_of_args k [ b.B.input_small () ]
+      in
+      List.iter
+        (fun (cname, cfg) ->
+          let prof, bindings =
+            Gpusim.Autotune.launch k (Lime_gpu.Memopt.optimize cfg k) ~shapes
+              ~scalars:[]
+          in
+          List.iter
+            (fun (d : Device.t) ->
+              let bits bd = Marshal.to_string (bd : Model.breakdown) [] in
+              Alcotest.(check string)
+                (Printf.sprintf "%s/%s/%s" b.B.name cname d.Device.name)
+                (bits (fst (Model.kernel_time_ex d prof bindings)))
+                (bits (Model.kernel_time d prof bindings)))
+            Device.all)
+        Lime_gpu.Memopt.fig8_configs)
+    Lime_benchmarks.Registry.workloads
+
 (* every registry workload x the nine configs, on the launch shapes
    above: the placement table, the launch profile (both extensions off,
    then both on) and the generated OpenCL, pinned as one digest — the
@@ -569,6 +596,8 @@ let () =
           Alcotest.test_case "access analysis digest, workload x config"
             `Quick test_access_analysis_pin;
           qcheck_invariants;
+          Alcotest.test_case "kernel_time = fst kernel_time_ex, bit for bit"
+            `Quick test_kernel_time_is_ex;
         ] );
       ( "derived",
         [

@@ -278,8 +278,10 @@ let test_golden_search_table () =
    reference below is the search without its memo tables — every
    expanded entry re-attempts every structural step and launches every
    state it prices — and counts the distinct bodies it reaches, the
-   distinct (body, step) pairs it attempts and the distinct states it
-   prices; the search's End event must report exactly those.          *)
+   distinct (body, step) pairs it attempts, the distinct states it
+   prices with the time of each, and the distinct (body, private
+   arrays) pairs those states profile; the search's End event must
+   report exactly those.                                              *)
 (* ------------------------------------------------------------------ *)
 
 type work = {
@@ -287,14 +289,24 @@ type work = {
   attempts : int;
   pairs : (Stdlib.Digest.t * string, unit) Hashtbl.t;
   bodies : (Stdlib.Digest.t, unit) Hashtbl.t;
-  signatures : (Stdlib.Digest.t, unit) Hashtbl.t;
+  signatures : (Stdlib.Digest.t, float) Hashtbl.t;
+  profiles : (Stdlib.Digest.t * string list, unit) Hashtbl.t;
 }
+
+(* the arrays a placement table puts in private memory, in order *)
+let private_arrays (ds : Memopt.decision list) =
+  List.filter_map
+    (fun (d : Memopt.decision) ->
+      if d.Memopt.d_placement.Lime_ir.Ir.space = Lime_ir.Ir.MPrivate then
+        Some d.Memopt.d_array
+      else None)
+    ds
 
 let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
     =
   let evals = ref 0 and attempts = ref 0 in
   let pairs = Hashtbl.create 64 and bodies = Hashtbl.create 16 in
-  let signatures = Hashtbl.create 64 in
+  let signatures = Hashtbl.create 64 and profiles = Hashtbl.create 64 in
   let seen = Hashtbl.create 64 in
   let fresh digest ds =
     let s = Search.signature digest ds in
@@ -303,8 +315,9 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
   (* sequence, state, body, digest, decisions, modeled time *)
   let evaluate seq st body digest ds =
     incr evals;
-    Hashtbl.replace signatures (Search.signature digest ds) ();
     let time = Search.score d st body ds ~shapes ~scalars in
+    Hashtbl.replace signatures (Search.signature digest ds) time;
+    Hashtbl.replace profiles (digest, private_arrays ds) ();
     (seq, st, body, digest, ds, time)
   in
   let st0 = Rewrite.initial k in
@@ -361,7 +374,7 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
   ignore
     (Lime_support.Beam.run ~cmp ~width:Search.default_width
        ~levels:Search.default_depth ~expand ~best:base (base :: seeds));
-  { evals = !evals; attempts = !attempts; pairs; bodies; signatures }
+  { evals = !evals; attempts = !attempts; pairs; bodies; signatures; profiles }
 
 (* A search's outcome and its own account of its work, from its End
    event: evals, then the named counters. *)
@@ -461,15 +474,18 @@ let check_same_outcome what (want : Search.outcome) (got : Search.outcome) =
     got.Search.so_depth_reached
 
 let test_shared_memo_equals_fresh () =
+  (* one memo for the whole registry, as the service keeps it: each
+     kernel's first search finds the previous kernel's work *)
+  let memo = Search.create_memo () in
   List.iter
     (fun (b : B.t) ->
       let p = E.prepare ~seed:1 b in
       let k = p.E.p_compiled.Pipeline.cp_kernel in
       let shapes = p.E.p_shapes and scalars = p.E.p_scalars in
-      let memo = Search.create_memo () in
       let pairs = Hashtbl.create 64 and bodies = Hashtbl.create 16 in
-      let signatures = Hashtbl.create 64 in
+      let signatures = Hashtbl.create 64 and profiles = Hashtbl.create 64 in
       let attempts = ref 0 and analyses = ref 0 and launches = ref 0 in
+      let profiled = ref 0 in
       List.iteri
         (fun i (d : Device.t) ->
           let what = Printf.sprintf "%s on %s" b.B.name d.Device.name in
@@ -482,10 +498,22 @@ let test_shared_memo_equals_fresh () =
           attempts := !attempts + List.assoc "attempts" args;
           analyses := !analyses + List.assoc "analyses" args;
           launches := !launches + List.assoc "launches" args;
+          profiled := !profiled + List.assoc "profiles" args;
           let want = unmemoized_work d k ~shapes ~scalars in
+          (* a price the table holds, from a profile another state may
+             have walked, is the state's own launch, bit for bit *)
+          Hashtbl.iter
+            (fun signature time ->
+              Alcotest.(check (option string))
+                (what ^ ": table price = fresh launch")
+                (Some (Printf.sprintf "%h" time))
+                (Option.map (Printf.sprintf "%h")
+                   (Search.memo_time memo d signature)))
+            want.signatures;
           Hashtbl.iter (Hashtbl.replace pairs) want.pairs;
           Hashtbl.iter (Hashtbl.replace bodies) want.bodies;
-          Hashtbl.iter (Hashtbl.replace signatures) want.signatures)
+          Hashtbl.iter (Hashtbl.replace signatures) want.signatures;
+          Hashtbl.iter (Hashtbl.replace profiles) want.profiles)
         Device.all;
       Alcotest.(check int)
         (b.B.name ^ ": one attempt per (body, step) over the devices")
@@ -495,7 +523,10 @@ let test_shared_memo_equals_fresh () =
         (Hashtbl.length bodies) !analyses;
       Alcotest.(check int)
         (b.B.name ^ ": one launch per state over the devices")
-        (Hashtbl.length signatures) !launches)
+        (Hashtbl.length signatures) !launches;
+      Alcotest.(check int)
+        (b.B.name ^ ": one profile per (body, private set) over the devices")
+        (Hashtbl.length profiles) !profiled)
     Registry.workloads
 
 (* The memo is keyed by the whole kernel: a kernel with the same body

@@ -604,7 +604,9 @@ let test_corrupt_artifact_is_a_miss () =
             Alcotest.failf "%d artifacts stored, expected 1" (List.length fs)
       in
       let good = In_channel.with_open_bin art In_channel.input_all in
-      let offsets = List.init (String.length good / 37 + 1) (fun i -> i * 37) in
+      let offsets =
+        List.init ((String.length good + 36) / 37) (fun i -> i * 37)
+      in
       List.iter
         (fun off ->
           let bad = Bytes.of_string good in

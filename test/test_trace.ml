@@ -451,7 +451,7 @@ let test_search_observability () =
       "rewrite.search [rewrite] <-> kernel=TMatMul.multiply device=NVidia \
        GeForce GTX 580 width=4 depth=3 evals=53 best_time_s=3.394e-05 \
        sequence=interchange improved=true attempts=54 attempt_hits=54 \
-       analyses=25 expansions=12 launches=48 memo_bodies=0";
+       analyses=25 expansions=12 launches=48 profiles=25 memo_bodies=0";
       "rewrite.level [rewrite] <rewrite.search> level=1 frontier=4 evals=20 \
        best_time_s=3.394e-05 sequence=interchange";
       "rewrite.level [rewrite] <rewrite.search> level=2 frontier=4 evals=34 \
