@@ -22,9 +22,11 @@ if grep -rn --include='*.ml' --include='*.mli' 'Unix\.gettimeofday' lib bin \
 fi
 
 echo "== one pricer =="
-# every kernel launch is priced through Gpusim.Autotune: a launch is
-# Autotune.profile + Autotune.bind (Autotune.launch runs both), so
-# profiling a launch and binding its arrays happen only inside lib/gpusim/
+# every kernel launch is priced through Gpusim.Autotune: Autotune.launch
+# profiles one launch and binds its arrays, and a search that prices many
+# launches of one body walks it once (Autotune.profile) and binds each
+# (Autotune.bind), so profiling a launch and binding its arrays happen
+# only inside lib/gpusim/
 if grep -rn --include='*.ml' --include='*.mli' \
      -e 'Profile\.profile' -e 'Model\.binding_of_shape' lib bin bench \
      | grep -v '^lib/gpusim/'; then
@@ -179,48 +181,68 @@ fi
 
 echo "== one search memo =="
 # the rewrite searches of one kernel share one Lime_rewrite.Search memo,
-# keyed by the whole kernel: the service hands every rewrite search the
-# memo of the last kernel it searched (Service.beam_schedule), and in
-# lib/rewrite/search.ml a structural step's walk runs only in
-# Search.structural and a body is analyzed only in Search.facts (a new
-# child's facts and the baseline lookup), so no walk or analysis bypasses
-# the memo; a replay, which searches nothing, analyzes its one body itself
-if grep -nE '(^|[^.[:alnum:]_])Search\.search|Lime_rewrite\.Search\.search' \
-     lib/service/*.ml | grep -v '~memo'; then
-  echo "FAIL: lib/service/ runs a rewrite search without ~memo; pass the service's memo"
+# keyed by the whole kernel: the service hands every rewrite search, and
+# every replay, the memo of the last kernel it searched
+# (Service.beam_schedule).  In lib/rewrite/search.ml a body's facts (its
+# thread-dependence table, analysis, launch walk and site walk) are built
+# only in Search.facts, a structural step is attempted only in
+# Search.structural, from the site the body's site walk found, and a
+# launch is bound and priced only in Search.price, from the body's walk;
+# a replay, which searches nothing, reads the memo first (Search.recall,
+# which only looks up) and applies, analyzes and launches its one state
+# itself (Search.body_of, Search.score) only when the memo misses
+if grep -nE '(^|[^.[:alnum:]_])Search\.(search|replay)|Lime_rewrite\.Search\.(search|replay)' \
+     lib/service/*.ml | grep -v '~memo' | grep -v '?memo'; then
+  echo "FAIL: lib/service/ runs a rewrite search or replay without its memo; pass the service's memo"
   exit 1
 fi
-if awk '/^let /{f=$2}
-        /Structural attempt/ && f != "structural" {print FILENAME":"FNR": "$0; bad=1}
-        /body_of / && !/^let body_of / && f != "facts" && f != "replay" \
+if awk '/^let |^and /{f=$2; if (f == "rec") f=$3}
+        /Taint\.thread_dependent [a-z(]|Memopt\.analyze [~a-z(]/ \
+          && f != "facts" && f != "body_of" \
+          {print FILENAME":"FNR": "$0; bad=1}
+        /Autotune\.profile( |$)|first_sites / && f != "facts" \
+          {print FILENAME":"FNR": "$0; bad=1}
+        /attempt ~from/ && f != "structural" {print FILENAME":"FNR": "$0; bad=1}
+        /(^|[^._[:alnum:]])body_of / && !/^let body_of / && f != "replay" \
           {print FILENAME":"FNR": "$0; bad=1}
         END {exit !bad}' lib/rewrite/search.ml; then
-  echo "FAIL: a structural walk or body analysis outside Search.structural and Search.facts; go through the memo"
+  echo "FAIL: a body fact built outside Search.facts, or a step attempted outside Search.structural; go through the memo"
   exit 1
 fi
 if grep -rn --include='*.ml' 'Search\.body_of' lib bin examples; then
   echo "FAIL: Search.body_of called outside lib/rewrite/search.ml; a search analyzes its own bodies"
   exit 1
 fi
-# a search launches a state only in Search.price, the price table (a
-# device outside Device.all is priced there by Search.score, which replay
-# also uses), and walks a launch profile only there, on a miss of the
-# profile table; expand takes a parent's children from the child table
-# (Search.children), never computing a placement table or a signature
-if awk '/^let /{f=$2}
-        /Autotune\.launch( |$)/ && f != "price" && f != "score" \
+# a search launches a state only in Search.price, which binds the body's
+# one launch walk under the state's placement table; a replay the memo
+# misses launches through Search.score; nothing keeps a profile per
+# (body, private arrays) beside the body's walk; expand takes a parent's
+# children from the child table (Search.children), never computing a
+# placement table or a signature
+if awk '/^let |^and /{f=$2; if (f == "rec") f=$3}
+        /Autotune\.launch( |$)/ && f != "score" \
           {print FILENAME":"FNR": "$0; bad=1}
-        /Autotune\.profile( |$)/ && f != "price" \
+        /Autotune\.bind( |$)/ && f != "price" \
           {print FILENAME":"FNR": "$0; bad=1}
-        /(^|[^._[:alnum:]])score / && !/^let score / && f != "price" && f != "replay" \
+        /(^|[^._[:alnum:]])score / && !/^let score / && f != "replay" \
           {print FILENAME":"FNR": "$0; bad=1}
+        /m_profiles|private_arrays/ {print FILENAME":"FNR": "$0; bad=1}
         END {exit !bad}' lib/rewrite/search.ml; then
-  echo "FAIL: a launch or profile walk outside Search.price (a launch also in Search.score); price through the memo's tables"
+  echo "FAIL: a launch outside Search.price (a memo-missing replay's in Search.score), or a profile table beside the body walks; price from the node's walk"
+  exit 1
+fi
+if awk '/^let |^and /{f=$2; if (f == "rec") f=$3}
+        f == "recall" && /(^|[^._[:alnum:]])((facts|structural|children|price|claim) (m|memo) |attempt ~from)/ \
+          {print FILENAME":"FNR": "$0; bad=1}
+        f == "replay" && /apply_sequence/ {applied=FNR}
+        f == "replay" && /recall / {recalled=FNR}
+        END {exit !(bad || !recalled || applied < recalled)}' lib/rewrite/search.ml; then
+  echo "FAIL: Search.recall does work instead of reading the memo, or Search.replay applies the sequence before it reads the memo"
   exit 1
 fi
 if awk '/^  let expand /{e=1; next}
         /^let |^  let / {e=0}
-        e && /(^|[^._[:alnum:]])(decisions|signature|decide_all) / \
+        e && /(^|[^._[:alnum:]])(decisions|signature|decide|decide_all) / \
           {print FILENAME":"FNR": "$0; bad=1}
         END {exit !bad}' lib/rewrite/search.ml; then
   echo "FAIL: expand computes a placement table or a signature; read the child table (Search.children)"

@@ -36,18 +36,19 @@ let thread_dependent (body : Ir.stmt list) : (string, unit) Hashtbl.t =
       changed := true
     end
   in
+  (* [v] is tainted when [e] mentions a tainted variable; a variable
+     already tainted needs no look at [e] *)
+  let flows e v = if (not (is_tainted v)) && mentions e then add v in
   let rec walk ~in_par (s : Ir.stmt) =
     match s with
     | Ir.SDecl (v, Ir.TArr _, init) ->
         if in_par then add v;
-        (match init with
-        | Some e when mentions e -> add v
-        | _ -> ())
+        Option.iter (fun e -> flows e v) init
     | Ir.SDecl (v, _, init) -> (
         match init with
-        | Some e -> if mentions e then add v
+        | Some e -> flows e v
         | None -> if in_par then add v)
-    | Ir.SAssign (Ir.LVar v, e) -> if mentions e then add v
+    | Ir.SAssign (Ir.LVar v, e) -> flows e v
     | Ir.SAssign (_, _) -> ()
     | Ir.SArrStore (_, _, _) -> ()
     | Ir.SIf (_, a, b) ->
@@ -58,19 +59,21 @@ let thread_dependent (body : Ir.stmt list) : (string, unit) Hashtbl.t =
     | Ir.SParFor p ->
         add p.Ir.pf_var;
         List.iter (walk ~in_par:true) p.Ir.pf_body
-    | Ir.SReduce r -> if mentions r.Ir.rd_arr then add r.Ir.rd_dst
+    | Ir.SReduce r -> flows r.Ir.rd_arr r.Ir.rd_dst
     | Ir.SInlineBlock (res, b) ->
         List.iter (walk ~in_par) b;
         (* the block's returns feed [res] *)
-        let returns_tainted = ref false in
-        List.iter
-          (Ir.iter_stmt
-             ~stmt:(fun s ->
-               match s with
-               | Ir.SReturn (Some e) when mentions e -> returns_tainted := true
-               | _ -> ()))
-          b;
-        if !returns_tainted then add res
+        if not (is_tainted res) then begin
+          let returns_tainted = ref false in
+          List.iter
+            (Ir.iter_stmt ~stmt:(fun s ->
+                 match s with
+                 | Ir.SReturn (Some e) when mentions e ->
+                     returns_tainted := true
+                 | _ -> ()))
+            b;
+          if !returns_tainted then add res
+        end
     | Ir.SReturn _ | Ir.SExpr _ | Ir.SBreak | Ir.SContinue | Ir.SFinish _ ->
         ()
   in

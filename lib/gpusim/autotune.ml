@@ -64,19 +64,9 @@ let bindings_of (k : Kernel.kernel) (decisions : Memopt.decision list)
   in
   param_bindings @ local_bindings
 
-(** A launch's profile: {!Profile.profile} of the kernel under its
-    placements.  The profile reads the placements only to ask which arrays
-    are private, so two launches of one kernel whose private arrays agree
-    share it. *)
-let profile ?hoist_invariant ?affine_lanes ?thread_vars (k : Kernel.kernel)
-    (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
-    ~(scalars : (string * float) list) : Profile.t =
-  Profile.profile ?hoist_invariant ?affine_lanes ?thread_vars k decisions
-    ~shapes ~scalars
-
 (** The bindings of every array a launch with profile [prof] touches, the
     result sized by the last parallel loop's trip count. *)
-let bind (k : Kernel.kernel) (decisions : Memopt.decision list)
+let bindings (k : Kernel.kernel) (decisions : Memopt.decision list)
     ~(shapes : (string * int array) list) (prof : Profile.t) :
     Model.array_binding list =
   let out_shape =
@@ -93,17 +83,42 @@ let bind (k : Kernel.kernel) (decisions : Memopt.decision list)
   in
   bindings_of k decisions ~shapes ~out_shape
 
-(** The one launch pricer: {!bind} of the launch's {!profile}.  Every tool
-    that prices a launch goes through here. *)
+(** A kernel's launch walk ({!Profile.walk}), good for every placement
+    table: the arrays {!Memopt.decide} may place in private memory, those
+    allocated in the parallel loop, are walked as private roots. *)
+let profile ?hoist_invariant ?affine_lanes ?thread_vars (k : Kernel.kernel)
+    (infos : Memopt.array_info list) ~(shapes : (string * int array) list)
+    ~(scalars : (string * float) list) : Profile.walk =
+  let private_roots =
+    List.filter_map
+      (fun (ai : Memopt.array_info) ->
+        if ai.Memopt.ai_alloc_in_parfor then Some ai.Memopt.ai_name else None)
+      infos
+  in
+  Profile.walk ?hoist_invariant ?affine_lanes ?thread_vars ~private_roots k
+    ~shapes ~scalars
+
+(** A launch priced from its kernel's {!profile}: the profile under the
+    launch's private arrays, and its {!bindings}. *)
+let bind (k : Kernel.kernel) (decisions : Memopt.decision list)
+    ~(shapes : (string * int array) list) (w : Profile.walk) :
+    Profile.t * Model.array_binding list =
+  let prof = Profile.under w decisions in
+  (prof, bindings k decisions ~shapes prof)
+
+(** The one launch pricer: the launch's {!Profile.profile} and its
+    {!bindings}.  Every tool that prices one launch goes through here; a
+    search that prices many launches of one kernel walks it once
+    ({!profile}) and {!bind}s each. *)
 let launch ?hoist_invariant ?affine_lanes ?thread_vars (k : Kernel.kernel)
     (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) :
     Profile.t * Model.array_binding list =
   let prof =
-    profile ?hoist_invariant ?affine_lanes ?thread_vars k decisions ~shapes
-      ~scalars
+    Profile.profile ?hoist_invariant ?affine_lanes ?thread_vars k decisions
+      ~shapes ~scalars
   in
-  (prof, bind k decisions ~shapes prof)
+  (prof, bindings k decisions ~shapes prof)
 
 (** Time one configuration, also yielding its simulated hardware
     counters. *)

@@ -22,25 +22,30 @@ val profile :
   ?affine_lanes:bool ->
   ?thread_vars:(string, unit) Hashtbl.t ->
   Lime_gpu.Kernel.kernel ->
-  Lime_gpu.Memopt.decision list ->
+  Lime_gpu.Memopt.array_info list ->
   shapes:(string * int array) list ->
   scalars:(string * float) list ->
-  Profile.t
-(** A launch's profile ({!Profile.profile}: the two flags and the
-    thread-dependence table are its).  It reads the decisions only to ask
-    which arrays are [MPrivate], so launches of one kernel, with one shape
-    and scalar binding, whose private arrays agree have equal profiles. *)
+  Profile.walk
+(** [profile k infos ~shapes ~scalars] walks the launches of [k], whose
+    {!Lime_gpu.Memopt.analyze} is [infos], once for every placement
+    table: a {!Profile.walk} whose private roots are the arrays [infos]
+    allocates in the parallel loop, the only ones
+    {!Lime_gpu.Memopt.decide} places in private memory.  The two flags
+    and the thread-dependence table are {!Profile.profile}'s. *)
 
 val bind :
   Lime_gpu.Kernel.kernel ->
   Lime_gpu.Memopt.decision list ->
   shapes:(string * int array) list ->
-  Profile.t ->
-  Model.array_binding list
-(** [bind k decisions ~shapes prof] is the bindings of every array the
-    launch touches — the parameters from [shapes], the kernel-local arrays
-    from their static shapes, the result sized by [prof]'s last parallel
-    loop's trip count. *)
+  Profile.walk ->
+  Profile.t * Model.array_binding list
+(** [bind k decisions ~shapes w] is the launch of [k] under [decisions],
+    from [k]'s walk [w]: the profile under the decisions' private arrays
+    ({!Profile.under}) and the bindings of every array the launch
+    touches — the parameters from [shapes], the kernel-local arrays from
+    their static shapes, the result sized by the profile's last parallel
+    loop's trip count.  Equal, bit for bit, to {!launch} with the same
+    flags, shapes and scalars. *)
 
 val launch :
   ?hoist_invariant:bool ->
@@ -51,8 +56,8 @@ val launch :
   shapes:(string * int array) list ->
   scalars:(string * float) list ->
   Profile.t * Model.array_binding list
-(** The one launch pricer: the launch's {!profile} and its {!bind}ings.
-    Price the pair with {!Model.kernel_time_ex}. *)
+(** The one launch pricer: the launch's {!Profile.profile} and its
+    bindings.  Price the pair with {!Model.kernel_time_ex}. *)
 
 val time_config_ex :
   Device.t ->

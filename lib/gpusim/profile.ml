@@ -45,25 +45,36 @@ let double_frac p = if p.p_total_fp = 0.0 then 0.0 else p.p_double_ops /. p.p_to
 (* Profiling walker                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type ctx = {
-  kernel : Lime_gpu.Kernel.kernel;
-  shapes : (string * int array) list;  (** array param -> shape *)
-  scalars : (string * float) list;  (** scalar param -> value *)
-  placements : (string * Ir.placement) list;
-  views : (string, string * Ir.expr list) Hashtbl.t;
-  accs : (string * Access.cls * bool * bool, float ref) Hashtbl.t;
-      (** each access site's dynamic count so far, by the fields of its
-          {!access} *)
+(** A walk's running counts: all floats, so the record stores them
+    unboxed and an update allocates nothing. *)
+type counts = {
   mutable alu : float;
   mutable div : float;
   mutable sqrt_ : float;
   mutable trans : float;
   mutable double_ops : float;
   mutable total_fp : float;
-  mutable private_accs : float;
   mutable reduce_elems : float;
   mutable items : float;
   mutable last_items : float;
+}
+
+type ctx = {
+  kernel : Lime_gpu.Kernel.kernel;
+  shapes : (string * int array) list;  (** array param -> shape *)
+  scalars : (string * float) list;  (** scalar param -> value *)
+  views : (string, string * Ir.expr list) Hashtbl.t;
+  accs : (string * Access.cls * bool * bool, float ref) Hashtbl.t;
+      (** each access site's dynamic count so far, by the fields of its
+          {!access} *)
+  logged : string list;
+      (** under {!walk}, the roots that may be private; [[]] otherwise *)
+  mutable order : (string * Access.cls * bool * bool) list;
+      (** when [logged] is not [[]], the keys of [accs], last met first *)
+  mutable log : (string * float) list;
+      (** every access of a [logged] root, last first: root and dynamic
+          count *)
+  n : counts;
   mutable approx : bool;
   mutable par_vars : string list;
   mutable seq_vars : string list;
@@ -88,11 +99,6 @@ let root_shape ctx root : int array option =
   match List.assoc_opt root ctx.shapes with
   | Some s -> Some s
   | None -> Hashtbl.find_opt ctx.local_shapes root
-
-let placement_of ctx root : Ir.placement =
-  match List.assoc_opt root ctx.placements with
-  | Some p -> p
-  | None -> Ir.default_placement
 
 (** Best-effort static evaluation of an integer expression given known
     shapes and scalar parameter values. *)
@@ -144,10 +150,10 @@ let record_access ctx ~mult root (full : Ir.expr list) ~store =
       mult /. invariant_trips ctx.seq_loops
     end
   in
-  let p = placement_of ctx root in
-  if p.Ir.space = Ir.MPrivate then
-    ctx.private_accs <- ctx.private_accs +. mult
-  else begin
+  (match ctx.logged with
+  | [] -> ()
+  | logged -> if List.mem root logged then ctx.log <- (root, mult) :: ctx.log);
+  begin
     let pattern =
       (* arrays allocated inside the parallel loop that did not fit in
          private memory are per-thread spills: every thread touches its own
@@ -162,17 +168,19 @@ let record_access ctx ~mult root (full : Ir.expr list) ~store =
         | [] -> Access.ABroadcast
     in
     let last_const =
-      match List.rev full with
-      | last :: _ when List.length full > 1 -> (
-          match last with
+      match full with
+      | _ :: (_ :: _ as rest) -> (
+          match List.nth rest (List.length rest - 1) with
           | Ir.Const _ -> true
-          | _ -> ctx.affine && Access.affine_lane last <> None)
+          | last -> ctx.affine && Access.affine_lane last <> None)
       | _ -> false
     in
     let key = (root, pattern, store, last_const) in
     match Hashtbl.find_opt ctx.accs key with
     | Some n -> n := !n +. mult
-    | None -> Hashtbl.add ctx.accs key (ref mult)
+    | None ->
+        Hashtbl.add ctx.accs key (ref mult);
+        match ctx.logged with [] -> () | _ -> ctx.order <- key :: ctx.order
   end
 
 let is_double = function Ir.SDouble -> true | _ -> false
@@ -182,18 +190,18 @@ let rec walk_expr ctx ~mult (e : Ir.expr) : unit =
   match e with
   | Ir.Const _ | Ir.Var _ | Ir.This | Ir.StaticGet _ -> ()
   | Ir.Bin (_, s, a, b) ->
-      ctx.alu <- ctx.alu +. mult;
-      if is_fp s then ctx.total_fp <- ctx.total_fp +. mult;
-      if is_double s then ctx.double_ops <- ctx.double_ops +. mult;
+      ctx.n.alu <- ctx.n.alu +. mult;
+      if is_fp s then ctx.n.total_fp <- ctx.n.total_fp +. mult;
+      if is_double s then ctx.n.double_ops <- ctx.n.double_ops +. mult;
       (match e with
       | Ir.Bin ((Lime_frontend.Ast.Div | Lime_frontend.Ast.Mod), _, _, _) ->
-          ctx.div <- ctx.div +. mult
+          ctx.n.div <- ctx.n.div +. mult
       | _ -> ());
       walk_expr ctx ~mult a;
       walk_expr ctx ~mult b
   | Ir.Un (_, s, a) | Ir.Cast (s, _, a) ->
-      ctx.alu <- ctx.alu +. mult;
-      if is_double s then ctx.double_ops <- ctx.double_ops +. mult;
+      ctx.n.alu <- ctx.n.alu +. mult;
+      if is_double s then ctx.n.double_ops <- ctx.n.double_ops +. mult;
       walk_expr ctx ~mult a
   | Ir.Load (b, idx) ->
       (match Access.resolve ctx.views b idx with
@@ -204,11 +212,11 @@ let rec walk_expr ctx ~mult (e : Ir.expr) : unit =
   | Ir.Intrinsic (b, s, args) ->
       (match b with
       | B.BSin | B.BCos | B.BTan | B.BExp | B.BLog | B.BPow | B.BAtan2 ->
-          ctx.trans <- ctx.trans +. mult
-      | B.BSqrt | B.BRsqrt -> ctx.sqrt_ <- ctx.sqrt_ +. mult
-      | _ -> ctx.alu <- ctx.alu +. mult);
-      if is_fp s then ctx.total_fp <- ctx.total_fp +. mult;
-      if is_double s then ctx.double_ops <- ctx.double_ops +. mult;
+          ctx.n.trans <- ctx.n.trans +. mult
+      | B.BSqrt | B.BRsqrt -> ctx.n.sqrt_ <- ctx.n.sqrt_ +. mult
+      | _ -> ctx.n.alu <- ctx.n.alu +. mult);
+      if is_fp s then ctx.n.total_fp <- ctx.n.total_fp +. mult;
+      if is_double s then ctx.n.double_ops <- ctx.n.double_ops +. mult;
       List.iter (walk_expr ctx ~mult) args
   | Ir.NewArr (_, sizes) -> List.iter (walk_expr ctx ~mult) sizes
   | Ir.ArrLit (_, es) -> List.iter (walk_expr ctx ~mult) es
@@ -281,7 +289,7 @@ let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
       (match (lv, e) with
       | Ir.LVar v, Ir.NewArr (aty, sizes) -> record_shape ctx v aty sizes
       | _ -> ());
-      ctx.alu <- ctx.alu +. mult;
+      ctx.n.alu <- ctx.n.alu +. mult;
       walk_expr ctx ~mult e
   | Ir.SArrStore (b, idx, v) ->
       (match Access.resolve ctx.views b idx with
@@ -303,7 +311,7 @@ let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
       walk_expr ctx ~mult v
   | Ir.SIf (c, a, b) ->
       walk_expr ctx ~mult c;
-      ctx.alu <- ctx.alu +. mult;
+      ctx.n.alu <- ctx.n.alu +. mult;
       List.iter (walk_stmt ctx ~mult:(mult *. 0.5)) a;
       List.iter (walk_stmt ctx ~mult:(mult *. 0.5)) b
   | Ir.SWhile (c, b) ->
@@ -320,7 +328,7 @@ let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
             ctx.approx <- true;
             16.0
       in
-      ctx.alu <- ctx.alu +. (mult *. trips);  (* loop increment+compare *)
+      ctx.n.alu <- ctx.n.alu +. (mult *. trips);  (* loop increment+compare *)
       ctx.seq_vars <- v :: ctx.seq_vars;
       ctx.seq_loops <- (v, trips) :: ctx.seq_loops;
       List.iter (walk_stmt ctx ~mult:(mult *. trips)) b;
@@ -335,8 +343,8 @@ let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
             1024.0
       in
       if ctx.par_vars = [] then begin
-        ctx.items <- Float.max ctx.items trips;
-        ctx.last_items <- trips
+        ctx.n.items <- Float.max ctx.n.items trips;
+        ctx.n.last_items <- trips
       end;
       ctx.par_vars <- p.Ir.pf_var :: ctx.par_vars;
       List.iter (walk_stmt ctx ~mult:(mult *. trips)) p.Ir.pf_body;
@@ -355,8 +363,8 @@ let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
             ctx.approx <- true;
             1024.0
       in
-      ctx.reduce_elems <- ctx.reduce_elems +. (mult *. n);
-      ctx.alu <- ctx.alu +. (mult *. n);
+      ctx.n.reduce_elems <- ctx.n.reduce_elems +. (mult *. n);
+      ctx.n.alu <- ctx.n.alu +. (mult *. n);
       (match Access.resolve ctx.views r.Ir.rd_arr [] with
       | Some (root, _) ->
           (* a parallel reduction reads its input coalesced (grid-stride):
@@ -372,35 +380,32 @@ let rec walk_stmt ctx ~mult (s : Ir.stmt) : unit =
   | Ir.SBreak | Ir.SContinue -> ()
   | Ir.SFinish _ -> ()
 
-(** Profile one kernel launch.
-
-    [shapes] gives the actual shape of each array argument; [scalars] gives
-    the value of scalar arguments that appear in loop bounds;
-    [thread_vars] is the body's thread-dependence table, computed here when
-    the caller does not pass it. *)
-let profile ?(hoist_invariant = false) ?(affine_lanes = false) ?thread_vars
-    (k : Lime_gpu.Kernel.kernel)
-    (decisions : Lime_gpu.Memopt.decision list)
-    ~(shapes : (string * int array) list)
-    ~(scalars : (string * float) list) : t =
+(** Walk [k]'s body once, every array in global memory: the walk's
+    context, with every count in it. *)
+let run ~hoist_invariant ~affine_lanes ?thread_vars ~logged
+    (k : Lime_gpu.Kernel.kernel) ~shapes ~scalars : ctx =
   let ctx =
     {
       kernel = k;
       shapes;
       scalars;
-      placements = Lime_gpu.Memopt.placements decisions;
       views = Hashtbl.create 16;
       accs = Hashtbl.create 16;
-      alu = 0.0;
-      div = 0.0;
-      sqrt_ = 0.0;
-      trans = 0.0;
-      double_ops = 0.0;
-      total_fp = 0.0;
-      private_accs = 0.0;
-      reduce_elems = 0.0;
-      items = 1.0;
-      last_items = 1.0;
+      order = [];
+      logged;
+      log = [];
+      n =
+        {
+          alu = 0.0;
+          div = 0.0;
+          sqrt_ = 0.0;
+          trans = 0.0;
+          double_ops = 0.0;
+          total_fp = 0.0;
+          reduce_elems = 0.0;
+          items = 1.0;
+          last_items = 1.0;
+        };
       approx = false;
       par_vars = [];
       seq_vars = [];
@@ -416,31 +421,177 @@ let profile ?(hoist_invariant = false) ?(affine_lanes = false) ?thread_vars
     }
   in
   List.iter (walk_stmt ctx ~mult:1.0) k.Lime_gpu.Kernel.k_body;
+  ctx
+
+let access_of (root, pattern, store, last_const) n =
   {
-    p_items = ctx.items;
-    p_alu = ctx.alu;
-    p_div = ctx.div;
-    p_sqrt = ctx.sqrt_;
-    p_trans = ctx.trans;
-    p_double_ops = ctx.double_ops;
-    p_total_fp = ctx.total_fp;
-    p_accesses =
-      Hashtbl.fold
-        (fun (root, pattern, store, last_const) n l ->
-          {
-            ac_root = root;
-            ac_pattern = pattern;
-            ac_store = store;
-            ac_last_const = last_const;
-            ac_count = !n;
-          }
-          :: l)
-        ctx.accs [];
-    p_private_accesses = ctx.private_accs;
-    p_reduce_elems = ctx.reduce_elems;
-    p_last_parfor_items = ctx.last_items;
+    ac_root = root;
+    ac_pattern = pattern;
+    ac_store = store;
+    ac_last_const = last_const;
+    ac_count = n;
+  }
+
+let of_ctx ctx accesses =
+  {
+    p_items = ctx.n.items;
+    p_alu = ctx.n.alu;
+    p_div = ctx.n.div;
+    p_sqrt = ctx.n.sqrt_;
+    p_trans = ctx.n.trans;
+    p_double_ops = ctx.n.double_ops;
+    p_total_fp = ctx.n.total_fp;
+    p_accesses = accesses;
+    p_private_accesses = 0.0;
+    p_reduce_elems = ctx.n.reduce_elems;
+    p_last_parfor_items = ctx.n.last_items;
     p_approx = ctx.approx;
   }
+
+(* ------------------------------------------------------------------ *)
+(* One walk for every private set                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A private array's accesses are counted apart from the memory access
+   table ([p_private_accesses]).  The walk counts every root in the table
+   and keeps, for each array that may be private, its accesses in walk
+   order; a launch's private arrays are then taken out of the table and
+   their accesses summed, in walk order, as if the walk had routed them
+   aside itself. *)
+
+type walk = {
+  w_open : t;  (** the profile with no private array *)
+  w_roots : string list;  (** the roots that may be private *)
+  w_first : access list;
+      (** [w_open]'s accesses in the order the walk first met them; [[]]
+          when [w_roots] is *)
+  w_private : (string * float) list;
+      (** the accesses of the [w_roots] roots: every one, root and count,
+          in walk order — or, when every count is a whole number and
+          their sum is below 2{^53}, so that any order of adding them
+          gives the same float, one sum per root *)
+}
+
+(** [arrange accesses] is [accesses], given in the order the walk first
+    met them, in the order {!profile}'s table of them folds: the table
+    is rebuilt with the same insertions, so its layout, and the order,
+    are the same. *)
+let arrange (first : access list) : access list =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      Hashtbl.add tbl (a.ac_root, a.ac_pattern, a.ac_store, a.ac_last_const) a)
+    first;
+  Hashtbl.fold (fun _ a l -> a :: l) tbl []
+
+(** The walk's profile, its access table folded as it stands. *)
+let table_profile ctx : t =
+  of_ctx ctx (Hashtbl.fold (fun key n l -> access_of key !n :: l) ctx.accs [])
+
+(** The walk's accesses in the order it first met them. *)
+let first_met ctx : access list =
+  List.rev_map (fun key -> access_of key !(Hashtbl.find ctx.accs key)) ctx.order
+
+(** [set_apart p privates first accesses] is [p] with [privates] taken
+    out of its access table — the rest of [first] in {!arrange}d order —
+    and [accesses]' counts of them summed, in order, as its private
+    accesses. *)
+let set_apart (p : t) (privates : string list) (first : access list)
+    (accesses : (string * float) list) : t =
+  {
+    p with
+    p_accesses =
+      arrange (List.filter (fun a -> not (List.mem a.ac_root privates)) first);
+    p_private_accesses =
+      List.fold_left
+        (fun acc (root, n) -> if List.mem root privates then acc +. n else acc)
+        0.0 accesses;
+  }
+
+let walk ?(hoist_invariant = false) ?(affine_lanes = false) ?thread_vars
+    ~(private_roots : string list) (k : Lime_gpu.Kernel.kernel)
+    ~(shapes : (string * int array) list)
+    ~(scalars : (string * float) list) : walk =
+  let ctx =
+    run ~hoist_invariant ~affine_lanes ?thread_vars ~logged:private_roots k
+      ~shapes ~scalars
+  in
+  if private_roots = [] then
+    {
+      w_open = table_profile ctx;
+      w_roots = [];
+      w_first = [];
+      w_private = [];
+    }
+  else
+    let first = first_met ctx in
+    let exact =
+      List.for_all (fun (_, n) -> Float.is_integer n) ctx.log
+      && List.fold_left (fun acc (_, n) -> acc +. n) 0.0 ctx.log < 0x1p53
+    in
+    {
+      w_open = of_ctx ctx (arrange first);
+      w_roots = private_roots;
+      w_first = first;
+      w_private =
+        (if exact then
+           List.map
+             (fun root ->
+               ( root,
+                 List.fold_left
+                   (fun acc (r, n) ->
+                     if String.equal r root then acc +. n else acc)
+                   0.0 ctx.log ))
+             private_roots
+         else List.rev ctx.log);
+    }
+
+(** The arrays [decisions] place in private memory. *)
+let privates (decisions : Lime_gpu.Memopt.decision list) : string list =
+  List.filter_map
+    (fun (d : Lime_gpu.Memopt.decision) ->
+      if d.Lime_gpu.Memopt.d_placement.Ir.space = Ir.MPrivate then
+        Some d.Lime_gpu.Memopt.d_array
+      else None)
+    decisions
+
+let under (w : walk) (decisions : Lime_gpu.Memopt.decision list) : t =
+  match privates decisions with
+  | [] -> w.w_open
+  | privates ->
+      List.iter
+        (fun r ->
+          if not (List.mem r w.w_roots) then
+            invalid_arg ("Profile.under: " ^ r ^ " was not walked as private"))
+        privates;
+      set_apart w.w_open privates w.w_first w.w_private
+
+(** Profile one kernel launch: {!under} its decisions of a {!walk} whose
+    private roots are its private arrays, made directly.
+
+    [shapes] gives the actual shape of each array argument; [scalars] gives
+    the value of scalar arguments that appear in loop bounds;
+    [thread_vars] is the body's thread-dependence table, computed here when
+    the caller does not pass it. *)
+let profile ?hoist_invariant ?affine_lanes ?thread_vars
+    (k : Lime_gpu.Kernel.kernel) (decisions : Lime_gpu.Memopt.decision list)
+    ~(shapes : (string * int array) list) ~(scalars : (string * float) list) :
+    t =
+  let hoist_invariant = Option.value hoist_invariant ~default:false
+  and affine_lanes = Option.value affine_lanes ~default:false in
+  match privates decisions with
+  | [] ->
+      let ctx =
+        run ~hoist_invariant ~affine_lanes ?thread_vars ~logged:[] k ~shapes
+          ~scalars
+      in
+      table_profile ctx
+  | privates ->
+      let ctx =
+        run ~hoist_invariant ~affine_lanes ?thread_vars ~logged:privates k
+          ~shapes ~scalars
+      in
+      set_apart (of_ctx ctx []) privates (first_met ctx) (List.rev ctx.log)
 
 (** Aligned per-kernel profile report: the FLOP mix and the access-pattern
     mix the memory optimizer reasons about, as a table a human can read off

@@ -14,8 +14,8 @@ type access = {
   ac_count : float;  (** dynamic accesses over the whole launch *)
 }
 (** One access site class of a launch.  Immutable: a profile may be
-    shared by every launch that has it (the rewrite search keeps one per
-    body and private-array set). *)
+    shared by every launch that has it (the rewrite search keeps one
+    {!walk} per body). *)
 
 type t = {
   p_items : float;  (** work items of the widest top-level parallel loop *)
@@ -46,9 +46,11 @@ val profile :
   shapes:(string * int array) list ->
   scalars:(string * float) list ->
   t
-(** [profile kernel decisions ~shapes ~scalars] profiles one launch;
-    [shapes] gives each array argument's shape, [scalars] the value of
-    scalar arguments appearing in loop bounds.
+(** [profile kernel decisions ~shapes ~scalars] profiles one launch —
+    {!under} [decisions] of a {!walk} whose private roots are the arrays
+    [decisions] place in private memory; [shapes] gives each array
+    argument's shape, [scalars] the value of scalar arguments appearing
+    in loop bounds.
 
     [~hoist_invariant:true] (default false) models the backend compiler's
     loop-invariant code motion: an access whose address does not mention
@@ -63,6 +65,35 @@ val profile :
     table (read, never written); without it the profiler computes the
     table itself.  Passing the table {!Lime_gpu.Memopt.analyze} read
     gives the same profile with one dataflow pass instead of two. *)
+
+type walk
+(** A kernel's launch profile for every placement table at once: one walk
+    of the body, every array in global memory, that keeps every root's
+    accesses, and, for each root that may be private, its accesses in
+    walk order. *)
+
+val walk :
+  ?hoist_invariant:bool ->
+  ?affine_lanes:bool ->
+  ?thread_vars:(string, unit) Hashtbl.t ->
+  private_roots:string list ->
+  Lime_gpu.Kernel.kernel ->
+  shapes:(string * int array) list ->
+  scalars:(string * float) list ->
+  walk
+(** [walk ~private_roots k ~shapes ~scalars] walks [k] once, with the
+    flags and thread-dependence table of {!profile}; [private_roots] are
+    the arrays a later {!under} may find in private memory. *)
+
+val under : walk -> Lime_gpu.Memopt.decision list -> t
+(** [under w decisions] is the profile of [w]'s kernel launched under
+    [decisions]: the walk's access table without the arrays [decisions]
+    place in private memory — in the order the table would fold had the
+    walk never counted them — and those arrays' accesses summed in walk
+    order as [p_private_accesses].  With no private array it is the
+    walk's own profile, not a copy.
+    @raise Invalid_argument when a private array was not one of the
+    walk's [private_roots]. *)
 
 val to_string : t -> string
 

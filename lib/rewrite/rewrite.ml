@@ -8,11 +8,15 @@
     rules for systematic GPU code generation.
 
     A rewrite is a {!step}: a [name] (its serialization for the tunestore)
-    and a {!kind}.  A structural step is one function that walks to the
-    {e first} site it can rewrite soundly, in depth-first program order,
-    and returns the rewritten state or the reason it cannot — the target
-    is resolved once and transformed there.  First-site semantics makes a
-    sequence of names a complete, replayable description of a schedule.
+    and a {!kind}.  A structural step has a site shape — the statements a
+    rewrite of it may head, before any soundness check — and one function
+    that walks to the {e first} site it can rewrite soundly, in
+    depth-first program order, and returns the rewritten state or the
+    reason it cannot — the target is resolved once and transformed there.
+    First-site semantics makes a sequence of names a complete, replayable
+    description of a schedule.  One walk of a body finds every structural
+    step's first candidate site ({!first_sites}), so a search attempts a
+    step only where the body has a site for it, and from that site on.
 
     Two families:
 
@@ -49,9 +53,15 @@ let initial ?(config = Memopt.config_global) (k : Kernel.kernel) : state =
   { st_kernel = k; st_config = config }
 
 type kind =
-  | Structural of (state -> (state, string) result)
-      (** one walk to the first site that can be rewritten soundly: the
-          rewritten state, or why no site can *)
+  | Structural of {
+      site : Ir.stmt list -> bool;
+          (** a candidate site heads this statement list: the step's
+              shape, before its soundness check *)
+      attempt : from:int -> state -> (state, string) result;
+          (** one walk to the first site, among the statements from the
+              [from]th on in depth-first preorder, that can be rewritten
+              soundly: the rewritten state, or why no site can *)
+    }
   | Placement of {
       get : Memopt.config -> bool;
       set : Memopt.config -> Memopt.config;
@@ -137,38 +147,43 @@ let fresh tbl base =
     in
     go 0
 
-(** Rewrite the first site in depth-first preorder: [f] sees each
-    statement suffix and may replace it wholesale (which lets a rewrite
-    consume more than one adjacent statement, as fusion does). *)
-let rec rewrite_first (f : Ir.stmt list -> Ir.stmt list option)
-    (ss : Ir.stmt list) : Ir.stmt list option =
-  match f ss with
-  | Some ss' -> Some ss'
-  | None -> (
-      match ss with
-      | [] -> None
-      | s :: rest -> (
-          match rewrite_children f s with
+(** Rewrite the first site in depth-first preorder, among the statements
+    from the [from]th on: [f] sees each statement suffix and may replace
+    it wholesale (which lets a rewrite consume more than one adjacent
+    statement, as fusion does).  [at] numbers the statements as the walk
+    meets them, in the order {!Ir.iter_stmt} visits them. *)
+let rec rewrite_first ~from (at : int ref)
+    (f : Ir.stmt list -> Ir.stmt list option) (ss : Ir.stmt list) :
+    Ir.stmt list option =
+  match ss with
+  | [] -> None
+  | s :: rest -> (
+      let here = !at in
+      incr at;
+      match if here >= from then f ss else None with
+      | Some ss' -> Some ss'
+      | None -> (
+          match rewrite_children ~from at f s with
           | Some s' -> Some (s' :: rest)
-          | None -> Option.map (fun r -> s :: r) (rewrite_first f rest)))
+          | None ->
+              Option.map (fun r -> s :: r) (rewrite_first ~from at f rest)))
 
-and rewrite_children f (s : Ir.stmt) : Ir.stmt option =
+and rewrite_children ~from at f (s : Ir.stmt) : Ir.stmt option =
+  let first = rewrite_first ~from at f in
   match s with
   | Ir.SIf (c, a, b) -> (
-      match rewrite_first f a with
+      match first a with
       | Some a' -> Some (Ir.SIf (c, a', b))
-      | None -> Option.map (fun b' -> Ir.SIf (c, a, b')) (rewrite_first f b)
-      )
-  | Ir.SWhile (c, b) ->
-      Option.map (fun b' -> Ir.SWhile (c, b')) (rewrite_first f b)
+      | None -> Option.map (fun b' -> Ir.SIf (c, a, b')) (first b))
+  | Ir.SWhile (c, b) -> Option.map (fun b' -> Ir.SWhile (c, b')) (first b)
   | Ir.SFor (v, lo, hi, b) ->
-      Option.map (fun b' -> Ir.SFor (v, lo, hi, b')) (rewrite_first f b)
+      Option.map (fun b' -> Ir.SFor (v, lo, hi, b')) (first b)
   | Ir.SParFor p ->
       Option.map
         (fun b' -> Ir.SParFor { p with Ir.pf_body = b' })
-        (rewrite_first f p.Ir.pf_body)
+        (first p.Ir.pf_body)
   | Ir.SInlineBlock (n, b) ->
-      Option.map (fun b' -> Ir.SInlineBlock (n, b')) (rewrite_first f b)
+      Option.map (fun b' -> Ir.SInlineBlock (n, b')) (first b)
   | _ -> None
 
 let with_body (st : state) (body : Ir.stmt list) : state =
@@ -176,25 +191,32 @@ let with_body (st : state) (body : Ir.stmt list) : state =
 
 let no_site = "no matching site"
 
-(** One walk to the first site [f] rewrites, in depth-first preorder.  [f]
-    sees each statement suffix: [None] is not a site, [Some (Ok ss)]
-    replaces the suffix, and [Some (Error why)] is a site that cannot be
-    rewritten soundly — the walk moves on, and the last such [why] is the
-    error when no later site succeeds. *)
-let at_first_site (f : Ir.stmt list -> (Ir.stmt list, string) result option)
-    (st : state) : (state, string) result =
-  let refused = ref None in
-  let g ss =
-    match f ss with
-    | Some (Ok ss') -> Some ss'
-    | Some (Error why) ->
-        refused := Some why;
-        None
-    | None -> None
+(** A structural step that rewrites at its first sound site, from the
+    [from]th statement on, in depth-first preorder.  [f] sees each
+    statement suffix: [None] is not a site, [Some (Ok ss)] replaces the
+    suffix, and [Some (Error why)] is a site that cannot be rewritten
+    soundly — the walk moves on, and the last such [why] is the error
+    when no later site succeeds.  [site] is the shape every suffix [f]
+    does not answer [None] has. *)
+let at_first_site ~(site : Ir.stmt list -> bool)
+    (f : state -> Ir.stmt list -> (Ir.stmt list, string) result option) :
+    kind =
+  let attempt ~from st =
+    let refused = ref None in
+    let f = f st in
+    let g ss =
+      match f ss with
+      | Some (Ok ss') -> Some ss'
+      | Some (Error why) ->
+          refused := Some why;
+          None
+      | None -> None
+    in
+    match rewrite_first ~from (ref 0) g st.st_kernel.Kernel.k_body with
+    | Some body -> Ok (with_body st body)
+    | None -> Error (Option.value !refused ~default:no_site)
   in
-  match rewrite_first g st.st_kernel.Kernel.k_body with
-  | Some body -> Ok (with_body st body)
-  | None -> Error (Option.value !refused ~default:no_site)
+  Structural { site; attempt }
 
 (* ------------------------------------------------------------------ *)
 (* tile:T — strip-mine an exactly divisible counted loop               *)
@@ -208,12 +230,17 @@ let ci n = Ir.Const (Ir.CInt n)
     [vt*t + vv] for [v].  Exact divisibility keeps the transformation
     guard-free and the iteration order identical, so it is bit-exact. *)
 let tile (t : int) : step =
-  let attempt st =
-    at_first_site
-      (function
+  let site = function
+    | Ir.SFor (_, Ir.Const (Ir.CInt 0), Ir.Const (Ir.CInt n), _) :: _ ->
+        n > t && n mod t = 0
+    | _ -> false
+  in
+  let kind =
+    at_first_site ~site (fun st ss ->
+        match ss with
         | Ir.SFor (v, Ir.Const (Ir.CInt 0), Ir.Const (Ir.CInt n), body)
           :: rest
-          when n > t && n mod t = 0 ->
+          when site ss ->
             let names = used_names st.st_kernel in
             let vt = fresh names (v ^ "t") in
             let vv = fresh names (v ^ "v") in
@@ -233,9 +260,8 @@ let tile (t : int) : step =
                       [ Ir.SFor (vv, c0, ci t, subst_var v idx body) ] )
                  :: rest))
         | _ -> None)
-      st
   in
-  { name = Printf.sprintf "tile:%d" t; kind = Structural attempt }
+  { name = Printf.sprintf "tile:%d" t; kind }
 
 (* ------------------------------------------------------------------ *)
 (* interchange — swap a perfectly nested sequential loop pair          *)
@@ -339,8 +365,12 @@ let reorderable_body (body : Ir.stmt list) : (unit, string) result =
     is a pure-or-accumulation region; FP accumulations are reassociated,
     so results match only up to rounding. *)
 let interchange : step =
-  let attempt =
-    at_first_site (function
+  let site = function
+    | Ir.SFor (_, _, _, [ Ir.SFor _ ]) :: _ -> true
+    | _ -> false
+  in
+  let kind =
+    at_first_site ~site (fun _ -> function
       | Ir.SFor (vo, lo_o, hi_o, [ Ir.SFor (vi, lo_i, hi_i, body) ]) :: rest
         ->
           Some
@@ -356,7 +386,7 @@ let interchange : step =
                  (reorderable_body body))
       | _ -> None)
   in
-  { name = "interchange"; kind = Structural attempt }
+  { name = "interchange"; kind }
 
 (* ------------------------------------------------------------------ *)
 (* unroll — fully unroll a short constant-trip loop                    *)
@@ -408,26 +438,46 @@ let rename_decls (names : (string, unit) Hashtbl.t) (ss : Ir.stmt list) :
     indices like [jt*4 + jj] into statically-known lanes the vectorizer
     can use.  Bit-exact. *)
 let unroll : step =
-  let attempt st =
-    at_first_site
-      (function
+  let site = function
+    | Ir.SFor (_, Ir.Const (Ir.CInt lo), Ir.Const (Ir.CInt hi), _) :: _ ->
+        hi - lo >= 2 && hi - lo <= max_unroll_trips
+    | _ -> false
+  in
+  let kind =
+    at_first_site ~site (fun st ss ->
+        match ss with
         | Ir.SFor (v, Ir.Const (Ir.CInt lo), Ir.Const (Ir.CInt hi), body)
           :: rest
-          when hi - lo >= 2 && hi - lo <= max_unroll_trips ->
+          when site ss ->
             if has_loose_jump body then
               Some (Error "break/continue would re-bind to an enclosing loop")
             else
-              let names = used_names st.st_kernel in
+              let copy =
+                (* a body that declares nothing needs no renaming, and so
+                   no table of the kernel's names *)
+                if
+                  List.exists
+                    (fun s ->
+                      let decl = ref false in
+                      Ir.iter_stmt
+                        ~stmt:(function Ir.SDecl _ -> decl := true | _ -> ())
+                        s;
+                      !decl)
+                    body
+                then
+                  let names = used_names st.st_kernel in
+                  fun ss -> rename_decls names ss
+                else Fun.id
+              in
               let copies =
                 List.concat
                   (List.init (hi - lo) (fun i ->
-                       rename_decls names (subst_var v (ci (lo + i)) body)))
+                       copy (subst_var v (ci (lo + i)) body)))
               in
               Some (Ok (copies @ rest))
         | _ -> None)
-      st
   in
-  { name = "unroll"; kind = Structural attempt }
+  { name = "unroll"; kind }
 
 (* ------------------------------------------------------------------ *)
 (* fission / fusion                                                    *)
@@ -517,36 +567,49 @@ let split_points () : Ir.stmt -> int option =
     footprints.  Disjointness makes the halves independent, so running all
     iterations of one before the other is bit-exact. *)
 let fission : step =
-  let attempt st =
-    let split_point = split_points () in
-    at_first_site
-      (function
-      | (Ir.SFor (v, lo, hi, body) as l) :: rest -> (
-          match split_point l with
-          | Some p
-            when disjoint (written_of body)
-                   (names_of [ Ir.SExpr lo; Ir.SExpr hi ]) ->
-              let first = List.filteri (fun i _ -> i < p) body in
-              let second = List.filteri (fun i _ -> i >= p) body in
-              Some
-                (Ok
-                   (Ir.SFor (v, lo, hi, first)
-                   :: Ir.SFor (v, lo, hi, second)
-                   :: rest))
-          | _ -> None)
-      | _ -> None)
-      st
+  let site = function
+    | Ir.SFor (_, _, _, _ :: _ :: _) :: _ -> true
+    | _ -> false
   in
-  { name = "fission"; kind = Structural attempt }
+  let kind =
+    at_first_site ~site (fun _ ->
+        let split_point = split_points () in
+        function
+        | (Ir.SFor (v, lo, hi, body) as l) :: rest -> (
+            match split_point l with
+            | Some p
+              when disjoint (written_of body)
+                     (names_of [ Ir.SExpr lo; Ir.SExpr hi ]) ->
+                let first = List.filteri (fun i _ -> i < p) body in
+                let second = List.filteri (fun i _ -> i >= p) body in
+                Some
+                  (Ok
+                     (Ir.SFor (v, lo, hi, first)
+                     :: Ir.SFor (v, lo, hi, second)
+                     :: rest))
+            | _ -> None)
+        | _ -> None)
+  in
+  { name = "fission"; kind }
+
+(** [shares na v2 b2]: a name of [b2] other than its loop index [v2] is
+    in [na]; the walk stops at the first. *)
+let shares (na : (string, unit) Hashtbl.t) (v2 : string) (b2 : Ir.stmt list)
+    : bool =
+  let exception Shared in
+  let stmt, expr =
+    name_walk (fun x -> if x <> v2 && Hashtbl.mem na x then raise Shared)
+  in
+  match List.iter (Ir.iter_stmt ~stmt ~expr) b2 with
+  | () -> false
+  | exception Shared -> true
 
 let fusable s1 s2 =
   match (s1, s2) with
-  | Ir.SFor (v1, lo1, hi1, b1), Ir.SFor (v2, lo2, hi2, b2) ->
-      lo1 = lo2 && hi1 = hi2
-      && (let na = names_of b1 and nb = names_of b2 in
-          Hashtbl.remove na v1;
-          Hashtbl.remove nb v2;
-          disjoint na nb)
+  | Ir.SFor (v1, lo1, hi1, b1), Ir.SFor (v2, _, _, b2) ->
+      (let na = names_of b1 in
+       Hashtbl.remove na v1;
+       not (shares na v2 b2))
       && disjoint
            (written_of (b1 @ b2))
            (names_of [ Ir.SExpr lo1; Ir.SExpr hi1 ])
@@ -555,19 +618,25 @@ let fusable s1 s2 =
 (** Merge the first two adjacent loops with identical bounds and disjoint
     body footprints.  Bit-exact under disjointness. *)
 let fusion : step =
-  let attempt =
-    at_first_site (function
-      | (Ir.SFor (v1, lo1, hi1, b1) as s1)
-        :: (Ir.SFor (v2, _, _, b2) as s2)
-        :: rest
-        when fusable s1 s2 ->
-          Some
-            (Ok
-               (Ir.SFor (v1, lo1, hi1, b1 @ subst_var v2 (Ir.Var v1) b2)
-               :: rest))
-      | _ -> None)
+  let site = function
+    | Ir.SFor (_, lo1, hi1, _) :: Ir.SFor (_, lo2, hi2, _) :: _ ->
+        lo1 = lo2 && hi1 = hi2
+    | _ -> false
   in
-  { name = "fusion"; kind = Structural attempt }
+  let kind =
+    at_first_site ~site (fun _ ss ->
+        match ss with
+        | (Ir.SFor (v1, lo1, hi1, b1) as s1)
+          :: (Ir.SFor (v2, _, _, b2) as s2)
+          :: rest
+          when site ss && fusable s1 s2 ->
+            Some
+              (Ok
+                 (Ir.SFor (v1, lo1, hi1, b1 @ subst_var v2 (Ir.Var v1) b2)
+                 :: rest))
+        | _ -> None)
+  in
+  { name = "fusion"; kind }
 
 (* ------------------------------------------------------------------ *)
 (* scalarize / soa — storage-layout rewrites on kernel-local arrays    *)
@@ -617,45 +686,58 @@ let in_range i n = i >= 0 && i < n
     comes from the declared dimension when it is fixed, or from a
     constant [new] size (lowering leaves local allocations dynamically
     dimensioned even when the size is a literal). *)
-let scalarize_candidate (k : Kernel.kernel) :
+let scalarize_shape (s : Ir.stmt) :
     (string * Ir.aty * Ir.expr option * int) option =
-  let found = ref None in
-  let consider v aty init n =
-    if
-      !found = None
-      && usage_clean k v
-           ~clean_load:(function
-             | Ir.Load (_, [ Ir.Const (Ir.CInt i) ]) -> in_range i n
-             | _ -> false)
-           ~clean_store:(function
-             | Ir.SArrStore (_, [ Ir.Const (Ir.CInt i) ], _) ->
-                 in_range i n
-             | _ -> false)
-    then found := Some (v, aty, init, n)
-  in
+  match s with
+  | Ir.SDecl (v, Ir.TArr aty, init) -> (
+      match (aty.Ir.dims, init) with
+      | [ Ir.DFixed n ], (Some (Ir.NewArr _) | Some (Ir.ArrLit _))
+        when n >= 1 && n <= max_scalarize_elems ->
+          Some (v, aty, init, n)
+      | [ Ir.DDyn ], Some (Ir.NewArr (_, [ Ir.Const (Ir.CInt n) ]))
+        when n >= 1 && n <= max_scalarize_elems ->
+          Some (v, aty, init, n)
+      | _ -> None)
+  | _ -> None
+
+(** The first statement of [k]'s body, from the [from]th on in
+    depth-first preorder, that [f] answers, and [f]'s answer. *)
+let first_stmt ~from (k : Kernel.kernel) (f : Ir.stmt -> 'a option) :
+    'a option =
+  let at = ref 0 and found = ref None in
   List.iter
-    (Ir.iter_stmt
-       ~stmt:(fun s ->
-         match s with
-         | Ir.SDecl (v, Ir.TArr aty, init) -> (
-             match (aty.Ir.dims, init) with
-             | ( [ Ir.DFixed n ],
-                 (Some (Ir.NewArr _) | Some (Ir.ArrLit _)) )
-               when n >= 1 && n <= max_scalarize_elems ->
-                 consider v aty init n
-             | [ Ir.DDyn ], Some (Ir.NewArr (_, [ Ir.Const (Ir.CInt n) ]))
-               when n >= 1 && n <= max_scalarize_elems ->
-                 consider v aty init n
-             | _ -> ())
-         | _ -> ()))
+    (Ir.iter_stmt ~stmt:(fun s ->
+         let here = !at in
+         incr at;
+         if !found = None && here >= from then found := f s))
     k.Kernel.k_body;
   !found
+
+let scalarize_candidate ~from (k : Kernel.kernel) :
+    (string * Ir.aty * Ir.expr option * int) option =
+  first_stmt ~from k (fun s ->
+      match scalarize_shape s with
+      | Some (v, _, _, n) as found
+        when usage_clean k v
+               ~clean_load:(function
+                 | Ir.Load (_, [ Ir.Const (Ir.CInt i) ]) -> in_range i n
+                 | _ -> false)
+               ~clean_store:(function
+                 | Ir.SArrStore (_, [ Ir.Const (Ir.CInt i) ], _) ->
+                     in_range i n
+                 | _ -> false) ->
+          found
+      | _ -> None)
+
+(** A layout step's site: a declaration of the shape its candidates
+    have. *)
+let decl_site shape = function s :: _ -> shape s <> None | [] -> false
 
 (** Replace a small constant-indexed local array by one scalar variable
     per element.  Bit-exact. *)
 let scalarize : step =
-  let attempt (st : state) : (state, string) result =
-    match scalarize_candidate st.st_kernel with
+  let attempt ~from (st : state) : (state, string) result =
+    match scalarize_candidate ~from st.st_kernel with
     | None -> Error no_site
     | Some (v, aty, init, n) ->
         let names = used_names st.st_kernel in
@@ -700,44 +782,42 @@ let scalarize : step =
         in
         Ok (with_body st body)
   in
-  { name = "scalarize"; kind = Structural attempt }
+  {
+    name = "scalarize";
+    kind = Structural { site = decl_site scalarize_shape; attempt };
+  }
 
 (** First kernel-local 2-D array with a small fixed innermost dimension
     whose every access is full-rank with a constant last index. *)
-let soa_candidate (k : Kernel.kernel) :
+let soa_shape (s : Ir.stmt) : (string * Ir.aty * Ir.expr list * int) option =
+  match s with
+  | Ir.SDecl (v, Ir.TArr aty, Some (Ir.NewArr (_, sizes))) -> (
+      match aty.Ir.dims with
+      | [ _; Ir.DFixed f ] when f >= 2 && f <= 4 -> Some (v, aty, sizes, f)
+      | _ -> None)
+  | _ -> None
+
+let soa_candidate ~from (k : Kernel.kernel) :
     (string * Ir.aty * Ir.expr list) option =
-  let found = ref None in
-  let consider v aty sizes f =
-    if
-      !found = None
-      && usage_clean k v
-           ~clean_load:(function
-             | Ir.Load (_, [ _; Ir.Const (Ir.CInt i) ]) -> in_range i f
-             | _ -> false)
-           ~clean_store:(function
-             | Ir.SArrStore (_, [ _; Ir.Const (Ir.CInt i) ], _) ->
-                 in_range i f
-             | _ -> false)
-    then found := Some (v, aty, sizes)
-  in
-  List.iter
-    (Ir.iter_stmt
-       ~stmt:(fun s ->
-         match s with
-         | Ir.SDecl (v, Ir.TArr aty, Some (Ir.NewArr (_, sizes))) -> (
-             match aty.Ir.dims with
-             | [ _; Ir.DFixed f ] when f >= 2 && f <= 4 ->
-                 consider v aty sizes f
-             | _ -> ())
-         | _ -> ()))
-    k.Kernel.k_body;
-  !found
+  first_stmt ~from k (fun s ->
+      match soa_shape s with
+      | Some (v, aty, sizes, f)
+        when usage_clean k v
+               ~clean_load:(function
+                 | Ir.Load (_, [ _; Ir.Const (Ir.CInt i) ]) -> in_range i f
+                 | _ -> false)
+               ~clean_store:(function
+                 | Ir.SArrStore (_, [ _; Ir.Const (Ir.CInt i) ], _) ->
+                     in_range i f
+                 | _ -> false) ->
+          Some (v, aty, sizes)
+      | _ -> None)
 
 (** Split an array-of-short-rows into one 1-D array per lane (AoS→SoA).
     Bit-exact: the same scalar cells exist, only the addressing differs. *)
 let soa : step =
-  let attempt (st : state) : (state, string) result =
-    match soa_candidate st.st_kernel with
+  let attempt ~from (st : state) : (state, string) result =
+    match soa_candidate ~from st.st_kernel with
     | None -> Error no_site
     | Some (v, aty, sizes) ->
         let f =
@@ -784,7 +864,7 @@ let soa : step =
         in
         Ok (with_body st body)
   in
-  { name = "soa"; kind = Structural attempt }
+  { name = "soa"; kind = Structural { site = decl_site soa_shape; attempt } }
 
 (* ------------------------------------------------------------------ *)
 (* Placement rewrites — the Fig 8 space as catalog steps               *)
@@ -862,8 +942,8 @@ let of_name (name : string) : step option =
     site, ["<step>: <reason>"] when no site can be rewritten soundly. *)
 let apply_step (step : step) (st : state) : (state, string) result =
   match step.kind with
-  | Structural attempt ->
-      Result.map_error (fun m -> step.name ^ ": " ^ m) (attempt st)
+  | Structural { attempt; _ } ->
+      Result.map_error (fun m -> step.name ^ ": " ^ m) (attempt ~from:0 st)
   | Placement { set; _ } -> Ok { st with st_config = set st.st_config }
 
 let apply_sequence (st : state) (names : string list) :
@@ -875,6 +955,53 @@ let apply_sequence (st : state) (names : string list) :
           | None -> Error (Printf.sprintf "unknown rewrite %S" n)
           | Some step -> apply_step step st))
     (Ok st) names
+
+(** One walk of [body] in depth-first preorder that tests every statement
+    suffix against each structural step's site shape until each has found
+    its first.  Every site shape of the catalog is headed by a counted
+    loop or an array declaration, so only those suffixes are tested. *)
+let first_sites (steps : step list) (body : Ir.stmt list) : int array =
+  let sites =
+    Array.of_list
+      (List.map
+         (fun s ->
+           match s.kind with
+           | Structural { site; _ } -> site
+           | Placement _ -> fun _ -> false)
+         steps)
+  in
+  let first = Array.make (Array.length sites) (-1) in
+  let missing = ref (Array.length sites) and at = ref 0 in
+  let rec walk ss =
+    match ss with
+    | [] -> ()
+    | s :: rest ->
+        if !missing > 0 then begin
+          let here = !at in
+          incr at;
+          (match s with
+          | Ir.SFor _ | Ir.SDecl (_, Ir.TArr _, _) ->
+              Array.iteri
+                (fun i site ->
+                  if first.(i) < 0 && site ss then begin
+                    first.(i) <- here;
+                    decr missing
+                  end)
+                sites
+          | _ -> ());
+          (match s with
+          | Ir.SIf (_, a, b) ->
+              walk a;
+              walk b
+          | Ir.SWhile (_, b) | Ir.SFor (_, _, _, b) | Ir.SInlineBlock (_, b) ->
+              walk b
+          | Ir.SParFor p -> walk p.Ir.pf_body
+          | _ -> ());
+          walk rest
+        end
+  in
+  walk body;
+  first
 
 let sequence_to_string (names : string list) : string =
   String.concat ";" names

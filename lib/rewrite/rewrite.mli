@@ -20,10 +20,20 @@ val initial : ?config:Lime_gpu.Memopt.config -> Lime_gpu.Kernel.kernel -> state
     {!Lime_gpu.Memopt.config_global}). *)
 
 type kind =
-  | Structural of (state -> (state, string) result)
-      (** one walk to the first site that can be rewritten soundly: the
-          rewritten state, or why no site can.  It reads only the state's
-          kernel and changes only the kernel's body. *)
+  | Structural of {
+      site : Lime_ir.Ir.stmt list -> bool;
+          (** a candidate site of the step heads this statement list: the
+              step's shape, before its soundness check.  A body with no
+              such statement list has no site.  Only lists headed by a
+              counted loop or an array declaration can be sites. *)
+      attempt : from:int -> state -> (state, string) result;
+          (** one walk to the first site, among the statements from the
+              [from]th on in depth-first preorder ({!Lime_ir.Ir.iter_stmt}
+              order, from 0), that can be rewritten soundly: the rewritten
+              state, or why no site can.  It reads only the state's kernel
+              and changes only the kernel's body.  From a body's first
+              candidate site ({!first_sites}) it answers as from [0]. *)
+    }
   | Placement of {
       get : Lime_gpu.Memopt.config -> bool;
       set : Lime_gpu.Memopt.config -> Lime_gpu.Memopt.config;
@@ -47,6 +57,13 @@ val apply_step : step -> state -> (state, string) result
 
 val apply_sequence : state -> string list -> (state, string) result
 (** Apply named steps in order; an unknown name is an error. *)
+
+val first_sites : step list -> Lime_ir.Ir.stmt list -> int array
+(** [first_sites steps body] is one walk of [body]: for each of [steps],
+    in order, the preorder number of the first statement that heads a
+    candidate site of it ([site]), or [-1] when the body has none (and for
+    a placement step).  A structural step with no site fails: its
+    [attempt] answers [Error] without a walk of its own. *)
 
 val sequence_to_string : string list -> string
 val sequence_of_string : string -> string list

@@ -13,28 +13,35 @@
 
     Each piece of work is done once per state, what depends only on the
     kernel body once per body, and nothing that does not depend on the
-    device more than once per kernel ({!memo}).  A frontier entry carries
-    its body's thread-dependence table and memory analysis ({!body}), the
-    body's digest and the state's placement table.  A structural step
-    reads only the kernel, and every step changes only the body, so among
-    the searches of one kernel a body digest fixes the kernel: each
-    (parent body, step) is attempted and each body analyzed once.  A
-    parent's body and configuration fix its placement table and every
-    child it has, so its children — step, configuration, body digest,
-    placement table and signature — are built once per (body,
-    configuration) ({!children}): one {!Lime_gpu.Memopt.decide_all} per
-    child, plus one [Structural] walk and one marshalled body digest per
-    new (body, step), plus one {!Lime_gpu.Taint.thread_dependent} pass
-    and one [analyze] per new body.  A launch ({!Gpusim.Autotune.launch}:
-    the profile walk {!Gpusim.Autotune.profile} and the array bindings
-    {!Gpusim.Autotune.bind}) depends on the state, the shapes and the
+    device more than once per kernel ({!memo}).  The memo numbers each
+    body it sees, looked up by a hash of the body's statement skeleton
+    and exact equality ({!body_key}).  A frontier entry carries its
+    body's {!node} and its {!signature}: the body's number and the
+    state's placement table.  A structural step reads only the kernel,
+    and every step changes only the body, so among the searches of one
+    kernel a body fixes the kernel: each (parent body, step) is attempted
+    and each body's facts built once ({!facts}).  A body's
+    facts are its memory analysis, which reads the body's
+    thread-dependence table ({!Lime_gpu.Taint.thread_dependent}, computed
+    for it and not kept); its launch walk ({!Gpusim.Autotune.profile}),
+    which reads the same table and serves every placement table of the
+    body, since a launch profile reads the table only to ask which arrays
+    are private; and its site table ({!Rewrite.first_sites}), one walk
+    that finds each structural step's first candidate site, made when the
+    body is first expanded, as most bodies never are.  A step the site
+    table finds no site for fails without a walk of its own (it still
+    counts as an attempt), and one with a site is attempted from there.
+    A parent's body and configuration fix its placement table and every
+    child it has, so its children — step, configuration and signature —
+    are built once per (body, configuration) ({!children}): one
+    {!Lime_gpu.Memopt.decide_all} per child, plus one attempt and one
+    body lookup per new (body, step).  A launch — the body's
+    walk under the state's private arrays and the state's array bindings
+    ({!Gpusim.Autotune.bind}) — depends on the state, the shapes and the
     scalars but not on the device, so each distinct state is launched
     once and priced then on every device of {!Gpusim.Device.all}
     ({!price}); a later search of the kernel on any of them reads its
-    price.  The walk reads the placement table only to ask which arrays
-    are private, so it runs once per (body, private set) and the states
-    that share both share its profile; the bindings are each state's
-    own.  The baseline's and the Fig 8 seeds' placement tables and
+    price.  The baseline's and the Fig 8 seeds' placement tables and
     signatures are built once per kernel too ({!seeds}).  After the first
     search, a search of the same kernel costs its own [seen] dedup, a
     table lookup per seed and per child, and the sorting of its beam.
@@ -44,15 +51,18 @@
     flags): two kernels with equal bodies but different parameters are
     analyzed differently.  A kernel is immutable, so a search of the
     kernel the memo last claimed ([==]) does not marshal it again, and
-    the memo keeps the baseline body's digest.  A search of another
+    the memo keeps the baseline body's node.  A search of another
     kernel empties the memo before it does any work, and a search with
-    other shapes or scalars empties only the profiles and prices, so the
-    memo holds one kernel's work and lives as long as its caller keeps
-    it.  A caller that tunes one kernel on several devices passes one
-    memo to each search (the service keeps the memo of the last kernel it
-    searched).  A device that is not physically one of
-    {!Gpusim.Device.all} is priced directly, each time.
-    Without [?memo] a search builds a fresh one.
+    other shapes or scalars drops only the bodies' launch walks and the
+    prices, so the memo holds one kernel's work and lives as long as its
+    caller keeps it.  A caller that tunes one kernel on several devices
+    passes one memo to each search (the service keeps the memo of the
+    last kernel it searched).  A device that is not physically one of
+    {!Gpusim.Device.all} is priced directly, each time.  Without [?memo]
+    a search builds a fresh one.  A replay handed the memo of its
+    kernel's searches reads it ({!recall}): each structural step's
+    outcome, the final body and the state's price, with no attempt,
+    analysis or launch; any miss replays as if there were no memo.
 
     The initial population is the empty schedule plus the eight canned
     Fig 8 sequences of {!Rewrite.fig8_sequences}.  Seeding guarantees the
@@ -70,6 +80,7 @@ module Memopt = Lime_gpu.Memopt
 module Device = Gpusim.Device
 module Model = Gpusim.Model
 module Autotune = Gpusim.Autotune
+module Clock = Lime_support.Clock
 
 type candidate = {
   sc_sequence : string list;  (** rewrite names, in application order *)
@@ -87,7 +98,9 @@ type outcome = {
 
 module Beam = Lime_support.Beam
 
-let emit = Beam.emit "rewrite"
+(** [emit ev] reports [ev ()] as ["rewrite"], building it only when
+    someone observes. *)
+let emit ev = if Beam.observed () then Beam.emit "rewrite" (ev ())
 
 let seq_str = function
   | [] -> "(baseline)"
@@ -99,11 +112,12 @@ let seq_arg seq = ("sequence", seq_str seq)
 (* Scoring                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** What a state's kernel body determines, whatever its configuration:
-    the body's thread-dependence table ({!Lime_gpu.Taint.thread_dependent})
-    and its memory analysis with affine-lane recognition on, which reads
-    that table.  Computed for the baseline and for each structural child;
-    the Fig 8 seeds and every placement child share their parent's. *)
+(** What a state's kernel body determines, whatever its configuration,
+    for a state priced without a memo ({!score}): the body's
+    thread-dependence table ({!Lime_gpu.Taint.thread_dependent}) and its
+    memory analysis with affine-lane recognition on, which reads that
+    table.  A search keeps a body's facts in its {!memo} instead
+    ({!node}). *)
 type body = {
   b_thread_vars : (string, unit) Hashtbl.t;
   b_analysis : Memopt.array_info list;
@@ -126,7 +140,7 @@ let decisions (st : Rewrite.state) (b : body) : Memopt.decision list =
     backend-compiler effects the rewrites rely on (invariant hoisting,
     affine lanes) and price it on the device.  The profile reads [b]'s
     thread-dependence table.  A search prices through {!price}; this is
-    for a device outside {!Gpusim.Device.all} and for {!replay}. *)
+    {!replay}'s when no memo holds the kernel. *)
 let score (device : Device.t) (st : Rewrite.state) (b : body)
     (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) : float =
@@ -137,144 +151,289 @@ let score (device : Device.t) (st : Rewrite.state) (b : body)
   in
   (Model.kernel_time device prof bindings).Model.bd_total_s
 
-(** Digest of a state's rewritten body, marshalled without sharing so
-    equal structures give equal bytes. *)
-let body_digest (st : Rewrite.state) : Digest.t =
-  Digest.string
-    (Marshal.to_string st.Rewrite.st_kernel.Kernel.k_body
-       [ Marshal.No_sharing ])
+(* ------------------------------------------------------------------ *)
+(* Body keys and signatures                                            *)
+(* ------------------------------------------------------------------ *)
 
-(** Structural signature of a state: a digest of its {!body_digest} and
-    the placement table it induces — each decision's array, placement and
-    reason.  A decision's analysis ([d_info]) is left out: it is a
-    function of the body and the array, both already in the key.  The
-    body digest has a fixed length, so two signatures are equal exactly
-    when both the bodies and the tables are (up to MD5).  Two states with
-    equal signatures are indistinguishable to the cost model, so the
-    search keeps only the first (shortest, earliest) sequence reaching
-    each.  The key is 16 bytes: the dedup table never holds an IR body. *)
-let signature (body_digest : Digest.t) (decisions : Memopt.decision list) :
-    Digest.t =
-  let table =
-    List.map
-      (fun (d : Memopt.decision) ->
-        (d.Memopt.d_array, d.Memopt.d_placement, d.Memopt.d_reason))
-      decisions
-  in
-  Digest.string (body_digest ^ Marshal.to_string table [ Marshal.No_sharing ])
+(* A body's key hashes its statement skeleton — each statement's kind,
+   each loop's index and bounds, each declared name — and leaves the
+   expressions out: the bodies of one search differ in their loop nests
+   and declarations, so the skeleton tells them apart, and equality
+   settles the rest.  Two bodies are the same body when they are equal
+   node for node, floats bit for bit — exactly when they would marshal
+   to the same bytes.  The equality stops at physically shared subtrees,
+   which a rewrite leaves in place outside its site, so telling two
+   relatives apart costs about the path to where they differ. *)
+
+let mix h x = (h * 65599) + x
+
+let rec skeleton (h : int) (ss : Ir.stmt list) : int =
+  List.fold_left stmt_skeleton (mix h 1) ss
+
+and stmt_skeleton h (s : Ir.stmt) =
+  match s with
+  | Ir.SFor (v, lo, hi, b) ->
+      let h = mix (mix h 2) (Hashtbl.hash v) in
+      skeleton (mix h (Hashtbl.hash (lo, hi))) b
+  | Ir.SParFor p ->
+      skeleton (mix (mix h 3) (Hashtbl.hash p.Ir.pf_var)) p.Ir.pf_body
+  | Ir.SIf (_, a, b) -> skeleton (mix (skeleton (mix h 4) a) 5) b
+  | Ir.SWhile (_, b) -> skeleton (mix h 6) b
+  | Ir.SInlineBlock (n, b) -> skeleton (mix (mix h 7) (Hashtbl.hash n)) b
+  | Ir.SDecl (v, _, _) -> mix (mix h 8) (Hashtbl.hash v)
+  | Ir.SAssign _ -> mix h 9
+  | Ir.SArrStore _ -> mix h 10
+  | Ir.SReduce _ -> mix h 11
+  | Ir.SReturn _ -> mix h 12
+  | Ir.SExpr _ -> mix h 13
+  | Ir.SBreak -> mix h 14
+  | Ir.SContinue -> mix h 15
+  | Ir.SFinish _ -> mix h 16
+
+let rec same_nodes (a : Obj.t) (b : Obj.t) : bool =
+  a == b
+  || (not (Obj.is_int a))
+     && (not (Obj.is_int b))
+     &&
+     let tag = Obj.tag a and n = Obj.size a in
+     tag = Obj.tag b && n = Obj.size b
+     &&
+     if tag = Obj.string_tag then String.equal (Obj.obj a) (Obj.obj b)
+     else if tag = Obj.double_tag then
+       Int64.equal
+         (Int64.bits_of_float (Obj.obj a))
+         (Int64.bits_of_float (Obj.obj b))
+     else if tag < Obj.no_scan_tag then
+       let rec fields i =
+         i = n
+         || (same_nodes (Obj.field a i) (Obj.field b i) && fields (i + 1))
+       in
+       fields 0
+     else compare a b = 0
+
+(** A kernel body as a table key: the body and its skeleton's hash,
+    taken once. *)
+type body_key = { bk_body : Ir.stmt list; bk_hash : int }
+
+let body_key (body : Ir.stmt list) : body_key =
+  { bk_body = body; bk_hash = skeleton 0 body land max_int }
+
+module Bodies = Hashtbl.Make (struct
+  type t = body_key
+
+  let equal a b =
+    a.bk_hash = b.bk_hash
+    && same_nodes (Obj.repr a.bk_body) (Obj.repr b.bk_body)
+
+  let hash k = k.bk_hash
+end)
+
+(** A placement table as a string: two bytes per decision, in decision
+    order — the memory space with the padding flag, then the vector
+    width.  The arrays are left out: a body's analysis fixes them and
+    their order.  So are the reasons: within one body each array's reason
+    follows from its placement ({!Lime_gpu.Memopt.decide} gives each space
+    one reason, global memory one for written arrays and one for
+    read-only ones), and the cost model never reads it. *)
+let placement_table (ds : Memopt.decision list) : string =
+  let b = Bytes.create (2 * List.length ds) in
+  List.iteri
+    (fun i (d : Memopt.decision) ->
+      let p = d.Memopt.d_placement in
+      let space =
+        match p.Ir.space with
+        | Ir.MGlobal -> 0
+        | Ir.MLocal -> 1
+        | Ir.MPrivate -> 2
+        | Ir.MConstant -> 3
+        | Ir.MImage -> 4
+        | Ir.MHost -> 5
+      in
+      Bytes.set b (2 * i) (Char.chr ((2 * space) + Bool.to_int p.Ir.padded));
+      Bytes.set b ((2 * i) + 1) (Char.chr p.Ir.vector_width))
+    ds;
+  Bytes.unsafe_to_string b
+
+(** A state's signature: its body's number in the memo ({!node}) and the
+    {!placement_table} of its decisions.  A decision's analysis
+    ([d_info]) is a function of the body and the array, both fixed by the
+    body's number.  Two states with equal signatures are
+    indistinguishable to the cost model, so the search keeps only the
+    first (shortest, earliest) sequence reaching each.  The key is a few
+    words, holds no decision and no IR body, and is hashed once, when it
+    is made; a launch recomputes the state's decisions from its
+    configuration. *)
+type signature = { g_body : int; g_table : string; g_hash : int }
+
+let signature (body : int) (ds : Memopt.decision list) : signature =
+  let table = placement_table ds in
+  {
+    g_body = body;
+    g_table = table;
+    g_hash = ((body * 65599) + Hashtbl.hash table) land max_int;
+  }
+
+module Sig = Hashtbl.Make (struct
+  type t = signature
+
+  let equal a b =
+    a.g_hash = b.g_hash && a.g_body = b.g_body
+    && String.equal a.g_table b.g_table
+
+  let hash g = g.g_hash
+end)
 
 let cmp_candidate (a : candidate) (b : candidate) : int =
-  compare
-    (a.sc_time_s, List.length a.sc_sequence, a.sc_sequence)
-    (b.sc_time_s, List.length b.sc_sequence, b.sc_sequence)
+  match Float.compare a.sc_time_s b.sc_time_s with
+  | 0 -> (
+      match
+        Int.compare (List.length a.sc_sequence) (List.length b.sc_sequence)
+      with
+      | 0 -> compare a.sc_sequence b.sc_sequence
+      | c -> c)
+  | c -> c
 
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(** A frontier entry: a scored candidate with its body's facts, its
-    {!body_digest} and its placement table — everything a child reuses
-    when its body is the parent's. *)
+(** A body a {!memo} has seen, with its facts: its number in the memo,
+    the body's kernel, its memory analysis (affine lanes on), its site
+    table — each structural step's first candidate site
+    ({!Rewrite.first_sites}), walked when the body is first expanded,
+    since most bodies never are — and its launch walk
+    ({!Gpusim.Autotune.profile}) for the shapes and scalars the memo
+    prices, [None] once they change.  The thread-dependence table both
+    walks read is not kept.  [n_steps] holds, once the body is first
+    expanded, each structural step's outcome in catalog order: the
+    child's node, or [None] when the step does not apply. *)
+type node = {
+  n_id : int;
+  n_kernel : Kernel.kernel;
+  n_analysis : Memopt.array_info list;
+  n_sites : int array Lazy.t;
+  mutable n_walk : Gpusim.Profile.walk option;
+  mutable n_steps : node option array option;
+}
+
+(** A frontier entry: a scored candidate with its body's {!node} and its
+    {!signature} — everything a child reuses when its body is the
+    parent's. *)
 type entry = {
   en_cand : candidate;
-  en_body : body;
-  en_digest : Digest.t;
-  en_decisions : Memopt.decision list;
+  en_node : node;
+  en_signature : signature;
 }
 
 (** A parent's catalog child, everything about it the device does not
-    change: the step, the child's configuration, body digest, placement
-    table and {!signature}.  The child's kernel and body facts are its
-    body digest's entry in [m_bodies]. *)
+    change: the step, the child's configuration, its body's {!node} and
+    its {!signature}. *)
 type child = {
   c_step : Rewrite.step;
   c_config : Memopt.config;
-  c_digest : Digest.t;
-  c_decisions : Memopt.decision list;
-  c_signature : Digest.t;
+  c_node : node;
+  c_signature : signature;
 }
 
 (** A search's starting state: the baseline or a Fig 8 sequence that
-    applies to it, with its configuration, placement table and
-    {!signature}.  Its body is the baseline's. *)
+    applies to it, with its configuration and {!signature}.  Its body is
+    the baseline's. *)
 type seed = {
   s_name : string;
   s_sequence : string list;
   s_config : Memopt.config;
-  s_decisions : Memopt.decision list;
-  s_signature : Digest.t;
+  s_signature : signature;
 }
 
 (** One kernel's device-independent search work.  A [Structural]
     attempt reads only the state's kernel, and a step changes a kernel
-    only through its body, so for one baseline kernel a body digest fixes
-    the kernel, and the parent's body digest fixes the attempt's outcome.
-    [m_attempts] keeps that outcome per (parent body digest, step name):
-    the child's body digest, or [None] when the step does not apply.
-    [m_bodies] keeps each body's kernel and facts per digest, the
-    baseline's included.  A parent's body and configuration fix its
-    placement table and every child it has, so [m_children] keeps the
-    parent's children in catalog order per (body digest, configuration).
-    A launch also reads the shapes and scalars, named by [m_price_key].
-    Its profile reads the placement table only to ask which arrays are
-    private, so [m_profiles] keeps one launch profile per (body digest,
-    private arrays in decision order), and [m_prices] keeps, per
-    {!signature}, the state's modeled time on each device of
-    {!Gpusim.Device.all}, in that order, from that profile and the
-    state's own array bindings.  [m_key] names the baseline kernel the
-    tables belong to, [m_kernel] is the kernel last claimed under it and
-    [m_base_digest] its baseline's {!body_digest}; [m_seeds] holds the
-    baseline and Fig 8 {!seed}s once a search has built them.  The
-    counters are this search's work, reported on its [End] event. *)
+    only through its body, so for one baseline kernel a body fixes the
+    kernel and every attempt's outcome.  [m_bodies] keeps each body's
+    {!node}, the baseline's ([m_base]) included, numbered in the order
+    the memo first sees them; a node keeps its structural steps'
+    outcomes.  A parent's body and configuration fix its placement table
+    and every child it has, so [m_children] keeps the parent's children
+    in catalog order per (body number, configuration).  A launch also
+    reads the shapes and scalars, named by [m_price_key]: each node's walk
+    is for them, and [m_prices] keeps, per {!signature}, the state's
+    modeled time on each device of {!Gpusim.Device.all}, in that order,
+    from its body's walk under the state's own placement table.  [m_key]
+    names the baseline kernel the tables belong to and [m_kernel] is the
+    kernel last claimed under it; [m_seeds] holds the baseline and Fig 8
+    {!seed}s once a search has built them.  The counters and times are
+    this search's work, reported on its [End] event. *)
 type memo = {
   mutable m_key : Digest.t;  (** [""] until a search claims the memo *)
   mutable m_kernel : Kernel.kernel option;
-  mutable m_base_digest : Digest.t;
+  mutable m_base : node option;
   mutable m_seeds : (seed * seed list) option;
   mutable m_price_key : Digest.t;  (** the shapes and scalars priced *)
-  m_attempts : (Digest.t * string, Digest.t option) Hashtbl.t;
-  m_bodies : (Digest.t, Kernel.kernel * body) Hashtbl.t;
-  m_children : (Digest.t * Memopt.config, child list) Hashtbl.t;
-  m_profiles : (Digest.t * string list, Gpusim.Profile.t) Hashtbl.t;
-  m_prices : (Digest.t, float array) Hashtbl.t;
-  mutable m_walks : int;  (** structural attempts run *)
+  m_bodies : node Bodies.t;
+  m_children : (int * Memopt.config, child list) Hashtbl.t;
+  m_prices : float array Sig.t;
+  mutable m_walks : int;  (** structural attempts made, site-less included *)
   mutable m_hits : int;  (** structural attempts the memo answered *)
-  mutable m_analyses : int;  (** {!body_of} calls, a new baseline's included *)
+  mutable m_analyses : int;  (** bodies analyzed, a new baseline included *)
   mutable m_expansions : int;  (** child lists built *)
-  mutable m_profiled : int;  (** launch profiles walked *)
-  mutable m_launches : int;  (** launches run *)
+  mutable m_profiled : int;  (** launch walks made *)
+  mutable m_launches : int;  (** launches priced *)
+  mutable m_walk_s : float;  (** in site walks and attempts *)
+  mutable m_facts_s : float;  (** in analyses and launch walks *)
+  mutable m_digest_s : float;  (** in body keys: hashes and lookups *)
+  mutable m_price_s : float;  (** in binding and pricing launches *)
 }
 
 let create_memo () =
   {
     m_key = "";
     m_kernel = None;
-    m_base_digest = "";
+    m_base = None;
     m_seeds = None;
     m_price_key = "";
-    m_attempts = Hashtbl.create 64;
-    m_bodies = Hashtbl.create 16;
+    m_bodies = Bodies.create 16;
     m_children = Hashtbl.create 64;
-    m_profiles = Hashtbl.create 64;
-    m_prices = Hashtbl.create 64;
+    m_prices = Sig.create 64;
     m_walks = 0;
     m_hits = 0;
     m_analyses = 0;
     m_expansions = 0;
     m_profiled = 0;
     m_launches = 0;
+    m_walk_s = 0.0;
+    m_facts_s = 0.0;
+    m_digest_s = 0.0;
+    m_price_s = 0.0;
   }
+
+(** [timed add f] is [f ()], its wall time handed to [add] when someone
+    observes the search's events, which report it. *)
+let timed (add : float -> unit) f =
+  if Beam.observed () then begin
+    let t0 = Clock.now_s () in
+    let r = f () in
+    add (Clock.now_s () -. t0);
+    r
+  end
+  else f ()
+
+let price_key ~shapes ~scalars =
+  Digest.string (Marshal.to_string (shapes, scalars) [ Marshal.No_sharing ])
+
+(** [claimed m k ~price_key] holds when [m]'s tables are [k]'s, [k] being
+    the kernel [m] last claimed, for the shapes and scalars of
+    [price_key]. *)
+let claimed (m : memo) (k : Kernel.kernel) ~price_key =
+  (match m.m_kernel with Some k' -> k' == k | None -> false)
+  && String.equal m.m_price_key price_key
 
 (** Claim [m] for a search of [k] launched with [shapes] and [scalars]: a
     memo of another kernel is emptied first, and other shapes or scalars
-    empty only the profiles and prices.  A kernel is immutable, so the
-    one claimed last ([==]) is not marshalled again; the shapes and
-    scalars hold mutable arrays and are hashed on every claim.  The work
-    counters restart either way. *)
+    drop only the prices and the bodies' launch walks.  A kernel is
+    immutable, so the one claimed last ([==]) is not marshalled again;
+    the shapes and scalars hold mutable arrays and are hashed on every
+    claim.  The work counters and times restart either way. *)
 let claim (m : memo) (k : Kernel.kernel) ~shapes ~scalars =
-  let price_key =
-    Digest.string (Marshal.to_string (shapes, scalars) [ Marshal.No_sharing ])
-  in
+  let price_key = price_key ~shapes ~scalars in
   let claimed = match m.m_kernel with Some k' -> k' == k | None -> false in
   let key =
     if claimed then m.m_key
@@ -282,19 +441,17 @@ let claim (m : memo) (k : Kernel.kernel) ~shapes ~scalars =
   in
   m.m_kernel <- Some k;
   if m.m_key <> key then begin
-    Hashtbl.reset m.m_attempts;
-    Hashtbl.reset m.m_bodies;
+    Bodies.reset m.m_bodies;
     Hashtbl.reset m.m_children;
-    Hashtbl.reset m.m_profiles;
-    Hashtbl.reset m.m_prices;
+    Sig.reset m.m_prices;
     m.m_key <- key;
-    m.m_base_digest <- body_digest (Rewrite.initial k);
+    m.m_base <- None;
     m.m_seeds <- None;
     m.m_price_key <- price_key
   end
   else if m.m_price_key <> price_key then begin
-    Hashtbl.reset m.m_profiles;
-    Hashtbl.reset m.m_prices;
+    Bodies.iter (fun _ n -> n.n_walk <- None) m.m_bodies;
+    Sig.reset m.m_prices;
     m.m_price_key <- price_key
   end;
   m.m_walks <- 0;
@@ -302,36 +459,92 @@ let claim (m : memo) (k : Kernel.kernel) ~shapes ~scalars =
   m.m_analyses <- 0;
   m.m_expansions <- 0;
   m.m_profiled <- 0;
-  m.m_launches <- 0
+  m.m_launches <- 0;
+  m.m_walk_s <- 0.0;
+  m.m_facts_s <- 0.0;
+  m.m_digest_s <- 0.0;
+  m.m_price_s <- 0.0
 
-(** [facts m st digest] is the kernel and body facts of [st], whose body
-    digest is [digest], analyzing the body only if [m] has not seen it.
-    The baseline's lookup and {!structural} share it. *)
-let facts (m : memo) (st : Rewrite.state) (digest : Digest.t) :
-    Kernel.kernel * body =
-  match Hashtbl.find_opt m.m_bodies digest with
-  | Some kb -> kb
-  | None ->
-      m.m_analyses <- m.m_analyses + 1;
-      let kb = (st.Rewrite.st_kernel, body_of st) in
-      Hashtbl.add m.m_bodies digest kb;
-      kb
+(** The catalog's structural steps, in catalog order: the steps a
+    {!node}'s site table and outcomes cover. *)
+let structural_steps =
+  List.filter
+    (fun (s : Rewrite.step) ->
+      match s.Rewrite.kind with
+      | Rewrite.Structural _ -> true
+      | Rewrite.Placement _ -> false)
+    Rewrite.catalog
 
-(** [seeds m st b] is the baseline [st], whose body facts are [b], and
+(** [lookup m body] is [body]'s node, if [m] has seen it. *)
+let lookup (m : memo) (body : Ir.stmt list) : node option =
+  timed
+    (fun s -> m.m_digest_s <- m.m_digest_s +. s)
+    (fun () -> Bodies.find_opt m.m_bodies (body_key body))
+
+(** [facts m k ~shapes ~scalars] is the {!node} of [k]'s body: the only
+    place a search builds a body's facts.  A body [m] has not seen is
+    numbered, has its thread-dependence table computed, is analyzed and
+    gets its site walk (run when first read); a body without a launch
+    walk for [m]'s shapes and scalars, new or not, gets one. *)
+let facts (m : memo) (k : Kernel.kernel) ~shapes ~scalars : node =
+  let key =
+    timed
+      (fun s -> m.m_digest_s <- m.m_digest_s +. s)
+      (fun () -> body_key k.Kernel.k_body)
+  in
+  match Bodies.find_opt m.m_bodies key with
+  | Some ({ n_walk = Some _; _ } as n) -> n
+  | known ->
+      timed
+        (fun s -> m.m_facts_s <- m.m_facts_s +. s)
+        (fun () ->
+          let k = match known with Some n -> n.n_kernel | None -> k in
+          let thread_vars = Lime_gpu.Taint.thread_dependent k.Kernel.k_body in
+          let n =
+            match known with
+            | Some n -> n
+            | None ->
+                m.m_analyses <- m.m_analyses + 1;
+                let n =
+                  {
+                    n_id = Bodies.length m.m_bodies;
+                    n_kernel = k;
+                    n_analysis =
+                      Memopt.analyze ~affine_lanes:true ~thread_vars k;
+                    n_sites =
+                      lazy
+                        (Rewrite.first_sites structural_steps
+                           k.Kernel.k_body);
+                    n_walk = None;
+                    n_steps = None;
+                  }
+                in
+                Bodies.add m.m_bodies key n;
+                n
+          in
+          m.m_profiled <- m.m_profiled + 1;
+          n.n_walk <-
+            Some
+              (Autotune.profile ~hoist_invariant:true ~affine_lanes:true
+                 ~thread_vars k n.n_analysis ~shapes ~scalars);
+          n)
+
+let decide (cfg : Memopt.config) (n : node) : Memopt.decision list =
+  Memopt.decide_all cfg n.n_analysis
+
+(** [seeds m st n] is the baseline [st], whose body's node is [n], and
     the Fig 8 sequences that apply to it, in order, as {!seed}s: built by
     the first search of [m]'s kernel and read by the others. *)
-let seeds (m : memo) (st : Rewrite.state) (b : body) : seed * seed list =
+let seeds (m : memo) (st : Rewrite.state) (n : node) : seed * seed list =
   match m.m_seeds with
   | Some seeds -> seeds
   | None ->
       let seed name sequence (st : Rewrite.state) =
-        let ds = decisions st b in
         {
           s_name = name;
           s_sequence = sequence;
           s_config = st.Rewrite.st_config;
-          s_decisions = ds;
-          s_signature = signature m.m_base_digest ds;
+          s_signature = signature n.n_id (decide st.Rewrite.st_config n);
         }
       in
       let base = seed "" [] st in
@@ -347,96 +560,83 @@ let seeds (m : memo) (st : Rewrite.state) (b : body) : seed * seed list =
       m.m_seeds <- Some (base, fig8);
       (base, fig8)
 
-(** [structural m e step] is [e]'s child under the structural [step] —
-    its state, body facts and body digest — or [None] when the step does
-    not apply (or is a placement).  The only place a search runs a step's
-    walk. *)
-let structural (m : memo) (e : entry) (step : Rewrite.step) :
-    (Rewrite.state * body * Digest.t) option =
-  let st = e.en_cand.sc_state in
-  let key = (e.en_digest, step.Rewrite.name) in
-  let child =
-    match Hashtbl.find_opt m.m_attempts key with
-    | Some child ->
-        m.m_hits <- m.m_hits + 1;
-        child
-    | None ->
-        let child =
-          match step.Rewrite.kind with
-          | Rewrite.Placement _ -> None
-          | Rewrite.Structural attempt -> (
-              m.m_walks <- m.m_walks + 1;
-              match attempt st with
-              | Error _ -> None
-              | Ok st' ->
-                  let digest = body_digest st' in
-                  ignore (facts m st' digest);
-                  Some digest)
-        in
-        Hashtbl.add m.m_attempts key child;
-        child
-  in
-  Option.map
-    (fun digest ->
-      let k, body = Hashtbl.find m.m_bodies digest in
-      ({ st with Rewrite.st_kernel = k }, body, digest))
-    child
-
-(** The catalog's structural steps: a child list the memo already holds
-    answers that many attempts. *)
-let structural_steps =
-  List.length
-    (List.filter
-       (fun (s : Rewrite.step) ->
-         match s.Rewrite.kind with
-         | Rewrite.Structural _ -> true
-         | Rewrite.Placement _ -> false)
-       Rewrite.catalog)
+(** [structural m e] is, for each structural step in catalog order, the
+    node of [e]'s child under it, or [None] when the step does not apply:
+    the only place a search attempts a step, once per body.  A body with
+    no candidate site for a step fails it without a walk, and one with a
+    site is walked from there. *)
+let structural (m : memo) (e : entry) ~shapes ~scalars : node option array =
+  let n = e.en_node in
+  match n.n_steps with
+  | Some steps ->
+      m.m_hits <- m.m_hits + Array.length steps;
+      steps
+  | None ->
+      let attempt i (step : Rewrite.step) =
+        m.m_walks <- m.m_walks + 1;
+        match step.Rewrite.kind with
+        | Rewrite.Placement _ -> None
+        | Rewrite.Structural { attempt; _ } ->
+            timed
+              (fun s -> m.m_walk_s <- m.m_walk_s +. s)
+              (fun () ->
+                let from = (Lazy.force n.n_sites).(i) in
+                if from < 0 then None
+                else Result.to_option (attempt ~from e.en_cand.sc_state))
+            |> Option.map (fun (st' : Rewrite.state) ->
+                   facts m st'.Rewrite.st_kernel ~shapes ~scalars)
+      in
+      let steps = Array.of_list (List.mapi attempt structural_steps) in
+      n.n_steps <- Some steps;
+      steps
 
 (** [children m e] is [e]'s catalog children in catalog order: every
     placement toggle that changes the placement table, and every
     structural step that applies.  Built once per (body, configuration);
     a list [m] already holds answers every structural attempt of the
     parent. *)
-let children (m : memo) (e : entry) : child list =
+let children (m : memo) (e : entry) ~shapes ~scalars : child list =
   let cfg = e.en_cand.sc_state.Rewrite.st_config in
-  let key = (e.en_digest, cfg) in
+  let n = e.en_node in
+  let key = (n.n_id, cfg) in
   match Hashtbl.find_opt m.m_children key with
   | Some cs ->
-      m.m_hits <- m.m_hits + structural_steps;
+      m.m_hits <- m.m_hits + List.length structural_steps;
       cs
   | None ->
       m.m_expansions <- m.m_expansions + 1;
-      let placements = Memopt.placements e.en_decisions in
-      let child step st digest ds =
+      let steps = structural m e ~shapes ~scalars in
+      let child step config n' ds =
         {
           c_step = step;
-          c_config = st.Rewrite.st_config;
-          c_digest = digest;
-          c_decisions = ds;
-          c_signature = signature digest ds;
+          c_config = config;
+          c_node = n';
+          c_signature = signature n'.n_id ds;
         }
       in
-      let cs =
-        List.filter_map
-          (fun (step : Rewrite.step) ->
+      let rec go i = function
+        | [] -> []
+        | (step : Rewrite.step) :: rest -> (
             match step.Rewrite.kind with
             | Rewrite.Placement { get; set } ->
-                if get cfg then None
-                else
-                  let st' =
-                    { e.en_cand.sc_state with Rewrite.st_config = set cfg }
-                  in
-                  let ds' = decisions st' e.en_body in
-                  if Memopt.placements ds' = placements then None
-                  else Some (child step st' e.en_digest ds')
+                let c =
+                  if get cfg then None
+                  else
+                    let ds' = decide (set cfg) n in
+                    if String.equal (placement_table ds') e.en_signature.g_table
+                    then None
+                    else Some (child step (set cfg) n ds')
+                in
+                Option.to_list c @ go i rest
             | Rewrite.Structural _ ->
-                Option.map
-                  (fun (st', body', digest') ->
-                    child step st' digest' (decisions st' body'))
-                  (structural m e step))
-          Rewrite.catalog
+                let c =
+                  Option.map
+                    (fun n' -> child step cfg n' (decide cfg n'))
+                    steps.(i)
+                in
+                Option.to_list c @ go (i + 1) rest)
       in
+      let cs = go 0 Rewrite.catalog in
       Hashtbl.add m.m_children key cs;
       cs
 
@@ -449,70 +649,61 @@ let slot (device : Device.t) : int option =
   in
   go 0 Device.all
 
-(** The arrays [ds] places in private memory, in decision order: with
-    the body, all a launch profile reads of the placement table. *)
-let private_arrays (ds : Memopt.decision list) : string list =
-  List.filter_map
-    (fun (d : Memopt.decision) ->
-      if d.Memopt.d_placement.Ir.space = Ir.MPrivate then Some d.Memopt.d_array
-      else None)
-    ds
-
-(** [price m slot device st b digest ds signature] is the modeled time of
-    the state with that {!signature}, body digest [digest] and placement
-    table [ds] on [device], whose {!slot} is [slot].  The first time [m]
-    sees the signature, one launch is priced on every device of
-    {!Gpusim.Device.all}: its profile is [m]'s for the body and private
-    arrays, walked only if [m] has none, and its array bindings are the
-    state's own.  A device outside them is priced directly and not kept.
-    The only place a search launches. *)
-let price (m : memo) (slot : int option) (device : Device.t)
-    (st : Rewrite.state) (b : body) (digest : Digest.t)
-    (ds : Memopt.decision list) (signature : Digest.t) ~shapes ~scalars :
-    float =
+(** [price m slot device n cfg g] is the modeled time, on [device], whose
+    {!slot} is [slot], of the state with body [n], configuration [cfg]
+    and {!signature} [g].  The first time [m] sees the signature, one
+    launch — [n]'s walk under the state's decisions, made again from
+    [cfg], and their array bindings — is priced on every device of
+    {!Gpusim.Device.all}.  A device outside
+    them is priced directly and not kept.  The only place a search
+    launches. *)
+let price (m : memo) (slot : int option) (device : Device.t) (n : node)
+    (cfg : Memopt.config) (g : signature) ~shapes ~scalars : float =
+  let launch () =
+    m.m_launches <- m.m_launches + 1;
+    let walk =
+      match n.n_walk with
+      | Some w -> w
+      | None -> Option.get (facts m n.n_kernel ~shapes ~scalars).n_walk
+    in
+    timed
+      (fun s -> m.m_price_s <- m.m_price_s +. s)
+      (fun () ->
+        let prof, bindings =
+          Autotune.bind n.n_kernel (decide cfg n) ~shapes walk
+        in
+        fun d -> (Model.kernel_time d prof bindings).Model.bd_total_s)
+  in
   match slot with
-  | None ->
-      m.m_launches <- m.m_launches + 1;
-      score device st b ds ~shapes ~scalars
+  | None -> launch () device
   | Some i -> (
-      match Hashtbl.find_opt m.m_prices signature with
+      match Sig.find_opt m.m_prices g with
       | Some times -> times.(i)
       | None ->
-          m.m_launches <- m.m_launches + 1;
-          let k = st.Rewrite.st_kernel in
-          let key = (digest, private_arrays ds) in
-          let prof =
-            match Hashtbl.find_opt m.m_profiles key with
-            | Some prof -> prof
-            | None ->
-                m.m_profiled <- m.m_profiled + 1;
-                let prof =
-                  Autotune.profile ~hoist_invariant:true ~affine_lanes:true
-                    ~thread_vars:b.b_thread_vars k ds ~shapes ~scalars
-                in
-                Hashtbl.add m.m_profiles key prof;
-                prof
-          in
-          let bindings = Autotune.bind k ds ~shapes prof in
+          let time = launch () in
           let times =
-            Array.of_list
-              (List.map
-                 (fun d -> (Model.kernel_time d prof bindings).Model.bd_total_s)
-                 Device.all)
+            timed
+              (fun s -> m.m_price_s <- m.m_price_s +. s)
+              (fun () -> Array.of_list (List.map time Device.all))
           in
-          Hashtbl.add m.m_prices signature times;
+          Sig.add m.m_prices g times;
           times.(i))
 
-(** [memo_time m device signature] is the time [m]'s price table holds
-    for the state with that {!signature} on [device], if any. *)
-let memo_time (m : memo) (device : Device.t) (signature : Digest.t) :
-    float option =
-  match (slot device, Hashtbl.find_opt m.m_prices signature) with
-  | Some i, Some times -> Some times.(i)
+(** [memo_time m device st ds] is the time [m]'s price table holds for
+    the state [st] under the placement table [ds] on [device], if any. *)
+let memo_time (m : memo) (device : Device.t) (st : Rewrite.state)
+    (ds : Memopt.decision list) : float option =
+  match (slot device, lookup m st.Rewrite.st_kernel.Kernel.k_body) with
+  | Some i, Some n ->
+      Option.map
+        (fun times -> times.(i))
+        (Sig.find_opt m.m_prices (signature n.n_id ds))
   | _ -> None
 
 let default_width = 8
 let default_depth = 5
+
+let ms s = Printf.sprintf "%.3f" (s *. 1e3)
 
 (** [search device k ~shapes ~scalars] beam-searches a rewrite schedule
     for [k] launched with the given argument shapes.  [width] states
@@ -522,49 +713,53 @@ let search ?(memo = create_memo ()) ?(width = default_width)
     ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) : outcome =
   let width = max 1 width and depth = max 0 depth in
-  emit
-    (Beam.Begin
-       [
-         ("kernel", k.Kernel.k_name);
-         ("device", device.Device.name);
-         ("width", string_of_int width);
-         ("depth", string_of_int depth);
-       ]);
+  emit (fun () ->
+      Beam.Begin
+        [
+          ("kernel", k.Kernel.k_name);
+          ("device", device.Device.name);
+          ("width", string_of_int width);
+          ("depth", string_of_int depth);
+        ]);
   let evals = ref 0 in
   let slot = slot device in
-  let evaluate (sequence : string list) (st : Rewrite.state) body digest ds
-      signature : entry =
+  let evaluate (sequence : string list) (st : Rewrite.state) node g : entry =
     incr evals;
     let time_s =
-      price memo slot device st body digest ds signature ~shapes ~scalars
+      price memo slot device node st.Rewrite.st_config g ~shapes ~scalars
     in
     {
       en_cand = { sc_sequence = sequence; sc_state = st; sc_time_s = time_s };
-      en_body = body;
-      en_digest = digest;
-      en_decisions = ds;
+      en_node = node;
+      en_signature = g;
     }
   in
-  let seen : (Digest.t, unit) Hashtbl.t = Hashtbl.create 64 in
+  let seen : unit Sig.t = Sig.create 64 in
   let fresh_state signature =
-    if Hashtbl.mem seen signature then false
+    if Sig.mem seen signature then false
     else begin
-      Hashtbl.add seen signature ();
+      Sig.add seen signature ();
       true
     end
   in
   claim memo k ~shapes ~scalars;
-  let memo_bodies = Hashtbl.length memo.m_bodies in
+  let memo_bodies = Bodies.length memo.m_bodies in
   let baseline_state = Rewrite.initial k in
-  let baseline_digest = memo.m_base_digest in
-  let _, baseline_body = facts memo baseline_state baseline_digest in
+  let baseline_node =
+    match memo.m_base with
+    | Some ({ n_walk = Some _; _ } as n) -> n
+    | _ ->
+        let n = facts memo k ~shapes ~scalars in
+        memo.m_base <- Some n;
+        n
+  in
   let start (s : seed) =
     ignore (fresh_state s.s_signature);
     evaluate s.s_sequence
       { baseline_state with Rewrite.st_config = s.s_config }
-      baseline_body baseline_digest s.s_decisions s.s_signature
+      baseline_node s.s_signature
   in
-  let base_seed, fig8_seeds = seeds memo baseline_state baseline_body in
+  let base_seed, fig8_seeds = seeds memo baseline_state baseline_node in
   let baseline_entry = start base_seed in
   let baseline = baseline_entry.en_cand in
   (* Canned Fig 8 sequences seed the beam: the search result can only be
@@ -595,25 +790,24 @@ let search ?(memo = create_memo ()) ?(width = default_width)
     List.filter_map
       (fun c ->
         if fresh_state c.c_signature then
-          let k, body = Hashtbl.find memo.m_bodies c.c_digest in
           Some
             (evaluate
                (e.en_cand.sc_sequence @ [ c.c_step.Rewrite.name ])
-               { Rewrite.st_kernel = k; st_config = c.c_config }
-               body c.c_digest c.c_decisions c.c_signature)
+               { Rewrite.st_kernel = c.c_node.n_kernel; st_config = c.c_config }
+               c.c_node c.c_signature)
         else None)
-      (children memo e)
+      (children memo e ~shapes ~scalars)
   in
   let on_level level frontier (best : entry) =
-    emit
-      (Beam.Level
-         [
-           ("level", string_of_int level);
-           ("frontier", string_of_int (List.length frontier));
-           ("evals", string_of_int !evals);
-           ("best_time_s", Printf.sprintf "%.3e" best.en_cand.sc_time_s);
-           seq_arg best.en_cand.sc_sequence;
-         ])
+    emit (fun () ->
+        Beam.Level
+          [
+            ("level", string_of_int level);
+            ("frontier", string_of_int (List.length frontier));
+            ("evals", string_of_int !evals);
+            ("best_time_s", Printf.sprintf "%.3e" best.en_cand.sc_time_s);
+            seq_arg best.en_cand.sc_sequence;
+          ])
   in
   let best_entry, depth_reached =
     Beam.run
@@ -622,24 +816,28 @@ let search ?(memo = create_memo ()) ?(width = default_width)
       (baseline_entry :: List.map snd fig8_entries)
   in
   let best = best_entry.en_cand in
-  emit
-    (Beam.End
-       {
-         evals = !evals;
-         best_time_s = best.sc_time_s;
-         best = seq_arg best.sc_sequence;
-         improved = best.sc_time_s < (snd fig8_best).sc_time_s;
-         args =
-           [
-             ("attempts", string_of_int memo.m_walks);
-             ("attempt_hits", string_of_int memo.m_hits);
-             ("analyses", string_of_int memo.m_analyses);
-             ("expansions", string_of_int memo.m_expansions);
-             ("launches", string_of_int memo.m_launches);
-             ("profiles", string_of_int memo.m_profiled);
-             ("memo_bodies", string_of_int memo_bodies);
-           ];
-       });
+  emit (fun () ->
+      Beam.End
+        {
+          evals = !evals;
+          best_time_s = best.sc_time_s;
+          best = seq_arg best.sc_sequence;
+          improved = best.sc_time_s < (snd fig8_best).sc_time_s;
+          args =
+            [
+              ("attempts", string_of_int memo.m_walks);
+              ("attempt_hits", string_of_int memo.m_hits);
+              ("analyses", string_of_int memo.m_analyses);
+              ("expansions", string_of_int memo.m_expansions);
+              ("launches", string_of_int memo.m_launches);
+              ("profiles", string_of_int memo.m_profiled);
+              ("memo_bodies", string_of_int memo_bodies);
+              ("walk_ms", ms memo.m_walk_s);
+              ("facts_ms", ms memo.m_facts_s);
+              ("digest_ms", ms memo.m_digest_s);
+              ("price_ms", ms memo.m_price_s);
+            ];
+        });
   {
     so_best = best;
     so_baseline = baseline;
@@ -652,30 +850,88 @@ let search ?(memo = create_memo ()) ?(width = default_width)
 (* Replay and reporting                                                *)
 (* ------------------------------------------------------------------ *)
 
+(** [recall m device k sequence ~shapes ~scalars] is the candidate
+    [sequence] reaches from [k], read from [m] alone: each structural
+    step's outcome from its parent's {!node}, the final body's facts and
+    the state's time from [m_prices].  [None] when [m] is not [k]'s under
+    these shapes and scalars, or misses any of it — a body it never
+    expanded, a step it saw fail, a name outside the catalog, a state it
+    never priced, a device outside {!Gpusim.Device.all}. *)
+let recall (m : memo) (device : Device.t) (k : Kernel.kernel)
+    (sequence : string list) ~shapes ~scalars : candidate option =
+  let index name =
+    let rec go i = function
+      | [] -> None
+      | (s : Rewrite.step) :: rest ->
+          if String.equal s.Rewrite.name name then Some i else go (i + 1) rest
+    in
+    go 0 structural_steps
+  in
+  let rec go (n : node) cfg = function
+    | [] -> Some (n, cfg)
+    | name :: rest -> (
+        match Option.map (fun s -> s.Rewrite.kind) (Rewrite.of_name name) with
+        | Some (Rewrite.Placement { set; _ }) -> go n (set cfg) rest
+        | Some (Rewrite.Structural _) -> (
+            match (index name, n.n_steps) with
+            | Some i, Some steps ->
+                Option.bind steps.(i) (fun n' -> go n' cfg rest)
+            | _ -> None)
+        | None -> None)
+  in
+  let price_key = price_key ~shapes ~scalars in
+  match (slot device, m.m_base) with
+  | Some i, Some base when claimed m k ~price_key ->
+      Option.bind
+        (go base (Rewrite.initial k).Rewrite.st_config sequence)
+        (fun (n, cfg) ->
+          Option.map
+            (fun times ->
+              {
+                sc_sequence = sequence;
+                sc_state = { Rewrite.st_kernel = n.n_kernel; st_config = cfg };
+                sc_time_s = times.(i);
+              })
+            (Sig.find_opt m.m_prices (signature n.n_id (decide cfg n))))
+  | _ -> None
+
 (** Apply a stored schedule (legality-checked, no search) and price the
     result — the cache-warm path: a tunestore hit replays the persisted
-    sequence instead of re-searching. *)
-let replay (device : Device.t) (k : Kernel.kernel) (sequence : string list)
-    ~(shapes : (string * int array) list)
+    sequence instead of re-searching.  A [memo] holding the kernel's
+    search answers it ({!recall}); otherwise, and on any miss, the
+    sequence is applied and its state launched. *)
+let replay ?memo (device : Device.t) (k : Kernel.kernel)
+    (sequence : string list) ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) : (candidate, string) result =
-  let replayed ok =
-    emit
-      (Beam.Replay
-         { args = [ ("kernel", k.Kernel.k_name); seq_arg sequence ]; ok })
+  let replayed ?(read = []) ok =
+    emit (fun () ->
+        Beam.Replay
+          {
+            args = ("kernel", k.Kernel.k_name) :: seq_arg sequence :: read;
+            ok;
+          })
   in
-  match Rewrite.apply_sequence (Rewrite.initial k) sequence with
-  | Error m ->
-      replayed false;
-      Error m
-  | Ok st ->
-      replayed true;
-      let body = body_of st in
-      Ok
-        {
-          sc_sequence = sequence;
-          sc_state = st;
-          sc_time_s = score device st body (decisions st body) ~shapes ~scalars;
-        }
+  match
+    Option.bind memo (fun m -> recall m device k sequence ~shapes ~scalars)
+  with
+  | Some c ->
+      replayed ~read:[ ("from", "memo") ] true;
+      Ok c
+  | None -> (
+      match Rewrite.apply_sequence (Rewrite.initial k) sequence with
+      | Error m ->
+          replayed false;
+          Error m
+      | Ok st ->
+          replayed true;
+          let body = body_of st in
+          Ok
+            {
+              sc_sequence = sequence;
+              sc_state = st;
+              sc_time_s =
+                score device st body (decisions st body) ~shapes ~scalars;
+            })
 
 (** Human-readable account of a search, for [limec --explain]. *)
 let explain (o : outcome) : string =

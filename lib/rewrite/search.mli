@@ -21,14 +21,14 @@ type outcome = {
 type memo
 (** One kernel's device-independent search work: each structural
     attempt's outcome per (parent body, step), each body's kernel and
-    facts, the placement tables and signatures of the baseline and the
-    Fig 8 seeds, each parent's children per (body, configuration), one
-    launch profile per (body, private arrays), and each distinct state's
-    modeled time on every device of {!Gpusim.Device.all}, from one
-    launch.  It is keyed by the whole baseline kernel; a search of another
-    kernel empties it first, and a search with other shapes or scalars
-    empties only the profiles and times.  One memo must not serve two
-    searches at once. *)
+    facts — its analysis, its site table and its launch walk — the
+    placement tables of the baseline and the Fig 8 seeds, each parent's
+    children per (body, configuration), and each distinct state's modeled
+    time on every device of {!Gpusim.Device.all}, from one launch.  It is
+    keyed by the whole baseline kernel; a search of another kernel
+    empties it first, and a search with other shapes or scalars drops
+    only the launch walks and times.  One memo must not serve two
+    searches, or a search and a replay, at once. *)
 
 val create_memo : unit -> memo
 
@@ -51,13 +51,20 @@ val search :
     the walks, analyses, child lists and launches that search already
     made; the outcome is the same with or without it.  A device that is
     not physically one of {!Gpusim.Device.all} is priced directly.  The
-    ["rewrite"] [End] event reports this search's [attempts] (walks run),
-    [attempt_hits] (structural attempts the memo answered), [analyses],
-    [expansions] (child lists built), [launches] and [profiles] (launch
-    profiles walked), and [memo_bodies], the bodies the memo held for [k]
-    when the search began. *)
+    ["rewrite"] [End] event reports this search's [attempts] (structural
+    attempts made, those a body's site table fails without a walk
+    included), [attempt_hits] (structural attempts the memo answered),
+    [analyses], [expansions] (child lists built), [launches] and
+    [profiles] (launch walks made, one per body), and [memo_bodies], the
+    bodies the memo held for [k] when the search began; then the wall
+    time spent in pieces of that work: [walk_ms] (site walks and
+    attempts), [facts_ms] (thread-dependence tables, analyses and launch
+    walks), [digest_ms] (body keys: hashing bodies and looking them up)
+    and [price_ms] (binding and pricing launches), each in milliseconds,
+    measured only while someone observes the events. *)
 
 val replay :
+  ?memo:memo ->
   Gpusim.Device.t ->
   Lime_gpu.Kernel.kernel ->
   string list ->
@@ -65,7 +72,15 @@ val replay :
   scalars:(string * float) list ->
   (candidate, string) result
 (** Apply a stored schedule (legality-checked, no search) and price the
-    result — the cache-warm path. *)
+    result — the cache-warm path.  When [memo] last searched this very
+    kernel ([==]) with these shapes and scalars, the replay reads it: the
+    structural steps' outcomes, the final body and its price, with no
+    attempt, analysis or launch.  Anything the memo lacks — a step it
+    never attempted or saw fail, a state it never priced — replays
+    without it, so the result, and the error of a sequence that no
+    longer applies, are the same with or without [memo].  The memo is
+    only read.  The ["rewrite"] [Replay] event of a replay the memo
+    answered carries [from=memo]. *)
 
 val explain : outcome -> string
 (** Human-readable account of a search, for [limec --explain]. *)
@@ -80,7 +95,6 @@ type body
 (** A kernel body's thread-dependence table and memory analysis. *)
 
 val body_of : Rewrite.state -> body
-val body_digest : Rewrite.state -> Digest.t
 val decisions : Rewrite.state -> body -> Lime_gpu.Memopt.decision list
 
 val score :
@@ -93,10 +107,12 @@ val score :
   float
 (** Modeled time of a state under its decisions, from its own launch. *)
 
-val signature : Digest.t -> Lime_gpu.Memopt.decision list -> Digest.t
-(** A state's dedup key: its body digest and its placement table (each
-    decision's array, placement and reason). *)
-
-val memo_time : memo -> Gpusim.Device.t -> Digest.t -> float option
-(** The modeled time a memo's price table holds for the state with that
-    {!signature} on the device, if any. *)
+val memo_time :
+  memo ->
+  Gpusim.Device.t ->
+  Rewrite.state ->
+  Lime_gpu.Memopt.decision list ->
+  float option
+(** [memo_time m device st ds] is the modeled time [m]'s price table
+    holds for the state [st] under the placement table [ds] on [device],
+    if any. *)

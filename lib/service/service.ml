@@ -282,11 +282,13 @@ let sweep t d ~device_key ~digest kernel ~shapes ~scalars =
 (* Beam results live in the tunestore beside the Fig 8 sweep records,
    under a ".beam"-suffixed device key so the two kinds of record never
    clobber each other.  A schedule that no longer replays (store written
-   against a different kernel shape) is treated as a miss.  A search takes
-   the last kernel's memo out of its slot and puts it back when done, so
-   tuning one kernel on several devices walks and analyzes each body once;
-   a search that runs meanwhile finds the slot empty and builds its own,
-   so no two searches share a memo. *)
+   against a different kernel shape) is treated as a miss.  A search or a
+   replay takes the last kernel's memo out of its slot and puts it back
+   when done, so tuning one kernel on several devices walks and analyzes
+   each body once, and a replay of the kernel the memo holds reads its
+   work instead of redoing it; one that runs meanwhile finds the slot
+   empty (a search builds its own memo, a replay goes without), so no two
+   share a memo. *)
 let beam_device_key device = device ^ ".beam"
 
 let beam_schedule t (d : Gpusim.Device.t) ~device_key ~digest ?width ?depth
@@ -294,7 +296,12 @@ let beam_schedule t (d : Gpusim.Device.t) ~device_key ~digest ?width ?depth
     Search.candidate * [ `Replayed | `Searched of Search.outcome ] =
   tuned t ~digest ~device:(beam_device_key device_key)
     ~stored:(fun r -> r.Tunestore.tr_sequence)
-    ~replay:(fun seq -> Search.replay d k seq ~shapes ~scalars)
+    ~replay:(fun seq ->
+      let memo = Atomic.exchange t.sv_search_memo None in
+      Fun.protect
+        ~finally:(fun () ->
+          Option.iter (fun m -> Atomic.set t.sv_search_memo (Some m)) memo)
+        (fun () -> Search.replay ?memo d k seq ~shapes ~scalars))
     ~search:(fun () ->
       let memo =
         match Atomic.exchange t.sv_search_memo None with

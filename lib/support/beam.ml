@@ -32,3 +32,4 @@ type event =
 
 let hooks : (string * event) Hooks.t = Hooks.create ()
 let emit search ev = Hooks.emit hooks (search, ev)
+let observed () = Hooks.active hooks

@@ -46,3 +46,7 @@ val hooks : (string * event) Hooks.t
 
 val emit : string -> event -> unit
 (** [emit search ev] calls every observer with [(search, ev)]. *)
+
+val observed : unit -> bool
+(** Whether any observer is registered: a search builds its events, and
+    times the pieces they report, only then. *)

@@ -194,12 +194,107 @@ let test_device_table2_shapes () =
     (Device.peak_flops Device.hd5970 > Device.peak_flops Device.gtx580
     && Device.peak_flops Device.gtx580 > Device.peak_flops Device.gtx8800)
 
+(* One launch walk serves every placement table: the walk under a
+   table's private arrays is that table's own profile, bit for bit —
+   the same accesses in the same order, the same private-access sum —
+   over the registry, the Fig 8 configurations and both flag settings. *)
+let two_private_source =
+  {|class K {
+  static local float one(float x) {
+    float[[]] a = K.gen @ Lime.range(4);
+    float[[]] b = K.gen @ Lime.range(3);
+    float s = 0.0f;
+    for (int j = 0; j < 3; j++) { s += a[j] * x + b[j] + a[1] * b[2]; }
+    if (x > 0.5f) { s += b[1] * a[2]; }
+    return s + a[3] + b[0];
+  }
+  static local float gen(int j) { return (float) j; }
+  static local float[[]] work(float[[]] xs) { return K.one @ xs; }
+}|}
+
+let test_walk_under_equals_profile () =
+  let bits p = Marshal.to_string (p : Profile.t) [ Marshal.No_sharing ] in
+  let privates = ref 0 and summed = ref 0 in
+  (* with hoisting the loop-invariant reads count a third per trip, and
+     63 items halve under the [if]: such counts are not whole, so the
+     private accesses are summed in walk order; whole ones per array *)
+  let two = kernel_of two_private_source ~worker:"K.work" in
+  let launches =
+    (two, [ ("xs", [| 64 |]) ], [])
+    :: (two, [ ("xs", [| 63 |]) ], [])
+    :: List.map
+         (fun (b : B.t) ->
+           let p = E.prepare ~seed:1 b in
+           ( p.E.p_compiled.Lime_gpu.Pipeline.cp_kernel,
+             p.E.p_shapes,
+             p.E.p_scalars ))
+         Lime_benchmarks.Registry.workloads
+  in
+  List.iter
+    (fun (k, shapes, scalars) ->
+      List.iter
+        (fun ext ->
+          let infos = Memopt.analyze ~affine_lanes:ext k in
+          let walk =
+            Gpusim.Autotune.profile ~hoist_invariant:ext ~affine_lanes:ext k
+              infos ~shapes ~scalars
+          in
+          List.iter
+            (fun (name, cfg) ->
+              let ds = Memopt.decide_all cfg infos in
+              let want =
+                Profile.profile ~hoist_invariant:ext ~affine_lanes:ext k ds
+                  ~shapes ~scalars
+              in
+              let got, _ = Gpusim.Autotune.bind k ds ~shapes walk in
+              if
+                List.exists
+                  (fun (d : Memopt.decision) ->
+                    d.Memopt.d_placement.Ir.space = Ir.MPrivate)
+                  ds
+              then incr privates;
+              if want.Profile.p_private_accesses > 0.0 then incr summed;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, %s, extensions %b"
+                   k.Lime_gpu.Kernel.k_name name ext)
+                true
+                (bits want = bits got))
+            Memopt.fig8_configs)
+        [ false; true ])
+    launches;
+  Alcotest.(check bool) "some launch has private arrays" true (!privates > 0);
+  Alcotest.(check bool) "some launch reads them" true (!summed > 0);
+  (* the two-private kernel's profiles as the profiler read them when it
+     routed private accesses aside during the walk *)
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun ext ->
+          let infos = Memopt.analyze ~affine_lanes:ext two in
+          List.iter
+            (fun (_, cfg) ->
+              Buffer.add_string buf
+                (bits
+                   (Profile.profile ~hoist_invariant:ext ~affine_lanes:ext two
+                      (Memopt.decide_all cfg infos)
+                      ~shapes:[ ("xs", [| n |]) ]
+                      ~scalars:[])))
+            Memopt.fig8_configs)
+        [ false; true ])
+    [ 64; 63 ];
+  Alcotest.(check string) "two private arrays: profiles pinned"
+    "9298135c9938bf4e0cef62f5daf741f9"
+    (Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "gpusim"
     [
       ( "profile",
         [
           Alcotest.test_case "exact counts" `Quick test_profile_counts_exact;
+          Alcotest.test_case "one walk = every table's profile" `Quick
+            test_walk_under_equals_profile;
           Alcotest.test_case "matches interpreter" `Quick
             test_profile_matches_interpreter;
         ] );

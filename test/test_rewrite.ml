@@ -278,51 +278,58 @@ let test_golden_search_table () =
    reference below is the search without its memo tables — every
    expanded entry re-attempts every structural step and launches every
    state it prices — and counts the distinct bodies it reaches, the
-   distinct (body, step) pairs it attempts, the distinct states it
-   prices with the time of each, and the distinct (body, private
-   arrays) pairs those states profile; the search's End event must
-   report exactly those.                                              *)
+   distinct (body, step) pairs it attempts, and the distinct states it
+   prices with the time of each; the search's End event must report
+   exactly those.                                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* a body's digest, marshalled without sharing so equal structures give
+   equal bytes *)
+let body_digest (st : Rewrite.state) =
+  Stdlib.Digest.string
+    (Marshal.to_string st.Rewrite.st_kernel.Kernel.k_body
+       [ Marshal.No_sharing ])
+
+(* a state's dedup key: its body digest and placement table *)
+type signature =
+  Stdlib.Digest.t * (string * Lime_ir.Ir.placement * string) list
 
 type work = {
   evals : int;
   attempts : int;
   pairs : (Stdlib.Digest.t * string, unit) Hashtbl.t;
-  bodies : (Stdlib.Digest.t, unit) Hashtbl.t;
-  signatures : (Stdlib.Digest.t, float) Hashtbl.t;
-  profiles : (Stdlib.Digest.t * string list, unit) Hashtbl.t;
+  bodies : (Stdlib.Digest.t, Kernel.kernel) Hashtbl.t;
+  signatures :
+    (signature, Rewrite.state * Memopt.decision list * float) Hashtbl.t;
 }
 
-(* the arrays a placement table puts in private memory, in order *)
-let private_arrays (ds : Memopt.decision list) =
-  List.filter_map
-    (fun (d : Memopt.decision) ->
-      if d.Memopt.d_placement.Lime_ir.Ir.space = Lime_ir.Ir.MPrivate then
-        Some d.Memopt.d_array
-      else None)
-    ds
+let signature digest (ds : Memopt.decision list) : signature =
+  ( digest,
+    List.map
+      (fun (d : Memopt.decision) ->
+        (d.Memopt.d_array, d.Memopt.d_placement, d.Memopt.d_reason))
+      ds )
 
 let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
     =
   let evals = ref 0 and attempts = ref 0 in
   let pairs = Hashtbl.create 64 and bodies = Hashtbl.create 16 in
-  let signatures = Hashtbl.create 64 and profiles = Hashtbl.create 64 in
+  let signatures = Hashtbl.create 64 in
   let seen = Hashtbl.create 64 in
   let fresh digest ds =
-    let s = Search.signature digest ds in
+    let s = signature digest ds in
     (not (Hashtbl.mem seen s)) && (Hashtbl.add seen s (); true)
   in
   (* sequence, state, body, digest, decisions, modeled time *)
   let evaluate seq st body digest ds =
     incr evals;
     let time = Search.score d st body ds ~shapes ~scalars in
-    Hashtbl.replace signatures (Search.signature digest ds) time;
-    Hashtbl.replace profiles (digest, private_arrays ds) ();
+    Hashtbl.replace signatures (signature digest ds) (st, ds, time);
     (seq, st, body, digest, ds, time)
   in
   let st0 = Rewrite.initial k in
-  let body0 = Search.body_of st0 and digest0 = Search.body_digest st0 in
-  Hashtbl.replace bodies digest0 ();
+  let body0 = Search.body_of st0 and digest0 = body_digest st0 in
+  Hashtbl.replace bodies digest0 k;
   let ds0 = Search.decisions st0 body0 in
   ignore (fresh digest0 ds0);
   let base = evaluate [] st0 body0 digest0 ds0 in
@@ -356,15 +363,15 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
               let ds' = Search.decisions st' body in
               if Memopt.placements ds' = Memopt.placements ds then None
               else child st' body digest ds'
-        | Rewrite.Structural attempt -> (
+        | Rewrite.Structural { attempt; _ } -> (
             incr attempts;
             Hashtbl.replace pairs (digest, step.Rewrite.name) ();
-            match attempt st with
+            match attempt ~from:0 st with
             | Error _ -> None
             | Ok st' ->
                 let body' = Search.body_of st' in
-                let digest' = Search.body_digest st' in
-                Hashtbl.replace bodies digest' ();
+                let digest' = body_digest st' in
+                Hashtbl.replace bodies digest' st'.Rewrite.st_kernel;
                 child st' body' digest' (Search.decisions st' body')))
       Rewrite.catalog
   in
@@ -374,17 +381,24 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
   ignore
     (Lime_support.Beam.run ~cmp ~width:Search.default_width
        ~levels:Search.default_depth ~expand ~best:base (base :: seeds));
-  { evals = !evals; attempts = !attempts; pairs; bodies; signatures; profiles }
+  { evals = !evals; attempts = !attempts; pairs; bodies; signatures }
 
 (* A search's outcome and its own account of its work, from its End
-   event: evals, then the named counters. *)
+   event: evals, then the named counters (the wall times, which no test
+   can pin, left out). *)
 let search_end ?memo (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars =
   let got = ref None in
   Lime_support.Hooks.add Lime_support.Beam.hooks ~key:"test_rewrite"
     (function
     | "rewrite", Lime_support.Beam.End e ->
         got :=
-          Some (e.evals, List.map (fun (n, v) -> (n, int_of_string v)) e.args)
+          Some
+            ( e.evals,
+              List.filter_map
+                (fun (n, v) ->
+                  if String.ends_with ~suffix:"_ms" n then None
+                  else Some (n, int_of_string v))
+                e.args )
     | _ -> ());
   let o =
     Fun.protect
@@ -483,7 +497,7 @@ let test_shared_memo_equals_fresh () =
       let k = p.E.p_compiled.Pipeline.cp_kernel in
       let shapes = p.E.p_shapes and scalars = p.E.p_scalars in
       let pairs = Hashtbl.create 64 and bodies = Hashtbl.create 16 in
-      let signatures = Hashtbl.create 64 and profiles = Hashtbl.create 64 in
+      let signatures = Hashtbl.create 64 in
       let attempts = ref 0 and analyses = ref 0 and launches = ref 0 in
       let profiled = ref 0 in
       List.iteri
@@ -500,20 +514,20 @@ let test_shared_memo_equals_fresh () =
           launches := !launches + List.assoc "launches" args;
           profiled := !profiled + List.assoc "profiles" args;
           let want = unmemoized_work d k ~shapes ~scalars in
-          (* a price the table holds, from a profile another state may
-             have walked, is the state's own launch, bit for bit *)
+          (* a price the table holds, from its body's one launch walk
+             under the state's private arrays, is the state's own
+             launch, bit for bit *)
           Hashtbl.iter
-            (fun signature time ->
+            (fun _ (st, ds, time) ->
               Alcotest.(check (option string))
                 (what ^ ": table price = fresh launch")
                 (Some (Printf.sprintf "%h" time))
                 (Option.map (Printf.sprintf "%h")
-                   (Search.memo_time memo d signature)))
+                   (Search.memo_time memo d st ds)))
             want.signatures;
           Hashtbl.iter (Hashtbl.replace pairs) want.pairs;
           Hashtbl.iter (Hashtbl.replace bodies) want.bodies;
-          Hashtbl.iter (Hashtbl.replace signatures) want.signatures;
-          Hashtbl.iter (Hashtbl.replace profiles) want.profiles)
+          Hashtbl.iter (Hashtbl.replace signatures) want.signatures)
         Device.all;
       Alcotest.(check int)
         (b.B.name ^ ": one attempt per (body, step) over the devices")
@@ -525,8 +539,8 @@ let test_shared_memo_equals_fresh () =
         (b.B.name ^ ": one launch per state over the devices")
         (Hashtbl.length signatures) !launches;
       Alcotest.(check int)
-        (b.B.name ^ ": one profile per (body, private set) over the devices")
-        (Hashtbl.length profiles) !profiled)
+        (b.B.name ^ ": one launch walk per body over the devices")
+        (Hashtbl.length bodies) !profiled)
     Registry.workloads
 
 (* The memo is keyed by the whole kernel: a kernel with the same body
@@ -661,6 +675,121 @@ let test_replay_rejects_stale_schedule () =
   match Search.replay Device.gtx580 k [ "warp-shuffle" ] ~shapes ~scalars with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bogus stored schedule replayed"
+
+(* A replay through the memo of the kernel's searches reads the memo
+   and equals a memo-free replay: the same candidate, the same time bit
+   for bit, the same error for a sequence that does not apply.  Every
+   search's winner and best Fig 8 sequence replay from the memo.       *)
+let test_replay_reads_memo () =
+  let from_memo = ref 0 in
+  Lime_support.Hooks.add Lime_support.Beam.hooks ~key:"test_replay_memo"
+    (function
+    | "rewrite", Lime_support.Beam.Replay { args; _ } ->
+        if List.assoc_opt "from" args = Some "memo" then incr from_memo
+    | _ -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      Lime_support.Hooks.remove Lime_support.Beam.hooks "test_replay_memo")
+    (fun () ->
+      List.iter
+        (fun (b : B.t) ->
+          let p = E.prepare ~seed:1 b in
+          let k = p.E.p_compiled.Pipeline.cp_kernel in
+          let shapes = p.E.p_shapes and scalars = p.E.p_scalars in
+          let memo = Search.create_memo () in
+          let outcomes =
+            List.map
+              (fun d -> (d, Search.search ~memo d k ~shapes ~scalars))
+              Device.all
+          in
+          List.iter
+            (fun ((d : Device.t), (o : Search.outcome)) ->
+              let replay what seq ~hit =
+                let what =
+                  Printf.sprintf "%s on %s, %s" b.B.name d.Device.name what
+                in
+                let before = !from_memo in
+                let warm = Search.replay ~memo d k seq ~shapes ~scalars in
+                Alcotest.(check bool) (what ^ ": read from the memo") hit
+                  (!from_memo > before);
+                match (Search.replay d k seq ~shapes ~scalars, warm) with
+                | Ok want, Ok got ->
+                    check_same_outcome what
+                      { o with Search.so_best = want }
+                      { o with Search.so_best = got }
+                | Error want, Error got ->
+                    Alcotest.(check string) (what ^ ": error") want got
+                | _ -> Alcotest.failf "%s: replays disagree" what
+              in
+              replay "winner" o.Search.so_best.Search.sc_sequence ~hit:true;
+              replay "best Fig 8"
+                (snd o.Search.so_fig8_best).Search.sc_sequence ~hit:true;
+              replay "unknown step" [ "warp-shuffle" ] ~hit:false;
+              replay "step without a site" [ "scalarize" ] ~hit:false)
+            outcomes)
+        Registry.workloads)
+
+(* The site walk: over every body a registry search reaches, a
+   structural step the walk finds no site for fails when attempted, and
+   one it finds a site for rewrites from that site as from the top.   *)
+let test_site_walk_sound () =
+  let structural =
+    List.filter_map
+      (fun (s : Rewrite.step) ->
+        match s.Rewrite.kind with
+        | Rewrite.Structural { attempt; _ } -> Some (s.Rewrite.name, attempt)
+        | Rewrite.Placement _ -> None)
+      Rewrite.catalog
+  in
+  let steps =
+    List.filter
+      (fun (s : Rewrite.step) ->
+        match s.Rewrite.kind with
+        | Rewrite.Structural _ -> true
+        | Rewrite.Placement _ -> false)
+      Rewrite.catalog
+  in
+  let result = function
+    | Ok (st : Rewrite.state) ->
+        "ok " ^ Stdlib.Digest.to_hex (body_digest st)
+    | Error m -> "error " ^ m
+  in
+  let absent = ref 0 and present = ref 0 in
+  List.iter
+    (fun (b : B.t) ->
+      let p = E.prepare ~seed:1 b in
+      let k = p.E.p_compiled.Pipeline.cp_kernel in
+      let shapes = p.E.p_shapes and scalars = p.E.p_scalars in
+      let bodies = Hashtbl.create 64 in
+      List.iter
+        (fun d ->
+          Hashtbl.iter (Hashtbl.replace bodies)
+            (unmemoized_work d k ~shapes ~scalars).bodies)
+        Device.all;
+      Hashtbl.iter
+        (fun _ (k : Kernel.kernel) ->
+          let st = Rewrite.initial k in
+          let sites = Rewrite.first_sites steps k.Kernel.k_body in
+          List.iteri
+            (fun i (name, attempt) ->
+              let what = Printf.sprintf "%s, %s" b.B.name name in
+              if sites.(i) < 0 then begin
+                incr absent;
+                Alcotest.(check bool) (what ^ ": no site, no rewrite") true
+                  (Result.is_error (attempt ~from:0 st))
+              end
+              else begin
+                incr present;
+                Alcotest.(check string)
+                  (what ^ ": from the site = from the top")
+                  (result (attempt ~from:0 st))
+                  (result (attempt ~from:sites.(i) st))
+              end)
+            structural)
+        bodies)
+    Registry.workloads;
+  Alcotest.(check bool) "the registry has steps with and without sites" true
+    (!absent > 0 && !present > 0)
 
 (* ------------------------------------------------------------------ *)
 (* The fig8 optimizer strategy is byte-identical to the plain sweep    *)
@@ -817,6 +946,10 @@ let () =
             test_replay_reproduces_search_best;
           Alcotest.test_case "stale schedule rejected" `Quick
             test_replay_rejects_stale_schedule;
+          Alcotest.test_case "replay reads the memo" `Slow
+            test_replay_reads_memo;
+          Alcotest.test_case "site walk: absent fails, present = top" `Slow
+            test_site_walk_sound;
         ] );
       ( "persistence",
         [
