@@ -475,12 +475,6 @@ let structural_steps =
       | Rewrite.Placement _ -> false)
     Rewrite.catalog
 
-(** [lookup m body] is [body]'s node, if [m] has seen it. *)
-let lookup (m : memo) (body : Ir.stmt list) : node option =
-  timed
-    (fun s -> m.m_digest_s <- m.m_digest_s +. s)
-    (fun () -> Bodies.find_opt m.m_bodies (body_key body))
-
 (** [facts m k ~shapes ~scalars] is the {!node} of [k]'s body: the only
     place a search builds a body's facts.  A body [m] has not seen is
     numbered, has its thread-dependence table computed, is analyzed and
@@ -693,7 +687,11 @@ let price (m : memo) (slot : int option) (device : Device.t) (n : node)
     the state [st] under the placement table [ds] on [device], if any. *)
 let memo_time (m : memo) (device : Device.t) (st : Rewrite.state)
     (ds : Memopt.decision list) : float option =
-  match (slot device, lookup m st.Rewrite.st_kernel.Kernel.k_body) with
+  match
+    ( slot device,
+      Bodies.find_opt m.m_bodies (body_key st.Rewrite.st_kernel.Kernel.k_body)
+    )
+  with
   | Some i, Some n ->
       Option.map
         (fun times -> times.(i))
