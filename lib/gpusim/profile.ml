@@ -469,7 +469,9 @@ type walk = {
       (** the accesses of the [w_roots] roots: every one, root and count,
           in walk order — or, when every count is a whole number and
           their sum is below 2{^53}, so that any order of adding them
-          gives the same float, one sum per root *)
+          gives the same float, one sum per root.  The log has an entry
+          per static access site, which unrolled bodies multiply: kept
+          whole, it tripled the size of TMatMul's search memo. *)
 }
 
 (** [arrange accesses] is [accesses], given in the order the walk first

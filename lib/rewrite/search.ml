@@ -15,7 +15,7 @@
     kernel body once per body, and nothing that does not depend on the
     device more than once per kernel ({!memo}).  The memo numbers each
     body it sees, looked up by a hash of the body's statement skeleton
-    and exact equality ({!body_key}).  A frontier entry carries its
+    and structural equality ({!body_key}).  A frontier entry carries its
     body's {!node} and its {!signature}: the body's number and the
     state's placement table.  A structural step reads only the kernel,
     and every step changes only the body, so among the searches of one
@@ -158,12 +158,11 @@ let score (device : Device.t) (st : Rewrite.state) (b : body)
 (* A body's key hashes its statement skeleton — each statement's kind,
    each loop's index and bounds, each declared name — and leaves the
    expressions out: the bodies of one search differ in their loop nests
-   and declarations, so the skeleton tells them apart, and equality
-   settles the rest.  Two bodies are the same body when they are equal
-   node for node, floats bit for bit — exactly when they would marshal
-   to the same bytes.  The equality stops at physically shared subtrees,
-   which a rewrite leaves in place outside its site, so telling two
-   relatives apart costs about the path to where they differ. *)
+   and declarations, so the skeleton tells them apart, and structural
+   equality ([compare]) settles the rest.  [compare] skips physically
+   shared subtrees, which a rewrite leaves in place outside its site, so
+   telling two relatives apart costs about the path to where they
+   differ. *)
 
 let mix h x = (h * 65599) + x
 
@@ -190,27 +189,6 @@ and stmt_skeleton h (s : Ir.stmt) =
   | Ir.SContinue -> mix h 15
   | Ir.SFinish _ -> mix h 16
 
-let rec same_nodes (a : Obj.t) (b : Obj.t) : bool =
-  a == b
-  || (not (Obj.is_int a))
-     && (not (Obj.is_int b))
-     &&
-     let tag = Obj.tag a and n = Obj.size a in
-     tag = Obj.tag b && n = Obj.size b
-     &&
-     if tag = Obj.string_tag then String.equal (Obj.obj a) (Obj.obj b)
-     else if tag = Obj.double_tag then
-       Int64.equal
-         (Int64.bits_of_float (Obj.obj a))
-         (Int64.bits_of_float (Obj.obj b))
-     else if tag < Obj.no_scan_tag then
-       let rec fields i =
-         i = n
-         || (same_nodes (Obj.field a i) (Obj.field b i) && fields (i + 1))
-       in
-       fields 0
-     else compare a b = 0
-
 (** A kernel body as a table key: the body and its skeleton's hash,
     taken once. *)
 type body_key = { bk_body : Ir.stmt list; bk_hash : int }
@@ -222,8 +200,7 @@ module Bodies = Hashtbl.Make (struct
   type t = body_key
 
   let equal a b =
-    a.bk_hash = b.bk_hash
-    && same_nodes (Obj.repr a.bk_body) (Obj.repr b.bk_body)
+    a.bk_hash = b.bk_hash && compare a.bk_body b.bk_body = 0
 
   let hash k = k.bk_hash
 end)
