@@ -188,56 +188,46 @@ echo "== one search memo =="
 # only in Search.facts, a structural step is attempted only in
 # Search.structural, from the site the body's site walk found, and a
 # launch is bound and priced only in Search.price, from the body's walk;
-# a replay, which searches nothing, reads the memo first (Search.recall,
-# which only looks up) and applies, analyzes and launches its one state
-# itself (Search.body_of, Search.score) only when the memo misses
+# a replay, which searches nothing, goes through the same pieces (on the
+# kernel's memo, or a fresh one): it builds a body's facts only through
+# Search.facts and launches only through Search.price
 if grep -nE '(^|[^.[:alnum:]_])Search\.(search|replay)|Lime_rewrite\.Search\.(search|replay)' \
      lib/service/*.ml | grep -v '~memo' | grep -v '?memo'; then
   echo "FAIL: lib/service/ runs a rewrite search or replay without its memo; pass the service's memo"
   exit 1
 fi
 if awk '/^let |^and /{f=$2; if (f == "rec") f=$3}
-        /Taint\.thread_dependent [a-z(]|Memopt\.analyze [~a-z(]/ \
-          && f != "facts" && f != "body_of" \
+        /Taint\.thread_dependent [a-z(]|Memopt\.analyze [~a-z(]/ && f != "facts" \
           {print FILENAME":"FNR": "$0; bad=1}
         /Autotune\.profile( |$)|first_sites / && f != "facts" \
           {print FILENAME":"FNR": "$0; bad=1}
         /attempt ~from/ && f != "structural" {print FILENAME":"FNR": "$0; bad=1}
-        /(^|[^._[:alnum:]])body_of / && !/^let body_of / && f != "replay" \
-          {print FILENAME":"FNR": "$0; bad=1}
         END {exit !bad}' lib/rewrite/search.ml; then
   echo "FAIL: a body fact built outside Search.facts, or a step attempted outside Search.structural; go through the memo"
   exit 1
 fi
-if grep -rn --include='*.ml' 'Search\.body_of' lib bin examples; then
-  echo "FAIL: Search.body_of called outside lib/rewrite/search.ml; a search analyzes its own bodies"
+# a search launches a state only in Search.price, which binds the body's
+# one launch walk under the state's placement table; nothing keeps a
+# profile per (body, private arrays) beside the body's walk; expand takes
+# a parent's children from the child table (Search.children), never
+# computing a placement table or a signature
+if grep -n 'Autotune\.launch' lib/rewrite/search.ml; then
+  echo "FAIL: Autotune.launch in lib/rewrite/search.ml; launch through Search.price, from the body's walk"
   exit 1
 fi
-# a search launches a state only in Search.price, which binds the body's
-# one launch walk under the state's placement table; a replay the memo
-# misses launches through Search.score; nothing keeps a profile per
-# (body, private arrays) beside the body's walk; expand takes a parent's
-# children from the child table (Search.children), never computing a
-# placement table or a signature
 if awk '/^let |^and /{f=$2; if (f == "rec") f=$3}
-        /Autotune\.launch( |$)/ && f != "score" \
-          {print FILENAME":"FNR": "$0; bad=1}
-        /Autotune\.bind( |$)/ && f != "price" \
-          {print FILENAME":"FNR": "$0; bad=1}
-        /(^|[^._[:alnum:]])score / && !/^let score / && f != "replay" \
+        /Autotune\.bind( |$)|Model\.kernel_time/ && f != "price" \
           {print FILENAME":"FNR": "$0; bad=1}
         /m_profiles|private_arrays/ {print FILENAME":"FNR": "$0; bad=1}
         END {exit !bad}' lib/rewrite/search.ml; then
-  echo "FAIL: a launch outside Search.price (a memo-missing replay's in Search.score), or a profile table beside the body walks; price from the node's walk"
+  echo "FAIL: a launch outside Search.price, or a profile table beside the body walks; price from the node's walk"
   exit 1
 fi
 if awk '/^let |^and /{f=$2; if (f == "rec") f=$3}
-        f == "recall" && /(^|[^._[:alnum:]])((facts|structural|children|price|claim) (m|memo) |attempt ~from)/ \
-          {print FILENAME":"FNR": "$0; bad=1}
-        f == "replay" && /apply_sequence/ {applied=FNR}
-        f == "replay" && /recall / {recalled=FNR}
-        END {exit !(bad || !recalled || applied < recalled)}' lib/rewrite/search.ml; then
-  echo "FAIL: Search.recall does work instead of reading the memo, or Search.replay applies the sequence before it reads the memo"
+        f == "replay" && /(^|[^._[:alnum:]])facts m / {facts=1}
+        f == "replay" && /(^|[^._[:alnum:]])price m / {priced=1}
+        END {exit (facts && priced)}' lib/rewrite/search.ml; then
+  echo "FAIL: Search.replay builds facts or launches without Search.facts and Search.price; replay through the memo's pieces"
   exit 1
 fi
 if awk '/^  let expand /{e=1; next}

@@ -108,8 +108,8 @@ let bind (k : Kernel.kernel) (decisions : Memopt.decision list)
 
 (** The one launch pricer: the launch's {!Profile.profile} and its
     {!bindings}.  Every tool that prices one launch goes through here; a
-    search that prices many launches of one kernel walks it once
-    ({!profile}) and {!bind}s each. *)
+    search or a sweep that prices many launches of one kernel walks it
+    once ({!profile}) and {!bind}s each. *)
 let launch ?hoist_invariant ?affine_lanes ?thread_vars (k : Kernel.kernel)
     (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) :
@@ -138,21 +138,23 @@ let entry name cfg ((bd : Model.breakdown), ct) =
   }
 
 (** Sweep the eight Fig 8 configurations; result sorted fastest first.
-    The kernel is analyzed once (one thread-dependence table, one
-    {!Memopt.analyze}); each configuration only decides its placements and
-    prices its launch.  [map] runs the per-configuration pricing and must
-    preserve order, so the ranking does not depend on it; it may run them
-    on several domains, since the pricing only reads the shared table and
-    infos. *)
+    The kernel is analyzed and walked once (one thread-dependence table,
+    one {!Memopt.analyze}, one {!profile}); each configuration only
+    decides its placements and {!bind}s its launch from the walk.  [map]
+    runs the per-configuration pricing and must preserve order, so the
+    ranking does not depend on it; it may run them on several domains,
+    since the pricing only reads the shared infos and walk, which are
+    immutable. *)
 let sweep_with ~map (d : Device.t) (k : Kernel.kernel)
     ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) : entry list =
   let thread_vars = Lime_gpu.Taint.thread_dependent k.Kernel.k_body in
   let infos = Memopt.analyze ~thread_vars k in
+  let walk = profile ~thread_vars k infos ~shapes ~scalars in
   Memopt.fig8_configs
   |> map (fun (name, cfg) ->
          let prof, bindings =
-           launch ~thread_vars k (Memopt.decide_all cfg infos) ~shapes ~scalars
+           bind k (Memopt.decide_all cfg infos) ~shapes walk
          in
          entry name cfg (Model.kernel_time_ex d prof bindings))
   |> List.sort (fun a b -> Float.compare a.at_time_s b.at_time_s)

@@ -79,9 +79,10 @@ val sweep :
   shapes:(string * int array) list ->
   scalars:(string * float) list ->
   entry list
-(** All eight configurations, fastest first.  The kernel is analyzed once
-    ({!Lime_gpu.Memopt.analyze} and its thread-dependence table); each
-    configuration decides its placements and prices its launch. *)
+(** All eight configurations, fastest first.  The kernel is analyzed and
+    walked once ({!Lime_gpu.Memopt.analyze}, its thread-dependence table
+    and {!profile}); each configuration decides its placements and
+    {!bind}s its launch. *)
 
 val sweep_with :
   map:

@@ -2,14 +2,15 @@
 
     The search explores sequences of {!Rewrite.step}s from
     {!Rewrite.catalog}, scoring each resulting [(kernel, config)] state
-    with the analytic device model (the launch pricer
-    {!Gpusim.Autotune.launch} with invariant hoisting and affine-lane
-    recognition enabled).  A beam of the [width] best states advances up
-    to [depth] levels on {!Lime_support.Beam.run}, the loop the placement
-    search shares, reporting through {!Lime_support.Beam.hooks} (as
-    ["rewrite"]); children are produced by every catalog step that
-    applies soundly and deduplicated structurally, so permutations of
-    commuting placements cost one evaluation, not many.
+    with the analytic device model (a launch walked by
+    {!Gpusim.Autotune.profile} and bound by {!Gpusim.Autotune.bind}, with
+    invariant hoisting and affine-lane recognition enabled).  A beam of
+    the [width] best states advances up to [depth] levels on
+    {!Lime_support.Beam.run}, the loop the placement search shares,
+    reporting through {!Lime_support.Beam.hooks} (as ["rewrite"]);
+    children are produced by every catalog step that applies soundly and
+    deduplicated structurally, so permutations of commuting placements
+    cost one evaluation, not many.
 
     Each piece of work is done once per state, what depends only on the
     kernel body once per body, and nothing that does not depend on the
@@ -59,10 +60,11 @@
     passes one memo to each search (the service keeps the memo of the
     last kernel it searched).  A device that is not physically one of
     {!Gpusim.Device.all} is priced directly, each time.  Without [?memo]
-    a search builds a fresh one.  A replay handed the memo of its
-    kernel's searches reads it ({!recall}): each structural step's
-    outcome, the final body and the state's price, with no attempt,
-    analysis or launch; any miss replays as if there were no memo.
+    a search builds a fresh one.  A replay goes through the same pieces
+    ({!replay}), on the memo of its kernel's searches when handed it and
+    on a fresh memo of its own otherwise: what the memo records — a
+    structural step's outcome, a body's facts, a state's price — it
+    reads, and what it lacks it builds as a search would.
 
     The initial population is the empty schedule plus the eight canned
     Fig 8 sequences of {!Rewrite.fig8_sequences}.  Seeding guarantees the
@@ -107,49 +109,6 @@ let seq_str = function
   | seq -> Rewrite.sequence_to_string seq
 
 let seq_arg seq = ("sequence", seq_str seq)
-
-(* ------------------------------------------------------------------ *)
-(* Scoring                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(** What a state's kernel body determines, whatever its configuration,
-    for a state priced without a memo ({!score}): the body's
-    thread-dependence table ({!Lime_gpu.Taint.thread_dependent}) and its
-    memory analysis with affine-lane recognition on, which reads that
-    table.  A search keeps a body's facts in its {!memo} instead
-    ({!node}). *)
-type body = {
-  b_thread_vars : (string, unit) Hashtbl.t;
-  b_analysis : Memopt.array_info list;
-}
-
-let body_of (st : Rewrite.state) : body =
-  let k = st.Rewrite.st_kernel in
-  let thread_vars = Lime_gpu.Taint.thread_dependent k.Kernel.k_body in
-  {
-    b_thread_vars = thread_vars;
-    b_analysis = Memopt.analyze ~affine_lanes:true ~thread_vars k;
-  }
-
-(** The memory optimizer's placements for a state with body [b]. *)
-let decisions (st : Rewrite.state) (b : body) : Memopt.decision list =
-  Memopt.decide_all st.Rewrite.st_config b.b_analysis
-
-(** Modeled time of one rewrite state under its [decisions], without a
-    memo: profile the (possibly restructured) kernel with the
-    backend-compiler effects the rewrites rely on (invariant hoisting,
-    affine lanes) and price it on the device.  The profile reads [b]'s
-    thread-dependence table.  A search prices through {!price}; this is
-    {!replay}'s when no memo holds the kernel. *)
-let score (device : Device.t) (st : Rewrite.state) (b : body)
-    (decisions : Memopt.decision list) ~(shapes : (string * int array) list)
-    ~(scalars : (string * float) list) : float =
-  let prof, bindings =
-    Autotune.launch ~hoist_invariant:true ~affine_lanes:true
-      ~thread_vars:b.b_thread_vars st.Rewrite.st_kernel decisions ~shapes
-      ~scalars
-  in
-  (Model.kernel_time device prof bindings).Model.bd_total_s
 
 (* ------------------------------------------------------------------ *)
 (* Body keys and signatures                                            *)
@@ -825,88 +784,87 @@ let search ?(memo = create_memo ()) ?(width = default_width)
 (* Replay and reporting                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** [recall m device k sequence ~shapes ~scalars] is the candidate
-    [sequence] reaches from [k], read from [m] alone: each structural
-    step's outcome from its parent's {!node}, the final body's facts and
-    the state's time from [m_prices].  [None] when [m] is not [k]'s under
-    these shapes and scalars, or misses any of it — a body it never
-    expanded, a step it saw fail, a name outside the catalog, a state it
-    never priced, a device outside {!Gpusim.Device.all}. *)
-let recall (m : memo) (device : Device.t) (k : Kernel.kernel)
-    (sequence : string list) ~shapes ~scalars : candidate option =
-  let index name =
-    let rec go i = function
-      | [] -> None
-      | (s : Rewrite.step) :: rest ->
-          if String.equal s.Rewrite.name name then Some i else go (i + 1) rest
-    in
-    go 0 structural_steps
+(** [recorded n name] is the child node [n]'s outcomes hold for the
+    catalog's structural step [name]: [None] when [n] was never expanded,
+    the step failed, or [name] is not a structural step of the catalog. *)
+let recorded (n : node) (name : string) : node option =
+  let rec go i = function
+    | [] -> None
+    | (s : Rewrite.step) :: rest ->
+        if String.equal s.Rewrite.name name then
+          Option.bind n.n_steps (fun steps -> steps.(i))
+        else go (i + 1) rest
   in
-  let rec go (n : node) cfg = function
-    | [] -> Some (n, cfg)
-    | name :: rest -> (
-        match Option.map (fun s -> s.Rewrite.kind) (Rewrite.of_name name) with
-        | Some (Rewrite.Placement { set; _ }) -> go n (set cfg) rest
-        | Some (Rewrite.Structural _) -> (
-            match (index name, n.n_steps) with
-            | Some i, Some steps ->
-                Option.bind steps.(i) (fun n' -> go n' cfg rest)
-            | _ -> None)
-        | None -> None)
-  in
-  let price_key = price_key ~shapes ~scalars in
-  match (slot device, m.m_base) with
-  | Some i, Some base when claimed m k ~price_key ->
-      Option.bind
-        (go base (Rewrite.initial k).Rewrite.st_config sequence)
-        (fun (n, cfg) ->
-          Option.map
-            (fun times ->
-              {
-                sc_sequence = sequence;
-                sc_state = { Rewrite.st_kernel = n.n_kernel; st_config = cfg };
-                sc_time_s = times.(i);
-              })
-            (Sig.find_opt m.m_prices (signature n.n_id (decide cfg n))))
-  | _ -> None
+  go 0 structural_steps
 
 (** Apply a stored schedule (legality-checked, no search) and price the
     result — the cache-warm path: a tunestore hit replays the persisted
-    sequence instead of re-searching.  A [memo] holding the kernel's
-    search answers it ({!recall}); otherwise, and on any miss, the
-    sequence is applied and its state launched. *)
+    sequence instead of re-searching.  The replay works on [memo] when
+    {!claimed} holds it for [k], these shapes and these scalars, and on a
+    fresh memo of its own otherwise.  From the baseline's node, a
+    placement step changes only the configuration; a structural step
+    takes the child its parent's node records ({!recorded}), or is applied
+    alone ({!Rewrite.apply_sequence}, whose error is the replay's) and
+    its body's node taken from {!facts}.  The final state is priced by
+    {!price}.  A replay thus adds to the memo only what a search of its
+    states would — bodies, their walks, prices — and never a node's
+    outcomes or a child list. *)
 let replay ?memo (device : Device.t) (k : Kernel.kernel)
     (sequence : string list) ~(shapes : (string * int array) list)
     ~(scalars : (string * float) list) : (candidate, string) result =
-  let replayed ?(read = []) ok =
-    emit (fun () ->
-        Beam.Replay
-          {
-            args = ("kernel", k.Kernel.k_name) :: seq_arg sequence :: read;
-            ok;
-          })
+  let m, slot =
+    match memo with
+    | Some m when claimed m k ~price_key:(price_key ~shapes ~scalars) ->
+        (m, slot device)
+    | _ -> (create_memo (), None)
   in
-  match
-    Option.bind memo (fun m -> recall m device k sequence ~shapes ~scalars)
-  with
-  | Some c ->
-      replayed ~read:[ ("from", "memo") ] true;
-      Ok c
-  | None -> (
-      match Rewrite.apply_sequence (Rewrite.initial k) sequence with
-      | Error m ->
-          replayed false;
-          Error m
-      | Ok st ->
-          replayed true;
-          let body = body_of st in
-          Ok
-            {
-              sc_sequence = sequence;
-              sc_state = st;
-              sc_time_s =
-                score device st body (decisions st body) ~shapes ~scalars;
-            })
+  let work () = m.m_analyses + m.m_profiled + m.m_launches in
+  let before = work () and applied = ref false in
+  let rec go (n : node) cfg = function
+    | [] -> Ok (n, cfg)
+    | name :: rest -> (
+        match Rewrite.of_name name with
+        | Some { Rewrite.kind = Rewrite.Placement { set; _ }; _ } ->
+            go n (set cfg) rest
+        | _ -> (
+            match recorded n name with
+            | Some n' -> go n' cfg rest
+            | None ->
+                applied := true;
+                let st = { Rewrite.st_kernel = n.n_kernel; st_config = cfg } in
+                Result.bind (Rewrite.apply_sequence st [ name ])
+                  (fun (st' : Rewrite.state) ->
+                    let n' = facts m st'.Rewrite.st_kernel ~shapes ~scalars in
+                    go n' cfg rest)))
+  in
+  let base =
+    match m.m_base with Some n -> n | None -> facts m k ~shapes ~scalars
+  in
+  let result =
+    go base (Rewrite.initial k).Rewrite.st_config sequence
+    |> Result.map (fun (n, cfg) ->
+           {
+             sc_sequence = sequence;
+             sc_state = { Rewrite.st_kernel = n.n_kernel; st_config = cfg };
+             sc_time_s =
+               price m slot device n cfg
+                 (signature n.n_id (decide cfg n))
+                 ~shapes ~scalars;
+           })
+  in
+  let ok = Result.is_ok result in
+  emit (fun () ->
+      Beam.Replay
+        {
+          args =
+            [ ("kernel", k.Kernel.k_name); seq_arg sequence ]
+            @
+            if ok && (not !applied) && work () = before then
+              [ ("from", "memo") ]
+            else [];
+          ok;
+        });
+  result
 
 (** Human-readable account of a search, for [limec --explain]. *)
 let explain (o : outcome) : string =

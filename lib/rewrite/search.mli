@@ -72,15 +72,18 @@ val replay :
   scalars:(string * float) list ->
   (candidate, string) result
 (** Apply a stored schedule (legality-checked, no search) and price the
-    result — the cache-warm path.  When [memo] last searched this very
-    kernel ([==]) with these shapes and scalars, the replay reads it: the
-    structural steps' outcomes, the final body and its price, with no
-    attempt, analysis or launch.  Anything the memo lacks — a step it
-    never attempted or saw fail, a state it never priced — replays
-    without it, so the result, and the error of a sequence that no
-    longer applies, are the same with or without [memo].  The memo is
-    only read.  The ["rewrite"] [Replay] event of a replay the memo
-    answered carries [from=memo]. *)
+    result — the cache-warm path.  The replay goes through the search's
+    own pieces: on [memo] when [memo] last searched this very kernel
+    ([==]) with these shapes and scalars, and on a fresh memo of its own
+    otherwise, so it never empties or re-keys another kernel's memo.  A
+    structural step whose outcome the memo records is read from it, and
+    any other is applied on its own; the final state is priced from its
+    body's launch walk, or read from the memo's prices.  The result, and
+    the error of a sequence that does not apply, are the same with or
+    without [memo].  The replay adds to [memo] only what a search of the
+    same states would: bodies, their walks and their prices.  The
+    ["rewrite"] [Replay] event of a replay that attempted, analyzed and
+    launched nothing carries [from=memo]. *)
 
 val explain : outcome -> string
 (** Human-readable account of a search, for [limec --explain]. *)
@@ -88,24 +91,6 @@ val explain : outcome -> string
 val seq_str : string list -> string
 (** A sequence as {!Rewrite.sequence_to_string} prints it, or
     ["(baseline)"] when empty. *)
-
-(** {2 Pieces the memo-free reference search in the tests rebuilds} *)
-
-type body
-(** A kernel body's thread-dependence table and memory analysis. *)
-
-val body_of : Rewrite.state -> body
-val decisions : Rewrite.state -> body -> Lime_gpu.Memopt.decision list
-
-val score :
-  Gpusim.Device.t ->
-  Rewrite.state ->
-  body ->
-  Lime_gpu.Memopt.decision list ->
-  shapes:(string * int array) list ->
-  scalars:(string * float) list ->
-  float
-(** Modeled time of a state under its decisions, from its own launch. *)
 
 val memo_time :
   memo ->

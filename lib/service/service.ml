@@ -287,8 +287,8 @@ let sweep t d ~device_key ~digest kernel ~shapes ~scalars =
    when done, so tuning one kernel on several devices walks and analyzes
    each body once, and a replay of the kernel the memo holds reads its
    work instead of redoing it; one that runs meanwhile finds the slot
-   empty (a search builds its own memo, a replay goes without), so no two
-   share a memo. *)
+   empty and builds its own memo, so no two share a memo.  A replay of
+   another kernel leaves the memo it is handed as it was. *)
 let beam_device_key device = device ^ ".beam"
 
 let beam_schedule t (d : Gpusim.Device.t) ~device_key ~digest ?width ?depth

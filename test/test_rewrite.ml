@@ -310,6 +310,49 @@ let signature digest (ds : Memopt.decision list) : signature =
         (d.Memopt.d_array, d.Memopt.d_placement, d.Memopt.d_reason))
       ds )
 
+(* The memo-free reference pieces, from public APIs: what a state's body
+   determines whatever its configuration — its thread-dependence table
+   and its memory analysis with affine lanes on — and a state's modeled
+   time from its own launch, with the backend effects the rewrites rely
+   on (invariant hoisting, affine lanes). *)
+type body = {
+  b_thread_vars : (string, unit) Hashtbl.t;
+  b_analysis : Memopt.array_info list;
+}
+
+let body_of (st : Rewrite.state) : body =
+  let k = st.Rewrite.st_kernel in
+  let thread_vars = Lime_gpu.Taint.thread_dependent k.Kernel.k_body in
+  {
+    b_thread_vars = thread_vars;
+    b_analysis = Memopt.analyze ~affine_lanes:true ~thread_vars k;
+  }
+
+let decisions (st : Rewrite.state) (b : body) : Memopt.decision list =
+  Memopt.decide_all st.Rewrite.st_config b.b_analysis
+
+let score (d : Device.t) (st : Rewrite.state) (b : body)
+    (ds : Memopt.decision list) ~shapes ~scalars : float =
+  let prof, bindings =
+    Gpusim.Autotune.launch ~hoist_invariant:true ~affine_lanes:true
+      ~thread_vars:b.b_thread_vars st.Rewrite.st_kernel ds ~shapes ~scalars
+  in
+  (Gpusim.Model.kernel_time d prof bindings).Gpusim.Model.bd_total_s
+
+(* The memo-free replay: apply the whole sequence, then launch its
+   state. *)
+let reference_replay (d : Device.t) (k : Kernel.kernel) (seq : string list)
+    ~shapes ~scalars : (Search.candidate, string) result =
+  Result.map
+    (fun st ->
+      let b = body_of st in
+      {
+        Search.sc_sequence = seq;
+        sc_state = st;
+        sc_time_s = score d st b (decisions st b) ~shapes ~scalars;
+      })
+    (Rewrite.apply_sequence (Rewrite.initial k) seq)
+
 let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
     =
   let evals = ref 0 and attempts = ref 0 in
@@ -323,14 +366,14 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
   (* sequence, state, body, digest, decisions, modeled time *)
   let evaluate seq st body digest ds =
     incr evals;
-    let time = Search.score d st body ds ~shapes ~scalars in
+    let time = score d st body ds ~shapes ~scalars in
     Hashtbl.replace signatures (signature digest ds) (st, ds, time);
     (seq, st, body, digest, ds, time)
   in
   let st0 = Rewrite.initial k in
-  let body0 = Search.body_of st0 and digest0 = body_digest st0 in
+  let body0 = body_of st0 and digest0 = body_digest st0 in
   Hashtbl.replace bodies digest0 k;
-  let ds0 = Search.decisions st0 body0 in
+  let ds0 = decisions st0 body0 in
   ignore (fresh digest0 ds0);
   let base = evaluate [] st0 body0 digest0 ds0 in
   let seeds =
@@ -341,7 +384,7 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
           match Rewrite.apply_sequence st0 seq with
           | Error _ -> None
           | Ok st ->
-              let ds = Search.decisions st body0 in
+              let ds = decisions st body0 in
               ignore (fresh digest0 ds);
               Some (evaluate seq st body0 digest0 ds))
       Rewrite.fig8_sequences
@@ -360,7 +403,7 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
             if get cfg then None
             else
               let st' = { st with Rewrite.st_config = set cfg } in
-              let ds' = Search.decisions st' body in
+              let ds' = decisions st' body in
               if Memopt.placements ds' = Memopt.placements ds then None
               else child st' body digest ds'
         | Rewrite.Structural { attempt; _ } -> (
@@ -369,10 +412,10 @@ let unmemoized_work (d : Device.t) (k : Kernel.kernel) ~shapes ~scalars : work
             match attempt ~from:0 st with
             | Error _ -> None
             | Ok st' ->
-                let body' = Search.body_of st' in
+                let body' = body_of st' in
                 let digest' = body_digest st' in
                 Hashtbl.replace bodies digest' st'.Rewrite.st_kernel;
-                child st' body' digest' (Search.decisions st' body')))
+                child st' body' digest' (decisions st' body')))
       Rewrite.catalog
   in
   let cmp (sa, _, _, _, _, ta) (sb, _, _, _, _, tb) =
@@ -676,10 +719,29 @@ let test_replay_rejects_stale_schedule () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bogus stored schedule replayed"
 
-(* A replay through the memo of the kernel's searches reads the memo
-   and equals a memo-free replay: the same candidate, the same time bit
-   for bit, the same error for a sequence that does not apply.  Every
-   search's winner and best Fig 8 sequence replay from the memo.       *)
+(* Every replay equals the memo-free reference replay: the same
+   candidate, the same time bit for bit, the same error for a sequence
+   that does not apply — whether it is handed the memo of the kernel's
+   searches, no memo, or the memo of another kernel.  Only a replay with
+   the kernel's memo of a sequence the searches priced (each search's
+   winner and best Fig 8 sequence) reads it alone; an unknown step, a
+   step without a site and a tile step outside the catalog are applied.
+   A replay handed another kernel's memo leaves it as it was: the same
+   size, and a search of that kernel after it does the same work.      *)
+let check_same_replay what (want : (Search.candidate, string) result) got =
+  match (want, got) with
+  | Ok (want : Search.candidate), Ok (got : Search.candidate) ->
+      Alcotest.(check (list string))
+        (what ^ ": sequence") want.Search.sc_sequence got.Search.sc_sequence;
+      Alcotest.(check int64)
+        (what ^ ": time, bit for bit")
+        (Int64.bits_of_float want.Search.sc_time_s)
+        (Int64.bits_of_float got.Search.sc_time_s);
+      Alcotest.(check string) (what ^ ": state") (state_md5 want)
+        (state_md5 got)
+  | Error want, Error got -> Alcotest.(check string) (what ^ ": error") want got
+  | _ -> Alcotest.failf "%s: replays disagree" what
+
 let test_replay_reads_memo () =
   let from_memo = ref 0 in
   Lime_support.Hooks.add Lime_support.Beam.hooks ~key:"test_replay_memo"
@@ -687,10 +749,21 @@ let test_replay_reads_memo () =
     | "rewrite", Lime_support.Beam.Replay { args; _ } ->
         if List.assoc_opt "from" args = Some "memo" then incr from_memo
     | _ -> ());
+  (* the size of a memo, its lazy site tables settled first *)
+  let words memo =
+    Gc.full_major ();
+    Obj.reachable_words (Obj.repr memo)
+  in
+  (* the work counts of one more search of a kernel whose memo holds its
+     searches *)
+  let research memo (k : Kernel.kernel) ~shapes ~scalars =
+    snd (snd (search_end ~memo (List.hd Device.all) k ~shapes ~scalars))
+  in
   Fun.protect
     ~finally:(fun () ->
       Lime_support.Hooks.remove Lime_support.Beam.hooks "test_replay_memo")
     (fun () ->
+      let other = ref None in
       List.iter
         (fun (b : B.t) ->
           let p = E.prepare ~seed:1 b in
@@ -702,31 +775,48 @@ let test_replay_reads_memo () =
               (fun d -> (d, Search.search ~memo d k ~shapes ~scalars))
               Device.all
           in
+          let other_words = Option.map (fun (m, _, _) -> words m) !other in
           List.iter
             (fun ((d : Device.t), (o : Search.outcome)) ->
               let replay what seq ~hit =
                 let what =
                   Printf.sprintf "%s on %s, %s" b.B.name d.Device.name what
                 in
-                let before = !from_memo in
-                let warm = Search.replay ~memo d k seq ~shapes ~scalars in
-                Alcotest.(check bool) (what ^ ": read from the memo") hit
-                  (!from_memo > before);
-                match (Search.replay d k seq ~shapes ~scalars, warm) with
-                | Ok want, Ok got ->
-                    check_same_outcome what
-                      { o with Search.so_best = want }
-                      { o with Search.so_best = got }
-                | Error want, Error got ->
-                    Alcotest.(check string) (what ^ ": error") want got
-                | _ -> Alcotest.failf "%s: replays disagree" what
+                let want = reference_replay d k seq ~shapes ~scalars in
+                let check how ?memo ~hit () =
+                  let before = !from_memo in
+                  let got = Search.replay ?memo d k seq ~shapes ~scalars in
+                  Alcotest.(check bool)
+                    (what ^ ", " ^ how ^ ": read from the memo alone")
+                    hit (!from_memo > before);
+                  check_same_replay (what ^ ", " ^ how) want got
+                in
+                check "kernel's memo" ~memo ~hit ();
+                check "no memo" ~hit:false ();
+                Option.iter
+                  (fun (m, _, _) ->
+                    check "other kernel's memo" ~memo:m ~hit:false ())
+                  !other
               in
               replay "winner" o.Search.so_best.Search.sc_sequence ~hit:true;
               replay "best Fig 8"
                 (snd o.Search.so_fig8_best).Search.sc_sequence ~hit:true;
               replay "unknown step" [ "warp-shuffle" ] ~hit:false;
-              replay "step without a site" [ "scalarize" ] ~hit:false)
-            outcomes)
+              replay "step without a site" [ "scalarize" ] ~hit:false;
+              replay "tile outside the catalog" [ "tile:16" ] ~hit:false)
+            outcomes;
+          Option.iter
+            (fun (m, research_other, counts) ->
+              Alcotest.(check (option int))
+                (b.B.name ^ ": the other kernel's memo keeps its size")
+                other_words
+                (Some (words m));
+              Alcotest.(check (list (pair string int)))
+                (b.B.name ^ ": the other kernel's next search, same work")
+                counts (research_other ()))
+            !other;
+          let research () = research memo k ~shapes ~scalars in
+          other := Some (memo, research, research ()))
         Registry.workloads)
 
 (* The site walk: over every body a registry search reaches, a
